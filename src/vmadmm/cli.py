@@ -16,9 +16,16 @@ import sys
 
 import numpy as np
 
+from . import diagnostics
 from .errors import ConfigError, OracleError, VmAdmmError
-from .experiments import load_config, run_experiment
-from .problems import build_problem, oracle
+from .experiments import (
+    CHECK_TOLERANCES,
+    load_config,
+    output_dir,
+    problem_from_config,
+    run_experiment,
+)
+from .problems import oracle
 
 
 def _build_parser():
@@ -43,19 +50,15 @@ def _build_parser():
     chk = sub.add_parser("check", help="validate a run log against an oracle file")
     chk.add_argument("--log", required=True, help="path to log.csv")
     chk.add_argument("--against", required=True, help="path to oracle.json")
-    chk.add_argument("--kkt-tol", type=float, default=1e-6)
+    chk.add_argument("--kkt-tol", type=float, default=CHECK_TOLERANCES["kkt"])
     return parser
-
-
-def _out_dir(arg, cfg):
-    return arg or os.environ.get("VMADMM_OUT") or cfg.out_dir
 
 
 def _cmd_solve(args):
     cfg = load_config(args.config)
     if args.iters is not None:
         cfg.iters = args.iters
-    result = run_experiment(cfg, force=args.force, out_dir=_out_dir(args.out, cfg))
+    result = run_experiment(cfg, force=args.force, out_dir=args.out)
     if result.csv_path:
         print(f"log: {result.csv_path}")
         print(f"summary: {result.summary_path}")
@@ -64,14 +67,10 @@ def _cmd_solve(args):
 
 def _cmd_oracle(args):
     cfg = load_config(args.config)
-    params = {k: v for k, v in cfg.problem.items() if k != "name"}
-    params["c"] = cfg.c
-    problem, _ = build_problem(cfg.problem["name"], **params)
+    problem, _ = problem_from_config(cfg)
     budget = args.budget if args.budget is not None else cfg.oracle_budget
     result = oracle(problem, budget=budget)
-    directory = _out_dir(args.out, cfg)
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, "oracle.json")
+    path = os.path.join(output_dir(cfg, args.out), "oracle.json")
     payload = {
         "problem": cfg.problem,
         "c": cfg.c,
@@ -110,23 +109,19 @@ def _cmd_check(args):
         failures.append(f"final kkt {final_kkt:.3e} >= {args.kkt_tol:g}")
 
     # When dual vectors were logged, the primal residual must equal the
-    # rescaled dual step exactly (to 1e-12).
+    # rescaled dual step, to the runner's dual_identity tolerance.
     y_cols = sorted(
         (c for c in rows[0] if c.startswith("y_")), key=lambda s: int(s[2:])
     )
     if y_cols:
         # The k=0 dual iterate is not in the log, so the identity is checked
         # from the second logged row onward.
-        c_pen = float(against["c"])
-        worst = 0.0
-        y_prev = None
-        for row in rows:
-            y = np.array([float(row[c]) for c in y_cols])
-            if y_prev is not None:
-                recomputed = float(np.linalg.norm(y - y_prev)) / c_pen
-                worst = max(worst, abs(recomputed - float(row["residual_primal"])))
-            y_prev = y
-        if worst > 1e-12:
+        worst = diagnostics.dual_identity_deviation(
+            [np.array([float(row[c]) for c in y_cols]) for row in rows],
+            [float(row["residual_primal"]) for row in rows[1:]],
+            float(against["c"]),
+        )
+        if worst > CHECK_TOLERANCES["dual_identity"]:
             failures.append(f"residual/dual-step identity violated by {worst:.3e}")
         else:
             print(f"dual identity: max deviation {worst:.3e}")

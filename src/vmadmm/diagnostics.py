@@ -195,13 +195,21 @@ def uv_energies(problem, trace, saddle, m1, m2):
     return u, v
 
 
-def sequence_uv(problem, trace, saddle, m1, m2):
-    """Stream of :class:`SequencePair` for ``k = 1..K-1``."""
-    u, v = uv_energies(problem, trace, saddle, m1, m2)
+def uv_pairs(u, v):
+    """:class:`SequencePair` for ``k = 0..K-1`` from :func:`uv_energies` arrays.
+
+    The ``k = 0`` pair carries ``v_1`` for :func:`v_monotone_check`; its
+    ``u`` is NaN, so the inequality checks take the pairs from ``k = 1``.
+    """
     return [
         SequencePair(k=k, u=float(u[k]), v_next=float(v[k + 1]))
-        for k in range(1, trace.iterations)
+        for k in range(len(u) - 1)
     ]
+
+
+def sequence_uv(problem, trace, saddle, m1, m2):
+    """Stream of :class:`SequencePair` for ``k = 1..K-1``."""
+    return uv_pairs(*uv_energies(problem, trace, saddle, m1, m2))[1:]
 
 
 def inequality_v_check(pairs, zs, c):
@@ -236,6 +244,20 @@ def v_monotone_check(pairs, tol=1e-10):
         if cur.v_next > prev.v_next + tol:
             return False, cur.k
     return True, None
+
+
+def dual_identity_deviation(ys, residuals, c):
+    """Largest ``| ||y_k - y_{k-1}|| / c - residuals[k-1] |`` over the steps.
+
+    ``ys`` holds consecutive dual iterates and ``residuals`` the logged
+    ``||A x_k - z_k||`` of each step after the first iterate; the two agree
+    exactly on a genuine run, because the dual update is ``y + c (Ax - z)``.
+    """
+    worst = 0.0
+    for y_prev, y, resid in zip(ys, ys[1:], residuals):
+        recomputed = float(np.linalg.norm(y - y_prev)) / c
+        worst = max(worst, abs(recomputed - resid))
+    return worst
 
 
 def accumulate_step_energy(trace, c):

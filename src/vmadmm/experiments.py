@@ -6,6 +6,12 @@ initial point, the iteration count, and the list of hard checks to evaluate.
 Identical configurations produce byte-identical CSV logs on the same
 platform: floats are printed with 17 significant digits and all test data is
 generated from seeded integer arithmetic.
+
+Every certificate is computed in :mod:`diagnostics` and judged against the
+one tolerance in :data:`CHECK_TOLERANCES`; ``vmadmm check`` calls the same
+functions with the same tolerances. The u/v checks (``v_inequality``,
+``v_monotone``, ``feasibility_rate``) need the metrics to stay constant for
+the whole run and are reported "not evaluable" otherwise.
 """
 
 from __future__ import annotations
@@ -14,8 +20,6 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
 
 from . import diagnostics
 from .errors import ConfigError, UnsupportedSetting, VmAdmmError
@@ -167,11 +171,6 @@ def _fmt(value):
     return format(float(value), ".17g")
 
 
-def _min_ignoring_none(*values):
-    present = [v for v in values if v is not None]
-    return min(present) if present else None
-
-
 def write_iterate_log(path, rows, vector_labels=None):
     """Write IterateLog rows (list of dicts) as deterministic CSV."""
     columns = list(CSV_COLUMNS)
@@ -203,6 +202,20 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+def problem_from_config(cfg):
+    """Build the catalog problem a config names; returns ``(problem, metadata)``."""
+    params = {k: v for k, v in cfg.problem.items() if k != "name"}
+    params["c"] = cfg.c
+    return build_problem(cfg.problem["name"], **params)
+
+
+def output_dir(cfg, override):
+    """Create and return ``override``, else ``$VMADMM_OUT``, else ``cfg.out_dir``."""
+    directory = override or os.environ.get("VMADMM_OUT") or cfg.out_dir
+    os.makedirs(directory, exist_ok=True)
+    return directory
+
+
 def _initial_from_config(cfg, problem):
     if cfg.init == "zeros":
         return initial_state(problem)
@@ -224,9 +237,7 @@ def run_experiment(cfg, force=False, out_dir=None, echo=print):
     hard checks. Exit code 0 iff every requested check passes; 3 when the
     assumption validation rejects the schedules and ``force`` is not set.
     """
-    params = {k: v for k, v in cfg.problem.items() if k != "name"}
-    params["c"] = cfg.c
-    problem, metadata = build_problem(cfg.problem["name"], **params)
+    problem, metadata = problem_from_config(cfg)
     sched1 = schedule_from_spec(cfg.metric1, problem.n, problem)
     sched2 = schedule_from_spec(cfg.metric2, problem.m, problem)
 
@@ -265,7 +276,7 @@ def run_experiment(cfg, force=False, out_dir=None, echo=print):
     summary = {
         "problem": metadata,
         "iterations": K,
-        "final_kkt": derived["kkt"][-1] if K else None,
+        "final_kkt": derived["final_kkt"],
         "min_gap_slack": derived["min_gap_slack"],
         "min_v_slack": derived["min_v_slack"],
         "rate_slope": derived["rate_slope"],
@@ -284,8 +295,7 @@ def run_experiment(cfg, force=False, out_dir=None, echo=print):
         },
     }
 
-    directory = out_dir or os.environ.get("VMADMM_OUT") or cfg.out_dir
-    os.makedirs(directory, exist_ok=True)
+    directory = output_dir(cfg, out_dir)
     csv_path = os.path.join(directory, "log.csv")
     summary_path = os.path.join(directory, "summary.json")
     vector_labels = None
@@ -315,17 +325,21 @@ def run_experiment(cfg, force=False, out_dir=None, echo=print):
     )
 
 
-def _assemble_rows(problem, trace, sched1, sched2, saddle, seed=0):
-    """Build IterateLog rows and the derived per-run quantities."""
-    K = trace.iterations
-    kkt_values = [
-        diagnostics.kkt_residual(problem, trace.xs[k], trace.ys[k])
-        for k in range(1, K + 1)
-    ]
+def _constant_metrics(sched1, sched2, K):
+    """The metrics of a run that used one (M1, M2) pair for all K iterations."""
+    m1, m2 = sched1.metric(0), sched2.metric(0)
+    for k in range(1, K):
+        if sched1.metric(k) is not m1 or sched2.metric(k) is not m2:
+            raise UnsupportedSetting("u/v need constant metric schedules")
+    return m1, m2
 
-    gaps = bounds = None
-    gamma0 = None
-    probe_gap_min_slack = None
+
+def _assemble_rows(problem, trace, sched1, sched2, saddle, seed=0):
+    """Build IterateLog rows and the derived per-run quantities in one pass."""
+    K = trace.iterations
+    u = v = pairs = None
+    v_slacks = {}
+    uncorrected_min = None
     if saddle is not None and K:
         averager = diagnostics.ErgodicAverager(problem.n, problem.m)
         init_state = trace.state_at(0)
@@ -339,49 +353,23 @@ def _assemble_rows(problem, trace, sched1, sched2, saddle, seed=0):
             diagnostics.gamma(problem, init_state, trace.m1_0, trace.m2_0, p)
             for p in probes
         ]
-        gaps, bounds = [], []
-        for k in range(1, K + 1):
-            averager.update(trace.xs[k], trace.zs[k], trace.ys[k])
-            cert = diagnostics.gap_certificate(problem, averager, saddle, gamma0)
-            gaps.append(cert.gap)
-            bounds.append(cert.bound)
-            if k % 10 == 0 or k == K:
-                for probe, g0 in zip(probes, probe_gammas):
-                    pc = diagnostics.gap_certificate(problem, averager, probe, g0)
-                    if probe_gap_min_slack is None or pc.slack < probe_gap_min_slack:
-                        probe_gap_min_slack = pc.slack
-
-    u = v = None
-    v_slacks = {}
-    uncorrected_min = None
-    if saddle is not None and K:
         try:
-            m1_const = sched1.metric(0)
-            m2_const = sched2.metric(0)
-            constant = all(
-                sched.metric(k) is sched.metric(0)
-                for sched in (sched1, sched2)
-                for k in range(min(K, 3))
+            m1, m2 = _constant_metrics(sched1, sched2, K)
+            u, v = diagnostics.uv_energies(problem, trace, saddle, m1, m2)
+        except UnsupportedSetting:
+            pass
+        else:
+            pairs = diagnostics.uv_pairs(u, v)
+            v_slacks = dict(
+                diagnostics.inequality_v_check(pairs[1:], trace.zs, problem.c)
             )
-            if not constant:
-                raise UnsupportedSetting("u/v need constant metric schedules")
-            u, v = diagnostics.uv_energies(
-                problem, trace, saddle, m1_const, m2_const
-            )
-            pairs = [
-                diagnostics.SequencePair(k=k, u=float(u[k]), v_next=float(v[k + 1]))
-                for k in range(1, K)
-            ]
-            v_slacks = dict(diagnostics.inequality_v_check(pairs, trace.zs, problem.c))
             # the stronger, uncorrected inequality is logged as a finding only
-            uncorrected = diagnostics.uncorrected_v_slack(pairs)
+            uncorrected = diagnostics.uncorrected_v_slack(pairs[1:])
             if uncorrected:
                 uncorrected_min = min(s for _, s in uncorrected)
-        except UnsupportedSetting:
-            u = v = None
-            v_slacks = {}
 
     rows = []
+    gap_slacks, probe_slacks = [], []
     for k in range(1, K + 1):
         x, z, y = trace.xs[k], trace.zs[k], trace.ys[k]
         row = {
@@ -390,18 +378,26 @@ def _assemble_rows(problem, trace, sched1, sched2, saddle, seed=0):
             + problem.h(x)
             + problem.g(problem.A.apply(x)),
             "residual_primal": trace.residual_norms[k - 1],
-            "kkt": kkt_values[k - 1],
-            "lagrangian_at_probe": (
-                diagnostics.lagrangian(problem, x, z, saddle[2])
-                if saddle is not None
-                else None
-            ),
-            "u_k": float(u[k]) if u is not None else None,
-            "v_k": float(v[k]) if v is not None else None,
-            "v_slack": v_slacks.get(k),
-            "gap": gaps[k - 1] if gaps is not None else None,
-            "gap_bound": bounds[k - 1] if bounds is not None else None,
+            "kkt": diagnostics.kkt_residual(problem, x, y),
         }
+        if saddle is not None:
+            averager.update(x, z, y)
+            cert = diagnostics.gap_certificate(problem, averager, saddle, gamma0)
+            gap_slacks.append(cert.slack)
+            row["gap"] = cert.gap
+            row["gap_bound"] = cert.bound
+            row["lagrangian_at_probe"] = diagnostics.lagrangian(
+                problem, x, z, saddle[2]
+            )
+            if k % 10 == 0 or k == K:
+                probe_slacks += [
+                    diagnostics.gap_certificate(problem, averager, p, g0).slack
+                    for p, g0 in zip(probes, probe_gammas)
+                ]
+        if u is not None:
+            row["u_k"] = float(u[k])
+            row["v_k"] = float(v[k])
+            row["v_slack"] = v_slacks.get(k)
         rows.append(row)
 
     start = max(2, min(100, K // 2)) if K else 2
@@ -410,24 +406,15 @@ def _assemble_rows(problem, trace, sched1, sched2, saddle, seed=0):
         trace.residual_norms[start - 1 : K],
     )
     derived = {
-        "kkt": kkt_values,
-        "gaps": gaps,
-        "bounds": bounds,
-        "gamma0": gamma0,
+        "final_kkt": rows[-1]["kkt"] if rows else None,
         "u": u,
-        "v": v,
-        "v_slacks": v_slacks,
+        "uv_pairs": pairs,
         "min_gap_slack": (
-            _min_ignoring_none(
-                min(b - g for g, b in zip(gaps, bounds)), probe_gap_min_slack
-            )
-            if gaps
-            else None
+            min(min(gap_slacks), min(probe_slacks)) if gap_slacks else None
         ),
         "min_v_slack": min(v_slacks.values()) if v_slacks else None,
         "uncorrected_v_min_slack": uncorrected_min,
         "rate_slope": None if math.isinf(slope) else slope,
-        "saddle": saddle,
     }
     return rows, derived
 
@@ -446,14 +433,15 @@ def _evaluate_checks(cfg, problem, trace, derived):
 
 
 def _single_check(name, problem, trace, derived, K):
+    tol = CHECK_TOLERANCES[name]
     if name == "kkt":
-        final = derived["kkt"][-1] if derived["kkt"] else math.inf
-        return final < CHECK_TOLERANCES["kkt"], f"final_kkt={final:.3e}"
+        final = derived["final_kkt"] if K else math.inf
+        return final < tol, f"final_kkt={final:.3e}"
     if name == "gap_bound":
         if derived["min_gap_slack"] is None:
             return (K == 0), "no iterations"
         worst = derived["min_gap_slack"]
-        return worst >= CHECK_TOLERANCES["gap_bound"], f"min_slack={worst:.3e}"
+        return worst >= tol, f"min_slack={worst:.3e}"
     if name == "v_inequality":
         if derived["min_v_slack"] is None:
             if derived["u"] is None:
@@ -463,15 +451,12 @@ def _single_check(name, problem, trace, derived, K):
                 )
             return (K <= 2), "trace too short for slacks"
         worst = derived["min_v_slack"]
-        return worst >= CHECK_TOLERANCES["v_inequality"], f"min_slack={worst:.3e}"
+        return worst >= tol, f"min_slack={worst:.3e}"
     if name == "v_monotone":
-        v = derived["v"]
-        if v is None:
+        if derived["uv_pairs"] is None:
             raise UnsupportedSetting("v energy unavailable")
-        for k in range(1, K):
-            if v[k + 1] > v[k] + CHECK_TOLERANCES["v_monotone"]:
-                return False, f"first violation at k={k + 1}"
-        return True, "nonincreasing"
+        ok, first = diagnostics.v_monotone_check(derived["uv_pairs"], tol)
+        return ok, "nonincreasing" if ok else f"first violation at k={first + 1}"
     if name == "feasibility_rate":
         u = derived["u"]
         if u is None:
@@ -483,14 +468,11 @@ def _single_check(name, problem, trace, derived, K):
         ):
             worst = max(worst, resid - bound)
         slope = derived["rate_slope"]
-        slope_ok = slope is None or slope <= CHECK_TOLERANCES["feasibility_rate"]
+        slope_ok = slope is None or slope <= tol
         ok = worst <= 0.0 and slope_ok
         return ok, f"max_excess={worst:.3e}, slope={slope}"
     if name == "dual_identity":
-        worst = 0.0
-        for k in range(1, K + 1):
-            dy = trace.ys[k] - trace.ys[k - 1]
-            recomputed = float(np.linalg.norm(dy)) / problem.c
-            worst = max(worst, abs(recomputed - trace.residual_norms[k - 1]))
-        return worst <= CHECK_TOLERANCES["dual_identity"], f"max_dev={worst:.3e}"
-    raise ConfigError(f"unknown check {name!r}")
+        worst = diagnostics.dual_identity_deviation(
+            trace.ys, trace.residual_norms, problem.c
+        )
+        return worst <= tol, f"max_dev={worst:.3e}"

@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import CapabilityError, DimensionMismatch, SingularSubproblem
 from .linops import as_vector
@@ -316,10 +315,6 @@ class Quadratic(ConvexFunction):
     proxable = True
     smooth = True
 
-    # Dense Cholesky keeps the subproblem exact at desk scale; conjugate
-    # gradient takes over for larger dimensions.
-    DENSE_LIMIT = 500
-
     def __init__(self, Q, q=None):
         Q = np.array(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -355,28 +350,18 @@ class Quadratic(ConvexFunction):
         t = float(t)
         if t <= 0:
             raise ValueError("t must be positive")
-        rhs = v - t * self.q
-        if self.dim < self.DENSE_LIMIT:
-            factor = self._chol_cache.get(t)
-            if factor is None:
-                system = np.eye(self.dim) + t * self.Q
-                try:
-                    factor = scipy.linalg.cho_factor(system)
-                except scipy.linalg.LinAlgError as exc:
-                    raise SingularSubproblem(str(exc)) from exc
-                self._chol_cache[t] = factor
-            # check_finite off: non-finite inputs propagate to the caller's
-            # own guard instead of failing inside scipy
-            return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        system = scipy.sparse.linalg.LinearOperator(
-            (self.dim, self.dim), matvec=lambda u: u + t * (self.Q @ u)
-        )
-        sol, info = scipy.sparse.linalg.cg(
-            system, rhs, rtol=1e-14, atol=0.0, maxiter=20 * self.dim
-        )
-        if info != 0:
-            raise SingularSubproblem(f"conjugate gradient failed (info={info})")
-        return sol
+        # One dense Cholesky factor of I + tQ per step size keeps the
+        # subproblem exact; repeated calls with the same t reuse it.
+        factor = self._chol_cache.get(t)
+        if factor is None:
+            try:
+                factor = scipy.linalg.cho_factor(np.eye(self.dim) + t * self.Q)
+            except scipy.linalg.LinAlgError as exc:
+                raise SingularSubproblem(str(exc)) from exc
+            self._chol_cache[t] = factor
+        # check_finite off: non-finite inputs propagate to the caller's
+        # own guard instead of failing inside scipy
+        return scipy.linalg.cho_solve(factor, v - t * self.q, check_finite=False)
 
     def distance_to_subdifferential(self, x, s):
         x = self._check(x)

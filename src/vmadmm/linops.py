@@ -65,7 +65,6 @@ class LinearMap:
         self._apply = apply_fn
         self._adjoint = adjoint_fn
         self.kind = kind
-        self._matrix = matrix
         self._dense = matrix
         self._gram = None
         self._opnorm = None

@@ -22,11 +22,10 @@ from .linops import operator_norm
 
 @dataclass
 class PrimalDualState:
-    """State of the primal-dual iteration: current x, dual y, previous dual."""
+    """State of the primal-dual iteration: current x and dual y."""
 
     x: np.ndarray
     y: np.ndarray
-    y_prev: np.ndarray
     k: int
     tau: float
     c: float
@@ -51,7 +50,7 @@ def condat_state(f, h, g, A, x, y, tau, c, norm_bound=None):
         )
     x = np.array(x, dtype=float)
     y = np.array(y, dtype=float)
-    return PrimalDualState(x=x, y=y, y_prev=y.copy(), k=0, tau=tau, c=c)
+    return PrimalDualState(x=x, y=y, k=0, tau=tau, c=c)
 
 
 def condat_step(f, h, g, A, state):
@@ -71,7 +70,6 @@ def condat_step(f, h, g, A, state):
     return PrimalDualState(
         x=x_next,
         y=y_next,
-        y_prev=state.y,
         k=state.k + 1,
         tau=state.tau,
         c=state.c,

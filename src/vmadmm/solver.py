@@ -78,13 +78,12 @@ class ProblemSpec:
 
 @dataclass
 class SolverState:
-    """Iterate triple (x, z, y) plus the counter and the previous z."""
+    """Iterate triple (x, z, y) plus the iteration counter."""
 
     x: np.ndarray
     z: np.ndarray
     y: np.ndarray
     k: int = 0
-    z_prev: np.ndarray | None = None
 
 
 def initial_state(problem, x0=None, z0=None, y0=None):
@@ -98,7 +97,7 @@ def initial_state(problem, x0=None, z0=None, y0=None):
         raise DimensionMismatch("initial z", problem.m, z.shape)
     if y.shape != (problem.m,):
         raise DimensionMismatch("initial y", problem.m, y.shape)
-    return SolverState(x=x, z=z, y=y, k=0, z_prev=z.copy())
+    return SolverState(x=x, z=z, y=y, k=0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +315,7 @@ def step(problem, state, sched1, sched2):
     x_next = x_update(problem, state, m1)
     z_next = z_update(problem, state, x_next, m2)
     y_next = y_update(state, x_next, z_next, problem.c, problem.A)
-    return SolverState(
-        x=x_next, z=z_next, y=y_next, k=state.k + 1, z_prev=state.z
-    )
+    return SolverState(x=x_next, z=z_next, y=y_next, k=state.k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +349,7 @@ class RunTrace:
         return len(self.xs) - 1
 
     def state_at(self, k):
-        z_prev = self.zs[k - 1] if k >= 1 else self.zs[0]
-        return SolverState(
-            x=self.xs[k], z=self.zs[k], y=self.ys[k], k=k, z_prev=z_prev
-        )
+        return SolverState(x=self.xs[k], z=self.zs[k], y=self.ys[k], k=k)
 
 
 def run(problem, init, sched1, sched2, stop, force=False):

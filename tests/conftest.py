@@ -2,10 +2,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from vmadmm.problems import build_problem, oracle
+
+# Property tests draw the same examples on every run and never time out on a
+# slow host; the example budget keeps the tier-1 suite fast.
+settings.register_profile(
+    "vmadmm", derandomize=True, deadline=None, max_examples=60, database=None
+)
+settings.load_profile("vmadmm")
 
 
 @pytest.fixture(scope="session")

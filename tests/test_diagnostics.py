@@ -448,7 +448,7 @@ def test_iteration_inequality_on_genuine_run(tv1d, tv1d_oracle):
 def test_iteration_inequality_fixed_point_reduces_to_probe_terms():
     P, _ = build_problem("toy1d")
     xs, zs, ys = toy1d_saddle()
-    fixed = SolverState(x=xs, z=zs, y=ys, k=0, z_prev=zs)
+    fixed = SolverState(x=xs, z=zs, y=ys, k=0)
     m = MetricOperator.scaled_identity(1, 1.0)
     probe = (np.array([1.0]), np.array([0.5]), np.array([2.0]))
     sl1, sl2 = dg.iteration_inequality_check(P, fixed, fixed, m, m, probe)

@@ -1,9 +1,11 @@
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
+from vmadmm import diagnostics
 from vmadmm.cli import main
 from vmadmm.errors import ConfigError
 from vmadmm.experiments import (
@@ -145,24 +147,48 @@ def test_failed_check_names_it(tmp_path):
 
 
 def test_unsupported_check_regime_fails_loud(tmp_path):
-    # tv1d has a smooth term: the contraction energies are undefined
-    cfg = toy_config(
-        problem={"name": "tv1d", "n": 20},
-        metric1={"kind": "shifted_gram", "tau": 0.19},
-        metric2={"kind": "constant", "metric": {"kind": "zero"}},
-        iters=50,
-        checks=["v_inequality"],
-    )
+    uv_checks = ["v_inequality", "v_monotone", "feasibility_rate"]
+    configs = [
+        # tv1d has a smooth term: the contraction energies are undefined
+        toy_config(
+            problem={"name": "tv1d", "n": 20},
+            metric1={"kind": "shifted_gram", "tau": 0.19},
+            metric2={"kind": "constant", "metric": {"kind": "zero"}},
+            iters=50,
+            checks=["v_inequality"],
+        ),
+        # M1 changes at k=3, after the first few iterations
+        toy_config(
+            metric1={"kind": "shifted_gram", "tau": [0.4, 0.4, 0.4, 0.45]},
+            iters=50,
+            checks=uv_checks,
+        ),
+    ]
+    for i, cfg in enumerate(configs):
+        result = run_experiment(cfg, out_dir=str(tmp_path / str(i)), echo=quiet)
+        assert result.exit_code == 1
+        for name in cfg.checks:
+            assert "not evaluable" in result.checks[name][1]
+
+
+def test_v_monotone_check_covers_first_step(tmp_path, monkeypatch):
+    # an (injected) increase v_2 > v_1 must fail the check
+    uv_energies = diagnostics.uv_energies
+
+    def bumped(*args):
+        u, v = uv_energies(*args)
+        v[2] = v[1] + 1.0
+        return u, v
+
+    monkeypatch.setattr(diagnostics, "uv_energies", bumped)
+    cfg = toy_config(iters=20, checks=["v_monotone"])
     result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
-    assert result.exit_code == 1
-    assert "not evaluable" in result.checks["v_inequality"][1]
+    assert result.checks["v_monotone"] == (False, "first violation at k=2")
 
 
 def test_residual_column_matches_dual_steps(tmp_path):
     cfg = toy_config(iters=100, checks=[], log_vectors=True)
     result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
-    import csv
-
     with open(result.csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     y_prev = None
@@ -219,8 +245,6 @@ def test_explicit_init_vectors_honored(tmp_path):
     )
     result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
     assert result.exit_code == 0
-    import csv
-
     with open(result.csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert abs(float(rows[0]["x_0"]) - 2.0) <= 1e-9  # stayed at the fixed point
@@ -296,3 +320,25 @@ def test_cli_check_detects_kkt_failure(tmp_path):
     log = os.path.join(cfg.out_dir, "log.csv")
     against = os.path.join(cfg.out_dir, "oracle.json")
     assert main(["check", "--log", log, "--against", against]) == 1  # kkt too large
+
+
+def test_cli_check_detects_dual_identity_violation(tmp_path, capsys):
+    cfg = toy_config(iters=300, checks=[], log_vectors=True, out_dir=str(tmp_path / "o"))
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["solve", "--config", cfg_path]) == 0
+    assert main(["oracle", "--config", cfg_path, "--budget", "100000"]) == 0
+    log = os.path.join(cfg.out_dir, "log.csv")
+    against = os.path.join(cfg.out_dir, "oracle.json")
+    capsys.readouterr()
+    assert main(["check", "--log", log, "--against", against]) == 0
+    assert "dual identity: max deviation" in capsys.readouterr().out
+
+    with open(log, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[10]["y_0"] = repr(float(rows[10]["y_0"]) + 1e-6)
+    with open(log, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    assert main(["check", "--log", log, "--against", against]) == 1
+    assert "identity violated" in capsys.readouterr().out

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import minimize_1d
 from vmadmm.errors import CapabilityError, DimensionMismatch
@@ -111,15 +112,28 @@ def test_prox_huber_matches_bruteforce():
         assert f.prox(np.array([v]), t)[0] == pytest.approx(expected, abs=5e-8)
 
 
-def test_prox_quadratic_cg_path_matches_dense_solve():
-    n = 520  # above the dense limit, exercises conjugate gradient
+def test_prox_quadratic_large_dim_exact_with_cached_factor(monkeypatch):
+    # every dimension takes the exact Cholesky path, factored once per t
+    factorizations = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def counting_cho_factor(a):
+        factorizations.append(a.shape)
+        return cho_factor(a)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting_cho_factor)
+    n = 500
     rng = np.random.default_rng(9)
-    d = rng.uniform(0.1, 2.0, n)
-    f = Quadratic(np.diag(d), rng.standard_normal(n))
-    v = rng.standard_normal(n)
+    B = rng.standard_normal((n, n)) / math.sqrt(n)
+    f = Quadratic(B @ B.T, rng.standard_normal(n))
     t = 0.7
-    expected = np.linalg.solve(np.eye(n) + t * np.diag(d), v - t * f.q)
-    assert np.allclose(f.prox(v, t), expected, atol=1e-10)
+    for _ in range(2):
+        v = rng.standard_normal(n)
+        u = f.prox(v, t)
+        residual = np.linalg.norm(f.grad(u) + (u - v) / t)
+        scale = np.linalg.norm(f.Q @ u) + np.linalg.norm(f.q) + np.linalg.norm(v) / t
+        assert residual <= 1e-10 * scale
+    assert factorizations == [(n, n)]
 
 
 # ---------------------------------------------------------------------------

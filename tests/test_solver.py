@@ -47,7 +47,6 @@ def state1(x, z, y, k=0):
         z=np.array([float(z)]),
         y=np.array([float(y)]),
         k=k,
-        z_prev=np.array([float(z)]),
     )
 
 
@@ -142,7 +141,6 @@ def test_x_update_optimality_inclusion_residual():
             z=rng.standard_normal(P.m),
             y=rng.standard_normal(P.m),
             k=0,
-            z_prev=np.zeros(P.m),
         )
         x_next = x_update(P, state, m1)
         target = (
@@ -162,9 +160,7 @@ def test_x_update_no_strategy_errors():
         A=LinearMap.from_dense([[1.0, 1.0]]),
         c=1.0,
     )
-    state = SolverState(
-        x=np.zeros(2), z=np.zeros(1), y=np.zeros(1), k=0, z_prev=np.zeros(1)
-    )
+    state = SolverState(x=np.zeros(2), z=np.zeros(1), y=np.zeros(1), k=0)
     with pytest.raises(StrategyError) as exc:
         x_update(P, state, MetricOperator.zero(2))
     assert "Gram" in str(exc.value)
@@ -174,9 +170,7 @@ def test_x_update_singular_system():
     P = ProblemSpec(
         f=Zero(2), h=Zero(2), g=Zero(1), A=LinearMap.zero(1, 2), c=1.0
     )
-    state = SolverState(
-        x=np.zeros(2), z=np.zeros(1), y=np.zeros(1), k=0, z_prev=np.zeros(1)
-    )
+    state = SolverState(x=np.zeros(2), z=np.zeros(1), y=np.zeros(1), k=0)
     with pytest.raises(SingularSubproblem):
         x_update(P, state, MetricOperator.zero(2))
 
@@ -220,7 +214,6 @@ def test_z_update_diagonal_metric():
         z=np.array([1.0, -1.0]),
         y=np.zeros(2),
         k=0,
-        z_prev=np.zeros(2),
     )
     m2 = MetricOperator.diagonal([1.0, 3.0])
     out = z_update(P, state, np.array([2.0, 2.0]), m2)
@@ -243,7 +236,6 @@ def test_z_update_optimality_inclusion_residual():
         z=rng.standard_normal(P.m),
         y=rng.standard_normal(P.m),
         k=0,
-        z_prev=np.zeros(P.m),
     )
     x_next = rng.standard_normal(P.n)
     for m2 in (MetricOperator.zero(P.m), MetricOperator.scaled_identity(P.m, 0.7)):
@@ -279,9 +271,7 @@ def test_z_update_unsupported_metric():
     P = ProblemSpec(
         f=Zero(2), h=Zero(2), g=Zero(2), A=LinearMap.identity(2), c=1.0
     )
-    state = SolverState(
-        x=np.zeros(2), z=np.zeros(2), y=np.zeros(2), k=0, z_prev=np.zeros(2)
-    )
+    state = SolverState(x=np.zeros(2), z=np.zeros(2), y=np.zeros(2), k=0)
     with pytest.raises(UnsupportedMetric):
         z_update(P, state, np.zeros(2), MetricOperator.dense(np.eye(2)))
 
@@ -312,7 +302,6 @@ def test_y_update_componentwise():
         z=np.zeros(2),
         y=np.array([1.0, -1.0]),
         k=0,
-        z_prev=np.zeros(2),
     )
     out = y_update(s, np.array([1.0, 1.0]), np.array([0.5, 0.5]), 1.0, A)
     assert np.allclose(out, [1.5, -0.5])
@@ -332,7 +321,6 @@ def test_step_hand_executed():
     assert out.z == pytest.approx([1.0])
     assert out.y == pytest.approx([0.0])
     assert out.k == 1
-    assert np.array_equal(out.z_prev, [1.0])
 
 
 def test_step_increments_k():
@@ -345,7 +333,7 @@ def test_step_increments_k():
 def test_step_fixed_point_at_saddle():
     P, _ = build_problem("toy1d")
     xs, zs, ys = toy1d_saddle()
-    saddle = SolverState(x=xs, z=zs, y=ys, k=0, z_prev=zs.copy())
+    saddle = SolverState(x=xs, z=zs, y=ys, k=0)
     schedules = [
         (
             ConstantSchedule(MetricOperator.scaled_identity(1, 1.0)),
@@ -366,9 +354,7 @@ def test_step_fixed_point_at_saddle():
 def test_step_fixed_point_at_oracle(tv1d, tv1d_oracle):
     P, _ = tv1d
     orc = tv1d_oracle
-    saddle = SolverState(
-        x=orc.x.copy(), z=orc.z.copy(), y=orc.y.copy(), k=0, z_prev=orc.z.copy()
-    )
+    saddle = SolverState(x=orc.x.copy(), z=orc.z.copy(), y=orc.y.copy(), k=0)
     s1 = ShiftedGramSchedule(0.19, P.c, P.A)
     s2 = ConstantSchedule(MetricOperator.zero(P.m))
     out = step(P, saddle, s1, s2)
