@@ -260,6 +260,7 @@ class MetricOperator:
         self.coupling = coupling
         self.map = map_
         self._dense_cache = matrix
+        self._x_factor = None  # (problem, Cholesky factor) of solver.x_update
 
     # -- factories ---------------------------------------------------------
 
@@ -413,7 +414,14 @@ class MetricOperator:
 
 
 def min_eigenvalue(U):
-    """Smallest eigenvalue of a metric operator, by dense symmetric eigensolve."""
+    """Smallest eigenvalue of a metric operator.
+
+    Exact least entry for zero, scaled-identity and diagonal metrics; a dense
+    symmetric eigensolve for the dense and shifted Gram forms.
+    """
+    d = U.diagonal_entries()
+    if d is not None:
+        return float(d.min())
     try:
         return float(np.linalg.eigvalsh(U.to_dense())[0])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here

@@ -239,7 +239,10 @@ def x_update(problem, state, m1):
       built on the problem's own A and c: the quadratic coupling cancels and
       the update is a single prox of f at a gradient-style point. Exact
       because ``c A*A + m1 = (1/tau) id``.
-    * QUADRATIC -- f is zero or quadratic: one SPD linear solve.
+    * QUADRATIC -- f is zero or quadratic: one SPD linear solve. The
+      Cholesky factor of ``c A*A + m1 (+ Q)`` is cached on ``m1`` for this
+      problem and recomputed when the metric object (or the problem)
+      changes, so a constant schedule factors once per run.
     * PROX-DIRECT -- A is the identity and ``m1`` is a scaled identity:
       a single prox of f under the scalar metric ``c + mu``.
     """
@@ -252,18 +255,29 @@ def x_update(problem, state, m1):
         return f.prox(x - tau * step, tau)
 
     if isinstance(f, (functions.Zero, functions.Quadratic)):
-        system = c * A.gram_dense() + m1.to_dense()
+        # The system depends on the problem and m1 alone. Keyed on the
+        # problem object itself (held, so a reused id() cannot match).
+        cached = m1._x_factor
+        if cached is None or cached[0] is not problem:
+            system = c * A.gram_dense()
+            d1 = m1.diagonal_entries()
+            if d1 is None:
+                system += m1.to_dense()
+            else:
+                system[np.diag_indices(problem.n)] += d1
+            if isinstance(f, functions.Quadratic):
+                system += f.Q
+            try:
+                cached = (problem, scipy.linalg.cho_factor(system))
+            except scipy.linalg.LinAlgError as exc:
+                raise SingularSubproblem(
+                    "x subproblem is not strongly convex: " + str(exc)
+                ) from exc
+            m1._x_factor = cached
         rhs = -h.grad(x) + c * A.adjoint(z - y / c) + m1.apply(x)
         if isinstance(f, functions.Quadratic):
-            system = system + f.Q
             rhs = rhs - f.q
-        try:
-            factor = scipy.linalg.cho_factor(system)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularSubproblem(
-                "x subproblem is not strongly convex: " + str(exc)
-            ) from exc
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        return scipy.linalg.cho_solve(cached[1], rhs, check_finite=False)
 
     if A.is_identity and m1.is_scalar and f.proxable:
         mu = m1.scalar_value

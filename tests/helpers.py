@@ -1,4 +1,5 @@
-"""Independent scalar-minimization oracles used to freeze expected values.
+"""Test helpers: independent scalar-minimization oracles used to freeze
+expected values, and a factorization counter.
 
 Value-only minimization cannot localize a smooth minimum better than about
 sqrt(machine epsilon) ~ 1.5e-8, so comparisons against these oracles use
@@ -8,6 +9,7 @@ tolerances of 5e-8.
 import math
 
 import numpy as np
+import scipy.linalg
 
 
 def golden_minimize(fn, lo, hi, tol=1e-11):
@@ -37,3 +39,17 @@ def minimize_1d(fn, lo, hi, grid=4001, tol=1e-11):
     a = xs[max(i - 1, 0)]
     b = xs[min(i + 1, grid - 1)]
     return golden_minimize(fn, float(a), float(b), tol)
+
+
+def count_cho_factor(monkeypatch):
+    """Patch ``scipy.linalg.cho_factor`` to record the shape of every call;
+    returns the (live) list of shapes."""
+    shapes = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def counting_cho_factor(a):
+        shapes.append(a.shape)
+        return cho_factor(a)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting_cho_factor)
+    return shapes

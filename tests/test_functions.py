@@ -2,9 +2,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from helpers import minimize_1d
+from helpers import count_cho_factor, minimize_1d
 from vmadmm.errors import CapabilityError, DimensionMismatch
 from vmadmm.functions import (
     BoxIndicator,
@@ -114,14 +113,7 @@ def test_prox_huber_matches_bruteforce():
 
 def test_prox_quadratic_large_dim_exact_with_cached_factor(monkeypatch):
     # every dimension takes the exact Cholesky path, factored once per t
-    factorizations = []
-    cho_factor = scipy.linalg.cho_factor
-
-    def counting_cho_factor(a):
-        factorizations.append(a.shape)
-        return cho_factor(a)
-
-    monkeypatch.setattr(scipy.linalg, "cho_factor", counting_cho_factor)
+    factorizations = count_cho_factor(monkeypatch)
     n = 500
     rng = np.random.default_rng(9)
     B = rng.standard_normal((n, n)) / math.sqrt(n)

@@ -269,6 +269,7 @@ def test_loewner_dim_mismatch():
 def test_in_P_alpha_examples():
     assert in_P_alpha(MetricOperator.scaled_identity(2, 2.0), 1.0)
     assert not in_P_alpha(MetricOperator.zero(3), 0.1)
+    assert not in_P_alpha(MetricOperator.diagonal([3.0, 0.5, 2.0]), 1.0)
     gram = MetricOperator.dense(np.diag([2.0, 1.0]) ** 2)
     assert in_P_alpha(gram, 1.0)  # smallest eigenvalue exactly 1
 

@@ -1,9 +1,9 @@
 """Property tests of catalog invariants over generated instances.
 
-Each property runs once per kind in the function catalog (or per LinearMap
-factory), with parameters, dimensions, points and step sizes drawn by
-Hypothesis. The example budget and derandomization come from the profile
-registered in conftest.py.
+Each property runs once per kind in the function catalog (per LinearMap
+factory, or per x-update strategy), with parameters, dimensions, points and
+step sizes drawn by Hypothesis. The example budget and derandomization come
+from the profile registered in conftest.py.
 """
 
 import os
@@ -15,6 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import count_cho_factor
+from vmadmm.diagnostics import dual_identity_deviation
+from vmadmm.experiments import CHECK_TOLERANCES
 from vmadmm.functions import (
     BoxIndicator,
     Huber,
@@ -25,14 +28,24 @@ from vmadmm.functions import (
 )
 from vmadmm.linops import (
     LinearMap,
+    MetricOperator,
     forward_difference,
     linear_map_from_file,
     save_dense_matrix,
+)
+from vmadmm.problems import build_problem
+from vmadmm.solver import (
+    ConstantSchedule,
+    ShiftedGramSchedule,
+    StoppingRule,
+    initial_state,
+    run,
 )
 
 KINDS = ["zero", "l1", "squared_l2", "box", "quadratic", "huber"]
 CONJUGABLE_KINDS = ["zero", "l1", "squared_l2", "box"]
 FACTORIES = ["dense", "file", "identity", "zero", "matrix_free", "forward_difference"]
+STRATEGIES = ["linearized", "quadratic", "prox_direct"]
 
 DIMS = st.integers(min_value=1, max_value=6)
 POSITIVE = st.floats(min_value=0.1, max_value=5.0)
@@ -158,5 +171,72 @@ def test_adjoint_identity(factory):
             asv
         )
         assert abs(float(ax @ v) - float(x @ asv)) <= 1e-12 * (1.0 + scale)
+
+    check()
+
+
+@st.composite
+def catalog_problem(draw, name):
+    """``(problem, metadata)`` for catalog problem ``name`` at a small size."""
+    seed = draw(st.integers(1, 2**31 - 1))
+    # powers of two keep y / c and c * (y / c) exact
+    c = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    if name == "tv1d":
+        params = dict(n=draw(st.integers(2, 8)), seed=seed)
+    elif name == "lasso-split":
+        n = draw(DIMS)
+        params = dict(
+            n=n,
+            rows=n + draw(st.integers(0, 4)),
+            seed=seed,
+            quadratic_in=draw(st.sampled_from(["h", "g"])),
+        )
+    elif name == "box-qp":
+        params = dict(n=draw(DIMS), seed=seed)
+    else:
+        params = {}
+    return build_problem(name, c=c, **params)
+
+
+@st.composite
+def strategy_run(draw, strategy):
+    """``(problem, M1 schedule, M2 schedule, K)`` whose x-updates take
+    ``strategy``, with constant metrics that pass the assumption check."""
+    if strategy == "quadratic":
+        name = "tv1d"  # f = 0
+    elif strategy == "linearized":
+        name = draw(st.sampled_from(["tv1d", "lasso-split", "toy1d"]))
+    else:
+        name = draw(st.sampled_from(["lasso-split", "box-qp", "toy1d"]))
+    problem, meta = draw(catalog_problem(name))
+    L = meta["L"]
+    if strategy == "linearized":
+        tau = draw(st.floats(0.5, 0.99)) / (problem.c * meta["norm_A"] ** 2 + L)
+        sched1 = ShiftedGramSchedule(tau, problem.c, problem.A)
+    elif strategy == "quadratic" and draw(st.booleans()):
+        entries = L + draw(arrays(np.float64, problem.n, elements=POSITIVE))
+        sched1 = ConstantSchedule(MetricOperator.diagonal(entries))
+    else:
+        mu1 = L + draw(POSITIVE)
+        sched1 = ConstantSchedule(MetricOperator.scaled_identity(problem.n, mu1))
+    mu2 = draw(st.one_of(st.just(0.0), POSITIVE))
+    sched2 = ConstantSchedule(MetricOperator.scaled_identity(problem.m, mu2))
+    return problem, sched1, sched2, draw(st.integers(2, 30))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_dual_identity_along_runs(strategy, monkeypatch):
+    # ||A x_k - z_k|| = ||y_k - y_{k-1}|| / c, because y+ = y + c (A x+ - z+)
+    factorizations = count_cho_factor(monkeypatch)
+
+    @given(strategy_run(strategy))
+    def check(case):
+        problem, sched1, sched2, K = case
+        factorizations.clear()
+        _, trace = run(problem, initial_state(problem), sched1, sched2, StoppingRule(K))
+        if strategy == "quadratic":
+            assert len(factorizations) == 1  # factored once, reused K - 1 times
+        deviation = dual_identity_deviation(trace.ys, trace.residual_norms, problem.c)
+        assert deviation <= CHECK_TOLERANCES["dual_identity"]
 
     check()

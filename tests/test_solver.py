@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import minimize_1d
+from helpers import count_cho_factor, minimize_1d
 from vmadmm.errors import (
     AssumptionError,
     NonFiniteIterate,
@@ -128,12 +128,21 @@ def test_x_update_optimality_inclusion_residual():
     # returned x must satisfy the stationarity inclusion to 1e-10
     cases = []
     P1, _ = build_problem("tv1d", n=20)
+    shared = MetricOperator.scaled_identity(P1.n, 1.0)
     cases.append((P1, MetricOperator.shifted_gram(0.2, 1.0, P1.A)))
-    cases.append((P1, MetricOperator.scaled_identity(P1.n, 1.0)))
+    cases.append((P1, shared))
     P2, _ = build_problem("box-qp", n=8)
     cases.append((P2, MetricOperator.scaled_identity(P2.n, 2.0)))
     P3, _ = build_problem("lasso-split")
     cases.append((P3, MetricOperator.shifted_gram(0.4, 1.0, P3.A)))
+    # the QUADRATIC factor cached on one metric object must follow the
+    # problem when that object serves systems that differ in c or in Q
+    P4, _ = build_problem("tv1d", n=20, c=2.0)
+    B = np.random.default_rng(11).standard_normal((P1.n, P1.n))
+    P5 = ProblemSpec(
+        f=Quadratic(B @ B.T, B[0]), h=P1.h, g=P1.g, A=P1.A, c=1.0
+    )
+    cases += [(P4, shared), (P5, shared), (P1, shared)]
     rng = np.random.default_rng(5)
     for P, m1 in cases:
         state = SolverState(
@@ -167,12 +176,56 @@ def test_x_update_no_strategy_errors():
 
 
 def test_x_update_singular_system():
+    # a failed factorization is never cached: every call raises again, and
+    # the same metric still serves a problem whose system is definite
     P = ProblemSpec(
         f=Zero(2), h=Zero(2), g=Zero(1), A=LinearMap.zero(1, 2), c=1.0
     )
     state = SolverState(x=np.zeros(2), z=np.zeros(1), y=np.zeros(1), k=0)
-    with pytest.raises(SingularSubproblem):
-        x_update(P, state, MetricOperator.zero(2))
+    m1 = MetricOperator.zero(2)
+    for _ in range(2):
+        with pytest.raises(SingularSubproblem):
+            x_update(P, state, m1)
+    definite = ProblemSpec(
+        f=Zero(2), h=Zero(2), g=Zero(2), A=LinearMap.identity(2), c=1.0
+    )
+    target = np.array([1.0, -2.0])
+    state = SolverState(x=np.zeros(2), z=target, y=np.zeros(2), k=0)
+    assert x_update(definite, state, m1) == pytest.approx(target)
+
+
+class FreshMetricSchedule(ConstantSchedule):
+    """A constant scaled-identity metric, rebuilt as a new object at every k."""
+
+    def metric(self, k):
+        return MetricOperator.scaled_identity(self._metric.dim, self._metric.mu)
+
+
+def test_run_quadratic_factors_once_per_metric_object(monkeypatch):
+    P, _ = build_problem("tv1d", n=20)
+    sched2 = ConstantSchedule(MetricOperator.zero(P.m))
+    K = 12
+    factorizations = count_cho_factor(monkeypatch)
+
+    def run_counting(sched1):
+        factorizations.clear()
+        state, _ = run(
+            P, initial_state(P), sched1, sched2, StoppingRule(max_iters=K), force=True
+        )
+        return state, len(factorizations)
+
+    constant, n_constant = run_counting(
+        ConstantSchedule(MetricOperator.scaled_identity(P.n, 2.0))
+    )
+    fresh, n_fresh = run_counting(
+        FreshMetricSchedule(MetricOperator.scaled_identity(P.n, 2.0))
+    )
+    _, n_decaying = run_counting(
+        GeometricDecaySchedule(MetricOperator.scaled_identity(P.n, 2.0), 0.9)
+    )
+    assert (n_constant, n_fresh, n_decaying) == (1, K, K)
+    for a, b in zip((constant.x, constant.z, constant.y), (fresh.x, fresh.z, fresh.y)):
+        assert np.array_equal(a, b)  # bitwise
 
 
 # ---------------------------------------------------------------------------
