@@ -67,7 +67,16 @@ class LinearMap:
         self.kind = kind
         self._dense = matrix
         self._gram = None
+        # (tol, ||A||) of the last converged estimate; the structured
+        # factories record the exact value at tol 0 and lambda_min(A*A)
         self._opnorm = None
+        self._gram_min = None
+
+    def _exact_spectrum(self, norm, gram_min):
+        """Record ``||A|| = norm`` and ``lambda_min(A*A) = gram_min``, both exact."""
+        self._opnorm = (0.0, float(norm))
+        self._gram_min = float(gram_min)
+        return self
 
     @classmethod
     def from_dense(cls, matrix):
@@ -89,17 +98,19 @@ class LinearMap:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, lambda x: x.copy(), lambda v: v.copy(), kind="identity")
+        op = cls(n, n, lambda x: x.copy(), lambda v: v.copy(), kind="identity")
+        return op._exact_spectrum(1.0, 1.0)
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(
+        op = cls(
             rows,
             cols,
             lambda x: np.zeros(rows),
             lambda v: np.zeros(cols),
             kind="zero",
         )
+        return op._exact_spectrum(0.0, 0.0)
 
     @classmethod
     def matrix_free(cls, rows, cols, apply_fn, adjoint_fn, check=True, probes=4):
@@ -154,7 +165,12 @@ class LinearMap:
 
 
 def forward_difference(n):
-    """The (n-1) x n first-difference operator ``(Dx)_i = x[i+1] - x[i]``."""
+    """The (n-1) x n first-difference operator ``(Dx)_i = x[i+1] - x[i]``.
+
+    ``D*D`` is the path-graph Laplacian, with eigenvalues
+    ``4 sin^2(pi k / (2n))`` for k = 0..n-1, so ``||D|| = 2 cos(pi / (2n))``
+    and ``lambda_min(D*D) = 0`` (constants are its null space).
+    """
     if n < 2:
         raise ValueError("forward difference needs n >= 2")
 
@@ -169,7 +185,8 @@ def forward_difference(n):
         w[-1] = v[-1]
         return w
 
-    return LinearMap(n - 1, n, apply_fn, adjoint_fn, kind="forward_difference")
+    op = LinearMap(n - 1, n, apply_fn, adjoint_fn, kind="forward_difference")
+    return op._exact_spectrum(2.0 * math.cos(math.pi / (2 * n)), 0.0)
 
 
 def adjoint_mismatch(A, trials=4, seed=20240801):
@@ -194,7 +211,9 @@ def adjoint_mismatch(A, trials=4, seed=20240801):
 
 def _power_iteration_seeds(n):
     # Primary seed is all-ones for reproducible logs; the fallbacks cover
-    # operators whose Gram matrix annihilates constants (e.g. differences).
+    # operators whose Gram matrix annihilates constants, such as a dense or
+    # matrix-free difference (forward_difference records its exact norm and
+    # never reaches power iteration).
     yield np.full(n, 1.0 / math.sqrt(n))
     ramp = 1.0 + np.arange(n) / n
     yield ramp / np.linalg.norm(ramp)
@@ -207,37 +226,55 @@ def _power_iteration_seeds(n):
 
 
 def operator_norm(A, tol=1e-10, max_iter=50000):
-    """Largest singular value of ``A`` by power iteration on ``A* A``.
+    """Largest singular value ``||A||`` of a linear map.
 
-    Starts from the normalized all-ones vector (deterministic) and stops when
-    the eigen-residual ``||A*A v - theta v||`` falls below ``tol * theta``.
-    Raises :class:`PowerIterationError` carrying the last estimate if the
-    tolerance is not met within ``max_iter`` steps.
+    The structured factories know it in closed form and return it without a
+    matvec: 1 for :meth:`LinearMap.identity`, 0 for :meth:`LinearMap.zero`,
+    and ``2 cos(pi / (2n))`` for :func:`forward_difference`. Dense,
+    matrix-free and custom maps use power iteration on ``A* A``: it starts
+    from the normalized all-ones vector (deterministic) and stops when the
+    eigen-residual ``||A*A v - theta v||`` falls below ``tol * theta``.
+    ``tol`` and ``max_iter`` apply only to power iteration, which raises
+    :class:`PowerIterationError` carrying the last estimate if the tolerance
+    is not met within ``max_iter`` steps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if A._opnorm is not None and A._opnorm[0] <= tol:
         return A._opnorm[1]
-    theta = 0.0
+    theta, scale = 0.0, 0
     for v in _power_iteration_seeds(A.cols):
         for _ in range(max_iter):
-            w = A.adjoint(A.apply(v))
+            # w = A*A v / 2**scale: a map of tiny or huge norm underflows or
+            # overflows no square below, and any other map gets the same bits
+            # as unscaled arithmetic, because power-of-two scaling is exact
+            u, eu = _even_exponent_scaled(A.apply(v))
+            w, ew = _even_exponent_scaled(A.adjoint(u))
+            scale = eu + ew
             nw = float(np.linalg.norm(w))
             if nw == 0.0:
                 break  # seed lies in the null space of A*A; try the next one
             theta = float(v @ w)
             residual = float(np.linalg.norm(w - theta * v))
             if residual <= tol * max(theta, 1e-300):
-                value = math.sqrt(max(theta, 0.0))
+                value = math.ldexp(math.sqrt(max(theta, 0.0)), scale // 2)
                 A._opnorm = (tol, value)
                 return value
             v = w / nw
         else:
             raise PowerIterationError(
                 f"power iteration did not converge in {max_iter} iterations",
-                math.sqrt(max(theta, 0.0)),
+                math.ldexp(math.sqrt(max(theta, 0.0)), scale // 2),
             )
     return 0.0  # every seed was annihilated: the zero map
+
+
+def _even_exponent_scaled(u):
+    """``(u / 2**e, e)`` for the even e that brings max |u / 2**e| into
+    [1/4, 1); ``e = 0`` for a zero vector."""
+    e = math.frexp(float(np.abs(u).max()))[1]
+    e += e % 2
+    return np.ldexp(u, -e), e
 
 
 class MetricOperator:
@@ -416,16 +453,28 @@ class MetricOperator:
 def min_eigenvalue(U):
     """Smallest eigenvalue of a metric operator.
 
-    Exact least entry for zero, scaled-identity and diagonal metrics; a dense
-    symmetric eigensolve for the dense and shifted Gram forms.
+    Exact least entry for zero, scaled-identity and diagonal metrics;
+    ``1/tau - coupling * ||A||^2`` for a shifted Gram metric over a map whose
+    spectrum is known in closed form; a dense symmetric eigensolve for the
+    dense form and shifted Gram metrics over other maps.
     """
     d = U.diagonal_entries()
     if d is not None:
         return float(d.min())
+    if U.kind == "shifted_gram" and U.map._gram_min is not None:
+        return 1.0 / U.tau - U.coupling * operator_norm(U.map) ** 2
     try:
         return float(np.linalg.eigvalsh(U.to_dense())[0])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise EigensolveError(str(exc)) from exc
+
+
+def gram_min_eigenvalue(A):
+    """``lambda_min(A*A)``: recorded exactly by the structured factories,
+    otherwise a dense symmetric eigensolve of ``A.gram_dense()``."""
+    if A._gram_min is not None:
+        return A._gram_min
+    return float(np.linalg.eigvalsh(A.gram_dense())[0])
 
 
 class LoewnerResult:

@@ -47,8 +47,9 @@ def build_problem(name, **params):
     (l1-regularized least squares under an identity split), ``box-qp``
     (box-constrained quadratic program), ``toy1d`` (one-dimensional, with a
     saddle point computable by hand). Returns ``(ProblemSpec, metadata)``
-    where metadata records the smooth term's Lipschitz constant and an
-    operator-norm estimate for A.
+    where metadata records the smooth term's Lipschitz constant and the
+    operator norm of A (in closed form: every catalog A is an identity or a
+    forward difference).
     """
     builders = {
         "tv1d": _build_tv1d,

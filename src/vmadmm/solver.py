@@ -32,6 +32,7 @@ from .errors import (
 from .linops import (
     LinearMap,
     MetricOperator,
+    gram_min_eigenvalue,
     loewner_geq,
     min_eigenvalue,
     operator_norm,
@@ -503,7 +504,7 @@ def validate_assumptions(problem, sched1, sched2, horizon):
             f"condition I fails: min eigenvalue of M1 - (L/2) id is {alpha1:.3e}"
         )
 
-    alpha = float(np.linalg.eigvalsh(problem.A.gram_dense())[0])
+    alpha = gram_min_eigenvalue(problem.A)
     alpha2 = sched2.min_eig_infimum(horizon)
     condition_II = alpha > 1e-10 and alpha2 > 1e-10
     if not condition_II:

@@ -107,6 +107,13 @@ def test_operator_norm_diagonal():
     assert abs(operator_norm(A, tol=1e-10) - 3.0) <= 1e-8
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_operator_norm_far_from_unit_scale(scale):
+    # unscaled, the squares in ||A*A v|| underflow or overflow
+    A = LinearMap.from_dense(np.diag([3.0, 1.0]) * scale)
+    assert abs(operator_norm(A, tol=1e-10) - 3.0 * scale) <= 1e-8 * 3.0 * scale
+
+
 def test_operator_norm_identity():
     assert operator_norm(LinearMap.identity(5)) == pytest.approx(1.0, abs=1e-12)
 
@@ -137,6 +144,23 @@ def test_operator_norm_nonconvergence_carries_estimate():
 
 def test_operator_norm_zero_map():
     assert operator_norm(LinearMap.zero(3, 3)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: forward_difference(200), lambda: LinearMap.identity(7),
+     lambda: LinearMap.zero(3, 4)],
+    ids=["forward_difference", "identity", "zero"],
+)
+def test_structured_spectrum_needs_no_matvec(make):
+    A = make()
+    calls = []
+    apply_fn, adjoint_fn = A._apply, A._adjoint
+    A._apply = lambda x: calls.append("apply") or apply_fn(x)
+    A._adjoint = lambda v: calls.append("adjoint") or adjoint_fn(v)
+    norm = operator_norm(A)
+    min_eigenvalue(MetricOperator.shifted_gram(0.5 / max(norm**2, 1.0), 1.0, A))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

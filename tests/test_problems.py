@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from vmadmm.diagnostics import kkt_residual
 from vmadmm.errors import OracleError
 from vmadmm.functions import BoxIndicator, L1Norm, Quadratic, SquaredL2, Zero
+from vmadmm.linops import MetricOperator
 from vmadmm.problems import (
     LCG_INCREMENT,
     LCG_MODULUS,
@@ -13,6 +16,13 @@ from vmadmm.problems import (
     noisy_ramp,
     oracle,
     toy1d_saddle,
+)
+from vmadmm.solver import (
+    ConstantSchedule,
+    ShiftedGramSchedule,
+    StoppingRule,
+    initial_state,
+    run,
 )
 
 
@@ -59,6 +69,25 @@ def test_tv1d_dimensions_and_kinds():
     assert isinstance(P.g, L1Norm)
     assert meta["L"] == 1.0
     assert 1.99 < meta["norm_A"] < 2.0
+
+
+def test_tv1d_builds_and_solves_above_n_300():
+    # the top eigenvalues of D*D are O(1/n^2) apart, too close for power
+    # iteration to resolve from n = 300 on; the norm comes in closed form
+    for n in (300, 1000):
+        _, meta = build_problem("tv1d", n=n)
+        assert meta["norm_A"] == 2.0 * math.cos(math.pi / (2 * n))
+    P, meta = build_problem("tv1d", n=300)
+    tau = 0.95 / (P.c * meta["norm_A"] ** 2 + meta["L"])
+    state, trace = run(
+        P,
+        initial_state(P),
+        ShiftedGramSchedule(tau, P.c, P.A),
+        ConstantSchedule(MetricOperator.zero(P.m)),
+        StoppingRule(max_iters=5000, kkt_tol=1e-8),
+    )
+    assert trace.iterations < 5000
+    assert kkt_residual(P, state.x, state.y) <= 1e-8
 
 
 def test_lasso_split_variants():

@@ -31,20 +31,25 @@ from vmadmm.linops import (
     MetricOperator,
     forward_difference,
     linear_map_from_file,
+    min_eigenvalue,
+    operator_norm,
     save_dense_matrix,
 )
 from vmadmm.problems import build_problem
 from vmadmm.solver import (
     ConstantSchedule,
+    ProblemSpec,
     ShiftedGramSchedule,
     StoppingRule,
     initial_state,
     run,
+    validate_assumptions,
 )
 
 KINDS = ["zero", "l1", "squared_l2", "box", "quadratic", "huber"]
 CONJUGABLE_KINDS = ["zero", "l1", "squared_l2", "box"]
 FACTORIES = ["dense", "file", "identity", "zero", "matrix_free", "forward_difference"]
+CLOSED_FORM_FACTORIES = ["identity", "zero", "forward_difference"]
 STRATEGIES = ["linearized", "quadratic", "prox_direct"]
 
 DIMS = st.integers(min_value=1, max_value=6)
@@ -171,6 +176,34 @@ def test_adjoint_identity(factory):
             asv
         )
         assert abs(float(ax @ v) - float(x @ asv)) <= 1e-12 * (1.0 + scale)
+
+    check()
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
+def test_spectrum_matches_dense_reference(factory):
+    # ||A||, lambda_min of a shifted Gram metric over A, and lambda_min(A*A)
+    # as the solver reads them, against dense SVD / eigensolves; closed forms
+    # are exact to rounding, power iteration stops at a 1e-10 eigen-residual
+    rel = 1e-14 if factory in CLOSED_FORM_FACTORIES else 1e-8
+
+    @given(linear_map(factory), POSITIVE, st.floats(0.1, 1.0))
+    def check(A, c, fraction):
+        norm = operator_norm(A)
+        sigma = float(np.linalg.svd(A.to_dense(), compute_uv=False)[0])
+        assert abs(norm - sigma) <= rel * sigma
+
+        bound = c * norm**2
+        tau = fraction / bound if bound > 0 else 1.0
+        U = MetricOperator.shifted_gram(tau, c, A)
+        assert abs(min_eigenvalue(U) - float(np.linalg.eigvalsh(U.to_dense())[0])) <= 1e-12
+
+        problem = ProblemSpec(Zero(A.cols), Zero(A.cols), Zero(A.rows), A, c)
+        sched1 = ConstantSchedule(MetricOperator.zero(A.cols))
+        sched2 = ConstantSchedule(MetricOperator.zero(A.rows))
+        report = validate_assumptions(problem, sched1, sched2, 1)
+        gram_min = float(np.linalg.eigvalsh(A.gram_dense())[0])
+        assert abs(report.alpha - gram_min) <= 1e-12 * max(1.0, sigma**2)
 
     check()
 

@@ -683,6 +683,24 @@ def test_validate_ergodic_flag():
     assert not report2.ergodic_ok
 
 
+def test_validate_tv1d_at_scale_never_densifies(monkeypatch):
+    # ||D|| and lambda_min(D*D) are known in closed form: building and
+    # validating a LINEARIZED tv1d run needs no dense n x n matrix (densifying
+    # would fail here at once rather than allocate 800 MB)
+    def refuse(A):
+        raise AssertionError(f"densified {A!r}")
+
+    monkeypatch.setattr(LinearMap, "to_dense", refuse)
+    P, meta = build_problem("tv1d", n=10_000)
+    tau = 0.95 / (P.c * meta["norm_A"] ** 2 + meta["L"])
+    s1 = ShiftedGramSchedule(tau, P.c, P.A)
+    s2 = ConstantSchedule(MetricOperator.zero(P.m))
+    report = validate_assumptions(P, s1, s2, 50)
+    assert report.permits_run
+    assert report.alpha == 0.0
+    assert P.A._dense is None and P.A._gram is None
+
+
 def test_validate_condition_II_gates_on_m1_when_h_smooth():
     # A*A and M2 positive definite, but M1 below (L/2) id: no theorem applies
     P, meta = build_problem("box-qp")
