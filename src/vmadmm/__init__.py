@@ -14,7 +14,6 @@ from .errors import (
     NonFiniteIterate,
     NotPositiveSemidefinite,
     OracleError,
-    PowerIterationError,
     SingularSubproblem,
     StrategyError,
     UnsupportedMetric,
@@ -77,7 +76,6 @@ __all__ = [
     "NonFiniteIterate",
     "NotPositiveSemidefinite",
     "OracleError",
-    "PowerIterationError",
     "ProblemSpec",
     "Quadratic",
     "ShiftedGramSchedule",

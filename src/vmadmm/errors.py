@@ -23,14 +23,6 @@ class NotPositiveSemidefinite(VmAdmmError):
     """A metric operator violates positive semidefiniteness at construction."""
 
 
-class PowerIterationError(VmAdmmError):
-    """Power iteration did not reach the requested residual tolerance."""
-
-    def __init__(self, message, estimate):
-        self.estimate = estimate
-        super().__init__(f"{message} (last estimate {estimate!r})")
-
-
 class EigensolveError(VmAdmmError):
     """Dense symmetric eigensolve failed."""
 

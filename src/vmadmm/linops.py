@@ -19,7 +19,6 @@ from .errors import (
     DimensionMismatch,
     EigensolveError,
     NotPositiveSemidefinite,
-    PowerIterationError,
 )
 
 
@@ -67,14 +66,14 @@ class LinearMap:
         self.kind = kind
         self._dense = matrix
         self._gram = None
-        # (tol, ||A||) of the last converged estimate; the structured
-        # factories record the exact value at tol 0 and lambda_min(A*A)
+        # ||A|| once known; the structured factories record it and
+        # lambda_min(A*A) exactly when built
         self._opnorm = None
         self._gram_min = None
 
     def _exact_spectrum(self, norm, gram_min):
         """Record ``||A|| = norm`` and ``lambda_min(A*A) = gram_min``, both exact."""
-        self._opnorm = (0.0, float(norm))
+        self._opnorm = float(norm)
         self._gram_min = float(gram_min)
         return self
 
@@ -209,72 +208,18 @@ def adjoint_mismatch(A, trials=4, seed=20240801):
     return worst
 
 
-def _power_iteration_seeds(n):
-    # Primary seed is all-ones for reproducible logs; the fallbacks cover
-    # operators whose Gram matrix annihilates constants, such as a dense or
-    # matrix-free difference (forward_difference records its exact norm and
-    # never reaches power iteration).
-    yield np.full(n, 1.0 / math.sqrt(n))
-    ramp = 1.0 + np.arange(n) / n
-    yield ramp / np.linalg.norm(ramp)
-    state = 0x9E3779B97F4A7C15
-    noise = np.empty(n)
-    for i in range(n):
-        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        noise[i] = (state >> 11) / float(1 << 53) - 0.5
-    yield noise / np.linalg.norm(noise)
-
-
-def operator_norm(A, tol=1e-10, max_iter=50000):
-    """Largest singular value ``||A||`` of a linear map.
+def operator_norm(A):
+    """Largest singular value ``||A||`` of a linear map, exact to rounding.
 
     The structured factories know it in closed form and return it without a
     matvec: 1 for :meth:`LinearMap.identity`, 0 for :meth:`LinearMap.zero`,
-    and ``2 cos(pi / (2n))`` for :func:`forward_difference`. Dense,
-    matrix-free and custom maps use power iteration on ``A* A``: it starts
-    from the normalized all-ones vector (deterministic) and stops when the
-    eigen-residual ``||A*A v - theta v||`` falls below ``tol * theta``.
-    ``tol`` and ``max_iter`` apply only to power iteration, which raises
-    :class:`PowerIterationError` carrying the last estimate if the tolerance
-    is not met within ``max_iter`` steps.
+    and ``2 cos(pi / (2n))`` for :func:`forward_difference`. Any other map
+    takes one dense SVD of :meth:`LinearMap.to_dense` (the copy that
+    validation densifies anyway), cached on the map.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if A._opnorm is not None and A._opnorm[0] <= tol:
-        return A._opnorm[1]
-    theta, scale = 0.0, 0
-    for v in _power_iteration_seeds(A.cols):
-        for _ in range(max_iter):
-            # w = A*A v / 2**scale: a map of tiny or huge norm underflows or
-            # overflows no square below, and any other map gets the same bits
-            # as unscaled arithmetic, because power-of-two scaling is exact
-            u, eu = _even_exponent_scaled(A.apply(v))
-            w, ew = _even_exponent_scaled(A.adjoint(u))
-            scale = eu + ew
-            nw = float(np.linalg.norm(w))
-            if nw == 0.0:
-                break  # seed lies in the null space of A*A; try the next one
-            theta = float(v @ w)
-            residual = float(np.linalg.norm(w - theta * v))
-            if residual <= tol * max(theta, 1e-300):
-                value = math.ldexp(math.sqrt(max(theta, 0.0)), scale // 2)
-                A._opnorm = (tol, value)
-                return value
-            v = w / nw
-        else:
-            raise PowerIterationError(
-                f"power iteration did not converge in {max_iter} iterations",
-                math.ldexp(math.sqrt(max(theta, 0.0)), scale // 2),
-            )
-    return 0.0  # every seed was annihilated: the zero map
-
-
-def _even_exponent_scaled(u):
-    """``(u / 2**e, e)`` for the even e that brings max |u / 2**e| into
-    [1/4, 1); ``e = 0`` for a zero vector."""
-    e = math.frexp(float(np.abs(u).max()))[1]
-    e += e % 2
-    return np.ldexp(u, -e), e
+    if A._opnorm is None:
+        A._opnorm = float(np.linalg.norm(A.to_dense(), 2))
+    return A._opnorm
 
 
 class MetricOperator:
@@ -338,17 +283,17 @@ class MetricOperator:
         return cls(m.shape[0], "dense", matrix=m)
 
     @classmethod
-    def shifted_gram(cls, tau, coupling, A, norm_bound=None):
+    def shifted_gram(cls, tau, coupling, A):
         """The operator ``(1/tau) id - coupling * A*A`` on the domain of A.
 
-        Requires ``1/tau >= coupling * ||A||^2`` so the result is PSD;
-        ``norm_bound`` may supply a precomputed operator norm of A.
+        Requires ``1/tau >= coupling * ||A||^2`` so the result is PSD, with
+        ``||A||`` from :func:`operator_norm` (exact, cached on A).
         """
         tau = float(tau)
         coupling = float(coupling)
         if tau <= 0 or coupling <= 0:
             raise ValueError("shifted Gram metric needs tau > 0 and coupling > 0")
-        nrm = operator_norm(A) if norm_bound is None else float(norm_bound)
+        nrm = operator_norm(A)
         bound = coupling * nrm * nrm
         if 1.0 / tau < bound * (1.0 - 1e-10) - 1e-12:
             raise NotPositiveSemidefinite(

@@ -195,7 +195,6 @@ def oracle(problem, budget=1_000_000, kkt_target=1e-10, check_every=25,
         y=np.zeros(problem.m) if y0 is None else y0,
         tau=tau,
         c=c,
-        norm_bound=norm_a,
     )
     best = np.inf
     for i in range(1, budget + 1):

@@ -31,7 +31,7 @@ class PrimalDualState:
     c: float
 
 
-def condat_state(f, h, g, A, x, y, tau, c, norm_bound=None):
+def condat_state(f, h, g, A, x, y, tau, c):
     """Validated starting state for the primal-dual iteration.
 
     Enforces the step-size condition ``1/tau - c ||A||^2 > L/2`` at
@@ -41,7 +41,7 @@ def condat_state(f, h, g, A, x, y, tau, c, norm_bound=None):
     c = float(c)
     if tau <= 0 or c <= 0:
         raise ValueError("tau and c must be positive")
-    norm_a = operator_norm(A) if norm_bound is None else float(norm_bound)
+    norm_a = operator_norm(A)
     L = h.lipschitz if h.lipschitz is not None else 0.0
     if 1.0 / tau - c * norm_a**2 <= L / 2.0:
         raise ValueError(
@@ -76,7 +76,7 @@ def condat_step(f, h, g, A, state):
     )
 
 
-def condat_start_from_admm(f, h, g, A, x0, z0, y0, tau, c, norm_bound=None):
+def condat_start_from_admm(f, h, g, A, x0, z0, y0, tau, c):
     """Starting state whose x equals the first ADMM-style x-iterate.
 
     With the metric ``(1/tau) id - c A*A`` the first x update collapses to a
@@ -89,7 +89,7 @@ def condat_start_from_admm(f, h, g, A, x0, z0, y0, tau, c, norm_bound=None):
     y0 = np.asarray(y0, dtype=float)
     step = h.grad(x0) + c * A.adjoint(A.apply(x0) - z0 + y0 / c)
     x1 = f.prox(x0 - tau * step, tau)
-    return condat_state(f, h, g, A, x1, y0, tau, c, norm_bound=norm_bound)
+    return condat_state(f, h, g, A, x1, y0, tau, c)
 
 
 def classical_admm_step(f, g, A, c, x, z, y):

@@ -35,7 +35,6 @@ from .linops import (
     gram_min_eigenvalue,
     loewner_geq,
     min_eigenvalue,
-    operator_norm,
 )
 
 
@@ -112,7 +111,7 @@ class MetricSchedule:
     def metric(self, k):
         raise NotImplementedError
 
-    def is_monotone(self, horizon, slack=1e-12):
+    def is_monotone(self, horizon):
         """Whether ``M^k >= M^{k+1}`` holds for all k (checked to horizon)."""
         raise NotImplementedError
 
@@ -120,7 +119,7 @@ class MetricSchedule:
         """Infimum over all k (including the tail) of the smallest eigenvalue."""
         raise NotImplementedError
 
-    def double_monotone(self, horizon, slack=1e-12):
+    def double_monotone(self, horizon):
         """Whether ``2 M^{k+1} >= M^k`` holds for all k (checked to horizon)."""
         raise NotImplementedError
 
@@ -132,13 +131,13 @@ class ConstantSchedule(MetricSchedule):
     def metric(self, k):
         return self._metric
 
-    def is_monotone(self, horizon, slack=1e-12):
+    def is_monotone(self, horizon):
         return True
 
     def min_eig_infimum(self, horizon):
         return min_eigenvalue(self._metric)
 
-    def double_monotone(self, horizon, slack=1e-12):
+    def double_monotone(self, horizon):
         return True  # 2M >= M for PSD M
 
 
@@ -157,7 +156,7 @@ class GeometricDecaySchedule(MetricSchedule):
             return self._metric0
         return self._metric0.scaled(self.rho**k)
 
-    def is_monotone(self, horizon, slack=1e-12):
+    def is_monotone(self, horizon):
         return True
 
     def min_eig_infimum(self, horizon):
@@ -166,7 +165,7 @@ class GeometricDecaySchedule(MetricSchedule):
             return lam0
         return 0.0  # the schedule decays to the zero operator
 
-    def double_monotone(self, horizon, slack=1e-12):
+    def double_monotone(self, horizon):
         if self._metric0.kind == "zero":
             return True
         return self.rho >= 0.5  # 2 rho^{k+1} >= rho^k
@@ -179,7 +178,7 @@ class ShiftedGramSchedule(MetricSchedule):
     its last value beyond the end. Monotonicity requires nondecreasing steps.
     """
 
-    def __init__(self, taus, coupling, A, norm_bound=None):
+    def __init__(self, taus, coupling, A):
         if np.ndim(taus) == 0:
             taus = [float(taus)]
         self.taus = [float(t) for t in taus]
@@ -187,12 +186,9 @@ class ShiftedGramSchedule(MetricSchedule):
             raise ValueError("taus must be positive")
         self.coupling = float(coupling)
         self.A = A
-        self._norm = operator_norm(A) if norm_bound is None else float(norm_bound)
-        self._cache = {}
-        for t in set(self.taus):
-            self._cache[t] = MetricOperator.shifted_gram(
-                t, self.coupling, A, norm_bound=self._norm
-            )
+        self._cache = {
+            t: MetricOperator.shifted_gram(t, self.coupling, A) for t in set(self.taus)
+        }
 
     def _tau(self, k):
         return self.taus[min(k, len(self.taus) - 1)]
@@ -200,19 +196,19 @@ class ShiftedGramSchedule(MetricSchedule):
     def metric(self, k):
         return self._cache[self._tau(k)]
 
-    def is_monotone(self, horizon, slack=1e-12):
+    def is_monotone(self, horizon):
         taus = self.taus[: horizon + 2]
-        return all(a <= b * (1 + slack) for a, b in zip(taus, taus[1:]))
+        return all(a <= b * (1 + 1e-12) for a, b in zip(taus, taus[1:]))
 
     def min_eig_infimum(self, horizon):
         return min(min_eigenvalue(m) for m in self._cache.values())
 
-    def double_monotone(self, horizon, slack=1e-12):
+    def double_monotone(self, horizon):
         ks = range(min(horizon, len(self.taus)) + 1)
         for k in ks:
             m_next = self.metric(k + 1)
             m_k = self.metric(k)
-            if not loewner_geq(m_next.scaled(2.0), m_k, slack=slack).holds:
+            if not loewner_geq(m_next.scaled(2.0), m_k, slack=1e-12).holds:
                 return False
         return True
 
