@@ -57,6 +57,8 @@ def _build_parser():
 def _cmd_solve(args):
     cfg = load_config(args.config)
     if args.iters is not None:
+        if args.iters < 0:
+            raise ConfigError("--iters must be >= 0")
         cfg.iters = args.iters
     result = run_experiment(cfg, force=args.force, out_dir=args.out)
     if result.csv_path:

@@ -102,13 +102,11 @@ class ErgodicAverager:
 
 @dataclass
 class GapCertificate:
-    """The ergodic primal-dual gap at iteration k against its gamma/k bound."""
+    """The ergodic primal-dual gap against its gamma/k bound."""
 
-    k: int
     gap: float
     bound: float
     slack: float
-    probe: tuple
     finite: bool
 
 
@@ -125,29 +123,14 @@ def gap_certificate(problem, averager, probe, gamma0):
     right = lagrangian(problem, np.asarray(x, float), np.asarray(z, float), averager.y_bar)
     gap = left - right
     bound = gamma0 / averager.k
-    finite = math.isfinite(gap)
     return GapCertificate(
-        k=averager.k,
-        gap=gap,
-        bound=bound,
-        slack=bound - gap,
-        probe=probe,
-        finite=finite,
+        gap=gap, bound=bound, slack=bound - gap, finite=math.isfinite(gap)
     )
 
 
 # ---------------------------------------------------------------------------
 # contraction energies u_k / v_k (no smooth term, constant metrics)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SequencePair:
-    """``u_k`` (distance-to-saddle energy) and ``v_{k+1}`` (step energy)."""
-
-    k: int
-    u: float
-    v_next: float
 
 
 def _require_uv_regime(problem):
@@ -195,54 +178,36 @@ def uv_energies(problem, trace, saddle, m1, m2):
     return u, v
 
 
-def uv_pairs(u, v):
-    """:class:`SequencePair` for ``k = 0..K-1`` from :func:`uv_energies` arrays.
-
-    The ``k = 0`` pair carries ``v_1`` for :func:`v_monotone_check`; its
-    ``u`` is NaN, so the inequality checks take the pairs from ``k = 1``.
-    """
-    return [
-        SequencePair(k=k, u=float(u[k]), v_next=float(v[k + 1]))
-        for k in range(len(u) - 1)
-    ]
-
-
-def sequence_uv(problem, trace, saddle, m1, m2):
-    """Stream of :class:`SequencePair` for ``k = 1..K-1``."""
-    return uv_pairs(*uv_energies(problem, trace, saddle, m1, m2))[1:]
-
-
-def inequality_v_check(pairs, zs, c):
+def inequality_v_check(u, v, zs, c):
     """Slack of the one-step contraction inequality, per k.
 
-    ``slack_k = (u_k - u_{k+1}) - (v_{k+1} - c ||z_{k+1} - z_k||^2)``;
-    nonnegative (to roundoff) whenever the iteration ran exactly.
+    ``slack_k = (u_k - u_{k+1}) - (v_{k+1} - c ||z_{k+1} - z_k||^2)`` for
+    ``k = 1..K-2``, from the :func:`uv_energies` arrays; nonnegative (to
+    roundoff) whenever the iteration ran exactly. Returns ``(k, slack)`` pairs.
     """
     slacks = []
-    for cur, nxt in zip(pairs, pairs[1:]):
-        k = cur.k
+    for k in range(1, len(u) - 2):
         dz = np.asarray(zs[k + 1], float) - np.asarray(zs[k], float)
-        lhs = cur.v_next - c * float(dz @ dz)
-        slacks.append((k, (cur.u - nxt.u) - lhs))
+        lhs = v[k + 1] - c * float(dz @ dz)
+        slacks.append((k, float((u[k] - u[k + 1]) - lhs)))
     return slacks
 
 
-def uncorrected_v_slack(pairs):
+def uncorrected_v_slack(u, v):
     """Slack of the stronger, uncorrected inequality ``v_{k+1} <= u_k - u_{k+1}``.
 
-    Logged as a finding only: a negative value here is not an error of the
-    iteration, merely evidence that the strengthening fails.
+    ``(k, slack)`` pairs for ``k = 1..K-2``, logged as a finding only: a
+    negative value here is not an error of the iteration, merely evidence
+    that the strengthening fails.
     """
-    return [
-        (cur.k, (cur.u - nxt.u) - cur.v_next) for cur, nxt in zip(pairs, pairs[1:])
-    ]
+    return [(k, float((u[k] - u[k + 1]) - v[k + 1])) for k in range(1, len(u) - 2)]
 
 
-def v_monotone_check(pairs, tol=1e-10):
-    """Whether ``v_{k+1} <= v_k`` along the stream; reports the first violation."""
-    for prev, cur in zip(pairs, pairs[1:]):
-        if cur.v_next > prev.v_next + tol:
-            return False, cur.k
+def v_monotone_check(v, tol=1e-10):
+    """Whether ``v_k <= v_{k-1}`` for ``k = 2..K``; ``(ok, first violating k)``."""
+    for k in range(2, len(v)):
+        if v[k] > v[k - 1] + tol:
+            return False, k
     return True, None
 
 
@@ -283,14 +248,14 @@ def feasibility_rate(trace, c, u1, S):
     return out
 
 
-def loglog_slope(ks, values, floor=1e-300):
+def loglog_slope(ks, values):
     """Least-squares slope of log(value) against log(k).
 
-    Nonpositive values are dropped (they only occur once the residual has
-    converged past double precision); with fewer than two usable points the
-    slope is -inf.
+    Values at or below 1e-300 are dropped (they only occur once the residual
+    has converged past double precision); with fewer than two usable points
+    the slope is -inf.
     """
-    pts = [(math.log(k), math.log(v)) for k, v in zip(ks, values) if v > floor]
+    pts = [(math.log(k), math.log(v)) for k, v in zip(ks, values) if v > 1e-300]
     if len(pts) < 2:
         return -math.inf
     lk = np.array([p[0] for p in pts])

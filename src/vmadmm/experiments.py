@@ -19,10 +19,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field
 
 from . import diagnostics
-from .errors import ConfigError, UnsupportedSetting, VmAdmmError
+from .errors import ConfigError, UnsupportedSetting
 from .linops import MetricOperator
 from .problems import build_problem, oracle
 from .solver import (
@@ -110,8 +111,18 @@ def parse_config(text, source="<string>"):
         raise ConfigError(f"{source}: {exc}") from exc
     if not isinstance(cfg.problem, dict) or "name" not in cfg.problem:
         raise ConfigError(f"{source}: 'problem' needs a 'name' entry")
-    if cfg.iters < 0:
-        raise ConfigError(f"{source}: 'iters' must be >= 0")
+    for key in ("iters", "seed", "oracle_budget"):
+        if type(getattr(cfg, key)) is not int or getattr(cfg, key) < 0:
+            raise ConfigError(f"{source}: {key!r} must be an integer >= 0")
+    if type(cfg.c) not in (int, float) or not 0 < cfg.c <= sys.float_info.max:
+        raise ConfigError(f"{source}: 'c' must be a finite number > 0")
+    if not isinstance(cfg.checks, list) or not all(
+        isinstance(name, str) and name in CHECK_TOLERANCES for name in cfg.checks
+    ):
+        raise ConfigError(
+            f"{source}: 'checks' must be a list of names from "
+            f"{sorted(CHECK_TOLERANCES)}, got {cfg.checks!r}"
+        )
     return cfg
 
 
@@ -131,7 +142,7 @@ def serialize_config(cfg):
 
 
 def metric_from_spec(spec, dim, problem):
-    kind = spec.get("kind")
+    kind = spec["kind"]
     if kind == "zero":
         return MetricOperator.zero(dim)
     if kind == "scaled_identity":
@@ -146,15 +157,19 @@ def metric_from_spec(spec, dim, problem):
 
 
 def schedule_from_spec(spec, dim, problem):
-    kind = spec.get("kind")
-    if kind == "constant":
-        return ConstantSchedule(metric_from_spec(spec["metric"], dim, problem))
-    if kind == "geometric_decay":
-        return GeometricDecaySchedule(
-            metric_from_spec(spec["metric"], dim, problem), spec["rho"]
-        )
-    if kind == "shifted_gram":
-        return ShiftedGramSchedule(spec["tau"], problem.c, problem.A)
+    """The metric schedule a config table names, over dimension ``dim``."""
+    try:
+        kind = spec["kind"]
+        if kind == "constant":
+            return ConstantSchedule(metric_from_spec(spec["metric"], dim, problem))
+        if kind == "geometric_decay":
+            return GeometricDecaySchedule(
+                metric_from_spec(spec["metric"], dim, problem), spec["rho"]
+            )
+        if kind == "shifted_gram":
+            return ShiftedGramSchedule(spec["tau"], problem.c, problem.A)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"schedule {spec!r}: {exc!r}") from exc
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
 
@@ -206,7 +221,10 @@ def problem_from_config(cfg):
     """Build the catalog problem a config names; returns ``(problem, metadata)``."""
     params = {k: v for k, v in cfg.problem.items() if k != "name"}
     params["c"] = cfg.c
-    return build_problem(cfg.problem["name"], **params)
+    try:
+        return build_problem(cfg.problem["name"], **params)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"'problem' table: {exc!r}") from exc
 
 
 def output_dir(cfg, override):
@@ -220,12 +238,15 @@ def _initial_from_config(cfg, problem):
     if cfg.init == "zeros":
         return initial_state(problem)
     if isinstance(cfg.init, dict):
-        return initial_state(
-            problem,
-            x0=cfg.init.get("x"),
-            z0=cfg.init.get("z"),
-            y0=cfg.init.get("y"),
-        )
+        try:
+            return initial_state(
+                problem,
+                x0=cfg.init.get("x"),
+                z0=cfg.init.get("z"),
+                y0=cfg.init.get("y"),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"'init' table: {exc!r}") from exc
     raise ConfigError("'init' must be \"zeros\" or a table with x/z/y")
 
 
@@ -260,29 +281,19 @@ def run_experiment(cfg, force=False, out_dir=None, echo=print):
     state, trace = run(
         problem, init, sched1, sched2, StoppingRule(max_iters=cfg.iters), force=True
     )
-    K = trace.iterations
 
-    needs_oracle = bool(ORACLE_CHECKS & set(cfg.checks))
     saddle = None
-    if needs_oracle:
+    if ORACLE_CHECKS & set(cfg.checks):
         orc = oracle(problem, budget=cfg.oracle_budget)
         saddle = (orc.x, orc.z, orc.y)
-
-    rows, derived = _assemble_rows(
-        problem, trace, sched1, sched2, saddle, seed=cfg.seed
+    rows, certificates, checks = _certify(
+        cfg, problem, trace, sched1, sched2, saddle
     )
-    checks = _evaluate_checks(cfg, problem, trace, derived)
 
     summary = {
         "problem": metadata,
-        "iterations": K,
-        "final_kkt": derived["final_kkt"],
-        "min_gap_slack": derived["min_gap_slack"],
-        "min_v_slack": derived["min_v_slack"],
-        "rate_slope": derived["rate_slope"],
-        "findings": {
-            "uncorrected_v_min_slack": derived["uncorrected_v_min_slack"],
-        },
+        "iterations": trace.iterations,
+        **certificates,
         "checks": {
             name: {"passed": passed, "detail": detail}
             for name, (passed, detail) in checks.items()
@@ -325,19 +336,26 @@ def run_experiment(cfg, force=False, out_dir=None, echo=print):
     )
 
 
-def _constant_metrics(sched1, sched2, K):
-    """The metrics of a run that used one (M1, M2) pair for all K iterations."""
-    m1, m2 = sched1.metric(0), sched2.metric(0)
-    for k in range(1, K):
-        if sched1.metric(k) is not m1 or sched2.metric(k) is not m2:
-            raise UnsupportedSetting("u/v need constant metric schedules")
-    return m1, m2
+def _certify(cfg, problem, trace, sched1, sched2, saddle):
+    """Compute every certificate of a run and judge it where it is computed.
 
-
-def _assemble_rows(problem, trace, sched1, sched2, saddle, seed=0):
-    """Build IterateLog rows and the derived per-run quantities in one pass."""
+    Returns ``(rows, certificates, checks)``: the ``log.csv`` rows, the
+    summary's certificate fields, and ``{name: (passed, detail)}`` for the
+    checks ``cfg.checks`` requests, in its order, each judged against
+    :data:`CHECK_TOLERANCES`. ``saddle`` is None when no requested check
+    needs one. The u/v checks need a zero smooth term and one (M1, M2) pair
+    for the whole run; they fail as "not evaluable" otherwise.
+    """
     K = trace.iterations
-    u = v = pairs = None
+    tol = CHECK_TOLERANCES
+    verdicts = {
+        "v_inequality": (False, "not evaluable: u/v energies unavailable "
+                         "(need zero smooth term, constant metrics, and a "
+                         "saddle point)"),
+        "v_monotone": (False, "not evaluable: v energy unavailable"),
+        "feasibility_rate": (False, "not evaluable: u energy unavailable"),
+    }
+    u = v = None
     v_slacks = {}
     uncorrected_min = None
     if saddle is not None and K:
@@ -348,25 +366,30 @@ def _assemble_rows(problem, trace, sched1, sched2, saddle, seed=0):
         )
         # the gap bound is per-probe: sample a few extra probes around the
         # saddle (seeded) and check them every 10th iteration
-        probes = diagnostics.sample_ball_probes(saddle, 1.0, 10, seed=seed)
+        probes = diagnostics.sample_ball_probes(saddle, 1.0, 10, seed=cfg.seed)
         probe_gammas = [
             diagnostics.gamma(problem, init_state, trace.m1_0, trace.m2_0, p)
             for p in probes
         ]
-        try:
-            m1, m2 = _constant_metrics(sched1, sched2, K)
-            u, v = diagnostics.uv_energies(problem, trace, saddle, m1, m2)
-        except UnsupportedSetting:
-            pass
-        else:
-            pairs = diagnostics.uv_pairs(u, v)
-            v_slacks = dict(
-                diagnostics.inequality_v_check(pairs[1:], trace.zs, problem.c)
-            )
-            # the stronger, uncorrected inequality is logged as a finding only
-            uncorrected = diagnostics.uncorrected_v_slack(pairs[1:])
-            if uncorrected:
-                uncorrected_min = min(s for _, s in uncorrected)
+        m1, m2 = sched1.metric(0), sched2.metric(0)
+        if all(
+            sched1.metric(k) is m1 and sched2.metric(k) is m2 for k in range(1, K)
+        ):
+            try:
+                u, v = diagnostics.uv_energies(problem, trace, saddle, m1, m2)
+            except UnsupportedSetting:
+                pass
+    if u is not None:
+        v_slacks = dict(diagnostics.inequality_v_check(u, v, trace.zs, problem.c))
+        # the stronger, uncorrected inequality is logged as a finding only
+        uncorrected = diagnostics.uncorrected_v_slack(u, v)
+        if uncorrected:
+            uncorrected_min = min(s for _, s in uncorrected)
+        ok, first = diagnostics.v_monotone_check(v, tol["v_monotone"])
+        verdicts["v_monotone"] = (
+            ok,
+            "nonincreasing" if ok else f"first violation at k={first}",
+        )
 
     rows = []
     gap_slacks, probe_slacks = [], []
@@ -399,80 +422,55 @@ def _assemble_rows(problem, trace, sched1, sched2, saddle, seed=0):
             row["v_k"] = float(v[k])
             row["v_slack"] = v_slacks.get(k)
         rows.append(row)
+    final = rows[-1]["kkt"] if rows else math.inf
+    verdicts["kkt"] = (final < tol["kkt"], f"final_kkt={final:.3e}")
+
+    min_gap_slack = None
+    # a requested gap_bound always has a saddle: no slacks means K == 0
+    verdicts["gap_bound"] = (True, "no iterations")
+    if gap_slacks:
+        min_gap_slack = min(min(gap_slacks), min(probe_slacks))
+        verdicts["gap_bound"] = (
+            min_gap_slack >= tol["gap_bound"],
+            f"min_slack={min_gap_slack:.3e}",
+        )
+
+    min_v_slack = None
+    if v_slacks:
+        min_v_slack = min(v_slacks.values())
+        verdicts["v_inequality"] = (
+            min_v_slack >= tol["v_inequality"],
+            f"min_slack={min_v_slack:.3e}",
+        )
+    elif u is not None:
+        verdicts["v_inequality"] = (True, "trace too short for slacks")
 
     start = max(2, min(100, K // 2)) if K else 2
     slope = diagnostics.loglog_slope(
         range(start, K + 1),
         trace.residual_norms[start - 1 : K],
     )
-    derived = {
-        "final_kkt": rows[-1]["kkt"] if rows else None,
-        "u": u,
-        "uv_pairs": pairs,
-        "min_gap_slack": (
-            min(min(gap_slacks), min(probe_slacks)) if gap_slacks else None
-        ),
-        "min_v_slack": min(v_slacks.values()) if v_slacks else None,
-        "uncorrected_v_min_slack": uncorrected_min,
-        "rate_slope": None if math.isinf(slope) else slope,
-    }
-    return rows, derived
-
-
-def _evaluate_checks(cfg, problem, trace, derived):
-    checks = {}
-    K = trace.iterations
-    for name in cfg.checks:
-        if name not in CHECK_TOLERANCES:
-            raise ConfigError(f"unknown check {name!r}")
-        try:
-            checks[name] = _single_check(name, problem, trace, derived, K)
-        except VmAdmmError as exc:
-            checks[name] = (False, f"not evaluable: {exc}")
-    return checks
-
-
-def _single_check(name, problem, trace, derived, K):
-    tol = CHECK_TOLERANCES[name]
-    if name == "kkt":
-        final = derived["final_kkt"] if K else math.inf
-        return final < tol, f"final_kkt={final:.3e}"
-    if name == "gap_bound":
-        if derived["min_gap_slack"] is None:
-            return (K == 0), "no iterations"
-        worst = derived["min_gap_slack"]
-        return worst >= tol, f"min_slack={worst:.3e}"
-    if name == "v_inequality":
-        if derived["min_v_slack"] is None:
-            if derived["u"] is None:
-                raise UnsupportedSetting(
-                    "u/v energies unavailable (need zero smooth term, "
-                    "constant metrics, and a saddle point)"
-                )
-            return (K <= 2), "trace too short for slacks"
-        worst = derived["min_v_slack"]
-        return worst >= tol, f"min_slack={worst:.3e}"
-    if name == "v_monotone":
-        if derived["uv_pairs"] is None:
-            raise UnsupportedSetting("v energy unavailable")
-        ok, first = diagnostics.v_monotone_check(derived["uv_pairs"], tol)
-        return ok, "nonincreasing" if ok else f"first violation at k={first + 1}"
-    if name == "feasibility_rate":
-        u = derived["u"]
-        if u is None:
-            raise UnsupportedSetting("u energy unavailable")
+    rate_slope = None if math.isinf(slope) else slope
+    if u is not None:
         S = diagnostics.accumulate_step_energy(trace, problem.c)
-        worst = 0.0
-        for k, resid, bound in diagnostics.feasibility_rate(
-            trace, problem.c, float(u[1]), S
-        ):
-            worst = max(worst, resid - bound)
-        slope = derived["rate_slope"]
-        slope_ok = slope is None or slope <= tol
-        ok = worst <= 0.0 and slope_ok
-        return ok, f"max_excess={worst:.3e}, slope={slope}"
-    if name == "dual_identity":
-        worst = diagnostics.dual_identity_deviation(
-            trace.ys, trace.residual_norms, problem.c
+        bounds = diagnostics.feasibility_rate(trace, problem.c, float(u[1]), S)
+        worst = max([0.0] + [resid - bound for _, resid, bound in bounds])
+        slope_ok = rate_slope is None or rate_slope <= tol["feasibility_rate"]
+        verdicts["feasibility_rate"] = (
+            worst <= 0.0 and slope_ok,
+            f"max_excess={worst:.3e}, slope={rate_slope}",
         )
-        return worst <= tol, f"max_dev={worst:.3e}"
+
+    dev = diagnostics.dual_identity_deviation(
+        trace.ys, trace.residual_norms, problem.c
+    )
+    verdicts["dual_identity"] = (dev <= tol["dual_identity"], f"max_dev={dev:.3e}")
+
+    certificates = {
+        "final_kkt": rows[-1]["kkt"] if rows else None,
+        "min_gap_slack": min_gap_slack,
+        "min_v_slack": min_v_slack,
+        "rate_slope": rate_slope,
+        "findings": {"uncorrected_v_min_slack": uncorrected_min},
+    }
+    return rows, certificates, {name: verdicts[name] for name in cfg.checks}

@@ -428,30 +428,3 @@ class Huber(ConvexFunction):
         s = self._check(s, "subgradient target")
         return float(np.linalg.norm(s - self.grad(x)))
 
-
-def from_spec(spec, dim):
-    """Build a catalog function from a config table.
-
-    ``spec`` is a mapping with a ``kind`` key among ``zero``, ``l1``,
-    ``squared_l2``, ``box``, ``quadratic``, ``huber`` plus kind-specific
-    parameters. ``dim`` fixes the dimension unless the parameters imply it.
-    """
-    if "kind" not in spec:
-        raise ValueError("function spec needs a 'kind' key")
-    kind = spec["kind"]
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    if kind == "zero":
-        return Zero(dim)
-    if kind == "l1":
-        return L1Norm(dim, weight=params["weight"])
-    if kind == "squared_l2":
-        return SquaredL2(
-            dim, shift=params.get("shift", 0.0), weight=params.get("weight", 1.0)
-        )
-    if kind == "box":
-        return BoxIndicator(dim, lower=params["lower"], upper=params["upper"])
-    if kind == "quadratic":
-        return Quadratic(params["matrix"], params.get("linear"))
-    if kind == "huber":
-        return Huber(dim, delta=params["delta"], weight=params.get("weight", 1.0))
-    raise ValueError(f"unknown function kind {kind!r}")

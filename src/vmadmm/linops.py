@@ -112,19 +112,18 @@ class LinearMap:
         return op._exact_spectrum(0.0, 0.0)
 
     @classmethod
-    def matrix_free(cls, rows, cols, apply_fn, adjoint_fn, check=True, probes=4):
+    def matrix_free(cls, rows, cols, apply_fn, adjoint_fn):
         """Wrap an apply/adjoint pair, probe-testing adjoint consistency.
 
-        The check draws ``probes`` seeded random pairs (x, v) and requires
+        The check draws four seeded random pairs (x, v) and requires
         ``|<Ax,v> - <x,A*v>|`` below 1e-12 relative to the probe magnitudes.
         """
         op = cls(rows, cols, apply_fn, adjoint_fn, kind="matrix_free")
-        if check:
-            mismatch = adjoint_mismatch(op, trials=probes)
-            if mismatch > 1e-12:
-                raise AdjointConsistencyError(
-                    f"adjoint probe mismatch {mismatch:.3e} exceeds 1e-12"
-                )
+        mismatch = adjoint_mismatch(op)
+        if mismatch > 1e-12:
+            raise AdjointConsistencyError(
+                f"adjoint probe mismatch {mismatch:.3e} exceeds 1e-12"
+            )
         return op
 
     @property

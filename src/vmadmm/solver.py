@@ -33,7 +33,6 @@ from .linops import (
     LinearMap,
     MetricOperator,
     gram_min_eigenvalue,
-    loewner_geq,
     min_eigenvalue,
 )
 
@@ -106,21 +105,21 @@ def initial_state(problem, x0=None, z0=None, y0=None):
 
 
 class MetricSchedule:
-    """A sequence of PSD metrics M^0, M^1, ... with decidable monotonicity."""
+    """A sequence of PSD metrics M^0, M^1, ... with decidable monotonicity.
+
+    Schedules that can serve as M2 also define ``double_monotone(horizon)``:
+    whether ``2 M^{k+1} >= M^k`` holds for all k.
+    """
 
     def metric(self, k):
         raise NotImplementedError
 
     def is_monotone(self, horizon):
-        """Whether ``M^k >= M^{k+1}`` holds for all k (checked to horizon)."""
+        """Whether ``M^k >= M^{k+1}`` holds for all k."""
         raise NotImplementedError
 
     def min_eig_infimum(self, horizon):
         """Infimum over all k (including the tail) of the smallest eigenvalue."""
-        raise NotImplementedError
-
-    def double_monotone(self, horizon):
-        """Whether ``2 M^{k+1} >= M^k`` holds for all k (checked to horizon)."""
         raise NotImplementedError
 
 
@@ -197,20 +196,11 @@ class ShiftedGramSchedule(MetricSchedule):
         return self._cache[self._tau(k)]
 
     def is_monotone(self, horizon):
-        taus = self.taus[: horizon + 2]
-        return all(a <= b * (1 + 1e-12) for a, b in zip(taus, taus[1:]))
+        # the whole list: beyond its end the step is held, so this is every k
+        return all(a <= b * (1 + 1e-12) for a, b in zip(self.taus, self.taus[1:]))
 
     def min_eig_infimum(self, horizon):
         return min(min_eigenvalue(m) for m in self._cache.values())
-
-    def double_monotone(self, horizon):
-        ks = range(min(horizon, len(self.taus)) + 1)
-        for k in ks:
-            m_next = self.metric(k + 1)
-            m_k = self.metric(k)
-            if not loewner_geq(m_next.scaled(2.0), m_k, slack=1e-12).holds:
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +356,10 @@ class RunTrace:
 def run(problem, init, sched1, sched2, stop, force=False):
     """Iterate :func:`step` from ``init`` under the given schedules.
 
-    Validates the convergence assumptions first (over a short horizon) and
-    refuses to run when none holds, unless ``force`` is set. Records every
-    iterate in a :class:`RunTrace`; raises :class:`NonFiniteIterate` as soon
-    as any component stops being finite. Deterministic given its inputs.
+    Validates the convergence assumptions first and refuses to run when
+    none holds, unless ``force`` is set. Records every iterate in a
+    :class:`RunTrace`; raises :class:`NonFiniteIterate` as soon as any
+    component stops being finite. Deterministic given its inputs.
     """
     if not force:
         horizon = max(1, min(stop.max_iters, 50))
@@ -473,15 +463,26 @@ class AssumptionReport:
 
 
 def validate_assumptions(problem, sched1, sched2, horizon):
-    """Check the convergence assumptions over ``k = 0..horizon``.
+    """Check the convergence assumptions for every k.
+
+    ``horizon`` must be >= 1; every schedule decides its flags for all k, so
+    no check depends on its value.
 
     Constant schedules are checked once; decaying and step-sequence schedules
     additionally account for their limiting operator, so the reported flags
-    are reproducible from the schedules and the problem alone. Failures are
-    reported with witnesses in ``notes``, never thrown.
+    are reproducible from the schedules and the problem alone. An M2 that
+    :func:`z_update` cannot apply (neither zero, scaled identity nor
+    diagonal) raises :class:`UnsupportedMetric` before anything is checked;
+    every other failure is reported with witnesses in ``notes``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    m2_0 = sched2.metric(0)
+    if m2_0.diagonal_entries() is None:
+        raise UnsupportedMetric(
+            f"the z update supports zero, scaled-identity, or diagonal M2, "
+            f"got {m2_0.kind!r}"
+        )
     L = problem.h.lipschitz
     notes = []
 

@@ -168,8 +168,8 @@ def test_c02_contraction_inequality(uv_toy1d, uv_lasso, toy1d_oracle, lasso_g_or
             (uv_lasso, lasso_g_oracle),
         ):
             saddle = (orc.x, orc.z, orc.y)
-            pairs = dg.sequence_uv(problem, trace, saddle, m1, m2)
-            slacks = dict(dg.inequality_v_check(pairs, trace.zs, problem.c))
+            u, v = dg.uv_energies(problem, trace, saddle, m1, m2)
+            slacks = dict(dg.inequality_v_check(u, v, trace.zs, problem.c))
             assert set(range(1, 2001)).issubset(slacks)
             worst = min(slacks[k] for k in range(1, 2001))
             assert worst >= -1e-10, f"worst contraction slack {worst:.3e}"

@@ -168,7 +168,7 @@ def test_gap_bound_halves_when_k_doubles():
         avg.update(np.ones(1), np.ones(1), np.zeros(1))
     c20 = dg.gap_certificate(P, avg, probe, gamma0=8.0)
     assert c10.bound == pytest.approx(2.0 * c20.bound)
-    assert c10.k == 10 and c20.k == 20
+    assert c10.bound == pytest.approx(8.0 / 10) and c20.bound == pytest.approx(8.0 / 20)
 
 
 def test_gap_certificate_saddle_probe_sign(toy1d_oracle):
@@ -285,8 +285,8 @@ def test_inequality_v_fixed_point_slack_zero():
     xs, zs, ys = toy1d_saddle()
     trace = constant_trace(P, xs, zs, ys, iters=6)
     m = MetricOperator.scaled_identity(1, 1.0)
-    pairs = dg.sequence_uv(P, trace, (xs, zs, ys), m, m)
-    slacks = dg.inequality_v_check(pairs, trace.zs, P.c)
+    u, v = dg.uv_energies(P, trace, (xs, zs, ys), m, m)
+    slacks = dg.inequality_v_check(u, v, trace.zs, P.c)
     for _, s in slacks:
         assert abs(s) <= 1e-14
 
@@ -294,8 +294,8 @@ def test_inequality_v_fixed_point_slack_zero():
 def test_inequality_v_holds_on_run(toy_run, toy1d_oracle):
     P, trace, m1, m2 = toy_run
     orc = toy1d_oracle
-    pairs = dg.sequence_uv(P, trace, (orc.x, orc.z, orc.y), m1, m2)
-    slacks = dg.inequality_v_check(pairs, trace.zs, P.c)
+    u, v = dg.uv_energies(P, trace, (orc.x, orc.z, orc.y), m1, m2)
+    slacks = dg.inequality_v_check(u, v, trace.zs, P.c)
     assert min(s for _, s in slacks) >= -1e-10
 
 
@@ -308,36 +308,31 @@ def test_inequality_v_detects_corrupted_trace(toy_run, toy1d_oracle):
     corrupted.ys = [y.copy() for y in trace.ys]
     # fault injection late in the run, where the genuine slack is near zero
     corrupted.ys[350] = corrupted.ys[350] + 0.05
-    pairs = dg.sequence_uv(P, corrupted, (orc.x, orc.z, orc.y), m1, m2)
-    slacks = dg.inequality_v_check(pairs, corrupted.zs, P.c)
+    u, v = dg.uv_energies(P, corrupted, (orc.x, orc.z, orc.y), m1, m2)
+    slacks = dg.inequality_v_check(u, v, corrupted.zs, P.c)
     assert min(s for _, s in slacks) < -1e-10
 
 
 def test_v_monotone_on_run(toy_run, toy1d_oracle):
     P, trace, m1, m2 = toy_run
     orc = toy1d_oracle
-    pairs = dg.sequence_uv(P, trace, (orc.x, orc.z, orc.y), m1, m2)
-    ok, first = dg.v_monotone_check(pairs)
+    _, v = dg.uv_energies(P, trace, (orc.x, orc.z, orc.y), m1, m2)
+    ok, first = dg.v_monotone_check(v)
     assert ok and first is None
 
 
 def test_v_monotone_reports_first_violation():
-    pairs = [
-        dg.SequencePair(k=1, u=1.0, v_next=1.0),
-        dg.SequencePair(k=2, u=0.9, v_next=0.5),
-        dg.SequencePair(k=3, u=0.8, v_next=0.7),  # increase
-        dg.SequencePair(k=4, u=0.7, v_next=0.9),
-    ]
-    ok, first = dg.v_monotone_check(pairs)
-    assert not ok and first == 3
+    v = np.array([np.nan, 2.0, 1.0, 0.5, 0.7, 0.9])  # v_4 > v_3: first increase
+    ok, first = dg.v_monotone_check(v)
+    assert not ok and first == 4
 
 
 def test_uncorrected_inequality_logged_not_asserted(toy_run, toy1d_oracle):
     P, trace, m1, m2 = toy_run
     orc = toy1d_oracle
-    pairs = dg.sequence_uv(P, trace, (orc.x, orc.z, orc.y), m1, m2)
-    slacks = dg.uncorrected_v_slack(pairs)
-    assert len(slacks) == len(pairs) - 1  # values exist as findings, no assertion
+    u, v = dg.uv_energies(P, trace, (orc.x, orc.z, orc.y), m1, m2)
+    slacks = dg.uncorrected_v_slack(u, v)
+    assert len(slacks) == trace.iterations - 2  # values exist as findings, no assertion
 
 
 # ---------------------------------------------------------------------------

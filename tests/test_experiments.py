@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from vmadmm import diagnostics
+from vmadmm import diagnostics, experiments
 from vmadmm.cli import main
 from vmadmm.errors import ConfigError
 from vmadmm.experiments import (
@@ -186,6 +186,19 @@ def test_v_monotone_check_covers_first_step(tmp_path, monkeypatch):
     assert result.checks["v_monotone"] == (False, "first violation at k=2")
 
 
+def test_validation_reads_tau_beyond_the_horizon(tmp_path):
+    # the step drops at k=60; the runner validates with horizon min(iters, 50)
+    cfg = toy_config(
+        metric1={"kind": "shifted_gram", "tau": [0.4] * 60 + [0.3]},
+        metric2={"kind": "constant", "metric": {"kind": "zero"}},
+        iters=20,
+        checks=[],
+    )
+    result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
+    assert result.exit_code == 3
+    assert not result.report.ergodic_ok
+
+
 def test_residual_column_matches_dual_steps(tmp_path):
     cfg = toy_config(iters=100, checks=[], log_vectors=True)
     result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
@@ -282,6 +295,7 @@ def test_cli_iters_override_and_out(tmp_path):
     out = str(tmp_path / "elsewhere")
     assert main(["solve", "--config", cfg_path, "--iters", "5", "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "log.csv"))
+    assert main(["solve", "--config", cfg_path, "--iters", "-1", "--out", out]) == 2
 
 
 def test_cli_env_var_output(tmp_path, monkeypatch):
@@ -342,3 +356,53 @@ def test_cli_check_detects_dual_identity_violation(tmp_path, capsys):
         writer.writerows(rows)
     assert main(["check", "--log", log, "--against", against]) == 1
     assert "identity violated" in capsys.readouterr().out
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("reached")
+
+
+def test_cli_rejects_unsupported_m2_before_solving(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "eigh", _refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
+    monkeypatch.setattr(experiments, "oracle", _refuse)
+    cfg = toy_config(
+        metric2={"kind": "shifted_gram", "tau": 0.5},
+        checks=["gap_bound"],
+        out_dir=str(tmp_path / "out"),
+    )
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--force"]) == 2
+    assert "z update" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"problem": {"name": "nope"}},
+        {"problem": {"name": "toy1d", "bogus": 1}},
+        {"problem": {"name": "tv1d", "n": "abc"}},
+        {"iters": "5"},
+        {"iters": 2.5},
+        {"iters": True},
+        {"c": "x"},
+        {"c": 0.0},
+        {"c": float("inf")},
+        {"c": 10**400},
+        {"metric1": {"kind": "constant"}},
+        {"metric2": 5},
+        {"checks": ["kkt", "kkkt"]},
+        {"checks": "kkt"},
+        {"init": {"x": "abc"}},
+    ],
+    ids=lambda change: repr(change)[:48],
+)
+def test_cli_malformed_config_exits_2_before_solving(
+    tmp_path, monkeypatch, capsys, change
+):
+    monkeypatch.setattr(experiments, "run", _refuse)
+    data = json.loads(serialize_config(toy_config(out_dir=str(tmp_path / "out"))))
+    data.update(change)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err

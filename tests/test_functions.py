@@ -12,7 +12,6 @@ from vmadmm.functions import (
     Quadratic,
     SquaredL2,
     Zero,
-    from_spec,
 )
 
 ALL_PROXABLE = [
@@ -366,19 +365,3 @@ def test_lipschitz_constants():
     f = Quadratic(np.diag([1.0, 5.0]), None)
     assert f.lipschitz == pytest.approx(5.0)
 
-
-def test_from_spec_roundtrip():
-    f = from_spec({"kind": "l1", "weight": 2.0}, 3)
-    assert isinstance(f, L1Norm) and f.weight == 2.0 and f.dim == 3
-    g = from_spec({"kind": "squared_l2", "shift": [1.0, 2.0], "weight": 0.5}, 2)
-    assert isinstance(g, SquaredL2)
-    h = from_spec({"kind": "box", "lower": 0.0, "upper": 1.0}, 4)
-    assert isinstance(h, BoxIndicator)
-    q = from_spec({"kind": "quadratic", "matrix": [[2.0]], "linear": [1.0]}, 1)
-    assert isinstance(q, Quadratic)
-    z = from_spec({"kind": "zero"}, 2)
-    assert isinstance(z, Zero)
-    hub = from_spec({"kind": "huber", "delta": 0.5}, 2)
-    assert isinstance(hub, Huber)
-    with pytest.raises(ValueError):
-        from_spec({"kind": "mystery"}, 2)

@@ -619,6 +619,46 @@ def test_shifted_gram_schedule_steps():
     assert lam == pytest.approx(min_eigenvalue(sched.metric(5)), abs=1e-12)
 
 
+def test_validate_reads_the_whole_tau_list():
+    # the step drops at k=60, beyond the runner's horizon of 50
+    P, _ = build_problem("toy1d")
+    s1 = ShiftedGramSchedule([0.4] * 60 + [0.3], P.c, P.A)
+    s2 = ConstantSchedule(MetricOperator.zero(1))
+    report = validate_assumptions(P, s1, s2, 50)
+    assert not report.monotone_m1
+    assert not report.ergodic_ok
+    assert not report.permits_run
+
+
+def _dense_m2():
+    return MetricOperator.dense([[2.0]])
+
+
+@pytest.mark.parametrize(
+    "make_m2",
+    [
+        lambda P: ShiftedGramSchedule(0.5, P.c, P.A),
+        lambda P: ConstantSchedule(_dense_m2()),
+        lambda P: GeometricDecaySchedule(_dense_m2(), 0.9),
+        lambda P: GeometricDecaySchedule(MetricOperator.shifted_gram(0.5, P.c, P.A), 0.9),
+    ],
+    ids=["shifted_gram", "dense", "geometric_dense", "geometric_shifted_gram"],
+)
+def test_validate_rejects_m2_the_z_update_cannot_apply(make_m2, monkeypatch):
+    # rejected at the door, before any dense eigensolve
+    P, _ = build_problem("toy1d")
+    s1 = ConstantSchedule(MetricOperator.scaled_identity(1, 1.0))
+    s2 = make_m2(P)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    with pytest.raises(UnsupportedMetric):
+        validate_assumptions(P, s1, s2, 5)
+
+
 # ---------------------------------------------------------------------------
 # assumption validation
 # ---------------------------------------------------------------------------
