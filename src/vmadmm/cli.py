@@ -118,8 +118,9 @@ def _cmd_check(args):
     if y_cols:
         # The k=0 dual iterate is not in the log, so the identity is checked
         # from the second logged row onward.
+        ys = [np.array([float(row[c]) for c in y_cols]) for row in rows]
         worst = diagnostics.dual_identity_deviation(
-            [np.array([float(row[c]) for c in y_cols]) for row in rows],
+            [float(np.linalg.norm(b - a)) for a, b in zip(ys, ys[1:])],
             [float(row["residual_primal"]) for row in rows[1:]],
             float(against["c"]),
         )

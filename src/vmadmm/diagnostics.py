@@ -1,6 +1,6 @@
 """Numerical certificates for solver runs.
 
-Everything the theory promises is evaluated here, on concrete traces:
+Everything the theory promises is evaluated here, on concrete iterates:
 Lagrangian values and the ergodic primal-dual gap with its gamma/k bound,
 the distance-to-saddle energy ``u_k`` and successive-difference energy
 ``v_k`` with their one-step contraction inequality, the 1/sqrt(k)
@@ -8,8 +8,8 @@ feasibility decay bound, KKT residuals, and the per-iteration inequality
 that drives the ergodic bound. All checks use absolute slack tolerances
 because the compared quantities approach zero at convergence.
 
-Functions here are pure over immutable traces; the domain regime for
-``u``/``v`` (no smooth term, constant metrics) is enforced rather than
+Functions here are pure, over iterates or per-iteration scalars; the
+``u``/``v`` regime (no smooth term, constant metrics) is enforced rather than
 silently generalized.
 """
 
@@ -46,17 +46,17 @@ def augmented_lagrangian(problem, x, z, y):
     return base + 0.5 * problem.c * float(r @ r)
 
 
-def gamma(problem, init, m1_0, m2_0, probe):
+def gamma(problem, init, m1, m2, probe):
     """Constant of the ergodic gap bound, an initial-iterate quantity.
 
-    ``(c/2)||Ax - z0||^2 + (1/2)(||x - x0||^2_{M1_0} + ||z - z0||^2_{M2_0})
-    + (1/2c)||y - y0||^2`` evaluated at the probe ``(x, z, y)``.
+    ``(c/2)||Ax - z0||^2 + (1/2)(||x - x0||^2_{M1} + ||z - z0||^2_{M2})
+    + (1/2c)||y - y0||^2`` at the probe ``(x, z, y)``, with the k=0 metrics.
     """
     x, z, y = probe
     r = problem.A.apply(np.asarray(x, dtype=float)) - init.z
     val = 0.5 * problem.c * float(r @ r)
-    val += 0.5 * m1_0.seminorm_sq(np.asarray(x, dtype=float) - init.x)
-    val += 0.5 * m2_0.seminorm_sq(np.asarray(z, dtype=float) - init.z)
+    val += 0.5 * m1.seminorm_sq(np.asarray(x, dtype=float) - init.x)
+    val += 0.5 * m2.seminorm_sq(np.asarray(z, dtype=float) - init.z)
     dy = np.asarray(y, dtype=float) - init.y
     val += float(dy @ dy) / (2.0 * problem.c)
     return val
@@ -140,57 +140,57 @@ def _require_uv_regime(problem):
         )
 
 
-def uv_energies(problem, trace, saddle, m1, m2):
-    """Arrays ``u[1..K]`` and ``v[1..K]`` from a trace and a saddle point.
+def uv_step(problem, saddle, m1, m2, prev, cur):
+    """``(u_k, v_k)`` of the step from iterate ``prev`` to iterate ``cur``.
 
-    ``v[k] = ||x_k - x_{k-1}||^2_{M1} + ||z_k - z_{k-1}||^2_{M2 + cI}
-    + (1/c) ||y_k - y_{k-1}||^2`` and ``u[k]`` adds the saddle distances plus
-    the trailing ``||z_k - z_{k-1}||^2_{M2}`` term. Index 0 of both arrays is
-    NaN. Defined only for a zero smooth term and constant metrics.
+    ``v_k = ||x_k - x_{k-1}||^2_{M1} + ||z_k - z_{k-1}||^2_{M2 + cI}
+    + (1/c) ||y_k - y_{k-1}||^2`` and ``u_k`` adds the saddle distances plus
+    the trailing ``||z_k - z_{k-1}||^2_{M2}`` term. Defined only for a zero
+    smooth term and constant metrics.
     """
     _require_uv_regime(problem)
-    xs, zs, ys = trace.xs, trace.zs, trace.ys
     x_star, z_star, y_star = (np.asarray(v, dtype=float) for v in saddle)
     c = problem.c
-    K = trace.iterations
-    u = np.full(K + 1, np.nan)
-    v = np.full(K + 1, np.nan)
-    for k in range(1, K + 1):
-        dxs = x_star - xs[k]
-        dzs = z_star - zs[k]
-        dys = y_star - ys[k]
-        dz_prev = zs[k] - zs[k - 1]
-        u[k] = (
-            m1.seminorm_sq(dxs)
-            + m2.seminorm_sq(dzs)
-            + c * float(dzs @ dzs)
-            + float(dys @ dys) / c
-            + m2.seminorm_sq(dz_prev)
-        )
-        dx = xs[k] - xs[k - 1]
-        dy = ys[k] - ys[k - 1]
-        v[k] = (
-            m1.seminorm_sq(dx)
-            + m2.seminorm_sq(dz_prev)
-            + c * float(dz_prev @ dz_prev)
-            + float(dy @ dy) / c
+    dxs, dzs, dys = x_star - cur.x, z_star - cur.z, y_star - cur.y
+    dx, dz_prev, dy = cur.x - prev.x, cur.z - prev.z, cur.y - prev.y
+    u = (
+        m1.seminorm_sq(dxs)
+        + m2.seminorm_sq(dzs)
+        + c * float(dzs @ dzs)
+        + float(dys @ dys) / c
+        + m2.seminorm_sq(dz_prev)
+    )
+    v = (
+        m1.seminorm_sq(dx)
+        + m2.seminorm_sq(dz_prev)
+        + c * float(dz_prev @ dz_prev)
+        + float(dy @ dy) / c
+    )
+    return u, v
+
+
+def uv_energies(problem, trace, saddle, m1, m2):
+    """Arrays ``u``, ``v`` of :func:`uv_step` over a stored trace; index 0 is NaN."""
+    u, v = np.full((2, trace.iterations + 1), np.nan)
+    for k in range(1, trace.iterations + 1):
+        u[k], v[k] = uv_step(
+            problem, saddle, m1, m2, trace.state_at(k - 1), trace.state_at(k)
         )
     return u, v
 
 
-def inequality_v_check(u, v, zs, c):
+def inequality_v_check(u, v, dz_sq, c):
     """Slack of the one-step contraction inequality, per k.
 
     ``slack_k = (u_k - u_{k+1}) - (v_{k+1} - c ||z_{k+1} - z_k||^2)`` for
-    ``k = 1..K-2``, from the :func:`uv_energies` arrays; nonnegative (to
-    roundoff) whenever the iteration ran exactly. Returns ``(k, slack)`` pairs.
+    ``k = 1..K-2``, from the :func:`uv_energies` arrays and ``dz_sq[k] =
+    ||z_k - z_{k-1}||^2`` indexed like them; nonnegative (to roundoff)
+    whenever the iteration ran exactly. Returns ``(k, slack)`` pairs.
     """
-    slacks = []
-    for k in range(1, len(u) - 2):
-        dz = np.asarray(zs[k + 1], float) - np.asarray(zs[k], float)
-        lhs = v[k + 1] - c * float(dz @ dz)
-        slacks.append((k, float((u[k] - u[k + 1]) - lhs)))
-    return slacks
+    return [
+        (k, float((u[k] - u[k + 1]) - (v[k + 1] - c * dz_sq[k + 1])))
+        for k in range(1, len(u) - 2)
+    ]
 
 
 def uncorrected_v_slack(u, v):
@@ -211,41 +211,31 @@ def v_monotone_check(v, tol=1e-10):
     return True, None
 
 
-def dual_identity_deviation(ys, residuals, c):
-    """Largest ``| ||y_k - y_{k-1}|| / c - residuals[k-1] |`` over the steps.
+def dual_identity_deviation(dual_steps, residuals, c):
+    """Largest ``| dual_steps[i] / c - residuals[i] |`` over the steps.
 
-    ``ys`` holds consecutive dual iterates and ``residuals`` the logged
-    ``||A x_k - z_k||`` of each step after the first iterate; the two agree
-    exactly on a genuine run, because the dual update is ``y + c (Ax - z)``.
+    ``dual_steps`` holds the norms ``||y_k - y_{k-1}||`` and ``residuals``
+    the logged ``||A x_k - z_k||`` of the same steps; the two agree exactly
+    on a genuine run, because the dual update is ``y + c (Ax - z)``.
     """
     worst = 0.0
-    for y_prev, y, resid in zip(ys, ys[1:], residuals):
-        recomputed = float(np.linalg.norm(y - y_prev)) / c
-        worst = max(worst, abs(recomputed - resid))
+    for step, resid in zip(dual_steps, residuals):
+        worst = max(worst, abs(step / c - resid))
     return worst
 
 
-def accumulate_step_energy(trace, c):
-    """``S = c * sum_k ||z_{k+1} - z_k||^2`` over the whole trace."""
-    total = 0.0
-    for a, b in zip(trace.zs, trace.zs[1:]):
-        d = b - a
-        total += float(d @ d)
-    return c * total
-
-
-def feasibility_rate(trace, c, u1, S):
+def feasibility_rate(residuals, c, u1, S):
     """Primal residual against its ``sqrt(c (u1 + S) / (k - 1))`` bound.
 
-    Returns triples ``(k, ||A x_k - z_k||, bound_k)`` for ``k >= 2``. The
-    bound follows from summing the contraction inequality and the
-    monotonicity of the step energy.
+    ``residuals[k - 1]`` is ``||A x_k - z_k||``. Returns triples
+    ``(k, ||A x_k - z_k||, bound_k)`` for ``k >= 2``. The bound follows from
+    summing the contraction inequality and the monotonicity of the step
+    energy ``S = c sum_k ||z_k - z_{k-1}||^2``.
     """
-    out = []
-    for k in range(2, trace.iterations + 1):
-        bound = math.sqrt(c * (u1 + S) / (k - 1))
-        out.append((k, trace.residual_norms[k - 1], bound))
-    return out
+    return [
+        (k, residuals[k - 1], math.sqrt(c * (u1 + S) / (k - 1)))
+        for k in range(2, len(residuals) + 1)
+    ]
 
 
 def loglog_slope(ks, values):

@@ -9,9 +9,11 @@ generated from seeded integer arithmetic.
 
 Every certificate is computed in :mod:`diagnostics` and judged against the
 one tolerance in :data:`CHECK_TOLERANCES`; ``vmadmm check`` calls the same
-functions with the same tolerances. The u/v checks (``v_inequality``,
-``v_monotone``, ``feasibility_rate``) need the metrics to stay constant for
-the whole run and are reported "not evaluable" otherwise.
+functions with the same tolerances. The runner computes the saddle point
+before the solve and certifies each iterate as :func:`solver.run` hands it
+over, keeping the previous iterate and per-iteration scalars only. The u/v
+checks (``v_inequality``, ``v_monotone``, ``feasibility_rate``) need the
+metrics to stay constant for the whole run; they are "not evaluable" otherwise.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from . import diagnostics
-from .errors import ConfigError, UnsupportedSetting
+from .errors import ConfigError
 from .linops import MetricOperator
 from .problems import build_problem, oracle
 from .solver import (
@@ -253,17 +257,17 @@ def _initial_from_config(cfg, problem):
 def run_experiment(cfg, force=False, out_dir=None, echo=print):
     """Validate, run, log, and check one experiment.
 
-    Prints the assumption report, runs the solver, writes ``log.csv`` and
-    ``summary.json`` into the output directory, and evaluates the requested
-    hard checks. Exit code 0 iff every requested check passes; 3 when the
-    assumption validation rejects the schedules and ``force`` is not set.
+    Prints the assumption report, runs the solver with a :class:`_Certifier`
+    as its recorder, writes ``log.csv`` and ``summary.json`` into the output
+    directory, and evaluates the requested hard checks. Exit code 0 iff every
+    requested check passes; 3 when the assumption validation rejects the
+    schedules and ``force`` is not set.
     """
     problem, metadata = problem_from_config(cfg)
     sched1 = schedule_from_spec(cfg.metric1, problem.n, problem)
     sched2 = schedule_from_spec(cfg.metric2, problem.m, problem)
 
-    horizon = max(1, min(cfg.iters, 50))
-    report = validate_assumptions(problem, sched1, sched2, horizon)
+    report = validate_assumptions(problem, sched1, sched2)
     for line in report.summary_lines():
         echo(line)
     if not report.permits_run and not force:
@@ -278,21 +282,18 @@ def run_experiment(cfg, force=False, out_dir=None, echo=print):
         )
 
     init = _initial_from_config(cfg, problem)
-    state, trace = run(
-        problem, init, sched1, sched2, StoppingRule(max_iters=cfg.iters), force=True
-    )
-
     saddle = None
     if ORACLE_CHECKS & set(cfg.checks):
         orc = oracle(problem, budget=cfg.oracle_budget)
         saddle = (orc.x, orc.z, orc.y)
-    rows, certificates, checks = _certify(
-        cfg, problem, trace, sched1, sched2, saddle
-    )
+    certifier = _Certifier(cfg, problem, init, sched1, sched2, saddle, report)
+    stop = StoppingRule(max_iters=cfg.iters)
+    state, _ = run(problem, init, sched1, sched2, stop, force=True, recorder=certifier)
+    rows, certificates, checks = certifier.result()
 
     summary = {
         "problem": metadata,
-        "iterations": trace.iterations,
+        "iterations": state.k,
         **certificates,
         "checks": {
             name: {"passed": passed, "detail": detail}
@@ -311,15 +312,8 @@ def run_experiment(cfg, force=False, out_dir=None, echo=print):
     summary_path = os.path.join(directory, "summary.json")
     vector_labels = None
     if cfg.log_vectors:
-        vector_labels = (
-            [f"x_{i}" for i in range(problem.n)]
-            + [f"z_{i}" for i in range(problem.m)]
-            + [f"y_{i}" for i in range(problem.m)]
-        )
-        for k, row in enumerate(rows, start=1):
-            row.update({f"x_{i}": val for i, val in enumerate(trace.xs[k])})
-            row.update({f"z_{i}": val for i, val in enumerate(trace.zs[k])})
-            row.update({f"y_{i}": val for i, val in enumerate(trace.ys[k])})
+        dims = (("x", problem.n), ("z", problem.m), ("y", problem.m))
+        vector_labels = [f"{name}_{i}" for name, dim in dims for i in range(dim)]
     write_iterate_log(csv_path, rows, vector_labels)
     write_summary(summary_path, summary)
 
@@ -336,141 +330,160 @@ def run_experiment(cfg, force=False, out_dir=None, echo=print):
     )
 
 
-def _certify(cfg, problem, trace, sched1, sched2, saddle):
-    """Compute every certificate of a run and judge it where it is computed.
+class _Certifier:
+    """The runner's recorder: certifies each iterate as :func:`run` hands it over.
 
-    Returns ``(rows, certificates, checks)``: the ``log.csv`` rows, the
-    summary's certificate fields, and ``{name: (passed, detail)}`` for the
-    checks ``cfg.checks`` requests, in its order, each judged against
-    :data:`CHECK_TOLERANCES`. ``saddle`` is None when no requested check
-    needs one. The u/v checks need a zero smooth term and one (M1, M2) pair
-    for the whole run; they fail as "not evaluable" otherwise.
+    Between iterations it keeps the previous iterate, the ergodic averages
+    and per-iteration scalars only. ``saddle`` is None when no requested
+    check needs one. The u/v checks need a zero smooth term and one (M1, M2)
+    pair for the whole run; they fail as "not evaluable" otherwise.
+
+    :meth:`result` returns ``(rows, certificates, checks)``: the ``log.csv``
+    rows, the summary's certificate fields, and ``{name: (passed, detail)}``
+    for the checks ``cfg.checks`` requests, in its order, each judged against
+    :data:`CHECK_TOLERANCES`.
     """
-    K = trace.iterations
-    tol = CHECK_TOLERANCES
-    verdicts = {
-        "v_inequality": (False, "not evaluable: u/v energies unavailable "
-                         "(need zero smooth term, constant metrics, and a "
-                         "saddle point)"),
-        "v_monotone": (False, "not evaluable: v energy unavailable"),
-        "feasibility_rate": (False, "not evaluable: u energy unavailable"),
-    }
-    u = v = None
-    v_slacks = {}
-    uncorrected_min = None
-    if saddle is not None and K:
-        averager = diagnostics.ErgodicAverager(problem.n, problem.m)
-        init_state = trace.state_at(0)
-        gamma0 = diagnostics.gamma(
-            problem, init_state, trace.m1_0, trace.m2_0, saddle
-        )
+
+    def __init__(self, cfg, problem, init, sched1, sched2, saddle, report):
+        self.cfg, self.problem, self.saddle, self.prev = cfg, problem, saddle, init
+        self.rows = []
+        self.residuals = []  # ||A x_k - z_k||
+        self.dual_steps = []  # ||y_k - y_{k-1}||
+        self.gap_slacks, self.probe_slacks = [], []
+        self.u = self.v = None
+        if saddle is None or not cfg.iters:
+            return
+        self.averager = diagnostics.ErgodicAverager(problem.n, problem.m)
+        m1, m2 = sched1.metric(0), sched2.metric(0)
+        self.gamma0 = diagnostics.gamma(problem, init, m1, m2, saddle)
         # the gap bound is per-probe: sample a few extra probes around the
         # saddle (seeded) and check them every 10th iteration
-        probes = diagnostics.sample_ball_probes(saddle, 1.0, 10, seed=cfg.seed)
-        probe_gammas = [
-            diagnostics.gamma(problem, init_state, trace.m1_0, trace.m2_0, p)
-            for p in probes
+        self.probes = diagnostics.sample_ball_probes(saddle, 1.0, 10, seed=cfg.seed)
+        self.probe_gammas = [
+            diagnostics.gamma(problem, init, m1, m2, p) for p in self.probes
         ]
-        m1, m2 = sched1.metric(0), sched2.metric(0)
-        if all(
-            sched1.metric(k) is m1 and sched2.metric(k) is m2 for k in range(1, K)
+        if report.h_is_zero and all(
+            sched1.metric(k) is m1 and sched2.metric(k) is m2
+            for k in range(1, cfg.iters)
         ):
-            try:
-                u, v = diagnostics.uv_energies(problem, trace, saddle, m1, m2)
-            except UnsupportedSetting:
-                pass
-    if u is not None:
-        v_slacks = dict(diagnostics.inequality_v_check(u, v, trace.zs, problem.c))
-        # the stronger, uncorrected inequality is logged as a finding only
-        uncorrected = diagnostics.uncorrected_v_slack(u, v)
-        if uncorrected:
-            uncorrected_min = min(s for _, s in uncorrected)
-        ok, first = diagnostics.v_monotone_check(v, tol["v_monotone"])
-        verdicts["v_monotone"] = (
-            ok,
-            "nonincreasing" if ok else f"first violation at k={first}",
-        )
+            self.m1, self.m2 = m1, m2
+            # indexed by k like the rows; k = 0 has no step
+            self.u, self.v, self.dz_sq = [math.nan], [math.nan], [math.nan]
+            self.step_energy = 0.0  # sum of dz_sq in iteration order, for S
 
-    rows = []
-    gap_slacks, probe_slacks = [], []
-    for k in range(1, K + 1):
-        x, z, y = trace.xs[k], trace.zs[k], trace.ys[k]
+    def record(self, state, residual):
+        problem, saddle, prev = self.problem, self.saddle, self.prev
+        k, x, z, y = state.k, state.x, state.z, state.y
+        self.residuals.append(residual)
+        self.dual_steps.append(float(np.linalg.norm(y - prev.y)))
+        objective = problem.f(x) + problem.h(x) + problem.g(problem.A.apply(x))
         row = {
             "k": k,
-            "primal_objective": problem.f(x)
-            + problem.h(x)
-            + problem.g(problem.A.apply(x)),
-            "residual_primal": trace.residual_norms[k - 1],
+            "primal_objective": objective,
+            "residual_primal": residual,
             "kkt": diagnostics.kkt_residual(problem, x, y),
         }
         if saddle is not None:
+            averager = self.averager
             averager.update(x, z, y)
-            cert = diagnostics.gap_certificate(problem, averager, saddle, gamma0)
-            gap_slacks.append(cert.slack)
-            row["gap"] = cert.gap
-            row["gap_bound"] = cert.bound
+            cert = diagnostics.gap_certificate(problem, averager, saddle, self.gamma0)
+            self.gap_slacks.append(cert.slack)
+            row["gap"], row["gap_bound"] = cert.gap, cert.bound
             row["lagrangian_at_probe"] = diagnostics.lagrangian(
                 problem, x, z, saddle[2]
             )
-            if k % 10 == 0 or k == K:
-                probe_slacks += [
+            if k % 10 == 0 or k == self.cfg.iters:
+                self.probe_slacks += [
                     diagnostics.gap_certificate(problem, averager, p, g0).slack
-                    for p, g0 in zip(probes, probe_gammas)
+                    for p, g0 in zip(self.probes, self.probe_gammas)
                 ]
+        if self.u is not None:
+            u_k, v_k = diagnostics.uv_step(
+                problem, saddle, self.m1, self.m2, prev, state
+            )
+            dz = z - prev.z
+            self.dz_sq.append(float(dz @ dz))
+            self.step_energy += self.dz_sq[-1]
+            self.u.append(u_k)
+            self.v.append(v_k)
+            row["u_k"], row["v_k"] = u_k, v_k
+        if self.cfg.log_vectors:
+            for name, vec in (("x", x), ("z", z), ("y", y)):
+                row.update({f"{name}_{i}": val for i, val in enumerate(vec)})
+        self.rows.append(row)
+        self.prev = state
+
+    def result(self):
+        problem, rows, u, v = self.problem, self.rows, self.u, self.v
+        residuals = self.residuals
+        K = len(rows)
+        tol = CHECK_TOLERANCES
+        verdicts = {
+            "v_inequality": (False, "not evaluable: u/v energies unavailable "
+                             "(need zero smooth term, constant metrics, and a "
+                             "saddle point)"),
+            "v_monotone": (False, "not evaluable: v energy unavailable"),
+            "feasibility_rate": (False, "not evaluable: u energy unavailable"),
+        }
+        v_slacks = []
+        uncorrected_min = None
         if u is not None:
-            row["u_k"] = float(u[k])
-            row["v_k"] = float(v[k])
-            row["v_slack"] = v_slacks.get(k)
-        rows.append(row)
-    final = rows[-1]["kkt"] if rows else math.inf
-    verdicts["kkt"] = (final < tol["kkt"], f"final_kkt={final:.3e}")
+            v_slacks = diagnostics.inequality_v_check(u, v, self.dz_sq, problem.c)
+            for k, slack in v_slacks:
+                rows[k - 1]["v_slack"] = slack
+            # the stronger, uncorrected inequality is logged as a finding only
+            uncorrected = diagnostics.uncorrected_v_slack(u, v)
+            uncorrected_min = min((s for _, s in uncorrected), default=None)
+            ok, first = diagnostics.v_monotone_check(v, tol["v_monotone"])
+            verdicts["v_monotone"] = (
+                ok,
+                "nonincreasing" if ok else f"first violation at k={first}",
+            )
 
-    min_gap_slack = None
-    # a requested gap_bound always has a saddle: no slacks means K == 0
-    verdicts["gap_bound"] = (True, "no iterations")
-    if gap_slacks:
-        min_gap_slack = min(min(gap_slacks), min(probe_slacks))
-        verdicts["gap_bound"] = (
-            min_gap_slack >= tol["gap_bound"],
-            f"min_slack={min_gap_slack:.3e}",
-        )
+        final = rows[-1]["kkt"] if rows else math.inf
+        verdicts["kkt"] = (final < tol["kkt"], f"final_kkt={final:.3e}")
 
-    min_v_slack = None
-    if v_slacks:
-        min_v_slack = min(v_slacks.values())
-        verdicts["v_inequality"] = (
-            min_v_slack >= tol["v_inequality"],
-            f"min_slack={min_v_slack:.3e}",
-        )
-    elif u is not None:
-        verdicts["v_inequality"] = (True, "trace too short for slacks")
+        min_gap_slack = None
+        # a requested gap_bound always has a saddle: no slacks means K == 0
+        verdicts["gap_bound"] = (True, "no iterations")
+        if self.gap_slacks:
+            min_gap_slack = min(min(self.gap_slacks), min(self.probe_slacks))
+            verdicts["gap_bound"] = (
+                min_gap_slack >= tol["gap_bound"],
+                f"min_slack={min_gap_slack:.3e}",
+            )
 
-    start = max(2, min(100, K // 2)) if K else 2
-    slope = diagnostics.loglog_slope(
-        range(start, K + 1),
-        trace.residual_norms[start - 1 : K],
-    )
-    rate_slope = None if math.isinf(slope) else slope
-    if u is not None:
-        S = diagnostics.accumulate_step_energy(trace, problem.c)
-        bounds = diagnostics.feasibility_rate(trace, problem.c, float(u[1]), S)
-        worst = max([0.0] + [resid - bound for _, resid, bound in bounds])
-        slope_ok = rate_slope is None or rate_slope <= tol["feasibility_rate"]
-        verdicts["feasibility_rate"] = (
-            worst <= 0.0 and slope_ok,
-            f"max_excess={worst:.3e}, slope={rate_slope}",
-        )
+        min_v_slack = None
+        if v_slacks:
+            min_v_slack = min(s for _, s in v_slacks)
+            verdicts["v_inequality"] = (
+                min_v_slack >= tol["v_inequality"],
+                f"min_slack={min_v_slack:.3e}",
+            )
+        elif u is not None:
+            verdicts["v_inequality"] = (True, "trace too short for slacks")
 
-    dev = diagnostics.dual_identity_deviation(
-        trace.ys, trace.residual_norms, problem.c
-    )
-    verdicts["dual_identity"] = (dev <= tol["dual_identity"], f"max_dev={dev:.3e}")
+        start = max(2, min(100, K // 2)) if K else 2
+        slope = diagnostics.loglog_slope(range(start, K + 1), residuals[start - 1 :])
+        rate_slope = None if math.isinf(slope) else slope
+        if u is not None:
+            S = problem.c * self.step_energy
+            bounds = diagnostics.feasibility_rate(residuals, problem.c, u[1], S)
+            worst = max([0.0] + [resid - bound for _, resid, bound in bounds])
+            slope_ok = rate_slope is None or rate_slope <= tol["feasibility_rate"]
+            verdicts["feasibility_rate"] = (
+                worst <= 0.0 and slope_ok,
+                f"max_excess={worst:.3e}, slope={rate_slope}",
+            )
 
-    certificates = {
-        "final_kkt": rows[-1]["kkt"] if rows else None,
-        "min_gap_slack": min_gap_slack,
-        "min_v_slack": min_v_slack,
-        "rate_slope": rate_slope,
-        "findings": {"uncorrected_v_min_slack": uncorrected_min},
-    }
-    return rows, certificates, {name: verdicts[name] for name in cfg.checks}
+        dev = diagnostics.dual_identity_deviation(self.dual_steps, residuals, problem.c)
+        verdicts["dual_identity"] = (dev <= tol["dual_identity"], f"max_dev={dev:.3e}")
+
+        certificates = {
+            "final_kkt": rows[-1]["kkt"] if rows else None,
+            "min_gap_slack": min_gap_slack,
+            "min_v_slack": min_v_slack,
+            "rate_slope": rate_slope,
+            "findings": {"uncorrected_v_min_slack": uncorrected_min},
+        }
+        return rows, certificates, {name: verdicts[name] for name in self.cfg.checks}

@@ -107,18 +107,18 @@ def initial_state(problem, x0=None, z0=None, y0=None):
 class MetricSchedule:
     """A sequence of PSD metrics M^0, M^1, ... with decidable monotonicity.
 
-    Schedules that can serve as M2 also define ``double_monotone(horizon)``:
+    Schedules that can serve as M2 also define ``double_monotone()``:
     whether ``2 M^{k+1} >= M^k`` holds for all k.
     """
 
     def metric(self, k):
         raise NotImplementedError
 
-    def is_monotone(self, horizon):
+    def is_monotone(self):
         """Whether ``M^k >= M^{k+1}`` holds for all k."""
         raise NotImplementedError
 
-    def min_eig_infimum(self, horizon):
+    def min_eig_infimum(self):
         """Infimum over all k (including the tail) of the smallest eigenvalue."""
         raise NotImplementedError
 
@@ -130,13 +130,13 @@ class ConstantSchedule(MetricSchedule):
     def metric(self, k):
         return self._metric
 
-    def is_monotone(self, horizon):
+    def is_monotone(self):
         return True
 
-    def min_eig_infimum(self, horizon):
+    def min_eig_infimum(self):
         return min_eigenvalue(self._metric)
 
-    def double_monotone(self, horizon):
+    def double_monotone(self):
         return True  # 2M >= M for PSD M
 
 
@@ -155,16 +155,16 @@ class GeometricDecaySchedule(MetricSchedule):
             return self._metric0
         return self._metric0.scaled(self.rho**k)
 
-    def is_monotone(self, horizon):
+    def is_monotone(self):
         return True
 
-    def min_eig_infimum(self, horizon):
+    def min_eig_infimum(self):
         lam0 = min_eigenvalue(self._metric0)
         if self.rho == 1.0:
             return lam0
         return 0.0  # the schedule decays to the zero operator
 
-    def double_monotone(self, horizon):
+    def double_monotone(self):
         if self._metric0.kind == "zero":
             return True
         return self.rho >= 0.5  # 2 rho^{k+1} >= rho^k
@@ -195,11 +195,11 @@ class ShiftedGramSchedule(MetricSchedule):
     def metric(self, k):
         return self._cache[self._tau(k)]
 
-    def is_monotone(self, horizon):
+    def is_monotone(self):
         # the whole list: beyond its end the step is held, so this is every k
         return all(a <= b * (1 + 1e-12) for a, b in zip(self.taus, self.taus[1:]))
 
-    def min_eig_infimum(self, horizon):
+    def min_eig_infimum(self):
         return min(min_eigenvalue(m) for m in self._cache.values())
 
 
@@ -335,11 +335,8 @@ class StoppingRule:
 
 @dataclass
 class RunTrace:
-    """Per-iteration record of a run: iterates, primal residuals, metrics at k=0."""
+    """The default recorder of :func:`run`: every iterate and primal residual."""
 
-    problem: ProblemSpec
-    m1_0: MetricOperator
-    m2_0: MetricOperator
     xs: list = field(default_factory=list)
     zs: list = field(default_factory=list)
     ys: list = field(default_factory=list)
@@ -352,18 +349,25 @@ class RunTrace:
     def state_at(self, k):
         return SolverState(x=self.xs[k], z=self.zs[k], y=self.ys[k], k=k)
 
+    def record(self, state, residual):
+        self.xs.append(state.x.copy())
+        self.zs.append(state.z.copy())
+        self.ys.append(state.y.copy())
+        self.residual_norms.append(residual)
 
-def run(problem, init, sched1, sched2, stop, force=False):
+
+def run(problem, init, sched1, sched2, stop, force=False, recorder=None):
     """Iterate :func:`step` from ``init`` under the given schedules.
 
     Validates the convergence assumptions first and refuses to run when
-    none holds, unless ``force`` is set. Records every iterate in a
-    :class:`RunTrace`; raises :class:`NonFiniteIterate` as soon as any
-    component stops being finite. Deterministic given its inputs.
+    none holds, unless ``force`` is set. After each step calls
+    ``recorder.record(state, ||A x_k - z_k||)``; the default recorder is a
+    :class:`RunTrace` holding copies of ``init`` and of every iterate.
+    Returns ``(state, recorder)``. Raises :class:`NonFiniteIterate` as soon
+    as any component stops being finite. Deterministic given its inputs.
     """
     if not force:
-        horizon = max(1, min(stop.max_iters, 50))
-        report = validate_assumptions(problem, sched1, sched2, horizon)
+        report = validate_assumptions(problem, sched1, sched2)
         if not report.permits_run:
             raise AssumptionError(report)
 
@@ -371,12 +375,8 @@ def run(problem, init, sched1, sched2, stop, force=False):
     if stop.kkt_tol is not None:
         from .diagnostics import kkt_residual as kkt_fn
 
-    trace = RunTrace(
-        problem=problem, m1_0=sched1.metric(0), m2_0=sched2.metric(0)
-    )
-    trace.xs.append(init.x.copy())
-    trace.zs.append(init.z.copy())
-    trace.ys.append(init.y.copy())
+    if recorder is None:
+        recorder = RunTrace([init.x.copy()], [init.z.copy()], [init.y.copy()])
 
     state = init
     for _ in range(stop.max_iters):
@@ -387,16 +387,13 @@ def run(problem, init, sched1, sched2, stop, force=False):
             and np.all(np.isfinite(state.y))
         ):
             raise NonFiniteIterate(state.k)
-        trace.xs.append(state.x.copy())
-        trace.zs.append(state.z.copy())
-        trace.ys.append(state.y.copy())
-        trace.residual_norms.append(
-            float(np.linalg.norm(problem.A.apply(state.x) - state.z))
+        recorder.record(
+            state, float(np.linalg.norm(problem.A.apply(state.x) - state.z))
         )
         if kkt_fn is not None and state.k % stop.kkt_interval == 0:
             if kkt_fn(problem, state.x, state.y) <= stop.kkt_tol:
                 break
-    return state, trace
+    return state, recorder
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +459,11 @@ class AssumptionReport:
         return lines
 
 
-def validate_assumptions(problem, sched1, sched2, horizon):
+def validate_assumptions(problem, sched1, sched2, horizon=None):
     """Check the convergence assumptions for every k.
 
-    ``horizon`` must be >= 1; every schedule decides its flags for all k, so
-    no check depends on its value.
+    Every schedule decides its flags for all k, so ``horizon`` is ignored;
+    it is accepted only because the benchmark harness still passes one.
 
     Constant schedules are checked once; decaying and step-sequence schedules
     additionally account for their limiting operator, so the reported flags
@@ -475,25 +472,23 @@ def validate_assumptions(problem, sched1, sched2, horizon):
     diagonal) raises :class:`UnsupportedMetric` before anything is checked;
     every other failure is reported with witnesses in ``notes``.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    m2_0 = sched2.metric(0)
-    if m2_0.diagonal_entries() is None:
+    first_m2 = sched2.metric(0)
+    if first_m2.diagonal_entries() is None:
         raise UnsupportedMetric(
             f"the z update supports zero, scaled-identity, or diagonal M2, "
-            f"got {m2_0.kind!r}"
+            f"got {first_m2.kind!r}"
         )
     L = problem.h.lipschitz
     notes = []
 
-    mono1 = sched1.is_monotone(horizon)
-    mono2 = sched2.is_monotone(horizon)
+    mono1 = sched1.is_monotone()
+    mono2 = sched2.is_monotone()
     if not mono1:
         notes.append("M1 schedule is not monotone (M1^k >= M1^{k+1} fails)")
     if not mono2:
         notes.append("M2 schedule is not monotone (M2^k >= M2^{k+1} fails)")
 
-    inf_eig1 = sched1.min_eig_infimum(horizon)
+    inf_eig1 = sched1.min_eig_infimum()
     alpha1 = inf_eig1 - L / 2.0
     condition_I = alpha1 > 1e-10
     if not condition_I:
@@ -502,7 +497,7 @@ def validate_assumptions(problem, sched1, sched2, horizon):
         )
 
     alpha = gram_min_eigenvalue(problem.A)
-    alpha2 = sched2.min_eig_infimum(horizon)
+    alpha2 = sched2.min_eig_infimum()
     condition_II = alpha > 1e-10 and alpha2 > 1e-10
     if not condition_II:
         notes.append(
@@ -511,7 +506,7 @@ def validate_assumptions(problem, sched1, sched2, horizon):
         )
 
     h_is_zero = isinstance(problem.h, functions.Zero)
-    doubling = sched2.double_monotone(horizon)
+    doubling = sched2.double_monotone()
     condition_III = h_is_zero and alpha > 1e-10 and doubling and mono2
     if not condition_III:
         reason = []

@@ -41,6 +41,19 @@ def minimize_1d(fn, lo, hi, grid=4001, tol=1e-11):
     return golden_minimize(fn, float(a), float(b), tol)
 
 
+def z_steps_sq(trace):
+    """``||z_k - z_{k-1}||^2`` of a stored trace, indexed like ``uv_energies``
+    (index 0 is NaN)."""
+    return [math.nan] + [
+        float((b - a) @ (b - a)) for a, b in zip(trace.zs, trace.zs[1:])
+    ]
+
+
+def dual_steps(trace):
+    """``||y_k - y_{k-1}||`` for ``k = 1..K`` of a stored trace."""
+    return [float(np.linalg.norm(b - a)) for a, b in zip(trace.ys, trace.ys[1:])]
+
+
 def count_cho_factor(monkeypatch):
     """Patch ``scipy.linalg.cho_factor`` to record the shape of every call;
     returns the (live) list of shapes."""

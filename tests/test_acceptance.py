@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from helpers import z_steps_sq
 from vmadmm import diagnostics as dg
 from vmadmm.functions import BoxIndicator, Huber, L1Norm, Quadratic, SquaredL2, Zero
 from vmadmm.linops import MetricOperator, min_eigenvalue
@@ -149,7 +150,7 @@ def test_c01_ergodic_gap_bound(ergodic_tv1d, ergodic_toy1d, tv1d_oracle, toy1d_o
         ):
             saddle = (orc.x, orc.z, orc.y)
             gamma0 = dg.gamma(
-                problem, trace.state_at(0), trace.m1_0, trace.m2_0, saddle
+                problem, trace.state_at(0), sched1.metric(0), sched2.metric(0), saddle
             )
             averager = dg.ErgodicAverager(problem.n, problem.m)
             worst = math.inf
@@ -169,7 +170,9 @@ def test_c02_contraction_inequality(uv_toy1d, uv_lasso, toy1d_oracle, lasso_g_or
         ):
             saddle = (orc.x, orc.z, orc.y)
             u, v = dg.uv_energies(problem, trace, saddle, m1, m2)
-            slacks = dict(dg.inequality_v_check(u, v, trace.zs, problem.c))
+            slacks = dict(
+                dg.inequality_v_check(u, v, z_steps_sq(trace), problem.c)
+            )
             assert set(range(1, 2001)).issubset(slacks)
             worst = min(slacks[k] for k in range(1, 2001))
             assert worst >= -1e-10, f"worst contraction slack {worst:.3e}"
@@ -184,9 +187,9 @@ def test_c03_feasibility_rate(uv_toy1d, uv_lasso, toy1d_oracle, lasso_g_oracle):
             assert min_eigenvalue(m2) > 0  # the rate argument needs M2 definite
             saddle = (orc.x, orc.z, orc.y)
             u, v = dg.uv_energies(problem, trace, saddle, m1, m2)
-            S = dg.accumulate_step_energy(trace, problem.c)
+            S = problem.c * sum(z_steps_sq(trace)[1:])
             for k, resid, bound in dg.feasibility_rate(
-                trace, problem.c, float(u[1]), S
+                trace.residual_norms, problem.c, float(u[1]), S
             ):
                 if k > 2000:
                     break

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import z_steps_sq
 from vmadmm import diagnostics as dg
 from vmadmm.errors import UnsupportedSetting
 from vmadmm.functions import L1Norm, SquaredL2, Zero
@@ -28,11 +29,7 @@ def scalar_problem(f=None, h=None, g=None, c=1.0):
 
 def constant_trace(problem, x, z, y, iters):
     """A synthetic trace sitting at one point (a fixed-point trajectory)."""
-    trace = RunTrace(
-        problem=problem,
-        m1_0=MetricOperator.zero(problem.n),
-        m2_0=MetricOperator.zero(problem.m),
-    )
+    trace = RunTrace()
     for _ in range(iters + 1):
         trace.xs.append(np.array(x, dtype=float))
         trace.zs.append(np.array(z, dtype=float))
@@ -179,7 +176,7 @@ def test_gap_certificate_saddle_probe_sign(toy1d_oracle):
     state, trace = run(P, initial_state(P), s1, s2, StoppingRule(max_iters=300))
     orc = toy1d_oracle
     probe = (orc.x, orc.z, orc.y)
-    gamma0 = dg.gamma(P, trace.state_at(0), trace.m1_0, trace.m2_0, probe)
+    gamma0 = dg.gamma(P, trace.state_at(0), s1.metric(0), s2.metric(0), probe)
     avg = dg.ErgodicAverager(1, 1)
     for k in range(1, trace.iterations + 1):
         avg.update(trace.xs[k], trace.zs[k], trace.ys[k])
@@ -198,7 +195,7 @@ def test_gap_bound_holds_at_random_probes(toy1d_oracle):
     orc = toy1d_oracle
     probes = dg.sample_ball_probes((orc.x, orc.z, orc.y), 1.0, 10, seed=3)
     for probe in probes:
-        gamma0 = dg.gamma(P, trace.state_at(0), trace.m1_0, trace.m2_0, probe)
+        gamma0 = dg.gamma(P, trace.state_at(0), s1.metric(0), s2.metric(0), probe)
         avg = dg.ErgodicAverager(1, 1)
         for k in range(1, trace.iterations + 1):
             avg.update(trace.xs[k], trace.zs[k], trace.ys[k])
@@ -286,7 +283,7 @@ def test_inequality_v_fixed_point_slack_zero():
     trace = constant_trace(P, xs, zs, ys, iters=6)
     m = MetricOperator.scaled_identity(1, 1.0)
     u, v = dg.uv_energies(P, trace, (xs, zs, ys), m, m)
-    slacks = dg.inequality_v_check(u, v, trace.zs, P.c)
+    slacks = dg.inequality_v_check(u, v, z_steps_sq(trace), P.c)
     for _, s in slacks:
         assert abs(s) <= 1e-14
 
@@ -295,21 +292,21 @@ def test_inequality_v_holds_on_run(toy_run, toy1d_oracle):
     P, trace, m1, m2 = toy_run
     orc = toy1d_oracle
     u, v = dg.uv_energies(P, trace, (orc.x, orc.z, orc.y), m1, m2)
-    slacks = dg.inequality_v_check(u, v, trace.zs, P.c)
+    slacks = dg.inequality_v_check(u, v, z_steps_sq(trace), P.c)
     assert min(s for _, s in slacks) >= -1e-10
 
 
 def test_inequality_v_detects_corrupted_trace(toy_run, toy1d_oracle):
     P, trace, m1, m2 = toy_run
     orc = toy1d_oracle
-    corrupted = RunTrace(problem=P, m1_0=trace.m1_0, m2_0=trace.m2_0)
+    corrupted = RunTrace()
     corrupted.xs = [x.copy() for x in trace.xs]
     corrupted.zs = [z.copy() for z in trace.zs]
     corrupted.ys = [y.copy() for y in trace.ys]
     # fault injection late in the run, where the genuine slack is near zero
     corrupted.ys[350] = corrupted.ys[350] + 0.05
     u, v = dg.uv_energies(P, corrupted, (orc.x, orc.z, orc.y), m1, m2)
-    slacks = dg.inequality_v_check(u, v, corrupted.zs, P.c)
+    slacks = dg.inequality_v_check(u, v, z_steps_sq(corrupted), P.c)
     assert min(s for _, s in slacks) < -1e-10
 
 
@@ -344,7 +341,7 @@ def test_feasibility_rate_feasible_trace():
     P, _ = build_problem("toy1d")
     x = np.array([0.7])
     trace = constant_trace(P, x, x, np.array([0.2]), iters=10)
-    rates = dg.feasibility_rate(trace, P.c, u1=1.0, S=0.0)
+    rates = dg.feasibility_rate(trace.residual_norms, P.c, u1=1.0, S=0.0)
     for k, resid, bound in rates:
         assert resid == 0.0
         assert resid <= bound
@@ -354,7 +351,9 @@ def test_feasibility_bound_sqrt_scaling():
     P, _ = build_problem("toy1d")
     trace = constant_trace(P, np.zeros(1), np.zeros(1), np.zeros(1), iters=10)
     rates = dict(
-        (k, bound) for k, _, bound in dg.feasibility_rate(trace, 1.0, u1=4.0, S=0.0)
+        (k, bound) for k, _, bound in dg.feasibility_rate(
+            trace.residual_norms, 1.0, u1=4.0, S=0.0
+        )
     )
     # bound is proportional to 1/sqrt(k - 1): quadrupling (k-1) halves it
     assert rates[2] == pytest.approx(2.0 * rates[5])
@@ -364,8 +363,10 @@ def test_feasibility_rate_on_run(toy_run, toy1d_oracle):
     P, trace, m1, m2 = toy_run
     orc = toy1d_oracle
     u, v = dg.uv_energies(P, trace, (orc.x, orc.z, orc.y), m1, m2)
-    S = dg.accumulate_step_energy(trace, P.c)
-    for k, resid, bound in dg.feasibility_rate(trace, P.c, float(u[1]), S):
+    S = P.c * sum(z_steps_sq(trace)[1:])
+    for k, resid, bound in dg.feasibility_rate(
+        trace.residual_norms, P.c, float(u[1]), S
+    ):
         assert resid <= bound
 
 

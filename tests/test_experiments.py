@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vmadmm import diagnostics, experiments
+from helpers import z_steps_sq
+from vmadmm import diagnostics, experiments, solver
 from vmadmm.cli import main
 from vmadmm.errors import ConfigError
 from vmadmm.experiments import (
@@ -173,21 +175,100 @@ def test_unsupported_check_regime_fails_loud(tmp_path):
 
 def test_v_monotone_check_covers_first_step(tmp_path, monkeypatch):
     # an (injected) increase v_2 > v_1 must fail the check
-    uv_energies = diagnostics.uv_energies
+    uv_step = diagnostics.uv_step
+    seen = {}
 
-    def bumped(*args):
-        u, v = uv_energies(*args)
-        v[2] = v[1] + 1.0
-        return u, v
+    def bumped(problem, saddle, m1, m2, prev, cur):
+        u, v = uv_step(problem, saddle, m1, m2, prev, cur)
+        seen[cur.k] = v
+        return u, (seen[1] + 1.0 if cur.k == 2 else v)
 
-    monkeypatch.setattr(diagnostics, "uv_energies", bumped)
+    monkeypatch.setattr(diagnostics, "uv_step", bumped)
     cfg = toy_config(iters=20, checks=["v_monotone"])
     result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
     assert result.checks["v_monotone"] == (False, "first violation at k=2")
 
 
+def test_certified_solve_holds_no_per_iteration_vector(tmp_path, monkeypatch):
+    # the runner certifies each iterate as it arrives: no RunTrace, and the
+    # traced peak grows by less than one n-vector per added iteration
+    def refuse(self, state, residual):
+        raise AssertionError("run_experiment stored an iterate")
+
+    monkeypatch.setattr(solver.RunTrace, "record", refuse)
+    n, K = 400, 200
+
+    def solve(iters, log_vectors=False):
+        cfg = toy_config(
+            problem={"name": "tv1d", "n": n},
+            metric1={"kind": "shifted_gram", "tau": 0.19},
+            metric2={"kind": "constant", "metric": {"kind": "zero"}},
+            iters=iters,
+            checks=["gap_bound", "dual_identity"],
+            log_vectors=log_vectors,
+        )
+        out = tmp_path / f"{iters}-{log_vectors}"
+        result = run_experiment(cfg, out_dir=str(out), echo=quiet)
+        assert result.exit_code == 0, result.checks
+
+    solve(K, log_vectors=True)  # also warms one-time allocations up
+    peaks = []
+    for iters in (K, 2 * K):
+        tracemalloc.start()
+        try:
+            solve(iters)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / K < 8 * n
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"iters": 300},
+        {
+            "problem": {"name": "lasso-split", "n": 8, "rows": 12,
+                        "quadratic_in": "g"},
+            "metric2": {"kind": "constant", "metric": {"kind": "zero"}},
+            "iters": 400,
+        },
+    ],
+    ids=["toy1d", "lasso-g"],
+)
+def test_streamed_and_stored_folds_agree(tmp_path, overrides):
+    checks = list(experiments.CHECK_TOLERANCES)
+    cfg = toy_config(checks=checks, **overrides)
+    result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
+    assert result.exit_code == 0, result.checks
+    with open(result.csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+
+    problem, _ = experiments.problem_from_config(cfg)
+    sched1 = experiments.schedule_from_spec(cfg.metric1, problem.n, problem)
+    sched2 = experiments.schedule_from_spec(cfg.metric2, problem.m, problem)
+    _, trace = solver.run(
+        problem, solver.initial_state(problem), sched1, sched2,
+        solver.StoppingRule(max_iters=cfg.iters),
+    )
+    orc = experiments.oracle(problem, budget=cfg.oracle_budget)
+    m1, m2 = sched1.metric(0), sched2.metric(0)
+    u, v = diagnostics.uv_energies(problem, trace, (orc.x, orc.z, orc.y), m1, m2)
+    slacks = dict(diagnostics.inequality_v_check(u, v, z_steps_sq(trace), problem.c))
+
+    assert len(rows) == trace.iterations == cfg.iters
+    for k, row in enumerate(rows, start=1):
+        assert float(row["residual_primal"]) == trace.residual_norms[k - 1]
+        assert float(row["u_k"]) == u[k]
+        assert float(row["v_k"]) == v[k]
+        if k in slacks:
+            assert float(row["v_slack"]) == slacks[k]
+        else:
+            assert row["v_slack"] == "" and k >= cfg.iters - 1
+
+
 def test_validation_reads_tau_beyond_the_horizon(tmp_path):
-    # the step drops at k=60; the runner validates with horizon min(iters, 50)
+    # the step drops at k=60, after the 20 iterations this config runs
     cfg = toy_config(
         metric1={"kind": "shifted_gram", "tau": [0.4] * 60 + [0.3]},
         metric2={"kind": "constant", "metric": {"kind": "zero"}},

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import count_cho_factor
+from helpers import count_cho_factor, dual_steps
 from vmadmm.diagnostics import dual_identity_deviation
 from vmadmm.experiments import CHECK_TOLERANCES
 from vmadmm.functions import (
@@ -267,7 +267,9 @@ def test_dual_identity_along_runs(strategy, monkeypatch):
         _, trace = run(problem, initial_state(problem), sched1, sched2, StoppingRule(K))
         if strategy == "quadratic":
             assert len(factorizations) == 1  # factored once, reused K - 1 times
-        deviation = dual_identity_deviation(trace.ys, trace.residual_norms, problem.c)
+        deviation = dual_identity_deviation(
+            dual_steps(trace), trace.residual_norms, problem.c
+        )
         assert deviation <= CHECK_TOLERANCES["dual_identity"]
 
     check()

@@ -599,11 +599,11 @@ def test_geometric_decay_schedule():
     sched = GeometricDecaySchedule(m0, 0.5)
     assert sched.metric(0) is m0
     assert sched.metric(2).scalar_value == pytest.approx(0.5)
-    assert sched.is_monotone(100)
-    assert sched.min_eig_infimum(100) == 0.0
-    assert sched.double_monotone(100)
-    assert not GeometricDecaySchedule(m0, 0.4).double_monotone(100)
-    assert GeometricDecaySchedule(m0, 1.0).min_eig_infimum(10) == pytest.approx(2.0)
+    assert sched.is_monotone()
+    assert sched.min_eig_infimum() == 0.0
+    assert sched.double_monotone()
+    assert not GeometricDecaySchedule(m0, 0.4).double_monotone()
+    assert GeometricDecaySchedule(m0, 1.0).min_eig_infimum() == pytest.approx(2.0)
     with pytest.raises(ValueError):
         GeometricDecaySchedule(m0, 0.0)
 
@@ -613,14 +613,14 @@ def test_shifted_gram_schedule_steps():
     sched = ShiftedGramSchedule([0.1, 0.1, 0.2], 1.0, A)
     assert sched.metric(0).tau == 0.1
     assert sched.metric(5).tau == 0.2  # held at the last step
-    assert sched.is_monotone(10)
-    assert not ShiftedGramSchedule([0.2, 0.1], 1.0, A).is_monotone(10)
-    lam = sched.min_eig_infimum(10)
+    assert sched.is_monotone()
+    assert not ShiftedGramSchedule([0.2, 0.1], 1.0, A).is_monotone()
+    lam = sched.min_eig_infimum()
     assert lam == pytest.approx(min_eigenvalue(sched.metric(5)), abs=1e-12)
 
 
 def test_validate_reads_the_whole_tau_list():
-    # the step drops at k=60, beyond the runner's horizon of 50
+    # the step drops at k=60: validation reads the whole list
     P, _ = build_problem("toy1d")
     s1 = ShiftedGramSchedule([0.4] * 60 + [0.3], P.c, P.A)
     s2 = ConstantSchedule(MetricOperator.zero(1))

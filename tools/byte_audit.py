@@ -120,6 +120,19 @@ def configs():
                               metric1=_metric(5.0), metric2=ZERO, iters=300,
                               checks=ALL_CHECKS)),
     ]
+    # error paths around the oracle, which runs before the solve
+    out += [
+        ("toy-oracle-budget-10", toy(checks=["gap_bound"], oracle_budget=10)),
+        ("tv1d-20-geometric-m1-diverges",
+         toy(problem={"name": "tv1d", "n": 20},
+             metric1={"kind": "geometric_decay",
+                      "metric": {"kind": "scaled_identity", "mu": 1.0},
+                      "rho": 0.5},
+             metric2=ZERO, iters=3000, checks=["kkt", "gap_bound"])),
+    ]
+    # the last rows of the u/v columns, with the iterates logged
+    out += [(f"toy-{k}-iters-all-checks-vectors",
+             toy(iters=k, checks=ALL_CHECKS, log_vectors=True)) for k in (1, 2)]
     # the benchmark workloads, read from perfbench/ as they are
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS
