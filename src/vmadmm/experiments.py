@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -84,14 +84,10 @@ class RunConfig:
     oracle_budget: int = 400000
 
 
-_REQUIRED_KEYS = {"problem", "metric1", "metric2", "c", "iters"}
-_ALL_KEYS = _REQUIRED_KEYS | {
-    "init",
-    "checks",
-    "seed",
-    "out_dir",
-    "log_vectors",
-    "oracle_budget",
+_ALL_KEYS = {f.name for f in fields(RunConfig)}
+_REQUIRED_KEYS = {
+    f.name for f in fields(RunConfig)
+    if f.default is MISSING and f.default_factory is MISSING
 }
 
 
@@ -109,10 +105,7 @@ def parse_config(text, source="<string>"):
     unknown = set(data) - _ALL_KEYS
     if unknown:
         raise ConfigError(f"{source}: unknown keys {sorted(unknown)}")
-    try:
-        cfg = RunConfig(**data)
-    except TypeError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+    cfg = RunConfig(**data)
     if not isinstance(cfg.problem, dict) or "name" not in cfg.problem:
         raise ConfigError(f"{source}: 'problem' needs a 'name' entry")
     for key in ("iters", "seed", "oracle_budget"):

@@ -1,14 +1,14 @@
 """Catalog of convex functions with exact proximal maps and gradients.
 
 Each function reports its capabilities through the flags ``proxable``,
-``smooth`` (with a Lipschitz constant for the gradient), ``conjugable``
-(closed-form Fenchel conjugate value), and ``separable`` (coordinatewise
-structure, enabling proximal maps under diagonal metrics). Evaluations are
-extended-real: indicator functions return ``math.inf`` outside their domain,
-never NaN, and infinities propagate through sums.
+``smooth`` (with a Lipschitz constant for the gradient) and ``conjugable``
+(closed-form Fenchel conjugate value). Evaluations are extended-real:
+indicator functions return ``math.inf`` outside their domain, never NaN,
+and infinities propagate through sums.
 
 All proximal maps are closed forms (or exact linear solves), so subproblem
-error stays at machine precision.
+error stays at machine precision. Their arguments are checked once, in
+:class:`ConvexFunction`, for every kind.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class ConvexFunction:
     proxable = False
     smooth = False
     conjugable = False
-    separable = False
     lipschitz = None
 
     def __init__(self, dim):
@@ -48,6 +47,23 @@ class ConvexFunction:
             raise DimensionMismatch(f"{type(self).__name__} {what}", self.dim, got)
         return x
 
+    def _prox_args(self, v, t):
+        """Checked ``v`` and ``float(t)``; raises unless ``t > 0`` (NaN is not)."""
+        v = self._check(v)
+        t = float(t)
+        if not t > 0:
+            raise ValueError(f"{type(self).__name__} step t must be > 0, got {t!r}")
+        return v, t
+
+    def _prox_diag_args(self, v, d):
+        """Checked ``v`` and ``d``; raises unless every ``d_i > 0`` (NaN is not)."""
+        v = self._check(v)
+        d = self._check(d, "diagonal")
+        if not np.all(d > 0):
+            raise ValueError(f"{type(self).__name__} diagonal entries must be "
+                             f"> 0, smallest {float(d.min())!r}")
+        return v, d
+
     def __call__(self, x):
         raise NotImplementedError
 
@@ -58,7 +74,7 @@ class ConvexFunction:
     def prox_diag(self, v, d):
         """``argmin_u F(u) + sum_i d_i (u_i - v_i)^2 / 2`` for ``d_i > 0``.
 
-        Only separable kinds support this.
+        Only coordinatewise kinds implement this.
         """
         raise CapabilityError(f"{type(self).__name__} is not separable")
 
@@ -77,17 +93,18 @@ class ConvexFunction:
         """
         if not self.proxable:
             raise CapabilityError(f"{type(self).__name__} has no proximal map")
-        v = self._check(v)
-        t = float(t)
-        if t <= 0:
-            raise ValueError("t must be positive")
+        v, t = self._prox_args(v, t)
         return v - t * self.prox(v / t, 1.0 / t)
 
     def distance_to_subdifferential(self, x, s):
-        """Euclidean distance from ``s`` to the subdifferential at ``x``."""
-        raise CapabilityError(
-            f"{type(self).__name__} has no subdifferential distance formula"
-        )
+        """Euclidean distance from ``s`` to the subdifferential at ``x``:
+        ``||s - grad F(x)||`` for a smooth kind; nonsmooth kinds override it."""
+        if not self.smooth:
+            raise CapabilityError(
+                f"{type(self).__name__} has no subdifferential distance formula"
+            )
+        s = self._check(s, "subgradient target")
+        return float(np.linalg.norm(s - self.grad(x)))
 
 
 class Zero(ConvexFunction):
@@ -96,7 +113,6 @@ class Zero(ConvexFunction):
     proxable = True
     smooth = True
     conjugable = True
-    separable = True
     lipschitz = 0.0
 
     def __call__(self, x):
@@ -104,13 +120,11 @@ class Zero(ConvexFunction):
         return 0.0
 
     def prox(self, v, t):
-        v = self._check(v)
-        if float(t) <= 0:
-            raise ValueError("t must be positive")
+        v, _ = self._prox_args(v, t)
         return v.copy()
 
     def prox_diag(self, v, d):
-        v = self._check(v)
+        v, _ = self._prox_diag_args(v, d)
         return v.copy()
 
     def grad(self, x):
@@ -121,18 +135,12 @@ class Zero(ConvexFunction):
         y = self._check(y)
         return 0.0 if not np.any(y) else math.inf
 
-    def distance_to_subdifferential(self, x, s):
-        self._check(x)
-        s = self._check(s, "subgradient target")
-        return float(np.linalg.norm(s))
-
 
 class L1Norm(ConvexFunction):
     """``weight * ||x||_1`` with ``weight > 0``."""
 
     proxable = True
     conjugable = True
-    separable = True
 
     def __init__(self, dim, weight):
         super().__init__(dim)
@@ -145,17 +153,11 @@ class L1Norm(ConvexFunction):
         return float(self.weight * np.abs(x).sum())
 
     def prox(self, v, t):
-        v = self._check(v)
-        t = float(t)
-        if t <= 0:
-            raise ValueError("t must be positive")
+        v, t = self._prox_args(v, t)
         return _soft_threshold(v, t * self.weight)
 
     def prox_diag(self, v, d):
-        v = self._check(v)
-        d = self._check(d, "diagonal")
-        if np.any(d <= 0):
-            raise ValueError("diagonal entries must be positive")
+        v, d = self._prox_diag_args(v, d)
         return _soft_threshold(v, self.weight / d)
 
     def conjugate(self, y):
@@ -185,7 +187,6 @@ class SquaredL2(ConvexFunction):
     proxable = True
     smooth = True
     conjugable = True
-    separable = True
 
     def __init__(self, dim, shift=0.0, weight=1.0):
         super().__init__(dim)
@@ -204,17 +205,11 @@ class SquaredL2(ConvexFunction):
         return float(0.5 * self.weight * (diff @ diff))
 
     def prox(self, v, t):
-        v = self._check(v)
-        t = float(t)
-        if t <= 0:
-            raise ValueError("t must be positive")
+        v, t = self._prox_args(v, t)
         return (v + t * self.weight * self.shift) / (1.0 + t * self.weight)
 
     def prox_diag(self, v, d):
-        v = self._check(v)
-        d = self._check(d, "diagonal")
-        if np.any(d <= 0):
-            raise ValueError("diagonal entries must be positive")
+        v, d = self._prox_diag_args(v, d)
         return (d * v + self.weight * self.shift) / (d + self.weight)
 
     def grad(self, x):
@@ -225,18 +220,12 @@ class SquaredL2(ConvexFunction):
         y = self._check(y)
         return float(y @ self.shift + (y @ y) / (2.0 * self.weight))
 
-    def distance_to_subdifferential(self, x, s):
-        x = self._check(x)
-        s = self._check(s, "subgradient target")
-        return float(np.linalg.norm(s - self.grad(x)))
-
 
 class BoxIndicator(ConvexFunction):
     """Indicator of the box ``lower <= x <= upper`` (coordinatewise)."""
 
     proxable = True
     conjugable = True
-    separable = True
 
     def __init__(self, dim, lower, upper):
         super().__init__(dim)
@@ -263,13 +252,11 @@ class BoxIndicator(ConvexFunction):
         return 0.0 if inside else math.inf
 
     def prox(self, v, t):
-        v = self._check(v)
-        if float(t) <= 0:
-            raise ValueError("t must be positive")
+        v, _ = self._prox_args(v, t)
         return np.clip(v, self.lower, self.upper)
 
     def prox_diag(self, v, d):
-        v = self._check(v)
+        v, _ = self._prox_diag_args(v, d)
         return np.clip(v, self.lower, self.upper)
 
     def conjugate(self, y):
@@ -335,7 +322,7 @@ class Quadratic(ConvexFunction):
         self.q = as_vector(q, dim, "Quadratic linear term")
         self.q.setflags(write=False)
         self.lipschitz = max(0.0, float(eigs[-1]))
-        self._chol_cache = {}
+        self._factor = None  # (t, Cholesky factor of I + t Q)
 
     def __call__(self, x):
         x = self._check(x)
@@ -346,27 +333,19 @@ class Quadratic(ConvexFunction):
         return self.Q @ x + self.q
 
     def prox(self, v, t):
-        v = self._check(v)
-        t = float(t)
-        if t <= 0:
-            raise ValueError("t must be positive")
-        # One dense Cholesky factor of I + tQ per step size keeps the
-        # subproblem exact; repeated calls with the same t reuse it.
-        factor = self._chol_cache.get(t)
-        if factor is None:
+        v, t = self._prox_args(v, t)
+        # A dense Cholesky factor of I + tQ keeps the subproblem exact; the
+        # last t's factor is reused, and only that one is held.
+        if self._factor is None or self._factor[0] != t:
             try:
                 factor = scipy.linalg.cho_factor(np.eye(self.dim) + t * self.Q)
             except scipy.linalg.LinAlgError as exc:
                 raise SingularSubproblem(str(exc)) from exc
-            self._chol_cache[t] = factor
+            self._factor = (t, factor)
         # check_finite off: non-finite inputs propagate to the caller's
         # own guard instead of failing inside scipy
-        return scipy.linalg.cho_solve(factor, v - t * self.q, check_finite=False)
-
-    def distance_to_subdifferential(self, x, s):
-        x = self._check(x)
-        s = self._check(s, "subgradient target")
-        return float(np.linalg.norm(s - self.grad(x)))
+        return scipy.linalg.cho_solve(self._factor[1], v - t * self.q,
+                                      check_finite=False)
 
 
 class Huber(ConvexFunction):
@@ -379,7 +358,6 @@ class Huber(ConvexFunction):
 
     proxable = True
     smooth = True
-    separable = True
 
     def __init__(self, dim, delta, weight=1.0):
         super().__init__(dim)
@@ -410,21 +388,10 @@ class Huber(ConvexFunction):
         )
 
     def prox(self, v, t):
-        v = self._check(v)
-        t = float(t)
-        if t <= 0:
-            raise ValueError("t must be positive")
+        v, t = self._prox_args(v, t)
         return self._prox_scaled(v, t * self.weight)
 
     def prox_diag(self, v, d):
-        v = self._check(v)
-        d = self._check(d, "diagonal")
-        if np.any(d <= 0):
-            raise ValueError("diagonal entries must be positive")
+        v, d = self._prox_diag_args(v, d)
         return self._prox_scaled(v, self.weight / d)
-
-    def distance_to_subdifferential(self, x, s):
-        x = self._check(x)
-        s = self._check(s, "subgradient target")
-        return float(np.linalg.norm(s - self.grad(x)))
 

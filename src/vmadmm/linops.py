@@ -398,14 +398,14 @@ def min_eigenvalue(U):
     """Smallest eigenvalue of a metric operator.
 
     Exact least entry for zero, scaled-identity and diagonal metrics;
-    ``1/tau - coupling * ||A||^2`` for a shifted Gram metric over a map whose
-    spectrum is known in closed form; a dense symmetric eigensolve for the
-    dense form and shifted Gram metrics over other maps.
+    ``1/tau - coupling * ||A||^2`` for a shifted Gram metric over any map,
+    with ``||A||`` exact from :func:`operator_norm`; a dense symmetric
+    eigensolve for the dense form only.
     """
     d = U.diagonal_entries()
     if d is not None:
         return float(d.min())
-    if U.kind == "shifted_gram" and U.map._gram_min is not None:
+    if U.kind == "shifted_gram":
         return 1.0 / U.tau - U.coupling * operator_norm(U.map) ** 2
     try:
         return float(np.linalg.eigvalsh(U.to_dense())[0])
@@ -461,32 +461,3 @@ def in_P_alpha(U, alpha):
         raise ValueError("alpha must be positive")
     return min_eigenvalue(U) >= alpha - 1e-12
 
-
-def save_dense_matrix(path, matrix):
-    """Write a dense matrix as ``rows cols`` then row-major entries."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{m.shape[0]} {m.shape[1]}\n")
-        for row in m:
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
-
-
-def load_dense_matrix(path):
-    """Read a dense matrix written by :func:`save_dense_matrix`."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: first line must be 'rows cols'")
-        rows, cols = int(header[0]), int(header[1])
-        data = fh.read().split()
-    if len(data) != rows * cols:
-        raise ValueError(
-            f"{path}: expected {rows * cols} entries, found {len(data)}"
-        )
-    return np.array(data, dtype=float).reshape(rows, cols)
-
-
-def linear_map_from_file(path):
-    return LinearMap.from_dense(load_dense_matrix(path))

@@ -284,7 +284,7 @@ def z_update(problem, state, x_next, m2):
 
     Supports zero, scaled-identity, and diagonal metrics. The subproblem is
     strongly convex with modulus ``c + m2`` and reduces to a single prox of g
-    (diagonal metrics additionally require g separable).
+    (diagonal metrics additionally require g to implement ``prox_diag``).
     """
     g, c = problem.g, problem.c
     w = problem.A.apply(x_next) + state.y / c

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,8 +82,12 @@ def test_prox_quadratic_scalar():
 
 
 def test_prox_requires_positive_t():
-    with pytest.raises(ValueError):
-        L1Norm(1, weight=1.0).prox(np.array([1.0]), 0.0)
+    # the message names the offending step; NaN is rejected like t <= 0
+    for f in ALL_PROXABLE:
+        for t in (0.0, -1.0, math.nan):
+            for prox in (f.prox, f.prox_conjugate):
+                with pytest.raises(ValueError, match=f"got {t!r}"):
+                    prox(np.ones(f.dim), t)
 
 
 @pytest.mark.parametrize("f", ALL_PROXABLE, ids=lambda f: type(f).__name__)
@@ -127,9 +132,40 @@ def test_prox_quadratic_large_dim_exact_with_cached_factor(monkeypatch):
     assert factorizations == [(n, n)]
 
 
+def test_prox_quadratic_holds_one_factor_across_step_sizes():
+    # a schedule whose t changes every call must not keep a factor per t
+    n = 200
+    B = np.random.default_rng(4).standard_normal((n, n)) / math.sqrt(n)
+    f = Quadratic(B @ B.T, None)
+    v = np.ones(n)
+    f.prox(v, 1.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(50):
+            f.prox(v, 1.0 / (1.0 + 0.99**k))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 2 * n * n * 8
+
+
 # ---------------------------------------------------------------------------
 # prox under diagonal metrics
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "f", [f for f in ALL_PROXABLE if not isinstance(f, Quadratic)],
+    ids=lambda f: type(f).__name__,
+)
+@pytest.mark.parametrize("bad", [0.0, -2.0, math.nan])
+def test_prox_diag_requires_positive_diagonal(f, bad):
+    d = np.array([1.0, bad, 3.0])
+    with pytest.raises(ValueError, match=f"smallest {bad!r}"):
+        f.prox_diag(np.ones(3), d)
+    with pytest.raises(DimensionMismatch):
+        f.prox_diag(np.ones(3), np.ones(2))
 
 
 def test_prox_diag_l1():

@@ -14,12 +14,9 @@ from vmadmm.linops import (
     forward_difference,
     gram_min_eigenvalue,
     in_P_alpha,
-    linear_map_from_file,
-    load_dense_matrix,
     loewner_geq,
     min_eigenvalue,
     operator_norm,
-    save_dense_matrix,
 )
 
 
@@ -334,25 +331,16 @@ def test_min_eigenvalue_shifted_gram():
     assert lam == pytest.approx(5.0 - gram_max, abs=1e-10)
 
 
-# ---------------------------------------------------------------------------
-# text format
-# ---------------------------------------------------------------------------
+def test_min_eigenvalue_shifted_gram_over_dense_map_needs_no_eigensolve(monkeypatch):
+    # 1/tau - coupling ||A||^2 holds for every map once ||A|| is exact
+    M = np.random.default_rng(3).standard_normal((6, 4))
+    A = LinearMap.from_dense(M)
+    U = MetricOperator.shifted_gram(0.05, 0.5, A)
+    reference = float(np.linalg.eigvalsh(U.to_dense())[0])
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolve")
 
-def test_dense_matrix_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((3, 4))
-    path = tmp_path / "mat.txt"
-    save_dense_matrix(path, m)
-    loaded = load_dense_matrix(path)
-    assert np.array_equal(loaded, m)
-    assert load_dense_matrix(path).shape == (3, 4)
-    A = linear_map_from_file(path)
-    assert A.rows == 3 and A.cols == 4
-
-
-def test_dense_matrix_file_reports_bad_count(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2 2\n1.0 2.0 3.0\n")
-    with pytest.raises(ValueError):
-        load_dense_matrix(path)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert min_eigenvalue(U) == pytest.approx(reference, abs=1e-12)

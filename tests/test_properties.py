@@ -6,9 +6,6 @@ step sizes drawn by Hypothesis. The example budget and derandomization come
 from the profile registered in conftest.py.
 """
 
-import os
-import tempfile
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -30,10 +27,8 @@ from vmadmm.linops import (
     LinearMap,
     MetricOperator,
     forward_difference,
-    linear_map_from_file,
     min_eigenvalue,
     operator_norm,
-    save_dense_matrix,
 )
 from vmadmm.problems import build_problem
 from vmadmm.solver import (
@@ -48,7 +43,7 @@ from vmadmm.solver import (
 
 KINDS = ["zero", "l1", "squared_l2", "box", "quadratic", "huber"]
 CONJUGABLE_KINDS = ["zero", "l1", "squared_l2", "box"]
-FACTORIES = ["dense", "file", "identity", "zero", "matrix_free", "forward_difference"]
+FACTORIES = ["dense", "identity", "zero", "matrix_free", "forward_difference"]
 STRATEGIES = ["linearized", "quadratic", "prox_direct"]
 
 DIMS = st.integers(min_value=1, max_value=6)
@@ -138,13 +133,6 @@ def test_prox_firmly_nonexpansive(kind):
     check()
 
 
-def _map_from_file(matrix):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "A.txt")
-        save_dense_matrix(path, matrix)
-        return linear_map_from_file(path)
-
-
 @st.composite
 def linear_map(draw, factory):
     """A map built by ``factory`` with its dimensions (and entries) drawn."""
@@ -158,8 +146,6 @@ def linear_map(draw, factory):
     M = draw(reals((rows, cols), bound=5.0))
     if factory == "dense":
         return LinearMap.from_dense(M)
-    if factory == "file":
-        return _map_from_file(M)
     return LinearMap.matrix_free(rows, cols, lambda x: M @ x, lambda v: M.T @ v)
 
 

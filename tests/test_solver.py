@@ -131,6 +131,10 @@ def test_x_update_optimality_inclusion_residual():
     shared = MetricOperator.scaled_identity(P1.n, 1.0)
     cases.append((P1, MetricOperator.shifted_gram(0.2, 1.0, P1.A)))
     cases.append((P1, shared))
+    # non-diagonal metrics on the QUADRATIC path, added to c A*A densely
+    tridiagonal = np.eye(P1.n) + 0.1 * (np.eye(P1.n, k=1) + np.eye(P1.n, k=-1))
+    cases.append((P1, MetricOperator.dense(tridiagonal)))
+    cases.append((P1, MetricOperator.shifted_gram(0.2, 0.5, P1.A)))
     P2, _ = build_problem("box-qp", n=8)
     cases.append((P2, MetricOperator.scaled_identity(P2.n, 2.0)))
     P3, _ = build_problem("lasso-split")

@@ -130,6 +130,38 @@ def configs():
                       "rho": 0.5},
              metric2=ZERO, iters=3000, checks=["kkt", "gap_bound"])),
     ]
+    # the prox_diag of L1Norm and SquaredL2, a Huber h, a dense M1 and a
+    # decaying M2 on a Quadratic g
+    gap_checks = ["kkt", "gap_bound", "dual_identity"]
+    tridiagonal = [[1.0 if i == j else 0.1 if abs(i - j) == 1 else 0.0
+                    for j in range(12)] for i in range(12)]
+    out += [
+        ("tv1d-12-diagonal-m2", toy(problem={"name": "tv1d", "n": 12},
+                                    metric1=tv1d_lin["metric1"],
+                                    metric2={"kind": "constant", "metric": {
+                                        "kind": "diagonal",
+                                        "entries": [0.2 + 0.05 * i
+                                                    for i in range(11)]}},
+                                    iters=400, checks=gap_checks)),
+        ("toy-diagonal-m2-all", toy(metric2={"kind": "constant", "metric": {
+                                        "kind": "diagonal", "entries": [0.5]}},
+                                    iters=300, checks=ALL_CHECKS)),
+        ("toy-huber-h", toy(problem={"name": "toy1d", "h_kind": "huber",
+                                     "h_delta": 0.5},
+                            metric1=_metric(2.0), iters=300, checks=gap_checks)),
+        ("tv1d-12-quadratic-dense-m1",
+         toy(problem={"name": "tv1d", "n": 12},
+             metric1={"kind": "constant",
+                      "metric": {"kind": "dense", "matrix": tridiagonal}},
+             metric2=ZERO, iters=400, checks=gap_checks)),
+        ("lasso-g-geometric-m2",
+         toy(problem={"name": "lasso-split", "n": 8, "rows": 12,
+                      "quadratic_in": "g"},
+             metric2={"kind": "geometric_decay",
+                      "metric": {"kind": "scaled_identity", "mu": 1.0},
+                      "rho": 0.9},
+             iters=400, checks=gap_checks)),
+    ]
     # the last rows of the u/v columns, with the iterates logged
     out += [(f"toy-{k}-iters-all-checks-vectors",
              toy(iters=k, checks=ALL_CHECKS, log_vectors=True)) for k in (1, 2)]
