@@ -29,12 +29,17 @@ from .errors import DimensionMismatch, UnsupportedSetting
 # ---------------------------------------------------------------------------
 
 
-def lagrangian(problem, x, z, y):
-    """``f(x) + h(x) + g(z) + <y, Ax - z>`` with extended-real propagation."""
+def lagrangian(problem, x, z, y, Ax=None):
+    """``f(x) + h(x) + g(z) + <y, Ax - z>`` with extended-real propagation.
+
+    ``Ax`` is ``A x`` when the caller already holds it; computed otherwise.
+    """
     value = problem.f(x) + problem.h(x) + problem.g(z)
     if math.isinf(value):
         return value
-    return value + float(y @ (problem.A.apply(x) - z))
+    if Ax is None:
+        Ax = problem.A.apply(x)
+    return value + float(y @ (Ax - z))
 
 
 def augmented_lagrangian(problem, x, z, y):
@@ -110,17 +115,23 @@ class GapCertificate:
     finite: bool
 
 
-def gap_certificate(problem, averager, probe, gamma0):
+def gap_certificate(problem, averager, probe, gamma0, probe_value=None):
     """Gap ``l(x_bar, z_bar, y) - l(x, z, y_bar)`` versus ``gamma0 / k``.
 
-    An infinite gap (probe outside a domain) is reported in the certificate,
-    not thrown.
+    ``probe_value`` stands for ``l(x, z, y_bar)`` when the caller knows it
+    without ``y_bar``: for a probe with ``A x == z`` exactly it is
+    ``lagrangian(problem, x, z, 0)`` at every k. An infinite gap (probe
+    outside a domain) is reported in the certificate, not thrown.
     """
     if averager.k < 1:
         raise ValueError("gap certificate needs k >= 1")
     x, z, y = probe
     left = lagrangian(problem, averager.x_bar, averager.z_bar, np.asarray(y, float))
-    right = lagrangian(problem, np.asarray(x, float), np.asarray(z, float), averager.y_bar)
+    right = probe_value
+    if right is None:
+        right = lagrangian(
+            problem, np.asarray(x, float), np.asarray(z, float), averager.y_bar
+        )
     gap = left - right
     bound = gamma0 / averager.k
     return GapCertificate(
@@ -258,18 +269,21 @@ def loglog_slope(ks, values):
 # ---------------------------------------------------------------------------
 
 
-def kkt_residual(problem, x, y):
+def kkt_residual(problem, x, y, Ax=None):
     """Distance to satisfying the primal-dual optimality inclusions.
 
     The maximum of the distance from ``-A*y - grad h(x)`` to the
     subdifferential of f at x, and the distance from ``y`` to the
     subdifferential of g at Ax, both in closed form per catalog kind.
+    ``Ax`` is ``A x`` when the caller already holds it; computed otherwise.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if Ax is None:
+        Ax = problem.A.apply(x)
     target_f = -problem.A.adjoint(y) - problem.h.grad(x)
     dist_f = problem.f.distance_to_subdifferential(x, target_f)
-    dist_g = problem.g.distance_to_subdifferential(problem.A.apply(x), y)
+    dist_g = problem.g.distance_to_subdifferential(Ax, y)
     return max(dist_f, dist_g)
 
 

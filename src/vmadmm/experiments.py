@@ -347,6 +347,11 @@ class _Certifier:
         if saddle is None or not cfg.iters:
             return
         self.averager = diagnostics.ErgodicAverager(problem.n, problem.m)
+        # the oracle sets z* = A x* exactly, so l(x*, z*, y_bar) does not
+        # depend on y_bar: it is the Lagrangian at y = 0 for every k
+        self.saddle_value = diagnostics.lagrangian(
+            problem, saddle[0], saddle[1], np.zeros(problem.m)
+        )
         m1, m2 = sched1.metric(0), sched2.metric(0)
         self.gamma0 = diagnostics.gamma(problem, init, m1, m2, saddle)
         # the gap bound is per-probe: sample a few extra probes around the
@@ -366,24 +371,26 @@ class _Certifier:
 
     def record(self, state, residual):
         problem, saddle, prev = self.problem, self.saddle, self.prev
-        k, x, z, y = state.k, state.x, state.z, state.y
+        k, x, z, y, Ax = state.k, state.x, state.z, state.y, state.Ax
         self.residuals.append(residual)
         self.dual_steps.append(float(np.linalg.norm(y - prev.y)))
-        objective = problem.f(x) + problem.h(x) + problem.g(problem.A.apply(x))
+        objective = problem.f(x) + problem.h(x) + problem.g(Ax)
         row = {
             "k": k,
             "primal_objective": objective,
             "residual_primal": residual,
-            "kkt": diagnostics.kkt_residual(problem, x, y),
+            "kkt": diagnostics.kkt_residual(problem, x, y, Ax),
         }
         if saddle is not None:
             averager = self.averager
             averager.update(x, z, y)
-            cert = diagnostics.gap_certificate(problem, averager, saddle, self.gamma0)
+            cert = diagnostics.gap_certificate(
+                problem, averager, saddle, self.gamma0, self.saddle_value
+            )
             self.gap_slacks.append(cert.slack)
             row["gap"], row["gap_bound"] = cert.gap, cert.bound
             row["lagrangian_at_probe"] = diagnostics.lagrangian(
-                problem, x, z, saddle[2]
+                problem, x, z, saddle[2], Ax
             )
             if k % 10 == 0 or k == self.cfg.iters:
                 self.probe_slacks += [

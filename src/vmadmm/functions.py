@@ -274,25 +274,32 @@ class BoxIndicator(ConvexFunction):
         return float(total)
 
     def distance_to_subdifferential(self, x, s):
+        # Per coordinate: outside the box (beyond the tolerance) the
+        # subdifferential is empty; at both bounds it is the whole line, at
+        # the lower bound (-inf, 0], at the upper [0, inf), inside {0}.
         x = self._check(x)
         s = self._check(s, "subgradient target")
-        contrib = np.empty(self.dim)
-        for i in range(self.dim):
-            lo, hi = self.lower[i], self.upper[i]
-            tol_lo = 1e-12 * (1.0 + abs(lo)) if math.isfinite(lo) else 0.0
-            tol_hi = 1e-12 * (1.0 + abs(hi)) if math.isfinite(hi) else 0.0
-            if x[i] < lo - tol_lo or x[i] > hi + tol_hi:
-                return math.inf  # empty subdifferential outside the box
-            at_lo = math.isfinite(lo) and abs(x[i] - lo) <= tol_lo
-            at_hi = math.isfinite(hi) and abs(x[i] - hi) <= tol_hi
-            if at_lo and at_hi:
-                contrib[i] = 0.0
-            elif at_lo:
-                contrib[i] = max(s[i], 0.0)
-            elif at_hi:
-                contrib[i] = max(-s[i], 0.0)
-            else:
-                contrib[i] = abs(s[i])
+        # A point is at a finite bound within a relative tolerance; an
+        # infinite bound has tolerance 0 and no point is ever at it.
+        lo, hi = self.lower, self.upper
+        fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
+        tol_lo = np.where(fin_lo, 1e-12 * (1.0 + np.abs(lo)), 0.0)
+        tol_hi = np.where(fin_hi, 1e-12 * (1.0 + np.abs(hi)), 0.0)
+        if np.any((x < lo - tol_lo) | (x > hi + tol_hi)):
+            return math.inf  # empty subdifferential outside the box
+        # Mask before subtracting: 0 stands in for an infinite bound in
+        # ``x - bound``, because -inf - (-inf) would warn.
+        at_lo = fin_lo & (np.abs(x - np.where(fin_lo, lo, 0.0)) <= tol_lo)
+        at_hi = fin_hi & (np.abs(x - np.where(fin_hi, hi, 0.0)) <= tol_hi)
+        contrib = np.where(
+            at_lo & at_hi,
+            0.0,
+            np.where(
+                at_lo,
+                np.maximum(s, 0.0),
+                np.where(at_hi, np.maximum(-s, 0.0), np.abs(s)),
+            ),
+        )
         return float(np.linalg.norm(contrib))
 
 

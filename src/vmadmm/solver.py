@@ -77,12 +77,19 @@ class ProblemSpec:
 
 @dataclass
 class SolverState:
-    """Iterate triple (x, z, y) plus the iteration counter."""
+    """Iterate triple (x, z, y), the iteration counter, and ``Ax = A x``.
+
+    :func:`initial_state` and :func:`step` set ``Ax``, so each iterate's
+    product is computed once and shared by the next x update, the residual
+    and the recorder. A state built by hand may leave it None; it is then
+    computed where needed.
+    """
 
     x: np.ndarray
     z: np.ndarray
     y: np.ndarray
     k: int = 0
+    Ax: np.ndarray | None = None
 
 
 def initial_state(problem, x0=None, z0=None, y0=None):
@@ -96,7 +103,7 @@ def initial_state(problem, x0=None, z0=None, y0=None):
         raise DimensionMismatch("initial z", problem.m, z.shape)
     if y.shape != (problem.m,):
         raise DimensionMismatch("initial y", problem.m, y.shape)
-    return SolverState(x=x, z=z, y=y, k=0)
+    return SolverState(x=x, z=z, y=y, k=0, Ax=problem.A.apply(x))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +245,8 @@ def x_update(problem, state, m1):
 
     if _linearized_applicable(problem, m1):
         tau = m1.tau
-        step = h.grad(x) + c * A.adjoint(A.apply(x) - z + y / c)
+        Ax = A.apply(x) if state.Ax is None else state.Ax
+        step = h.grad(x) + c * A.adjoint(Ax - z + y / c)
         return f.prox(x - tau * step, tau)
 
     if isinstance(f, (functions.Zero, functions.Quadratic)):
@@ -279,15 +287,16 @@ def x_update(problem, state, m1):
     )
 
 
-def z_update(problem, state, x_next, m2):
+def z_update(problem, state, Ax_next, m2):
     """Exact minimizer of the z subproblem under metric ``m2``.
 
-    Supports zero, scaled-identity, and diagonal metrics. The subproblem is
-    strongly convex with modulus ``c + m2`` and reduces to a single prox of g
+    ``Ax_next`` is ``A x+``, the product of the new x iterate. Supports
+    zero, scaled-identity, and diagonal metrics. The subproblem is strongly
+    convex with modulus ``c + m2`` and reduces to a single prox of g
     (diagonal metrics additionally require g to implement ``prox_diag``).
     """
     g, c = problem.g, problem.c
-    w = problem.A.apply(x_next) + state.y / c
+    w = Ax_next + state.y / c
     if m2.is_scalar:
         mu = m2.scalar_value
         denom = c + mu
@@ -304,19 +313,24 @@ def z_update(problem, state, x_next, m2):
     return g.prox_diag(v, d)
 
 
-def y_update(state, x_next, z_next, c, A):
-    """Dual ascent ``y + c (A x+ - z+)``; exact, no tolerance."""
-    return state.y + c * (A.apply(x_next) - z_next)
+def y_update(state, Ax_next, z_next, c):
+    """Dual ascent ``y + c (A x+ - z+)`` from ``Ax_next = A x+``; exact."""
+    return state.y + c * (Ax_next - z_next)
 
 
 def step(problem, state, sched1, sched2):
-    """One full iteration; returns the next state with ``k`` incremented."""
+    """One full iteration; returns the next state with ``k`` incremented.
+
+    ``A x+`` is computed once, here, for the z and y updates and the next
+    state's ``Ax``.
+    """
     m1 = sched1.metric(state.k)
     m2 = sched2.metric(state.k)
     x_next = x_update(problem, state, m1)
-    z_next = z_update(problem, state, x_next, m2)
-    y_next = y_update(state, x_next, z_next, problem.c, problem.A)
-    return SolverState(x=x_next, z=z_next, y=y_next, k=state.k + 1)
+    Ax_next = problem.A.apply(x_next)
+    z_next = z_update(problem, state, Ax_next, m2)
+    y_next = y_update(state, Ax_next, z_next, problem.c)
+    return SolverState(x=x_next, z=z_next, y=y_next, k=state.k + 1, Ax=Ax_next)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +401,9 @@ def run(problem, init, sched1, sched2, stop, force=False, recorder=None):
             and np.all(np.isfinite(state.y))
         ):
             raise NonFiniteIterate(state.k)
-        recorder.record(
-            state, float(np.linalg.norm(problem.A.apply(state.x) - state.z))
-        )
+        recorder.record(state, float(np.linalg.norm(state.Ax - state.z)))
         if kkt_fn is not None and state.k % stop.kkt_interval == 0:
-            if kkt_fn(problem, state.x, state.y) <= stop.kkt_tol:
+            if kkt_fn(problem, state.x, state.y, state.Ax) <= stop.kkt_tol:
                 break
     return state, recorder
 

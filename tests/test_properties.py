@@ -6,9 +6,12 @@ step sizes drawn by Hypothesis. The example budget and derandomization come
 from the profile registered in conftest.py.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -257,5 +260,71 @@ def test_dual_identity_along_runs(strategy, monkeypatch):
             dual_steps(trace), trace.residual_norms, problem.c
         )
         assert deviation <= CHECK_TOLERANCES["dual_identity"]
+
+    check()
+
+
+def box_distance_reference(box, x, s):
+    """The per-coordinate case analysis behind
+    ``BoxIndicator.distance_to_subdifferential``, one coordinate at a time."""
+    contrib = np.empty(box.dim)
+    for i in range(box.dim):
+        lo, hi = box.lower[i], box.upper[i]
+        tol_lo = 1e-12 * (1.0 + abs(lo)) if math.isfinite(lo) else 0.0
+        tol_hi = 1e-12 * (1.0 + abs(hi)) if math.isfinite(hi) else 0.0
+        if x[i] < lo - tol_lo or x[i] > hi + tol_hi:
+            return math.inf
+        at_lo = math.isfinite(lo) and abs(x[i] - lo) <= tol_lo
+        at_hi = math.isfinite(hi) and abs(x[i] - hi) <= tol_hi
+        if at_lo and at_hi:
+            contrib[i] = 0.0
+        elif at_lo:
+            contrib[i] = max(s[i], 0.0)
+        elif at_hi:
+            contrib[i] = max(-s[i], 0.0)
+        else:
+            contrib[i] = abs(s[i])
+    return float(np.linalg.norm(contrib))
+
+
+FINITE = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def box_coordinate(draw):
+    """``(lower, upper, x, s)`` of one coordinate: finite or infinite
+    bounds, ``lower == upper`` included, and points on a bound, 1e-13,
+    1e-12 (the tolerance) or 1e-11 off one, inside, outside or infinite."""
+    lo = draw(st.one_of(FINITE, st.just(-math.inf)))
+    hi = draw(st.sampled_from(["equal", "wider", "infinite"]))
+    if hi == "equal":
+        hi = lo  # also -inf == -inf
+    elif hi == "infinite":
+        hi = math.inf
+    else:
+        hi = lo + draw(st.floats(1e-12, 5.0)) if math.isfinite(lo) else draw(FINITE)
+    bound = draw(st.sampled_from([lo, hi]))
+    offset = draw(st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1e-11, -1e-11]))
+    x = draw(st.one_of(
+        st.just(bound + offset * (1.0 + abs(bound))),
+        FINITE,
+        st.sampled_from([math.inf, -math.inf, math.nan]),
+    ))
+    s = draw(st.one_of(FINITE, st.sampled_from([0.0, -0.0, math.nan, -math.nan])))
+    return lo, hi, x, s
+
+
+def test_box_distance_matches_per_coordinate_reference():
+    # points exactly the tolerance 1e-12 off a bound at 0 still count as at it
+    @example([(0.0, 1.0, 1e-12, -1.0), (-1.0, 0.0, -1e-12, 1.0)])
+    @given(st.lists(box_coordinate(), min_size=1, max_size=8))
+    def check(coords):
+        lo, hi, x, s = (np.array(col) for col in zip(*coords))
+        box = BoxIndicator(lo.size, lower=lo, upper=hi)
+        expected = box_distance_reference(box, x, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = box.distance_to_subdifferential(x, s)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     check()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import count_cho_factor, minimize_1d
+from vmadmm import experiments
 from vmadmm.errors import (
     AssumptionError,
     NonFiniteIterate,
@@ -294,10 +295,10 @@ def test_z_update_optimality_inclusion_residual():
         y=rng.standard_normal(P.m),
         k=0,
     )
-    x_next = rng.standard_normal(P.n)
+    Ax_next = P.A.apply(rng.standard_normal(P.n))
     for m2 in (MetricOperator.zero(P.m), MetricOperator.scaled_identity(P.m, 0.7)):
-        z_next = z_update(P, state, x_next, m2)
-        target = P.c * (P.A.apply(x_next) - z_next + state.y / P.c) + m2.apply(
+        z_next = z_update(P, state, Ax_next, m2)
+        target = P.c * (Ax_next - z_next + state.y / P.c) + m2.apply(
             state.z - z_next
         )
         assert P.g.distance_to_subdifferential(z_next, target) <= 1e-10
@@ -320,7 +321,7 @@ def test_z_update_objective_descent():
                 + 0.5 * m2.seminorm_sq(z - state.z)
             )
 
-        z_next = z_update(P, state, x_next, m2)
+        z_next = z_update(P, state, P.A.apply(x_next), m2)
         assert objective(z_next) <= objective(state.z) + 1e-12
 
 
@@ -339,28 +340,24 @@ def test_z_update_unsupported_metric():
 
 
 def test_y_update_feasible_point_fixed():
-    P = scalar_problem()
     s = state1(0.0, 0.0, 3.0)
-    assert y_update(s, np.array([2.0]), np.array([2.0]), 1.0, P.A) == pytest.approx(
-        [3.0]
-    )
+    assert y_update(s, np.array([2.0]), np.array([2.0]), 1.0) == pytest.approx([3.0])
 
 
 def test_y_update_scaling():
     s = state1(0.0, 0.0, 0.0)
-    out = y_update(s, np.array([3.0]), np.array([1.0]), 2.0, LinearMap.identity(1))
+    out = y_update(s, np.array([3.0]), np.array([1.0]), 2.0)
     assert out == pytest.approx([4.0])
 
 
 def test_y_update_componentwise():
-    A = LinearMap.identity(2)
     s = SolverState(
         x=np.zeros(2),
         z=np.zeros(2),
         y=np.array([1.0, -1.0]),
         k=0,
     )
-    out = y_update(s, np.array([1.0, 1.0]), np.array([0.5, 0.5]), 1.0, A)
+    out = y_update(s, np.array([1.0, 1.0]), np.array([0.5, 0.5]), 1.0)
     assert np.allclose(out, [1.5, -0.5])
 
 
@@ -526,6 +523,70 @@ def test_run_deterministic():
     _, t2 = run(P, initial_state(P), s1, s2, StoppingRule(max_iters=40))
     for a, b in zip(t1.xs, t2.xs):
         assert np.array_equal(a, b)
+
+
+def count_matvecs(monkeypatch):
+    """Patch ``LinearMap.apply`` and ``adjoint`` to count their calls;
+    returns the (live) ``{"apply": n, "adjoint": n}`` counts."""
+    counts = {"apply": 0, "adjoint": 0}
+    for name in counts:
+        original = getattr(LinearMap, name)
+
+        def counting(self, v, name=name, original=original):
+            counts[name] += 1
+            return original(self, v)
+
+        monkeypatch.setattr(LinearMap, name, counting)
+    return counts
+
+
+def test_linearized_run_makes_one_apply_and_one_adjoint_per_iteration(monkeypatch):
+    # A x+ is computed once in step and reused by the z and y updates, the
+    # residual and the next x update
+    P, _ = build_problem("tv1d", n=20)
+    s1 = ShiftedGramSchedule(0.19, P.c, P.A)
+    s2 = ConstantSchedule(MetricOperator.zero(P.m))
+    init = initial_state(P)
+    counts = count_matvecs(monkeypatch)
+    K = 30
+    _, trace = run(P, init, s1, s2, StoppingRule(max_iters=K))
+    assert trace.iterations == K
+    assert counts == {"apply": K, "adjoint": K}
+
+
+def test_certified_rows_reuse_the_solvers_product(monkeypatch, tmp_path):
+    # objective, Lagrangian at the saddle's y and KKT of a row all read the
+    # state's A x_k: no apply of x_k while the certifier builds the row
+    row_x = []
+    applied = []
+    apply = LinearMap.apply
+
+    def watching_apply(self, v):
+        applied.append(any(v is x for x in row_x))
+        return apply(self, v)
+
+    record = experiments._Certifier.record
+
+    def watching_record(self, state, residual):
+        row_x.append(state.x)
+        try:
+            record(self, state, residual)
+        finally:
+            row_x.clear()
+
+    monkeypatch.setattr(LinearMap, "apply", watching_apply)
+    monkeypatch.setattr(experiments._Certifier, "record", watching_record)
+    cfg = experiments.RunConfig(
+        problem={"name": "tv1d", "n": 20},
+        metric1={"kind": "shifted_gram", "tau": 0.19},
+        metric2={"kind": "constant", "metric": {"kind": "zero"}},
+        c=1.0,
+        iters=40,
+        checks=["kkt", "gap_bound", "dual_identity"],
+    )
+    result = experiments.run_experiment(cfg, out_dir=str(tmp_path), echo=lambda *a: None)
+    assert result.summary["iterations"] == 40
+    assert applied and not any(applied)
 
 
 def test_step_differences_vanish_on_convergent_runs():

@@ -8,7 +8,9 @@ on ``PYTHONPATH`` and BLAS pinned to one thread, writing to the same temporary
 paths so that echoed output paths agree. Per config the audit compares
 ``log.csv``, ``summary.json``, the exit code and the lines echoed to stdout
 and stderr, prints one line, and exits 1 on any difference, 0 when every
-config is identical.
+config is identical. In stdout and stderr each tree's own ``src/`` path,
+which numpy's warning headers print, reads as ``<src>``, so two checkouts of
+the same code agree; a warning whose line number moved still differs.
 """
 
 from __future__ import annotations
@@ -210,14 +212,19 @@ def solve_all(work):
 
 
 def run_tree(src, work):
-    """Solve every config with the package from ``src``; results by name."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    """Solve every config with the package from ``src``; results by name,
+    with ``src`` replaced by ``<src>`` in stdout and stderr."""
+    src = os.path.abspath(src)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run([sys.executable, os.path.abspath(__file__), "--solve-all",
                     work], env=env, check=True)
     with open(os.path.join(work, "results.json")) as fh:
-        return json.load(fh)
+        results = json.load(fh)
+    for result in results.values():
+        for key in ("stdout", "stderr"):
+            result[key] = result[key].replace(src, "<src>")
+    return results
 
 
 def main(argv):
