@@ -34,7 +34,6 @@ from .linops import (
     MetricOperator,
     as_vector,
     forward_difference,
-    in_P_alpha,
     loewner_geq,
     min_eigenvalue,
     operator_norm,
@@ -91,7 +90,6 @@ __all__ = [
     "as_vector",
     "build_problem",
     "forward_difference",
-    "in_P_alpha",
     "initial_state",
     "loewner_geq",
     "min_eigenvalue",

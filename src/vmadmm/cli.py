@@ -50,7 +50,6 @@ def _build_parser():
     chk = sub.add_parser("check", help="validate a run log against an oracle file")
     chk.add_argument("--log", required=True, help="path to log.csv")
     chk.add_argument("--against", required=True, help="path to oracle.json")
-    chk.add_argument("--kkt-tol", type=float, default=CHECK_TOLERANCES["kkt"])
     return parser
 
 
@@ -107,8 +106,8 @@ def _cmd_check(args):
         last_k = k
 
     final_kkt = float(rows[-1]["kkt"])
-    if not (final_kkt < args.kkt_tol):
-        failures.append(f"final kkt {final_kkt:.3e} >= {args.kkt_tol:g}")
+    if not (final_kkt < CHECK_TOLERANCES["kkt"]):
+        failures.append(f"final kkt {final_kkt:.3e} >= {CHECK_TOLERANCES['kkt']:g}")
 
     # When dual vectors were logged, the primal residual must equal the
     # rescaled dual step, to the runner's dual_identity tolerance.

@@ -42,15 +42,6 @@ def lagrangian(problem, x, z, y, Ax=None):
     return value + float(y @ (Ax - z))
 
 
-def augmented_lagrangian(problem, x, z, y):
-    """Lagrangian plus the penalty ``(c/2) ||Ax - z||^2``."""
-    base = lagrangian(problem, x, z, y)
-    if math.isinf(base):
-        return base
-    r = problem.A.apply(x) - z
-    return base + 0.5 * problem.c * float(r @ r)
-
-
 def gamma(problem, init, m1, m2, probe):
     """Constant of the ergodic gap bound, an initial-iterate quantity.
 
@@ -112,7 +103,6 @@ class GapCertificate:
     gap: float
     bound: float
     slack: float
-    finite: bool
 
 
 def gap_certificate(problem, averager, probe, gamma0, probe_value=None):
@@ -134,9 +124,7 @@ def gap_certificate(problem, averager, probe, gamma0, probe_value=None):
         )
     gap = left - right
     bound = gamma0 / averager.k
-    return GapCertificate(
-        gap=gap, bound=bound, slack=bound - gap, finite=math.isfinite(gap)
-    )
+    return GapCertificate(gap=gap, bound=bound, slack=bound - gap)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +202,8 @@ def uncorrected_v_slack(u, v):
     return [(k, float((u[k] - u[k + 1]) - v[k + 1])) for k in range(1, len(u) - 2)]
 
 
-def v_monotone_check(v, tol=1e-10):
-    """Whether ``v_k <= v_{k-1}`` for ``k = 2..K``; ``(ok, first violating k)``."""
+def v_monotone_check(v, tol):
+    """Whether ``v_k <= v_{k-1} + tol`` for ``k = 2..K``; ``(ok, first violating k)``."""
     for k in range(2, len(v)):
         if v[k] > v[k - 1] + tol:
             return False, k
@@ -292,7 +280,7 @@ def kkt_residual(problem, x, y, Ax=None):
 # ---------------------------------------------------------------------------
 
 
-def iteration_inequality_check(problem, state_k, state_next, m1, m2, probe, L=None):
+def iteration_inequality_check(problem, state_k, state_next, m1, m2, probe):
     """Slacks of the two per-iteration inequalities at a probe point.
 
     The first compares the Lagrangian of the new iterate against the probe
@@ -300,10 +288,10 @@ def iteration_inequality_check(problem, state_k, state_next, m1, m2, probe, L=No
     with the smooth correction ``L ||x+ - x_k||^2``); the second bounds the
     cross term ``c <z+ - z_k, A(x - x+)>``. Returns ``(slack1, slack2)``,
     both nonnegative (to roundoff) on genuine iterates; infinite probe values
-    make slack1 infinite (a reported skip, not an error).
+    make slack1 infinite (a reported skip, not an error). ``L`` is the
+    smooth term's gradient Lipschitz constant.
     """
-    if L is None:
-        L = problem.h.lipschitz
+    L = problem.h.lipschitz
     c = problem.c
     x, z, y = (np.asarray(v, dtype=float) for v in probe)
     xk, zk, yk = state_k.x, state_k.z, state_k.y
@@ -342,23 +330,6 @@ def iteration_inequality_check(problem, state_k, state_next, m1, m2, probe, L=No
         - cross
     )
     return slack1, slack2
-
-
-def descent_slack(problem, x_k, x_next, probe_x):
-    """Slack of the smooth-term upper bound used by the iteration analysis.
-
-    ``(L/2)||x+ - x_k||^2 - (h(x+) - h(x) + <grad h(x_k), x - x+>)``,
-    nonnegative for convex h with an L-Lipschitz gradient.
-    """
-    L = problem.h.lipschitz
-    x = np.asarray(probe_x, dtype=float)
-    dx = x_next - x_k
-    lhs = (
-        problem.h(x_next)
-        - problem.h(x)
-        + float(problem.h.grad(x_k) @ (x - x_next))
-    )
-    return 0.5 * L * float(dx @ dx) - lhs
 
 
 # ---------------------------------------------------------------------------

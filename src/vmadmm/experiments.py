@@ -247,7 +247,7 @@ def _initial_from_config(cfg, problem):
     raise ConfigError("'init' must be \"zeros\" or a table with x/z/y")
 
 
-def run_experiment(cfg, force=False, out_dir=None, echo=print):
+def run_experiment(cfg, force=False, out_dir=None):
     """Validate, run, log, and check one experiment.
 
     Prints the assumption report, runs the solver with a :class:`_Certifier`
@@ -262,9 +262,9 @@ def run_experiment(cfg, force=False, out_dir=None, echo=print):
 
     report = validate_assumptions(problem, sched1, sched2)
     for line in report.summary_lines():
-        echo(line)
+        print(line)
     if not report.permits_run and not force:
-        echo("assumption validation failed; rerun with --force to override")
+        print("assumption validation failed; rerun with --force to override")
         return ExperimentResult(
             exit_code=3,
             summary={},
@@ -312,7 +312,7 @@ def run_experiment(cfg, force=False, out_dir=None, echo=print):
 
     failed = [name for name, (passed, _) in checks.items() if not passed]
     for name, (passed, detail) in checks.items():
-        echo(f"check {name}: {'pass' if passed else 'FAIL'} ({detail})")
+        print(f"check {name}: {'pass' if passed else 'FAIL'} ({detail})")
     return ExperimentResult(
         exit_code=0 if not failed else 1,
         summary=summary,

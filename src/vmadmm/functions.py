@@ -1,10 +1,11 @@
 """Catalog of convex functions with exact proximal maps and gradients.
 
-Each function reports its capabilities through the flags ``proxable``,
-``smooth`` (with a Lipschitz constant for the gradient) and ``conjugable``
-(closed-form Fenchel conjugate value). Evaluations are extended-real:
-indicator functions return ``math.inf`` outside their domain, never NaN,
-and infinities propagate through sums.
+Each function reports its capabilities through the flags ``proxable`` and
+``smooth`` (with a Lipschitz constant for the gradient); the kinds with a
+closed-form Fenchel conjugate implement ``conjugate``, a reference for the
+dual objective, and the others raise :class:`CapabilityError`. Evaluations
+are extended-real: indicator functions return ``math.inf`` outside their
+domain, never NaN, and infinities propagate through sums.
 
 All proximal maps are closed forms (or exact linear solves), so subproblem
 error stays at machine precision. Their arguments are checked once, in
@@ -31,7 +32,6 @@ class ConvexFunction:
 
     proxable = False
     smooth = False
-    conjugable = False
     lipschitz = None
 
     def __init__(self, dim):
@@ -112,7 +112,6 @@ class Zero(ConvexFunction):
 
     proxable = True
     smooth = True
-    conjugable = True
     lipschitz = 0.0
 
     def __call__(self, x):
@@ -140,7 +139,6 @@ class L1Norm(ConvexFunction):
     """``weight * ||x||_1`` with ``weight > 0``."""
 
     proxable = True
-    conjugable = True
 
     def __init__(self, dim, weight):
         super().__init__(dim)
@@ -186,7 +184,6 @@ class SquaredL2(ConvexFunction):
 
     proxable = True
     smooth = True
-    conjugable = True
 
     def __init__(self, dim, shift=0.0, weight=1.0):
         super().__init__(dim)
@@ -225,7 +222,6 @@ class BoxIndicator(ConvexFunction):
     """Indicator of the box ``lower <= x <= upper`` (coordinatewise)."""
 
     proxable = True
-    conjugable = True
 
     def __init__(self, dim, lower, upper):
         super().__init__(dim)

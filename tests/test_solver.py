@@ -199,7 +199,7 @@ def test_x_update_singular_system():
     assert x_update(definite, state, m1) == pytest.approx(target)
 
 
-class FreshMetricSchedule(ConstantSchedule):
+class RebuiltEachStepSchedule(ConstantSchedule):
     """A constant scaled-identity metric, rebuilt as a new object at every k."""
 
     def metric(self, k):
@@ -223,7 +223,7 @@ def test_run_quadratic_factors_once_per_metric_object(monkeypatch):
         ConstantSchedule(MetricOperator.scaled_identity(P.n, 2.0))
     )
     fresh, n_fresh = run_counting(
-        FreshMetricSchedule(MetricOperator.scaled_identity(P.n, 2.0))
+        RebuiltEachStepSchedule(MetricOperator.scaled_identity(P.n, 2.0))
     )
     _, n_decaying = run_counting(
         GeometricDecaySchedule(MetricOperator.scaled_identity(P.n, 2.0), 0.9)
@@ -584,7 +584,7 @@ def test_certified_rows_reuse_the_solvers_product(monkeypatch, tmp_path):
         iters=40,
         checks=["kkt", "gap_bound", "dual_identity"],
     )
-    result = experiments.run_experiment(cfg, out_dir=str(tmp_path), echo=lambda *a: None)
+    result = experiments.run_experiment(cfg, out_dir=str(tmp_path))
     assert result.summary["iterations"] == 40
     assert applied and not any(applied)
 
