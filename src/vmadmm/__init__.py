@@ -11,6 +11,7 @@ from .errors import (
     CapabilityError,
     ConfigError,
     DimensionMismatch,
+    InputError,
     NonFiniteIterate,
     NotPositiveSemidefinite,
     OracleError,
@@ -69,6 +70,7 @@ __all__ = [
     "DimensionMismatch",
     "GeometricDecaySchedule",
     "Huber",
+    "InputError",
     "L1Norm",
     "LinearMap",
     "MetricOperator",

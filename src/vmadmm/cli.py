@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import diagnostics
-from .errors import ConfigError, OracleError, VmAdmmError
+from .errors import ConfigError, InputError, OracleError, VmAdmmError
 from .experiments import (
     CHECK_TOLERANCES,
     load_config,
@@ -87,14 +87,38 @@ def _cmd_oracle(args):
     return 0
 
 
+def _open_input(path):
+    """``path`` opened for reading; a file that cannot be opened is an InputError."""
+    try:
+        return open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from exc
+
+
+def _require(path, entries, names, kind):
+    """Raise an InputError naming the first of ``names`` not in ``entries``."""
+    for name in names:
+        if name not in entries:
+            raise InputError(f"{path}: no {kind} {name!r}")
+
+
 def _cmd_check(args):
-    with open(args.against, "r", encoding="utf-8") as fh:
+    with _open_input(args.against) as fh:
         against = json.load(fh)
-    with open(args.log, "r", encoding="utf-8", newline="") as fh:
+    with _open_input(args.log) as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
         print("log is empty; nothing to check")
         return 0
+    y_cols = sorted(
+        (c for c in rows[0] if c.startswith("y_")), key=lambda s: int(s[2:])
+    )
+    columns, keys = ["k", "kkt"], ["kkt"]
+    if y_cols:  # the dual identity also reads these
+        columns.append("residual_primal")
+        keys.append("c")
+    _require(args.log, rows[0], columns, "column")
+    _require(args.against, against, keys, "key")
 
     failures = []
     last_k = 0
@@ -111,9 +135,6 @@ def _cmd_check(args):
 
     # When dual vectors were logged, the primal residual must equal the
     # rescaled dual step, to the runner's dual_identity tolerance.
-    y_cols = sorted(
-        (c for c in rows[0] if c.startswith("y_")), key=lambda s: int(s[2:])
-    )
     if y_cols:
         # The k=0 dual iterate is not in the log, so the identity is checked
         # from the second logged row onward.

@@ -10,7 +10,12 @@ because the compared quantities approach zero at convergence.
 
 Functions here are pure, over iterates or per-iteration scalars; the
 ``u``/``v`` regime (no smooth term, constant metrics) is enforced rather than
-silently generalized.
+silently generalized. The y-independent part of a Lagrangian,
+:func:`lagrangian_terms`, can be computed once and evaluated at many ``y``
+through ``lagrangian(..., terms=...)``, and :func:`gap_certificate` takes
+those terms at the averages and the probe's Lagrangian when the caller
+holds them: a certifier pays one ``A x_bar`` per iteration, however many
+probes it checks, and every value keeps the bits of a plain call.
 """
 
 from __future__ import annotations
@@ -29,27 +34,48 @@ from .errors import DimensionMismatch, UnsupportedSetting
 # ---------------------------------------------------------------------------
 
 
-def lagrangian(problem, x, z, y, Ax=None):
+def lagrangian_terms(problem, x, z, Ax=None, fh=None):
+    """The y-independent part of the Lagrangian at ``(x, z)``: ``(value, residual)``.
+
+    ``value`` is ``f(x) + h(x) + g(z)`` and ``residual`` is ``Ax - z``, or
+    None when ``value`` is infinite (then ``A`` is not applied). ``Ax`` is
+    ``A x`` and ``fh`` is ``f(x) + h(x)`` when the caller already holds them.
+    """
+    if fh is None:
+        fh = problem.f(x) + problem.h(x)
+    value = fh + problem.g(z)
+    if math.isinf(value):
+        return value, None
+    if Ax is None:
+        Ax = problem.A.apply(x)
+    return value, Ax - z
+
+
+def lagrangian(problem, x, z, y, Ax=None, terms=None):
     """``f(x) + h(x) + g(z) + <y, Ax - z>`` with extended-real propagation.
 
     ``Ax`` is ``A x`` when the caller already holds it; computed otherwise.
+    ``terms`` is :func:`lagrangian_terms` at ``(x, z)`` when the caller holds
+    it, to evaluate many ``y`` at one point; ``x``, ``z`` and ``Ax`` are then
+    not read.
     """
-    value = problem.f(x) + problem.h(x) + problem.g(z)
+    value, residual = lagrangian_terms(problem, x, z, Ax) if terms is None else terms
     if math.isinf(value):
         return value
-    if Ax is None:
-        Ax = problem.A.apply(x)
-    return value + float(y @ (Ax - z))
+    return value + float(y @ residual)
 
 
-def gamma(problem, init, m1, m2, probe):
+def gamma(problem, init, m1, m2, probe, Ax=None):
     """Constant of the ergodic gap bound, an initial-iterate quantity.
 
     ``(c/2)||Ax - z0||^2 + (1/2)(||x - x0||^2_{M1} + ||z - z0||^2_{M2})
     + (1/2c)||y - y0||^2`` at the probe ``(x, z, y)``, with the k=0 metrics.
+    ``Ax`` is ``A x`` when the caller already holds it; computed otherwise.
     """
     x, z, y = probe
-    r = problem.A.apply(np.asarray(x, dtype=float)) - init.z
+    if Ax is None:
+        Ax = problem.A.apply(np.asarray(x, dtype=float))
+    r = Ax - init.z
     val = 0.5 * problem.c * float(r @ r)
     val += 0.5 * m1.seminorm_sq(np.asarray(x, dtype=float) - init.x)
     val += 0.5 * m2.seminorm_sq(np.asarray(z, dtype=float) - init.z)
@@ -66,34 +92,44 @@ def gamma(problem, init, m1, m2, probe):
 class ErgodicAverager:
     """Running means of (x, z, y) over iterates 1..k, compensated summation.
 
-    Kahan compensation keeps the accumulated mean within ~1e-13 * k of the
-    exact average, as required by the gap certificate.
+    One Kahan sum and one compensation vector hold ``(x, z, y)`` end to end;
+    the means are slices of it. Kahan compensation keeps the accumulated mean
+    within ~1e-13 * k of the exact average, as required by the gap
+    certificate, and works entry by entry, so each mean is the one a sum of
+    that vector alone would give.
     """
 
     def __init__(self, n, m):
         self.k = 0
-        self._sums = [np.zeros(n), np.zeros(m), np.zeros(m)]
-        self._comp = [np.zeros(n), np.zeros(m), np.zeros(m)]
+        self._n, self._nm = n, n + m
+        self._shapes = ((n,), (m,), (m,))
+        self._sum = np.zeros(n + 2 * m)
+        self._comp = np.zeros(n + 2 * m)
 
     def update(self, x, z, y):
-        for slot, vec in zip((0, 1, 2), (x, z, y)):
-            term = np.asarray(vec, dtype=float) - self._comp[slot]
-            total = self._sums[slot] + term
-            self._comp[slot] = (total - self._sums[slot]) - term
-            self._sums[slot] = total
+        shapes = (np.shape(x), np.shape(z), np.shape(y))
+        if shapes != self._shapes:
+            raise DimensionMismatch("ErgodicAverager.update (x, z, y)",
+                                    self._shapes, shapes)
+        term = np.concatenate((x, z, y), dtype=float)
+        term -= self._comp
+        total = self._sum + term
+        np.subtract(total, self._sum, out=self._comp)
+        self._comp -= term
+        self._sum = total
         self.k += 1
 
     @property
     def x_bar(self):
-        return self._sums[0] / self.k
+        return self._sum[: self._n] / self.k
 
     @property
     def z_bar(self):
-        return self._sums[1] / self.k
+        return self._sum[self._n : self._nm] / self.k
 
     @property
     def y_bar(self):
-        return self._sums[2] / self.k
+        return self._sum[self._nm :] / self.k
 
 
 @dataclass
@@ -105,18 +141,25 @@ class GapCertificate:
     slack: float
 
 
-def gap_certificate(problem, averager, probe, gamma0, probe_value=None):
+def gap_certificate(problem, averager, probe, gamma0, probe_value=None,
+                    average_terms=None):
     """Gap ``l(x_bar, z_bar, y) - l(x, z, y_bar)`` versus ``gamma0 / k``.
 
-    ``probe_value`` stands for ``l(x, z, y_bar)`` when the caller knows it
-    without ``y_bar``: for a probe with ``A x == z`` exactly it is
-    ``lagrangian(problem, x, z, 0)`` at every k. An infinite gap (probe
-    outside a domain) is reported in the certificate, not thrown.
+    ``probe_value`` stands for ``l(x, z, y_bar)`` when the caller holds it:
+    for a probe with ``A x == z`` exactly it is ``lagrangian(problem, x, z,
+    0)`` at every k, and for any probe it is ``lagrangian`` at ``y_bar`` with
+    the probe's :func:`lagrangian_terms`, fixed for the run. The probe's
+    ``x`` and ``z`` are then not read. ``average_terms`` is
+    :func:`lagrangian_terms` at ``(x_bar, z_bar)``, the same for every probe
+    at one k. An infinite gap (probe outside a domain) is reported in the
+    certificate, not thrown.
     """
     if averager.k < 1:
         raise ValueError("gap certificate needs k >= 1")
     x, z, y = probe
-    left = lagrangian(problem, averager.x_bar, averager.z_bar, np.asarray(y, float))
+    if average_terms is None:
+        average_terms = lagrangian_terms(problem, averager.x_bar, averager.z_bar)
+    left = lagrangian(problem, None, None, np.asarray(y, float), terms=average_terms)
     right = probe_value
     if right is None:
         right = lagrangian(

@@ -76,3 +76,7 @@ class OracleError(VmAdmmError):
 
 class ConfigError(VmAdmmError):
     """A run configuration could not be parsed or validated."""
+
+
+class InputError(VmAdmmError):
+    """An input file cannot be read or lacks an entry the command needs."""

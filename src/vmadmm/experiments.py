@@ -124,8 +124,12 @@ def parse_config(text, source="<string>"):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    return parse_config(text, source=str(path))
 
 
 def serialize_config(cfg):
@@ -326,10 +330,11 @@ def run_experiment(cfg, force=False, out_dir=None):
 class _Certifier:
     """The runner's recorder: certifies each iterate as :func:`run` hands it over.
 
-    Between iterations it keeps the previous iterate, the ergodic averages
-    and per-iteration scalars only. ``saddle`` is None when no requested
-    check needs one. The u/v checks need a zero smooth term and one (M1, M2)
-    pair for the whole run; they fail as "not evaluable" otherwise.
+    Between iterations it keeps the previous iterate, the ergodic averager,
+    each probe's ``(y, gamma, Lagrangian terms)`` and per-iteration scalars
+    only. ``saddle`` is None when no requested check needs one. The u/v
+    checks need a zero smooth term and one (M1, M2) pair for the whole run;
+    they fail as "not evaluable" otherwise.
 
     :meth:`result` returns ``(rows, certificates, checks)``: the ``log.csv``
     rows, the summary's certificate fields, and ``{name: (passed, detail)}``
@@ -347,19 +352,26 @@ class _Certifier:
         if saddle is None or not cfg.iters:
             return
         self.averager = diagnostics.ErgodicAverager(problem.n, problem.m)
+        m1, m2 = sched1.metric(0), sched2.metric(0)
         # the oracle sets z* = A x* exactly, so l(x*, z*, y_bar) does not
         # depend on y_bar: it is the Lagrangian at y = 0 for every k
+        Ax = problem.A.apply(saddle[0])
         self.saddle_value = diagnostics.lagrangian(
-            problem, saddle[0], saddle[1], np.zeros(problem.m)
+            problem, saddle[0], saddle[1], np.zeros(problem.m), Ax
         )
-        m1, m2 = sched1.metric(0), sched2.metric(0)
-        self.gamma0 = diagnostics.gamma(problem, init, m1, m2, saddle)
+        self.gamma0 = diagnostics.gamma(problem, init, m1, m2, saddle, Ax)
         # the gap bound is per-probe: sample a few extra probes around the
-        # saddle (seeded) and check them every 10th iteration
-        self.probes = diagnostics.sample_ball_probes(saddle, 1.0, 10, seed=cfg.seed)
-        self.probe_gammas = [
-            diagnostics.gamma(problem, init, m1, m2, p) for p in self.probes
-        ]
+        # saddle (seeded) and check them every 10th iteration. A probe is
+        # fixed, so its gamma and Lagrangian terms are computed once; only
+        # (y, gamma, terms) is kept
+        self.probes = []
+        for probe in diagnostics.sample_ball_probes(saddle, 1.0, 10, seed=cfg.seed):
+            Ax = problem.A.apply(probe[0])
+            self.probes.append((
+                probe[2],
+                diagnostics.gamma(problem, init, m1, m2, probe, Ax),
+                diagnostics.lagrangian_terms(problem, probe[0], probe[1], Ax),
+            ))
         if report.h_is_zero and all(
             sched1.metric(k) is m1 and sched2.metric(k) is m2
             for k in range(1, cfg.iters)
@@ -374,28 +386,38 @@ class _Certifier:
         k, x, z, y, Ax = state.k, state.x, state.z, state.y, state.Ax
         self.residuals.append(residual)
         self.dual_steps.append(float(np.linalg.norm(y - prev.y)))
-        objective = problem.f(x) + problem.h(x) + problem.g(Ax)
+        fh = problem.f(x) + problem.h(x)
         row = {
             "k": k,
-            "primal_objective": objective,
+            "primal_objective": fh + problem.g(Ax),
             "residual_primal": residual,
             "kkt": diagnostics.kkt_residual(problem, x, y, Ax),
         }
         if saddle is not None:
             averager = self.averager
             averager.update(x, z, y)
+            # the Lagrangian at the averages, shared by the saddle and probes
+            left = diagnostics.lagrangian_terms(
+                problem, averager.x_bar, averager.z_bar
+            )
             cert = diagnostics.gap_certificate(
-                problem, averager, saddle, self.gamma0, self.saddle_value
+                problem, averager, saddle, self.gamma0, self.saddle_value, left
             )
             self.gap_slacks.append(cert.slack)
             row["gap"], row["gap_bound"] = cert.gap, cert.bound
             row["lagrangian_at_probe"] = diagnostics.lagrangian(
-                problem, x, z, saddle[2], Ax
+                problem, x, z, saddle[2],
+                terms=diagnostics.lagrangian_terms(problem, x, z, Ax, fh),
             )
             if k % 10 == 0 or k == self.cfg.iters:
+                y_bar = averager.y_bar
                 self.probe_slacks += [
-                    diagnostics.gap_certificate(problem, averager, p, g0).slack
-                    for p, g0 in zip(self.probes, self.probe_gammas)
+                    diagnostics.gap_certificate(
+                        problem, averager, (None, None, y_p), g_p,
+                        diagnostics.lagrangian(problem, None, None, y_bar, terms=terms),
+                        left,
+                    ).slack
+                    for y_p, g_p, terms in self.probes
                 ]
         if self.u is not None:
             u_k, v_k = diagnostics.uv_step(

@@ -1,5 +1,6 @@
 """Test helpers: independent scalar-minimization oracles used to freeze
-expected values, and a factorization counter.
+expected values, a factorization counter, and reference folds of the gap
+certificates.
 
 Value-only minimization cannot localize a smooth minimum better than about
 sqrt(machine epsilon) ~ 1.5e-8, so comparisons against these oracles use
@@ -10,6 +11,8 @@ import math
 
 import numpy as np
 import scipy.linalg
+
+from vmadmm import diagnostics
 
 
 def golden_minimize(fn, lo, hi, tol=1e-11):
@@ -66,3 +69,75 @@ def count_cho_factor(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "cho_factor", counting_cho_factor)
     return shapes
+
+
+class KahanAverager:
+    """Running means of (x, z, y) with one Kahan sum per vector: the
+    reference :class:`diagnostics.ErgodicAverager` must equal bit for bit."""
+
+    def __init__(self, n, m):
+        self.k = 0
+        self._sums = [np.zeros(n), np.zeros(m), np.zeros(m)]
+        self._comp = [np.zeros(n), np.zeros(m), np.zeros(m)]
+
+    def update(self, x, z, y):
+        for slot, vec in zip((0, 1, 2), (x, z, y)):
+            term = np.asarray(vec, dtype=float) - self._comp[slot]
+            total = self._sums[slot] + term
+            self._comp[slot] = (total - self._sums[slot]) - term
+            self._sums[slot] = total
+        self.k += 1
+
+    @property
+    def x_bar(self):
+        return self._sums[0] / self.k
+
+    @property
+    def z_bar(self):
+        return self._sums[1] / self.k
+
+    @property
+    def y_bar(self):
+        return self._sums[2] / self.k
+
+
+def fold_gap_certificates(problem, trace, init, m1, m2, saddle, seed):
+    """The gap columns of a certified solve, folded over a stored trace.
+
+    Each value comes from a plain :func:`diagnostics.lagrangian` or
+    :func:`diagnostics.gap_certificate` call on a :class:`KahanAverager`,
+    with nothing shared between calls: the saddle every iteration, ten
+    probes (seeded by ``seed``) every 10th and at the last. Returns the
+    rows (``primal_objective``, ``lagrangian_at_probe``, ``gap`` and
+    ``gap_bound`` per k) and every gap slack, in order.
+    """
+    saddle_value = diagnostics.lagrangian(
+        problem, saddle[0], saddle[1], np.zeros(problem.m)
+    )
+    gamma0 = diagnostics.gamma(problem, init, m1, m2, saddle)
+    probes = diagnostics.sample_ball_probes(saddle, 1.0, 10, seed=seed)
+    probe_gammas = [diagnostics.gamma(problem, init, m1, m2, p) for p in probes]
+    averager = KahanAverager(problem.n, problem.m)
+    rows, slacks = [], []
+    for k in range(1, trace.iterations + 1):
+        x, z, y = trace.xs[k], trace.zs[k], trace.ys[k]
+        Ax = problem.A.apply(x)
+        averager.update(x, z, y)
+        cert = diagnostics.gap_certificate(
+            problem, averager, saddle, gamma0, saddle_value
+        )
+        slacks.append(cert.slack)
+        rows.append({
+            "primal_objective": problem.f(x) + problem.h(x) + problem.g(Ax),
+            "lagrangian_at_probe": diagnostics.lagrangian(
+                problem, x, z, saddle[2], Ax
+            ),
+            "gap": cert.gap,
+            "gap_bound": cert.bound,
+        })
+        if k % 10 == 0 or k == trace.iterations:
+            slacks += [
+                diagnostics.gap_certificate(problem, averager, p, g0).slack
+                for p, g0 in zip(probes, probe_gammas)
+            ]
+    return rows, slacks

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import z_steps_sq
 from vmadmm import diagnostics as dg
-from vmadmm.errors import UnsupportedSetting
+from vmadmm.errors import DimensionMismatch, UnsupportedSetting
 from vmadmm.experiments import CHECK_TOLERANCES
 from vmadmm.functions import L1Norm, SquaredL2, Zero
 from vmadmm.linops import LinearMap, MetricOperator
@@ -137,6 +137,16 @@ def test_ergodic_averager_matches_fsum():
     for i in range(3):
         exact = math.fsum(float(v[i]) for v in xs) / k
         assert abs(avg.x_bar[i] - exact) <= 1e-13 * k
+
+
+def test_ergodic_averager_rejects_misshapen_iterates():
+    # one buffer holds (x, z, y) end to end: a wrong split must not move
+    # entries from one mean into another, nor a length-1 vector broadcast
+    avg = dg.ErgodicAverager(2, 1)
+    for x, z in ((np.ones(3), np.ones(0)), (np.ones(1), np.ones(1))):
+        with pytest.raises(DimensionMismatch):
+            avg.update(x, z, np.ones(1))
+    assert avg.k == 0
 
 
 def test_gap_bound_halves_when_k_doubles():

@@ -1,12 +1,13 @@
 import csv
 import json
+import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import z_steps_sq
+from helpers import fold_gap_certificates, z_steps_sq
 from vmadmm import diagnostics, experiments, solver
 from vmadmm.cli import main
 from vmadmm.errors import ConfigError
@@ -263,6 +264,57 @@ def test_streamed_and_stored_folds_agree(tmp_path, overrides):
             assert row["v_slack"] == "" and k >= cfg.iters - 1
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"problem": {"name": "tv1d", "n": 20},
+         "metric1": {"kind": "shifted_gram", "tau": 0.19}, "iters": 57},
+        {"problem": {"name": "lasso-split", "n": 8, "rows": 12,
+                     "quadratic_in": "g"}, "iters": 43},
+        # probes outside the box: infinite probe Lagrangians
+        {"problem": {"name": "box-qp", "n": 10},
+         "metric1": {"kind": "constant",
+                     "metric": {"kind": "scaled_identity", "mu": 5.0}},
+         "iters": 37},
+    ],
+    ids=["tv1d", "lasso-g", "box-qp"],
+)
+def test_streamed_gap_certificates_equal_the_unshared_fold(tmp_path, overrides):
+    # the certifier shares the Lagrangian terms of the averages and of the
+    # fixed probes between calls; every logged value must keep its bits.
+    # iters is no multiple of 10, so the last probe round is the final k
+    cfg = toy_config(
+        metric2={"kind": "constant", "metric": {"kind": "zero"}},
+        checks=["gap_bound"], **overrides,
+    )
+    result = run_experiment(cfg, out_dir=str(tmp_path))
+    with open(result.csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(result.summary_path) as fh:
+        summary = json.load(fh)
+
+    problem, _ = experiments.problem_from_config(cfg)
+    sched1 = experiments.schedule_from_spec(cfg.metric1, problem.n, problem)
+    sched2 = experiments.schedule_from_spec(cfg.metric2, problem.m, problem)
+    init = solver.initial_state(problem)
+    _, trace = solver.run(
+        problem, init, sched1, sched2, solver.StoppingRule(max_iters=cfg.iters),
+        force=True,
+    )
+    orc = experiments.oracle(problem, budget=cfg.oracle_budget)
+    expected, slacks = fold_gap_certificates(
+        problem, trace, init, sched1.metric(0), sched2.metric(0),
+        (orc.x, orc.z, orc.y), cfg.seed,
+    )
+
+    assert len(rows) == len(expected) == cfg.iters
+    for row, want in zip(rows, expected):
+        for column, value in want.items():
+            assert float(row[column]) == value, (row["k"], column)
+    assert summary["min_gap_slack"] == min(slacks)
+    assert (math.inf in slacks) == (cfg.problem["name"] == "box-qp")
+
+
 def test_validation_reads_tau_beyond_the_horizon(tmp_path):
     # the step drops at k=60, after the 20 iterations this config runs
     cfg = toy_config(
@@ -388,6 +440,50 @@ def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope}")
     assert main(["solve", "--config", str(bad)]) == 2
+
+
+def test_cli_solve_missing_config_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["solve", "--config", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and missing in err
+
+
+def check_inputs(tmp_path, log_text):
+    """``--log`` and ``--against`` paths of a written log and oracle file."""
+    log, against = tmp_path / "log.csv", tmp_path / "oracle.json"
+    log.write_text(log_text)
+    against.write_text(json.dumps({"c": 1.0, "kkt": 1e-12}))
+    return {"--log": str(log), "--against": str(against)}
+
+
+@pytest.mark.parametrize("flag", ["--log", "--against"])
+def test_cli_check_missing_file_exits_2(tmp_path, capsys, flag):
+    paths = check_inputs(tmp_path, "k,kkt\n1,1e-9\n")
+    paths[flag] = missing = str(tmp_path / "missing")
+    assert main(["check", "--log", paths["--log"],
+                 "--against", paths["--against"]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and missing in err
+
+
+@pytest.mark.parametrize(
+    "log_text, column",
+    [
+        ("k,residual_primal\n1,0.5\n", "kkt"),
+        ("kkt,residual_primal\n1e-9,0.5\n", "k"),
+        # logged dual vectors are checked against the residual column
+        ("k,kkt,y_0\n1,1e-9,0.5\n2,1e-9,0.5\n", "residual_primal"),
+    ],
+    ids=["kkt", "k", "residual_primal"],
+)
+def test_cli_check_missing_column_exits_2(tmp_path, capsys, log_text, column):
+    paths = check_inputs(tmp_path, log_text)
+    assert main(["check", "--log", paths["--log"],
+                 "--against", paths["--against"]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert paths["--log"] in err and repr(column) in err
 
 
 def test_cli_force_flag(tmp_path):

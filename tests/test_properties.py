@@ -15,8 +15,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import count_cho_factor, dual_steps
-from vmadmm.diagnostics import dual_identity_deviation
+from helpers import KahanAverager, count_cho_factor, dual_steps
+from vmadmm.diagnostics import ErgodicAverager, dual_identity_deviation
 from vmadmm.experiments import CHECK_TOLERANCES
 from vmadmm.functions import (
     BoxIndicator,
@@ -326,5 +326,34 @@ def test_box_distance_matches_per_coordinate_reference():
             warnings.simplefilter("error")
             got = box.distance_to_subdifferential(x, s)
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    check()
+
+
+@st.composite
+def iterate_sequences(draw):
+    """``(n, m, iterates)``: K rows of ``(x, z, y)`` end to end, each entry
+    of magnitude 1e-8 to 1e8, so that Kahan compensation is busy."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    K = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (K, n + 2 * m)
+    return n, m, rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+
+def test_single_buffer_averager_matches_per_vector_kahan():
+    # one Kahan buffer over (x, z, y) works entry by entry, so each mean has
+    # the bits of a Kahan sum of that vector alone
+    @given(iterate_sequences())
+    def check(case):
+        n, m, iterates = case
+        averager, reference = ErgodicAverager(n, m), KahanAverager(n, m)
+        for row in iterates:
+            x, z, y = row[:n], row[n : n + m], row[n + m :]
+            averager.update(x, z, y)
+            reference.update(x, z, y)
+            for name in ("x_bar", "z_bar", "y_bar"):
+                got, want = getattr(averager, name), getattr(reference, name)
+                assert got.tobytes() == want.tobytes()
 
     check()

@@ -589,6 +589,54 @@ def test_certified_rows_reuse_the_solvers_product(monkeypatch, tmp_path):
     assert applied and not any(applied)
 
 
+def test_certifier_applies_A_once_per_iteration(monkeypatch, tmp_path):
+    # the saddle and the probes share the Lagrangian terms of the averages,
+    # and a probe's own terms are fixed for the run: while recording, A is
+    # applied once per iteration, to x_bar; while setting up, once per probe,
+    # the saddle included, besides the M1 seminorms of the gammas
+    running = []  # (method name, instance) of the watched calls under way
+    applied = {"__init__": [], "record": [], "seminorm_sq": []}
+    apply = LinearMap.apply
+
+    def watching_apply(self, v):
+        if running:
+            name, obj = running[-1]
+            applied[name].append(
+                name == "record" and np.array_equal(v, obj.averager.x_bar)
+            )
+        return apply(self, v)
+
+    certifiers = []
+    for cls, name in ((experiments._Certifier, "__init__"),
+                      (experiments._Certifier, "record"),
+                      (MetricOperator, "seminorm_sq")):
+        method = getattr(cls, name)
+
+        def watching(self, *args, name=name, method=method):
+            running.append((name, self))
+            try:
+                return method(self, *args)
+            finally:
+                running.pop()
+                if name == "__init__":
+                    certifiers.append(self)
+
+        monkeypatch.setattr(cls, name, watching)
+    monkeypatch.setattr(LinearMap, "apply", watching_apply)
+    cfg = experiments.RunConfig(
+        problem={"name": "tv1d", "n": 20},
+        metric1={"kind": "shifted_gram", "tau": 0.19},
+        metric2={"kind": "constant", "metric": {"kind": "zero"}},
+        c=1.0,
+        iters=43,
+        checks=["gap_bound"],
+    )
+    result = experiments.run_experiment(cfg, out_dir=str(tmp_path))
+    assert result.summary["iterations"] == cfg.iters
+    assert applied["record"] == [True] * cfg.iters
+    assert len(applied["__init__"]) == 1 + len(certifiers[0].probes) == 11
+
+
 def test_step_differences_vanish_on_convergent_runs():
     # the successive-difference norms trend to zero under each condition
     configs = []

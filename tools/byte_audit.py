@@ -164,6 +164,16 @@ def configs():
                       "rho": 0.9},
              iters=400, checks=gap_checks)),
     ]
+    # the last probe round at a final k off a multiple of 10; box-qp's
+    # probes outside the box have infinite Lagrangians
+    out += [
+        ("box-qp-10-37-gap", toy(problem={"name": "box-qp", "n": 10},
+                                 metric1=_metric(5.0), metric2=ZERO, iters=37,
+                                 checks=["gap_bound"])),
+        ("lasso-g-8-23-gap", toy(problem={"name": "lasso-split", "n": 8,
+                                          "rows": 12, "quadratic_in": "g"},
+                                 metric2=ZERO, iters=23, checks=["gap_bound"])),
+    ]
     # the last rows of the u/v columns, with the iterates logged
     out += [(f"toy-{k}-iters-all-checks-vectors",
              toy(iters=k, checks=ALL_CHECKS, log_vectors=True)) for k in (1, 2)]
