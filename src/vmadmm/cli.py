@@ -102,9 +102,26 @@ def _require(path, entries, names, kind):
             raise InputError(f"{path}: no {kind} {name!r}")
 
 
+def _column(path, rows, name, convert=float):
+    """``convert`` of the cell ``name`` in every row; a cell that is not a
+    number is an InputError naming the file, the column and the row."""
+    values = []
+    for i, row in enumerate(rows, 1):
+        try:
+            values.append(convert(row[name]))
+        except (TypeError, ValueError):
+            raise InputError(
+                f"{path}: row {i}, column {name!r}: {row[name]!r} is not a number"
+            ) from None
+    return values
+
+
 def _cmd_check(args):
     with _open_input(args.against) as fh:
-        against = json.load(fh)
+        try:
+            against = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{args.against}: line {exc.lineno}: {exc.msg}") from None
     with _open_input(args.log) as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
@@ -122,14 +139,13 @@ def _cmd_check(args):
 
     failures = []
     last_k = 0
-    for row in rows:
-        k = int(row["k"])
+    for k in _column(args.log, rows, "k", int):
         if k <= last_k:
             failures.append(f"row order: k={k} after k={last_k}")
             break
         last_k = k
 
-    final_kkt = float(rows[-1]["kkt"])
+    final_kkt = _column(args.log, rows, "kkt")[-1]
     if not (final_kkt < CHECK_TOLERANCES["kkt"]):
         failures.append(f"final kkt {final_kkt:.3e} >= {CHECK_TOLERANCES['kkt']:g}")
 
@@ -138,10 +154,10 @@ def _cmd_check(args):
     if y_cols:
         # The k=0 dual iterate is not in the log, so the identity is checked
         # from the second logged row onward.
-        ys = [np.array([float(row[c]) for c in y_cols]) for row in rows]
+        ys = np.column_stack([_column(args.log, rows, c) for c in y_cols])
         worst = diagnostics.dual_identity_deviation(
             [float(np.linalg.norm(b - a)) for a, b in zip(ys, ys[1:])],
-            [float(row["residual_primal"]) for row in rows[1:]],
+            _column(args.log, rows, "residual_primal")[1:],
             float(against["c"]),
         )
         if worst > CHECK_TOLERANCES["dual_identity"]:

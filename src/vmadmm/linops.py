@@ -70,6 +70,8 @@ class LinearMap:
         # lambda_min(A*A) exactly when built
         self._opnorm = None
         self._gram_min = None
+        # A*A in LAPACK upper banded form, when the factory knows it is banded
+        self._gram_bands = None
 
     def _exact_spectrum(self, norm, gram_min):
         """Record ``||A|| = norm`` and ``lambda_min(A*A) = gram_min``, both exact."""
@@ -167,7 +169,10 @@ def forward_difference(n):
 
     ``D*D`` is the path-graph Laplacian, with eigenvalues
     ``4 sin^2(pi k / (2n))`` for k = 0..n-1, so ``||D|| = 2 cos(pi / (2n))``
-    and ``lambda_min(D*D) = 0`` (constants are its null space).
+    and ``lambda_min(D*D) = 0`` (constants are its null space). It is
+    tridiagonal with exact integer bands, recorded in LAPACK upper banded
+    form as ``_gram_bands``: row 0 the super-diagonal (all -1, its first
+    entry unused) and row 1 the diagonal ``[1, 2, ..., 2, 1]``.
     """
     if n < 2:
         raise ValueError("forward difference needs n >= 2")
@@ -184,6 +189,11 @@ def forward_difference(n):
         return w
 
     op = LinearMap(n - 1, n, apply_fn, adjoint_fn, kind="forward_difference")
+    bands = op._gram_bands = np.full((2, n), 2.0)
+    bands[0] = -1.0
+    bands[0, 0] = 0.0  # unused by the upper banded form
+    bands[1, 0] = bands[1, -1] = 1.0
+    bands.setflags(write=False)
     return op._exact_spectrum(2.0 * math.cos(math.pi / (2 * n)), 0.0)
 
 
@@ -241,7 +251,7 @@ class MetricOperator:
         self.coupling = coupling
         self.map = map_
         self._dense_cache = matrix
-        self._x_factor = None  # (problem, Cholesky factor) of solver.x_update
+        self._x_factor = None  # (problem, solve, Cholesky factor) of solver.x_update
 
     # -- factories ---------------------------------------------------------
 

@@ -15,6 +15,7 @@ certificate in :mod:`vmadmm.diagnostics` can be checked to ~1e-10.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,7 +219,10 @@ def x_update(problem, state, m1):
     * QUADRATIC -- f is zero or quadratic: one SPD linear solve. The
       Cholesky factor of ``c A*A + m1 (+ Q)`` is cached on ``m1`` for this
       problem and recomputed when the metric object (or the problem)
-      changes, so a constant schedule factors once per run.
+      changes, so a constant schedule factors once per run. The factor is
+      banded, O(n) to build, store and solve with, when A records its Gram
+      bands (a forward difference), ``m1`` is diagonal (zero, scaled
+      identity or diagonal) and f is zero; otherwise it is dense.
     * PROX-DIRECT -- A is the identity and ``m1`` is a scaled identity:
       a single prox of f under the scalar metric ``c + mu``.
     """
@@ -236,16 +240,29 @@ def x_update(problem, state, m1):
         # problem object itself (held, so a reused id() cannot match).
         cached = m1._x_factor
         if cached is None or cached[0] is not problem:
-            system = c * A.gram_dense()
             d1 = m1.diagonal_entries()
-            if d1 is None:
-                system += m1.to_dense()
+            banded = (A._gram_bands is not None and d1 is not None
+                      and isinstance(f, functions.Zero))
+            if banded and A._gram_min == 0.0 and not d1.any():
+                raise SingularSubproblem("x subproblem: A*A is singular and M1 zero")
+            if banded:
+                system = c * A._gram_bands
+                system[-1] += d1
             else:
-                system[np.diag_indices(problem.n)] += d1
-            if isinstance(f, functions.Quadratic):
-                system += f.Q
+                system = c * A.gram_dense()
+                if d1 is None:
+                    system += m1.to_dense()
+                else:
+                    system[np.diag_indices(problem.n)] += d1
+                if isinstance(f, functions.Quadratic):
+                    system += f.Q
             try:
-                cached = (problem, scipy.linalg.cho_factor(system))
+                if banded:
+                    factor = (scipy.linalg.cholesky_banded(system), False)
+                    cached = (problem, scipy.linalg.cho_solve_banded, factor)
+                else:
+                    cached = (problem, scipy.linalg.cho_solve,
+                              scipy.linalg.cho_factor(system))
             except scipy.linalg.LinAlgError as exc:
                 raise SingularSubproblem(
                     "x subproblem is not strongly convex: " + str(exc)
@@ -254,7 +271,7 @@ def x_update(problem, state, m1):
         rhs = -h.grad(x) + c * A.adjoint(z - y / c) + m1.apply(x)
         if isinstance(f, functions.Quadratic):
             rhs = rhs - f.q
-        return scipy.linalg.cho_solve(cached[1], rhs, check_finite=False)
+        return cached[1](cached[2], rhs, check_finite=False)
 
     if A.is_identity and m1.is_scalar and f.proxable:
         mu = m1.scalar_value
@@ -360,7 +377,8 @@ def run(problem, init, sched1, sched2, stop, force=False, recorder=None):
     ``recorder.record(state, ||A x_k - z_k||)``; the default recorder is a
     :class:`RunTrace` holding copies of ``init`` and of every iterate.
     Returns ``(state, recorder)``. Raises :class:`NonFiniteIterate` as soon
-    as any component stops being finite. Deterministic given its inputs.
+    as the squared norm of an iterate is no longer finite: an entry is NaN
+    or inf, or its square overflows. Deterministic given its inputs.
     """
     if not force:
         report = validate_assumptions(problem, sched1, sched2)
@@ -373,11 +391,12 @@ def run(problem, init, sched1, sched2, stop, force=False, recorder=None):
     state = init
     for _ in range(stop.max_iters):
         state = step(problem, state, sched1, sched2)
-        if not (
-            np.all(np.isfinite(state.x))
-            and np.all(np.isfinite(state.z))
-            and np.all(np.isfinite(state.y))
-        ):
+        # on the safe side: an iterate whose squared norm overflows is
+        # already past exact certification, as is a NaN or inf entry
+        with np.errstate(over="ignore"):
+            size = float(state.x @ state.x) + float(state.z @ state.z)
+            size += float(state.y @ state.y)
+        if not math.isfinite(size):
             raise NonFiniteIterate(state.k)
         recorder.record(state, float(np.linalg.norm(state.Ax - state.z)))
         if stop.kkt_tol is not None and state.k % stop.kkt_interval == 0:

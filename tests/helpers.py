@@ -57,17 +57,19 @@ def dual_steps(trace):
     return [float(np.linalg.norm(b - a)) for a, b in zip(trace.ys, trace.ys[1:])]
 
 
-def count_cho_factor(monkeypatch):
-    """Patch ``scipy.linalg.cho_factor`` to record the shape of every call;
-    returns the (live) list of shapes."""
+def count_factorizations(monkeypatch):
+    """Patch ``scipy.linalg.cho_factor`` and ``scipy.linalg.cholesky_banded``
+    to record the shape of every call; returns the (live) list of shapes."""
     shapes = []
-    cho_factor = scipy.linalg.cho_factor
 
-    def counting_cho_factor(a):
-        shapes.append(a.shape)
-        return cho_factor(a)
+    def counting(factor):
+        def wrapped(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return factor(a, *args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", counting_cho_factor)
+    for name in ("cho_factor", "cholesky_banded"):
+        monkeypatch.setattr(scipy.linalg, name, counting(getattr(scipy.linalg, name)))
     return shapes
 
 

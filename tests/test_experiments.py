@@ -486,6 +486,37 @@ def test_cli_check_missing_column_exits_2(tmp_path, capsys, log_text, column):
     assert paths["--log"] in err and repr(column) in err
 
 
+@pytest.mark.parametrize(
+    "log_text, row, column",
+    [
+        ("k,kkt\n1,1e-9\ntwo,1e-9\n", 2, "k"),
+        ("k,kkt\n1,1e-9\n2,small\n", 2, "kkt"),
+        ("k,kkt,residual_primal,y_0\n1,1e-9,0.5,0.5\n2,1e-9,,0.5\n", 2,
+         "residual_primal"),
+        ("k,kkt,residual_primal,y_0\n1,1e-9,0.5,nope\n2,1e-9,0.5,0.5\n", 1, "y_0"),
+    ],
+    ids=["k", "kkt", "residual_primal", "y_0"],
+)
+def test_cli_check_non_numeric_cell_exits_2(tmp_path, capsys, log_text, row, column):
+    paths = check_inputs(tmp_path, log_text)
+    assert main(["check", "--log", paths["--log"],
+                 "--against", paths["--against"]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert paths["--log"] in err and f"row {row}," in err and repr(column) in err
+
+
+def test_cli_check_malformed_oracle_json_exits_2(tmp_path, capsys):
+    paths = check_inputs(tmp_path, "k,kkt\n1,1e-9\n")
+    with open(paths["--against"], "w") as fh:
+        fh.write('{\n  "c": 1.0,\n  "kkt": 1e-12,,\n}\n')
+    assert main(["check", "--log", paths["--log"],
+                 "--against", paths["--against"]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert paths["--against"] in err and "line 3" in err
+
+
 def test_cli_force_flag(tmp_path):
     cfg = toy_config(
         metric1={"kind": "shifted_gram", "tau": [0.5, 0.25]},

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import count_cho_factor, minimize_1d
+from helpers import count_factorizations, minimize_1d
 from vmadmm.errors import CapabilityError, DimensionMismatch
 from vmadmm.functions import (
     BoxIndicator,
@@ -120,7 +120,7 @@ def test_prox_huber_matches_bruteforce():
 
 def test_prox_quadratic_large_dim_exact_with_cached_factor(monkeypatch):
     # every dimension takes the exact Cholesky path, factored once per t
-    factorizations = count_cho_factor(monkeypatch)
+    factorizations = count_factorizations(monkeypatch)
     n = 500
     rng = np.random.default_rng(9)
     B = rng.standard_normal((n, n)) / math.sqrt(n)

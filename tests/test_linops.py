@@ -86,6 +86,18 @@ def test_adjoint_consistency_forward_difference():
     assert np.allclose(A.adjoint(v), dense.T @ v)
 
 
+@pytest.mark.parametrize("n", [2, 3, 12])
+def test_forward_difference_gram_bands_are_its_gram(n):
+    # upper banded form: row 0 the super-diagonal (first entry unused),
+    # row 1 the diagonal; the other factories record no bands
+    bands = forward_difference(n)._gram_bands
+    assert bands[0, 0] == 0.0
+    gram = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[0, 1:], -1)
+    assert np.array_equal(gram, forward_difference(n).gram_dense())
+    assert LinearMap.identity(n)._gram_bands is None
+    assert LinearMap.from_dense(np.eye(n))._gram_bands is None
+
+
 def test_matrix_free_rejects_bad_adjoint():
     with pytest.raises(AdjointConsistencyError):
         LinearMap.matrix_free(

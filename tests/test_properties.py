@@ -11,12 +11,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import KahanAverager, count_cho_factor, dual_steps
+from helpers import KahanAverager, count_factorizations, dual_steps
 from vmadmm.diagnostics import ErgodicAverager, dual_identity_deviation
+from vmadmm.errors import SingularSubproblem
 from vmadmm.experiments import CHECK_TOLERANCES
 from vmadmm.functions import (
     BoxIndicator,
@@ -38,10 +40,12 @@ from vmadmm.solver import (
     ConstantSchedule,
     ProblemSpec,
     ShiftedGramSchedule,
+    SolverState,
     StoppingRule,
     initial_state,
     run,
     validate_assumptions,
+    x_update,
 )
 
 KINDS = ["zero", "l1", "squared_l2", "box", "quadratic", "huber"]
@@ -247,7 +251,7 @@ def strategy_run(draw, strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_dual_identity_along_runs(strategy, monkeypatch):
     # ||A x_k - z_k|| = ||y_k - y_{k-1}|| / c, because y+ = y + c (A x+ - z+)
-    factorizations = count_cho_factor(monkeypatch)
+    factorizations = count_factorizations(monkeypatch)
 
     @given(strategy_run(strategy))
     def check(case):
@@ -260,6 +264,52 @@ def test_dual_identity_along_runs(strategy, monkeypatch):
             dual_steps(trace), trace.residual_norms, problem.c
         )
         assert deviation <= CHECK_TOLERANCES["dual_identity"]
+
+    check()
+
+
+@pytest.mark.parametrize("kind", ["zero", "scaled_identity", "diagonal"])
+def test_banded_x_update_matches_dense(kind, monkeypatch):
+    # tv1d QUADRATIC factors c D*D + M1 in banded form; its update equals
+    # the dense solve and satisfies the optimality inclusion, and a zero M1
+    # (singular: D*D annihilates constants) is rejected, never solved
+    factorizations = count_factorizations(monkeypatch)
+
+    @given(st.integers(2, 60), st.floats(0.1, 10.0), st.data())
+    def check(n, c, data):
+        problem, _ = build_problem("tv1d", n=n, c=c)
+        if kind == "zero":
+            m1 = MetricOperator.zero(n)
+        elif kind == "scaled_identity":
+            m1 = MetricOperator.scaled_identity(n, data.draw(POSITIVE))
+        else:
+            entries = st.one_of(st.just(0.0), POSITIVE)
+            m1 = MetricOperator.diagonal(data.draw(arrays(np.float64, n, elements=entries)))
+        state = SolverState(
+            x=data.draw(reals(n)), z=data.draw(reals(n - 1)), y=data.draw(reals(n - 1))
+        )
+        d1 = m1.diagonal_entries()
+        factorizations.clear()
+        if not d1.any():
+            with pytest.raises(SingularSubproblem):
+                x_update(problem, state, m1)
+            assert factorizations == []
+            return
+        x_next = x_update(problem, state, m1)
+        assert factorizations == [(2, n)]
+
+        A = problem.A
+        rhs = -problem.h.grad(state.x) + c * A.adjoint(state.z - state.y / c) + d1 * state.x
+        dense = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(c * A.gram_dense() + np.diag(d1)), rhs
+        )
+        assert np.linalg.norm(x_next - dense) <= 1e-12 * np.linalg.norm(dense)
+        target = (
+            -problem.h.grad(state.x)
+            + c * A.adjoint(state.z - state.y / c - A.apply(x_next))
+            + d1 * (state.x - x_next)
+        )
+        assert problem.f.distance_to_subdifferential(x_next, target) <= 1e-10
 
     check()
 

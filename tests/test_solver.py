@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import count_cho_factor, minimize_1d
+from helpers import count_factorizations, minimize_1d
 from vmadmm import experiments
 from vmadmm.errors import (
     AssumptionError,
@@ -199,6 +200,24 @@ def test_x_update_singular_system():
     assert x_update(definite, state, m1) == pytest.approx(target)
 
 
+@pytest.mark.parametrize("c", [0.1, 0.5, 1.0])
+def test_x_update_tv1d_zero_m1_singular(c):
+    # c D*D is singular for every c, also where rounding leaves the last
+    # Cholesky pivot positive (c = 0.5); nothing is cached, and the same
+    # metric then serves a definite problem
+    P, _ = build_problem("tv1d", n=20, c=c)
+    m1 = MetricOperator.zero(P.n)
+    for _ in range(2):
+        with pytest.raises(SingularSubproblem):
+            x_update(P, initial_state(P), m1)
+    definite = ProblemSpec(
+        f=Zero(P.n), h=Zero(P.n), g=Zero(P.n), A=LinearMap.identity(P.n), c=1.0
+    )
+    target = np.linspace(-1.0, 1.0, P.n)
+    state = SolverState(x=np.zeros(P.n), z=target, y=np.zeros(P.n), k=0)
+    assert x_update(definite, state, m1) == pytest.approx(target)
+
+
 class RebuiltEachStepSchedule(ConstantSchedule):
     """A constant scaled-identity metric, rebuilt as a new object at every k."""
 
@@ -210,7 +229,7 @@ def test_run_quadratic_factors_once_per_metric_object(monkeypatch):
     P, _ = build_problem("tv1d", n=20)
     sched2 = ConstantSchedule(MetricOperator.zero(P.m))
     K = 12
-    factorizations = count_cho_factor(monkeypatch)
+    factorizations = count_factorizations(monkeypatch)
 
     def run_counting(sched1):
         factorizations.clear()
@@ -502,6 +521,20 @@ def test_run_detects_nonfinite_iterates():
     with pytest.raises(NonFiniteIterate) as exc:
         run(P, initial_state(P), s, s, StoppingRule(max_iters=3), force=True)
     assert exc.value.iteration == 1
+
+
+def test_run_stops_once_the_squared_norm_overflows():
+    # M1 decays to zero and the tv1d iterates grow without bound: the run
+    # stops at the first iterate whose squared norm is not finite, before
+    # any entry overflows and without an overflow warning
+    P, _ = build_problem("tv1d", n=20)
+    s1 = GeometricDecaySchedule(MetricOperator.scaled_identity(P.n, 1.0), 0.5)
+    s2 = ConstantSchedule(MetricOperator.zero(P.m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteIterate) as exc:
+            run(P, initial_state(P), s1, s2, StoppingRule(max_iters=3000), force=True)
+    assert exc.value.iteration == 35
 
 
 def test_run_tv1d_reaches_kkt_tolerance(tv1d):
@@ -852,6 +885,24 @@ def test_validate_tv1d_at_scale_never_densifies(monkeypatch):
     assert report.permits_run
     assert report.alpha == 0.0
     assert P.A._dense is None and P.A._gram is None
+
+
+def test_quadratic_tv1d_at_scale_never_densifies(monkeypatch):
+    # QUADRATIC on a forward difference with a diagonal M1 factors the
+    # banded c D*D + M1: a few iterations at n = 10 000 need no dense n x n
+    # matrix (densifying would fail here at once rather than allocate 800 MB)
+    def refuse(A):
+        raise AssertionError(f"densified {A!r}")
+
+    monkeypatch.setattr(LinearMap, "to_dense", refuse)
+    monkeypatch.setattr(LinearMap, "gram_dense", refuse)
+    factorizations = count_factorizations(monkeypatch)
+    P, _ = build_problem("tv1d", n=10_000)
+    s1 = ConstantSchedule(MetricOperator.scaled_identity(P.n, 1.0))
+    s2 = ConstantSchedule(MetricOperator.zero(P.m))
+    state, trace = run(P, initial_state(P), s1, s2, StoppingRule(max_iters=5))
+    assert trace.iterations == 5 and np.all(np.isfinite(state.x))
+    assert factorizations == [(2, P.n)]
 
 
 def test_validate_condition_II_gates_on_m1_when_h_smooth():
