@@ -7,9 +7,9 @@ dual objective, and the others raise :class:`CapabilityError`. Evaluations
 are extended-real: indicator functions return ``math.inf`` outside their
 domain, never NaN, and infinities propagate through sums.
 
-All proximal maps are closed forms (or exact linear solves), so subproblem
-error stays at machine precision. Their arguments are checked once, in
-:class:`ConvexFunction`, for every kind.
+All proximal maps are closed forms (the quadratic's from one cached
+eigendecomposition), so subproblem error stays at machine precision. Their
+arguments are checked once, in :class:`ConvexFunction`, for every kind.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapabilityError, DimensionMismatch, SingularSubproblem
 from .linops import as_vector
@@ -300,7 +299,11 @@ class BoxIndicator(ConvexFunction):
 
 
 class Quadratic(ConvexFunction):
-    """``(1/2) <x, Q x> + <q, x>`` with PSD ``Q`` (enforced at construction)."""
+    """``(1/2) <x, Q x> + <q, x>`` with PSD ``Q`` (enforced at construction).
+
+    The first :meth:`prox` call computes ``Q = V diag(lam) V^T`` once and
+    keeps only ``(lam, V)``; every later call, for any step size, reuses it.
+    """
 
     proxable = True
     smooth = True
@@ -325,7 +328,7 @@ class Quadratic(ConvexFunction):
         self.q = as_vector(q, dim, "Quadratic linear term")
         self.q.setflags(write=False)
         self.lipschitz = max(0.0, float(eigs[-1]))
-        self._factor = None  # (t, Cholesky factor of I + t Q)
+        self._eigh = None  # (lam, V) of Q, made by the first prox call
 
     def __call__(self, x):
         x = self._check(x)
@@ -336,19 +339,21 @@ class Quadratic(ConvexFunction):
         return self.Q @ x + self.q
 
     def prox(self, v, t):
+        """``(I + tQ)^{-1} (v - tq) = V diag(1 / (1 + t lam)) V^T (v - tq)``,
+        two matrix-vector products; :class:`SingularSubproblem` when some
+        ``1 + t lam <= 0`` (a tiny negative eigenvalue at a large t)."""
         v, t = self._prox_args(v, t)
-        # A dense Cholesky factor of I + tQ keeps the subproblem exact; the
-        # last t's factor is reused, and only that one is held.
-        if self._factor is None or self._factor[0] != t:
-            try:
-                factor = scipy.linalg.cho_factor(np.eye(self.dim) + t * self.Q)
-            except scipy.linalg.LinAlgError as exc:
-                raise SingularSubproblem(str(exc)) from exc
-            self._factor = (t, factor)
-        # check_finite off: non-finite inputs propagate to the caller's
-        # own guard instead of failing inside scipy
-        return scipy.linalg.cho_solve(self._factor[1], v - t * self.q,
-                                      check_finite=False)
+        if self._eigh is None:
+            self._eigh = np.linalg.eigh(self.Q)
+        lam, V = self._eigh
+        denom = 1.0 + t * lam
+        if not denom[0] > 0:  # lam ascends, so denom[0] is the smallest
+            raise SingularSubproblem(
+                f"I + tQ is not positive definite at t={t!r}: "
+                f"1 + t lambda_min(Q) = {float(denom[0]):.3e}"
+            )
+        # V.T @ w is a transposed GEMV on V itself; no copy of V.T is kept
+        return V @ ((V.T @ (v - t * self.q)) / denom)
 
 
 class Huber(ConvexFunction):

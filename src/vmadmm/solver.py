@@ -222,7 +222,10 @@ def x_update(problem, state, m1):
       changes, so a constant schedule factors once per run. The factor is
       banded, O(n) to build, store and solve with, when A records its Gram
       bands (a forward difference), ``m1`` is diagonal (zero, scaled
-      identity or diagonal) and f is zero; otherwise it is dense.
+      identity or diagonal) and f is zero; otherwise it is dense. Each
+      solve calls LAPACK's ``dpbtrs`` or ``dpotrs`` on the factor directly.
+      With f zero, a zero ``m1`` and a singular ``A*A`` (smallest eigenvalue
+      at most 1e-10) the system is singular and is rejected unfactored.
     * PROX-DIRECT -- A is the identity and ``m1`` is a scaled identity:
       a single prox of f under the scalar metric ``c + mu``.
     """
@@ -241,10 +244,11 @@ def x_update(problem, state, m1):
         cached = m1._x_factor
         if cached is None or cached[0] is not problem:
             d1 = m1.diagonal_entries()
-            banded = (A._gram_bands is not None and d1 is not None
-                      and isinstance(f, functions.Zero))
-            if banded and A._gram_min == 0.0 and not d1.any():
+            zero_f = isinstance(f, functions.Zero)
+            if (zero_f and d1 is not None and not d1.any()
+                    and gram_min_eigenvalue(A) <= 1e-10):
                 raise SingularSubproblem("x subproblem: A*A is singular and M1 zero")
+            banded = A._gram_bands is not None and d1 is not None and zero_f
             if banded:
                 system = c * A._gram_bands
                 system[-1] += d1
@@ -258,11 +262,11 @@ def x_update(problem, state, m1):
                     system += f.Q
             try:
                 if banded:
-                    factor = (scipy.linalg.cholesky_banded(system), False)
-                    cached = (problem, scipy.linalg.cho_solve_banded, factor)
+                    cached = (problem, scipy.linalg.lapack.dpbtrs,
+                              scipy.linalg.cholesky_banded(system))
                 else:
-                    cached = (problem, scipy.linalg.cho_solve,
-                              scipy.linalg.cho_factor(system))
+                    cached = (problem, scipy.linalg.lapack.dpotrs,
+                              scipy.linalg.cho_factor(system)[0])
             except scipy.linalg.LinAlgError as exc:
                 raise SingularSubproblem(
                     "x subproblem is not strongly convex: " + str(exc)
@@ -271,7 +275,11 @@ def x_update(problem, state, m1):
         rhs = -h.grad(x) + c * A.adjoint(z - y / c) + m1.apply(x)
         if isinstance(f, functions.Quadratic):
             rhs = rhs - f.q
-        return cached[1](cached[2], rhs, check_finite=False)
+        # both factors are upper triangular, LAPACK's default
+        x_next, info = cached[1](cached[2], rhs)
+        if info != 0:
+            raise ValueError(f"LAPACK solve: illegal value in argument {-info}")
+        return x_next
 
     if A.is_identity and m1.is_scalar and f.proxable:
         mu = m1.scalar_value

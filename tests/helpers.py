@@ -1,6 +1,6 @@
 """Test helpers: independent scalar-minimization oracles used to freeze
-expected values, a factorization counter, and reference folds of the gap
-certificates.
+expected values, factorization and eigendecomposition counters, and
+reference folds of the gap certificates.
 
 Value-only minimization cannot localize a smooth minimum better than about
 sqrt(machine epsilon) ~ 1.5e-8, so comparisons against these oracles use
@@ -57,20 +57,31 @@ def dual_steps(trace):
     return [float(np.linalg.norm(b - a)) for a, b in zip(trace.ys, trace.ys[1:])]
 
 
-def count_factorizations(monkeypatch):
-    """Patch ``scipy.linalg.cho_factor`` and ``scipy.linalg.cholesky_banded``
-    to record the shape of every call; returns the (live) list of shapes."""
+def count_calls(monkeypatch, module, names):
+    """Patch each ``module.<name>`` to record the shape of its first argument
+    on every call; returns the (live) list of shapes."""
     shapes = []
 
-    def counting(factor):
+    def counting(fn):
         def wrapped(a, *args, **kwargs):
             shapes.append(a.shape)
-            return factor(a, *args, **kwargs)
+            return fn(a, *args, **kwargs)
         return wrapped
 
-    for name in ("cho_factor", "cholesky_banded"):
-        monkeypatch.setattr(scipy.linalg, name, counting(getattr(scipy.linalg, name)))
+    for name in names:
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     return shapes
+
+
+def count_factorizations(monkeypatch):
+    """Record the shape of every ``scipy.linalg.cho_factor`` and
+    ``scipy.linalg.cholesky_banded`` call; returns the (live) list."""
+    return count_calls(monkeypatch, scipy.linalg, ("cho_factor", "cholesky_banded"))
+
+
+def count_eigh(monkeypatch):
+    """Record the shape of every ``np.linalg.eigh`` call; returns the list."""
+    return count_calls(monkeypatch, np.linalg, ("eigh",))
 
 
 class KahanAverager:

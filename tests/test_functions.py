@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import count_factorizations, minimize_1d
-from vmadmm.errors import CapabilityError, DimensionMismatch
+from helpers import count_eigh, count_factorizations, minimize_1d
+from vmadmm.errors import CapabilityError, DimensionMismatch, SingularSubproblem
 from vmadmm.functions import (
     BoxIndicator,
     Huber,
@@ -119,20 +119,34 @@ def test_prox_huber_matches_bruteforce():
 
 
 def test_prox_quadratic_large_dim_exact_with_cached_factor(monkeypatch):
-    # every dimension takes the exact Cholesky path, factored once per t
+    # every dimension takes the exact spectral path: one eigendecomposition
+    # of Q serves every step size, and no Cholesky factor is made
     factorizations = count_factorizations(monkeypatch)
+    decompositions = count_eigh(monkeypatch)
     n = 500
     rng = np.random.default_rng(9)
     B = rng.standard_normal((n, n)) / math.sqrt(n)
     f = Quadratic(B @ B.T, rng.standard_normal(n))
-    t = 0.7
-    for _ in range(2):
+    for t in (0.7, 0.7, 3.0, 0.05, 40.0):
         v = rng.standard_normal(n)
         u = f.prox(v, t)
         residual = np.linalg.norm(f.grad(u) + (u - v) / t)
         scale = np.linalg.norm(f.Q @ u) + np.linalg.norm(f.q) + np.linalg.norm(v) / t
         assert residual <= 1e-10 * scale
-    assert factorizations == [(n, n)]
+    assert decompositions == [(n, n)]
+    assert factorizations == []
+
+
+def test_prox_quadratic_rejects_indefinite_step():
+    # the constructor accepts an eigenvalue of -1e-11 as rounding; the prox
+    # stays exact while 1 + t lam > 0 and raises once it is not
+    f = Quadratic(np.diag([-1e-11, 1.0]), [0.5, -0.5])
+    v = np.array([1.0, 2.0])
+    u = f.prox(v, 1e10)
+    assert np.linalg.norm(f.grad(u) + (u - v) / 1e10) <= 1e-12 * np.linalg.norm(v)
+    for t in (2e11, 1e13):
+        with pytest.raises(SingularSubproblem, match="not positive definite"):
+            f.prox(v, t)
 
 
 def test_prox_quadratic_holds_one_factor_across_step_sizes():

@@ -314,6 +314,28 @@ def test_banded_x_update_matches_dense(kind, monkeypatch):
     check()
 
 
+@given(st.integers(1, 40), st.data())
+def test_quadratic_prox_matches_cholesky(n, data):
+    # the spectral prox of Q = B B^T, of any rank, against the Cholesky
+    # solve of (I + tQ) u = v - tq for t over six decades. Both solves are
+    # backward stable, so they agree to the condition number of I + tQ times
+    # 1e-12; the residual is bounded normwise (Rigal-Gaches backward error)
+    rank = data.draw(st.integers(0, n))
+    B = data.draw(arrays(np.float64, (n, rank), elements=st.floats(-2.0, 2.0)))
+    f = Quadratic(B @ B.T, data.draw(reals(n)))
+    v = data.draw(reals(n))
+    t = 10.0 ** data.draw(st.floats(-3.0, 3.0))
+    u = f.prox(v, t)
+    w = v - t * f.q
+    system = np.eye(n) + t * f.Q
+    reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(system), w)
+    kappa = np.linalg.cond(system)
+    assert np.linalg.norm(u - reference) <= 1e-12 * kappa * np.linalg.norm(reference)
+    residual = np.linalg.norm(u + t * (f.Q @ u) - w)
+    norm = 1.0 + t * f.lipschitz  # ||I + tQ||_2
+    assert residual <= 1e-13 * (norm * np.linalg.norm(u) + np.linalg.norm(w))
+
+
 def box_distance_reference(box, x, s):
     """The per-coordinate case analysis behind
     ``BoxIndicator.distance_to_subdifferential``, one coordinate at a time."""

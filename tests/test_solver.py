@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from helpers import count_factorizations, minimize_1d
+from helpers import count_eigh, count_factorizations, minimize_1d
 from vmadmm import experiments
 from vmadmm.errors import (
     AssumptionError,
@@ -201,21 +202,51 @@ def test_x_update_singular_system():
 
 
 @pytest.mark.parametrize("c", [0.1, 0.5, 1.0])
-def test_x_update_tv1d_zero_m1_singular(c):
+def test_x_update_tv1d_zero_m1_singular(c, monkeypatch):
     # c D*D is singular for every c, also where rounding leaves the last
-    # Cholesky pivot positive (c = 0.5); nothing is cached, and the same
-    # metric then serves a definite problem
+    # Cholesky pivot positive (c = 0.5), whether D records its Gram bands or
+    # is a dense copy: rejected before any factorization, nothing is cached,
+    # and the same metric then serves a definite problem
+    factorizations = count_factorizations(monkeypatch)
     P, _ = build_problem("tv1d", n=20, c=c)
     m1 = MetricOperator.zero(P.n)
-    for _ in range(2):
-        with pytest.raises(SingularSubproblem):
-            x_update(P, initial_state(P), m1)
+    dense = ProblemSpec(f=P.f, h=P.h, g=P.g, A=LinearMap.from_dense(P.A.to_dense()), c=c)
+    for problem in (P, dense):
+        for _ in range(2):
+            with pytest.raises(SingularSubproblem, match="singular"):
+                x_update(problem, initial_state(problem), m1)
+    assert factorizations == []
     definite = ProblemSpec(
         f=Zero(P.n), h=Zero(P.n), g=Zero(P.n), A=LinearMap.identity(P.n), c=1.0
     )
     target = np.linspace(-1.0, 1.0, P.n)
     state = SolverState(x=np.zeros(P.n), z=target, y=np.zeros(P.n), k=0)
     assert x_update(definite, state, m1) == pytest.approx(target)
+
+
+@pytest.mark.parametrize("banded", [True, False])
+def test_x_update_lapack_solve_matches_scipy_bitwise(banded):
+    # the QUADRATIC solve calls dpbtrs / dpotrs on the cached factor; it
+    # must equal scipy's checked cho_solve_banded / cho_solve bit for bit
+    P, _ = build_problem("tv1d", n=30, c=0.7)
+    if banded:
+        m1 = MetricOperator.diagonal(np.linspace(0.5, 2.0, P.n))
+    else:
+        P = ProblemSpec(f=Quadratic(np.diag(np.linspace(0.0, 1.0, P.n)), np.ones(P.n)),
+                        h=P.h, g=P.g, A=P.A, c=P.c)
+        m1 = MetricOperator.scaled_identity(P.n, 1.5)
+    rng = np.random.default_rng(5)
+    state = SolverState(x=rng.standard_normal(P.n), z=rng.standard_normal(P.m),
+                        y=rng.standard_normal(P.m))
+    x_next = x_update(P, state, m1)
+    factor = m1._x_factor[2]
+    rhs = -P.h.grad(state.x) + P.c * P.A.adjoint(state.z - state.y / P.c) + m1.apply(state.x)
+    if banded:
+        expected = scipy.linalg.cho_solve_banded((factor, False), rhs)
+    else:
+        expected = scipy.linalg.cho_solve((factor, False), rhs - P.f.q)
+    assert factor.shape == ((2, P.n) if banded else (P.n, P.n))
+    assert np.array_equal(x_next, expected)
 
 
 class RebuiltEachStepSchedule(ConstantSchedule):
@@ -250,6 +281,20 @@ def test_run_quadratic_factors_once_per_metric_object(monkeypatch):
     assert (n_constant, n_fresh, n_decaying) == (1, K, K)
     for a, b in zip((constant.x, constant.z, constant.y), (fresh.x, fresh.z, fresh.y)):
         assert np.array_equal(a, b)  # bitwise
+
+
+def test_run_geometric_m2_on_quadratic_g_decomposes_once(monkeypatch):
+    # a decaying M2 changes the z-update step every iteration; the prox of
+    # the quadratic g reuses one eigendecomposition of Q for all of them
+    P, _ = build_problem("lasso-split", n=8, rows=12, quadratic_in="g")
+    sched1 = ConstantSchedule(MetricOperator.scaled_identity(P.n, 1.0))
+    sched2 = GeometricDecaySchedule(MetricOperator.scaled_identity(P.m, 1.0), 0.9)
+    factorizations = count_factorizations(monkeypatch)
+    decompositions = count_eigh(monkeypatch)
+    _, trace = run(P, initial_state(P), sched1, sched2, StoppingRule(max_iters=40))
+    assert trace.iterations == 40
+    assert decompositions == [(P.m, P.m)]
+    assert factorizations == []
 
 
 # ---------------------------------------------------------------------------
