@@ -123,13 +123,16 @@ def _cmd_check(args):
         except json.JSONDecodeError as exc:
             raise InputError(f"{args.against}: line {exc.lineno}: {exc.msg}") from None
     with _open_input(args.log) as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
     if not rows:
         print("log is empty; nothing to check")
         return 0
-    y_cols = sorted(
-        (c for c in rows[0] if c.startswith("y_")), key=lambda s: int(s[2:])
-    )
+    y_cols = [c for c in reader.fieldnames if c.startswith("y_")]
+    for name in y_cols:
+        if not name[2:].isdecimal():
+            raise InputError(f"{args.log}: column {name!r} is not y_<index>")
+    y_cols.sort(key=lambda name: int(name[2:]))
     columns, keys = ["k", "kkt"], ["kkt"]
     if y_cols:  # the dual identity also reads these
         columns.append("residual_primal")
@@ -160,7 +163,7 @@ def _cmd_check(args):
             _column(args.log, rows, "residual_primal")[1:],
             float(against["c"]),
         )
-        if worst > CHECK_TOLERANCES["dual_identity"]:
+        if not worst <= CHECK_TOLERANCES["dual_identity"]:
             failures.append(f"residual/dual-step identity violated by {worst:.3e}")
         else:
             print(f"dual identity: max deviation {worst:.3e}")

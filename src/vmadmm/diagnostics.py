@@ -11,11 +11,10 @@ because the compared quantities approach zero at convergence.
 Functions here are pure, over iterates or per-iteration scalars; the
 ``u``/``v`` regime (no smooth term, constant metrics) is enforced rather than
 silently generalized. The y-independent part of a Lagrangian,
-:func:`lagrangian_terms`, can be computed once and evaluated at many ``y``
-through ``lagrangian(..., terms=...)``, and :func:`gap_certificate` takes
-those terms at the averages and the probe's Lagrangian when the caller
-holds them: a certifier pays one ``A x_bar`` per iteration, however many
-probes it checks, and every value keeps the bits of a plain call.
+:func:`lagrangian_terms`, is computed once per point and evaluated at many
+``y`` by :func:`lagrangian_at`: a certifier pays one ``A x_bar`` per
+iteration, however many probes it checks, and every value keeps the bits of
+a plain :func:`lagrangian` call.
 """
 
 from __future__ import annotations
@@ -51,18 +50,17 @@ def lagrangian_terms(problem, x, z, Ax=None, fh=None):
     return value, Ax - z
 
 
-def lagrangian(problem, x, z, y, Ax=None, terms=None):
-    """``f(x) + h(x) + g(z) + <y, Ax - z>`` with extended-real propagation.
-
-    ``Ax`` is ``A x`` when the caller already holds it; computed otherwise.
-    ``terms`` is :func:`lagrangian_terms` at ``(x, z)`` when the caller holds
-    it, to evaluate many ``y`` at one point; ``x``, ``z`` and ``Ax`` are then
-    not read.
-    """
-    value, residual = lagrangian_terms(problem, x, z, Ax) if terms is None else terms
+def lagrangian_at(terms, y):
+    """The Lagrangian at ``y`` from :func:`lagrangian_terms` ``(value, residual)``."""
+    value, residual = terms
     if math.isinf(value):
         return value
     return value + float(y @ residual)
+
+
+def lagrangian(problem, x, z, y):
+    """``f(x) + h(x) + g(z) + <y, Ax - z>`` with extended-real propagation."""
+    return lagrangian_at(lagrangian_terms(problem, x, z), y)
 
 
 def gamma(problem, init, m1, m2, probe, Ax=None):
@@ -141,32 +139,17 @@ class GapCertificate:
     slack: float
 
 
-def gap_certificate(problem, averager, probe, gamma0, probe_value=None,
-                    average_terms=None):
-    """Gap ``l(x_bar, z_bar, y) - l(x, z, y_bar)`` versus ``gamma0 / k``.
+def gap_certificate(left, right, gamma0, k):
+    """Gap ``left - right`` versus ``gamma0 / k`` after ``k`` averaged iterates.
 
-    ``probe_value`` stands for ``l(x, z, y_bar)`` when the caller holds it:
-    for a probe with ``A x == z`` exactly it is ``lagrangian(problem, x, z,
-    0)`` at every k, and for any probe it is ``lagrangian`` at ``y_bar`` with
-    the probe's :func:`lagrangian_terms`, fixed for the run. The probe's
-    ``x`` and ``z`` are then not read. ``average_terms`` is
-    :func:`lagrangian_terms` at ``(x_bar, z_bar)``, the same for every probe
-    at one k. An infinite gap (probe outside a domain) is reported in the
-    certificate, not thrown.
+    ``left`` is ``l(x_bar, z_bar, y)`` and ``right`` is ``l(x, z, y_bar)``
+    at the probe ``(x, z, y)``, whose gamma is ``gamma0``. An infinite gap
+    (probe outside a domain) is reported in the certificate, not thrown.
     """
-    if averager.k < 1:
+    if k < 1:
         raise ValueError("gap certificate needs k >= 1")
-    x, z, y = probe
-    if average_terms is None:
-        average_terms = lagrangian_terms(problem, averager.x_bar, averager.z_bar)
-    left = lagrangian(problem, None, None, np.asarray(y, float), terms=average_terms)
-    right = probe_value
-    if right is None:
-        right = lagrangian(
-            problem, np.asarray(x, float), np.asarray(z, float), averager.y_bar
-        )
     gap = left - right
-    bound = gamma0 / averager.k
+    bound = gamma0 / k
     return GapCertificate(gap=gap, bound=bound, slack=bound - gap)
 
 
@@ -235,16 +218,6 @@ def inequality_v_check(u, v, dz_sq, c):
     ]
 
 
-def uncorrected_v_slack(u, v):
-    """Slack of the stronger, uncorrected inequality ``v_{k+1} <= u_k - u_{k+1}``.
-
-    ``(k, slack)`` pairs for ``k = 1..K-2``, logged as a finding only: a
-    negative value here is not an error of the iteration, merely evidence
-    that the strengthening fails.
-    """
-    return [(k, float((u[k] - u[k + 1]) - v[k + 1])) for k in range(1, len(u) - 2)]
-
-
 def v_monotone_check(v, tol):
     """Whether ``v_k <= v_{k-1} + tol`` for ``k = 2..K``; ``(ok, first violating k)``."""
     for k in range(2, len(v)):
@@ -254,16 +227,14 @@ def v_monotone_check(v, tol):
 
 
 def dual_identity_deviation(dual_steps, residuals, c):
-    """Largest ``| dual_steps[i] / c - residuals[i] |`` over the steps.
+    """Largest ``| dual_steps[i] / c - residuals[i] |``; NaN if any term is NaN.
 
     ``dual_steps`` holds the norms ``||y_k - y_{k-1}||`` and ``residuals``
-    the logged ``||A x_k - z_k||`` of the same steps; the two agree exactly
-    on a genuine run, because the dual update is ``y + c (Ax - z)``.
+    the logged ``||A x_k - z_k||``, one entry per step each; the two agree
+    exactly on a genuine run, because the dual update is ``y + c (Ax - z)``.
     """
-    worst = 0.0
-    for step, resid in zip(dual_steps, residuals):
-        worst = max(worst, abs(step / c - resid))
-    return worst
+    deviations = np.abs(np.divide(dual_steps, c) - np.asarray(residuals, float))
+    return float(np.max(deviations, initial=0.0))
 
 
 def feasibility_rate(residuals, c, u1, S):

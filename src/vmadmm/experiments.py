@@ -331,10 +331,11 @@ class _Certifier:
     """The runner's recorder: certifies each iterate as :func:`run` hands it over.
 
     Between iterations it keeps the previous iterate, the ergodic averager,
-    each probe's ``(y, gamma, Lagrangian terms)`` and per-iteration scalars
-    only. ``saddle`` is None when no requested check needs one. The u/v
-    checks need a zero smooth term and one (M1, M2) pair for the whole run;
-    they fail as "not evaluable" otherwise.
+    each probe's ``(y, gamma, Lagrangian terms)`` with the saddle as probe 0,
+    the smallest gap slack so far and per-iteration scalars only.
+    ``saddle`` is None when no requested check needs one. The u/v checks
+    need a zero smooth term and one (M1, M2) pair for the whole run; they
+    fail as "not evaluable" otherwise.
 
     :meth:`result` returns ``(rows, certificates, checks)``: the ``log.csv``
     rows, the summary's certificate fields, and ``{name: (passed, detail)}``
@@ -347,25 +348,20 @@ class _Certifier:
         self.rows = []
         self.residuals = []  # ||A x_k - z_k||
         self.dual_steps = []  # ||y_k - y_{k-1}||
-        self.gap_slacks, self.probe_slacks = [], []
+        self.min_gap_slack = None
         self.u = self.v = None
         if saddle is None or not cfg.iters:
             return
         self.averager = diagnostics.ErgodicAverager(problem.n, problem.m)
+        self.min_gap_slack = math.inf
         m1, m2 = sched1.metric(0), sched2.metric(0)
-        # the oracle sets z* = A x* exactly, so l(x*, z*, y_bar) does not
-        # depend on y_bar: it is the Lagrangian at y = 0 for every k
-        Ax = problem.A.apply(saddle[0])
-        self.saddle_value = diagnostics.lagrangian(
-            problem, saddle[0], saddle[1], np.zeros(problem.m), Ax
-        )
-        self.gamma0 = diagnostics.gamma(problem, init, m1, m2, saddle, Ax)
-        # the gap bound is per-probe: sample a few extra probes around the
-        # saddle (seeded) and check them every 10th iteration. A probe is
-        # fixed, so its gamma and Lagrangian terms are computed once; only
-        # (y, gamma, terms) is kept
+        # the gap bound is per-probe: probe 0 is the saddle, checked every
+        # iteration, and ten probes sampled around it (seeded) are checked
+        # every 10th and at the last. A probe is fixed, so its gamma and
+        # Lagrangian terms are computed once; only (y, gamma, terms) is kept
         self.probes = []
-        for probe in diagnostics.sample_ball_probes(saddle, 1.0, 10, seed=cfg.seed):
+        sampled = diagnostics.sample_ball_probes(saddle, 1.0, 10, seed=cfg.seed)
+        for probe in [saddle] + sampled:
             Ax = problem.A.apply(probe[0])
             self.probes.append((
                 probe[2],
@@ -396,29 +392,26 @@ class _Certifier:
         if saddle is not None:
             averager = self.averager
             averager.update(x, z, y)
-            # the Lagrangian at the averages, shared by the saddle and probes
-            left = diagnostics.lagrangian_terms(
+            # the Lagrangian terms at the averages, shared by every probe
+            average = diagnostics.lagrangian_terms(
                 problem, averager.x_bar, averager.z_bar
             )
-            cert = diagnostics.gap_certificate(
-                problem, averager, saddle, self.gamma0, self.saddle_value, left
+            y_bar = averager.y_bar
+            count = len(self.probes) if k % 10 == 0 or k == self.cfg.iters else 1
+            for i in range(count):
+                y_p, gamma_p, terms = self.probes[i]
+                cert = diagnostics.gap_certificate(
+                    diagnostics.lagrangian_at(average, y_p),
+                    diagnostics.lagrangian_at(terms, y_bar),
+                    gamma_p,
+                    averager.k,
+                )
+                self.min_gap_slack = min(self.min_gap_slack, cert.slack)
+                if i == 0:
+                    row["gap"], row["gap_bound"] = cert.gap, cert.bound
+            row["lagrangian_at_probe"] = diagnostics.lagrangian_at(
+                diagnostics.lagrangian_terms(problem, x, z, Ax, fh), saddle[2]
             )
-            self.gap_slacks.append(cert.slack)
-            row["gap"], row["gap_bound"] = cert.gap, cert.bound
-            row["lagrangian_at_probe"] = diagnostics.lagrangian(
-                problem, x, z, saddle[2],
-                terms=diagnostics.lagrangian_terms(problem, x, z, Ax, fh),
-            )
-            if k % 10 == 0 or k == self.cfg.iters:
-                y_bar = averager.y_bar
-                self.probe_slacks += [
-                    diagnostics.gap_certificate(
-                        problem, averager, (None, None, y_p), g_p,
-                        diagnostics.lagrangian(problem, None, None, y_bar, terms=terms),
-                        left,
-                    ).slack
-                    for y_p, g_p, terms in self.probes
-                ]
         if self.u is not None:
             u_k, v_k = diagnostics.uv_step(
                 problem, saddle, self.m1, self.m2, prev, state
@@ -453,8 +446,9 @@ class _Certifier:
             v_slacks = diagnostics.inequality_v_check(u, v, self.dz_sq, problem.c)
             for k, slack in v_slacks:
                 rows[k - 1]["v_slack"] = slack
-            # the stronger, uncorrected inequality is logged as a finding only
-            uncorrected = diagnostics.uncorrected_v_slack(u, v)
+            # the stronger, uncorrected inequality (no c ||dz||^2 term) is
+            # logged as a finding only
+            uncorrected = diagnostics.inequality_v_check(u, v, self.dz_sq, 0.0)
             uncorrected_min = min((s for _, s in uncorrected), default=None)
             ok, first = diagnostics.v_monotone_check(v, tol["v_monotone"])
             verdicts["v_monotone"] = (
@@ -465,11 +459,10 @@ class _Certifier:
         final = rows[-1]["kkt"] if rows else math.inf
         verdicts["kkt"] = (final < tol["kkt"], f"final_kkt={final:.3e}")
 
-        min_gap_slack = None
-        # a requested gap_bound always has a saddle: no slacks means K == 0
+        min_gap_slack = self.min_gap_slack
+        # a requested gap_bound always has a saddle: no minimum means K == 0
         verdicts["gap_bound"] = (True, "no iterations")
-        if self.gap_slacks:
-            min_gap_slack = min(min(self.gap_slacks), min(self.probe_slacks))
+        if min_gap_slack is not None:
             verdicts["gap_bound"] = (
                 min_gap_slack >= tol["gap_bound"],
                 f"min_slack={min_gap_slack:.3e}",

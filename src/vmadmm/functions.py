@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import CapabilityError, DimensionMismatch, SingularSubproblem
-from .linops import as_vector
+from .linops import _check_dim, as_vector
 
 
 def _soft_threshold(v, t):
@@ -40,11 +40,7 @@ class ConvexFunction:
         self.dim = dim
 
     def _check(self, x, what="argument"):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.shape[0] != self.dim:
-            got = x.shape[0] if x.ndim == 1 else x.shape
-            raise DimensionMismatch(f"{type(self).__name__} {what}", self.dim, got)
-        return x
+        return _check_dim(f"{type(self).__name__} {what}", x, self.dim)
 
     def _prox_args(self, v, t):
         """Checked ``v`` and ``float(t)``; raises unless ``t > 0`` (NaN is not)."""

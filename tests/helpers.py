@@ -114,19 +114,28 @@ class KahanAverager:
         return self._sums[2] / self.k
 
 
+def gap_at(problem, averager, probe, gamma0):
+    """:func:`diagnostics.gap_certificate` at ``probe`` after ``averager.k``
+    iterates, both Lagrangians from plain :func:`diagnostics.lagrangian` calls."""
+    x, z, y = probe
+    return diagnostics.gap_certificate(
+        diagnostics.lagrangian(problem, averager.x_bar, averager.z_bar, y),
+        diagnostics.lagrangian(problem, x, z, averager.y_bar),
+        gamma0,
+        averager.k,
+    )
+
+
 def fold_gap_certificates(problem, trace, init, m1, m2, saddle, seed):
     """The gap columns of a certified solve, folded over a stored trace.
 
-    Each value comes from a plain :func:`diagnostics.lagrangian` or
-    :func:`diagnostics.gap_certificate` call on a :class:`KahanAverager`,
-    with nothing shared between calls: the saddle every iteration, ten
-    probes (seeded by ``seed``) every 10th and at the last. Returns the
-    rows (``primal_objective``, ``lagrangian_at_probe``, ``gap`` and
-    ``gap_bound`` per k) and every gap slack, in order.
+    Each value comes from plain :func:`diagnostics.lagrangian` calls and
+    :func:`gap_at` on a :class:`KahanAverager`, with nothing shared between
+    calls: the saddle every iteration, ten probes (seeded by ``seed``) every
+    10th and at the last. Returns the rows (``primal_objective``,
+    ``lagrangian_at_probe``, ``gap`` and ``gap_bound`` per k) and every gap
+    slack, in order.
     """
-    saddle_value = diagnostics.lagrangian(
-        problem, saddle[0], saddle[1], np.zeros(problem.m)
-    )
     gamma0 = diagnostics.gamma(problem, init, m1, m2, saddle)
     probes = diagnostics.sample_ball_probes(saddle, 1.0, 10, seed=seed)
     probe_gammas = [diagnostics.gamma(problem, init, m1, m2, p) for p in probes]
@@ -136,21 +145,17 @@ def fold_gap_certificates(problem, trace, init, m1, m2, saddle, seed):
         x, z, y = trace.xs[k], trace.zs[k], trace.ys[k]
         Ax = problem.A.apply(x)
         averager.update(x, z, y)
-        cert = diagnostics.gap_certificate(
-            problem, averager, saddle, gamma0, saddle_value
-        )
+        cert = gap_at(problem, averager, saddle, gamma0)
         slacks.append(cert.slack)
         rows.append({
             "primal_objective": problem.f(x) + problem.h(x) + problem.g(Ax),
-            "lagrangian_at_probe": diagnostics.lagrangian(
-                problem, x, z, saddle[2], Ax
-            ),
+            "lagrangian_at_probe": diagnostics.lagrangian(problem, x, z, saddle[2]),
             "gap": cert.gap,
             "gap_bound": cert.bound,
         })
         if k % 10 == 0 or k == trace.iterations:
             slacks += [
-                diagnostics.gap_certificate(problem, averager, p, g0).slack
+                gap_at(problem, averager, p, g0).slack
                 for p, g0 in zip(probes, probe_gammas)
             ]
     return rows, slacks

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import z_steps_sq
+from helpers import gap_at, z_steps_sq
 from vmadmm import diagnostics as dg
 from vmadmm.errors import DimensionMismatch, UnsupportedSetting
 from vmadmm.experiments import CHECK_TOLERANCES
@@ -155,10 +155,10 @@ def test_gap_bound_halves_when_k_doubles():
     probe = (np.zeros(1), np.zeros(1), np.zeros(1))
     for _ in range(10):
         avg.update(np.ones(1), np.ones(1), np.zeros(1))
-    c10 = dg.gap_certificate(P, avg, probe, gamma0=8.0)
+    c10 = gap_at(P, avg, probe, 8.0)
     for _ in range(10):
         avg.update(np.ones(1), np.ones(1), np.zeros(1))
-    c20 = dg.gap_certificate(P, avg, probe, gamma0=8.0)
+    c20 = gap_at(P, avg, probe, 8.0)
     assert c10.bound == pytest.approx(2.0 * c20.bound)
     assert c10.bound == pytest.approx(8.0 / 10) and c20.bound == pytest.approx(8.0 / 20)
 
@@ -175,7 +175,7 @@ def test_gap_certificate_saddle_probe_sign(toy1d_oracle):
     avg = dg.ErgodicAverager(1, 1)
     for k in range(1, trace.iterations + 1):
         avg.update(trace.xs[k], trace.zs[k], trace.ys[k])
-        cert = dg.gap_certificate(P, avg, probe, gamma0)
+        cert = gap_at(P, avg, probe, gamma0)
         assert math.isfinite(cert.gap)
         assert cert.gap >= -1e-8
         assert cert.slack >= -1e-8
@@ -194,7 +194,7 @@ def test_gap_bound_holds_at_random_probes(toy1d_oracle):
         avg = dg.ErgodicAverager(1, 1)
         for k in range(1, trace.iterations + 1):
             avg.update(trace.xs[k], trace.zs[k], trace.ys[k])
-            cert = dg.gap_certificate(P, avg, probe, gamma0)
+            cert = gap_at(P, avg, probe, gamma0)
             assert cert.slack >= -1e-8
 
 
@@ -205,7 +205,7 @@ def test_gap_certificate_reports_infinite_probe():
     avg = dg.ErgodicAverager(1, 1)
     avg.update(np.array([0.5]), np.array([0.5]), np.zeros(1))
     probe = (np.array([9.0]), np.array([9.0]), np.zeros(1))  # outside the box
-    cert = dg.gap_certificate(P, avg, probe, gamma0=1.0)
+    cert = gap_at(P, avg, probe, 1.0)
     assert not math.isfinite(cert.gap)  # reported, not thrown
 
 
@@ -323,7 +323,7 @@ def test_uncorrected_inequality_logged_not_asserted(toy_run, toy1d_oracle):
     P, trace, m1, m2 = toy_run
     orc = toy1d_oracle
     u, v = dg.uv_energies(P, trace, (orc.x, orc.z, orc.y), m1, m2)
-    slacks = dg.uncorrected_v_slack(u, v)
+    slacks = dg.inequality_v_check(u, v, z_steps_sq(trace), 0.0)
     assert len(slacks) == trace.iterations - 2  # values exist as findings, no assertion
 
 

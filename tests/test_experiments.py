@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -6,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import fold_gap_certificates, z_steps_sq
 from vmadmm import diagnostics, experiments, solver
@@ -264,25 +267,40 @@ def test_streamed_and_stored_folds_agree(tmp_path, overrides):
             assert row["v_slack"] == "" and k >= cfg.iters - 1
 
 
+_TV1D_LINEARIZED = {"problem": {"name": "tv1d", "n": 20},
+                    "metric1": {"kind": "shifted_gram", "tau": 0.19}, "iters": 57}
+
+
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, z_shift",
     [
-        {"problem": {"name": "tv1d", "n": 20},
-         "metric1": {"kind": "shifted_gram", "tau": 0.19}, "iters": 57},
-        {"problem": {"name": "lasso-split", "n": 8, "rows": 12,
-                     "quadratic_in": "g"}, "iters": 43},
+        (_TV1D_LINEARIZED, 0.0),
+        ({"problem": {"name": "lasso-split", "n": 8, "rows": 12,
+                      "quadratic_in": "g"}, "iters": 43}, 0.0),
         # probes outside the box: infinite probe Lagrangians
-        {"problem": {"name": "box-qp", "n": 10},
-         "metric1": {"kind": "constant",
-                     "metric": {"kind": "scaled_identity", "mu": 5.0}},
-         "iters": 37},
+        ({"problem": {"name": "box-qp", "n": 10},
+          "metric1": {"kind": "constant",
+                      "metric": {"kind": "scaled_identity", "mu": 5.0}},
+          "iters": 37}, 0.0),
+        # a saddle with z* != A x*: l(x*, z*, y_bar) moves with y_bar
+        (_TV1D_LINEARIZED, 1e-3),
     ],
-    ids=["tv1d", "lasso-g", "box-qp"],
+    ids=["tv1d", "lasso-g", "box-qp", "tv1d-z-off-Ax"],
 )
-def test_streamed_gap_certificates_equal_the_unshared_fold(tmp_path, overrides):
+def test_streamed_gap_certificates_equal_the_unshared_fold(
+    tmp_path, monkeypatch, overrides, z_shift
+):
     # the certifier shares the Lagrangian terms of the averages and of the
     # fixed probes between calls; every logged value must keep its bits.
     # iters is no multiple of 10, so the last probe round is the final k
+    if z_shift:
+        exact = experiments.oracle
+
+        def shifted(problem, budget):
+            orc = exact(problem, budget=budget)
+            return dataclasses.replace(orc, z=orc.z + z_shift)
+
+        monkeypatch.setattr(experiments, "oracle", shifted)
     cfg = toy_config(
         metric2={"kind": "constant", "metric": {"kind": "zero"}},
         checks=["gap_bound"], **overrides,
@@ -474,8 +492,10 @@ def test_cli_check_missing_file_exits_2(tmp_path, capsys, flag):
         ("kkt,residual_primal\n1e-9,0.5\n", "k"),
         # logged dual vectors are checked against the residual column
         ("k,kkt,y_0\n1,1e-9,0.5\n2,1e-9,0.5\n", "residual_primal"),
+        # a y_ column that names no dual index
+        ("k,kkt,residual_primal,y_0,y_extra\n1,1e-9,0.5,0.5,0.5\n", "y_extra"),
     ],
-    ids=["kkt", "k", "residual_primal"],
+    ids=["kkt", "k", "residual_primal", "y_extra"],
 )
 def test_cli_check_missing_column_exits_2(tmp_path, capsys, log_text, column):
     paths = check_inputs(tmp_path, log_text)
@@ -578,6 +598,88 @@ def test_cli_check_detects_dual_identity_violation(tmp_path, capsys):
         writer.writerows(rows)
     assert main(["check", "--log", log, "--against", against]) == 1
     assert "identity violated" in capsys.readouterr().out
+
+
+def test_cli_check_fails_nan_residuals(tmp_path, capsys):
+    # a NaN deviation from the dual identity is a failure, not a pass
+    cfg = toy_config(iters=20, checks=[], log_vectors=True, out_dir=str(tmp_path / "o"))
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["solve", "--config", cfg_path]) == 0
+    assert main(["oracle", "--config", cfg_path, "--budget", "100000"]) == 0
+    log = os.path.join(cfg.out_dir, "log.csv")
+    against = os.path.join(cfg.out_dir, "oracle.json")
+    with open(log, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows[1:]:
+        row["residual_primal"] = "nan"
+    with open(log, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    capsys.readouterr()
+    assert main(["check", "--log", log, "--against", against]) == 1
+    assert "identity violated by nan" in capsys.readouterr().out
+
+
+# one valid log of three rows (c = 1) and the cells the check judges in
+# each column: every k and y_ cell, the last kkt, and the residuals from
+# row 2 on (row 1 has no logged dual step)
+_VALID_LOG = {
+    "k": ["1", "2", "3"],
+    "kkt": ["1.0", "1e-3", "1e-9"],
+    "residual_primal": ["0.25", "0.5", "0.5"],
+    "y_0": ["0.0", "0.5", "1.0"],
+}
+_JUDGED = {"kkt": slice(2, 3), "residual_primal": slice(1, 3)}
+_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "", "abc"]),
+)
+
+
+def _finite(cell):
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+# a drawn y_ cell near the float limit overflows the dual-step norm to inf,
+# which fails the check as it should
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_check_on_malformed_logs(tmp_path, capsys):
+    # up to three cells of the valid log are replaced, and up to two
+    # y_<text> columns (valid cells "0.0") are added
+    paths = check_inputs(tmp_path, "")
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(list(_VALID_LOG)), st.integers(0, 2), _CELL),
+                 max_size=3),
+        st.lists(st.text("0123456789ab_", max_size=3), max_size=2),
+    )
+    def check(edits, extra):
+        table = {col: list(cells) for col, cells in _VALID_LOG.items()}
+        for text in extra:
+            table.setdefault(f"y_{text}", ["0.0"] * 3)
+        for col, row, cell in edits:
+            table[col][row] = cell
+        with open(paths["--log"], "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(list(table))
+            writer.writerows(zip(*table.values()))
+        capsys.readouterr()
+        code = main(["check", "--log", paths["--log"], "--against", paths["--against"]])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert capsys.readouterr().err.count("\n") == 1
+        if code == 0:
+            assert all(
+                _finite(cell)
+                for col, cells in table.items()
+                for cell in cells[_JUDGED.get(col, slice(None))]
+            )
+
+    check()
 
 
 def _refuse(*args, **kwargs):

@@ -712,7 +712,7 @@ def test_certifier_applies_A_once_per_iteration(monkeypatch, tmp_path):
     result = experiments.run_experiment(cfg, out_dir=str(tmp_path))
     assert result.summary["iterations"] == cfg.iters
     assert applied["record"] == [True] * cfg.iters
-    assert len(applied["__init__"]) == 1 + len(certifiers[0].probes) == 11
+    assert len(applied["__init__"]) == len(certifiers[0].probes) == 11
 
 
 def test_step_differences_vanish_on_convergent_runs():

@@ -1,4 +1,5 @@
-"""Byte audit: ``vmadmm solve --force`` on two source trees, outputs compared.
+"""Byte audit: ``vmadmm solve --force`` and ``vmadmm check`` on two source
+trees, outputs compared.
 
     python3 tools/byte_audit.py OLD_SRC NEW_SRC
 
@@ -7,10 +8,13 @@ solves every config in :func:`configs` in one subprocess, with that tree first
 on ``PYTHONPATH`` and BLAS pinned to one thread, writing to the same temporary
 paths so that echoed output paths agree. Per config the audit compares
 ``log.csv``, ``summary.json``, the exit code and the lines echoed to stdout
-and stderr, prints one line, and exits 1 on any difference, 0 when every
-config is identical. In stdout and stderr each tree's own ``src/`` path,
-which numpy's warning headers print, reads as ``<src>``, so two checkouts of
-the same code agree; a warning whose line number moved still differs.
+and stderr; for a config that wrote a log, it also runs ``vmadmm check`` on
+that log against ``{"kkt": 0.0, "c": <the config's c>}`` and compares its
+exit code, stdout and stderr. It prints one line per config and exits 1 on
+any difference, 0 when every config is identical. In stdout and stderr each
+tree's own ``src/`` path, which numpy's warning headers print, reads as
+``<src>``, so two checkouts of the same code agree; a warning whose line
+number moved still differs.
 """
 
 from __future__ import annotations
@@ -187,36 +191,48 @@ def configs():
     return out
 
 
-def solve_all(work):
-    """Child mode: solve ``work/configs.json`` and write ``work/results.json``."""
+def _cli(argv):
+    """``vmadmm.cli.main(argv)`` as ``(exit code, stdout, stderr)``."""
     from vmadmm.cli import main
 
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # an uncaught error is an outcome too
+            code = f"uncaught {type(exc).__name__}: {exc}"
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def solve_all(work):
+    """Child mode: solve ``work/configs.json``, check each log written, and
+    write ``work/results.json``."""
     with open(os.path.join(work, "configs.json")) as fh:
         named = json.load(fh)
     cfg_path = os.path.join(work, "cfg.json")
+    against = os.path.join(work, "against.json")
     out_dir = os.path.join(work, "out")
     results = {}
     for name, cfg in named:
         shutil.rmtree(out_dir, ignore_errors=True)
         with open(cfg_path, "w") as fh:
             json.dump(cfg, fh)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = main(["solve", "--config", cfg_path, "--force",
-                             "--out", out_dir])
-            except SystemExit as exc:
-                code = exc.code
-            except Exception as exc:  # an uncaught error is an outcome too
-                code = f"uncaught {type(exc).__name__}: {exc}"
-        files = {}
+        result = dict(zip(("exit", "stdout", "stderr"), _cli(
+            ["solve", "--config", cfg_path, "--force", "--out", out_dir])))
         for fname in ("log.csv", "summary.json"):
             path = os.path.join(out_dir, fname)
             if os.path.exists(path):
                 with open(path, "rb") as fh:
-                    files[fname] = fh.read().decode("ascii")
-        results[name] = {"exit": code, "stdout": stdout.getvalue(),
-                         "stderr": stderr.getvalue(), **files}
+                    result[fname] = fh.read().decode("ascii")
+        if "log.csv" in result:
+            with open(against, "w") as fh:
+                json.dump({"kkt": 0.0, "c": cfg["c"]}, fh)
+            result.update(zip(("check exit", "check stdout", "check stderr"), _cli(
+                ["check", "--log", os.path.join(out_dir, "log.csv"),
+                 "--against", against])))
+        results[name] = result
     with open(os.path.join(work, "results.json"), "w") as fh:
         json.dump(results, fh)
 
@@ -232,8 +248,9 @@ def run_tree(src, work):
     with open(os.path.join(work, "results.json")) as fh:
         results = json.load(fh)
     for result in results.values():
-        for key in ("stdout", "stderr"):
-            result[key] = result[key].replace(src, "<src>")
+        for key in ("stdout", "stderr", "check stdout", "check stderr"):
+            if key in result:
+                result[key] = result[key].replace(src, "<src>")
     return results
 
 
@@ -253,7 +270,8 @@ def main(argv):
     differ = 0
     for name, _ in named:
         diffs = [key for key in ("exit", "stdout", "stderr", "log.csv",
-                                 "summary.json")
+                                 "summary.json", "check exit", "check stdout",
+                                 "check stderr")
                  if old[name].get(key) != new[name].get(key)]
         differ += bool(diffs)
         status = "DIFFERENT " + ", ".join(diffs) if diffs else "identical"
