@@ -102,6 +102,17 @@ def _require(path, entries, names, kind):
             raise InputError(f"{path}: no {kind} {name!r}")
 
 
+def _number(path, entries, key):
+    """``float(entries[key])``; a value that is not a number is an InputError
+    naming the file and the key."""
+    try:
+        return float(entries[key])
+    except (TypeError, ValueError):
+        raise InputError(
+            f"{path}: key {key!r}: {entries[key]!r} is not a number"
+        ) from None
+
+
 def _column(path, rows, name, convert=float):
     """``convert`` of the cell ``name`` in every row; a cell that is not a
     number is an InputError naming the file, the column and the row."""
@@ -122,6 +133,8 @@ def _cmd_check(args):
             against = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{args.against}: line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(against, dict):
+        raise InputError(f"{args.against}: top level must be an object")
     with _open_input(args.log) as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
@@ -139,6 +152,13 @@ def _cmd_check(args):
         keys.append("c")
     _require(args.log, rows[0], columns, "column")
     _require(args.against, against, keys, "key")
+    oracle_kkt = _number(args.against, against, "kkt")
+    if y_cols:
+        c = _number(args.against, against, "c")
+        if not 0 < c <= sys.float_info.max:
+            raise InputError(
+                f"{args.against}: key 'c': {c!r} is not a finite number > 0"
+            )
 
     failures = []
     last_k = 0
@@ -161,14 +181,13 @@ def _cmd_check(args):
         worst = diagnostics.dual_identity_deviation(
             [float(np.linalg.norm(b - a)) for a, b in zip(ys, ys[1:])],
             _column(args.log, rows, "residual_primal")[1:],
-            float(against["c"]),
+            c,
         )
         if not worst <= CHECK_TOLERANCES["dual_identity"]:
             failures.append(f"residual/dual-step identity violated by {worst:.3e}")
         else:
             print(f"dual identity: max deviation {worst:.3e}")
 
-    oracle_kkt = float(against["kkt"])
     print(f"oracle kkt: {oracle_kkt:.3e}; final logged kkt: {final_kkt:.3e}")
     for msg in failures:
         print(f"FAIL: {msg}")

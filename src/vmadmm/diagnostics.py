@@ -15,6 +15,13 @@ silently generalized. The y-independent part of a Lagrangian,
 ``y`` by :func:`lagrangian_at`: a certifier pays one ``A x_bar`` per
 iteration, however many probes it checks, and every value keeps the bits of
 a plain :func:`lagrangian` call.
+
+:func:`kkt_residual`, :func:`lagrangian_terms`, :func:`lagrangian_at`,
+:func:`gamma`, :func:`gap_certificate` and :func:`uv_step` also take a
+leading block axis: iterates stacked as the rows of 2-D arrays give one
+result per row, each with the bits of the 1-D call, because every kernel
+underneath reduces a row as the 1-D code does (see :mod:`linops`). A 1-D
+call is a block of one and returns floats.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import numpy as np
 
 from . import functions
 from .errors import DimensionMismatch, UnsupportedSetting
+from .linops import _per_point
 
 
 # ---------------------------------------------------------------------------
@@ -36,26 +44,25 @@ from .errors import DimensionMismatch, UnsupportedSetting
 def lagrangian_terms(problem, x, z, Ax=None, fh=None):
     """The y-independent part of the Lagrangian at ``(x, z)``: ``(value, residual)``.
 
-    ``value`` is ``f(x) + h(x) + g(z)`` and ``residual`` is ``Ax - z``, or
-    None when ``value`` is infinite (then ``A`` is not applied). ``Ax`` is
-    ``A x`` and ``fh`` is ``f(x) + h(x)`` when the caller already holds them.
+    ``value`` is ``f(x) + h(x) + g(z)`` and ``residual`` is ``Ax - z``. ``Ax``
+    is ``A x`` and ``fh`` is ``f(x) + h(x)`` when the caller already holds
+    them. Over a block, both have one entry (row) per point.
     """
     if fh is None:
         fh = problem.f(x) + problem.h(x)
-    value = fh + problem.g(z)
-    if math.isinf(value):
-        return value, None
     if Ax is None:
         Ax = problem.A.apply(x)
-    return value, Ax - z
+    return fh + problem.g(z), Ax - z
 
 
 def lagrangian_at(terms, y):
-    """The Lagrangian at ``y`` from :func:`lagrangian_terms` ``(value, residual)``."""
+    """The Lagrangian at ``y`` from :func:`lagrangian_terms` ``(value, residual)``.
+
+    ``value + <y, residual>``, broadcast over leading axes; an infinite
+    ``value`` (a point outside a domain) stays infinite.
+    """
     value, residual = terms
-    if math.isinf(value):
-        return value
-    return value + float(y @ residual)
+    return _per_point(value + np.vecdot(y, residual))
 
 
 def lagrangian(problem, x, z, y):
@@ -69,17 +76,18 @@ def gamma(problem, init, m1, m2, probe, Ax=None):
     ``(c/2)||Ax - z0||^2 + (1/2)(||x - x0||^2_{M1} + ||z - z0||^2_{M2})
     + (1/2c)||y - y0||^2`` at the probe ``(x, z, y)``, with the k=0 metrics.
     ``Ax`` is ``A x`` when the caller already holds it; computed otherwise.
+    Probes stacked as the rows of blocks give one constant per probe.
     """
-    x, z, y = probe
+    x, z, y = (np.asarray(v, dtype=float) for v in probe)
     if Ax is None:
-        Ax = problem.A.apply(np.asarray(x, dtype=float))
+        Ax = problem.A.apply(x)
     r = Ax - init.z
-    val = 0.5 * problem.c * float(r @ r)
-    val += 0.5 * m1.seminorm_sq(np.asarray(x, dtype=float) - init.x)
-    val += 0.5 * m2.seminorm_sq(np.asarray(z, dtype=float) - init.z)
-    dy = np.asarray(y, dtype=float) - init.y
-    val += float(dy @ dy) / (2.0 * problem.c)
-    return val
+    val = 0.5 * problem.c * np.vecdot(r, r)
+    val += 0.5 * m1.seminorm_sq(x - init.x)
+    val += 0.5 * m2.seminorm_sq(z - init.z)
+    dy = y - init.y
+    val += np.vecdot(dy, dy) / (2.0 * problem.c)
+    return _per_point(val)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +126,11 @@ class ErgodicAverager:
         self.k += 1
 
     @property
+    def means(self):
+        """``(x_bar, z_bar, y_bar)`` end to end, one vector."""
+        return self._sum / self.k
+
+    @property
     def x_bar(self):
         return self._sum[: self._n] / self.k
 
@@ -144,13 +157,18 @@ def gap_certificate(left, right, gamma0, k):
 
     ``left`` is ``l(x_bar, z_bar, y)`` and ``right`` is ``l(x, z, y_bar)``
     at the probe ``(x, z, y)``, whose gamma is ``gamma0``. An infinite gap
-    (probe outside a domain) is reported in the certificate, not thrown.
+    (probe outside a domain) is reported in the certificate, not thrown; two
+    infinite Lagrangians give a NaN gap, as Python floats do, without a
+    warning. Arrays broadcast together give one certificate per entry.
     """
-    if k < 1:
+    if np.any(np.less(k, 1)):
         raise ValueError("gap certificate needs k >= 1")
-    gap = left - right
-    bound = gamma0 / k
-    return GapCertificate(gap=gap, bound=bound, slack=bound - gap)
+    with np.errstate(invalid="ignore"):
+        gap = np.subtract(left, right)
+    bound = np.divide(gamma0, k)
+    return GapCertificate(
+        gap=_per_point(gap), bound=_per_point(bound), slack=_per_point(bound - gap)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +186,8 @@ def _require_uv_regime(problem):
 def uv_step(problem, saddle, m1, m2, prev, cur):
     """``(u_k, v_k)`` of the step from iterate ``prev`` to iterate ``cur``.
 
+    ``prev`` and ``cur`` are ``(x, z, y)`` triples; blocks of iterates give
+    one ``(u, v)`` pair per row.
     ``v_k = ||x_k - x_{k-1}||^2_{M1} + ||z_k - z_{k-1}||^2_{M2 + cI}
     + (1/c) ||y_k - y_{k-1}||^2`` and ``u_k`` adds the saddle distances plus
     the trailing ``||z_k - z_{k-1}||^2_{M2}`` term. Defined only for a zero
@@ -175,32 +195,35 @@ def uv_step(problem, saddle, m1, m2, prev, cur):
     """
     _require_uv_regime(problem)
     x_star, z_star, y_star = (np.asarray(v, dtype=float) for v in saddle)
+    (x0, z0, y0), (x, z, y) = prev, cur
     c = problem.c
-    dxs, dzs, dys = x_star - cur.x, z_star - cur.z, y_star - cur.y
-    dx, dz_prev, dy = cur.x - prev.x, cur.z - prev.z, cur.y - prev.y
+    dxs, dzs, dys = x_star - x, z_star - z, y_star - y
+    dx, dz_prev, dy = x - x0, z - z0, y - y0
     u = (
         m1.seminorm_sq(dxs)
         + m2.seminorm_sq(dzs)
-        + c * float(dzs @ dzs)
-        + float(dys @ dys) / c
+        + c * np.vecdot(dzs, dzs)
+        + np.vecdot(dys, dys) / c
         + m2.seminorm_sq(dz_prev)
     )
     v = (
         m1.seminorm_sq(dx)
         + m2.seminorm_sq(dz_prev)
-        + c * float(dz_prev @ dz_prev)
-        + float(dy @ dy) / c
+        + c * np.vecdot(dz_prev, dz_prev)
+        + np.vecdot(dy, dy) / c
     )
-    return u, v
+    return _per_point(u), _per_point(v)
 
 
 def uv_energies(problem, trace, saddle, m1, m2):
-    """Arrays ``u``, ``v`` of :func:`uv_step` over a stored trace; index 0 is NaN."""
+    """Arrays ``u``, ``v`` of :func:`uv_step` over a stored trace; index 0 is NaN.
+
+    One 1-D call per step: the reference the certifier's blocks are held to.
+    """
     u, v = np.full((2, trace.iterations + 1), np.nan)
+    triples = list(zip(trace.xs, trace.zs, trace.ys))
     for k in range(1, trace.iterations + 1):
-        u[k], v[k] = uv_step(
-            problem, saddle, m1, m2, trace.state_at(k - 1), trace.state_at(k)
-        )
+        u[k], v[k] = uv_step(problem, saddle, m1, m2, triples[k - 1], triples[k])
     return u, v
 
 
@@ -278,6 +301,7 @@ def kkt_residual(problem, x, y, Ax=None):
     subdifferential of f at x, and the distance from ``y`` to the
     subdifferential of g at Ax, both in closed form per catalog kind.
     ``Ax`` is ``A x`` when the caller already holds it; computed otherwise.
+    Blocks of iterates give one residual per row.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -286,7 +310,8 @@ def kkt_residual(problem, x, y, Ax=None):
     target_f = -problem.A.adjoint(y) - problem.h.grad(x)
     dist_f = problem.f.distance_to_subdifferential(x, target_f)
     dist_g = problem.g.distance_to_subdifferential(Ax, y)
-    return max(dist_f, dist_g)
+    # Python's max(dist_f, dist_g), NaN and signed zeros included
+    return _per_point(np.where(dist_g > dist_f, dist_g, dist_f))
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,19 @@ generated from seeded integer arithmetic.
 Every certificate is computed in :mod:`diagnostics` and judged against the
 one tolerance in :data:`CHECK_TOLERANCES`; ``vmadmm check`` calls the same
 functions with the same tolerances. The runner computes the saddle point
-before the solve and certifies each iterate as :func:`solver.run` hands it
-over, keeping the previous iterate and per-iteration scalars only. The u/v
-checks (``v_inequality``, ``v_monotone``, ``feasibility_rate``) need the
-metrics to stay constant for the whole run; they are "not evaluable" otherwise.
+before the solve and certifies the iterates :func:`solver.run` hands over in
+blocks of :data:`BLOCK`: each certified quantity is one call over the block,
+along the leading block axis of :mod:`diagnostics`, with the bits of
+certifying one iterate at a time. Between blocks it keeps the last iterate
+and one float64 table of per-iteration scalars, which ``log.csv`` is
+formatted from. The u/v checks (``v_inequality``, ``v_monotone``,
+``feasibility_rate``) need the metrics to stay constant for the whole run;
+they are "not evaluable" otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -52,6 +57,12 @@ CHECK_TOLERANCES = {
 
 #: Checks whose evaluation needs a certified saddle point.
 ORACLE_CHECKS = {"gap_bound", "v_inequality", "v_monotone", "feasibility_rate"}
+
+#: Iterates the certifier buffers and certifies together, one numpy call per
+#: certified quantity per block. The certifier's working set grows with it:
+#: at n = 200 about 16 keeps the traced peak of a certified solve below that
+#: of certifying one iterate at a time.
+BLOCK = 16
 
 CSV_COLUMNS = [
     "k",
@@ -113,6 +124,8 @@ def parse_config(text, source="<string>"):
             raise ConfigError(f"{source}: {key!r} must be an integer >= 0")
     if type(cfg.c) not in (int, float) or not 0 < cfg.c <= sys.float_info.max:
         raise ConfigError(f"{source}: 'c' must be a finite number > 0")
+    if not isinstance(cfg.out_dir, str) or not cfg.out_dir:
+        raise ConfigError(f"{source}: 'out_dir' must be a non-empty string")
     if not isinstance(cfg.checks, list) or not all(
         isinstance(name, str) and name in CHECK_TOLERANCES for name in cfg.checks
     ):
@@ -179,23 +192,19 @@ def schedule_from_spec(spec, dim, problem):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".17g")
+def write_iterate_log(path, columns, table, filled):
+    """Write an iteration table as deterministic CSV.
 
-
-def write_iterate_log(path, rows, vector_labels=None):
-    """Write IterateLog rows (list of dicts) as deterministic CSV."""
-    columns = list(CSV_COLUMNS)
-    if vector_labels:
-        columns += vector_labels
+    Row ``i`` of ``table`` is iteration ``k = i + 1``, logged under ``k`` and
+    ``columns``. Column ``j`` holds values in its first ``filled[j]`` rows
+    only; its other cells are written empty. Floats take 17 significant digits.
+    """
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(col)) for col in columns) + "\n")
+        fh.write(",".join(["k", *columns]) + "\n")
+        for i, row in enumerate(table):
+            cells = [format(value, ".17g") if i < rows else ""
+                     for value, rows in zip(row.tolist(), filled)]
+            fh.write(f"{i + 1}," + ",".join(cells) + "\n")
 
 
 def write_summary(path, summary):
@@ -231,7 +240,10 @@ def problem_from_config(cfg):
 def output_dir(cfg, override):
     """Create and return ``override``, else ``$VMADMM_OUT``, else ``cfg.out_dir``."""
     directory = override or os.environ.get("VMADMM_OUT") or cfg.out_dir
-    os.makedirs(directory, exist_ok=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {directory!r}: {exc.strerror}") from exc
     return directory
 
 
@@ -286,7 +298,7 @@ def run_experiment(cfg, force=False, out_dir=None):
     certifier = _Certifier(cfg, problem, init, sched1, sched2, saddle, report)
     stop = StoppingRule(max_iters=cfg.iters)
     state, _ = run(problem, init, sched1, sched2, stop, force=True, recorder=certifier)
-    rows, certificates, checks = certifier.result()
+    table, filled, certificates, checks = certifier.result()
 
     summary = {
         "problem": metadata,
@@ -307,11 +319,7 @@ def run_experiment(cfg, force=False, out_dir=None):
     directory = output_dir(cfg, out_dir)
     csv_path = os.path.join(directory, "log.csv")
     summary_path = os.path.join(directory, "summary.json")
-    vector_labels = None
-    if cfg.log_vectors:
-        dims = (("x", problem.n), ("z", problem.m), ("y", problem.m))
-        vector_labels = [f"{name}_{i}" for name, dim in dims for i in range(dim)]
-    write_iterate_log(csv_path, rows, vector_labels)
+    write_iterate_log(csv_path, certifier.columns, table, filled)
     write_summary(summary_path, summary)
 
     failed = [name for name, (passed, _) in checks.items() if not passed]
@@ -328,111 +336,171 @@ def run_experiment(cfg, force=False, out_dir=None):
 
 
 class _Certifier:
-    """The runner's recorder: certifies each iterate as :func:`run` hands it over.
+    """The runner's recorder: certifies the iterates :func:`run` hands over,
+    :data:`BLOCK` at a time.
 
-    Between iterations it keeps the previous iterate, the ergodic averager,
-    each probe's ``(y, gamma, Lagrangian terms)`` with the saddle as probe 0,
-    the smallest gap slack so far and per-iteration scalars only.
-    ``saddle`` is None when no requested check needs one. The u/v checks
-    need a zero smooth term and one (M1, M2) pair for the whole run; they
-    fail as "not evaluable" otherwise.
+    Between blocks it holds the last iterate, the ergodic averager, the
+    probes as stacked arrays (each probe's ``y``, gamma and Lagrangian terms,
+    with the saddle as probe 0), the smallest gap slack so far, and the
+    ``K``-row float64 table of ``log.csv`` columns after ``k`` with the
+    per-iteration scalars the checks read. Within a block it buffers up to
+    :data:`BLOCK` iterates with their ``A x_k`` and ergodic means, then
+    certifies them with one call per quantity; each value keeps the bits of
+    certifying its iterate alone. ``saddle`` is None when no requested check
+    needs one. The u/v checks need a zero smooth term and one (M1, M2) pair
+    for the whole run; they fail as "not evaluable" otherwise.
 
-    :meth:`result` returns ``(rows, certificates, checks)``: the ``log.csv``
-    rows, the summary's certificate fields, and ``{name: (passed, detail)}``
-    for the checks ``cfg.checks`` requests, in its order, each judged against
-    :data:`CHECK_TOLERANCES`.
+    :meth:`result` returns ``(table, filled, certificates, checks)``: the
+    table, whose column ``j`` of :attr:`columns` holds values in its first
+    ``filled[j]`` rows only, the summary's certificate fields, and
+    ``{name: (passed, detail)}`` for the checks ``cfg.checks`` requests, in
+    its order, each judged against :data:`CHECK_TOLERANCES`.
     """
 
     def __init__(self, cfg, problem, init, sched1, sched2, saddle, report):
-        self.cfg, self.problem, self.saddle, self.prev = cfg, problem, saddle, init
-        self.rows = []
-        self.residuals = []  # ||A x_k - z_k||
-        self.dual_steps = []  # ||y_k - y_{k-1}||
+        n, m, K = problem.n, problem.m, cfg.iters
+        self.cfg, self.problem, self.saddle = cfg, problem, saddle
+        self.columns = CSV_COLUMNS[1:]
+        if cfg.log_vectors:
+            dims = (("x", n), ("z", m), ("y", m))
+            self.columns += [f"{name}_{i}" for name, dim in dims for i in range(dim)]
+        self.col = {name: j for j, name in enumerate(self.columns)}
+        self.table = np.empty((K, len(self.columns)))
+        self.dual_steps = np.empty(K)  # ||y_k - y_{k-1}||
+        self.done = 0  # rows certified
+        self.open = 0  # iterates buffered in the open block
+        # row 0 of each buffer is the iterate before the open block
+        self.xs, self.zs, self.ys = (
+            np.empty((BLOCK + 1, dim)) for dim in (n, m, m)
+        )
+        self.xs[0], self.zs[0], self.ys[0] = init.x, init.z, init.y
+        self.axs = np.empty((BLOCK, m))
         self.min_gap_slack = None
         self.u = self.v = None
-        if saddle is None or not cfg.iters:
+        if saddle is None or not K:
             return
-        self.averager = diagnostics.ErgodicAverager(problem.n, problem.m)
+        self.averager = diagnostics.ErgodicAverager(n, m)
+        self.means = np.empty((BLOCK, n + 2 * m))  # (x_bar, z_bar, y_bar) rows
         self.min_gap_slack = math.inf
         m1, m2 = sched1.metric(0), sched2.metric(0)
         # the gap bound is per-probe: probe 0 is the saddle, checked every
         # iteration, and ten probes sampled around it (seeded) are checked
         # every 10th and at the last. A probe is fixed, so its gamma and
         # Lagrangian terms are computed once; only (y, gamma, terms) is kept
-        self.probes = []
-        sampled = diagnostics.sample_ball_probes(saddle, 1.0, 10, seed=cfg.seed)
-        for probe in [saddle] + sampled:
-            Ax = problem.A.apply(probe[0])
-            self.probes.append((
-                probe[2],
-                diagnostics.gamma(problem, init, m1, m2, probe, Ax),
-                diagnostics.lagrangian_terms(problem, probe[0], probe[1], Ax),
-            ))
+        probes = [saddle] + diagnostics.sample_ball_probes(saddle, 1.0, 10,
+                                                           seed=cfg.seed)
+        x, z, y = (np.array([p[i] for p in probes], dtype=float) for i in range(3))
+        Ax = problem.A.apply(x)
+        self.probe_y = y
+        self.probe_gamma = diagnostics.gamma(problem, init, m1, m2, (x, z, y), Ax)
+        self.probe_terms = diagnostics.lagrangian_terms(problem, x, z, Ax)
         if report.h_is_zero and all(
             sched1.metric(k) is m1 and sched2.metric(k) is m2
-            for k in range(1, cfg.iters)
+            for k in range(1, K)
         ):
             self.m1, self.m2 = m1, m2
             # indexed by k like the rows; k = 0 has no step
-            self.u, self.v, self.dz_sq = [math.nan], [math.nan], [math.nan]
-            self.step_energy = 0.0  # sum of dz_sq in iteration order, for S
+            self.u, self.v, self.dz_sq = np.full((3, K + 1), np.nan)
 
     def record(self, state, residual):
-        problem, saddle, prev = self.problem, self.saddle, self.prev
-        k, x, z, y, Ax = state.k, state.x, state.z, state.y, state.Ax
-        self.residuals.append(residual)
-        self.dual_steps.append(float(np.linalg.norm(y - prev.y)))
+        i = self.open
+        x, z, y = state.x, state.z, state.y
+        self.xs[i + 1], self.zs[i + 1], self.ys[i + 1] = x, z, y
+        self.axs[i] = state.Ax
+        self.table[self.done + i, self.col["residual_primal"]] = residual
+        if self.saddle is not None:
+            self.averager.update(x, z, y)
+            self.means[i] = self.averager.means
+        self.open += 1
+        if self.open == BLOCK:
+            self._certify_block()
+
+    def _certify_block(self):
+        b, start = self.open, self.done
+        if not b:
+            return
+        problem, saddle, col = self.problem, self.saddle, self.col
+        rows = self.table[start : start + b]
+        prev = self.xs[:b], self.zs[:b], self.ys[:b]
+        x, z, y = self.xs[1 : b + 1], self.zs[1 : b + 1], self.ys[1 : b + 1]
+        Ax = self.axs[:b]
+        dy = y - prev[2]
+        self.dual_steps[start : start + b] = np.sqrt(np.vecdot(dy, dy))
         fh = problem.f(x) + problem.h(x)
-        row = {
-            "k": k,
-            "primal_objective": fh + problem.g(Ax),
-            "residual_primal": residual,
-            "kkt": diagnostics.kkt_residual(problem, x, y, Ax),
-        }
+        rows[:, col["primal_objective"]] = fh + problem.g(Ax)
+        rows[:, col["kkt"]] = diagnostics.kkt_residual(problem, x, y, Ax)
         if saddle is not None:
-            averager = self.averager
-            averager.update(x, z, y)
-            # the Lagrangian terms at the averages, shared by every probe
-            average = diagnostics.lagrangian_terms(
-                problem, averager.x_bar, averager.z_bar
-            )
-            y_bar = averager.y_bar
-            count = len(self.probes) if k % 10 == 0 or k == self.cfg.iters else 1
-            for i in range(count):
-                y_p, gamma_p, terms = self.probes[i]
-                cert = diagnostics.gap_certificate(
-                    diagnostics.lagrangian_at(average, y_p),
-                    diagnostics.lagrangian_at(terms, y_bar),
-                    gamma_p,
-                    averager.k,
-                )
-                self.min_gap_slack = min(self.min_gap_slack, cert.slack)
-                if i == 0:
-                    row["gap"], row["gap_bound"] = cert.gap, cert.bound
-            row["lagrangian_at_probe"] = diagnostics.lagrangian_at(
+            self._certify_gaps(rows, np.arange(start + 1, start + b + 1))
+            rows[:, col["lagrangian_at_probe"]] = diagnostics.lagrangian_at(
                 diagnostics.lagrangian_terms(problem, x, z, Ax, fh), saddle[2]
             )
         if self.u is not None:
-            u_k, v_k = diagnostics.uv_step(
-                problem, saddle, self.m1, self.m2, prev, state
+            u, v = diagnostics.uv_step(
+                problem, saddle, self.m1, self.m2, prev, (x, z, y)
             )
-            dz = z - prev.z
-            self.dz_sq.append(float(dz @ dz))
-            self.step_energy += self.dz_sq[-1]
-            self.u.append(u_k)
-            self.v.append(v_k)
-            row["u_k"], row["v_k"] = u_k, v_k
+            dz = z - prev[1]
+            ks = slice(start + 1, start + b + 1)
+            self.u[ks], self.v[ks], self.dz_sq[ks] = u, v, np.vecdot(dz, dz)
+            rows[:, col["u_k"]], rows[:, col["v_k"]] = u, v
         if self.cfg.log_vectors:
-            for name, vec in (("x", x), ("z", z), ("y", y)):
-                row.update({f"{name}_{i}": val for i, val in enumerate(vec)})
-        self.rows.append(row)
-        self.prev = state
+            n, m = problem.n, problem.m
+            first = col["x_0"]
+            rows[:, first : first + n] = x
+            rows[:, first + n : first + n + m] = z
+            rows[:, first + n + m :] = y
+        for buf in (self.xs, self.zs, self.ys):
+            buf[0] = buf[b]
+        self.done += b
+        self.open = 0
+
+    def _certify_gaps(self, rows, ks):
+        """The gap columns of ``rows`` (iterations ``ks``) and their slacks."""
+        problem, n, m = self.problem, self.problem.n, self.problem.m
+        means = self.means[: len(ks)]
+        average = diagnostics.lagrangian_terms(problem, means[:, :n],
+                                               means[:, n : n + m])
+        y_bar = means[:, n + m :]
+        probe_y, gammas, (values, residuals) = (
+            self.probe_y, self.probe_gamma, self.probe_terms
+        )
+        cert = diagnostics.gap_certificate(
+            diagnostics.lagrangian_at(average, probe_y[0]),
+            diagnostics.lagrangian_at((values[0], residuals[0]), y_bar),
+            gammas[0],
+            ks,
+        )
+        rows[:, self.col["gap"]], rows[:, self.col["gap_bound"]] = cert.gap, cert.bound
+        slacks = [[slack] for slack in cert.slack.tolist()]
+        rounds = (ks % 10 == 0) | (ks == self.cfg.iters)
+        if rounds.any():
+            value, residual = average
+            sampled = diagnostics.gap_certificate(
+                diagnostics.lagrangian_at(
+                    (value[rounds, None], residual[rounds, None]), probe_y[1:]
+                ),
+                diagnostics.lagrangian_at(
+                    (values[1:], residuals[1:]), y_bar[rounds, None]
+                ),
+                gammas[1:],
+                ks[rounds, None],
+            )
+            for i, more in zip(np.flatnonzero(rounds), sampled.slack.tolist()):
+                slacks[i] += more
+        # in iteration order, then probe order, as min() folds them one by one
+        self.min_gap_slack = min(self.min_gap_slack, *itertools.chain(*slacks))
 
     def result(self):
-        problem, rows, u, v = self.problem, self.rows, self.u, self.v
-        residuals = self.residuals
-        K = len(rows)
+        self._certify_block()
+        problem, u, v, col = self.problem, self.u, self.v, self.col
+        K = self.done
+        table = self.table[:K]
+        residuals = table[:, col["residual_primal"]].tolist()  # ||A x_k - z_k||
         tol = CHECK_TOLERANCES
+        filled = [K] * len(self.columns)
+        for name in ("lagrangian_at_probe", "gap", "gap_bound"):
+            filled[col[name]] = K if self.saddle is not None else 0
+        for name in ("u_k", "v_k", "v_slack"):
+            filled[col[name]] = K if u is not None else 0
         verdicts = {
             "v_inequality": (False, "not evaluable: u/v energies unavailable "
                              "(need zero smooth term, constant metrics, and a "
@@ -444,8 +512,8 @@ class _Certifier:
         uncorrected_min = None
         if u is not None:
             v_slacks = diagnostics.inequality_v_check(u, v, self.dz_sq, problem.c)
-            for k, slack in v_slacks:
-                rows[k - 1]["v_slack"] = slack
+            filled[col["v_slack"]] = len(v_slacks)
+            table[: len(v_slacks), col["v_slack"]] = [s for _, s in v_slacks]
             # the stronger, uncorrected inequality (no c ||dz||^2 term) is
             # logged as a finding only
             uncorrected = diagnostics.inequality_v_check(u, v, self.dz_sq, 0.0)
@@ -456,7 +524,8 @@ class _Certifier:
                 "nonincreasing" if ok else f"first violation at k={first}",
             )
 
-        final = rows[-1]["kkt"] if rows else math.inf
+        final_kkt = float(table[-1, col["kkt"]]) if K else None
+        final = math.inf if final_kkt is None else final_kkt
         verdicts["kkt"] = (final < tol["kkt"], f"final_kkt={final:.3e}")
 
         min_gap_slack = self.min_gap_slack
@@ -482,8 +551,12 @@ class _Certifier:
         slope = diagnostics.loglog_slope(range(start, K + 1), residuals[start - 1 :])
         rate_slope = None if math.isinf(slope) else slope
         if u is not None:
-            S = problem.c * self.step_energy
-            bounds = diagnostics.feasibility_rate(residuals, problem.c, u[1], S)
+            # sum of dz_sq in iteration order
+            step_energy = 0.0
+            for dz_sq in self.dz_sq[1:].tolist():
+                step_energy += dz_sq
+            S = problem.c * step_energy
+            bounds = diagnostics.feasibility_rate(residuals, problem.c, float(u[1]), S)
             worst = max([0.0] + [resid - bound for _, resid, bound in bounds])
             slope_ok = rate_slope is None or rate_slope <= tol["feasibility_rate"]
             verdicts["feasibility_rate"] = (
@@ -491,14 +564,17 @@ class _Certifier:
                 f"max_excess={worst:.3e}, slope={rate_slope}",
             )
 
-        dev = diagnostics.dual_identity_deviation(self.dual_steps, residuals, problem.c)
+        dev = diagnostics.dual_identity_deviation(
+            self.dual_steps[:K], residuals, problem.c
+        )
         verdicts["dual_identity"] = (dev <= tol["dual_identity"], f"max_dev={dev:.3e}")
 
         certificates = {
-            "final_kkt": rows[-1]["kkt"] if rows else None,
+            "final_kkt": final_kkt,
             "min_gap_slack": min_gap_slack,
             "min_v_slack": min_v_slack,
             "rate_slope": rate_slope,
             "findings": {"uncorrected_v_min_slack": uncorrected_min},
         }
-        return rows, certificates, {name: verdicts[name] for name in self.cfg.checks}
+        checks = {name: verdicts[name] for name in self.cfg.checks}
+        return table, filled, certificates, checks

@@ -10,6 +10,11 @@ domain, never NaN, and infinities propagate through sums.
 All proximal maps are closed forms (the quadratic's from one cached
 eigendecomposition), so subproblem error stays at machine precision. Their
 arguments are checked once, in :class:`ConvexFunction`, for every kind.
+
+A value, ``grad`` and ``distance_to_subdifferential`` also take a block, a
+2-D array with one point per row, and return one result per row, each with
+the bits of the 1-D call; a 1-D call returns a float where a value is
+asked for. Proximal maps and conjugates take vectors only.
 """
 
 from __future__ import annotations
@@ -19,11 +24,24 @@ import math
 import numpy as np
 
 from .errors import CapabilityError, DimensionMismatch, SingularSubproblem
-from .linops import _check_dim, as_vector
+from .linops import _check_block, _check_dim, _per_point, as_vector, matvec
 
 
 def _soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def _positive(value, name):
+    """``float(value)``; raises unless it is finite and > 0."""
+    value = float(value)
+    if not 0 < value <= np.finfo(float).max:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    return value
+
+
+def _norm(v):
+    """``||v||`` of a vector or of each row, with the bits of ``np.linalg.norm``."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 class ConvexFunction:
@@ -40,11 +58,15 @@ class ConvexFunction:
         self.dim = dim
 
     def _check(self, x, what="argument"):
-        return _check_dim(f"{type(self).__name__} {what}", x, self.dim)
+        """``x`` as one vector or a block of them, checked against ``dim``."""
+        return _check_block(f"{type(self).__name__} {what}", x, self.dim)
+
+    def _check_vector(self, v, what="argument"):
+        return _check_dim(f"{type(self).__name__} {what}", v, self.dim)
 
     def _prox_args(self, v, t):
         """Checked ``v`` and ``float(t)``; raises unless ``t > 0`` (NaN is not)."""
-        v = self._check(v)
+        v = self._check_vector(v)
         t = float(t)
         if not t > 0:
             raise ValueError(f"{type(self).__name__} step t must be > 0, got {t!r}")
@@ -52,8 +74,8 @@ class ConvexFunction:
 
     def _prox_diag_args(self, v, d):
         """Checked ``v`` and ``d``; raises unless every ``d_i > 0`` (NaN is not)."""
-        v = self._check(v)
-        d = self._check(d, "diagonal")
+        v = self._check_vector(v)
+        d = self._check_vector(d, "diagonal")
         if not np.all(d > 0):
             raise ValueError(f"{type(self).__name__} diagonal entries must be "
                              f"> 0, smallest {float(d.min())!r}")
@@ -99,7 +121,7 @@ class ConvexFunction:
                 f"{type(self).__name__} has no subdifferential distance formula"
             )
         s = self._check(s, "subgradient target")
-        return float(np.linalg.norm(s - self.grad(x)))
+        return _per_point(_norm(s - self.grad(x)))
 
 
 class Zero(ConvexFunction):
@@ -110,8 +132,8 @@ class Zero(ConvexFunction):
     lipschitz = 0.0
 
     def __call__(self, x):
-        self._check(x)
-        return 0.0
+        x = self._check(x)
+        return _per_point(np.zeros(x.shape[:-1]))
 
     def prox(self, v, t):
         v, _ = self._prox_args(v, t)
@@ -122,11 +144,10 @@ class Zero(ConvexFunction):
         return v.copy()
 
     def grad(self, x):
-        self._check(x)
-        return np.zeros(self.dim)
+        return np.zeros(self._check(x).shape)
 
     def conjugate(self, y):
-        y = self._check(y)
+        y = self._check_vector(y)
         return 0.0 if not np.any(y) else math.inf
 
 
@@ -137,13 +158,11 @@ class L1Norm(ConvexFunction):
 
     def __init__(self, dim, weight):
         super().__init__(dim)
-        self.weight = float(weight)
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
+        self.weight = _positive(weight, "weight")
 
     def __call__(self, x):
         x = self._check(x)
-        return float(self.weight * np.abs(x).sum())
+        return _per_point(self.weight * np.abs(x).sum(axis=-1))
 
     def prox(self, v, t):
         v, t = self._prox_args(v, t)
@@ -154,7 +173,7 @@ class L1Norm(ConvexFunction):
         return _soft_threshold(v, self.weight / d)
 
     def conjugate(self, y):
-        y = self._check(y)
+        y = self._check_vector(y)
         tol = 1e-12 * (1.0 + self.weight)
         return 0.0 if float(np.abs(y).max()) <= self.weight + tol else math.inf
 
@@ -164,14 +183,14 @@ class L1Norm(ConvexFunction):
         # weight, elsewhere the interval [-weight, weight].
         x = self._check(x)
         s = self._check(s, "subgradient target")
-        zero_tol = 1e-8 * (1.0 + float(np.abs(x).max()))
+        zero_tol = 1e-8 * (1.0 + np.abs(x).max(axis=-1, keepdims=True))
         active = np.abs(x) > zero_tol
         per_coord = np.where(
             active,
             np.abs(s - self.weight * np.sign(x)),
             np.maximum(np.abs(s) - self.weight, 0.0),
         )
-        return float(np.linalg.norm(per_coord))
+        return _per_point(_norm(per_coord))
 
 
 class SquaredL2(ConvexFunction):
@@ -186,15 +205,13 @@ class SquaredL2(ConvexFunction):
             shift = np.full(dim, float(shift))
         self.shift = as_vector(shift, dim, "SquaredL2 shift")
         self.shift.setflags(write=False)
-        self.weight = float(weight)
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
+        self.weight = _positive(weight, "weight")
         self.lipschitz = self.weight
 
     def __call__(self, x):
         x = self._check(x)
         diff = x - self.shift
-        return float(0.5 * self.weight * (diff @ diff))
+        return _per_point(0.5 * self.weight * np.vecdot(diff, diff))
 
     def prox(self, v, t):
         v, t = self._prox_args(v, t)
@@ -209,7 +226,7 @@ class SquaredL2(ConvexFunction):
         return self.weight * (x - self.shift)
 
     def conjugate(self, y):
-        y = self._check(y)
+        y = self._check_vector(y)
         return float(y @ self.shift + (y @ y) / (2.0 * self.weight))
 
 
@@ -239,8 +256,8 @@ class BoxIndicator(ConvexFunction):
 
     def __call__(self, x):
         x = self._check(x)
-        inside = bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-        return 0.0 if inside else math.inf
+        inside = np.all(x >= self.lower, axis=-1) & np.all(x <= self.upper, axis=-1)
+        return _per_point(np.where(inside, 0.0, math.inf))
 
     def prox(self, v, t):
         v, _ = self._prox_args(v, t)
@@ -253,7 +270,7 @@ class BoxIndicator(ConvexFunction):
     def conjugate(self, y):
         # Support function of the box; handles infinite bounds without
         # producing 0 * inf.
-        y = self._check(y)
+        y = self._check_vector(y)
         total = 0.0
         for yi, lo, hi in zip(y, self.lower, self.upper):
             if yi > 0.0:
@@ -276,8 +293,8 @@ class BoxIndicator(ConvexFunction):
         fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
         tol_lo = np.where(fin_lo, 1e-12 * (1.0 + np.abs(lo)), 0.0)
         tol_hi = np.where(fin_hi, 1e-12 * (1.0 + np.abs(hi)), 0.0)
-        if np.any((x < lo - tol_lo) | (x > hi + tol_hi)):
-            return math.inf  # empty subdifferential outside the box
+        # empty subdifferential outside the box
+        outside = np.any((x < lo - tol_lo) | (x > hi + tol_hi), axis=-1)
         # Mask before subtracting: 0 stands in for an infinite bound in
         # ``x - bound``, because -inf - (-inf) would warn.
         at_lo = fin_lo & (np.abs(x - np.where(fin_lo, lo, 0.0)) <= tol_lo)
@@ -291,7 +308,7 @@ class BoxIndicator(ConvexFunction):
                 np.where(at_hi, np.maximum(-s, 0.0), np.abs(s)),
             ),
         )
-        return float(np.linalg.norm(contrib))
+        return _per_point(np.where(outside, math.inf, _norm(contrib)))
 
 
 class Quadratic(ConvexFunction):
@@ -308,6 +325,8 @@ class Quadratic(ConvexFunction):
         Q = np.array(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be a square 2-D array")
+        if not np.all(np.isfinite(Q)):
+            raise ValueError("Q entries must be finite (no NaN/Inf)")
         dim = Q.shape[0]
         super().__init__(dim)
         scale = max(1.0, float(np.abs(Q).max()))
@@ -328,11 +347,10 @@ class Quadratic(ConvexFunction):
 
     def __call__(self, x):
         x = self._check(x)
-        return float(0.5 * (x @ (self.Q @ x)) + self.q @ x)
+        return _per_point(0.5 * np.vecdot(x, matvec(self.Q, x)) + np.vecdot(self.q, x))
 
     def grad(self, x):
-        x = self._check(x)
-        return self.Q @ x + self.q
+        return matvec(self.Q, self._check(x)) + self.q
 
     def prox(self, v, t):
         """``(I + tQ)^{-1} (v - tq) = V diag(1 / (1 + t lam)) V^T (v - tq)``,
@@ -365,10 +383,8 @@ class Huber(ConvexFunction):
 
     def __init__(self, dim, delta, weight=1.0):
         super().__init__(dim)
-        self.delta = float(delta)
-        self.weight = float(weight)
-        if self.delta <= 0 or self.weight <= 0:
-            raise ValueError("delta and weight must be positive")
+        self.delta = _positive(delta, "delta")
+        self.weight = _positive(weight, "weight")
         self.lipschitz = self.weight / self.delta
 
     def __call__(self, x):
@@ -376,7 +392,7 @@ class Huber(ConvexFunction):
         a = np.abs(x)
         quad = a <= self.delta
         vals = np.where(quad, x * x / (2.0 * self.delta), a - self.delta / 2.0)
-        return float(self.weight * vals.sum())
+        return _per_point(self.weight * vals.sum(axis=-1))
 
     def grad(self, x):
         x = self._check(x)

@@ -1,6 +1,12 @@
 """Finite-dimensional vectors, linear maps, and PSD metric operators.
 
-All vectors are 1-D float64 numpy arrays. Linear maps carry an explicit
+All vectors are 1-D float64 numpy arrays. :meth:`LinearMap.apply`,
+:meth:`LinearMap.adjoint`, :meth:`MetricOperator.apply` and
+:meth:`MetricOperator.seminorm_sq` also take a block, a 2-D array with one
+vector per row, and treat each row exactly as the 1-D call would, bit for
+bit: a product with a dense matrix is one GEMV per row (:func:`matvec`),
+never a GEMM of the block, and a reduction runs along the last axis.
+Linear maps carry an explicit
 adjoint so that matrix-free operators (e.g. finite differences) can be used
 without densification. Metric operators are symmetric positive-semidefinite
 and induce the seminorm ``||x||_U^2 = <x, Ux>`` used by the solver and its
@@ -48,6 +54,34 @@ def _check_dim(what, x, dim):
     return x
 
 
+def _check_block(what, x, dim):
+    """``x`` as a float array: one ``dim``-vector, or a 2-D block of them."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != dim:
+        got = x.shape[-1] if x.ndim in (1, 2) else x.shape
+        raise DimensionMismatch(what, dim, got)
+    return x
+
+
+def _per_point(values):
+    """A float for the 0-d result of a 1-D call; a block's array as it is."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def matvec(M, x):
+    """``M x`` for a vector ``x``, or for each row of a block: one GEMV per
+    row, with the bits of ``M @ row`` (a GEMM of the block has others)."""
+    return np.matmul(M, x[..., None])[..., 0]
+
+
+def _by_rows(fn, block, dim):
+    """``fn`` of each row of ``block``: a matrix_free function takes vectors only."""
+    out = np.empty((block.shape[0], dim))
+    for i, row in enumerate(block):
+        out[i] = fn(row)
+    return out
+
+
 class LinearMap:
     """A rows-by-cols real linear operator with an explicit adjoint.
 
@@ -91,8 +125,8 @@ class LinearMap:
         return cls(
             m.shape[0],
             m.shape[1],
-            lambda x: m @ x,
-            lambda v: m.T @ v,
+            lambda x: matvec(m, x),
+            lambda v: matvec(m.T, v),
             kind="dense",
             matrix=m,
         )
@@ -107,8 +141,8 @@ class LinearMap:
         op = cls(
             rows,
             cols,
-            lambda x: np.zeros(rows),
-            lambda v: np.zeros(cols),
+            lambda x: np.zeros(x.shape[:-1] + (rows,)),
+            lambda v: np.zeros(v.shape[:-1] + (cols,)),
             kind="zero",
         )
         return op._exact_spectrum(0.0, 0.0)
@@ -133,13 +167,17 @@ class LinearMap:
         return self.kind == "identity"
 
     def apply(self, x):
-        """Return ``A x``."""
-        x = _check_dim("LinearMap.apply input", x, self.cols)
+        """Return ``A x``; of each row for a block."""
+        x = _check_block("LinearMap.apply input", x, self.cols)
+        if x.ndim == 2 and self.kind == "matrix_free":
+            return _by_rows(self._apply, x, self.rows)
         return np.asarray(self._apply(x), dtype=float)
 
     def adjoint(self, v):
-        """Return ``A* v``."""
-        v = _check_dim("LinearMap.adjoint input", v, self.rows)
+        """Return ``A* v``; of each row for a block."""
+        v = _check_block("LinearMap.adjoint input", v, self.rows)
+        if v.ndim == 2 and self.kind == "matrix_free":
+            return _by_rows(self._adjoint, v, self.cols)
         return np.asarray(self._adjoint(v), dtype=float)
 
     def to_dense(self):
@@ -181,11 +219,13 @@ def forward_difference(n):
         return np.diff(x)
 
     def adjoint_fn(v):
-        w = np.empty(n)
-        w[0] = -v[0]
+        w = np.empty(v.shape[:-1] + (n,))
+        # coordinates first through the transposes, for a vector and a block
+        wt, vt = w.T, v.T
+        wt[0] = -vt[0]
         if n > 2:
-            w[1:-1] = v[:-1] - v[1:]
-        w[-1] = v[-1]
+            wt[1:-1] = vt[:-1] - vt[1:]
+        wt[-1] = vt[-1]
         return w
 
     op = LinearMap(n - 1, n, apply_fn, adjoint_fn, kind="forward_difference")
@@ -262,6 +302,8 @@ class MetricOperator:
     @classmethod
     def scaled_identity(cls, dim, mu):
         mu = float(mu)
+        if not math.isfinite(mu):
+            raise ValueError(f"scaled identity needs a finite mu, got {mu}")
         if mu < 0:
             raise NotPositiveSemidefinite(f"scaled identity needs mu >= 0, got {mu}")
         return cls(dim, "scaled_identity", mu=mu)
@@ -279,6 +321,8 @@ class MetricOperator:
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("dense metric needs a square 2-D array")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("dense metric entries must be finite (no NaN/Inf)")
         scale = max(1.0, float(np.abs(m).max()))
         if float(np.abs(m - m.T).max()) > 1e-12 * scale:
             raise ValueError("dense metric must be symmetric")
@@ -339,35 +383,39 @@ class MetricOperator:
         return None
 
     def apply(self, x):
-        x = _check_dim("MetricOperator.apply input", x, self.dim)
+        """Return ``U x``; of each row for a block."""
+        x = _check_block("MetricOperator.apply input", x, self.dim)
         if self.kind == "zero":
-            return np.zeros(self.dim)
+            return np.zeros(x.shape)
         if self.kind == "scaled_identity":
             return self.mu * x
         if self.kind == "diagonal":
             return self.entries * x
         if self.kind == "dense":
-            return self.matrix @ x
+            return matvec(self.matrix, x)
         # shifted_gram, applied matrix-free for exactness
         return x / self.tau - self.coupling * self.map.adjoint(self.map.apply(x))
 
     def seminorm_sq(self, x):
-        """``<x, Ux>``, clamped to 0 when within roundoff of zero.
+        """``<x, Ux>``, clamped to 0 when within roundoff of zero; a float,
+        or one value per row of a block.
 
         Negative values beyond the PSD construction tolerance
         (1e-12 relative to ||x||^2) indicate a genuinely indefinite
         operator and raise.
         """
-        x = _check_dim("seminorm_sq input", x, self.dim)
-        val = float(x @ self.apply(x))
-        if val < 0.0:
-            tiny = 1e-12 * (1.0 + float(x @ x))
-            if val >= -tiny:
-                return 0.0
-            raise NotPositiveSemidefinite(
-                f"seminorm_sq produced {val:.3e}; operator is not PSD"
-            )
-        return val
+        x = _check_block("seminorm_sq input", x, self.dim)
+        val = np.vecdot(x, self.apply(x))
+        negative = val < 0.0
+        if np.any(negative):
+            tiny = 1e-12 * (1.0 + np.vecdot(x, x))
+            if np.any(val < -tiny):
+                worst = float(np.min(val))
+                raise NotPositiveSemidefinite(
+                    f"seminorm_sq produced {worst:.3e}; operator is not PSD"
+                )
+            val = np.where(negative, 0.0, val)
+        return _per_point(val)
 
     def to_dense(self):
         if self._dense_cache is None:

@@ -105,6 +105,9 @@ def initial_state(problem, x0=None, z0=None, y0=None):
         raise DimensionMismatch("initial z", problem.m, z.shape)
     if y.shape != (problem.m,):
         raise DimensionMismatch("initial y", problem.m, y.shape)
+    for name, v in (("x", x), ("z", z), ("y", y)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"initial {name}: entries must be finite (no NaN/Inf)")
     return SolverState(x=x, z=z, y=y, k=0, Ax=problem.A.apply(x))
 
 

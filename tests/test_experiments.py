@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from helpers import fold_gap_certificates, z_steps_sq
 from vmadmm import diagnostics, experiments, solver
 from vmadmm.cli import main
 from vmadmm.errors import ConfigError
+from vmadmm.functions import Zero
 from vmadmm.experiments import (
     RunConfig,
     parse_config,
@@ -176,12 +178,15 @@ def test_unsupported_check_regime_fails_loud(tmp_path):
 def test_v_monotone_check_covers_first_step(tmp_path, monkeypatch):
     # an (injected) increase v_2 > v_1 must fail the check
     uv_step = diagnostics.uv_step
-    seen = {}
+    calls = []
 
     def bumped(problem, saddle, m1, m2, prev, cur):
         u, v = uv_step(problem, saddle, m1, m2, prev, cur)
-        seen[cur.k] = v
-        return u, (seen[1] + 1.0 if cur.k == 2 else v)
+        if not calls:  # the first block of iterates starts at k = 1
+            v = v.copy()
+            v[1] = v[0] + 1.0
+        calls.append(v)
+        return u, v
 
     monkeypatch.setattr(diagnostics, "uv_step", bumped)
     cfg = toy_config(iters=20, checks=["v_monotone"])
@@ -331,6 +336,106 @@ def test_streamed_gap_certificates_equal_the_unshared_fold(
             assert float(row[column]) == value, (row["k"], column)
     assert summary["min_gap_slack"] == min(slacks)
     assert (math.inf in slacks) == (cfg.problem["name"] == "box-qp")
+
+
+def single_iterate_log(cfg):
+    """``log.csv`` text and summary certificates of ``cfg``, folded over a
+    stored trace one iterate at a time with 1-D calls only."""
+    problem, _ = experiments.problem_from_config(cfg)
+    sched1 = experiments.schedule_from_spec(cfg.metric1, problem.n, problem)
+    sched2 = experiments.schedule_from_spec(cfg.metric2, problem.m, problem)
+    init = solver.initial_state(problem)
+    _, trace = solver.run(problem, init, sched1, sched2,
+                          solver.StoppingRule(max_iters=cfg.iters), force=True)
+    K, c = trace.iterations, problem.c
+    m1, m2 = sched1.metric(0), sched2.metric(0)
+    rows = [{} for _ in range(K)]
+    certificates = {"final_kkt": None, "min_gap_slack": None, "min_v_slack": None,
+                    "findings": {"uncorrected_v_min_slack": None}}
+    for k, row in enumerate(rows, start=1):
+        x, z, y = trace.xs[k], trace.zs[k], trace.ys[k]
+        row["residual_primal"] = trace.residual_norms[k - 1]
+        row["kkt"] = certificates["final_kkt"] = diagnostics.kkt_residual(problem, x, y)
+        for name, vec in (("x", x), ("z", z), ("y", y)):
+            if cfg.log_vectors:
+                row.update({f"{name}_{i}": v for i, v in enumerate(vec)})
+    if experiments.ORACLE_CHECKS & set(cfg.checks):
+        orc = experiments.oracle(problem, budget=cfg.oracle_budget)
+        saddle = (orc.x, orc.z, orc.y)
+        gap_rows, slacks = fold_gap_certificates(problem, trace, init, m1, m2,
+                                                 saddle, cfg.seed)
+        for row, more in zip(rows, gap_rows):
+            row.update(more)
+        if K:
+            certificates["min_gap_slack"] = min([math.inf] + slacks)
+        if isinstance(problem.h, Zero) and K:  # the u/v columns
+            u, v = diagnostics.uv_energies(problem, trace, saddle, m1, m2)
+            v_slacks = diagnostics.inequality_v_check(u, v, z_steps_sq(trace), c)
+            for k, row in enumerate(rows, start=1):
+                row["u_k"], row["v_k"] = u[k], v[k]
+            for k, slack in v_slacks:
+                rows[k - 1]["v_slack"] = slack
+            if v_slacks:
+                certificates["min_v_slack"] = min(s for _, s in v_slacks)
+                certificates["findings"]["uncorrected_v_min_slack"] = min(
+                    s for _, s in diagnostics.inequality_v_check(
+                        u, v, z_steps_sq(trace), 0.0))
+    start = max(2, min(100, K // 2)) if K else 2
+    slope = diagnostics.loglog_slope(range(start, K + 1),
+                                     trace.residual_norms[start - 1:])
+    certificates["rate_slope"] = None if math.isinf(slope) else slope
+    columns = experiments.CSV_COLUMNS + (
+        [f"{name}_{i}" for name, dim in (("x", problem.n), ("z", problem.m),
+                                         ("y", problem.m)) for i in range(dim)]
+        if cfg.log_vectors else [])
+    lines = [",".join(columns)]
+    for k, row in enumerate(rows, start=1):
+        row["k"] = k
+        lines.append(",".join(
+            "" if col not in row else str(row[col]) if col == "k"
+            else format(float(row[col]), ".17g") for col in columns))
+    return "\n".join(lines) + "\n", certificates
+
+
+_BLOCK_CASES = {
+    # all six checks: u/v, feasibility and gap columns
+    "lasso-g": dict(problem={"name": "lasso-split", "n": 8, "rows": 12,
+                             "quadratic_in": "g"},
+                    metric2={"kind": "constant", "metric": {"kind": "zero"}},
+                    checks=list(experiments.CHECK_TOLERANCES)),
+    # the iterates logged
+    "tv1d-vectors": dict(_TV1D_LINEARIZED, checks=["kkt", "gap_bound", "dual_identity"],
+                         metric2={"kind": "constant", "metric": {"kind": "zero"}},
+                         log_vectors=True),
+    # probes outside the box: infinite Lagrangians and NaN gaps
+    "box-qp": dict(problem={"name": "box-qp", "n": 10},
+                   metric1={"kind": "constant",
+                            "metric": {"kind": "scaled_identity", "mu": 5.0}},
+                   metric2={"kind": "constant", "metric": {"kind": "zero"}},
+                   checks=["kkt", "gap_bound", "dual_identity"]),
+}
+_B = experiments.BLOCK
+# the last: a probe round (k % 10 == 0) on the last row of a full block
+_BLOCK_EDGES = [0, 1, _B - 1, _B, _B + 1, 2 * _B + 3, math.lcm(10, _B) + 3]
+
+
+@pytest.mark.parametrize("iters", _BLOCK_EDGES)
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_block_edges_equal_the_single_iterate_fold(tmp_path, monkeypatch, case,
+                                                   iters):
+    cfg = toy_config(**dict(_BLOCK_CASES[case], iters=iters))
+    outputs = []
+    for block in (_B, 1):
+        monkeypatch.setattr(experiments, "BLOCK", block)
+        result = run_experiment(cfg, force=True, out_dir=str(tmp_path / str(block)))
+        with open(result.csv_path) as fh, open(result.summary_path) as sh:
+            outputs.append((fh.read(), sh.read(), result.checks))
+    assert outputs[0] == outputs[1]
+
+    log, certificates = single_iterate_log(cfg)
+    assert outputs[0][0] == log
+    summary = json.loads(outputs[0][1])
+    assert {key: summary[key] for key in certificates} == certificates
 
 
 def test_validation_reads_tau_beyond_the_horizon(tmp_path):
@@ -526,6 +631,31 @@ def test_cli_check_non_numeric_cell_exits_2(tmp_path, capsys, log_text, row, col
     assert paths["--log"] in err and f"row {row}," in err and repr(column) in err
 
 
+@pytest.mark.parametrize(
+    "log_text, against, key",
+    [
+        ("k,kkt\n1,1e-9\n", {"c": 1.0, "kkt": "abc"}, "'kkt'"),
+        ("k,kkt\n1,1e-9\n", {"c": 1.0, "kkt": [1e-12]}, "'kkt'"),
+        ("k,kkt,residual_primal,y_0\n1,1e-9,0.5,0.5\n",
+         {"c": "one", "kkt": 1e-12}, "'c'"),
+        ("k,kkt,residual_primal,y_0\n1,1e-9,0.5,0.5\n",
+         {"c": 0.0, "kkt": 1e-12}, "'c'"),
+        ("k,kkt\n1,1e-9\n", [1.0, 1e-12], "top level"),
+    ],
+    ids=["kkt-string", "kkt-list", "c-string", "c-zero", "not-an-object"],
+)
+def test_cli_check_malformed_oracle_entry_exits_2(tmp_path, capsys, log_text,
+                                                  against, key):
+    paths = check_inputs(tmp_path, log_text)
+    with open(paths["--against"], "w") as fh:
+        json.dump(against, fh)
+    assert main(["check", "--log", paths["--log"],
+                 "--against", paths["--against"]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert paths["--against"] in err and key in err
+
+
 def test_cli_check_malformed_oracle_json_exits_2(tmp_path, capsys):
     paths = check_inputs(tmp_path, "k,kkt\n1,1e-9\n")
     with open(paths["--against"], "w") as fh:
@@ -717,6 +847,9 @@ def test_cli_rejects_unsupported_m2_before_solving(tmp_path, monkeypatch, capsys
         {"checks": ["kkt", "kkkt"]},
         {"checks": "kkt"},
         {"init": {"x": "abc"}},
+        {"init": {"x": [math.inf]}},
+        {"out_dir": 5},
+        {"out_dir": ""},
     ],
     ids=lambda change: repr(change)[:48],
 )
@@ -730,3 +863,43 @@ def test_cli_malformed_config_exits_2_before_solving(
     path.write_text(json.dumps(data))
     assert main(["solve", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        '"metric1": {"kind": "constant", '
+        '"metric": {"kind": "scaled_identity", "mu": 1e309}}',
+        '"metric1": {"kind": "constant", "metric": {"kind": "dense", '
+        '"matrix": [[1e309]]}}',
+        '"problem": {"name": "toy1d", "lam": 1e309}',
+        '"problem": {"name": "toy1d", "h_kind": "huber", "h_delta": 1e309}',
+        '"problem": {"name": "toy1d", "h_kind": "quadratic", "h_weight": 1e309}',
+    ],
+    ids=["mu", "dense", "lam", "h_delta", "h_weight"],
+)
+def test_cli_non_finite_number_exits_2_with_one_line(
+    tmp_path, monkeypatch, capsys, entry
+):
+    # JSON reads 1e309 as infinity: a config error, with no warning on the way
+    monkeypatch.setattr(experiments, "run", _refuse)
+    data = json.loads(serialize_config(toy_config(out_dir=str(tmp_path / "out"),
+                                                  checks=["gap_bound"])))
+    data.pop(entry.split('"')[1])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data)[:-1] + ", " + entry + "}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error")
+
+
+def test_cli_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = tmp_path / "cfg.json"
+    path.write_text(serialize_config(toy_config(out_dir=str(blocker / "out"))))
+    assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(blocker) in err

@@ -401,6 +401,24 @@ def test_subdiff_distance_prox_consistency():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: L1Norm(2, weight=bad),
+        lambda bad: SquaredL2(2, weight=bad),
+        lambda bad: Huber(2, delta=bad),
+        lambda bad: Huber(2, delta=1.0, weight=bad),
+        lambda bad: Quadratic([[1.0, 0.0], [0.0, bad]]),
+    ],
+    ids=["l1-weight", "squared_l2-weight", "huber-delta", "huber-weight",
+         "quadratic-Q"],
+)
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_parameters_must_be_finite(build, bad):
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
+
+
 def test_quadratic_rejects_indefinite():
     with pytest.raises(ValueError):
         Quadratic([[0.0, 1.0], [1.0, 0.0]], None)  # eigenvalues +-1

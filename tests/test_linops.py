@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -284,6 +287,23 @@ def test_scaled_identity_rejects_negative():
         MetricOperator.scaled_identity(2, -1.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: MetricOperator.scaled_identity(2, bad),
+        lambda bad: MetricOperator.dense([[1.0, 0.0], [0.0, bad]]),
+        lambda bad: MetricOperator.diagonal([1.0, bad]),
+    ],
+    ids=["scaled_identity", "dense", "diagonal"],
+)
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_metric_rejects_non_finite_entries_without_warning(build, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            build(bad)
+
+
 def test_dense_rejects_indefinite():
     with pytest.raises(NotPositiveSemidefinite):
         MetricOperator.dense([[1.0, 0.0], [0.0, -1.0]])
@@ -362,3 +382,26 @@ def test_min_eigenvalue_shifted_gram_over_dense_map_needs_no_eigensolve(monkeypa
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     assert min_eigenvalue(U) == pytest.approx(reference, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 17, 64, 200])
+def test_block_kernels_keep_the_bits_of_the_vector_kernels(dim):
+    # the block axis rests on three kernels: per row, each has the bits of
+    # the 1-D numpy call it replaces (a GEMM of the block, einsum and
+    # np.linalg.norm(axis=-1) do not)
+    from vmadmm.functions import _norm
+    from vmadmm.linops import matvec
+
+    rng = np.random.default_rng(dim)
+    M = rng.standard_normal((dim + 3, dim))
+    X, Y = rng.standard_normal((2, 16, dim))
+    V = rng.standard_normal((16, dim + 3))
+    for got, want in [
+        (matvec(M, X), [M @ x for x in X]),
+        (matvec(M.T, V), [M.T @ v for v in V]),
+        (np.vecdot(X, Y), [x @ y for x, y in zip(X, Y)]),
+        (_norm(X), [np.linalg.norm(x) for x in X]),
+        (matvec(M, X[0]), M @ X[0]),
+        (_norm(X[0]), np.linalg.norm(X[0])),
+    ]:
+        assert np.asarray(got).tobytes() == np.array(want).tobytes()

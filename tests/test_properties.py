@@ -12,14 +12,15 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import KahanAverager, count_factorizations, dual_steps
+from vmadmm import diagnostics
 from vmadmm.diagnostics import ErgodicAverager, dual_identity_deviation
 from vmadmm.errors import SingularSubproblem
-from vmadmm.experiments import CHECK_TOLERANCES
+from vmadmm.experiments import BLOCK, CHECK_TOLERANCES
 from vmadmm.functions import (
     BoxIndicator,
     Huber,
@@ -427,5 +428,178 @@ def test_single_buffer_averager_matches_per_vector_kahan():
             for name in ("x_bar", "z_bar", "y_bar"):
                 got, want = getattr(averager, name), getattr(reference, name)
                 assert got.tobytes() == want.tobytes()
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# the block axis: a (B, dim) call is the stack of its 1-D calls, bit for bit
+# ---------------------------------------------------------------------------
+
+# small dimensions and ones large enough for the BLAS kernels to unroll
+BLOCK_DIMS = st.sampled_from([1, 2, 3, 5, 8, 17, 64, 200])
+# each example compares whole blocks, bit for bit
+BLOCK_EXAMPLES = settings(max_examples=20)
+
+
+@st.composite
+def blocks(draw, dim, rows=None):
+    """A ``(rows, dim)`` block, 1 to BLOCK rows unless given, with exact zeros."""
+    if rows is None:
+        rows = draw(st.integers(1, BLOCK))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(-10.0, 10.0, (rows, dim))
+    X[rng.uniform(size=X.shape) < 0.2] = 0.0
+    return X
+
+
+def assert_stacked(block_result, vector_results):
+    """The block call's result has the shape and the bits of the stacked
+    1-D results, each of which is a float or a vector."""
+    expected = np.array(vector_results, dtype=float)
+    got = np.asarray(block_result)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert all(isinstance(r, float) for r in vector_results) or all(
+        isinstance(r, np.ndarray) for r in vector_results
+    )
+
+
+@st.composite
+def block_function(draw, kind, dim):
+    """An instance of catalog ``kind`` in dimension ``dim``, drawn cheaply
+    at any size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weight = rng.uniform(0.1, 5.0)
+    if kind == "zero":
+        return Zero(dim)
+    if kind == "l1":
+        return L1Norm(dim, weight=weight)
+    if kind == "squared_l2":
+        return SquaredL2(dim, shift=rng.uniform(-10, 10, dim), weight=weight)
+    if kind == "box":
+        lower = rng.uniform(-10, 10, dim)
+        return BoxIndicator(dim, lower=lower, upper=lower + rng.uniform(0, 5, dim))
+    if kind == "quadratic":
+        B = rng.uniform(-2, 2, (dim, dim))
+        return Quadratic(B @ B.T, rng.uniform(-10, 10, dim))
+    return Huber(dim, delta=rng.uniform(0.1, 5.0), weight=weight)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_function_block_calls_stack_the_vector_calls(kind):
+    @BLOCK_EXAMPLES
+    @given(BLOCK_DIMS, st.integers(1, BLOCK), st.data())
+    def check(dim, rows, data):
+        f = data.draw(block_function(kind, dim))
+        X, S = data.draw(blocks(dim, rows)), data.draw(blocks(dim, rows))
+        if kind == "box":
+            # half the rows inside the box (some at a bound); the rest have
+            # infinite values and distances
+            X[::2] = np.clip(X[::2], f.lower, f.upper)
+        assert_stacked(f(X), [f(x) for x in X])
+        if f.smooth:
+            assert_stacked(f.grad(X), [f.grad(x) for x in X])
+        assert_stacked(f.distance_to_subdifferential(X, S),
+                       [f.distance_to_subdifferential(x, s) for x, s in zip(X, S)])
+
+    check()
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
+def test_linear_map_block_calls_stack_the_vector_calls(factory):
+    @BLOCK_EXAMPLES
+    @given(linear_map(factory), st.data())
+    def check(A, data):
+        rows = data.draw(st.integers(1, BLOCK))
+        X, V = data.draw(blocks(A.cols, rows)), data.draw(blocks(A.rows, rows))
+        assert_stacked(A.apply(X), [A.apply(x) for x in X])
+        assert_stacked(A.adjoint(V), [A.adjoint(v) for v in V])
+
+    check()
+
+
+@st.composite
+def metric(draw, kind):
+    """A metric operator of ``kind``."""
+    dim = draw(BLOCK_DIMS)
+    if kind == "zero":
+        return MetricOperator.zero(dim)
+    if kind == "scaled_identity":
+        return MetricOperator.scaled_identity(dim, draw(POSITIVE))
+    if kind == "diagonal":
+        return MetricOperator.diagonal(np.abs(draw(blocks(dim, 1))[0]))
+    if kind == "dense":
+        B = draw(blocks(dim, dim))
+        return MetricOperator.dense(B @ B.T)
+    A = LinearMap.from_dense(draw(blocks(draw(BLOCK_DIMS), dim)))
+    c = draw(POSITIVE)
+    bound = c * operator_norm(A) ** 2
+    tau = draw(st.floats(0.5, 1.0)) / bound if bound > 0 else 1.0
+    return MetricOperator.shifted_gram(tau, c, A)
+
+
+@pytest.mark.parametrize(
+    "kind", ["zero", "scaled_identity", "diagonal", "dense", "shifted_gram"]
+)
+def test_metric_block_calls_stack_the_vector_calls(kind):
+    @BLOCK_EXAMPLES
+    @given(metric(kind), st.data())
+    def check(U, data):
+        X = data.draw(blocks(U.dim))
+        assert_stacked(U.apply(X), [U.apply(x) for x in X])
+        assert_stacked(U.seminorm_sq(X), [U.seminorm_sq(x) for x in X])
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["tv1d", "lasso-split", "box-qp", "toy1d"])
+def test_diagnostics_block_calls_stack_the_vector_calls(name):
+    # the certifier's calls: KKT residuals, Lagrangian terms and values,
+    # gammas, gap certificates and u/v over blocks of points
+    @BLOCK_EXAMPLES
+    @given(catalog_problem(name), st.data())
+    def check(built, data):
+        problem, _ = built
+        rows = data.draw(st.integers(1, BLOCK))
+        x = data.draw(blocks(problem.n, rows))
+        z, y = data.draw(blocks(problem.m, rows)), data.draw(blocks(problem.m, rows))
+        if name == "box-qp":
+            x[::2] = np.clip(x[::2], 0.0, 1.0)  # the others are outside the box
+        Ax = problem.A.apply(x)
+        assert_stacked(diagnostics.kkt_residual(problem, x, y, Ax),
+                       [diagnostics.kkt_residual(problem, *p) for p in zip(x, y)])
+        terms = diagnostics.lagrangian_terms(problem, x, z)
+        value, residual = terms
+        assert_stacked(value, [diagnostics.lagrangian_terms(problem, *p)[0]
+                               for p in zip(x, z)])
+        assert_stacked(residual, [diagnostics.lagrangian_terms(problem, *p)[1]
+                                  for p in zip(x, z)])
+        assert_stacked(diagnostics.lagrangian_at(terms, y),
+                       [diagnostics.lagrangian(problem, *p) for p in zip(x, z, y)])
+        init = initial_state(problem)
+        m1 = MetricOperator.scaled_identity(problem.n, 2.0)
+        m2 = MetricOperator.scaled_identity(problem.m, 0.5)
+        gammas = diagnostics.gamma(problem, init, m1, m2, (x, z, y))
+        assert_stacked(gammas, [diagnostics.gamma(problem, init, m1, m2, p)
+                                for p in zip(x, z, y)])
+        ks = np.arange(1, rows + 1)
+        right = value[::-1].copy()  # infinite on both sides: a NaN gap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = diagnostics.gap_certificate(value, right, gammas, ks)
+            singles = [diagnostics.gap_certificate(*p)
+                       for p in zip(value.tolist(), right.tolist(),
+                                    gammas.tolist(), ks.tolist())]
+        for field in ("gap", "bound", "slack"):
+            assert_stacked(getattr(cert, field), [getattr(c, field) for c in singles])
+        if isinstance(problem.h, Zero):
+            saddle = (x[0], z[0], y[0])
+            prev, cur = (x[:-1], z[:-1], y[:-1]), (x[1:], z[1:], y[1:])
+            u, v = diagnostics.uv_step(problem, saddle, m1, m2, prev, cur)
+            pairs = [diagnostics.uv_step(problem, saddle, m1, m2, a, b)
+                     for a, b in zip(zip(*prev), zip(*cur))]
+            assert_stacked(u, [p[0] for p in pairs])
+            assert_stacked(v, [p[1] for p in pairs])
 
     check()

@@ -633,27 +633,28 @@ def test_linearized_run_makes_one_apply_and_one_adjoint_per_iteration(monkeypatc
 
 
 def test_certified_rows_reuse_the_solvers_product(monkeypatch, tmp_path):
-    # objective, Lagrangian at the saddle's y and KKT of a row all read the
-    # state's A x_k: no apply of x_k while the certifier builds the row
-    row_x = []
+    # objective, Lagrangian at the saddle's y and KKT of a block of rows all
+    # read the buffered A x_k: no apply of the x_k while the block is certified
+    block_x = []
     applied = []
     apply = LinearMap.apply
 
     def watching_apply(self, v):
-        applied.append(any(v is x for x in row_x))
+        applied.append(any(np.array_equal(v, x) for x in block_x))
         return apply(self, v)
 
-    record = experiments._Certifier.record
+    certify_block = experiments._Certifier._certify_block
 
-    def watching_record(self, state, residual):
-        row_x.append(state.x)
+    def watching_certify_block(self):
+        block_x.append(self.xs[1 : self.open + 1].copy())
         try:
-            record(self, state, residual)
+            certify_block(self)
         finally:
-            row_x.clear()
+            block_x.clear()
 
     monkeypatch.setattr(LinearMap, "apply", watching_apply)
-    monkeypatch.setattr(experiments._Certifier, "record", watching_record)
+    monkeypatch.setattr(experiments._Certifier, "_certify_block",
+                        watching_certify_block)
     cfg = experiments.RunConfig(
         problem={"name": "tv1d", "n": 20},
         metric1={"kind": "shifted_gram", "tau": 0.19},
@@ -667,26 +668,28 @@ def test_certified_rows_reuse_the_solvers_product(monkeypatch, tmp_path):
     assert applied and not any(applied)
 
 
-def test_certifier_applies_A_once_per_iteration(monkeypatch, tmp_path):
+def test_certifier_applies_A_once_per_block(monkeypatch, tmp_path):
     # the saddle and the probes share the Lagrangian terms of the averages,
-    # and a probe's own terms are fixed for the run: while recording, A is
-    # applied once per iteration, to x_bar; while setting up, once per probe,
-    # the saddle included, besides the M1 seminorms of the gammas
+    # and a probe's own terms are fixed for the run: while certifying, A is
+    # applied once per block of iterates, to their x_bar rows; while setting
+    # up, once, to the probes stacked with the saddle first, besides the M1
+    # seminorms of the gammas
     running = []  # (method name, instance) of the watched calls under way
-    applied = {"__init__": [], "record": [], "seminorm_sq": []}
+    applied = {"__init__": [], "_certify_block": [], "seminorm_sq": []}
     apply = LinearMap.apply
 
     def watching_apply(self, v):
         if running:
             name, obj = running[-1]
-            applied[name].append(
-                name == "record" and np.array_equal(v, obj.averager.x_bar)
-            )
+            if name == "_certify_block":
+                x_bar = obj.means[: obj.open, : obj.problem.n]
+                applied[name].append(np.array_equal(v, x_bar))
+            else:
+                applied[name].append(np.shape(v))
         return apply(self, v)
 
-    certifiers = []
     for cls, name in ((experiments._Certifier, "__init__"),
-                      (experiments._Certifier, "record"),
+                      (experiments._Certifier, "_certify_block"),
                       (MetricOperator, "seminorm_sq")):
         method = getattr(cls, name)
 
@@ -696,8 +699,6 @@ def test_certifier_applies_A_once_per_iteration(monkeypatch, tmp_path):
                 return method(self, *args)
             finally:
                 running.pop()
-                if name == "__init__":
-                    certifiers.append(self)
 
         monkeypatch.setattr(cls, name, watching)
     monkeypatch.setattr(LinearMap, "apply", watching_apply)
@@ -711,8 +712,9 @@ def test_certifier_applies_A_once_per_iteration(monkeypatch, tmp_path):
     )
     result = experiments.run_experiment(cfg, out_dir=str(tmp_path))
     assert result.summary["iterations"] == cfg.iters
-    assert applied["record"] == [True] * cfg.iters
-    assert len(applied["__init__"]) == len(certifiers[0].probes) == 11
+    blocks = -(-cfg.iters // experiments.BLOCK)
+    assert applied["_certify_block"] == [True] * blocks
+    assert applied["__init__"] == [(11, 20)]
 
 
 def test_step_differences_vanish_on_convergent_runs():

@@ -181,6 +181,22 @@ def configs():
     # the last rows of the u/v columns, with the iterates logged
     out += [(f"toy-{k}-iters-all-checks-vectors",
              toy(iters=k, checks=ALL_CHECKS, log_vectors=True)) for k in (1, 2)]
+    # iteration counts off multiples of the certifier's block of 16 iterates:
+    # a partial last block, and at 83 a probe round (k = 80) on the last row
+    # of a full one
+    out += [
+        ("tv1d-20-linearized-83", toy(problem={"name": "tv1d", "n": 20}, iters=83,
+                                      checks=gap_checks, **tv1d_lin)),
+        ("box-qp-20-83", toy(problem={"name": "box-qp", "n": 20},
+                             metric1=_metric(5.0), metric2=ZERO, iters=83,
+                             checks=gap_checks)),
+        ("lasso-g-8-35-all", toy(problem={"name": "lasso-split", "n": 8,
+                                          "rows": 12, "quadratic_in": "g"},
+                                 metric2=ZERO, iters=35, checks=ALL_CHECKS)),
+        ("tv1d-20-37-vectors", toy(problem={"name": "tv1d", "n": 20}, iters=37,
+                                   checks=gap_checks, log_vectors=True,
+                                   **tv1d_lin)),
+    ]
     # the benchmark workloads, read from perfbench/ as they are
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS
