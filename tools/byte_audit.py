@@ -11,7 +11,10 @@ paths so that echoed output paths agree. Per config the audit compares
 and stderr; for a config that wrote a log, it also runs ``vmadmm check`` on
 that log against ``{"kkt": 0.0, "c": <the config's c>}`` and compares its
 exit code, stdout and stderr. It prints one line per config and exits 1 on
-any difference, 0 when every config is identical. In stdout and stderr each
+any difference, 0 when every config is identical. Under a config that
+differs it also names the ``log.csv`` columns that differ, each with the
+number of rows in which it does, and the ``summary.json`` keys that differ,
+nested keys joined by dots. In stdout and stderr each
 tree's own ``src/`` path, which numpy's warning headers print, reads as
 ``<src>``, so two checkouts of the same code agree; a warning whose line
 number moved still differs.
@@ -20,6 +23,7 @@ number moved still differs.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -270,6 +274,42 @@ def run_tree(src, work):
     return results
 
 
+def _columns_differ(old, new):
+    """``log.csv`` columns whose cells differ, as ``name (rows)`` strings."""
+    old_rows, new_rows = (list(csv.reader(io.StringIO(text))) for text in (old, new))
+    if not old_rows or not new_rows or old_rows[0] != new_rows[0]:
+        return ["header"]
+    out = []
+    for j, name in enumerate(old_rows[0]):
+        old_col, new_col = ([row[j] for row in rows[1:]] for rows in (old_rows, new_rows))
+        rows = sum(a != b for a, b in zip(old_col, new_col))
+        rows += abs(len(old_col) - len(new_col))
+        if rows:
+            out.append(f"{name} ({rows} row{'s' * (rows != 1)})")
+    return out
+
+
+def _keys_differ(old, new, prefix=""):
+    """Dotted ``summary.json`` keys whose values differ, sorted."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return [] if old == new else [prefix.rstrip(".") or "<top level>"]
+    return [key for name in sorted(set(old) | set(new))
+            for key in _keys_differ(old.get(name), new.get(name), f"{prefix}{name}.")]
+
+
+def _details(old, new):
+    """Lines naming what differs inside ``log.csv`` and ``summary.json``."""
+    lines = []
+    if "log.csv" in old and "log.csv" in new and old["log.csv"] != new["log.csv"]:
+        lines.append("log.csv columns: "
+                     + ", ".join(_columns_differ(old["log.csv"], new["log.csv"])))
+    if ("summary.json" in old and "summary.json" in new
+            and old["summary.json"] != new["summary.json"]):
+        lines.append("summary.json keys: " + ", ".join(_keys_differ(
+            json.loads(old["summary.json"]), json.loads(new["summary.json"]))))
+    return lines
+
+
 def main(argv):
     if len(argv) == 2 and argv[0] == "--solve-all":
         solve_all(argv[1])
@@ -292,6 +332,8 @@ def main(argv):
         differ += bool(diffs)
         status = "DIFFERENT " + ", ".join(diffs) if diffs else "identical"
         print(f"{name}: {status} (exit {old[name]['exit']} -> {new[name]['exit']})")
+        for line in _details(old[name], new[name]):
+            print(f"    {line}")
     print(f"{len(named) - differ} of {len(named)} configs identical")
     return 1 if differ else 0
 
