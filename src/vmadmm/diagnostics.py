@@ -8,9 +8,10 @@ feasibility decay bound, KKT residuals, and the per-iteration inequality
 that drives the ergodic bound. All checks use absolute slack tolerances
 because the compared quantities approach zero at convergence.
 
-Functions here are pure, over iterates or per-iteration scalars; the
-``u``/``v`` regime (no smooth term, constant metrics) is enforced rather than
-silently generalized. The y-independent part of a Lagrangian,
+Functions here are pure, over iterates or per-iteration series, each in
+the row order of ``log.csv``: entry ``i`` is iteration ``k = i + 1``. The
+``u``/``v`` regime (no smooth term, constant metrics) is enforced rather
+than silently generalized. The y-independent part of a Lagrangian,
 :func:`lagrangian_terms`, is computed once per point and evaluated at many
 ``y`` by :func:`lagrangian_at`: a certifier pays one ``A x_bar`` per
 iteration, however many probes it checks, and every value keeps the bits of
@@ -107,7 +108,6 @@ class ErgodicAverager:
 
     def __init__(self, n, m):
         self.k = 0
-        self._n, self._nm = n, n + m
         self._shapes = ((n,), (m,), (m,))
         self._sum = np.zeros(n + 2 * m)
         self._comp = np.zeros(n + 2 * m)
@@ -129,18 +129,6 @@ class ErgodicAverager:
     def means(self):
         """``(x_bar, z_bar, y_bar)`` end to end, one vector."""
         return self._sum / self.k
-
-    @property
-    def x_bar(self):
-        return self._sum[: self._n] / self.k
-
-    @property
-    def z_bar(self):
-        return self._sum[self._n : self._nm] / self.k
-
-    @property
-    def y_bar(self):
-        return self._sum[self._nm :] / self.k
 
 
 @dataclass
@@ -216,36 +204,32 @@ def uv_step(problem, saddle, m1, m2, prev, cur):
 
 
 def uv_energies(problem, trace, saddle, m1, m2):
-    """Arrays ``u``, ``v`` of :func:`uv_step` over a stored trace; index 0 is NaN.
+    """Arrays ``u``, ``v`` of :func:`uv_step` over a stored trace, in row order.
 
-    One 1-D call per step: the reference the certifier's blocks are held to.
+    One block call over the trace's K steps: the reference the certifier's
+    blocks are held to.
     """
-    u, v = np.full((2, trace.iterations + 1), np.nan)
-    triples = list(zip(trace.xs, trace.zs, trace.ys))
-    for k in range(1, trace.iterations + 1):
-        u[k], v[k] = uv_step(problem, saddle, m1, m2, triples[k - 1], triples[k])
-    return u, v
+    xs, zs, ys = (np.array(vs, dtype=float) for vs in (trace.xs, trace.zs, trace.ys))
+    return uv_step(problem, saddle, m1, m2, (xs[:-1], zs[:-1], ys[:-1]),
+                   (xs[1:], zs[1:], ys[1:]))
 
 
 def inequality_v_check(u, v, dz_sq, c):
-    """Slack of the one-step contraction inequality, per k.
+    """Slacks of the one-step contraction inequality, in row order.
 
     ``slack_k = (u_k - u_{k+1}) - (v_{k+1} - c ||z_{k+1} - z_k||^2)`` for
-    ``k = 1..K-2``, from the :func:`uv_energies` arrays and ``dz_sq[k] =
-    ||z_k - z_{k-1}||^2`` indexed like them; nonnegative (to roundoff)
-    whenever the iteration ran exactly. Returns ``(k, slack)`` pairs.
+    ``k = 1..K-2``, from the :func:`uv_energies` arrays and ``dz_sq``, whose
+    entry ``i`` is ``||z_k - z_{k-1}||^2`` at ``k = i + 1``; nonnegative (to
+    roundoff) whenever the iteration ran exactly.
     """
-    return [
-        (k, float((u[k] - u[k + 1]) - (v[k + 1] - c * dz_sq[k + 1])))
-        for k in range(1, len(u) - 2)
-    ]
+    return (u[:-2] - u[1:-1]) - (v[1:-1] - c * dz_sq[1:-1])
 
 
 def v_monotone_check(v, tol):
-    """Whether ``v_k <= v_{k-1} + tol`` for ``k = 2..K``; ``(ok, first violating k)``."""
-    for k in range(2, len(v)):
-        if v[k] > v[k - 1] + tol:
-            return False, k
+    """``(ok, first violating k)`` of ``v_k <= v_{k-1} + tol`` for ``k = 2..K``."""
+    rises = np.flatnonzero(v[1:] > v[:-1] + tol)
+    if rises.size:
+        return False, int(rises[0]) + 2
     return True, None
 
 
@@ -260,18 +244,18 @@ def dual_identity_deviation(dual_steps, residuals, c):
     return float(np.max(deviations, initial=0.0))
 
 
-def feasibility_rate(residuals, c, u1, S):
-    """Primal residual against its ``sqrt(c (u1 + S) / (k - 1))`` bound.
+def feasibility_rate(residuals, c, u1, dz_sq):
+    """Bounds ``sqrt(c (u1 + S) / (k - 1))`` on the primal residual, ``k = 2..K``.
 
-    ``residuals[k - 1]`` is ``||A x_k - z_k||``. Returns triples
-    ``(k, ||A x_k - z_k||, bound_k)`` for ``k >= 2``. The bound follows from
-    summing the contraction inequality and the monotonicity of the step
-    energy ``S = c sum_k ||z_k - z_{k-1}||^2``.
+    ``residuals`` and ``dz_sq`` are in row order: entry ``i`` is
+    ``||A x_k - z_k||`` and ``||z_k - z_{k-1}||^2`` at ``k = i + 1``. The
+    bounds are aligned with ``residuals[1:]``. They follow from summing the
+    contraction inequality and the monotonicity of the step energy
+    ``S = c sum_k ||z_k - z_{k-1}||^2``, summed in iteration order (a
+    cumulative sum; ``np.sum`` sums pairwise).
     """
-    return [
-        (k, residuals[k - 1], math.sqrt(c * (u1 + S) / (k - 1)))
-        for k in range(2, len(residuals) + 1)
-    ]
+    S = c * np.cumsum(dz_sq)[-1] if len(dz_sq) else 0.0
+    return np.sqrt(c * (u1 + S) / np.arange(1, len(residuals)))
 
 
 def loglog_slope(ks, values):

@@ -15,14 +15,14 @@ blocks of :data:`BLOCK`: each certified quantity is one call over the block,
 along the leading block axis of :mod:`diagnostics`, with the bits of
 certifying one iterate at a time. Between blocks it keeps the last iterate
 and one float64 table of per-iteration scalars, which ``log.csv`` is
-formatted from. The u/v checks (``v_inequality``, ``v_monotone``,
-``feasibility_rate``) need the metrics to stay constant for the whole run;
-they are "not evaluable" otherwise.
+formatted from and the checks read; its row ``i``, as entry ``i`` of every
+per-iteration series, is iteration ``k = i + 1``. The u/v checks
+(``v_inequality``, ``v_monotone``, ``feasibility_rate``) need the metrics
+to stay constant for the whole run; they are "not evaluable" otherwise.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -342,8 +342,9 @@ class _Certifier:
     Between blocks it holds the last iterate, the ergodic averager, the
     probes as stacked arrays (each probe's ``y``, gamma and Lagrangian terms,
     with the saddle as probe 0), the smallest gap slack so far, and the
-    ``K``-row float64 table of ``log.csv`` columns after ``k`` with the
-    per-iteration scalars the checks read. Within a block it buffers up to
+    ``K``-row float64 table of ``log.csv`` columns after ``k``, ``u`` and
+    ``v`` included, with the steps ``||y_k - y_{k-1}||`` and ``||z_k -
+    z_{k-1}||^2`` in the same row order. Within a block it buffers up to
     :data:`BLOCK` iterates with their ``A x_k`` and ergodic means, then
     certifies them with one call per quantity; each value keeps the bits of
     certifying its iterate alone. ``saddle`` is None when no requested check
@@ -376,7 +377,7 @@ class _Certifier:
         self.xs[0], self.zs[0], self.ys[0] = init.x, init.z, init.y
         self.axs = np.empty((BLOCK, m))
         self.min_gap_slack = None
-        self.u = self.v = None
+        self.dz_sq = None  # ||z_k - z_{k-1}||^2 in row order, if u/v are evaluable
         if saddle is None or not K:
             return
         self.averager = diagnostics.ErgodicAverager(n, m)
@@ -399,8 +400,7 @@ class _Certifier:
             for k in range(1, K)
         ):
             self.m1, self.m2 = m1, m2
-            # indexed by k like the rows; k = 0 has no step
-            self.u, self.v, self.dz_sq = np.full((3, K + 1), np.nan)
+            self.dz_sq = np.empty(K)
 
     def record(self, state, residual):
         i = self.open
@@ -434,14 +434,12 @@ class _Certifier:
             rows[:, col["lagrangian_at_probe"]] = diagnostics.lagrangian_at(
                 diagnostics.lagrangian_terms(problem, x, z, Ax, fh), saddle[2]
             )
-        if self.u is not None:
-            u, v = diagnostics.uv_step(
+        if self.dz_sq is not None:
+            rows[:, col["u_k"]], rows[:, col["v_k"]] = diagnostics.uv_step(
                 problem, saddle, self.m1, self.m2, prev, (x, z, y)
             )
             dz = z - prev[1]
-            ks = slice(start + 1, start + b + 1)
-            self.u[ks], self.v[ks], self.dz_sq[ks] = u, v, np.vecdot(dz, dz)
-            rows[:, col["u_k"]], rows[:, col["v_k"]] = u, v
+            self.dz_sq[start : start + b] = np.vecdot(dz, dz)
         if self.cfg.log_vectors:
             n, m = problem.n, problem.m
             first = col["x_0"]
@@ -470,7 +468,7 @@ class _Certifier:
             ks,
         )
         rows[:, self.col["gap"]], rows[:, self.col["gap_bound"]] = cert.gap, cert.bound
-        slacks = [[slack] for slack in cert.slack.tolist()]
+        slacks = [cert.slack]
         rounds = (ks % 10 == 0) | (ks == self.cfg.iters)
         if rounds.any():
             value, residual = average
@@ -484,23 +482,23 @@ class _Certifier:
                 gammas[1:],
                 ks[rounds, None],
             )
-            for i, more in zip(np.flatnonzero(rounds), sampled.slack.tolist()):
-                slacks[i] += more
-        # in iteration order, then probe order, as min() folds them one by one
-        self.min_gap_slack = min(self.min_gap_slack, *itertools.chain(*slacks))
+            slacks.append(sampled.slack.ravel())
+        # fmin skips a NaN slack (two infinite Lagrangians), as min() does
+        least = float(np.fmin.reduce(np.concatenate(slacks)))
+        self.min_gap_slack = min(self.min_gap_slack, least)
 
     def result(self):
         self._certify_block()
-        problem, u, v, col = self.problem, self.u, self.v, self.col
+        problem, col, dz_sq = self.problem, self.col, self.dz_sq
         K = self.done
         table = self.table[:K]
-        residuals = table[:, col["residual_primal"]].tolist()  # ||A x_k - z_k||
+        residuals = table[:, col["residual_primal"]]  # ||A x_k - z_k||
         tol = CHECK_TOLERANCES
         filled = [K] * len(self.columns)
         for name in ("lagrangian_at_probe", "gap", "gap_bound"):
             filled[col[name]] = K if self.saddle is not None else 0
         for name in ("u_k", "v_k", "v_slack"):
-            filled[col[name]] = K if u is not None else 0
+            filled[col[name]] = K if dz_sq is not None else 0
         verdicts = {
             "v_inequality": (False, "not evaluable: u/v energies unavailable "
                              "(need zero smooth term, constant metrics, and a "
@@ -508,21 +506,6 @@ class _Certifier:
             "v_monotone": (False, "not evaluable: v energy unavailable"),
             "feasibility_rate": (False, "not evaluable: u energy unavailable"),
         }
-        v_slacks = []
-        uncorrected_min = None
-        if u is not None:
-            v_slacks = diagnostics.inequality_v_check(u, v, self.dz_sq, problem.c)
-            filled[col["v_slack"]] = len(v_slacks)
-            table[: len(v_slacks), col["v_slack"]] = [s for _, s in v_slacks]
-            # the stronger, uncorrected inequality (no c ||dz||^2 term) is
-            # logged as a finding only
-            uncorrected = diagnostics.inequality_v_check(u, v, self.dz_sq, 0.0)
-            uncorrected_min = min((s for _, s in uncorrected), default=None)
-            ok, first = diagnostics.v_monotone_check(v, tol["v_monotone"])
-            verdicts["v_monotone"] = (
-                ok,
-                "nonincreasing" if ok else f"first violation at k={first}",
-            )
 
         final_kkt = float(table[-1, col["kkt"]]) if K else None
         final = math.inf if final_kkt is None else final_kkt
@@ -537,27 +520,35 @@ class _Certifier:
                 f"min_slack={min_gap_slack:.3e}",
             )
 
-        min_v_slack = None
-        if v_slacks:
-            min_v_slack = min(s for _, s in v_slacks)
-            verdicts["v_inequality"] = (
-                min_v_slack >= tol["v_inequality"],
-                f"min_slack={min_v_slack:.3e}",
-            )
-        elif u is not None:
-            verdicts["v_inequality"] = (True, "trace too short for slacks")
-
         start = max(2, min(100, K // 2)) if K else 2
         slope = diagnostics.loglog_slope(range(start, K + 1), residuals[start - 1 :])
         rate_slope = None if math.isinf(slope) else slope
-        if u is not None:
-            # sum of dz_sq in iteration order
-            step_energy = 0.0
-            for dz_sq in self.dz_sq[1:].tolist():
-                step_energy += dz_sq
-            S = problem.c * step_energy
-            bounds = diagnostics.feasibility_rate(residuals, problem.c, float(u[1]), S)
-            worst = max([0.0] + [resid - bound for _, resid, bound in bounds])
+
+        min_v_slack = uncorrected_min = None
+        if dz_sq is not None:
+            u, v = table[:, col["u_k"]], table[:, col["v_k"]]
+            v_slacks = diagnostics.inequality_v_check(u, v, dz_sq, problem.c)
+            filled[col["v_slack"]] = len(v_slacks)
+            table[: len(v_slacks), col["v_slack"]] = v_slacks
+            verdicts["v_inequality"] = (True, "trace too short for slacks")
+            if len(v_slacks):
+                min_v_slack = float(np.min(v_slacks))
+                verdicts["v_inequality"] = (
+                    min_v_slack >= tol["v_inequality"],
+                    f"min_slack={min_v_slack:.3e}",
+                )
+                # the stronger, uncorrected inequality (no c ||dz||^2 term)
+                # is logged as a finding only
+                uncorrected = diagnostics.inequality_v_check(u, v, dz_sq, 0.0)
+                uncorrected_min = float(np.min(uncorrected))
+            ok, first = diagnostics.v_monotone_check(v, tol["v_monotone"])
+            verdicts["v_monotone"] = (
+                ok,
+                "nonincreasing" if ok else f"first violation at k={first}",
+            )
+            bounds = diagnostics.feasibility_rate(residuals, problem.c, u[0], dz_sq)
+            # a NaN excess fails the check
+            worst = float(np.max(residuals[1:] - bounds, initial=0.0))
             slope_ok = rate_slope is None or rate_slope <= tol["feasibility_rate"]
             verdicts["feasibility_rate"] = (
                 worst <= 0.0 and slope_ok,

@@ -45,11 +45,9 @@ def minimize_1d(fn, lo, hi, grid=4001, tol=1e-11):
 
 
 def z_steps_sq(trace):
-    """``||z_k - z_{k-1}||^2`` of a stored trace, indexed like ``uv_energies``
-    (index 0 is NaN)."""
-    return [math.nan] + [
-        float((b - a) @ (b - a)) for a, b in zip(trace.zs, trace.zs[1:])
-    ]
+    """``||z_k - z_{k-1}||^2`` of a stored trace in row order, as
+    ``uv_energies``: entry ``i`` is ``k = i + 1``."""
+    return np.array([float((b - a) @ (b - a)) for a, b in zip(trace.zs, trace.zs[1:])])
 
 
 def dual_steps(trace):
@@ -102,25 +100,21 @@ class KahanAverager:
         self.k += 1
 
     @property
-    def x_bar(self):
-        return self._sums[0] / self.k
-
-    @property
-    def z_bar(self):
-        return self._sums[1] / self.k
-
-    @property
-    def y_bar(self):
-        return self._sums[2] / self.k
+    def means(self):
+        """``(x_bar, z_bar, y_bar)`` end to end, one vector."""
+        return np.concatenate(self._sums) / self.k
 
 
 def gap_at(problem, averager, probe, gamma0):
     """:func:`diagnostics.gap_certificate` at ``probe`` after ``averager.k``
-    iterates, both Lagrangians from plain :func:`diagnostics.lagrangian` calls."""
+    iterates, both Lagrangians from plain :func:`diagnostics.lagrangian` calls
+    on slices of ``averager.means``."""
     x, z, y = probe
+    n, m = problem.n, problem.m
+    means = averager.means
     return diagnostics.gap_certificate(
-        diagnostics.lagrangian(problem, averager.x_bar, averager.z_bar, y),
-        diagnostics.lagrangian(problem, x, z, averager.y_bar),
+        diagnostics.lagrangian(problem, means[:n], means[n : n + m], y),
+        diagnostics.lagrangian(problem, x, z, means[n + m :]),
         gamma0,
         averager.k,
     )

@@ -136,7 +136,7 @@ def test_ergodic_averager_matches_fsum():
         avg.update(x, z, y)
     for i in range(3):
         exact = math.fsum(float(v[i]) for v in xs) / k
-        assert abs(avg.x_bar[i] - exact) <= 1e-13 * k
+        assert abs(avg.means[i] - exact) <= 1e-13 * k
 
 
 def test_ergodic_averager_rejects_misshapen_iterates():
@@ -220,8 +220,8 @@ def test_uv_zero_at_exact_saddle():
     trace = constant_trace(P, xs, zs, ys, iters=5)
     m = MetricOperator.scaled_identity(1, 1.0)
     u, v = dg.uv_energies(P, trace, (xs, zs, ys), m, m)
-    assert np.allclose(u[1:], 0.0)
-    assert np.allclose(v[1:], 0.0)
+    assert np.allclose(u, 0.0)
+    assert np.allclose(v, 0.0)
 
 
 def test_uv_stationary_trace_v_zero():
@@ -231,8 +231,8 @@ def test_uv_stationary_trace_v_zero():
     m = MetricOperator.scaled_identity(1, 1.0)
     saddle = toy1d_saddle()
     u, v = dg.uv_energies(P, trace, saddle, m, m)
-    assert np.allclose(v[1:], 0.0)
-    assert np.all(u[1:] > 0.0)  # off the saddle, distances stay positive
+    assert np.allclose(v, 0.0)
+    assert np.all(u > 0.0)  # off the saddle, distances stay positive
 
 
 def test_uv_requires_zero_smooth_term(tv1d):
@@ -268,8 +268,8 @@ def test_uv_spreadsheet_recomputation(toy_run, toy1d_oracle):
             + (mu2 + c) * (zs[k] - zs[k - 1]) ** 2
             + (ys[k] - ys[k - 1]) ** 2 / c
         )
-        assert u[k] == pytest.approx(u_manual, rel=1e-12, abs=1e-14)
-        assert v[k] == pytest.approx(v_manual, rel=1e-12, abs=1e-14)
+        assert u[k - 1] == pytest.approx(u_manual, rel=1e-12, abs=1e-14)
+        assert v[k - 1] == pytest.approx(v_manual, rel=1e-12, abs=1e-14)
 
 
 def test_inequality_v_fixed_point_slack_zero():
@@ -279,7 +279,7 @@ def test_inequality_v_fixed_point_slack_zero():
     m = MetricOperator.scaled_identity(1, 1.0)
     u, v = dg.uv_energies(P, trace, (xs, zs, ys), m, m)
     slacks = dg.inequality_v_check(u, v, z_steps_sq(trace), P.c)
-    for _, s in slacks:
+    for s in slacks:
         assert abs(s) <= 1e-14
 
 
@@ -288,7 +288,7 @@ def test_inequality_v_holds_on_run(toy_run, toy1d_oracle):
     orc = toy1d_oracle
     u, v = dg.uv_energies(P, trace, (orc.x, orc.z, orc.y), m1, m2)
     slacks = dg.inequality_v_check(u, v, z_steps_sq(trace), P.c)
-    assert min(s for _, s in slacks) >= -1e-10
+    assert min(slacks) >= -1e-10
 
 
 def test_inequality_v_detects_corrupted_trace(toy_run, toy1d_oracle):
@@ -302,7 +302,7 @@ def test_inequality_v_detects_corrupted_trace(toy_run, toy1d_oracle):
     corrupted.ys[350] = corrupted.ys[350] + 0.05
     u, v = dg.uv_energies(P, corrupted, (orc.x, orc.z, orc.y), m1, m2)
     slacks = dg.inequality_v_check(u, v, z_steps_sq(corrupted), P.c)
-    assert min(s for _, s in slacks) < -1e-10
+    assert min(slacks) < -1e-10
 
 
 def test_v_monotone_on_run(toy_run, toy1d_oracle):
@@ -314,7 +314,7 @@ def test_v_monotone_on_run(toy_run, toy1d_oracle):
 
 
 def test_v_monotone_reports_first_violation():
-    v = np.array([np.nan, 2.0, 1.0, 0.5, 0.7, 0.9])  # v_4 > v_3: first increase
+    v = np.array([2.0, 1.0, 0.5, 0.7, 0.9])  # v_4 > v_3: first increase
     ok, first = dg.v_monotone_check(v, CHECK_TOLERANCES["v_monotone"])
     assert not ok and first == 4
 
@@ -336,8 +336,8 @@ def test_feasibility_rate_feasible_trace():
     P, _ = build_problem("toy1d")
     x = np.array([0.7])
     trace = constant_trace(P, x, x, np.array([0.2]), iters=10)
-    rates = dg.feasibility_rate(trace.residual_norms, P.c, u1=1.0, S=0.0)
-    for k, resid, bound in rates:
+    bounds = dg.feasibility_rate(trace.residual_norms, P.c, u1=1.0, dz_sq=np.zeros(10))
+    for resid, bound in zip(trace.residual_norms[1:], bounds, strict=True):
         assert resid == 0.0
         assert resid <= bound
 
@@ -345,11 +345,8 @@ def test_feasibility_rate_feasible_trace():
 def test_feasibility_bound_sqrt_scaling():
     P, _ = build_problem("toy1d")
     trace = constant_trace(P, np.zeros(1), np.zeros(1), np.zeros(1), iters=10)
-    rates = dict(
-        (k, bound) for k, _, bound in dg.feasibility_rate(
-            trace.residual_norms, 1.0, u1=4.0, S=0.0
-        )
-    )
+    bounds = dg.feasibility_rate(trace.residual_norms, 1.0, u1=4.0, dz_sq=np.zeros(10))
+    rates = dict(zip(range(2, 11), bounds, strict=True))
     # bound is proportional to 1/sqrt(k - 1): quadrupling (k-1) halves it
     assert rates[2] == pytest.approx(2.0 * rates[5])
 
@@ -358,10 +355,8 @@ def test_feasibility_rate_on_run(toy_run, toy1d_oracle):
     P, trace, m1, m2 = toy_run
     orc = toy1d_oracle
     u, v = dg.uv_energies(P, trace, (orc.x, orc.z, orc.y), m1, m2)
-    S = P.c * sum(z_steps_sq(trace)[1:])
-    for k, resid, bound in dg.feasibility_rate(
-        trace.residual_norms, P.c, float(u[1]), S
-    ):
+    bounds = dg.feasibility_rate(trace.residual_norms, P.c, u[0], z_steps_sq(trace))
+    for resid, bound in zip(trace.residual_norms[1:], bounds, strict=True):
         assert resid <= bound
 
 

@@ -259,17 +259,17 @@ def test_streamed_and_stored_folds_agree(tmp_path, overrides):
     orc = experiments.oracle(problem, budget=cfg.oracle_budget)
     m1, m2 = sched1.metric(0), sched2.metric(0)
     u, v = diagnostics.uv_energies(problem, trace, (orc.x, orc.z, orc.y), m1, m2)
-    slacks = dict(diagnostics.inequality_v_check(u, v, z_steps_sq(trace), problem.c))
+    slacks = diagnostics.inequality_v_check(u, v, z_steps_sq(trace), problem.c)
 
     assert len(rows) == trace.iterations == cfg.iters
-    for k, row in enumerate(rows, start=1):
-        assert float(row["residual_primal"]) == trace.residual_norms[k - 1]
-        assert float(row["u_k"]) == u[k]
-        assert float(row["v_k"]) == v[k]
-        if k in slacks:
-            assert float(row["v_slack"]) == slacks[k]
+    for i, row in enumerate(rows):
+        assert float(row["residual_primal"]) == trace.residual_norms[i]
+        assert float(row["u_k"]) == u[i]
+        assert float(row["v_k"]) == v[i]
+        if i < len(slacks):
+            assert float(row["v_slack"]) == slacks[i]
         else:
-            assert row["v_slack"] == "" and k >= cfg.iters - 1
+            assert row["v_slack"] == "" and i + 1 >= cfg.iters - 1
 
 
 _TV1D_LINEARIZED = {"problem": {"name": "tv1d", "n": 20},
@@ -369,17 +369,18 @@ def single_iterate_log(cfg):
         if K:
             certificates["min_gap_slack"] = min([math.inf] + slacks)
         if isinstance(problem.h, Zero) and K:  # the u/v columns
-            u, v = diagnostics.uv_energies(problem, trace, saddle, m1, m2)
+            triples = list(zip(trace.xs, trace.zs, trace.ys))
+            u, v = np.array([diagnostics.uv_step(problem, saddle, m1, m2, a, b)
+                             for a, b in zip(triples, triples[1:])]).T
             v_slacks = diagnostics.inequality_v_check(u, v, z_steps_sq(trace), c)
-            for k, row in enumerate(rows, start=1):
-                row["u_k"], row["v_k"] = u[k], v[k]
-            for k, slack in v_slacks:
-                rows[k - 1]["v_slack"] = slack
-            if v_slacks:
-                certificates["min_v_slack"] = min(s for _, s in v_slacks)
+            for row, u_k, v_k in zip(rows, u, v, strict=True):
+                row["u_k"], row["v_k"] = u_k, v_k
+            for row, slack in zip(rows, v_slacks):
+                row["v_slack"] = slack
+            if len(v_slacks):
+                certificates["min_v_slack"] = min(v_slacks)
                 certificates["findings"]["uncorrected_v_min_slack"] = min(
-                    s for _, s in diagnostics.inequality_v_check(
-                        u, v, z_steps_sq(trace), 0.0))
+                    diagnostics.inequality_v_check(u, v, z_steps_sq(trace), 0.0))
     start = max(2, min(100, K // 2)) if K else 2
     slope = diagnostics.loglog_slope(range(start, K + 1),
                                      trace.residual_norms[start - 1:])

@@ -425,9 +425,7 @@ def test_single_buffer_averager_matches_per_vector_kahan():
             x, z, y = row[:n], row[n : n + m], row[n + m :]
             averager.update(x, z, y)
             reference.update(x, z, y)
-            for name in ("x_bar", "z_bar", "y_bar"):
-                got, want = getattr(averager, name), getattr(reference, name)
-                assert got.tobytes() == want.tobytes()
+            assert averager.means.tobytes() == reference.means.tobytes()
 
     check()
 
