@@ -218,11 +218,11 @@ def inequality_v_check(u, v, dz_sq, c):
     """Slacks of the one-step contraction inequality, in row order.
 
     ``slack_k = (u_k - u_{k+1}) - (v_{k+1} - c ||z_{k+1} - z_k||^2)`` for
-    ``k = 1..K-2``, from the :func:`uv_energies` arrays and ``dz_sq``, whose
+    ``k = 1..K-1``, from the :func:`uv_energies` arrays and ``dz_sq``, whose
     entry ``i`` is ``||z_k - z_{k-1}||^2`` at ``k = i + 1``; nonnegative (to
     roundoff) whenever the iteration ran exactly.
     """
-    return (u[:-2] - u[1:-1]) - (v[1:-1] - c * dz_sq[1:-1])
+    return (u[:-1] - u[1:]) - (v[1:] - c * dz_sq[1:])
 
 
 def v_monotone_check(v, tol):

@@ -305,6 +305,18 @@ def test_inequality_v_detects_corrupted_trace(toy_run, toy1d_oracle):
     assert min(slacks) < -1e-10
 
 
+def test_inequality_v_detects_a_corrupted_last_iterate(toy_run, toy1d_oracle):
+    # the step K-1 -> K is checked too: a fault in the last iterate alone shows
+    P, trace, m1, m2 = toy_run
+    orc = toy1d_oracle
+    corrupted = RunTrace(list(trace.xs), list(trace.zs), list(trace.ys))
+    corrupted.ys[-1] = corrupted.ys[-1] + 0.05
+    u, v = dg.uv_energies(P, corrupted, (orc.x, orc.z, orc.y), m1, m2)
+    slacks = dg.inequality_v_check(u, v, z_steps_sq(corrupted), P.c)
+    assert len(slacks) == trace.iterations - 1
+    assert min(slacks[:-1]) >= -1e-10 > slacks[-1]
+
+
 def test_v_monotone_on_run(toy_run, toy1d_oracle):
     P, trace, m1, m2 = toy_run
     orc = toy1d_oracle
@@ -324,7 +336,7 @@ def test_uncorrected_inequality_logged_not_asserted(toy_run, toy1d_oracle):
     orc = toy1d_oracle
     u, v = dg.uv_energies(P, trace, (orc.x, orc.z, orc.y), m1, m2)
     slacks = dg.inequality_v_check(u, v, z_steps_sq(trace), 0.0)
-    assert len(slacks) == trace.iterations - 2  # values exist as findings, no assertion
+    assert len(slacks) == trace.iterations - 1  # values exist as findings, no assertion
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,19 @@ def test_v_monotone_check_covers_first_step(tmp_path, monkeypatch):
     assert result.checks["v_monotone"] == (False, "first violation at k=2")
 
 
+def test_two_iteration_run_checks_its_one_contraction_step(tmp_path):
+    # K = 2 has one step k = 1 -> 2 to check, logged on the first row
+    cfg = toy_config(iters=2, checks=["v_inequality"])
+    result = run_experiment(cfg, out_dir=str(tmp_path))
+    with open(result.csv_path, newline="") as fh:
+        slacks = [row["v_slack"] for row in csv.DictReader(fh)]
+    assert slacks[1] == ""
+    assert result.summary["min_v_slack"] == float(slacks[0])
+    assert result.checks["v_inequality"] == (
+        True, f"min_slack={float(slacks[0]):.3e}"
+    )
+
+
 def test_certified_solve_holds_no_per_iteration_vector(tmp_path, monkeypatch):
     # the runner certifies each iterate as it arrives: no RunTrace, and the
     # traced peak grows by less than one n-vector per added iteration
@@ -269,7 +282,7 @@ def test_streamed_and_stored_folds_agree(tmp_path, overrides):
         if i < len(slacks):
             assert float(row["v_slack"]) == slacks[i]
         else:
-            assert row["v_slack"] == "" and i + 1 >= cfg.iters - 1
+            assert row["v_slack"] == "" and i + 1 == cfg.iters
 
 
 _TV1D_LINEARIZED = {"problem": {"name": "tv1d", "n": 20},
