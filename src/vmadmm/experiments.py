@@ -124,6 +124,8 @@ def parse_config(text, source="<string>"):
             raise ConfigError(f"{source}: {key!r} must be an integer >= 0")
     if type(cfg.c) not in (int, float) or not 0 < cfg.c <= sys.float_info.max:
         raise ConfigError(f"{source}: 'c' must be a finite number > 0")
+    if type(cfg.log_vectors) is not bool:
+        raise ConfigError(f"{source}: 'log_vectors' must be true or false")
     if not isinstance(cfg.out_dir, str) or not cfg.out_dir:
         raise ConfigError(f"{source}: 'out_dir' must be a non-empty string")
     if not isinstance(cfg.checks, list) or not all(
@@ -233,7 +235,7 @@ def problem_from_config(cfg):
     params["c"] = cfg.c
     try:
         return build_problem(cfg.problem["name"], **params)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"'problem' table: {exc!r}") from exc
 
 

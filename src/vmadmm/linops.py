@@ -31,8 +31,9 @@ from .errors import (
 def as_vector(entries, dim=None, what="vector"):
     """Validate and convert ``entries`` to a finite 1-D float64 array.
 
-    Scalars are promoted to length-1 vectors. Raises on NaN/Inf entries and,
-    when ``dim`` is given, on a length mismatch.
+    Scalars are promoted to length-1 vectors. Raises on NaN/Inf entries, on
+    entries whose squared norm overflows (no norm of the data would be
+    finite) and, when ``dim`` is given, on a length mismatch.
     """
     x = np.asarray(entries, dtype=float)
     if x.ndim == 0:
@@ -41,6 +42,9 @@ def as_vector(entries, dim=None, what="vector"):
         raise ValueError(f"{what}: expected a 1-D array, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{what}: entries must be finite (no NaN/Inf)")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.vecdot(x, x)):
+            raise ValueError(f"{what}: squared norm overflows")
     if dim is not None and x.shape[0] != dim:
         raise DimensionMismatch(what, dim, x.shape[0])
     return x

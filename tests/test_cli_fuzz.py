@@ -2,9 +2,11 @@
 
 Hypothesis draws run configs over every :class:`RunConfig` key: catalog
 problems with n <= 50, every schedule and metric kind, at most 60
-iterations, and in any entry a wrong type or a non-finite number such as
-``1e309`` (which JSON reads as infinity). Whatever the config, ``cli.main``
-returns 0, 1, 2 or 3 without raising, and an exit 2 prints one line.
+iterations, and in any entry a wrong type, a huge finite number (1e300,
+whose square overflows) or a non-finite number such as ``1e309`` (which
+JSON reads as infinity). Whatever the config, ``cli.main`` returns 0, 1, 2
+or 3 without raising, and an exit 2 prints one line. A ``log_vectors`` that
+is not a bool is a config error.
 """
 
 import contextlib
@@ -31,7 +33,8 @@ WRONG = st.one_of(
     st.just([]),
     st.just({}),
     st.just(HUGE),
-    st.sampled_from([float("inf"), float("-inf"), float("nan"), -1.0, 0.0, 2.5]),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), -1.0, 0.0, 2.5,
+                     1e300, -1e300]),
 )
 
 
@@ -53,7 +56,8 @@ def problems(draw):
     name = draw(st.sampled_from(["tv1d", "lasso-split", "box-qp", "toy1d"]))
     n = draw(st.integers(2, 50))
     if name == "tv1d":
-        table = {"n": n, "lam": draw(number(0.01, 2.0)), "noise": draw(number(0, 1))}
+        table = {"n": n, "lam": draw(number(0.01, 2.0)),
+                 "noise": draw(st.one_of(number(0, 1), st.just(1e300)))}
         dims = (n, n - 1)
     elif name == "lasso-split":
         table = {"n": n, "rows": n + draw(st.integers(0, 10)),
@@ -63,7 +67,8 @@ def problems(draw):
     elif name == "box-qp":
         table, dims = {"n": n}, (n, n)
     else:
-        table = {"lam": draw(number(0.1, 3.0)), "target": draw(number(-5, 5)),
+        table = {"lam": draw(number(0.1, 3.0)),
+                 "target": draw(st.one_of(number(-5, 5), st.just(1e300))),
                  "sigma": draw(number(0.1, 3.0)),
                  "h_kind": draw(st.sampled_from(["zero", "squared_l2", "huber",
                                                  "quadratic"])),
@@ -144,7 +149,8 @@ def configs(draw):
                                 max_size=6, unique=True)),
         "seed": draw(st.integers(0, 5)),
         "out_dir": draw(st.sampled_from(["out", "a/b"])),
-        "log_vectors": draw(st.booleans()),
+        "log_vectors": draw(st.one_of(st.booleans(), st.booleans(),
+                                      st.sampled_from(["false", 0, 1, None]))),
         "oracle_budget": draw(st.integers(0, 3000)),
     }
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
@@ -182,6 +188,8 @@ def test_solve_ends_in_a_documented_exit_code(cfg, force):
         finally:
             os.chdir(cwd)
     assert code in (0, 1, 2, 3), text
+    if not isinstance(cfg.get("log_vectors", False), bool):
+        assert code == 2, text
     if code == 2:
         lines = stderr.getvalue().count("\n") + len(caught)
         assert lines == 1, (text, stderr.getvalue(), [str(w.message) for w in caught])

@@ -76,6 +76,22 @@ def test_config_rejects_unknown_and_missing_keys():
     assert "mystery" in str(exc.value)
 
 
+def test_config_rejects_a_log_vectors_that_is_not_a_bool():
+    data = json.loads(serialize_config(toy_config()))
+    for value in ("false", 0, 1, None):
+        data["log_vectors"] = value
+        with pytest.raises(ConfigError, match="'log_vectors'"):
+            parse_config(json.dumps(data))
+
+
+def test_config_rejects_an_infinite_problem_size():
+    # JSON reads 1e309 as infinity, which int() cannot convert
+    for name, key in (("box-qp", "n"), ("tv1d", "n"), ("lasso-split", "rows")):
+        cfg = toy_config(problem={"name": name, key: math.inf})
+        with pytest.raises(ConfigError, match="'problem' table: OverflowError"):
+            experiments.problem_from_config(cfg)
+
+
 def test_config_requires_problem_name():
     data = json.loads(serialize_config(toy_config()))
     data["problem"] = {}

@@ -40,6 +40,14 @@ def test_as_vector_rejects_nonfinite():
         as_vector([np.inf])
 
 
+def test_as_vector_rejects_an_overflowing_squared_norm():
+    # finite entries whose squared norm is infinite: every norm of the data
+    # would overflow, so the entry is refused where it is named
+    with pytest.raises(ValueError, match="SquaredL2 shift: squared norm overflows"):
+        as_vector([1e300], what="SquaredL2 shift")
+    assert as_vector([1e150]).tolist() == [1e150]
+
+
 def test_as_vector_dim_mismatch_names_dims():
     with pytest.raises(DimensionMismatch) as exc:
         as_vector([1.0, 2.0], dim=3)
