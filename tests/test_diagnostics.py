@@ -363,6 +363,21 @@ def test_feasibility_bound_sqrt_scaling():
     assert rates[2] == pytest.approx(2.0 * rates[5])
 
 
+def test_feasibility_bound_sums_the_step_energy_in_order():
+    # 1 + 1e-16 rounds back to 1 at each step of a sequential sum, while a
+    # pairwise or compensated sum keeps the small terms: the bound takes the
+    # step energy S summed in iteration order
+    dz_sq = np.array([1.0] + [1e-16] * 15)
+    S_seq = 0.0
+    for step in dz_sq.tolist():
+        S_seq += step
+    assert S_seq != float(np.sum(dz_sq)) and S_seq != math.fsum(dz_sq)
+    c, u1 = 2.0, 0.5
+    bounds = dg.feasibility_rate(np.zeros(16), c, u1, dz_sq)
+    assert bounds.tolist() == [math.sqrt(c * (u1 + c * S_seq) / (k - 1))
+                               for k in range(2, 17)]
+
+
 def test_feasibility_rate_on_run(toy_run, toy1d_oracle):
     P, trace, m1, m2 = toy_run
     orc = toy1d_oracle
