@@ -387,6 +387,29 @@ def test_feasibility_rate_on_run(toy_run, toy1d_oracle):
         assert resid <= bound
 
 
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 17, 200])
+def test_row_order_folds_equal_the_per_k_loops(K):
+    # the array forms keep the bits of a Python fold over k, one float at a
+    # time; v rises now and then, so the monotone check has something to find
+    rng = np.random.default_rng(K)
+    scales = 10.0 ** -rng.integers(0, 12, (4, K))
+    u, v, dz_sq, residuals = rng.uniform(0.0, 1.0, (4, K)) * scales
+    c, u1 = 1.7, float(u[0]) if K else 1.0
+    for cc in (c, 0.0):
+        want = [(u[k - 1] - u[k]) - (v[k] - cc * dz_sq[k]) for k in range(1, K)]
+        got = dg.inequality_v_check(u, v, dz_sq, cc)
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
+    for tol in (0.0, 1e-3):
+        rises = [k for k in range(2, K + 1) if v[k - 1] > v[k - 2] + tol]
+        ok, first = dg.v_monotone_check(v, tol)
+        assert (ok, first) == ((True, None) if not rises else (False, rises[0]))
+    S = 0.0
+    for step in dz_sq.tolist():
+        S += step
+    want = [math.sqrt(c * (u1 + c * S) / (k - 1)) for k in range(2, K + 1)]
+    assert dg.feasibility_rate(residuals, c, u1, dz_sq).tolist() == want
+
+
 def test_loglog_slope_linear_decay():
     ks = range(10, 200)
     vals = [1.0 / k for k in ks]
