@@ -188,7 +188,8 @@ def test_c03_feasibility_rate(uv_toy1d, uv_lasso, toy1d_oracle, lasso_g_oracle):
             bounds = dg.feasibility_rate(
                 trace.residual_norms, problem.c, u[0], z_steps_sq(trace)
             )
-            for k, resid, bound in zip(range(2, 2001), trace.residual_norms[1:], bounds):
+            resids = trace.residual_norms[1:]
+            for k, resid, bound in zip(range(2, 2001), resids, bounds):
                 assert resid <= bound, f"k={k}: {resid:.3e} > {bound:.3e}"
             ks = range(100, 2001)
             slope = dg.loglog_slope(ks, [trace.residual_norms[k - 1] for k in ks])

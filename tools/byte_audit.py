@@ -281,7 +281,8 @@ def _columns_differ(old, new):
         return ["header"]
     out = []
     for j, name in enumerate(old_rows[0]):
-        old_col, new_col = ([row[j] for row in rows[1:]] for rows in (old_rows, new_rows))
+        old_col, new_col = ([row[j] for row in rows[1:]]
+                            for rows in (old_rows, new_rows))
         rows = sum(a != b for a, b in zip(old_col, new_col))
         rows += abs(len(old_col) - len(new_col))
         if rows:
