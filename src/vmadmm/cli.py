@@ -68,9 +68,12 @@ def _cmd_solve(args):
 
 def _cmd_oracle(args):
     cfg = load_config(args.config)
+    if args.budget is not None:
+        if args.budget < 0:
+            raise ConfigError("--budget must be >= 0")
+        cfg.oracle_budget = args.budget
     problem, _ = problem_from_config(cfg)
-    budget = args.budget if args.budget is not None else cfg.oracle_budget
-    result = oracle(problem, budget=budget)
+    result = oracle(problem, budget=cfg.oracle_budget)
     path = os.path.join(output_dir(cfg, args.out), "oracle.json")
     payload = {
         "problem": cfg.problem,

@@ -3,11 +3,13 @@
 All randomness comes from a 64-bit linear congruential generator (Knuth's
 MMIX multiplier 6364136223846793005, increment 1442695040888963407, modulus
 2^64; uniforms take the top 53 bits), so catalog instances are bit-identical
-across platforms without external data files.
+across platforms without external data files; jump-ahead computes the stream
+in O(log count) numpy passes, with the bits of one step per draw.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +27,24 @@ LCG_MODULUS = 1 << 64
 
 
 def lcg_uniforms(seed, count):
-    """``count`` uniforms in [0, 1) from the 64-bit LCG, platform independent."""
-    state = seed % LCG_MODULUS
-    out = np.empty(count)
-    for i in range(count):
-        state = (state * LCG_MULTIPLIER + LCG_INCREMENT) % LCG_MODULUS
-        out[i] = (state >> 11) / float(1 << 53)
+    """``count`` uniforms in [0, 1) from the 64-bit LCG, platform independent.
+
+    ``seed`` is an integer, taken mod 2^64. Jump-ahead: states ``i + len``
+    are ``a_len * s_i + c_len``, with ``(a_len, c_len)`` the step composed
+    ``len`` times, so O(log count) ``uint64`` passes give the loop's bits.
+    """
+    states = np.empty(count, dtype=np.uint64)
+    a, c, filled = LCG_MULTIPLIER, LCG_INCREMENT, min(count, 1)
+    states[:filled] = (operator.index(seed) * a + c) % LCG_MODULUS
+    while filled < count:
+        block = states[filled : 2 * filled]
+        np.multiply(states[: len(block)], np.uint64(a), out=block)
+        block += np.uint64(c)
+        a, c = a * a % LCG_MODULUS, (a * c + c) % LCG_MODULUS
+        filled *= 2
+    states >>= np.uint64(11)
+    out = states.astype(float)  # exact below 2^53, and no cast buffer
+    out *= 2.0**-53
     return out
 
 

@@ -1,6 +1,6 @@
 """Test helpers: independent scalar-minimization oracles used to freeze
-expected values, factorization and eigendecomposition counters, and
-reference folds of the gap certificates.
+expected values, the per-draw LCG loop, factorization and eigendecomposition
+counters, and reference folds of the gap certificates.
 
 Value-only minimization cannot localize a smooth minimum better than about
 sqrt(machine epsilon) ~ 1.5e-8, so comparisons against these oracles use
@@ -13,6 +13,18 @@ import numpy as np
 import scipy.linalg
 
 from vmadmm import diagnostics
+from vmadmm.problems import LCG_INCREMENT, LCG_MODULUS, LCG_MULTIPLIER
+
+
+def lcg_reference(seed, count):
+    """The LCG stream one Python-int step per draw: the reference that
+    :func:`vmadmm.problems.lcg_uniforms` must equal bit for bit."""
+    state = seed % LCG_MODULUS
+    out = np.empty(count)
+    for i in range(count):
+        state = (state * LCG_MULTIPLIER + LCG_INCREMENT) % LCG_MODULUS
+        out[i] = (state >> 11) / float(1 << 53)
+    return out
 
 
 def golden_minimize(fn, lo, hi, tol=1e-11):

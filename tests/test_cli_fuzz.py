@@ -6,7 +6,8 @@ iterations, and in any entry a wrong type, a huge finite number (1e300,
 whose square overflows) or a non-finite number such as ``1e309`` (which
 JSON reads as infinity). Whatever the config, ``cli.main`` returns 0, 1, 2
 or 3 without raising, and an exit 2 prints one line. A ``log_vectors`` that
-is not a bool is a config error.
+is not a bool, and a problem ``seed`` that is a float or a string, are
+config errors.
 """
 
 import contextlib
@@ -36,6 +37,9 @@ WRONG = st.one_of(
     st.sampled_from([float("inf"), float("-inf"), float("nan"), -1.0, 0.0, 2.5,
                      1e300, -1e300]),
 )
+
+# a problem seed must be an integer: a float or a string is a config error
+BAD_SEEDS = st.sampled_from([3.0, 1e300, "3"])
 
 
 def number(low, high):
@@ -77,6 +81,8 @@ def problems(draw):
         dims = (1, 1)
     if name != "toy1d" and draw(st.booleans()):
         table["seed"] = draw(st.integers(0, 99))
+        if draw(st.integers(0, 3)) == 0:
+            table["seed"] = draw(BAD_SEEDS)
     return {"name": name, **table}, dims
 
 
@@ -189,6 +195,9 @@ def test_solve_ends_in_a_documented_exit_code(cfg, force):
             os.chdir(cwd)
     assert code in (0, 1, 2, 3), text
     if not isinstance(cfg.get("log_vectors", False), bool):
+        assert code == 2, text
+    if isinstance(cfg.get("problem"), dict) and \
+            isinstance(cfg["problem"].get("seed"), (float, str)):
         assert code == 2, text
     if code == 2:
         lines = stderr.getvalue().count("\n") + len(caught)

@@ -580,6 +580,13 @@ def test_cli_iters_override_and_out(tmp_path):
     assert main(["solve", "--config", cfg_path, "--iters", "-1", "--out", out]) == 2
 
 
+def test_cli_oracle_rejects_a_negative_budget(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, toy_config(out_dir=str(tmp_path / "out")))
+    assert main(["oracle", "--config", cfg_path, "--budget", "-5"]) == 2
+    assert capsys.readouterr().err == "config error: --budget must be >= 0\n"
+    assert not os.path.exists(tmp_path / "out" / "oracle.json")
+
+
 def test_cli_env_var_output(tmp_path, monkeypatch):
     out = str(tmp_path / "envout")
     monkeypatch.setenv("VMADMM_OUT", out)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -47,6 +48,39 @@ def test_lcg_uniform_range_and_determinism():
     assert np.all(u >= 0.0) and np.all(u < 1.0)
     assert np.array_equal(u, lcg_uniforms(7, 1000))
     assert not np.array_equal(lcg_uniforms(7, 10), lcg_uniforms(8, 10))
+
+
+# SHA-256 of lcg_uniforms(seed, count).tobytes(), recorded from the per-draw
+# loop: the benchmark's tv1d, box-qp and lasso-split (rows 300) draws at n =
+# 200, then tv1d, lasso-split and box-qp at their default seeds and sizes
+CATALOG_DIGESTS = {
+    (1, 200): "27010d470d4e241a5f7ad01bc967bbec8ff91e0491e245883920e28514a2e7f0",
+    (1, 60300): "5864e84c9e8b171eadb72a5ec025214685113bf849509374009ce70eefaf39b1",
+    (1, 40200): "51bb0864cb22377041e1312282c77883365f46e64e63d1d9d29022ca0214d609",
+    (20240801, 50): "bbeadde5b28d20cfbee02ecae2a5427e4884060f0cba5d346d5c0a5904d5963b",
+    (20240802, 630): "6fac7bf23b4837be2a9872b6fa793db85b2cb3f13f0f63ba9a254e2efaa0b76e",
+    (20240803, 110): "f49d49db5d95f61e344dc69a8a07317f65f7a570974ef725bb2c5eb82c9bf9ec",
+}
+
+
+@pytest.mark.parametrize("seed, count", sorted(CATALOG_DIGESTS))
+def test_lcg_catalog_draws_keep_their_digests(seed, count):
+    digest = hashlib.sha256(lcg_uniforms(seed, count).tobytes()).hexdigest()
+    assert digest == CATALOG_DIGESTS[seed, count]
+
+
+@pytest.mark.parametrize("seed", [3.0, 1e300, float("inf"), "3", None])
+def test_lcg_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(TypeError):
+        lcg_uniforms(seed, 0)
+    with pytest.raises(TypeError):
+        build_problem("tv1d", n=5, seed=seed)
+
+
+def test_lcg_takes_the_seed_mod_two_to_the_64():
+    assert np.array_equal(lcg_uniforms(-1, 50), lcg_uniforms(2**64 - 1, 50))
+    assert np.array_equal(lcg_uniforms(2**64 + 5, 50), lcg_uniforms(5, 50))
+    assert np.array_equal(lcg_uniforms(np.int64(5), 50), lcg_uniforms(5, 50))
 
 
 def test_noisy_ramp_shape_and_bounds():

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import KahanAverager, count_factorizations, dual_steps
+from helpers import KahanAverager, count_factorizations, dual_steps, lcg_reference
 from vmadmm import diagnostics
 from vmadmm.diagnostics import ErgodicAverager, dual_identity_deviation
 from vmadmm.errors import SingularSubproblem
@@ -36,7 +36,7 @@ from vmadmm.linops import (
     min_eigenvalue,
     operator_norm,
 )
-from vmadmm.problems import build_problem
+from vmadmm.problems import build_problem, lcg_uniforms
 from vmadmm.solver import (
     ConstantSchedule,
     ProblemSpec,
@@ -428,6 +428,25 @@ def test_single_buffer_averager_matches_per_vector_kahan():
             assert averager.means.tobytes() == reference.means.tobytes()
 
     check()
+
+
+# seeds past 2^64 either way, and the edges of the modulus
+LCG_SEEDS = st.one_of(st.integers(-(2**70), 2**70),
+                      st.sampled_from([0, 2**64 - 1, 2**64 + 5]))
+# counts where the jump-ahead's last doubling is one short, exact or one over
+LCG_EDGE_COUNTS = sorted({2**j + d for j in range(13) for d in (-1, 0, 1)})
+
+
+@given(LCG_SEEDS, st.integers(0, 4100))
+def test_lcg_jump_ahead_matches_the_per_draw_loop(seed, count):
+    assert lcg_uniforms(seed, count).tobytes() == lcg_reference(seed, count).tobytes()
+
+
+def test_lcg_jump_ahead_matches_the_per_draw_loop_at_doubling_edges():
+    for count in LCG_EDGE_COUNTS:
+        for seed in (0, 2**64 - 1, 2**64 + 5, -(2**70)):
+            got = lcg_uniforms(seed, count).tobytes()
+            assert got == lcg_reference(seed, count).tobytes(), (seed, count)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,16 @@ def configs():
                                    checks=gap_checks, log_vectors=True,
                                    **tv1d_lin)),
     ]
+    # draw counts past 2^17 and off a power of two (700 * 300 + 700 = 210 700
+    # and 300 * 300 + 300 = 90 300), without an oracle; both exit 1, with the
+    # kkt check failing after 20 iterations
+    out += [
+        ("lasso-h-300-700", toy(problem={"name": "lasso-split", "n": 300,
+                                         "rows": 700},
+                                metric1=_metric(2.0), metric2=ZERO, iters=20)),
+        ("box-qp-300", toy(problem={"name": "box-qp", "n": 300},
+                           metric1=_metric(5.0), metric2=ZERO, iters=20)),
+    ]
     # the benchmark workloads, read from perfbench/ as they are
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS
