@@ -261,15 +261,18 @@ def feasibility_rate(residuals, c, u1, dz_sq):
 def loglog_slope(ks, values):
     """Least-squares slope of log(value) against log(k).
 
-    Values at or below 1e-300 are dropped (they only occur once the residual
-    has converged past double precision); with fewer than two usable points
-    the slope is -inf.
+    ``ks`` and ``values`` have one entry per point. Values at or below
+    1e-300 are dropped (they only occur once the residual has converged past
+    double precision); with fewer than two usable points the slope is -inf.
+    The logs are ``math.log``'s, written straight into two arrays.
     """
-    pts = [(math.log(k), math.log(v)) for k, v in zip(ks, values) if v > 1e-300]
-    if len(pts) < 2:
+    values = np.asarray(values, dtype=float)
+    keep = values > 1e-300
+    count = int(np.count_nonzero(keep))
+    if count < 2:
         return -math.inf
-    lk = np.array([p[0] for p in pts])
-    lv = np.array([p[1] for p in pts])
+    lk = np.fromiter(map(math.log, np.asarray(ks)[keep]), float, count)
+    lv = np.fromiter(map(math.log, values[keep]), float, count)
     return float(np.polyfit(lk, lv, 1)[0])
 
 

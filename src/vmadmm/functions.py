@@ -178,13 +178,13 @@ class L1Norm(ConvexFunction):
         return 0.0 if float(np.abs(y).max()) <= self.weight + tol else math.inf
 
     def distance_to_subdifferential(self, x, s):
-        # Coordinates are classified as active when |x_i| exceeds a small
-        # tolerance; at active coordinates the subgradient is the signed
+        # Coordinates are classified as active when |x_i| exceeds
+        # 1e-8 (1 + max_j |x_j|); at active coordinates the subgradient is the signed
         # weight, elsewhere the interval [-weight, weight].
         x = self._check(x)
         s = self._check(s, "subgradient target")
-        zero_tol = 1e-8 * (1.0 + np.abs(x).max(axis=-1, keepdims=True))
-        active = np.abs(x) > zero_tol
+        active = np.abs(x)  # |x| once; the name then holds the mask alone
+        active = active > 1e-8 * (1.0 + active.max(axis=-1, keepdims=True))
         per_coord = np.where(
             active,
             np.abs(s - self.weight * np.sign(x)),
@@ -322,17 +322,21 @@ class Quadratic(ConvexFunction):
     smooth = True
 
     def __init__(self, Q, q=None):
-        Q = np.array(Q, dtype=float)
+        Q = np.asarray(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be a square 2-D array")
         if not np.all(np.isfinite(Q)):
             raise ValueError("Q entries must be finite (no NaN/Inf)")
         dim = Q.shape[0]
         super().__init__(dim)
-        scale = max(1.0, float(np.abs(Q).max()))
-        if float(np.abs(Q - Q.T).max()) > 1e-12 * scale:
+        scale = max(1.0, float(Q.max()), -float(Q.min()))  # max |Q_ij|
+        # one buffer, first for |Q - Q^T|, then for (Q + Q^T) / 2; the
+        # argument is only read, never written
+        work = np.subtract(Q, Q.T)
+        if float(np.abs(work, out=work).max()) > 1e-12 * scale:
             raise ValueError("Q must be symmetric")
-        Q = (Q + Q.T) / 2.0
+        Q = np.add(Q, Q.T, out=work)
+        Q /= 2.0
         eigs = np.linalg.eigvalsh(Q)
         if float(eigs[0]) < -1e-10 * scale:
             raise ValueError(f"Q must be PSD; smallest eigenvalue {eigs[0]:.3e}")

@@ -40,14 +40,20 @@ def as_vector(entries, dim=None, what="vector"):
         x = x.reshape(1)
     if x.ndim != 1:
         raise ValueError(f"{what}: expected a 1-D array, got shape {x.shape}")
+    _check_finite(what, x)
+    if dim is not None and x.shape[0] != dim:
+        raise DimensionMismatch(what, dim, x.shape[0])
+    return x
+
+
+def _check_finite(what, x):
+    """Raise unless every entry of the vector ``x`` and its squared norm are
+    finite: no norm of data past that would be."""
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{what}: entries must be finite (no NaN/Inf)")
     with np.errstate(over="ignore"):
         if not np.isfinite(np.vecdot(x, x)):
             raise ValueError(f"{what}: squared norm overflows")
-    if dim is not None and x.shape[0] != dim:
-        raise DimensionMismatch(what, dim, x.shape[0])
-    return x
 
 
 def _check_dim(what, x, dim):

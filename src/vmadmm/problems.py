@@ -51,7 +51,7 @@ def lcg_uniforms(seed, count):
 def noisy_ramp(n, seed, noise=0.25):
     """A linear ramp on [0, 1] plus uniform noise of amplitude ``noise``."""
     ramp = np.arange(n) / max(n - 1, 1)
-    return ramp + noise * (2.0 * lcg_uniforms(seed, n) - 1.0)
+    return ramp + noise * _signed_draws(seed, n)
 
 
 def build_problem(name, **params):
@@ -110,10 +110,7 @@ def _build_lasso_split(n=20, rows=30, lam=0.1, c=1.0, seed=20240802,
         raise ValueError("lasso-split needs rows >= n >= 1")
     if lam <= 0:
         raise ValueError("lasso-split needs lam > 0")
-    u = lcg_uniforms(seed, rows * n + rows)
-    design = (2.0 * u[: rows * n] - 1.0).reshape(rows, n) / np.sqrt(rows)
-    target = 2.0 * u[rows * n :] - 1.0
-    quad = functions.Quadratic(design.T @ design, -design.T @ target)
+    quad = functions.Quadratic(*_lasso_data(n, rows, seed))
     if quadratic_in == "h":
         f, h, g = functions.L1Norm(n, lam), quad, functions.Zero(n)
     elif quadratic_in == "g":
@@ -127,17 +124,46 @@ def _build_box_qp(n=10, c=1.0, seed=20240803):
     n = int(n)
     if n < 1:
         raise ValueError("box-qp needs n >= 1")
-    u = lcg_uniforms(seed, n * n + n)
-    base = (2.0 * u[: n * n] - 1.0).reshape(n, n)
-    Q = base.T @ base / n + 0.5 * np.eye(n)
-    q = 2.0 * u[n * n :] - 1.0
     return ProblemSpec(
         f=functions.BoxIndicator(n, lower=0.0, upper=1.0),
-        h=functions.Quadratic(Q, q),
+        h=functions.Quadratic(*_box_qp_data(n, seed)),
         g=functions.Zero(n),
         A=LinearMap.identity(n),
         c=float(c),
     )
+
+
+def _signed_draws(seed, count):
+    """``2 u - 1`` for ``count`` LCG uniforms ``u``, in the draws' own buffer."""
+    u = lcg_uniforms(seed, count)
+    u *= 2.0
+    u -= 1.0
+    return u
+
+
+def _lasso_data(n, rows, seed):
+    """``(D^T D, -D^T b)`` for the design ``D`` (``rows x n``, scaled by
+    ``1 / sqrt(rows)``) and target ``b`` drawn in place; the draws are freed
+    on return."""
+    u = _signed_draws(seed, rows * n + rows)
+    design = u[: rows * n].reshape(rows, n)
+    design /= np.sqrt(rows)
+    target = u[rows * n :]
+    np.negative(target, out=target)  # (-D^T) b and D^T (-b): the same products
+    return design.T @ design, design.T @ target
+
+
+def _box_qp_data(n, seed):
+    """``(B^T B / n + I / 2, q)`` for ``B`` (``n x n``) and ``q`` drawn in
+    place; the draws are freed on return."""
+    u = _signed_draws(seed, n * n + n)
+    base = u[: n * n].reshape(n, n)
+    Q = base.T @ base
+    Q /= n
+    half_eye = np.eye(n)
+    half_eye *= 0.5
+    Q += half_eye
+    return Q, u[n * n :].copy()
 
 
 def _build_toy1d(lam=1.0, target=3.0, sigma=1.0, c=1.0, h_kind="zero",

@@ -34,6 +34,7 @@ from .errors import (
 from .linops import (
     LinearMap,
     MetricOperator,
+    _check_finite,
     gram_min_eigenvalue,
     min_eigenvalue,
 )
@@ -95,7 +96,11 @@ class SolverState:
 
 
 def initial_state(problem, x0=None, z0=None, y0=None):
-    """All-zeros state unless explicit starting vectors are given."""
+    """All-zeros state unless explicit starting vectors are given.
+
+    Each given vector must be finite with a finite squared norm, as problem
+    data must (:func:`~vmadmm.linops.as_vector`); otherwise ``ValueError``.
+    """
     x = np.zeros(problem.n) if x0 is None else np.array(x0, dtype=float)
     z = np.zeros(problem.m) if z0 is None else np.array(z0, dtype=float)
     y = np.zeros(problem.m) if y0 is None else np.array(y0, dtype=float)
@@ -106,8 +111,7 @@ def initial_state(problem, x0=None, z0=None, y0=None):
     if y.shape != (problem.m,):
         raise DimensionMismatch("initial y", problem.m, y.shape)
     for name, v in (("x", x), ("z", z), ("y", y)):
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"initial {name}: entries must be finite (no NaN/Inf)")
+        _check_finite(f"initial {name}", v)
     return SolverState(x=x, z=z, y=y, k=0, Ax=problem.A.apply(x))
 
 

@@ -7,7 +7,9 @@ whose square overflows) or a non-finite number such as ``1e309`` (which
 JSON reads as infinity). Whatever the config, ``cli.main`` returns 0, 1, 2
 or 3 without raising, and an exit 2 prints one line. A ``log_vectors`` that
 is not a bool, and a problem ``seed`` that is a float or a string, are
-config errors.
+config errors. One config in three starts from a vector with a 1e300
+entry and requests a check that runs the oracle; such a config never
+solves.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vmadmm.cli import main
-from vmadmm.experiments import CHECK_TOLERANCES
+from vmadmm.experiments import CHECK_TOLERANCES, ORACLE_CHECKS
 
 # replaced by the literal 1e309 in the config text
 HUGE = "__1e309__"
@@ -159,6 +161,15 @@ def configs(draw):
                                       st.sampled_from(["false", 0, 1, None]))),
         "oracle_budget": draw(st.integers(0, 3000)),
     }
+    if draw(st.integers(0, 2)) == 0:
+        # a start whose square overflows, with a check that runs the oracle
+        key = draw(st.sampled_from(["x", "z", "y"]))
+        vec = draw(vector(n if key == "x" else m))
+        vec[draw(st.integers(0, len(vec) - 1))] = 1e300
+        cfg["init"] = {**(cfg["init"] if cfg["init"] != "zeros" else {}), key: vec}
+        check = draw(st.sampled_from(sorted(ORACLE_CHECKS)))
+        if check not in cfg["checks"]:
+            cfg["checks"].append(check)
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         path = draw(st.sampled_from(list(leaves(cfg))[1:]))
         *parents, last = path
@@ -199,6 +210,13 @@ def test_solve_ends_in_a_documented_exit_code(cfg, force):
     if isinstance(cfg.get("problem"), dict) and \
             isinstance(cfg["problem"].get("seed"), (float, str)):
         assert code == 2, text
+    init = cfg.get("init")
+    if isinstance(init, dict) and any(
+        isinstance(vec, list) and any(abs(e) == 1e300 for e in vec
+                                      if isinstance(e, float))
+        for vec in init.values()
+    ):
+        assert code in (2, 3), text  # rejected, or stopped at validation
     if code == 2:
         lines = stderr.getvalue().count("\n") + len(caught)
         assert lines == 1, (text, stderr.getvalue(), [str(w.message) for w in caught])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,6 +418,42 @@ def test_loglog_slope_linear_decay():
     sq = [1.0 / math.sqrt(k) for k in ks]
     assert dg.loglog_slope(ks, sq) == pytest.approx(-0.5, abs=1e-9)
     assert dg.loglog_slope([1, 2, 3], [0.0, 0.0, 0.0]) == -math.inf
+
+
+def _residual_tail(K):
+    """A decaying residual column with converged (zero, subnormal) and NaN
+    entries, as the certifier's tail of ``log.csv`` can hold."""
+    values = np.geomspace(1.0, 1e-9, K) * (1.0 + 0.3 * np.sin(np.arange(K)))
+    values[K // 3 :: 97] = 0.0
+    values[K // 2 :: 89] = 1e-310
+    values[7 % K] = math.nan
+    return values
+
+
+def test_loglog_slope_keeps_the_bits_of_the_per_point_logs():
+    for K in (2, 3, 9, 50, 3000):
+        ks, values = range(2, K + 2), _residual_tail(K)
+        pts = [(math.log(k), math.log(v)) for k, v in zip(ks, values) if v > 1e-300]
+        want = -math.inf
+        if len(pts) >= 2:
+            want = float(np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)[0])
+        assert dg.loglog_slope(ks, values) == want, K
+
+
+def test_loglog_slope_peaks_at_a_few_floats_per_point():
+    # no Python object per point: the logs go straight into two arrays, and
+    # the least-squares fit holds a few more copies
+    K = 3000
+    ks, values = range(2, K + 2), _residual_tail(K)
+    dg.loglog_slope(ks, values)  # one-time allocations out of the way
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        dg.loglog_slope(ks, values)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 8 * K
 
 
 # ---------------------------------------------------------------------------

@@ -932,6 +932,26 @@ def test_cli_non_finite_number_exits_2_with_one_line(
     assert err.count("\n") == 1 and err.startswith("config error")
 
 
+@pytest.mark.parametrize("name", ["x", "z", "y"])
+def test_cli_initial_vector_whose_square_overflows_exits_2_with_one_line(
+    tmp_path, monkeypatch, capsys, name
+):
+    # finite, but no norm of it is: rejected before the oracle and the run,
+    # with no overflow warning from a certificate on the way
+    monkeypatch.setattr(experiments, "oracle", _refuse)
+    monkeypatch.setattr(experiments, "run", _refuse)
+    init = {"x": [0.0], "z": [0.0], "y": [0.0], name: [1e300]}
+    cfg = toy_config(out_dir=str(tmp_path / "out"), checks=["gap_bound"], init=init)
+    path = tmp_path / "cfg.json"
+    path.write_text(serialize_config(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error")
+    assert f"initial {name}: squared norm overflows" in err
+
+
 def test_cli_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,64 @@ CATALOG_DIGESTS = {
 def test_lcg_catalog_draws_keep_their_digests(seed, count):
     digest = hashlib.sha256(lcg_uniforms(seed, count).tobytes()).hexdigest()
     assert digest == CATALOG_DIGESTS[seed, count]
+
+
+# SHA-256 of (Q.tobytes(), q.tobytes()) of the built quadratic term, recorded
+# before the data was built in place: lasso-split's (with the quadratic in h
+# and in g) and box-qp's, at their default sizes and at the benchmark's n=200
+DATA_DIGESTS = {
+    ("lasso-split", 20): (
+        "614b10d286afa637b8d7bdce1a52d2e5ff5de4b8199af9391cec9540a8cda3e9",
+        "cdb46c228af70f35a21da49dba419df798d870178bf493cacc55d4f7fef7f539",
+    ),
+    ("lasso-split", 200): (
+        "65092bf5253a27e2a366368d916ef5414d060184bbc40d628143c9b070e91553",
+        "26965eb51c3f58de3df6fb6aa6a134d8b644d019024591816c10a2bbb3e56e1b",
+    ),
+    ("box-qp", 10): (
+        "a024444408b6e57e36893da7a1aedac3f7013fd4d82057bb73fb165b4febae0e",
+        "6cf4c68838de82e5dd85ff5a0834dfedd1437c0bbfa868dcab88198564e0e196",
+    ),
+    ("box-qp", 200): (
+        "739e8672d96d4aef816ffcd311745f404ada5ac2873e2ec79d5671475dd1a894",
+        "70de45ceacda134316be0ca0341dd34fdf8ea1989fa716fd41d1ae527422118b",
+    ),
+}
+DATA_BUILDS = [
+    ("lasso-split", {"quadratic_in": "h"}, "h", 20),
+    ("lasso-split", {"quadratic_in": "g"}, "g", 20),
+    ("lasso-split", {"quadratic_in": "h", "n": 200, "rows": 300}, "h", 200),
+    ("lasso-split", {"quadratic_in": "g", "n": 200, "rows": 300}, "g", 200),
+    ("box-qp", {}, "h", 10),
+    ("box-qp", {"n": 200}, "h", 200),
+]
+
+
+@pytest.mark.parametrize("name, params, side, n", DATA_BUILDS,
+                         ids=[f"{name}-{side}-{n}" for name, _, side, n in DATA_BUILDS])
+def test_catalog_data_keeps_its_digests(name, params, side, n):
+    quad = getattr(build_problem(name, **params)[0], side)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (quad.Q, quad.q))
+    assert digests == DATA_DIGESTS[name, n]
+
+
+@pytest.mark.parametrize("name, params, draws, multiple", [
+    # the quadratic's Q (n^2 floats) is the argument, its symmetrized copy
+    # and eigvalsh's work copy at once: about 2.0 and 3.0 draws' bytes
+    ("lasso-split", {"n": 200, "rows": 300}, 200 * 300 + 300, 2.5),
+    ("box-qp", {"n": 200}, 200 * 200 + 200, 3.5),
+], ids=["lasso-split", "box-qp"])
+def test_catalog_build_peaks_at_a_few_times_its_draws(name, params, draws, multiple):
+    # the draws and the design (base) matrix are dead once (Q, q) exists
+    build_problem(name, **params)  # one-time allocations out of the way
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        build_problem(name, **params)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < multiple * 8 * draws
 
 
 @pytest.mark.parametrize("seed", [3.0, 1e300, float("inf"), "3", None])

@@ -337,6 +337,42 @@ def test_quadratic_prox_matches_cholesky(n, data):
     assert residual <= 1e-13 * (norm * np.linalg.norm(u) + np.linalg.norm(w))
 
 
+# one entry of a symmetric Q moved by this many times 1e-12 max(1, max |Q|):
+# accepted up to 1.0 inclusive, rejected past it
+SYMMETRY_FACTORS = [0.0, 0.5, 0.999, 1.0, 1.001, 2.0, -1.0, -1.001]
+
+
+@given(st.integers(1, 5), st.data())
+def test_quadratic_symmetrizes_to_the_mean_with_its_transpose(n, data):
+    # entries of either sign, signed zeros included, over seven decades, so
+    # max |Q| is sometimes a negative entry; the constructor decides as
+    # max |Q - Q^T| <= 1e-12 max(1, max |Q|) does, keeps (Q + Q^T) / 2.0 bit
+    # for bit, and leaves its argument as it was
+    scale = 10.0 ** data.draw(st.integers(-3, 4))
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+    B = data.draw(arrays(np.float64, (n, n), elements=entries)) * scale
+    Q = np.where(np.tri(n, dtype=bool), B, B.T)
+    if data.draw(st.booleans()):
+        Q[np.diag_indices(n)] += n * scale  # diagonally dominant, so PSD
+    if n > 1:
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        bound = 1e-12 * max(1.0, float(np.abs(Q).max()))
+        Q[i, j] = Q[j, i] + data.draw(st.sampled_from(SYMMETRY_FACTORS)) * bound
+        if Q[i, j] == 0.0 and data.draw(st.booleans()):
+            Q[i, j] = -Q[j, i]  # equal, with the other sign bit
+    given_bytes = Q.tobytes()
+    asymmetric = float(np.abs(Q - Q.T).max()) > 1e-12 * max(1.0, float(np.abs(Q).max()))
+    try:
+        f = Quadratic(Q)
+    except ValueError as exc:
+        assert ("symmetric" in str(exc)) == asymmetric, str(exc)
+        assert asymmetric or "PSD" in str(exc)
+    else:
+        assert not asymmetric
+        assert f.Q.tobytes() == ((Q + Q.T) / 2.0).tobytes()
+    assert Q.tobytes() == given_bytes
+
+
 def box_distance_reference(box, x, s):
     """The per-coordinate case analysis behind
     ``BoxIndicator.distance_to_subdifferential``, one coordinate at a time."""

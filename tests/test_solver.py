@@ -486,6 +486,16 @@ def test_step_fixed_point_at_oracle(tv1d, tv1d_oracle):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("name", ["x", "z", "y"])
+def test_initial_state_rejects_a_vector_whose_square_overflows(name):
+    P, _ = build_problem("toy1d")
+    with pytest.raises(ValueError, match=f"initial {name}: squared norm overflows"):
+        initial_state(P, **{f"{name}0": [1e300]})
+    with pytest.raises(ValueError, match=f"initial {name}: entries must be finite"):
+        initial_state(P, **{f"{name}0": [math.inf]})
+    assert initial_state(P, **{f"{name}0": [1e150]}).k == 0
+
+
 def test_run_zero_iterations_returns_init():
     P, _ = build_problem("toy1d")
     s1 = ConstantSchedule(MetricOperator.scaled_identity(1, 1.0))
