@@ -226,7 +226,7 @@ def forward_difference(n):
         raise ValueError("forward difference needs n >= 2")
 
     def apply_fn(x):
-        return np.diff(x)
+        return x[..., 1:] - x[..., :-1]  # the subtract np.diff runs
 
     def adjoint_fn(v):
         w = np.empty(v.shape[:-1] + (n,))

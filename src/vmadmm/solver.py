@@ -16,6 +16,7 @@ certificate in :mod:`vmadmm.diagnostics` can be checked to ~1e-10.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,12 +81,14 @@ class ProblemSpec:
 
 @dataclass
 class SolverState:
-    """Iterate triple (x, z, y), the iteration counter, and ``Ax = A x``.
+    """Iterate triple (x, z, y), the iteration counter, and three derived
+    vectors: ``Ax = A x``, ``yc = y / c`` and the residual ``r = A x - z``.
 
-    :func:`initial_state` and :func:`step` set ``Ax``, so each iterate's
-    product is computed once and shared by the next x update, the residual
-    and the recorder. A state built by hand may leave it None; it is then
-    computed where needed.
+    :func:`step` sets them, so each is computed once per iterate: ``yc``
+    feeds the next x and z updates, ``r`` the recorder's ``||A x_k - z_k||``
+    and the next LINEARIZED x update, ``Ax`` the certifier. The initial
+    state, from :func:`initial_state` (``Ax`` only) or built by hand, may
+    leave them None; the updates then compute them, with the same bits.
     """
 
     x: np.ndarray
@@ -93,6 +96,8 @@ class SolverState:
     y: np.ndarray
     k: int = 0
     Ax: np.ndarray | None = None
+    yc: np.ndarray | None = None
+    r: np.ndarray | None = None
 
 
 def initial_state(problem, x0=None, z0=None, y0=None):
@@ -235,14 +240,20 @@ def x_update(problem, state, m1):
       at most 1e-10) the system is singular and is rejected unfactored.
     * PROX-DIRECT -- A is the identity and ``m1`` is a scaled identity:
       a single prox of f under the scalar metric ``c + mu``.
+
+    Each strategy reads the state's ``yc = y / c``, LINEARIZED also its
+    ``r = A x - z``; either is computed here when None.
     """
     f, h, A, c = problem.f, problem.h, problem.A, problem.c
-    x, z, y = state.x, state.z, state.y
+    x, z = state.x, state.z
+    yc = state.y / c if state.yc is None else state.yc
 
     if _linearized_applicable(problem, m1):
         tau = m1.tau
-        Ax = A.apply(x) if state.Ax is None else state.Ax
-        step = h.grad(x) + c * A.adjoint(Ax - z + y / c)
+        r = state.r
+        if r is None:
+            r = (A.apply(x) if state.Ax is None else state.Ax) - z
+        step = h.grad(x) + c * A.adjoint(r + yc)
         return f.prox(x - tau * step, tau)
 
     if isinstance(f, (functions.Zero, functions.Quadratic)):
@@ -279,7 +290,7 @@ def x_update(problem, state, m1):
                     "x subproblem is not strongly convex: " + str(exc)
                 ) from exc
             m1._x_factor = cached
-        rhs = -h.grad(x) + c * A.adjoint(z - y / c) + m1.apply(x)
+        rhs = -h.grad(x) + c * A.adjoint(z - yc) + m1.apply(x)
         if isinstance(f, functions.Quadratic):
             rhs = rhs - f.q
         # both factors are upper triangular, LAPACK's default
@@ -291,7 +302,7 @@ def x_update(problem, state, m1):
     if A.is_identity and m1.is_scalar and f.proxable:
         mu = m1.scalar_value
         denom = c + mu
-        w = (c * (z - y / c) + mu * x - h.grad(x)) / denom
+        w = (c * (z - yc) + mu * x - h.grad(x)) / denom
         return f.prox(w, 1.0 / denom)
 
     raise StrategyError(
@@ -304,13 +315,14 @@ def x_update(problem, state, m1):
 def z_update(problem, state, Ax_next, m2):
     """Exact minimizer of the z subproblem under metric ``m2``.
 
-    ``Ax_next`` is ``A x+``, the product of the new x iterate. Supports
-    zero, scaled-identity, and diagonal metrics. The subproblem is strongly
-    convex with modulus ``c + m2`` and reduces to a single prox of g
-    (diagonal metrics additionally require g to implement ``prox_diag``).
+    ``Ax_next`` is ``A x+``, the product of the new x iterate; the state's
+    ``yc = y / c`` is computed here when None. Supports zero,
+    scaled-identity, and diagonal metrics. The subproblem is strongly convex
+    with modulus ``c + m2`` and reduces to a single prox of g (diagonal
+    metrics additionally require g to implement ``prox_diag``).
     """
     g, c = problem.g, problem.c
-    w = Ax_next + state.y / c
+    w = Ax_next + (state.y / c if state.yc is None else state.yc)
     if m2.is_scalar:
         mu = m2.scalar_value
         denom = c + mu
@@ -327,24 +339,27 @@ def z_update(problem, state, Ax_next, m2):
     return g.prox_diag(v, d)
 
 
-def y_update(state, Ax_next, z_next, c):
-    """Dual ascent ``y + c (A x+ - z+)`` from ``Ax_next = A x+``; exact."""
-    return state.y + c * (Ax_next - z_next)
+def y_update(state, residual, c):
+    """Dual ascent ``y + c r`` from the residual ``r = A x+ - z+``; exact."""
+    return state.y + c * residual
 
 
 def step(problem, state, sched1, sched2):
     """One full iteration; returns the next state with ``k`` incremented.
 
-    ``A x+`` is computed once, here, for the z and y updates and the next
-    state's ``Ax``.
+    ``A x+``, the residual ``r = A x+ - z+`` and ``y+ / c`` are computed
+    once, here: ``A x+`` for the z update, ``r`` for the y update, and all
+    three for the next state (:class:`SolverState`).
     """
     m1 = sched1.metric(state.k)
     m2 = sched2.metric(state.k)
     x_next = x_update(problem, state, m1)
     Ax_next = problem.A.apply(x_next)
     z_next = z_update(problem, state, Ax_next, m2)
-    y_next = y_update(state, Ax_next, z_next, problem.c)
-    return SolverState(x=x_next, z=z_next, y=y_next, k=state.k + 1, Ax=Ax_next)
+    r = Ax_next - z_next
+    y_next = y_update(state, r, problem.c)
+    return SolverState(x=x_next, z=z_next, y=y_next, k=state.k + 1, Ax=Ax_next,
+                       yc=y_next / problem.c, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +374,17 @@ class StoppingRule:
     max_iters: int
     kkt_tol: float | None = None
     kkt_interval: int = 25
+
+    def __post_init__(self):
+        for name, kind, low, rule in (
+            ("max_iters", numbers.Integral, 0, "an int >= 0"),
+            ("kkt_interval", numbers.Integral, 1, "an int >= 1"),
+            ("kkt_tol", numbers.Real, 0, "None or a real >= 0"),  # NaN fails >=
+        ):
+            value = getattr(self, name)
+            bad = type(value) is bool or not isinstance(value, kind) or not value >= low
+            if bad and not (name == "kkt_tol" and value is None):
+                raise ValueError(f"StoppingRule {name} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -389,7 +415,8 @@ def run(problem, init, sched1, sched2, stop, force=False, recorder=None):
 
     Validates the convergence assumptions first and refuses to run when
     none holds, unless ``force`` is set. After each step calls
-    ``recorder.record(state, ||A x_k - z_k||)``; the default recorder is a
+    ``recorder.record(state, ||A x_k - z_k||)``, the norm of the state's
+    ``r`` with the bits of ``np.linalg.norm``; the default recorder is a
     :class:`RunTrace` holding copies of ``init`` and of every iterate.
     Returns ``(state, recorder)``. Raises :class:`NonFiniteIterate` as soon
     as the squared norm of an iterate is no longer finite: an entry is NaN
@@ -413,7 +440,7 @@ def run(problem, init, sched1, sched2, stop, force=False, recorder=None):
             size += float(state.y @ state.y)
         if not math.isfinite(size):
             raise NonFiniteIterate(state.k)
-        recorder.record(state, float(np.linalg.norm(state.Ax - state.z)))
+        recorder.record(state, math.sqrt(float(state.r.dot(state.r))))
         if stop.kkt_tol is not None and state.k % stop.kkt_interval == 0:
             if kkt_residual(problem, state.x, state.y, state.Ax) <= stop.kkt_tol:
                 break

@@ -173,6 +173,26 @@ def test_adjoint_identity(factory):
     check()
 
 
+# signed zeros, infinities and NaN among ordinary floats
+DIFF_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats()
+)
+
+
+@given(st.integers(2, 12), st.integers(0, 3), st.booleans(), st.data())
+def test_forward_difference_keeps_the_bits_of_np_diff(n, rows, fortran, data):
+    # a vector (rows = 0) or a block of rows, C- or Fortran-ordered
+    shape = (n,) if rows == 0 else (rows, n)
+    x = data.draw(arrays(np.float64, shape, elements=DIFF_ENTRIES))
+    if fortran:
+        x = np.asfortranarray(x)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, overflow
+        out = forward_difference(n).apply(x)
+        expected = np.diff(x)
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("factory", FACTORIES)
 def test_spectrum_matches_dense_reference(factory):
     # ||A||, lambda_min of a shifted Gram metric over A, and lambda_min(A*A)

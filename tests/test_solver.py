@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -405,12 +406,12 @@ def test_z_update_unsupported_metric():
 
 def test_y_update_feasible_point_fixed():
     s = state1(0.0, 0.0, 3.0)
-    assert y_update(s, np.array([2.0]), np.array([2.0]), 1.0) == pytest.approx([3.0])
+    assert y_update(s, np.array([2.0]) - np.array([2.0]), 1.0) == pytest.approx([3.0])
 
 
 def test_y_update_scaling():
     s = state1(0.0, 0.0, 0.0)
-    out = y_update(s, np.array([3.0]), np.array([1.0]), 2.0)
+    out = y_update(s, np.array([3.0]) - np.array([1.0]), 2.0)
     assert out == pytest.approx([4.0])
 
 
@@ -421,7 +422,7 @@ def test_y_update_componentwise():
         y=np.array([1.0, -1.0]),
         k=0,
     )
-    out = y_update(s, np.array([1.0, 1.0]), np.array([0.5, 0.5]), 1.0)
+    out = y_update(s, np.array([1.0, 1.0]) - np.array([0.5, 0.5]), 1.0)
     assert np.allclose(out, [1.5, -0.5])
 
 
@@ -494,6 +495,29 @@ def test_initial_state_rejects_a_vector_whose_square_overflows(name):
     with pytest.raises(ValueError, match=f"initial {name}: entries must be finite"):
         initial_state(P, **{f"{name}0": [math.inf]})
     assert initial_state(P, **{f"{name}0": [1e150]}).k == 0
+
+
+@pytest.mark.parametrize("fields", [
+    {"max_iters": -3},
+    {"max_iters": 2.5},
+    {"max_iters": True},
+    {"kkt_interval": 0},
+    {"kkt_interval": -1},
+    {"kkt_tol": math.nan},
+    {"kkt_tol": -1e-8},
+    {"kkt_tol": "1e-8"},
+], ids=lambda fields: "{}={!r}".format(*next(iter(fields.items()))))
+def test_stopping_rule_rejects_a_field_outside_its_domain(fields):
+    name = next(iter(fields))
+    with pytest.raises(ValueError, match=f"StoppingRule {name} must be"):
+        StoppingRule(**{"max_iters": 5, **fields})
+
+
+def test_stopping_rule_accepts_the_harness_and_runner_values():
+    rule = StoppingRule(max_iters=20000, kkt_tol=1e-8, kkt_interval=25)
+    assert (rule.max_iters, rule.kkt_tol, rule.kkt_interval) == (20000, 1e-8, 25)
+    assert StoppingRule(max_iters=0).kkt_tol is None
+    assert StoppingRule(max_iters=np.int64(3), kkt_tol=0, kkt_interval=1).kkt_tol == 0
 
 
 def test_run_zero_iterations_returns_init():
@@ -611,6 +635,69 @@ def test_run_deterministic():
     _, t2 = run(P, initial_state(P), s1, s2, StoppingRule(max_iters=40))
     for a, b in zip(t1.xs, t2.xs):
         assert np.array_equal(a, b)
+
+
+# SHA-256 of a 200-iteration run's xs, zs, ys and residual norms, recorded
+# with each update dividing y by c and forming A x - z itself. Penalties
+# other than 1 make y / c and y * (1 / c) differ, so a reordered division fails
+TRAJECTORY_DIGESTS = {
+    "linearized": "56366e7b09580f8371c45ffbdfcfb53c53c4971b3369197aa0e2d01ff604d1e0",
+    "linearized-tau-list":
+        "9d1e249190efc3a6760e48f8c8bc7d33225a3796e239107582b18b71206422d6",
+    "linearized-hand-built":
+        "55fdadb907970e3106407d9984b3e9f9b83f9f89089d67be71832b59057afa6f",
+    "quadratic-banded":
+        "e1b07931b3b965bfec4adaa42f79c178376b272bc78b3e68f9caca7ff497f54b",
+    "quadratic-dense":
+        "720b660ce93382f8ca39e13f501612ff6fdfe0b9c37584b059bb320771764680",
+    "prox-direct": "8309e020e8b52b8fffcfc08455153335bf283f5f80271662437c8f59ea1686f2",
+}
+
+
+def pinned_run(name):
+    """``(problem, init, sched1, sched2)`` of trajectory pin ``name``. The pins
+    cover every x-update strategy (QUADRATIC on both factors), every M2 kind
+    and a hand-built start, whose derived vectors the updates compute."""
+    if name.startswith("linearized"):
+        P, _ = build_problem("tv1d", n=30, c=1.3)
+        taus = [0.1, 0.12, 0.15] if name == "linearized-tau-list" else 0.15
+        init = initial_state(P)
+        if name == "linearized-hand-built":
+            x = np.linspace(0.0, 1.0, P.n)
+            init = SolverState(x=x, z=np.diff(x), y=np.linspace(-1.0, 1.0, P.m))
+        m2 = MetricOperator.zero(P.m)
+        return P, init, ShiftedGramSchedule(taus, P.c, P.A), ConstantSchedule(m2)
+    if name == "quadratic-banded":
+        P, _ = build_problem("tv1d", n=30, c=0.7)
+        m1 = MetricOperator.scaled_identity(P.n, 1.0)
+        m2 = MetricOperator.scaled_identity(P.m, 0.5)
+        return P, initial_state(P), ConstantSchedule(m1), ConstantSchedule(m2)
+    if name == "quadratic-dense":
+        # a quadratic f: c A*A + M1 + Q is factored densely; a nonzero y0
+        # makes the first updates' y / c count
+        quad = build_problem("box-qp", n=20)[0].h
+        P = ProblemSpec(f=Quadratic(quad.Q, quad.q), h=Zero(20), g=L1Norm(19, 0.3),
+                        A=forward_difference(20), c=3.0)
+        m1 = MetricOperator.diagonal(np.linspace(0.1, 1.0, P.n))
+        m2 = MetricOperator.diagonal(np.linspace(0.2, 0.6, P.m))
+        init = initial_state(P, y0=np.linspace(-1.0, 1.0, P.m))
+        return P, init, ConstantSchedule(m1), ConstantSchedule(m2)
+    P, meta = build_problem("lasso-split", n=20, rows=30, c=1.3)
+    m1 = MetricOperator.scaled_identity(P.n, meta["L"] + 0.5)
+    m2 = MetricOperator.scaled_identity(P.m, 1.0)
+    return P, initial_state(P), ConstantSchedule(m1), GeometricDecaySchedule(m2, 0.9)
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_DIGESTS))
+def test_run_keeps_its_trajectory_bits(name):
+    P, init, s1, s2 = pinned_run(name)
+    _, trace = run(P, init, s1, s2, StoppingRule(max_iters=200))
+    assert trace.iterations == 200
+    digest = hashlib.sha256()
+    for v in trace.xs + trace.zs + trace.ys:
+        digest.update(v.tobytes())
+    digest.update(np.array(trace.residual_norms).tobytes())
+    assert digest.hexdigest() == TRAJECTORY_DIGESTS[name]
 
 
 def count_matvecs(monkeypatch):
