@@ -92,43 +92,8 @@ def gamma(problem, init, m1, m2, probe, Ax=None):
 
 
 # ---------------------------------------------------------------------------
-# ergodic averages and the gap certificate
+# the ergodic gap certificate
 # ---------------------------------------------------------------------------
-
-
-class ErgodicAverager:
-    """Running means of (x, z, y) over iterates 1..k, compensated summation.
-
-    One Kahan sum and one compensation vector hold ``(x, z, y)`` end to end;
-    the means are slices of it. Kahan compensation keeps the accumulated mean
-    within ~1e-13 * k of the exact average, as required by the gap
-    certificate, and works entry by entry, so each mean is the one a sum of
-    that vector alone would give.
-    """
-
-    def __init__(self, n, m):
-        self.k = 0
-        self._shapes = ((n,), (m,), (m,))
-        self._sum = np.zeros(n + 2 * m)
-        self._comp = np.zeros(n + 2 * m)
-
-    def update(self, x, z, y):
-        shapes = (np.shape(x), np.shape(z), np.shape(y))
-        if shapes != self._shapes:
-            raise DimensionMismatch("ErgodicAverager.update (x, z, y)",
-                                    self._shapes, shapes)
-        term = np.concatenate((x, z, y), dtype=float)
-        term -= self._comp
-        total = self._sum + term
-        np.subtract(total, self._sum, out=self._comp)
-        self._comp -= term
-        self._sum = total
-        self.k += 1
-
-    @property
-    def means(self):
-        """``(x_bar, z_bar, y_bar)`` end to end, one vector."""
-        return self._sum / self.k
 
 
 @dataclass

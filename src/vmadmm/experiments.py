@@ -299,12 +299,14 @@ def run_experiment(cfg, force=False, out_dir=None):
         saddle = (orc.x, orc.z, orc.y)
     certifier = _Certifier(cfg, problem, init, sched1, sched2, saddle, report)
     stop = StoppingRule(max_iters=cfg.iters)
-    state, _ = run(problem, init, sched1, sched2, stop, force=True, recorder=certifier)
+    # only the count is read, so the final iterate is freed before the checks
+    iterations = run(problem, init, sched1, sched2, stop, force=True,
+                     recorder=certifier)[0].k
     table, filled, certificates, checks = certifier.result()
 
     summary = {
         "problem": metadata,
-        "iterations": state.k,
+        "iterations": iterations,
         **certificates,
         "checks": {
             name: {"passed": passed, "detail": detail}
@@ -341,17 +343,17 @@ class _Certifier:
     """The runner's recorder: certifies the iterates :func:`run` hands over,
     :data:`BLOCK` at a time.
 
-    Between blocks it holds the last iterate, the ergodic averager, the
-    probes as stacked arrays (each probe's ``y``, gamma and Lagrangian terms,
-    with the saddle as probe 0), the smallest gap slack so far, and the
-    ``K``-row float64 table of ``log.csv`` columns after ``k``, ``u`` and
-    ``v`` included, with the steps ``||y_k - y_{k-1}||`` and ``||z_k -
-    z_{k-1}||^2`` in the same row order. Within a block it buffers up to
-    :data:`BLOCK` iterates with their ``A x_k`` and ergodic means, then
-    certifies them with one call per quantity; each value keeps the bits of
-    certifying its iterate alone. ``saddle`` is None when no requested check
-    needs one. The u/v checks need a zero smooth term and one (M1, M2) pair
-    for the whole run; they fail as "not evaluable" otherwise.
+    Between blocks it holds the last iterate, the Kahan sum of the iterates
+    so far, the probes as stacked arrays (each probe's ``y``, gamma and
+    Lagrangian terms, with the saddle as probe 0), the smallest gap slack and
+    the largest dual identity deviation so far, and the ``K``-row float64
+    table of ``log.csv`` columns after ``k``, ``u`` and ``v`` included, with
+    the steps ``||z_k - z_{k-1}||^2`` in the same row order. Within a block it
+    buffers up to :data:`BLOCK` iterates with their ``A x_k`` and ergodic
+    means, then certifies them with one call per quantity; each value keeps
+    the bits of certifying its iterate alone. ``saddle`` is None when no
+    requested check needs one. The u/v checks need a zero smooth term and one
+    (M1, M2) pair for the whole run; they fail as "not evaluable" otherwise.
 
     :meth:`result` returns ``(table, filled, certificates, checks)``: the
     table, whose column ``j`` of :attr:`columns` holds values in its first
@@ -369,7 +371,7 @@ class _Certifier:
             self.columns += [f"{name}_{i}" for name, dim in dims for i in range(dim)]
         self.col = {name: j for j, name in enumerate(self.columns)}
         self.table = np.empty((K, len(self.columns)))
-        self.dual_steps = np.empty(K)  # ||y_k - y_{k-1}||
+        self.max_dev = 0.0  # largest dual identity deviation so far
         self.done = 0  # rows certified
         self.open = 0  # iterates buffered in the open block
         # row 0 of each buffer is the iterate before the open block
@@ -382,7 +384,9 @@ class _Certifier:
         self.dz_sq = None  # ||z_k - z_{k-1}||^2 in row order, if u/v are evaluable
         if saddle is None or not K:
             return
-        self.averager = diagnostics.ErgodicAverager(n, m)
+        # one Kahan sum and compensation over (x, z, y) end to end; entry by
+        # entry, each mean has the bits of a Kahan sum of its vector alone
+        self.sum, self.comp = np.zeros(n + 2 * m), np.zeros(n + 2 * m)
         self.means = np.empty((BLOCK, n + 2 * m))  # (x_bar, z_bar, y_bar) rows
         self.min_gap_slack = math.inf
         m1, m2 = sched1.metric(0), sched2.metric(0)
@@ -411,8 +415,13 @@ class _Certifier:
         self.axs[i] = state.Ax
         self.table[self.done + i, self.col["residual_primal"]] = residual
         if self.saddle is not None:
-            self.averager.update(x, z, y)
-            self.means[i] = self.averager.means
+            term = np.concatenate((x, z, y))
+            term -= self.comp
+            total = self.sum + term
+            np.subtract(total, self.sum, out=self.comp)
+            self.comp -= term
+            self.sum = total
+            np.divide(total, self.done + i + 1, out=self.means[i])
         self.open += 1
         if self.open == BLOCK:
             self._certify_block()
@@ -427,7 +436,10 @@ class _Certifier:
         x, z, y = self.xs[1 : b + 1], self.zs[1 : b + 1], self.ys[1 : b + 1]
         Ax = self.axs[:b]
         dy = y - prev[2]
-        self.dual_steps[start : start + b] = np.sqrt(np.vecdot(dy, dy))
+        dev = diagnostics.dual_identity_deviation(
+            np.sqrt(np.vecdot(dy, dy)), rows[:, col["residual_primal"]], problem.c
+        )
+        self.max_dev = np.maximum(self.max_dev, dev)  # a NaN stays NaN
         fh = problem.f(x) + problem.h(x)
         rows[:, col["primal_objective"]] = fh + problem.g(Ax)
         rows[:, col["kkt"]] = diagnostics.kkt_residual(problem, x, y, Ax)
@@ -557,9 +569,7 @@ class _Certifier:
                 f"max_excess={worst:.3e}, slope={rate_slope}",
             )
 
-        dev = diagnostics.dual_identity_deviation(
-            self.dual_steps[:K], residuals, problem.c
-        )
+        dev = float(self.max_dev)
         verdicts["dual_identity"] = (dev <= tol["dual_identity"], f"max_dev={dev:.3e}")
 
         certificates = {

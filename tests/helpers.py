@@ -96,7 +96,7 @@ def count_eigh(monkeypatch):
 
 class KahanAverager:
     """Running means of (x, z, y) with one Kahan sum per vector: the
-    reference :class:`diagnostics.ErgodicAverager` must equal bit for bit."""
+    reference the certifier's ergodic means must equal bit for bit."""
 
     def __init__(self, n, m):
         self.k = 0

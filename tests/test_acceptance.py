@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import gap_at, z_steps_sq
+from helpers import KahanAverager, gap_at, z_steps_sq
 from vmadmm import diagnostics as dg
 from vmadmm.functions import BoxIndicator, Huber, L1Norm, Quadratic, SquaredL2, Zero
 from vmadmm.linops import MetricOperator, min_eigenvalue
@@ -152,7 +152,7 @@ def test_c01_ergodic_gap_bound(ergodic_tv1d, ergodic_toy1d, tv1d_oracle, toy1d_o
             gamma0 = dg.gamma(
                 problem, trace.state_at(0), sched1.metric(0), sched2.metric(0), saddle
             )
-            averager = dg.ErgodicAverager(problem.n, problem.m)
+            averager = KahanAverager(problem.n, problem.m)
             worst = math.inf
             for k in range(1, 5001):
                 averager.update(trace.xs[k], trace.zs[k], trace.ys[k])

@@ -5,6 +5,7 @@ import math
 import os
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -493,6 +494,47 @@ def test_residual_column_matches_dual_steps(tmp_path):
             recomputed = float(np.linalg.norm(y - y_prev)) / 1.0
             assert abs(recomputed - float(row["residual_primal"])) <= 1e-12
         y_prev = y
+
+
+def test_dual_identity_keeps_a_nan_from_the_first_block(monkeypatch, tmp_path):
+    # the certifier folds each block's deviation into a running maximum: a
+    # NaN residual in the first of three blocks must reach the verdict
+    record = experiments._Certifier.record
+
+    def record_nan_at_5(self, state, residual):
+        record(self, state, math.nan if state.k == 5 else residual)
+
+    monkeypatch.setattr(experiments._Certifier, "record", record_nan_at_5)
+    cfg = toy_config(iters=2 * experiments.BLOCK + 8, checks=["dual_identity"])
+    result = run_experiment(cfg, out_dir=str(tmp_path))
+    assert result.checks["dual_identity"] == (False, "max_dev=nan")
+    assert result.exit_code == 1
+
+
+def test_run_experiment_frees_the_final_state_before_the_checks(monkeypatch,
+                                                                 tmp_path):
+    # only the iteration count of the state run returns is read: its vectors
+    # are not alive while the end-of-run checks and the writes run
+    returned = []
+    solver_run = experiments.run
+
+    def keeping_run(*args, **kwargs):
+        state, recorder = solver_run(*args, **kwargs)
+        returned.append(weakref.ref(state))
+        return state, recorder
+
+    alive = []
+    result = experiments._Certifier.result
+
+    def watching_result(self):
+        alive.append(returned[0]() is not None)
+        return result(self)
+
+    monkeypatch.setattr(experiments, "run", keeping_run)
+    monkeypatch.setattr(experiments._Certifier, "result", watching_result)
+    outcome = run_experiment(toy_config(iters=20), out_dir=str(tmp_path))
+    assert outcome.summary["iterations"] == 20
+    assert alive == [False]
 
 
 def test_tv1d_condat_metric_experiment(tmp_path):

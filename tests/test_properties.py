@@ -18,9 +18,9 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import KahanAverager, count_factorizations, dual_steps, lcg_reference
 from vmadmm import diagnostics
-from vmadmm.diagnostics import ErgodicAverager, dual_identity_deviation
+from vmadmm.diagnostics import dual_identity_deviation
 from vmadmm.errors import SingularSubproblem
-from vmadmm.experiments import BLOCK, CHECK_TOLERANCES
+from vmadmm.experiments import BLOCK, CHECK_TOLERANCES, RunConfig, _Certifier
 from vmadmm.functions import (
     BoxIndicator,
     Huber,
@@ -462,26 +462,39 @@ def test_box_distance_matches_per_coordinate_reference():
 @st.composite
 def iterate_sequences(draw):
     """``(n, m, iterates)``: K rows of ``(x, z, y)`` end to end, each entry
-    of magnitude 1e-8 to 1e8, so that Kahan compensation is busy."""
+    of magnitude 1e-8 to 1e8, so that Kahan compensation is busy; K is often
+    at or next to a multiple of :data:`BLOCK`."""
     n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    K = draw(st.integers(1, 40))
+    edges = [j * BLOCK + d for j in (1, 2) for d in (-1, 0, 1)]
+    K = draw(st.one_of(st.sampled_from(edges), st.integers(1, 3 * BLOCK)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (K, n + 2 * m)
     return n, m, rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-8, 8, shape)
 
 
 def test_single_buffer_averager_matches_per_vector_kahan():
-    # one Kahan buffer over (x, z, y) works entry by entry, so each mean has
-    # the bits of a Kahan sum of that vector alone
+    # the certifier's one Kahan buffer over (x, z, y) works entry by entry,
+    # so each mean has the bits of a Kahan sum of that vector alone, across
+    # the block edges
     @given(iterate_sequences())
     def check(case):
         n, m, iterates = case
-        averager, reference = ErgodicAverager(n, m), KahanAverager(n, m)
-        for row in iterates:
+        problem = ProblemSpec(Zero(n), Zero(n), Zero(m),
+                              LinearMap.from_dense(np.eye(m, n)), 1.0)
+        s1 = ConstantSchedule(MetricOperator.zero(n))
+        s2 = ConstantSchedule(MetricOperator.zero(m))
+        cfg = RunConfig(problem={}, metric1={}, metric2={}, c=1.0,
+                        iters=len(iterates))
+        saddle = (np.zeros(n), np.zeros(m), np.zeros(m))
+        certifier = _Certifier(cfg, problem, initial_state(problem), s1, s2,
+                               saddle, validate_assumptions(problem, s1, s2))
+        reference = KahanAverager(n, m)
+        for k, row in enumerate(iterates, 1):
             x, z, y = row[:n], row[n : n + m], row[n + m :]
-            averager.update(x, z, y)
+            certifier.record(SolverState(x, z, y, k, problem.A.apply(x)), 0.0)
             reference.update(x, z, y)
-            assert averager.means.tobytes() == reference.means.tobytes()
+            mean = certifier.means[(k - 1) % BLOCK]
+            assert mean.tobytes() == reference.means.tobytes()
 
     check()
 
