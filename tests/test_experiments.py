@@ -678,8 +678,11 @@ def test_cli_check_missing_file_exits_2(tmp_path, capsys, flag):
         ("k,kkt,y_0\n1,1e-9,0.5\n2,1e-9,0.5\n", "residual_primal"),
         # a y_ column that names no dual index
         ("k,kkt,residual_primal,y_0,y_extra\n1,1e-9,0.5,0.5,0.5\n", "y_extra"),
+        # files that are not logs, rows or not
+        ("", "k"),
+        ("foo,bar\n", "k"),
     ],
-    ids=["kkt", "k", "residual_primal", "y_extra"],
+    ids=["kkt", "k", "residual_primal", "y_extra", "empty-file", "foreign-header"],
 )
 def test_cli_check_missing_column_exits_2(tmp_path, capsys, log_text, column):
     paths = check_inputs(tmp_path, log_text)
@@ -757,6 +760,15 @@ def test_cli_force_flag(tmp_path):
     cfg_path = write_config(tmp_path, cfg)
     assert main(["solve", "--config", cfg_path]) == 3
     assert main(["solve", "--config", cfg_path, "--force"]) == 0
+
+
+def test_cli_check_fails_a_log_without_rows(tmp_path, capsys):
+    # the runner fails the kkt check of 0 iterations (final_kkt=inf), and so
+    # does the check of the header-only log it writes
+    paths = check_inputs(tmp_path, "k,kkt\n")
+    assert main(["check", "--log", paths["--log"],
+                 "--against", paths["--against"]]) == 1
+    assert "FAIL: final kkt inf" in capsys.readouterr().out
 
 
 def test_cli_check_detects_kkt_failure(tmp_path):
