@@ -10,7 +10,11 @@ pairs is the fewest that a gain claim (better in nine of ten) can rest on.
 It writes ``CHANGE_ROOT/BENCH_<LABEL>.json``: every run's end-to-end metrics, per
 metric each side's median and quartiles and the pairs the change won, and
 the environment record perfbench prints. Runs that fail a checked operation
-are kept, with their ``failed`` count.
+are kept, with their ``failed`` count. A run that printed no result line, or
+whose result lacks a metric (perfbench omits a metric whose samples all
+failed), is kept as failed with that metric (or every metric) None; it is
+left out of that metric's quartiles and wins, and the count left out is
+printed.
 """
 
 from __future__ import annotations
@@ -27,17 +31,35 @@ SEED = 101
 
 
 def run_once(root, workload, seed, seconds):
-    """One untraced perfbench run in ``root``: ``(result, environment)``."""
+    """One untraced perfbench run in ``root``: ``(result, environment)``,
+    each None when the run did not print it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                          check=False).stdout.splitlines()
-    env = next(json.loads(line.split(" ", 1)[1]) for line in out
-               if line.startswith("environment "))
-    return json.loads(out[-1]), env
+    env = next((json.loads(line.split(" ", 1)[1]) for line in out
+                if line.startswith("environment ")), None)
+    try:
+        result = json.loads(out[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    return (result if isinstance(result, dict) else None), env
+
+
+def run_record(result, metrics):
+    """A run's ``failed``, ``attempted`` and metric values; a metric the
+    result lacks is None, and such a run counts at least one failure."""
+    result = result or {}
+    values = {m: result.get("metrics", {}).get(m, {}).get("value") for m in metrics}
+    failed = result.get("failed", 0)
+    if None in values.values():
+        failed = max(failed, 1)
+    return {"failed": failed, "attempted": result.get("attempted"), **values}
 
 
 def quartiles(values):
+    if len(values) < 2:
+        return None
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": q2, "q3": q3}
 
@@ -66,22 +88,26 @@ def main(argv=None):
             for side in order:
                 result, env = run_once(getattr(args, side), name, SEED + i,
                                        seconds)
-                record["environment"].setdefault(side, env)
-                runs[side].append({
-                    "seed": SEED + i, "first": side == order[0],
-                    "failed": result["failed"], "attempted": result["attempted"],
-                    **{m: result["metrics"][m]["value"] for m in lower_is_better},
-                })
+                if env is not None:
+                    record["environment"].setdefault(side, env)
+                runs[side].append({"seed": SEED + i, "first": side == order[0],
+                                   **run_record(result, lower_is_better)})
                 print(f"{name} pair {i} {side}: " + " ".join(
-                    f"{m}={runs[side][-1][m]:.6g}" for m in lower_is_better),
-                    flush=True)
+                    f"{m}={runs[side][-1][m]:.6g}" if runs[side][-1][m] is not None
+                    else f"{m}=missing" for m in lower_is_better), flush=True)
         summary = {}
         for metric, lower in lower_is_better.items():
-            parent = [r[metric] for r in runs["parent"]]
-            change = [r[metric] for r in runs["change"]]
-            wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+            pairs = [(p[metric], c[metric])
+                     for p, c in zip(runs["parent"], runs["change"])]
+            parent = [p for p, _ in pairs if p is not None]
+            change = [c for _, c in pairs if c is not None]
+            left_out = 2 * PAIRS - len(parent) - len(change)
+            if left_out:
+                print(f"{name} {metric}: {left_out} runs without a value left out")
+            wins = sum((c < p) if lower else (c > p) for p, c in pairs
+                       if p is not None and c is not None)
             summary[metric] = {"parent": quartiles(parent), "change": quartiles(change),
-                               "change_wins": wins}
+                               "change_wins": wins, "left_out": left_out}
         record["workloads"][name] = {"runs": runs, "summary": summary}
     path = os.path.join(args.change, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
