@@ -384,8 +384,7 @@ class _Certifier:
         self.dz_sq = None  # ||z_k - z_{k-1}||^2 in row order, if u/v are evaluable
         if saddle is None or not K:
             return
-        # one Kahan sum and compensation over (x, z, y) end to end; entry by
-        # entry, each mean has the bits of a Kahan sum of its vector alone
+        # Kahan sum over (x, z, y) end to end: entry by entry, as three sums
         self.sum, self.comp = np.zeros(n + 2 * m), np.zeros(n + 2 * m)
         self.means = np.empty((BLOCK, n + 2 * m))  # (x_bar, z_bar, y_bar) rows
         self.min_gap_slack = math.inf

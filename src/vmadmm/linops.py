@@ -10,8 +10,10 @@ Linear maps carry an explicit
 adjoint so that matrix-free operators (e.g. finite differences) can be used
 without densification. Metric operators are symmetric positive-semidefinite
 and induce the seminorm ``||x||_U^2 = <x, Ux>`` used by the solver and its
-certificates. Everything is immutable after construction and safe to share
-across threads.
+certificates. The operator never changes after construction; on first use
+a map caches its dense matrix, Gram matrix and norm (``_dense``, ``_gram``,
+``_opnorm``), and a metric its dense matrix and the solver's x-update factor
+(``_dense_cache``, ``_x_factor``).
 """
 
 from __future__ import annotations

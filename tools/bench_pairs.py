@@ -40,10 +40,9 @@ def run_once(root, workload, seed, seconds):
     env = next((json.loads(line.split(" ", 1)[1]) for line in out
                 if line.startswith("environment ")), None)
     try:
-        result = json.loads(out[-1])
+        return json.loads(out[-1]), env
     except (IndexError, json.JSONDecodeError):
-        result = None
-    return (result if isinstance(result, dict) else None), env
+        return None, env
 
 
 def run_record(result, metrics):
