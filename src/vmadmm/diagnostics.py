@@ -198,29 +198,34 @@ def v_monotone_check(v, tol):
     return True, None
 
 
-def dual_identity_deviation(dual_steps, residuals, c):
-    """Largest ``| dual_steps[i] / c - residuals[i] |``; NaN if any term is NaN.
+def dual_identity_deviation(y_prev, y, residuals, c):
+    """Largest ``| ||y[i] - y_prev[i]|| / c - residuals[i] |``; NaN if any
+    term is NaN.
 
-    ``dual_steps`` holds the norms ``||y_k - y_{k-1}||`` and ``residuals``
-    the logged ``||A x_k - z_k||``, one entry per step each; the two agree
-    exactly on a genuine run, because the dual update is ``y + c (Ax - z)``.
+    ``y_prev`` and ``y`` hold the dual iterates ``y_{k-1}`` and ``y_k`` as
+    rows and ``residuals`` the logged ``||A x_k - z_k||``, one entry per step
+    each; the two agree exactly on a genuine run, because the dual update is
+    ``y + c (Ax - z)``.
     """
-    deviations = np.abs(np.divide(dual_steps, c) - np.asarray(residuals, float))
+    dy = np.subtract(y, y_prev)
+    steps = np.sqrt(np.vecdot(dy, dy))
+    deviations = np.abs(np.divide(steps, c) - np.asarray(residuals, float))
     return float(np.max(deviations, initial=0.0))
 
 
 def feasibility_rate(residuals, c, u1, dz_sq):
-    """Bounds ``sqrt(c (u1 + S) / (k - 1))`` on the primal residual, ``k = 2..K``.
+    """Bounds ``sqrt((u1 + S) / (c (k - 1)))`` on the primal residual, ``k = 2..K``.
 
     ``residuals`` and ``dz_sq`` are in row order: entry ``i`` is
     ``||A x_k - z_k||`` and ``||z_k - z_{k-1}||^2`` at ``k = i + 1``. The
-    bounds are aligned with ``residuals[1:]``. They follow from summing the
-    contraction inequality and the monotonicity of the step energy
+    bounds are aligned with ``residuals[1:]``. Summing the contraction
+    inequality gives ``sum_k v_k <= u1 + S`` with the step energy
     ``S = c sum_k ||z_k - z_{k-1}||^2``, summed in iteration order (a
-    cumulative sum; ``np.sum`` sums pairwise).
+    cumulative sum; ``np.sum`` sums pairwise). Each ``v_k`` is at least
+    ``c ||A x_k - z_k||^2`` and v does not increase, hence the bound.
     """
     S = c * np.cumsum(dz_sq)[-1] if len(dz_sq) else 0.0
-    return np.sqrt(c * (u1 + S) / np.arange(1, len(residuals)))
+    return np.sqrt((u1 + S) / (c * np.arange(1, len(residuals))))
 
 
 def loglog_slope(ks, values):

@@ -434,9 +434,8 @@ class _Certifier:
         prev = self.xs[:b], self.zs[:b], self.ys[:b]
         x, z, y = self.xs[1 : b + 1], self.zs[1 : b + 1], self.ys[1 : b + 1]
         Ax = self.axs[:b]
-        dy = y - prev[2]
         dev = diagnostics.dual_identity_deviation(
-            np.sqrt(np.vecdot(dy, dy)), rows[:, col["residual_primal"]], problem.c
+            prev[2], y, rows[:, col["residual_primal"]], problem.c
         )
         self.max_dev = np.maximum(self.max_dev, dev)  # a NaN stays NaN
         fh = problem.f(x) + problem.h(x)

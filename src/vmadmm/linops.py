@@ -286,9 +286,11 @@ def operator_norm(A):
 class MetricOperator:
     """Symmetric PSD operator inducing the seminorm ``||x||_U^2 = <x, Ux>``.
 
-    Representations: zero, scaled identity, nonnegative diagonal, dense
+    Representations: scaled identity, nonnegative diagonal, dense
     symmetric, and the shifted Gram form ``(1/tau) id - coupling * A*A``
-    (applied matrix-free). Positive semidefiniteness is a hard construction
+    (applied matrix-free). The zero metric is the scaled identity with
+    ``mu = 0`` (:meth:`zero`); properties are decided by value, never by the
+    spelling of a kind. Positive semidefiniteness is a hard construction
     error, never a warning.
     """
 
@@ -309,7 +311,7 @@ class MetricOperator:
 
     @classmethod
     def zero(cls, dim):
-        return cls(dim, "zero")
+        return cls(dim, "scaled_identity", mu=0.0)
 
     @classmethod
     def scaled_identity(cls, dim, mu):
@@ -374,20 +376,11 @@ class MetricOperator:
 
     @property
     def is_scalar(self):
-        return self.kind in ("zero", "scaled_identity")
-
-    @property
-    def scalar_value(self):
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "scaled_identity":
-            return self.mu
-        raise ValueError(f"{self.kind} metric has no scalar value")
+        """Whether this is ``mu id``; ``mu`` is then its value."""
+        return self.kind == "scaled_identity"
 
     def diagonal_entries(self):
         """Per-coordinate diagonal, or None for non-diagonal forms."""
-        if self.kind == "zero":
-            return np.zeros(self.dim)
         if self.kind == "scaled_identity":
             return np.full(self.dim, self.mu)
         if self.kind == "diagonal":
@@ -397,8 +390,6 @@ class MetricOperator:
     def apply(self, x):
         """Return ``U x``; of each row for a block."""
         x = _check_block("MetricOperator.apply input", x, self.dim)
-        if self.kind == "zero":
-            return np.zeros(x.shape)
         if self.kind == "scaled_identity":
             return self.mu * x
         if self.kind == "diagonal":
@@ -445,7 +436,7 @@ class MetricOperator:
         s = float(s)
         if s < 0:
             raise NotPositiveSemidefinite("scaling factor must be >= 0")
-        if s == 0.0 or self.kind == "zero":
+        if s == 0.0:
             return MetricOperator.zero(self.dim)
         if self.kind == "scaled_identity":
             return MetricOperator(self.dim, "scaled_identity", mu=self.mu * s)
@@ -470,7 +461,7 @@ class MetricOperator:
 def min_eigenvalue(U):
     """Smallest eigenvalue of a metric operator.
 
-    Exact least entry for zero, scaled-identity and diagonal metrics;
+    Exact least entry for scaled-identity and diagonal metrics;
     ``1/tau - coupling * ||A||^2`` for a shifted Gram metric over any map,
     with ``||A||`` exact from :func:`operator_norm`; a dense symmetric
     eigensolve for the dense form only.

@@ -125,23 +125,6 @@ def initial_state(problem, x0=None, z0=None, y0=None):
 # ---------------------------------------------------------------------------
 
 
-class ConstantSchedule:
-    def __init__(self, metric):
-        self._metric = metric
-
-    def metric(self, k):
-        return self._metric
-
-    def is_monotone(self):
-        return True
-
-    def min_eig_infimum(self):
-        return min_eigenvalue(self._metric)
-
-    def double_monotone(self):
-        return True  # 2M >= M for PSD M
-
-
 class GeometricDecaySchedule:
     """``M^k = rho^k * M0`` with ``rho`` in (0, 1]; monotone by construction."""
 
@@ -161,15 +144,22 @@ class GeometricDecaySchedule:
         return True
 
     def min_eig_infimum(self):
-        lam0 = min_eigenvalue(self._metric0)
         if self.rho == 1.0:
-            return lam0
+            return min_eigenvalue(self._metric0)
         return 0.0  # the schedule decays to the zero operator
 
     def double_monotone(self):
-        if self._metric0.kind == "zero":
-            return True
-        return self.rho >= 0.5  # 2 rho^{k+1} >= rho^k
+        # 2 rho^{k+1} M0 >= rho^k M0 holds for every PSD M0 when rho >= 1/2,
+        # and for any rho when M0 is zero; a non-diagonal M0 reads as nonzero
+        d = self._metric0.diagonal_entries()
+        return self.rho >= 0.5 or (d is not None and not d.any())
+
+
+class ConstantSchedule(GeometricDecaySchedule):
+    """``M^k = M`` for every k: the geometric schedule at ``rho = 1``."""
+
+    def __init__(self, metric):
+        super().__init__(metric, 1.0)
 
 
 class ShiftedGramSchedule:
@@ -199,7 +189,7 @@ class ShiftedGramSchedule:
 
     def is_monotone(self):
         # the whole list: beyond its end the step is held, so this is every k
-        return all(a <= b * (1 + 1e-12) for a, b in zip(self.taus, self.taus[1:]))
+        return all(a <= b for a, b in zip(self.taus, self.taus[1:]))
 
     def min_eig_infimum(self):
         return min(min_eigenvalue(m) for m in self._cache.values())
@@ -300,7 +290,7 @@ def x_update(problem, state, m1):
         return x_next
 
     if A.is_identity and m1.is_scalar and f.proxable:
-        mu = m1.scalar_value
+        mu = m1.mu
         denom = c + mu
         w = (c * (z - yc) + mu * x - h.grad(x)) / denom
         return f.prox(w, 1.0 / denom)
@@ -324,7 +314,7 @@ def z_update(problem, state, Ax_next, m2):
     g, c = problem.g, problem.c
     w = Ax_next + (state.y / c if state.yc is None else state.yc)
     if m2.is_scalar:
-        mu = m2.scalar_value
+        mu = m2.mu
         denom = c + mu
         v = (c * w + mu * state.z) / denom
         return g.prox(v, 1.0 / denom)
@@ -480,7 +470,7 @@ class AssumptionReport:
     @property
     def permits_run(self):
         # Condition II needs the global hypothesis M1 >= (L/2) id when a
-        # smooth term is present; condition III is stated for h = 0 only.
+        # smooth term is present; condition III already requires h = 0.
         return (
             self.monotone_m1
             and self.monotone_m2
@@ -488,7 +478,7 @@ class AssumptionReport:
                 self.ergodic_ok
                 or self.condition_I
                 or (self.m1_dominates_half_L and self.condition_II)
-                or (self.h_is_zero and self.condition_III)
+                or self.condition_III
             )
         )
 

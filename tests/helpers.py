@@ -62,11 +62,6 @@ def z_steps_sq(trace):
     return np.array([float((b - a) @ (b - a)) for a, b in zip(trace.zs, trace.zs[1:])])
 
 
-def dual_steps(trace):
-    """``||y_k - y_{k-1}||`` for ``k = 1..K`` of a stored trace."""
-    return [float(np.linalg.norm(b - a)) for a, b in zip(trace.ys, trace.ys[1:])]
-
-
 def count_calls(monkeypatch, module, names):
     """Patch each ``module.<name>`` to record the shape of its first argument
     on every call; returns the (live) list of shapes."""

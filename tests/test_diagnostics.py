@@ -117,6 +117,15 @@ def test_gamma_hand_value():
     m = MetricOperator.zero(1)
     probe = (np.array([1.0]), np.array([0.0]), np.array([0.0]))
     assert dg.gamma(P, init, m, m, probe) == pytest.approx(1.0)
+    # each metric term on its own, then both: at x - x0 = 1, z - z0 = 0.5,
+    # (c/2)||x - z0||^2 = 1, (1/2)||x - x0||^2_M1 = 1.5 and
+    # (1/2)||z - z0||^2_M2 = 0.5
+    probe = (np.array([1.0]), np.array([0.5]), np.array([0.0]))
+    s1, s2 = MetricOperator.scaled_identity(1, 3.0), MetricOperator.scaled_identity(1, 4.0)
+    d1, d2 = MetricOperator.diagonal([3.0]), MetricOperator.diagonal([4.0])
+    for m1, m2, want in [(m, m, 1.0), (s1, m, 2.5), (m, s2, 1.5), (s1, s2, 3.0),
+                         (d1, m, 2.5), (m, d2, 1.5), (d1, d2, 3.0)]:
+        assert dg.gamma(P, init, m1, m2, probe) == pytest.approx(want)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +374,7 @@ def test_feasibility_bound_sums_the_step_energy_in_order():
     assert S_seq != float(np.sum(dz_sq)) and S_seq != math.fsum(dz_sq)
     c, u1 = 2.0, 0.5
     bounds = dg.feasibility_rate(np.zeros(16), c, u1, dz_sq)
-    assert bounds.tolist() == [math.sqrt(c * (u1 + c * S_seq) / (k - 1))
+    assert bounds.tolist() == [math.sqrt((u1 + c * S_seq) / (c * (k - 1)))
                                for k in range(2, 17)]
 
 
@@ -376,6 +385,19 @@ def test_feasibility_rate_on_run(toy_run, toy1d_oracle):
     bounds = dg.feasibility_rate(trace.residual_norms, P.c, u[0], z_steps_sq(trace))
     for resid, bound in zip(trace.residual_norms[1:], bounds, strict=True):
         assert resid <= bound
+
+
+@pytest.mark.parametrize("c", [0.05, 0.1, 0.3, 3.0, 10.0])
+def test_feasibility_bound_holds_for_any_penalty(c):
+    # c ||A x_k - z_k||^2 <= v_k: the penalty divides the bound; with c as a
+    # factor instead, the residual exceeds it for every c < 1 here
+    P, _ = build_problem("toy1d", c=c)
+    m = MetricOperator.scaled_identity(1, 1.0)
+    sched = ConstantSchedule(m)
+    _, trace = run(P, initial_state(P), sched, sched, StoppingRule(max_iters=300))
+    u, _ = dg.uv_energies(P, trace, toy1d_saddle(), m, m)
+    bounds = dg.feasibility_rate(trace.residual_norms, c, u[0], z_steps_sq(trace))
+    assert np.max(np.subtract(trace.residual_norms[1:], bounds)) <= 0.0
 
 
 @pytest.mark.parametrize("K", [0, 1, 2, 3, 17, 200])
@@ -397,7 +419,7 @@ def test_row_order_folds_equal_the_per_k_loops(K):
     S = 0.0
     for step in dz_sq.tolist():
         S += step
-    want = [math.sqrt(c * (u1 + c * S) / (k - 1)) for k in range(2, K + 1)]
+    want = [math.sqrt((u1 + c * S) / (c * (k - 1))) for k in range(2, K + 1)]
     assert dg.feasibility_rate(residuals, c, u1, dz_sq).tolist() == want
 
 

@@ -324,7 +324,8 @@ def test_metric_scaled_preserves_form():
     assert V.kind == "shifted_gram"
     x = np.arange(6.0)
     assert np.allclose(V.apply(x), 2.0 * U.apply(x))
-    assert U.scaled(0.0).kind == "zero"
+    Z = U.scaled(0.0)
+    assert (Z.kind, Z.mu) == ("scaled_identity", 0.0)
     D = MetricOperator.diagonal([1.0, 2.0]).scaled(3.0)
     assert np.allclose(D.diagonal_entries(), [3.0, 6.0])
 

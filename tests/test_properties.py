@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import KahanAverager, count_factorizations, dual_steps, lcg_reference
+from helpers import KahanAverager, count_factorizations, lcg_reference
 from vmadmm import diagnostics
 from vmadmm.diagnostics import dual_identity_deviation
 from vmadmm.errors import SingularSubproblem
@@ -282,7 +282,7 @@ def test_dual_identity_along_runs(strategy, monkeypatch):
         if strategy == "quadratic":
             assert len(factorizations) == 1  # factored once, reused K - 1 times
         deviation = dual_identity_deviation(
-            dual_steps(trace), trace.residual_norms, problem.c
+            trace.ys[:-1], trace.ys[1:], trace.residual_norms, problem.c
         )
         assert deviation <= CHECK_TOLERANCES["dual_identity"]
 

@@ -254,7 +254,7 @@ class RebuiltEachStepSchedule(ConstantSchedule):
     """A constant scaled-identity metric, rebuilt as a new object at every k."""
 
     def metric(self, k):
-        return MetricOperator.scaled_identity(self._metric.dim, self._metric.mu)
+        return MetricOperator.scaled_identity(self._metric0.dim, self._metric0.mu)
 
 
 def test_run_quadratic_factors_once_per_metric_object(monkeypatch):
@@ -888,7 +888,7 @@ def test_geometric_decay_schedule():
     m0 = MetricOperator.scaled_identity(3, 2.0)
     sched = GeometricDecaySchedule(m0, 0.5)
     assert sched.metric(0) is m0
-    assert sched.metric(2).scalar_value == pytest.approx(0.5)
+    assert sched.metric(2).mu == pytest.approx(0.5)
     assert sched.is_monotone()
     assert sched.min_eig_infimum() == 0.0
     assert sched.double_monotone()
@@ -907,6 +907,15 @@ def test_shifted_gram_schedule_steps():
     assert not ShiftedGramSchedule([0.2, 0.1], 1.0, A).is_monotone()
     lam = sched.min_eig_infimum()
     assert lam == pytest.approx(min_eigenvalue(sched.metric(5)), abs=1e-12)
+
+
+def test_shifted_gram_monotone_is_exact():
+    # a step shorter by one part in 1e13 is an M1 that grows: not monotone
+    A = forward_difference(10)
+    sched = ShiftedGramSchedule([0.2, 0.2 * (1 - 1e-13)], 1.0, A)
+    assert min_eigenvalue(sched.metric(1)) > min_eigenvalue(sched.metric(0))
+    assert not sched.is_monotone()
+    assert ShiftedGramSchedule([0.2, 0.2], 1.0, A).is_monotone()
 
 
 def test_validate_reads_the_whole_tau_list():
@@ -987,6 +996,22 @@ def test_validate_condition_III_constant_metric():
     s2 = ConstantSchedule(MetricOperator.scaled_identity(1, 1.0))
     report = validate_assumptions(P, s1, s2, 5)
     assert report.condition_III
+
+
+def test_validate_condition_III_decides_a_zero_m2_by_value():
+    # every spelling of the zero metric halves safely under any rho
+    P, _ = build_problem("toy1d")
+    s1 = ConstantSchedule(MetricOperator.scaled_identity(1, 1.0))
+    reports = [
+        validate_assumptions(P, s1, GeometricDecaySchedule(m2, 0.3))
+        for m2 in (MetricOperator.zero(1), MetricOperator.scaled_identity(1, 0.0),
+                   MetricOperator.diagonal([0.0]))
+    ]
+    assert reports[0].condition_III
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert not validate_assumptions(
+        P, s1, GeometricDecaySchedule(MetricOperator.diagonal([1e-300]), 0.3)
+    ).condition_III
 
 
 def test_validate_condition_III_needs_zero_h():

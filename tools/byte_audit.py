@@ -211,6 +211,18 @@ def configs():
         ("box-qp-300", toy(problem={"name": "box-qp", "n": 300},
                            metric1=_metric(5.0), metric2=ZERO, iters=20)),
     ]
+    # decisions by value: the feasibility bound at c != 1, a zero M2 spelled
+    # as a scaled identity under a fast decay (condition III), and a step
+    # list that shrinks by one part in 1e13 (M1 not monotone)
+    out += [
+        ("toy-c03-all-checks", toy(c=0.3, checks=ALL_CHECKS)),
+        ("toy-geometric-zero-m2", toy(metric2={"kind": "geometric_decay",
+                                               "metric": {"kind": "scaled_identity",
+                                                          "mu": 0.0},
+                                               "rho": 0.3})),
+        ("toy-tau-shrinks-1e-13", toy(metric1={"kind": "shifted_gram",
+                                               "tau": [0.4, 0.4 * (1 - 1e-13)]})),
+    ]
     # the benchmark workloads, read from perfbench/ as they are
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS
