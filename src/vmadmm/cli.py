@@ -182,8 +182,7 @@ def _cmd_check(args):
         # from the second logged row onward.
         ys = np.column_stack([_column(args.log, rows, c) for c in y_cols])
         worst = diagnostics.dual_identity_deviation(
-            ys[:-1], ys[1:], _column(args.log, rows, "residual_primal")[1:],
-            c,
+            ys[:-1], ys[1:], _column(args.log, rows, "residual_primal")[1:], c
         )
         if not worst <= CHECK_TOLERANCES["dual_identity"]:
             failures.append(f"residual/dual-step identity violated by {worst:.3e}")
