@@ -1,11 +1,12 @@
 """Catalog of convex functions with exact proximal maps and gradients.
 
-Each function reports its capabilities through the flags ``proxable`` and
-``smooth`` (with a Lipschitz constant for the gradient); the kinds with a
-closed-form Fenchel conjugate implement ``conjugate``, a reference for the
-dual objective, and the others raise :class:`CapabilityError`. Evaluations
-are extended-real: indicator functions return ``math.inf`` outside their
-domain, never NaN, and infinities propagate through sums.
+Each function reports its capabilities through the flags ``proxable``,
+``separable`` (it implements ``prox_diag``) and ``smooth`` (with a Lipschitz
+constant for the gradient); the kinds with a closed-form Fenchel conjugate
+implement ``conjugate``, a reference for the dual objective, and the others
+raise :class:`CapabilityError`. Evaluations are extended-real: indicator
+functions return ``math.inf`` outside their domain, never NaN, and
+infinities propagate through sums.
 
 All proximal maps are closed forms (the quadratic's from one cached
 eigendecomposition), so subproblem error stays at machine precision. Their
@@ -50,6 +51,10 @@ class ConvexFunction:
     proxable = False
     smooth = False
     lipschitz = None
+
+    @property
+    def separable(self):
+        return type(self).prox_diag is not ConvexFunction.prox_diag
 
     def __init__(self, dim):
         dim = int(dim)

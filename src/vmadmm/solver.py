@@ -84,20 +84,19 @@ class SolverState:
     """Iterate triple (x, z, y), the iteration counter, and three derived
     vectors: ``Ax = A x``, ``yc = y / c`` and the residual ``r = A x - z``.
 
-    :func:`step` sets them, so each is computed once per iterate: ``yc``
+    :func:`initial_state` and :func:`step` set every field, with the same
+    expressions, so each derived vector is computed once per iterate: ``yc``
     feeds the next x and z updates, ``r`` the recorder's ``||A x_k - z_k||``
-    and the next LINEARIZED x update, ``Ax`` the certifier. The initial
-    state, from :func:`initial_state` (``Ax`` only) or built by hand, may
-    leave them None; the updates then compute them, with the same bits.
+    and the next LINEARIZED x update, ``Ax`` the certifier.
     """
 
     x: np.ndarray
     z: np.ndarray
     y: np.ndarray
-    k: int = 0
-    Ax: np.ndarray | None = None
-    yc: np.ndarray | None = None
-    r: np.ndarray | None = None
+    k: int
+    Ax: np.ndarray
+    yc: np.ndarray
+    r: np.ndarray
 
 
 def initial_state(problem, x0=None, z0=None, y0=None):
@@ -117,7 +116,8 @@ def initial_state(problem, x0=None, z0=None, y0=None):
         raise DimensionMismatch("initial y", problem.m, y.shape)
     for name, v in (("x", x), ("z", z), ("y", y)):
         _check_finite(f"initial {name}", v)
-    return SolverState(x=x, z=z, y=y, k=0, Ax=problem.A.apply(x))
+    Ax = problem.A.apply(x)
+    return SolverState(x=x, z=z, y=y, k=0, Ax=Ax, yc=y / problem.c, r=Ax - z)
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +200,28 @@ class ShiftedGramSchedule:
 # ---------------------------------------------------------------------------
 
 
-def _linearized_applicable(problem, m1):
-    return (
-        m1.kind == "shifted_gram"
-        and m1.map is problem.A
-        and m1.coupling == problem.c
-        and problem.f.proxable
+def x_strategy(problem, m1):
+    """The exact x update for metric ``m1``: ``"linearized"``, ``"quadratic"``
+    or ``"prox_direct"``, tried in that order; :class:`StrategyError` if none."""
+    f = problem.f
+    if (m1.kind == "shifted_gram" and m1.map is problem.A
+            and m1.coupling == problem.c and f.proxable):
+        return "linearized"
+    if isinstance(f, (functions.Zero, functions.Quadratic)):
+        return "quadratic"
+    if problem.A.is_identity and m1.is_scalar and f.proxable:
+        return "prox_direct"
+    raise StrategyError(
+        "no exact x-update strategy applies: f is neither zero nor quadratic, "
+        "and the metric does not linearize the coupling. Choose a shifted "
+        "Gram metric (1/tau) id - c A*A for M1."
     )
 
 
 def x_update(problem, state, m1):
     """Exact minimizer of the x subproblem under metric ``m1``.
 
-    Strategy, chosen automatically:
+    The strategy is :func:`x_strategy`'s answer:
 
     * LINEARIZED -- ``m1`` is the shifted Gram metric ``(1/tau) id - c A*A``
       built on the problem's own A and c: the quadratic coupling cancels and
@@ -230,23 +239,17 @@ def x_update(problem, state, m1):
       at most 1e-10) the system is singular and is rejected unfactored.
     * PROX-DIRECT -- A is the identity and ``m1`` is a scaled identity:
       a single prox of f under the scalar metric ``c + mu``.
-
-    Each strategy reads the state's ``yc = y / c``, LINEARIZED also its
-    ``r = A x - z``; either is computed here when None.
     """
     f, h, A, c = problem.f, problem.h, problem.A, problem.c
-    x, z = state.x, state.z
-    yc = state.y / c if state.yc is None else state.yc
+    x, z, yc = state.x, state.z, state.yc
+    strategy = x_strategy(problem, m1)
 
-    if _linearized_applicable(problem, m1):
+    if strategy == "linearized":
         tau = m1.tau
-        r = state.r
-        if r is None:
-            r = (A.apply(x) if state.Ax is None else state.Ax) - z
-        step = h.grad(x) + c * A.adjoint(r + yc)
+        step = h.grad(x) + c * A.adjoint(state.r + yc)
         return f.prox(x - tau * step, tau)
 
-    if isinstance(f, (functions.Zero, functions.Quadratic)):
+    if strategy == "quadratic":
         # The system depends on the problem and m1 alone. Keyed on the
         # problem object itself (held, so a reused id() cannot match).
         cached = m1._x_factor
@@ -289,30 +292,23 @@ def x_update(problem, state, m1):
             raise ValueError(f"LAPACK solve: illegal value in argument {-info}")
         return x_next
 
-    if A.is_identity and m1.is_scalar and f.proxable:
-        mu = m1.mu
-        denom = c + mu
-        w = (c * (z - yc) + mu * x - h.grad(x)) / denom
-        return f.prox(w, 1.0 / denom)
-
-    raise StrategyError(
-        "no exact x-update strategy applies: f is neither zero nor quadratic, "
-        "and the metric does not linearize the coupling. Choose a shifted "
-        "Gram metric (1/tau) id - c A*A for M1."
-    )
+    mu = m1.mu
+    denom = c + mu
+    w = (c * (z - yc) + mu * x - h.grad(x)) / denom
+    return f.prox(w, 1.0 / denom)
 
 
 def z_update(problem, state, Ax_next, m2):
     """Exact minimizer of the z subproblem under metric ``m2``.
 
-    ``Ax_next`` is ``A x+``, the product of the new x iterate; the state's
-    ``yc = y / c`` is computed here when None. Supports zero,
-    scaled-identity, and diagonal metrics. The subproblem is strongly convex
-    with modulus ``c + m2`` and reduces to a single prox of g (diagonal
-    metrics additionally require g to implement ``prox_diag``).
+    ``Ax_next`` is ``A x+``, the product of the new x iterate; the state
+    supplies ``yc = y / c``. Supports zero, scaled-identity, and diagonal
+    metrics. The subproblem is strongly convex with modulus ``c + m2`` and
+    reduces to a single prox of g (diagonal metrics additionally require g
+    to implement ``prox_diag``).
     """
     g, c = problem.g, problem.c
-    w = Ax_next + (state.y / c if state.yc is None else state.yc)
+    w = Ax_next + state.yc
     if m2.is_scalar:
         mu = m2.mu
         denom = c + mu
@@ -389,9 +385,6 @@ class RunTrace:
     @property
     def iterations(self):
         return len(self.xs) - 1
-
-    def state_at(self, k):
-        return SolverState(x=self.xs[k], z=self.zs[k], y=self.ys[k], k=k)
 
     def record(self, state, residual):
         self.xs.append(state.x.copy())
@@ -513,17 +506,22 @@ def validate_assumptions(problem, sched1, sched2, horizon=None):
 
     Constant schedules are checked once; decaying and step-sequence schedules
     additionally account for their limiting operator, so the reported flags
-    are reproducible from the schedules and the problem alone. An M2 that
-    :func:`z_update` cannot apply (neither zero, scaled identity nor
-    diagonal) raises :class:`UnsupportedMetric` before anything is checked;
-    every other failure is reported with witnesses in ``notes``.
+    are reproducible from the schedules and the problem alone. First, an
+    M2 that :func:`z_update` cannot apply (not diagonal, or not scalar on a
+    g without ``prox_diag``) raises :class:`UnsupportedMetric`, and an M1
+    that :func:`x_strategy` rejects at k = 0 or 1 raises
+    :class:`StrategyError`; each schedule has the form of ``M1^1`` at every
+    ``k >= 1`` (``rho^k M0``, or shifted Gram metrics on one map and
+    coupling). Other failures are reported with witnesses in ``notes``.
     """
-    first_m2 = sched2.metric(0)
-    if first_m2.diagonal_entries() is None:
+    m2 = sched2.metric(0)
+    if not (m2.is_scalar or problem.g.separable and m2.diagonal_entries() is not None):
         raise UnsupportedMetric(
-            f"the z update supports zero, scaled-identity, or diagonal M2, "
-            f"got {first_m2.kind!r}"
+            f"the z update supports zero, scaled-identity, or diagonal M2 (on a "
+            f"separable g), got {m2.kind!r} on {type(problem.g).__name__}"
         )
+    for k in (0, 1):
+        x_strategy(problem, sched1.metric(k))
     L = problem.h.lipschitz
     notes = []
 

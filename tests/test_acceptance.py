@@ -150,7 +150,8 @@ def test_c01_ergodic_gap_bound(ergodic_tv1d, ergodic_toy1d, tv1d_oracle, toy1d_o
         ):
             saddle = (orc.x, orc.z, orc.y)
             gamma0 = dg.gamma(
-                problem, trace.state_at(0), sched1.metric(0), sched2.metric(0), saddle
+                problem, initial_state(problem, trace.xs[0], trace.zs[0], trace.ys[0]),
+                sched1.metric(0), sched2.metric(0), saddle
             )
             averager = KahanAverager(problem.n, problem.m)
             worst = math.inf
@@ -354,8 +355,9 @@ def test_c10_per_iteration_inequality(ergodic_tv1d, ergodic_toy1d,
             probes = dg.sample_ball_probes((orc.x, orc.z, orc.y), 1.0, 20, seed=41)
             m1, m2 = sched1.metric(0), sched2.metric(0)
             for k in range(0, trace.iterations, 10):
-                s_k = trace.state_at(k)
-                s_next = trace.state_at(k + 1)
+                s_k = initial_state(problem, trace.xs[k], trace.zs[k], trace.ys[k])
+                s_next = initial_state(problem, trace.xs[k + 1], trace.zs[k + 1],
+                                       trace.ys[k + 1])
                 for probe in probes:
                     sl1, sl2 = dg.iteration_inequality_check(
                         problem, s_k, s_next, m1, m2, probe

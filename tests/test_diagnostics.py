@@ -16,7 +16,6 @@ from vmadmm.solver import (
     ProblemSpec,
     RunTrace,
     ShiftedGramSchedule,
-    SolverState,
     StoppingRule,
     initial_state,
     run,
@@ -95,9 +94,7 @@ def test_lagrangian_propagates_infinity():
 
 def test_gamma_zero_at_feasible_start():
     P = scalar_problem()
-    init = SolverState(
-        x=np.array([1.0]), z=np.array([1.0]), y=np.array([0.5]), k=0
-    )
+    init = initial_state(P, [1.0], [1.0], [0.5])
     m = MetricOperator.zero(1)
     probe = (init.x, init.z, init.y)
     assert dg.gamma(P, init, m, m, probe) == pytest.approx(0.0)
@@ -105,7 +102,7 @@ def test_gamma_zero_at_feasible_start():
 
 def test_gamma_infeasible_start():
     P = scalar_problem(c=2.0)
-    init = SolverState(x=np.array([1.0]), z=np.array([0.0]), y=np.array([0.0]), k=0)
+    init = initial_state(P, [1.0], [0.0], [0.0])
     m = MetricOperator.zero(1)
     probe = (init.x, init.z, init.y)
     assert dg.gamma(P, init, m, m, probe) == pytest.approx(1.0)  # (c/2)||Ax0 - z0||^2
@@ -113,7 +110,7 @@ def test_gamma_infeasible_start():
 
 def test_gamma_hand_value():
     P = scalar_problem(c=2.0)
-    init = SolverState(x=np.array([0.0]), z=np.array([0.0]), y=np.array([0.0]), k=0)
+    init = initial_state(P, [0.0], [0.0], [0.0])
     m = MetricOperator.zero(1)
     probe = (np.array([1.0]), np.array([0.0]), np.array([0.0]))
     assert dg.gamma(P, init, m, m, probe) == pytest.approx(1.0)
@@ -171,7 +168,8 @@ def test_gap_certificate_saddle_probe_sign(toy1d_oracle):
     state, trace = run(P, initial_state(P), s1, s2, StoppingRule(max_iters=300))
     orc = toy1d_oracle
     probe = (orc.x, orc.z, orc.y)
-    gamma0 = dg.gamma(P, trace.state_at(0), s1.metric(0), s2.metric(0), probe)
+    gamma0 = dg.gamma(P, initial_state(P, trace.xs[0], trace.zs[0], trace.ys[0]),
+                      s1.metric(0), s2.metric(0), probe)
     avg = KahanAverager(1, 1)
     for k in range(1, trace.iterations + 1):
         avg.update(trace.xs[k], trace.zs[k], trace.ys[k])
@@ -190,7 +188,8 @@ def test_gap_bound_holds_at_random_probes(toy1d_oracle):
     orc = toy1d_oracle
     probes = dg.sample_ball_probes((orc.x, orc.z, orc.y), 1.0, 10, seed=3)
     for probe in probes:
-        gamma0 = dg.gamma(P, trace.state_at(0), s1.metric(0), s2.metric(0), probe)
+        gamma0 = dg.gamma(P, initial_state(P, trace.xs[0], trace.zs[0], trace.ys[0]),
+                          s1.metric(0), s2.metric(0), probe)
         avg = KahanAverager(1, 1)
         for k in range(1, trace.iterations + 1):
             avg.update(trace.xs[k], trace.zs[k], trace.ys[k])
@@ -518,7 +517,8 @@ def test_iteration_inequality_on_genuine_run(tv1d, tv1d_oracle):
     probes = dg.sample_ball_probes((orc.x, orc.z, orc.y), 1.0, 20, seed=2024)
     m1, m2 = s1.metric(0), s2.metric(0)
     for k in range(0, 120, 10):
-        s_k, s_next = trace.state_at(k), trace.state_at(k + 1)
+        s_k = initial_state(P, trace.xs[k], trace.zs[k], trace.ys[k])
+        s_next = initial_state(P, trace.xs[k + 1], trace.zs[k + 1], trace.ys[k + 1])
         # the iterate itself is a valid probe
         sl1, sl2 = dg.iteration_inequality_check(
             P, s_k, s_next, m1, m2, (s_next.x, s_next.z, s_next.y)
@@ -533,7 +533,7 @@ def test_iteration_inequality_on_genuine_run(tv1d, tv1d_oracle):
 def test_iteration_inequality_fixed_point_reduces_to_probe_terms():
     P, _ = build_problem("toy1d")
     xs, zs, ys = toy1d_saddle()
-    fixed = SolverState(x=xs, z=zs, y=ys, k=0)
+    fixed = initial_state(P, xs, zs, ys)
     m = MetricOperator.scaled_identity(1, 1.0)
     probe = (np.array([1.0]), np.array([0.5]), np.array([2.0]))
     sl1, sl2 = dg.iteration_inequality_check(P, fixed, fixed, m, m, probe)

@@ -146,6 +146,18 @@ def test_run_experiment_checks_pass(tmp_path):
     assert result.summary["rate_slope"] <= -0.45
 
 
+def test_feasibility_rate_is_judged_on_its_bound(tmp_path):
+    # toy1d with zero metrics at c = 0.1: the residual stays under the bound
+    # while its fitted log-log slope is near 0; the slope is reported only
+    zero = {"kind": "constant", "metric": {"kind": "zero"}}
+    cfg = toy_config(c=0.1, metric1=zero, metric2=zero, iters=150,
+                     checks=["feasibility_rate"])
+    result = run_experiment(cfg, out_dir=str(tmp_path))
+    assert result.summary["rate_slope"] > -0.45
+    assert result.checks["feasibility_rate"][0]
+    assert result.exit_code == 0
+
+
 def test_non_monotone_schedule_exits_nonzero_unless_forced(tmp_path):
     cfg = toy_config(
         metric1={"kind": "shifted_gram", "tau": [0.5, 0.25]},  # decreasing steps
@@ -762,6 +774,17 @@ def test_cli_force_flag(tmp_path):
     assert main(["solve", "--config", cfg_path, "--force"]) == 0
 
 
+@pytest.mark.parametrize("ks", [(1, 1), (2, 1), (1, 3, 2)])
+def test_cli_check_fails_rows_out_of_order(tmp_path, capsys, ks):
+    # every k must exceed the last; the first that does not is named
+    rows = "".join(f"{k},1e-9\n" for k in ks)
+    paths = check_inputs(tmp_path, "k,kkt\n" + rows)
+    assert main(["check", "--log", paths["--log"],
+                 "--against", paths["--against"]]) == 1
+    bad = next(i for i in range(1, len(ks)) if ks[i] <= ks[i - 1])
+    assert f"FAIL: row order: k={ks[bad]} after k={ks[bad - 1]}" in capsys.readouterr().out
+
+
 def test_cli_check_fails_a_log_without_rows(tmp_path, capsys):
     # the runner fails the kkt check of 0 iterations (final_kkt=inf), and so
     # does the check of the header-only log it writes
@@ -918,6 +941,40 @@ def test_cli_rejects_unsupported_m2_before_solving(tmp_path, monkeypatch, capsys
     )
     assert main(["solve", "--config", write_config(tmp_path, cfg), "--force"]) == 2
     assert "z update" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        # f is a box indicator and A the identity: a diagonal M1 has no strategy
+        (dict(problem={"name": "box-qp", "n": 10},
+              metric1={"kind": "constant", "metric": {
+                  "kind": "diagonal", "entries": [5.0 + 0.1 * i for i in range(10)]}}),
+         "error: no exact x-update strategy applies"),
+        # a decayed shifted Gram M1 linearizes at k = 0 only
+        (dict(problem={"name": "lasso-split", "n": 8, "rows": 12, "quadratic_in": "g"},
+              metric1={"kind": "geometric_decay",
+                       "metric": {"kind": "shifted_gram", "tau": 0.5}, "rho": 0.9}),
+         "error: no exact x-update strategy applies"),
+        # a quadratic g has no prox under a diagonal M2
+        (dict(problem={"name": "lasso-split", "n": 8, "rows": 12, "quadratic_in": "g"},
+              metric2={"kind": "constant", "metric": {
+                  "kind": "diagonal", "entries": [0.5] * 8}}),
+         "error: the z update supports"),
+    ],
+    ids=["box-qp-diagonal-m1", "lasso-decayed-shifted-gram-m1", "lasso-g-diagonal-m2"],
+)
+def test_cli_rejects_an_inexact_update_before_solving(tmp_path, monkeypatch, capsys,
+                                                      overrides, error):
+    monkeypatch.setattr(solver, "min_eigenvalue", _refuse)
+    monkeypatch.setattr(solver, "gram_min_eigenvalue", _refuse)
+    monkeypatch.setattr(experiments, "oracle", _refuse)
+    cfg = toy_config(**{"metric2": {"kind": "constant", "metric": {"kind": "zero"}},
+                        "checks": ["gap_bound"], "out_dir": str(tmp_path / "out"),
+                        **overrides})
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--force"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(error) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

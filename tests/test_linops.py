@@ -225,6 +225,14 @@ def test_seminorm_shifted_gram():
     assert U.seminorm_sq(np.array([1.0, 0.0])) == pytest.approx(3.0)
 
 
+def test_seminorm_clamps_a_roundoff_negative_value_to_zero():
+    # within 1e-12 (1 + ||x||^2) of zero a negative <x, U x> reads 0, in a
+    # block row by row
+    U = MetricOperator.dense([[1.0, 0.0], [0.0, -1e-13]])
+    assert U.seminorm_sq(np.array([0.0, 1.0])) == 0.0
+    assert U.seminorm_sq(np.array([[0.0, 1.0], [2.0, 0.0]])).tolist() == [0.0, 4.0]
+
+
 def test_seminorm_dimension_mismatch():
     U = MetricOperator.scaled_identity(2, 1.0)
     with pytest.raises(DimensionMismatch):
@@ -328,6 +336,16 @@ def test_metric_scaled_preserves_form():
     assert (Z.kind, Z.mu) == ("scaled_identity", 0.0)
     D = MetricOperator.diagonal([1.0, 2.0]).scaled(3.0)
     assert np.allclose(D.diagonal_entries(), [3.0, 6.0])
+
+
+def test_metric_scaled_dense_scales_its_matrix_once():
+    # a geometric decay of a dense M1 hands out rho^k M0
+    M = np.array([[2.0, 0.5], [0.5, 1.0]])
+    U = MetricOperator.dense(M).scaled(3.0)
+    assert U.kind == "dense"
+    assert np.array_equal(U.matrix, 3.0 * M)
+    assert not U.matrix.flags.writeable
+    assert np.allclose(U.apply(np.array([1.0, -1.0])), 3.0 * (M @ [1.0, -1.0]))
 
 
 # ---------------------------------------------------------------------------

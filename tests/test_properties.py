@@ -19,8 +19,14 @@ from hypothesis.extra.numpy import arrays
 from helpers import KahanAverager, count_factorizations, lcg_reference
 from vmadmm import diagnostics
 from vmadmm.diagnostics import dual_identity_deviation
-from vmadmm.errors import SingularSubproblem
-from vmadmm.experiments import BLOCK, CHECK_TOLERANCES, RunConfig, _Certifier
+from vmadmm.errors import SingularSubproblem, StrategyError, UnsupportedMetric
+from vmadmm.experiments import (
+    BLOCK,
+    CHECK_TOLERANCES,
+    RunConfig,
+    _Certifier,
+    run_experiment,
+)
 from vmadmm.functions import (
     BoxIndicator,
     Huber,
@@ -41,7 +47,6 @@ from vmadmm.solver import (
     ConstantSchedule,
     ProblemSpec,
     ShiftedGramSchedule,
-    SolverState,
     StoppingRule,
     initial_state,
     run,
@@ -306,8 +311,8 @@ def test_banded_x_update_matches_dense(kind, monkeypatch):
         else:
             entries = st.one_of(st.just(0.0), POSITIVE)
             m1 = MetricOperator.diagonal(data.draw(arrays(np.float64, n, elements=entries)))
-        state = SolverState(
-            x=data.draw(reals(n)), z=data.draw(reals(n - 1)), y=data.draw(reals(n - 1))
+        state = initial_state(
+            problem, data.draw(reals(n)), data.draw(reals(n - 1)), data.draw(reals(n - 1))
         )
         d1 = m1.diagonal_entries()
         factorizations.clear()
@@ -491,7 +496,7 @@ def test_single_buffer_averager_matches_per_vector_kahan():
         reference = KahanAverager(n, m)
         for k, row in enumerate(iterates, 1):
             x, z, y = row[:n], row[n : n + m], row[n + m :]
-            certifier.record(SolverState(x, z, y, k, problem.A.apply(x)), 0.0)
+            certifier.record(initial_state(problem, x, z, y), 0.0)
             reference.update(x, z, y)
             mean = certifier.means[(k - 1) % BLOCK]
             assert mean.tobytes() == reference.means.tobytes()
@@ -687,5 +692,92 @@ def test_diagnostics_block_calls_stack_the_vector_calls(name):
                      for a, b in zip(zip(*prev), zip(*cur))]
             assert_stacked(u, [p[0] for p in pairs])
             assert_stacked(v, [p[1] for p in pairs])
+
+    check()
+
+
+THEORY_CHECKS = ["gap_bound", "v_inequality", "v_monotone", "feasibility_rate",
+                 "dual_identity"]
+ZERO_SCHEDULE = {"kind": "constant", "metric": {"kind": "zero"}}
+
+
+@st.composite
+def theory_runs(draw):
+    """The fields of a run config: a catalog problem with n <= 12, a penalty
+    log-uniform in [0.05, 20], two schedules (zero, scaled identity,
+    diagonal, shifted Gram or geometric decay; M2 is zero in one draw in
+    seven), a zero or random start and at most 150 iterations. Scales are
+    relative to L, and steps to ``1 / (c ||A||^2)``, so that many draws are
+    permitted."""
+    name = draw(st.sampled_from(["toy1d", "tv1d", "lasso-g", "lasso-h", "box-qp"]))
+    if name == "toy1d":
+        problem = {"name": "toy1d"}
+    elif name == "tv1d":
+        problem = {"name": "tv1d", "n": draw(st.integers(2, 12))}
+    elif name == "box-qp":
+        problem = {"name": "box-qp", "n": draw(st.integers(1, 12))}
+    else:
+        n = draw(st.integers(1, 12))
+        problem = {"name": "lasso-split", "n": n, "rows": draw(st.integers(n, 12)),
+                   "quadratic_in": name[-1]}
+    c = math.exp(draw(st.floats(math.log(0.05), math.log(20.0))))
+    params = {k: v for k, v in problem.items() if k != "name"}
+    P, meta = build_problem(problem["name"], c=c, **params)
+    scale = meta["L"] or 1.0
+    max_tau = 1.0 / (c * meta["norm_A"] ** 2)
+
+    def metric(dim, kind):
+        if kind == "zero":
+            return {"kind": "zero"}
+        if kind == "scaled_identity":
+            return {"kind": kind, "mu": scale * draw(st.floats(0.25, 4.0))}
+        if kind == "diagonal":
+            entries = st.lists(st.floats(0.25, 4.0), min_size=dim, max_size=dim)
+            return {"kind": kind, "entries": [scale * e for e in draw(entries)]}
+        return {"kind": kind, "tau": max_tau * draw(st.floats(0.2, 0.95))}
+
+    def schedule(dim, kinds):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "geometric_decay":
+            base = draw(st.sampled_from(["scaled_identity", "diagonal", "shifted_gram"]))
+            return {"kind": kind, "metric": metric(dim, base),
+                    "rho": draw(st.floats(0.3, 1.0))}
+        if kind == "shifted_gram":
+            steps = draw(st.lists(st.floats(0.2, 0.95), min_size=1, max_size=3))
+            return {"kind": kind, "tau": [max_tau * t for t in sorted(steps)]}
+        return {"kind": "constant", "metric": metric(dim, kind)}
+
+    nonzero = ["scaled_identity", "diagonal", "shifted_gram", "geometric_decay"]
+    metric1 = schedule(P.n, ["zero"] + nonzero)
+    metric2 = schedule(P.m, ["scaled_identity", "diagonal", "zero", "scaled_identity",
+                             "diagonal", "shifted_gram", "geometric_decay"])
+    init = "zeros"
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        init = {"x": rng.uniform(-2.0, 2.0, P.n).tolist(),
+                "z": rng.uniform(-2.0, 2.0, P.m).tolist(),
+                "y": rng.uniform(-2.0, 2.0, P.m).tolist()}
+    return dict(problem=problem, c=c, metric1=metric1, metric2=metric2, init=init,
+                iters=draw(st.integers(1, 150)))
+
+
+def test_every_permitted_run_passes_the_theory_checks(tmp_path):
+    # every run the validator permits passes each theorem check it can
+    # evaluate; a run it refuses, or rejects as inexact, is discarded
+    @given(theory_runs())
+    @settings(max_examples=150)
+    # the feasibility bound holds while the residual's fitted slope is -0.006
+    @example(dict(problem={"name": "toy1d"}, c=0.1, metric1=ZERO_SCHEDULE,
+                  metric2=ZERO_SCHEDULE, init="zeros", iters=150))
+    def check(fields):
+        cfg = RunConfig(**fields, checks=THEORY_CHECKS, out_dir=str(tmp_path))
+        try:
+            result = run_experiment(cfg)
+        except (StrategyError, UnsupportedMetric):
+            return
+        if result.exit_code == 3:  # the validator refused the schedules
+            return
+        for name, (passed, detail) in result.checks.items():
+            assert passed or detail.startswith("not evaluable"), (name, detail, fields)
 
     check()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -23,12 +24,12 @@ from vmadmm.solver import (
     GeometricDecaySchedule,
     ProblemSpec,
     ShiftedGramSchedule,
-    SolverState,
     StoppingRule,
     initial_state,
     run,
     step,
     validate_assumptions,
+    x_strategy,
     x_update,
     y_update,
     z_update,
@@ -45,13 +46,8 @@ def scalar_problem(f=None, h=None, g=None, c=1.0):
     )
 
 
-def state1(x, z, y, k=0):
-    return SolverState(
-        x=np.array([float(x)]),
-        z=np.array([float(z)]),
-        y=np.array([float(y)]),
-        k=k,
-    )
+def state1(P, x, z, y):
+    return initial_state(P, [x], [z], [y])
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +79,7 @@ def test_problem_spec_requires_positive_c():
 
 def test_x_update_least_squares_onto_target():
     P = scalar_problem()
-    out = x_update(P, state1(0.0, 2.0, 0.0), MetricOperator.zero(1))
+    out = x_update(P, state1(P, 0.0, 2.0, 0.0), MetricOperator.zero(1))
     assert out == pytest.approx([2.0])
 
 
@@ -91,7 +87,7 @@ def test_x_update_linearized_derived():
     # strategy (a); oracle: 1-D minimization of |x| + 0.5 (x - 3)^2 + 0.5 x^2
     P = scalar_problem(f=L1Norm(1, 1.0))
     m1 = MetricOperator.shifted_gram(0.5, 1.0, P.A)
-    out = x_update(P, state1(0.0, 3.0, 0.0), m1)
+    out = x_update(P, state1(P, 0.0, 3.0, 0.0), m1)
     expected = minimize_1d(
         lambda x: abs(x) + 0.5 * (x - 3.0) ** 2 + 0.5 * (x - 0.0) ** 2 * (2.0 - 1.0),
         -5.0,
@@ -104,7 +100,7 @@ def test_x_update_linearized_derived():
 def test_x_update_quadratic_derived():
     # strategy (b); oracle: minimize x^2/2 + (x-1)*1 + x^2/2 + (x-1)^2/2
     P = scalar_problem(f=Quadratic([[1.0]], [0.0]), h=SquaredL2(1, 0.0, 1.0))
-    out = x_update(P, state1(1.0, 0.0, 0.0), MetricOperator.scaled_identity(1, 1.0))
+    out = x_update(P, state1(P, 1.0, 0.0, 0.0), MetricOperator.scaled_identity(1, 1.0))
     expected = minimize_1d(
         lambda x: 0.5 * x * x
         + (x - 1.0) * 1.0
@@ -121,7 +117,7 @@ def test_x_update_prox_direct_strategy():
     # strategy (c): A identity, scaled-identity metric, proxable f
     P = scalar_problem(f=L1Norm(1, 1.0), c=2.0)
     m1 = MetricOperator.scaled_identity(1, 3.0)
-    out = x_update(P, state1(1.0, 3.0, -1.0), m1)
+    out = x_update(P, state1(P, 1.0, 3.0, -1.0), m1)
     expected = minimize_1d(
         lambda x: abs(x) + 1.0 * (x - 3.5) ** 2 + 1.5 * (x - 1.0) ** 2, -5.0, 5.0
     )
@@ -153,11 +149,8 @@ def test_x_update_optimality_inclusion_residual():
     cases += [(P4, shared), (P5, shared), (P1, shared)]
     rng = np.random.default_rng(5)
     for P, m1 in cases:
-        state = SolverState(
-            x=rng.standard_normal(P.n),
-            z=rng.standard_normal(P.m),
-            y=rng.standard_normal(P.m),
-            k=0,
+        state = initial_state(
+            P, rng.standard_normal(P.n), rng.standard_normal(P.m), rng.standard_normal(P.m)
         )
         x_next = x_update(P, state, m1)
         target = (
@@ -177,10 +170,20 @@ def test_x_update_no_strategy_errors():
         A=LinearMap.from_dense([[1.0, 1.0]]),
         c=1.0,
     )
-    state = SolverState(x=np.zeros(2), z=np.zeros(1), y=np.zeros(1), k=0)
+    state = initial_state(P)
     with pytest.raises(StrategyError) as exc:
         x_update(P, state, MetricOperator.zero(2))
     assert "Gram" in str(exc.value)
+
+
+def test_x_strategy_names_each_exact_update():
+    P = scalar_problem(f=L1Norm(1, 1.0))
+    assert x_strategy(P, MetricOperator.shifted_gram(0.5, P.c, P.A)) == "linearized"
+    assert x_strategy(P, MetricOperator.scaled_identity(1, 1.0)) == "prox_direct"
+    assert x_strategy(scalar_problem(), MetricOperator.zero(1)) == "quadratic"
+    # a shifted Gram metric on another coupling linearizes nothing
+    with pytest.raises(StrategyError):
+        x_strategy(P, MetricOperator.shifted_gram(0.5, 2.0, P.A))
 
 
 def test_x_update_singular_system():
@@ -189,7 +192,7 @@ def test_x_update_singular_system():
     P = ProblemSpec(
         f=Zero(2), h=Zero(2), g=Zero(1), A=LinearMap.zero(1, 2), c=1.0
     )
-    state = SolverState(x=np.zeros(2), z=np.zeros(1), y=np.zeros(1), k=0)
+    state = initial_state(P)
     m1 = MetricOperator.zero(2)
     for _ in range(2):
         with pytest.raises(SingularSubproblem):
@@ -198,7 +201,7 @@ def test_x_update_singular_system():
         f=Zero(2), h=Zero(2), g=Zero(2), A=LinearMap.identity(2), c=1.0
     )
     target = np.array([1.0, -2.0])
-    state = SolverState(x=np.zeros(2), z=target, y=np.zeros(2), k=0)
+    state = initial_state(definite, z0=target)
     assert x_update(definite, state, m1) == pytest.approx(target)
 
 
@@ -221,7 +224,7 @@ def test_x_update_tv1d_zero_m1_singular(c, monkeypatch):
         f=Zero(P.n), h=Zero(P.n), g=Zero(P.n), A=LinearMap.identity(P.n), c=1.0
     )
     target = np.linspace(-1.0, 1.0, P.n)
-    state = SolverState(x=np.zeros(P.n), z=target, y=np.zeros(P.n), k=0)
+    state = initial_state(definite, z0=target)
     assert x_update(definite, state, m1) == pytest.approx(target)
 
 
@@ -237,8 +240,8 @@ def test_x_update_lapack_solve_matches_scipy_bitwise(banded):
                         h=P.h, g=P.g, A=P.A, c=P.c)
         m1 = MetricOperator.scaled_identity(P.n, 1.5)
     rng = np.random.default_rng(5)
-    state = SolverState(x=rng.standard_normal(P.n), z=rng.standard_normal(P.m),
-                        y=rng.standard_normal(P.m))
+    state = initial_state(P, rng.standard_normal(P.n), rng.standard_normal(P.m),
+                          rng.standard_normal(P.m))
     x_next = x_update(P, state, m1)
     factor = m1._x_factor[2]
     rhs = -P.h.grad(state.x) + P.c * P.A.adjoint(state.z - state.y / P.c) + m1.apply(state.x)
@@ -305,13 +308,13 @@ def test_run_geometric_m2_on_quadratic_g_decomposes_once(monkeypatch):
 
 def test_z_update_unconstrained():
     P = scalar_problem(c=1.0)
-    out = z_update(P, state1(0.0, 0.0, 1.0), np.array([2.0]), MetricOperator.zero(1))
+    out = z_update(P, state1(P, 0.0, 0.0, 1.0), np.array([2.0]), MetricOperator.zero(1))
     assert out == pytest.approx([3.0])  # A x+ + y/c
 
 
 def test_z_update_soft_threshold():
     P = scalar_problem(g=L1Norm(1, 1.0))
-    out = z_update(P, state1(0.0, 0.0, 0.0), np.array([2.0]), MetricOperator.zero(1))
+    out = z_update(P, state1(P, 0.0, 0.0, 0.0), np.array([2.0]), MetricOperator.zero(1))
     assert out == pytest.approx([1.0])
 
 
@@ -319,7 +322,7 @@ def test_z_update_scaled_identity_derived():
     # oracle: minimize |z| + (z - 2)^2 / 2 + z^2 / 2
     P = scalar_problem(g=L1Norm(1, 1.0))
     out = z_update(
-        P, state1(0.0, 0.0, 0.0), np.array([2.0]), MetricOperator.scaled_identity(1, 1.0)
+        P, state1(P, 0.0, 0.0, 0.0), np.array([2.0]), MetricOperator.scaled_identity(1, 1.0)
     )
     expected = minimize_1d(
         lambda z: abs(z) + 0.5 * (z - 2.0) ** 2 + 0.5 * z * z, -5.0, 5.0
@@ -332,12 +335,7 @@ def test_z_update_diagonal_metric():
     P = ProblemSpec(
         f=Zero(2), h=Zero(2), g=L1Norm(2, 1.0), A=LinearMap.identity(2), c=1.0
     )
-    state = SolverState(
-        x=np.zeros(2),
-        z=np.array([1.0, -1.0]),
-        y=np.zeros(2),
-        k=0,
-    )
+    state = initial_state(P, z0=[1.0, -1.0])
     m2 = MetricOperator.diagonal([1.0, 3.0])
     out = z_update(P, state, np.array([2.0, 2.0]), m2)
     for i, d2 in enumerate([1.0, 3.0]):
@@ -354,11 +352,8 @@ def test_z_update_diagonal_metric():
 def test_z_update_optimality_inclusion_residual():
     P, _ = build_problem("tv1d", n=15)
     rng = np.random.default_rng(8)
-    state = SolverState(
-        x=rng.standard_normal(P.n),
-        z=rng.standard_normal(P.m),
-        y=rng.standard_normal(P.m),
-        k=0,
+    state = initial_state(
+        P, rng.standard_normal(P.n), rng.standard_normal(P.m), rng.standard_normal(P.m)
     )
     Ax_next = P.A.apply(rng.standard_normal(P.n))
     for m2 in (MetricOperator.zero(P.m), MetricOperator.scaled_identity(P.m, 0.7)):
@@ -375,7 +370,7 @@ def test_z_update_objective_descent():
     m2 = MetricOperator.scaled_identity(1, 1.0)
     rng = np.random.default_rng(10)
     for _ in range(20):
-        state = state1(rng.normal(), rng.normal(), rng.normal())
+        state = state1(P, rng.normal(), rng.normal(), rng.normal())
         x_next = np.array([rng.normal()])
 
         def objective(z):
@@ -394,7 +389,7 @@ def test_z_update_unsupported_metric():
     P = ProblemSpec(
         f=Zero(2), h=Zero(2), g=Zero(2), A=LinearMap.identity(2), c=1.0
     )
-    state = SolverState(x=np.zeros(2), z=np.zeros(2), y=np.zeros(2), k=0)
+    state = initial_state(P)
     with pytest.raises(UnsupportedMetric):
         z_update(P, state, np.zeros(2), MetricOperator.dense(np.eye(2)))
 
@@ -405,23 +400,21 @@ def test_z_update_unsupported_metric():
 
 
 def test_y_update_feasible_point_fixed():
-    s = state1(0.0, 0.0, 3.0)
+    s = state1(scalar_problem(), 0.0, 0.0, 3.0)
     assert y_update(s, np.array([2.0]) - np.array([2.0]), 1.0) == pytest.approx([3.0])
 
 
 def test_y_update_scaling():
-    s = state1(0.0, 0.0, 0.0)
+    s = state1(scalar_problem(), 0.0, 0.0, 0.0)
     out = y_update(s, np.array([3.0]) - np.array([1.0]), 2.0)
     assert out == pytest.approx([4.0])
 
 
 def test_y_update_componentwise():
-    s = SolverState(
-        x=np.zeros(2),
-        z=np.zeros(2),
-        y=np.array([1.0, -1.0]),
-        k=0,
+    P = ProblemSpec(
+        f=Zero(2), h=Zero(2), g=Zero(2), A=LinearMap.identity(2), c=1.0
     )
+    s = initial_state(P, y0=[1.0, -1.0])
     out = y_update(s, np.array([1.0, 1.0]) - np.array([0.5, 0.5]), 1.0)
     assert np.allclose(out, [1.5, -0.5])
 
@@ -435,7 +428,7 @@ def test_step_hand_executed():
     P = scalar_problem()
     s1 = ConstantSchedule(MetricOperator.zero(1))
     s2 = ConstantSchedule(MetricOperator.zero(1))
-    out = step(P, state1(0.0, 1.0, 0.0), s1, s2)
+    out = step(P, state1(P, 0.0, 1.0, 0.0), s1, s2)
     assert out.x == pytest.approx([1.0])
     assert out.z == pytest.approx([1.0])
     assert out.y == pytest.approx([0.0])
@@ -445,14 +438,14 @@ def test_step_hand_executed():
 def test_step_increments_k():
     P = scalar_problem()
     s = ConstantSchedule(MetricOperator.zero(1))
-    state = state1(0.0, 1.0, 0.0, k=7)
+    state = dataclasses.replace(state1(P, 0.0, 1.0, 0.0), k=7)
     assert step(P, state, s, s).k == 8
 
 
 def test_step_fixed_point_at_saddle():
     P, _ = build_problem("toy1d")
     xs, zs, ys = toy1d_saddle()
-    saddle = SolverState(x=xs, z=zs, y=ys, k=0)
+    saddle = initial_state(P, xs, zs, ys)
     schedules = [
         (
             ConstantSchedule(MetricOperator.scaled_identity(1, 1.0)),
@@ -473,7 +466,7 @@ def test_step_fixed_point_at_saddle():
 def test_step_fixed_point_at_oracle(tv1d, tv1d_oracle):
     P, _ = tv1d
     orc = tv1d_oracle
-    saddle = SolverState(x=orc.x.copy(), z=orc.z.copy(), y=orc.y.copy(), k=0)
+    saddle = initial_state(P, orc.x, orc.z, orc.y)
     s1 = ShiftedGramSchedule(0.19, P.c, P.A)
     s2 = ConstantSchedule(MetricOperator.zero(P.m))
     out = step(P, saddle, s1, s2)
@@ -657,14 +650,14 @@ TRAJECTORY_DIGESTS = {
 def pinned_run(name):
     """``(problem, init, sched1, sched2)`` of trajectory pin ``name``. The pins
     cover every x-update strategy (QUADRATIC on both factors), every M2 kind
-    and a hand-built start, whose derived vectors the updates compute."""
+    and a start away from zero, whose derived vectors initial_state forms."""
     if name.startswith("linearized"):
         P, _ = build_problem("tv1d", n=30, c=1.3)
         taus = [0.1, 0.12, 0.15] if name == "linearized-tau-list" else 0.15
         init = initial_state(P)
         if name == "linearized-hand-built":
             x = np.linspace(0.0, 1.0, P.n)
-            init = SolverState(x=x, z=np.diff(x), y=np.linspace(-1.0, 1.0, P.m))
+            init = initial_state(P, x, np.diff(x), np.linspace(-1.0, 1.0, P.m))
         m2 = MetricOperator.zero(P.m)
         return P, init, ShiftedGramSchedule(taus, P.c, P.A), ConstantSchedule(m2)
     if name == "quadratic-banded":

@@ -223,6 +223,34 @@ def configs():
         ("toy-tau-shrinks-1e-13", toy(metric1={"kind": "shifted_gram",
                                                "tau": [0.4, 0.4 * (1 - 1e-13)]})),
     ]
+    # an M1 with no exact x update, at k = 0 (a diagonal M1 on box-qp) or
+    # only from k = 1 (a decayed shifted Gram metric), and a diagonal M2 on
+    # a quadratic g: rejected by the validator, before the oracle; and the
+    # feasibility bound judged alone where the residual's fitted slope is
+    # above -0.45
+    out += [
+        ("box-qp-10-diagonal-m1",
+         toy(problem={"name": "box-qp", "n": 10},
+             metric1={"kind": "constant",
+                      "metric": {"kind": "diagonal",
+                                 "entries": [5.0 + 0.1 * i for i in range(10)]}},
+             metric2=ZERO, iters=50, checks=["gap_bound"])),
+        ("lasso-g-geometric-shifted-gram-m1",
+         toy(problem={"name": "lasso-split", "n": 8, "rows": 12,
+                      "quadratic_in": "g"},
+             metric1={"kind": "geometric_decay",
+                      "metric": {"kind": "shifted_gram", "tau": 0.5},
+                      "rho": 0.9},
+             metric2=ZERO, iters=50, checks=["gap_bound"])),
+        ("lasso-g-diagonal-m2",
+         toy(problem={"name": "lasso-split", "n": 8, "rows": 12,
+                     "quadratic_in": "g"},
+             metric2={"kind": "constant",
+                      "metric": {"kind": "diagonal", "entries": [0.5] * 8}},
+             iters=50, checks=["gap_bound"])),
+        ("toy-c01-zero-metrics", toy(c=0.1, metric1=ZERO, metric2=ZERO, iters=150,
+                                     checks=ALL_CHECKS[1:])),
+    ]
     # the benchmark workloads, read from perfbench/ as they are
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS
