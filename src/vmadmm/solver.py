@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import ddot
 
 from . import functions
 from .diagnostics import kkt_residual
@@ -375,7 +376,12 @@ class StoppingRule:
 
 @dataclass
 class RunTrace:
-    """The default recorder of :func:`run`: every iterate and primal residual."""
+    """The default recorder of :func:`run`: every iterate and primal residual.
+
+    Entry 0 of ``xs``, ``zs`` and ``ys`` copies the caller's initial vector;
+    later entries are the fresh arrays :func:`step` made, uncopied, which
+    nothing in the package writes to.
+    """
 
     xs: list = field(default_factory=list)
     zs: list = field(default_factory=list)
@@ -387,9 +393,9 @@ class RunTrace:
         return len(self.xs) - 1
 
     def record(self, state, residual):
-        self.xs.append(state.x.copy())
-        self.zs.append(state.z.copy())
-        self.ys.append(state.y.copy())
+        self.xs.append(state.x)
+        self.zs.append(state.z)
+        self.ys.append(state.y)
         self.residual_norms.append(residual)
 
 
@@ -400,10 +406,13 @@ def run(problem, init, sched1, sched2, stop, force=False, recorder=None):
     none holds, unless ``force`` is set. After each step calls
     ``recorder.record(state, ||A x_k - z_k||)``, the norm of the state's
     ``r`` with the bits of ``np.linalg.norm``; the default recorder is a
-    :class:`RunTrace` holding copies of ``init`` and of every iterate.
-    Returns ``(state, recorder)``. Raises :class:`NonFiniteIterate` as soon
-    as the squared norm of an iterate is no longer finite: an entry is NaN
-    or inf, or its square overflows. Deterministic given its inputs.
+    :class:`RunTrace` holding a copy of ``init`` and the iterates
+    :func:`step` made, uncopied: after a step, the returned state's vectors
+    are its last entries. Returns ``(state, recorder)``. Raises
+    :class:`NonFiniteIterate` as soon as ``x.x + z.z + y.y`` is not finite
+    (a NaN or inf entry, or an overflow), decided by three BLAS ``ddot``
+    calls that read no floating-point error state. Deterministic given its
+    inputs.
     """
     if not force:
         report = validate_assumptions(problem, sched1, sched2)
@@ -418,9 +427,7 @@ def run(problem, init, sched1, sched2, stop, force=False, recorder=None):
         state = step(problem, state, sched1, sched2)
         # on the safe side: an iterate whose squared norm overflows is
         # already past exact certification, as is a NaN or inf entry
-        with np.errstate(over="ignore"):
-            size = float(state.x @ state.x) + float(state.z @ state.z)
-            size += float(state.y @ state.y)
+        size = ddot(state.x, state.x) + ddot(state.z, state.z) + ddot(state.y, state.y)
         if not math.isfinite(size):
             raise NonFiniteIterate(state.k)
         recorder.record(state, math.sqrt(float(state.r.dot(state.r))))

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from helpers import count_eigh, count_factorizations, minimize_1d
-from vmadmm import experiments
+from vmadmm import experiments, solver
 from vmadmm.errors import (
     AssumptionError,
     NonFiniteIterate,
@@ -23,6 +23,7 @@ from vmadmm.solver import (
     ConstantSchedule,
     GeometricDecaySchedule,
     ProblemSpec,
+    RunTrace,
     ShiftedGramSchedule,
     StoppingRule,
     initial_state,
@@ -609,6 +610,33 @@ def test_run_stops_once_the_squared_norm_overflows():
     assert exc.value.iteration == 35
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200],
+                         ids=["nan", "inf", "square-overflows"])
+@pytest.mark.parametrize("name", ["x", "z", "y"])
+def test_run_guard_covers_each_vector(monkeypatch, name, bad):
+    # one entry of one vector of the third iterate is made NaN, inf, or so
+    # large that its square overflows; the run stops there, without a warning
+    real_step = solver.step
+
+    def poisoned_step(problem, state, sched1, sched2):
+        nxt = real_step(problem, state, sched1, sched2)
+        if nxt.k != 3:
+            return nxt
+        v = getattr(nxt, name).copy()
+        v[0] = bad
+        return dataclasses.replace(nxt, **{name: v})
+
+    monkeypatch.setattr(solver, "step", poisoned_step)
+    P, _ = build_problem("tv1d", n=20)
+    s1 = ShiftedGramSchedule(0.19, P.c, P.A)
+    s2 = ConstantSchedule(MetricOperator.zero(P.m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteIterate) as exc:
+            run(P, initial_state(P), s1, s2, StoppingRule(max_iters=10))
+    assert exc.value.iteration == 3
+
+
 def test_run_tv1d_reaches_kkt_tolerance(tv1d):
     P, meta = tv1d
     tau = 0.95 / (P.c * meta["norm_A"] ** 2 + meta["L"])
@@ -691,6 +719,36 @@ def test_run_keeps_its_trajectory_bits(name):
         digest.update(v.tobytes())
     digest.update(np.array(trace.residual_norms).tobytes())
     assert digest.hexdigest() == TRAJECTORY_DIGESTS[name]
+
+
+class CopyingTrace(RunTrace):
+    """A :class:`RunTrace` that stores a copy of every iterate."""
+
+    def record(self, state, residual):
+        super().record(dataclasses.replace(
+            state, x=state.x.copy(), z=state.z.copy(), y=state.y.copy()), residual)
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_DIGESTS))
+def test_run_trace_holds_a_copy_of_init_and_the_iterates_step_made(name):
+    P, init, s1, s2 = pinned_run(name)
+    stop = StoppingRule(max_iters=30)
+    state, trace = run(P, init, s1, s2, stop)
+    copies = CopyingTrace([init.x.copy()], [init.z.copy()], [init.y.copy()])
+    run(P, init, s1, s2, stop, recorder=copies)
+    entries = trace.xs + trace.zs + trace.ys
+    assert [v.tobytes() for v in entries] == [
+        v.tobytes() for v in copies.xs + copies.zs + copies.ys]
+    assert trace.residual_norms == copies.residual_norms
+    for i, a in enumerate(entries):
+        for b in entries[i + 1:]:
+            assert not np.shares_memory(a, b)
+    first = trace.xs[0].copy()
+    init.x[:] = 7.0
+    assert np.array_equal(trace.xs[0], first)
+    assert state.x is trace.xs[-1]
+    assert state.z is trace.zs[-1]
+    assert state.y is trace.ys[-1]
 
 
 def count_matvecs(monkeypatch):
