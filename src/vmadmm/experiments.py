@@ -157,17 +157,29 @@ def serialize_config(cfg):
 # ---------------------------------------------------------------------------
 
 
+def _known_keys(table, name, *keys):
+    """Raise :class:`ConfigError` if ``table`` has a key besides ``keys``."""
+    unknown = set(table) - set(keys)
+    if unknown:
+        raise ConfigError(f"{name} {table!r}: unknown keys {sorted(unknown)}")
+
+
 def metric_from_spec(spec, dim, problem):
     kind = spec["kind"]
     if kind == "zero":
+        _known_keys(spec, "metric", "kind")
         return MetricOperator.zero(dim)
     if kind == "scaled_identity":
+        _known_keys(spec, "metric", "kind", "mu")
         return MetricOperator.scaled_identity(dim, spec["mu"])
     if kind == "diagonal":
+        _known_keys(spec, "metric", "kind", "entries")
         return MetricOperator.diagonal(spec["entries"])
     if kind == "dense":
+        _known_keys(spec, "metric", "kind", "matrix")
         return MetricOperator.dense(spec["matrix"])
     if kind == "shifted_gram":
+        _known_keys(spec, "metric", "kind", "tau")
         return MetricOperator.shifted_gram(spec["tau"], problem.c, problem.A)
     raise ConfigError(f"unknown metric kind {kind!r}")
 
@@ -177,12 +189,15 @@ def schedule_from_spec(spec, dim, problem):
     try:
         kind = spec["kind"]
         if kind == "constant":
+            _known_keys(spec, "schedule", "kind", "metric")
             return ConstantSchedule(metric_from_spec(spec["metric"], dim, problem))
         if kind == "geometric_decay":
+            _known_keys(spec, "schedule", "kind", "metric", "rho")
             return GeometricDecaySchedule(
                 metric_from_spec(spec["metric"], dim, problem), spec["rho"]
             )
         if kind == "shifted_gram":
+            _known_keys(spec, "schedule", "kind", "tau")
             return ShiftedGramSchedule(spec["tau"], problem.c, problem.A)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"schedule {spec!r}: {exc!r}") from exc
@@ -253,6 +268,7 @@ def _initial_from_config(cfg, problem):
     if cfg.init == "zeros":
         return initial_state(problem)
     if isinstance(cfg.init, dict):
+        _known_keys(cfg.init, "'init' table", "x", "z", "y")
         try:
             return initial_state(
                 problem,

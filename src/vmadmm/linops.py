@@ -361,7 +361,7 @@ class MetricOperator:
         """
         tau = float(tau)
         coupling = float(coupling)
-        if tau <= 0 or coupling <= 0:
+        if not (tau > 0 and coupling > 0):
             raise ValueError("shifted Gram metric needs tau > 0 and coupling > 0")
         nrm = operator_norm(A)
         bound = coupling * nrm * nrm
@@ -434,7 +434,7 @@ class MetricOperator:
     def scaled(self, s):
         """The operator ``s * U`` for ``s >= 0`` (PSD is preserved)."""
         s = float(s)
-        if s < 0:
+        if not s >= 0:
             raise NotPositiveSemidefinite("scaling factor must be >= 0")
         if s == 0.0:
             return MetricOperator.zero(self.dim)

@@ -18,7 +18,7 @@ from . import functions
 from .diagnostics import kkt_residual
 from .errors import OracleError
 from .linops import LinearMap, forward_difference, operator_norm
-from .reference import condat_state, condat_step
+from .reference import check_step_sizes, condat_step
 from .solver import ProblemSpec
 
 LCG_MULTIPLIER = 6364136223846793005
@@ -215,41 +215,29 @@ class OracleResult:
 def oracle(problem, budget=1_000_000):
     """Compute a saddle point to KKT residual 1e-10 with the primal-dual reference.
 
-    Runs the independent primal-dual iteration from zeros with conservative
-    step sizes, checking the KKT residual every 25 iterations and at the end
-    of the budget, until it certifies the triple; the auxiliary variable is
-    set to ``A x*`` exactly. Correctness rests on the residual check alone,
-    not on the iteration used. Raises :class:`OracleError` carrying the best
-    residual achieved if the budget is exhausted.
+    Runs the independent primal-dual iteration (:func:`condat_step` on the
+    vectors ``(x, y)``) from zeros with conservative step sizes, checked
+    once by :func:`check_step_sizes`, testing the KKT residual every 25
+    iterations and at the end of the budget, until it certifies the triple;
+    the auxiliary variable is set to ``A x*`` exactly. Correctness rests on
+    the residual check alone, not on the iteration used. Raises
+    :class:`OracleError` carrying the best residual achieved if the budget
+    is exhausted.
     """
     f, h, g, A, c = problem.f, problem.h, problem.g, problem.A, problem.c
     norm_a = operator_norm(A)
     L = h.lipschitz
     tau = 0.95 / (c * norm_a**2 + L / 2.0) if (c * norm_a**2 + L) > 0 else 1.0
-    state = condat_state(
-        f,
-        h,
-        g,
-        A,
-        x=np.zeros(problem.n),
-        y=np.zeros(problem.m),
-        tau=tau,
-        c=c,
-    )
+    check_step_sizes(h, A, tau, c)
+    x, y = np.zeros(problem.n), np.zeros(problem.m)
     best = np.inf
     for i in range(1, budget + 1):
-        state = condat_step(f, h, g, A, state)
+        x, y = condat_step(f, h, g, A, x, y, tau, c)
         if i % 25 == 0 or i == budget:
-            kkt = kkt_residual(problem, state.x, state.y)
+            kkt = kkt_residual(problem, x, y)
             best = min(best, kkt)
             if kkt <= 1e-10:
-                return OracleResult(
-                    x=state.x.copy(),
-                    z=A.apply(state.x),
-                    y=state.y.copy(),
-                    kkt=kkt,
-                    iterations=i,
-                )
+                return OracleResult(x=x, z=A.apply(x), y=y, kkt=kkt, iterations=i)
     raise OracleError(
         f"oracle did not reach KKT residual 1e-10 within {budget} iterations",
         best,

@@ -2,15 +2,15 @@
 
 Two classical methods are implemented here from scratch, sharing only the
 vector/operator and function-catalog modules with the solver: the plain
-alternating-direction method (no smooth term, no metrics) and a primal-dual
-iteration that alternately applies the resolvent of the conjugate of g and a
-prox of f at a gradient-corrected point. The solver reproduces both under
-specific metric choices, and the tests assert that trajectory match.
+alternating-direction method (no smooth term, no metrics) and the
+primal-dual iteration of Condat (JOTA 2013), which alternately applies the
+resolvent of the conjugate of g and a prox of f at a gradient-corrected
+point. Both step plain vectors. The solver reproduces both under specific
+metric choices, and :func:`trajectory_deviations` measures how far two
+trajectories are apart.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -20,76 +20,48 @@ from .errors import CapabilityError, SingularSubproblem
 from .linops import operator_norm
 
 
-@dataclass
-class PrimalDualState:
-    """State of the primal-dual iteration: current x and dual y."""
-
-    x: np.ndarray
-    y: np.ndarray
-    k: int
-    tau: float
-    c: float
-
-
-def condat_state(f, h, g, A, x, y, tau, c):
-    """Validated starting state for the primal-dual iteration.
-
-    Enforces the step-size condition ``1/tau - c ||A||^2 > L/2`` at
-    construction, which makes the iteration provably convergent.
-    """
-    tau = float(tau)
-    c = float(c)
-    if tau <= 0 or c <= 0:
+def check_step_sizes(h, A, tau, c):
+    """Raise ``ValueError`` unless ``tau > 0``, ``c > 0`` and
+    ``1/tau - c ||A||^2 > L/2``, which makes the primal-dual iteration
+    provably convergent. A NaN fails each test."""
+    if not (tau > 0 and c > 0):
         raise ValueError("tau and c must be positive")
     norm_a = operator_norm(A)
     L = h.lipschitz if h.lipschitz is not None else 0.0
-    if 1.0 / tau - c * norm_a**2 <= L / 2.0:
+    if not 1.0 / tau - c * norm_a**2 > L / 2.0:
         raise ValueError(
             f"step sizes violate 1/tau - c ||A||^2 > L/2 "
             f"({1.0 / tau:.6g} - {c * norm_a ** 2:.6g} <= {L / 2.0:.6g})"
         )
-    x = np.array(x, dtype=float)
-    y = np.array(y, dtype=float)
-    return PrimalDualState(x=x, y=y, k=0, tau=tau, c=c)
 
 
-def condat_step(f, h, g, A, state):
-    """One primal-dual iteration.
+def condat_step(f, h, g, A, x, y, tau, c):
+    """One primal-dual iteration; returns ``(x+, y+)``.
 
     ``y+`` is the resolvent of ``c * conjugate(g)`` at ``y + c A x`` (via the
     Moreau decomposition, so no explicit conjugate is needed), then
     ``x+ = prox_{tau f}(x - tau grad h(x) - tau A*(2 y+ - y))``.
     """
-    y_next = g.prox_conjugate(state.y + state.c * A.apply(state.x), state.c)
-    x_next = f.prox(
-        state.x
-        - state.tau * h.grad(state.x)
-        - state.tau * A.adjoint(2.0 * y_next - state.y),
-        state.tau,
-    )
-    return PrimalDualState(
-        x=x_next,
-        y=y_next,
-        k=state.k + 1,
-        tau=state.tau,
-        c=state.c,
-    )
+    y_next = g.prox_conjugate(y + c * A.apply(x), c)
+    x_next = f.prox(x - tau * h.grad(x) - tau * A.adjoint(2.0 * y_next - y), tau)
+    return x_next, y_next
 
 
 def condat_start_from_admm(f, h, g, A, x0, z0, y0, tau, c):
-    """Starting state whose x equals the first ADMM-style x-iterate.
+    """Starting ``(x1, y0)`` whose x equals the first ADMM-style x-iterate.
 
     With the metric ``(1/tau) id - c A*A`` the first x update collapses to a
     prox of f at a gradient-corrected point; computing it here keeps the
     reference trajectory aligned with a solver run started at (x0, z0, y0)
-    without touching solver code.
+    without touching solver code. The step sizes pass
+    :func:`check_step_sizes` first.
     """
+    check_step_sizes(h, A, tau, c)
     x0 = np.asarray(x0, dtype=float)
     z0 = np.asarray(z0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     step = h.grad(x0) + c * A.adjoint(A.apply(x0) - z0 + y0 / c)
-    x1 = f.prox(x0 - tau * step, tau)
-    return condat_state(f, h, g, A, x1, y0, tau, c)
+    return f.prox(x0 - tau * step, tau), y0
 
 
 def classical_admm_step(f, g, A, c, x, z, y):
@@ -124,42 +96,20 @@ def classical_admm_step(f, g, A, c, x, z, y):
     return x_next, z_next, y_next
 
 
-@dataclass
-class EquivalenceReport:
-    """Per-iteration maximum component deviation between two trajectories."""
+def trajectory_deviations(trace_a, trace_b):
+    """The largest ``|a - b|`` at each step of two index-aligned
+    trajectories, as one array.
 
-    deviations: list
-    tol: float
-    passed: bool
-    first_failure: int | None
-    max_deviation: float
-
-
-def equivalence_check(trace_a, trace_b, tol):
-    """Compare two trajectories element by element.
-
-    Each trace is a sequence of tuples of arrays (already index-aligned by
-    the caller). Fails on length mismatch; reports the first iteration whose
-    maximum component deviation exceeds ``tol``.
+    Each trace is a sequence of steps, each a tuple of arrays; the
+    deviation at a step is the maximum over all of its components, and a
+    NaN in any component makes it NaN. Raises ``ValueError`` on a length
+    mismatch.
     """
     if len(trace_a) != len(trace_b):
         raise ValueError(
             f"trajectory length mismatch: {len(trace_a)} vs {len(trace_b)}"
         )
-    deviations = []
-    first_failure = None
-    for i, (ta, tb) in enumerate(zip(trace_a, trace_b)):
-        dev = 0.0
-        for va, vb in zip(ta, tb):
-            dev = max(dev, float(np.max(np.abs(np.asarray(va) - np.asarray(vb)))))
-        deviations.append(dev)
-        if dev > tol and first_failure is None:
-            first_failure = i
-    max_dev = max(deviations) if deviations else 0.0
-    return EquivalenceReport(
-        deviations=deviations,
-        tol=tol,
-        passed=first_failure is None,
-        first_failure=first_failure,
-        max_deviation=max_dev,
-    )
+    return np.array([
+        np.max([np.max(np.abs(np.subtract(va, vb))) for va, vb in zip(ta, tb)])
+        for ta, tb in zip(trace_a, trace_b)
+    ], dtype=float)

@@ -66,7 +66,7 @@ class ProblemSpec:
             raise DimensionMismatch("ProblemSpec g", self.A.rows, self.g.dim)
         if not self.h.smooth:
             raise ValueError("h must be smooth with a Lipschitz gradient")
-        if self.h.lipschitz is None or self.h.lipschitz < 0:
+        if self.h.lipschitz is None or not self.h.lipschitz >= 0:
             raise ValueError("h must carry a finite Lipschitz constant >= 0")
         if not (self.c > 0):
             raise ValueError("penalty c must be positive")
@@ -174,7 +174,7 @@ class ShiftedGramSchedule:
         if np.ndim(taus) == 0:
             taus = [float(taus)]
         self.taus = [float(t) for t in taus]
-        if not self.taus or any(t <= 0 for t in self.taus):
+        if not self.taus or not all(t > 0 for t in self.taus):
             raise ValueError("taus must be positive")
         self.coupling = float(coupling)
         self.A = A

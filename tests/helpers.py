@@ -1,6 +1,7 @@
 """Test helpers: independent scalar-minimization oracles used to freeze
 expected values, the per-draw LCG loop, factorization and eigendecomposition
-counters, and reference folds of the gap certificates.
+counters, the primal-dual reference trajectory, and reference folds of the
+gap certificates.
 
 Value-only minimization cannot localize a smooth minimum better than about
 sqrt(machine epsilon) ~ 1.5e-8, so comparisons against these oracles use
@@ -14,6 +15,7 @@ import scipy.linalg
 
 from vmadmm import diagnostics
 from vmadmm.problems import LCG_INCREMENT, LCG_MODULUS, LCG_MULTIPLIER
+from vmadmm.reference import condat_start_from_admm, condat_step
 
 
 def lcg_reference(seed, count):
@@ -60,6 +62,21 @@ def z_steps_sq(trace):
     """``||z_k - z_{k-1}||^2`` of a stored trace in row order, as
     ``uv_energies``: entry ``i`` is ``k = i + 1``."""
     return np.array([float((b - a) @ (b - a)) for a, b in zip(trace.zs, trace.zs[1:])])
+
+
+def condat_trajectory(problem, init, tau, iters):
+    """The primal-dual reference aligned with a solver run from ``init``
+    under ``M1 = (1/tau) id - c A*A`` and ``M2 = 0``: ``iters`` x-iterates,
+    entry ``j`` the solver's x at ``k = j + 1``, and ``iters - 1``
+    y-iterates, entry ``j`` the solver's y at ``k = j + 1``."""
+    f, h, g, A, c = problem.f, problem.h, problem.g, problem.A, problem.c
+    x, y = condat_start_from_admm(f, h, g, A, init.x, init.z, init.y, tau, c)
+    xs, ys = [x], []
+    for _ in range(iters - 1):
+        x, y = condat_step(f, h, g, A, x, y, tau, c)
+        xs.append(x)
+        ys.append(y)
+    return xs, ys
 
 
 def count_calls(monkeypatch, module, names):

@@ -100,6 +100,22 @@ def test_config_requires_problem_name():
         parse_config(json.dumps(data))
 
 
+@pytest.mark.parametrize("overrides, table, keys", [
+    (dict(metric2={"kind": "constant", "metric": {
+        "kind": "scaled_identity", "mu": 1.0, "entries": [2.0]}}),
+     "metric", "['entries']"),
+    (dict(metric2={"kind": "constant", "rho": 0.5, "metric": {
+        "kind": "scaled_identity", "mu": 1.0}}), "schedule", "['rho']"),
+    (dict(init={"X": [5.0], "y": [0.0]}), "'init' table", "['X']"),
+], ids=["metric", "schedule", "init"])
+def test_config_tables_reject_keys_nothing_reads(tmp_path, overrides, table, keys):
+    cfg = toy_config(iters=5, checks=[], **overrides)
+    with pytest.raises(ConfigError, match=r"^" + table + r" \{.*\}: unknown keys ") as exc:
+        run_experiment(cfg, out_dir=str(tmp_path))
+    assert str(exc.value).endswith(keys)
+    assert not os.path.exists(tmp_path / "log.csv")
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -654,6 +670,20 @@ def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope}")
     assert main(["solve", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("tau", ["NaN", "[0.5, NaN]"])
+def test_cli_solve_rejects_a_nan_step_as_a_config_error(tmp_path, capsys, tau):
+    # Python's json reads NaN; the step list is rejected before the solve
+    path = tmp_path / "cfg.json"
+    path.write_text(serialize_config(toy_config(
+        metric1={"kind": "shifted_gram", "tau": 0.5}, out_dir=str(tmp_path / "out"),
+    )).replace('"tau": 0.5', f'"tau": {tau}'))
+    assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "taus must be positive" in err
+    assert not os.path.exists(tmp_path / "out" / "log.csv")
 
 
 def test_cli_solve_missing_config_exits_2(tmp_path, capsys):

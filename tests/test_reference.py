@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
+from helpers import condat_trajectory
 from vmadmm.errors import CapabilityError
 from vmadmm.functions import L1Norm, SquaredL2, Zero
 from vmadmm.linops import LinearMap, MetricOperator
 from vmadmm.problems import build_problem, toy1d_saddle
 from vmadmm.reference import (
-    PrimalDualState,
+    check_step_sizes,
     classical_admm_step,
-    condat_start_from_admm,
-    condat_state,
     condat_step,
-    equivalence_check,
+    trajectory_deviations,
 )
 from vmadmm.solver import (
     ConstantSchedule,
@@ -20,21 +19,6 @@ from vmadmm.solver import (
     initial_state,
     run,
 )
-
-
-def run_condat(problem, tau, iters, x0=None, z0=None, y0=None):
-    """Reference trajectory aligned with a solver run from (x0, z0, y0)."""
-    P = problem
-    x0 = np.zeros(P.n) if x0 is None else x0
-    z0 = np.zeros(P.m) if z0 is None else z0
-    y0 = np.zeros(P.m) if y0 is None else y0
-    st = condat_start_from_admm(P.f, P.h, P.g, P.A, x0, z0, y0, tau, P.c)
-    xs, ys = [st.x.copy()], []
-    for _ in range(iters - 1):
-        st = condat_step(P.f, P.h, P.g, P.A, st)
-        xs.append(st.x.copy())
-        ys.append(st.y.copy())
-    return xs, ys
 
 
 # ---------------------------------------------------------------------------
@@ -96,35 +80,47 @@ def test_classical_step_rejects_hard_subproblem():
 # ---------------------------------------------------------------------------
 
 
-def test_condat_state_enforces_step_condition():
+def test_check_step_sizes_enforces_step_condition():
     A = LinearMap.identity(2)
     h = SquaredL2(2, 0.0, 1.0)  # L = 1
-    with pytest.raises(ValueError):
-        condat_state(Zero(2), h, Zero(2), A, np.zeros(2), np.zeros(2), tau=1.0, c=1.0)
-    st = condat_state(Zero(2), h, Zero(2), A, np.zeros(2), np.zeros(2), tau=0.5, c=1.0)
-    assert isinstance(st, PrimalDualState)
-    assert st.k == 0
+    with pytest.raises(ValueError, match="1/tau - c"):
+        check_step_sizes(h, A, tau=1.0, c=1.0)
+    assert check_step_sizes(h, A, tau=0.5, c=1.0) is None
+
+
+@pytest.mark.parametrize("tau, c", [
+    (0.0, 1.0), (-0.5, 1.0), (0.5, 0.0), (0.5, -1.0),
+    (float("nan"), 1.0), (0.5, float("nan")),
+])
+def test_check_step_sizes_rejects_a_step_that_is_not_positive(tau, c):
+    with pytest.raises(ValueError, match="tau and c must be positive"):
+        check_step_sizes(Zero(2), LinearMap.identity(2), tau, c)
+
+
+def test_check_step_sizes_rejects_a_nan_lipschitz_constant():
+    h = SquaredL2(2, 0.0, 1.0)
+    h.lipschitz = float("nan")
+    with pytest.raises(ValueError, match="1/tau - c"):
+        check_step_sizes(h, LinearMap.identity(2), tau=0.5, c=1.0)
 
 
 def test_condat_zero_g_pins_dual_at_zero():
     # the conjugate of zero is the indicator of {0}: y stays 0 forever
     A = LinearMap.identity(2)
-    st = condat_state(
-        Zero(2), Zero(2), Zero(2), A, np.ones(2), np.ones(2), tau=0.5, c=1.0
-    )
+    x, y = np.ones(2), np.ones(2)
     for _ in range(3):
-        st = condat_step(Zero(2), Zero(2), Zero(2), A, st)
-        assert np.array_equal(st.y, np.zeros(2))
+        x, y = condat_step(Zero(2), Zero(2), Zero(2), A, x, y, 0.5, 1.0)
+        assert np.array_equal(y, np.zeros(2))
 
 
 def test_condat_trivial_fixed_point():
     # f = h = 0 and A the zero map: x never moves
     A = LinearMap.zero(2, 2)
     x0 = np.array([1.0, -2.0])
-    st = condat_state(Zero(2), Zero(2), Zero(2), A, x0, np.zeros(2), tau=0.5, c=1.0)
+    x, y = x0, np.zeros(2)
     for _ in range(3):
-        st = condat_step(Zero(2), Zero(2), Zero(2), A, st)
-        assert np.array_equal(st.x, x0)
+        x, y = condat_step(Zero(2), Zero(2), Zero(2), A, x, y, 0.5, 1.0)
+        assert np.array_equal(x, x0)
 
 
 def test_condat_matches_solver_tv1d(tv1d):
@@ -132,17 +128,13 @@ def test_condat_matches_solver_tv1d(tv1d):
     tau = 0.9 / (P.c * meta["norm_A"] ** 2 + meta["L"])
     sched1 = ShiftedGramSchedule(tau, P.c, P.A)
     sched2 = ConstantSchedule(MetricOperator.zero(P.m))
-    state, trace = run(
-        P, initial_state(P), sched1, sched2, StoppingRule(max_iters=200)
-    )
-    ref_xs, ref_ys = run_condat(P, tau, 200)
-    # reference x after j steps is the solver's x at iteration j+1
-    solver_x = [(trace.xs[k],) for k in range(1, 201)]
-    ref_x = [(x,) for x in ref_xs]
-    assert equivalence_check(solver_x, ref_x, 1e-10).passed
-    solver_y = [(trace.ys[k],) for k in range(1, 200)]
-    ref_y = [(y,) for y in ref_ys]
-    assert equivalence_check(solver_y, ref_y, 1e-10).passed
+    init = initial_state(P)
+    state, trace = run(P, init, sched1, sched2, StoppingRule(max_iters=200))
+    ref_xs, ref_ys = condat_trajectory(P, init, tau, 200)
+    dx = trajectory_deviations([(x,) for x in trace.xs[1:]], [(x,) for x in ref_xs])
+    dy = trajectory_deviations([(y,) for y in trace.ys[1:200]], [(y,) for y in ref_ys])
+    assert (len(dx), len(dy)) == (200, 199)
+    assert np.all(dx <= 1e-10) and np.all(dy <= 1e-10)
 
 
 def test_condat_varying_steps_run():
@@ -156,26 +148,32 @@ def test_condat_varying_steps_run():
 
 
 # ---------------------------------------------------------------------------
-# equivalence checker contract
+# trajectory deviations
 # ---------------------------------------------------------------------------
 
 
 def test_equivalence_identical_traces():
     trace = [(np.array([1.0, 2.0]),), (np.array([3.0, 4.0]),)]
-    report = equivalence_check(trace, [tuple(np.copy(v) for v in t) for t in trace], 1e-12)
-    assert report.passed
-    assert report.max_deviation == 0.0
+    copies = [tuple(np.copy(v) for v in t) for t in trace]
+    assert trajectory_deviations(trace, copies).tolist() == [0.0, 0.0]
 
 
 def test_equivalence_reports_first_offender():
     a = [(np.array([1.0]),), (np.array([2.0]),), (np.array([3.0]),)]
     b = [(np.array([1.0]),), (np.array([2.5]),), (np.array([9.0]),)]
-    report = equivalence_check(a, b, 1e-10)
-    assert not report.passed
-    assert report.first_failure == 1
-    assert report.max_deviation == pytest.approx(6.0)
+    deviations = trajectory_deviations(a, b)
+    assert deviations.tolist() == [0.0, 0.5, 6.0]
+    assert int(np.argmax(deviations > 1e-10)) == 1
+
+
+def test_trajectory_deviations_take_the_largest_component_and_keep_nan():
+    a = [(np.zeros(2), np.zeros(1)), (np.zeros(2), np.zeros(1))]
+    b = [(np.array([0.5, -2.0]), np.array([1.0])), (np.zeros(2), np.array([np.nan]))]
+    deviations = trajectory_deviations(a, b)
+    assert deviations[0] == 2.0
+    assert np.isnan(deviations[1])
 
 
 def test_equivalence_length_mismatch():
     with pytest.raises(ValueError):
-        equivalence_check([(np.zeros(1),)], [], 1e-10)
+        trajectory_deviations([(np.zeros(1),)], [])

@@ -12,6 +12,7 @@ from vmadmm import experiments, solver
 from vmadmm.errors import (
     AssumptionError,
     NonFiniteIterate,
+    NotPositiveSemidefinite,
     SingularSubproblem,
     StrategyError,
     UnsupportedMetric,
@@ -71,6 +72,29 @@ def test_problem_spec_requires_smooth_h():
 def test_problem_spec_requires_positive_c():
     with pytest.raises(ValueError):
         scalar_problem(c=0.0)
+
+
+def _nan_lipschitz_spec(A):
+    h = SquaredL2(2, 0.0, 1.0)
+    h.lipschitz = math.nan
+    return ProblemSpec(f=Zero(2), h=h, g=Zero(2), A=A, c=1.0)
+
+
+# each sign check, with NaN in the place of the quantity it tests
+NAN_SIGN_CHECKS = {
+    "shifted-gram-tau": lambda A: MetricOperator.shifted_gram(math.nan, 1.0, A),
+    "shifted-gram-coupling": lambda A: MetricOperator.shifted_gram(0.5, math.nan, A),
+    "scaled": lambda A: MetricOperator.scaled_identity(2, 1.0).scaled(math.nan),
+    "schedule-taus": lambda A: ShiftedGramSchedule([0.5, math.nan], 1.0, A),
+    "problem-spec-lipschitz": _nan_lipschitz_spec,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_SIGN_CHECKS))
+def test_sign_checks_reject_nan(name):
+    with pytest.raises((ValueError, NotPositiveSemidefinite),
+                       match="positive|>=? 0"):
+        NAN_SIGN_CHECKS[name](LinearMap.identity(2))
 
 
 # ---------------------------------------------------------------------------
