@@ -66,7 +66,7 @@ class ProblemSpec:
             raise DimensionMismatch("ProblemSpec g", self.A.rows, self.g.dim)
         if not self.h.smooth:
             raise ValueError("h must be smooth with a Lipschitz gradient")
-        if self.h.lipschitz is None or not self.h.lipschitz >= 0:
+        if self.h.lipschitz is None or not 0 <= self.h.lipschitz < math.inf:
             raise ValueError("h must carry a finite Lipschitz constant >= 0")
         if not (self.c > 0):
             raise ValueError("penalty c must be positive")

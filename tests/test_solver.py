@@ -74,9 +74,9 @@ def test_problem_spec_requires_positive_c():
         scalar_problem(c=0.0)
 
 
-def _nan_lipschitz_spec(A):
+def _spec_with_lipschitz(A, lipschitz):
     h = SquaredL2(2, 0.0, 1.0)
-    h.lipschitz = math.nan
+    h.lipschitz = lipschitz
     return ProblemSpec(f=Zero(2), h=h, g=Zero(2), A=A, c=1.0)
 
 
@@ -86,7 +86,7 @@ NAN_SIGN_CHECKS = {
     "shifted-gram-coupling": lambda A: MetricOperator.shifted_gram(0.5, math.nan, A),
     "scaled": lambda A: MetricOperator.scaled_identity(2, 1.0).scaled(math.nan),
     "schedule-taus": lambda A: ShiftedGramSchedule([0.5, math.nan], 1.0, A),
-    "problem-spec-lipschitz": _nan_lipschitz_spec,
+    "problem-spec-lipschitz": lambda A: _spec_with_lipschitz(A, math.nan),
 }
 
 
@@ -95,6 +95,12 @@ def test_sign_checks_reject_nan(name):
     with pytest.raises((ValueError, NotPositiveSemidefinite),
                        match="positive|>=? 0"):
         NAN_SIGN_CHECKS[name](LinearMap.identity(2))
+
+
+def test_problem_spec_rejects_an_infinite_lipschitz_constant():
+    # a Huber h with a subnormal delta has weight / delta = inf
+    with pytest.raises(ValueError, match="finite Lipschitz constant"):
+        _spec_with_lipschitz(LinearMap.identity(2), math.inf)
 
 
 # ---------------------------------------------------------------------------
