@@ -265,28 +265,25 @@ def test_oracle_budget_exhaustion_carries_best():
 
 
 # SHA-256 of the oracle's x, z, y and (kkt, iterations) bytes, recorded
-# while the reference stepped a state object; the vector steps keep them
-ORACLE_DIGESTS = {
-    "tv1d-50": "f9df6675de488815415399264fd6c9b4c27c8484546af56644f4f1ec76f10385",
-    "lasso-split-g-20":
-        "4e8aec77d64a1b36884063d4222b1ef9b6fdeed5219c35cc3fad04f3134e028a",
-    "box-qp-13": "9acd5c1caf7e2707c55c8acc85f0a27bd21ebdea97fd28fa3af6e3a72ed31c99",
-}
-ORACLE_BUILDS = {
-    "tv1d-50": ("tv1d", {"n": 50}),
-    "lasso-split-g-20": ("lasso-split", {"n": 20, "quadratic_in": "g"}),
-    "box-qp-13": ("box-qp", {"n": 13}),
-}
+# before the reference stepped plain vectors
+ORACLE_DIGESTS = [
+    ("tv1d", {"n": 50},
+     "f9df6675de488815415399264fd6c9b4c27c8484546af56644f4f1ec76f10385"),
+    ("lasso-split", {"n": 20, "quadratic_in": "g"},
+     "4e8aec77d64a1b36884063d4222b1ef9b6fdeed5219c35cc3fad04f3134e028a"),
+    ("box-qp", {"n": 13},
+     "9acd5c1caf7e2707c55c8acc85f0a27bd21ebdea97fd28fa3af6e3a72ed31c99"),
+]
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_DIGESTS))
-def test_oracle_bits_pinned(name):
-    problem_name, params = ORACLE_BUILDS[name]
-    orc = oracle(build_problem(problem_name, **params)[0])
+@pytest.mark.parametrize("name, params, expected", ORACLE_DIGESTS,
+                         ids=["tv1d-50", "lasso-split-g-20", "box-qp-13"])
+def test_oracle_bits_pinned(name, params, expected):
+    orc = oracle(build_problem(name, **params)[0])
     digest = hashlib.sha256()
     for v in (orc.x, orc.z, orc.y, np.array([orc.kkt, orc.iterations])):
         digest.update(v.tobytes())
-    assert digest.hexdigest() == ORACLE_DIGESTS[name]
+    assert digest.hexdigest() == expected
 
 
 def test_oracle_box_qp(box_qp, box_qp_oracle):
