@@ -246,6 +246,8 @@ class ExperimentResult:
 
 def problem_from_config(cfg):
     """Build the catalog problem a config names; returns ``(problem, metadata)``."""
+    if "c" in cfg.problem:  # the penalty is the top-level "c"
+        raise ConfigError(f"'problem' table {cfg.problem!r}: unknown keys ['c']")
     params = {k: v for k, v in cfg.problem.items() if k != "name"}
     params["c"] = cfg.c
     try:

@@ -1,12 +1,13 @@
 """Catalog of convex functions with exact proximal maps and gradients.
 
 Each function reports its capabilities through the flags ``proxable``,
-``separable`` (it implements ``prox_diag``) and ``smooth`` (with a Lipschitz
-constant for the gradient); the kinds with a closed-form Fenchel conjugate
-implement ``conjugate``, a reference for the dual objective, and the others
-raise :class:`CapabilityError`. Evaluations are extended-real: indicator
-functions return ``math.inf`` outside their domain, never NaN, and
-infinities propagate through sums.
+``separable`` and ``smooth`` (with a Lipschitz constant for the gradient),
+read from the methods they name: a kind has a flag when it has its own
+``prox``, ``prox_diag`` or ``grad``. The kinds with a closed-form Fenchel
+conjugate implement ``conjugate``, a reference for the dual objective, and
+the others raise :class:`CapabilityError`. Evaluations are extended-real:
+indicator functions return ``math.inf`` outside their domain, never NaN,
+and infinities propagate through sums.
 
 All proximal maps are closed forms (the quadratic's from one cached
 eigendecomposition), so subproblem error stays at machine precision. Their
@@ -25,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import CapabilityError, DimensionMismatch, SingularSubproblem
-from .linops import _check_block, _check_dim, _per_point, as_vector, matvec
+from .linops import _check_block, _per_point, as_vector, matvec
 
 
 def _soft_threshold(v, t):
@@ -49,12 +50,18 @@ class ConvexFunction:
     """Base class; concrete kinds override the operations they support."""
 
     proxable = False
+    separable = False
     smooth = False
     lipschitz = None
 
-    @property
-    def separable(self):
-        return type(self).prox_diag is not ConvexFunction.prox_diag
+    def __init_subclass__(cls, **kwargs):
+        # Each flag is decided once per kind, from the method it names: a
+        # class attribute costs the solver a lookup where a property would
+        # cost a call, and a declared flag cannot disagree with the method.
+        super().__init_subclass__(**kwargs)
+        cls.proxable = cls.prox is not ConvexFunction.prox
+        cls.separable = cls.prox_diag is not ConvexFunction.prox_diag
+        cls.smooth = cls.grad is not ConvexFunction.grad
 
     def __init__(self, dim):
         dim = int(dim)
@@ -67,7 +74,7 @@ class ConvexFunction:
         return _check_block(f"{type(self).__name__} {what}", x, self.dim)
 
     def _check_vector(self, v, what="argument"):
-        return _check_dim(f"{type(self).__name__} {what}", v, self.dim)
+        return _check_block(f"{type(self).__name__} {what}", v, self.dim, (1,))
 
     def _prox_args(self, v, t):
         """Checked ``v`` and ``float(t)``; raises unless ``t > 0`` (NaN is not)."""
@@ -113,8 +120,6 @@ class ConvexFunction:
         Never requires an explicit conjugate:
         ``prox_{tF*}(v) = v - t prox_{F/t}(v / t)``.
         """
-        if not self.proxable:
-            raise CapabilityError(f"{type(self).__name__} has no proximal map")
         v, t = self._prox_args(v, t)
         return v - t * self.prox(v / t, 1.0 / t)
 
@@ -132,8 +137,6 @@ class ConvexFunction:
 class Zero(ConvexFunction):
     """The identically-zero function."""
 
-    proxable = True
-    smooth = True
     lipschitz = 0.0
 
     def __call__(self, x):
@@ -158,8 +161,6 @@ class Zero(ConvexFunction):
 
 class L1Norm(ConvexFunction):
     """``weight * ||x||_1`` with ``weight > 0``."""
-
-    proxable = True
 
     def __init__(self, dim, weight):
         super().__init__(dim)
@@ -201,9 +202,6 @@ class L1Norm(ConvexFunction):
 class SquaredL2(ConvexFunction):
     """``(weight / 2) * ||x - shift||^2`` with ``weight > 0``."""
 
-    proxable = True
-    smooth = True
-
     def __init__(self, dim, shift=0.0, weight=1.0):
         super().__init__(dim)
         if np.ndim(shift) == 0:
@@ -237,8 +235,6 @@ class SquaredL2(ConvexFunction):
 
 class BoxIndicator(ConvexFunction):
     """Indicator of the box ``lower <= x <= upper`` (coordinatewise)."""
-
-    proxable = True
 
     def __init__(self, dim, lower, upper):
         super().__init__(dim)
@@ -323,9 +319,6 @@ class Quadratic(ConvexFunction):
     keeps only ``(lam, V)``; every later call, for any step size, reuses it.
     """
 
-    proxable = True
-    smooth = True
-
     def __init__(self, Q, q=None):
         Q = np.asarray(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -386,9 +379,6 @@ class Huber(ConvexFunction):
     ``|r| - delta/2``. Smooth with gradient Lipschitz constant
     ``weight / delta``.
     """
-
-    proxable = True
-    smooth = True
 
     def __init__(self, dim, delta, weight=1.0):
         super().__init__(dim)

@@ -58,19 +58,12 @@ def _check_finite(what, x):
             raise ValueError(f"{what}: squared norm overflows")
 
 
-def _check_dim(what, x, dim):
+def _check_block(what, x, dim, ndims=(1, 2)):
+    """``x`` as a float array: one ``dim``-vector, or a 2-D block of them
+    when ``ndims`` allows one."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != dim:
-        got = x.shape[0] if x.ndim == 1 else x.shape
-        raise DimensionMismatch(what, dim, got)
-    return x
-
-
-def _check_block(what, x, dim):
-    """``x`` as a float array: one ``dim``-vector, or a 2-D block of them."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != dim:
-        got = x.shape[-1] if x.ndim in (1, 2) else x.shape
+    if x.ndim not in ndims or x.shape[-1] != dim:
+        got = x.shape[-1] if x.ndim in ndims else x.shape
         raise DimensionMismatch(what, dim, got)
     return x
 
@@ -432,14 +425,16 @@ class MetricOperator:
         return self._dense_cache
 
     def scaled(self, s):
-        """The operator ``s * U`` for ``s >= 0`` (PSD is preserved)."""
+        """The operator ``s * U`` for a finite ``s >= 0`` (PSD is preserved)."""
         s = float(s)
         if not s >= 0:
             raise NotPositiveSemidefinite("scaling factor must be >= 0")
+        if s == math.inf:
+            raise ValueError(f"scaling factor must be finite, got {s}")
         if s == 0.0:
             return MetricOperator.zero(self.dim)
         if self.kind == "scaled_identity":
-            return MetricOperator(self.dim, "scaled_identity", mu=self.mu * s)
+            return MetricOperator.scaled_identity(self.dim, self.mu * s)
         if self.kind == "diagonal":
             return MetricOperator.diagonal(self.entries * s)
         if self.kind == "dense":

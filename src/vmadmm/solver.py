@@ -68,8 +68,8 @@ class ProblemSpec:
             raise ValueError("h must be smooth with a Lipschitz gradient")
         if self.h.lipschitz is None or not 0 <= self.h.lipschitz < math.inf:
             raise ValueError("h must carry a finite Lipschitz constant >= 0")
-        if not (self.c > 0):
-            raise ValueError("penalty c must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"penalty c must be a finite number > 0, got {self.c!r}")
 
     @property
     def n(self):
@@ -299,28 +299,37 @@ def x_update(problem, state, m1):
     return f.prox(w, 1.0 / denom)
 
 
+def z_strategy(problem, m2):
+    """The exact z update for metric ``m2``: ``"scalar"`` for a zero or
+    scaled-identity metric, ``"diagonal"`` for a diagonal one on a
+    ``separable`` g; :class:`UnsupportedMetric` otherwise."""
+    if m2.is_scalar:
+        return "scalar"
+    if problem.g.separable and m2.diagonal_entries() is not None:
+        return "diagonal"
+    raise UnsupportedMetric(
+        f"the z update supports zero, scaled-identity, or diagonal M2 (on a "
+        f"separable g), got {m2.kind!r} on {type(problem.g).__name__}"
+    )
+
+
 def z_update(problem, state, Ax_next, m2):
     """Exact minimizer of the z subproblem under metric ``m2``.
 
     ``Ax_next`` is ``A x+``, the product of the new x iterate; the state
-    supplies ``yc = y / c``. Supports zero, scaled-identity, and diagonal
-    metrics. The subproblem is strongly convex with modulus ``c + m2`` and
-    reduces to a single prox of g (diagonal metrics additionally require g
-    to implement ``prox_diag``).
+    supplies ``yc = y / c``. The strategy is :func:`z_strategy`'s answer.
+    The subproblem is strongly convex with modulus ``c + m2`` and reduces to
+    a single prox of g: ``prox`` under a scalar metric, ``prox_diag`` under
+    a diagonal one.
     """
     g, c = problem.g, problem.c
     w = Ax_next + state.yc
-    if m2.is_scalar:
+    if z_strategy(problem, m2) == "scalar":
         mu = m2.mu
         denom = c + mu
         v = (c * w + mu * state.z) / denom
         return g.prox(v, 1.0 / denom)
-    d2 = m2.diagonal_entries()
-    if d2 is None:
-        raise UnsupportedMetric(
-            f"z update supports zero, scaled-identity, or diagonal metrics, "
-            f"got {m2.kind!r}"
-        )
+    d2 = m2.entries
     d = c + d2
     v = (c * w + d2 * state.z) / d
     return g.prox_diag(v, d)
@@ -514,19 +523,14 @@ def validate_assumptions(problem, sched1, sched2, horizon=None):
     Constant schedules are checked once; decaying and step-sequence schedules
     additionally account for their limiting operator, so the reported flags
     are reproducible from the schedules and the problem alone. First, an
-    M2 that :func:`z_update` cannot apply (not diagonal, or not scalar on a
-    g without ``prox_diag``) raises :class:`UnsupportedMetric`, and an M1
-    that :func:`x_strategy` rejects at k = 0 or 1 raises
-    :class:`StrategyError`; each schedule has the form of ``M1^1`` at every
-    ``k >= 1`` (``rho^k M0``, or shifted Gram metrics on one map and
-    coupling). Other failures are reported with witnesses in ``notes``.
+    ``M2^0`` that :func:`z_strategy` rejects raises
+    :class:`UnsupportedMetric`, and an M1 that :func:`x_strategy` rejects at
+    k = 0 or 1 raises :class:`StrategyError`; each schedule has the form of
+    ``M1^1`` at every ``k >= 1`` (``rho^k M0``, or shifted Gram metrics on
+    one map and coupling). Other failures are reported with witnesses in
+    ``notes``.
     """
-    m2 = sched2.metric(0)
-    if not (m2.is_scalar or problem.g.separable and m2.diagonal_entries() is not None):
-        raise UnsupportedMetric(
-            f"the z update supports zero, scaled-identity, or diagonal M2 (on a "
-            f"separable g), got {m2.kind!r} on {type(problem.g).__name__}"
-        )
+    z_strategy(problem, sched2.metric(0))
     for k in (0, 1):
         x_strategy(problem, sched1.metric(k))
     L = problem.h.lipschitz

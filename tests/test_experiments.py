@@ -107,7 +107,9 @@ def test_config_requires_problem_name():
     (dict(metric2={"kind": "constant", "rho": 0.5, "metric": {
         "kind": "scaled_identity", "mu": 1.0}}), "schedule", "['rho']"),
     (dict(init={"X": [5.0], "y": [0.0]}), "'init' table", "['X']"),
-], ids=["metric", "schedule", "init"])
+    # the penalty is the top-level c, which would overwrite this one
+    (dict(problem={"name": "toy1d", "c": 0.1}), "'problem' table", "['c']"),
+], ids=["metric", "schedule", "init", "problem"])
 def test_config_tables_reject_keys_nothing_reads(tmp_path, overrides, table, keys):
     cfg = toy_config(iters=5, checks=[], **overrides)
     with pytest.raises(ConfigError, match=r"^" + table + r" \{.*\}: unknown keys ") as exc:

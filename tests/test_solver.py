@@ -17,7 +17,15 @@ from vmadmm.errors import (
     StrategyError,
     UnsupportedMetric,
 )
-from vmadmm.functions import ConvexFunction, L1Norm, Quadratic, SquaredL2, Zero
+from vmadmm.functions import (
+    BoxIndicator,
+    ConvexFunction,
+    Huber,
+    L1Norm,
+    Quadratic,
+    SquaredL2,
+    Zero,
+)
 from vmadmm.linops import LinearMap, MetricOperator, forward_difference, min_eigenvalue
 from vmadmm.problems import build_problem, toy1d_saddle
 from vmadmm.solver import (
@@ -34,6 +42,7 @@ from vmadmm.solver import (
     x_strategy,
     x_update,
     y_update,
+    z_strategy,
     z_update,
 )
 
@@ -97,10 +106,29 @@ def test_sign_checks_reject_nan(name):
         NAN_SIGN_CHECKS[name](LinearMap.identity(2))
 
 
-def test_problem_spec_rejects_an_infinite_lipschitz_constant():
+# each scaling whose factor or result is infinite: no factory makes the metric
+INF_SCALINGS = {
+    "factor": lambda: MetricOperator.scaled_identity(3, 1.0).scaled(math.inf),
+    "overflow": lambda: MetricOperator.scaled_identity(3, 1e308).scaled(10.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INF_SCALINGS))
+def test_scaled_rejects_an_infinite_metric(name):
+    with pytest.raises(ValueError, match="finite"):
+        INF_SCALINGS[name]()
+
+
+@pytest.mark.parametrize("make, match", [
     # a Huber h with a subnormal delta has weight / delta = inf
-    with pytest.raises(ValueError, match="finite Lipschitz constant"):
-        _spec_with_lipschitz(LinearMap.identity(2), math.inf)
+    (lambda: _spec_with_lipschitz(LinearMap.identity(2), math.inf),
+     "finite Lipschitz constant"),
+    # the first x update would compute inf * 0
+    (lambda: build_problem("toy1d", c=math.inf), "penalty c must be a finite"),
+], ids=["lipschitz", "c"])
+def test_problem_spec_rejects_an_infinite_lipschitz_constant(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +243,76 @@ def test_x_strategy_names_each_exact_update():
     # a shifted Gram metric on another coupling linearizes nothing
     with pytest.raises(StrategyError):
         x_strategy(P, MetricOperator.shifted_gram(0.5, 2.0, P.A))
+
+
+def test_z_strategy_names_each_exact_update():
+    P = scalar_problem()
+    assert z_strategy(P, MetricOperator.zero(1)) == "scalar"
+    assert z_strategy(P, MetricOperator.scaled_identity(1, 2.0)) == "scalar"
+    assert z_strategy(P, MetricOperator.diagonal([2.0])) == "diagonal"
+    # a scaled identity needs only prox, so it serves a quadratic g too
+    Q = scalar_problem(g=Quadratic([[1.0]]))
+    assert z_strategy(Q, MetricOperator.scaled_identity(1, 2.0)) == "scalar"
+    for problem, m2 in ((Q, MetricOperator.diagonal([2.0])),
+                        (P, MetricOperator.dense([[2.0]])),
+                        (P, MetricOperator.shifted_gram(0.5, P.c, P.A))):
+        with pytest.raises(UnsupportedMetric):
+            z_strategy(problem, m2)
+
+
+@pytest.mark.parametrize("m2", [
+    MetricOperator.diagonal([0.5] * 8),
+    MetricOperator.dense(np.eye(8)),
+], ids=["diagonal", "dense"])
+def test_validator_and_forced_run_refuse_an_m2_alike(m2):
+    # one decision, so the validator and a forced run raise one error
+    P, _ = build_problem("lasso-split", n=8, rows=12, quadratic_in="g")
+    s1 = ConstantSchedule(MetricOperator.scaled_identity(8, 1.0))
+    s2 = ConstantSchedule(m2)
+    with pytest.raises(UnsupportedMetric) as validated:
+        validate_assumptions(P, s1, s2)
+    with pytest.raises(UnsupportedMetric) as forced:
+        run(P, initial_state(P), s1, s2, StoppingRule(max_iters=1), force=True)
+    assert str(forced.value) == str(validated.value)
+    assert "separable g" in str(forced.value)
+
+
+class _GradOnly(ConvexFunction):
+    lipschitz = 0.0
+
+    def __call__(self, x):
+        return 0.0
+
+    def grad(self, x):
+        return np.zeros(self.dim)
+
+
+class _DeclaresProxable(ConvexFunction):
+    proxable = True  # without a prox: the flag is read from the methods
+
+    def __call__(self, x):
+        return 0.0
+
+
+@pytest.mark.parametrize("f", [
+    Zero(2), L1Norm(2, 1.0), SquaredL2(2), BoxIndicator(2, -1.0, 1.0),
+    Quadratic(np.eye(2)), Huber(2, 0.5), _GradOnly(2), _DeclaresProxable(2),
+], ids=lambda f: type(f).__name__)
+def test_capability_flags_are_the_methods_a_kind_defines(f):
+    defines = vars(type(f))  # each kind here derives from ConvexFunction itself
+    assert f.proxable == ("prox" in defines)
+    assert f.separable == ("prox_diag" in defines)
+    assert f.smooth == ("grad" in defines)
+
+
+def test_capability_flags_decide_what_a_problem_accepts():
+    # a kind with a grad serves as h; one without a prox has no x update
+    A = LinearMap.identity(2)
+    assert ProblemSpec(f=Zero(2), h=_GradOnly(2), g=Zero(2), A=A, c=1.0).h.smooth
+    P = ProblemSpec(f=_DeclaresProxable(2), h=Zero(2), g=Zero(2), A=A, c=1.0)
+    s = ConstantSchedule(MetricOperator.scaled_identity(2, 1.0))
+    with pytest.raises(StrategyError):
+        validate_assumptions(P, s, s)
 
 
 def test_x_update_singular_system():
@@ -608,7 +706,6 @@ def test_run_rejects_unsupported_schedules():
 
 def test_run_detects_nonfinite_iterates():
     class BrokenSmooth(ConvexFunction):
-        smooth = True
         lipschitz = 0.0
 
         def __call__(self, x):

@@ -252,11 +252,13 @@ def configs():
         ("toy-c01-zero-metrics", toy(c=0.1, metric1=ZERO, metric2=ZERO, iters=150,
                                      checks=ALL_CHECKS[1:])),
     ]
-    # a NaN step, which JSON reads, and a key that a constant schedule does
-    # not read: both config errors, exit 2
+    # a NaN step, which JSON reads, a key that a constant schedule does not
+    # read, and a penalty in the problem table, which the top-level c would
+    # overwrite: all config errors, exit 2
     out += [
         ("toy-nan-tau", toy(metric1={"kind": "shifted_gram", "tau": math.nan})),
         ("toy-constant-with-rho", toy(metric2={**_metric(1.0), "rho": 0.5})),
+        ("toy-problem-table-c", toy(problem={"name": "toy1d", "c": 0.1})),
     ]
     # the benchmark workloads, read from perfbench/ as they are
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
