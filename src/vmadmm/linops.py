@@ -10,10 +10,11 @@ Linear maps carry an explicit
 adjoint so that matrix-free operators (e.g. finite differences) can be used
 without densification. Metric operators are symmetric positive-semidefinite
 and induce the seminorm ``||x||_U^2 = <x, Ux>`` used by the solver and its
-certificates. The operator never changes after construction; on first use
-a map caches its dense matrix, Gram matrix and norm (``_dense``, ``_gram``,
-``_opnorm``), and a metric its dense matrix and the solver's x-update factor
-(``_dense_cache``, ``_x_factor``).
+certificates. The operator never changes after construction. A metric
+holds the smallest eigenvalue its factory decided PSD by (``_min_eig``); on
+first use a map caches its dense matrix, Gram matrix and norm (``_dense``,
+``_gram``, ``_opnorm``), and a metric its dense matrix and the solver's
+x-update factor (``_dense_cache``, ``_x_factor``).
 """
 
 from __future__ import annotations
@@ -283,12 +284,14 @@ class MetricOperator:
     symmetric, and the shifted Gram form ``(1/tau) id - coupling * A*A``
     (applied matrix-free). The zero metric is the scaled identity with
     ``mu = 0`` (:meth:`zero`); properties are decided by value, never by the
-    spelling of a kind. Positive semidefiniteness is a hard construction
-    error, never a warning.
+    spelling of a kind. Every metric comes from a factory, which records the
+    smallest eigenvalue it decided PSD by; failing is an error, never a warning.
     """
 
     def __init__(self, dim, kind, mu=None, entries=None, matrix=None, tau=None,
                  coupling=None, map_=None):
+        if dim <= 0:
+            raise ValueError(f"metric dim must be positive, got {dim}")
         self.dim = int(dim)
         self.kind = kind
         self.mu = mu
@@ -297,65 +300,80 @@ class MetricOperator:
         self.tau = tau
         self.coupling = coupling
         self.map = map_
+        self._min_eig = None
         self._dense_cache = matrix
         self._x_factor = None  # (problem, solve, Cholesky factor) of solver.x_update
+
+    def _exact_min(self, lam):
+        """Record ``lambda_min(U) = lam``, the value the factory decided PSD by."""
+        self._min_eig = float(lam)
+        return self
 
     # -- factories ---------------------------------------------------------
 
     @classmethod
     def zero(cls, dim):
-        return cls(dim, "scaled_identity", mu=0.0)
+        return cls.scaled_identity(dim, 0.0)
 
     @classmethod
     def scaled_identity(cls, dim, mu):
+        """``mu id`` for a finite ``mu >= 0``, smallest eigenvalue ``mu``."""
         mu = float(mu)
         if not math.isfinite(mu):
             raise ValueError(f"scaled identity needs a finite mu, got {mu}")
         if mu < 0:
             raise NotPositiveSemidefinite(f"scaled identity needs mu >= 0, got {mu}")
-        return cls(dim, "scaled_identity", mu=mu)
+        return cls(dim, "scaled_identity", mu=mu)._exact_min(mu)
 
     @classmethod
     def diagonal(cls, entries):
+        """``diag(d)`` for finite ``d >= 0``, smallest eigenvalue ``d.min()``."""
         d = as_vector(entries, what="diagonal metric")
         if np.any(d < 0):
             raise NotPositiveSemidefinite("diagonal metric entries must be >= 0")
         d.setflags(write=False)
-        return cls(d.shape[0], "diagonal", entries=d)
+        return cls(d.shape[0], "diagonal", entries=d)._exact_min(d.min())
 
     @classmethod
     def dense(cls, matrix):
+        """The finite ``(M + M^T) / 2`` of an ``M`` symmetric and PSD to 1e-12."""
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("dense metric needs a square 2-D array")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("dense metric entries must be finite (no NaN/Inf)")
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = (m + m.T) / 2.0
+            asym = np.abs(m - m.T)
+        sym.setflags(write=False)
+        U = cls(m.shape[0], "dense", matrix=sym)  # refuses dim 0 before any reduction
+        if not np.all(np.isfinite(sym)):
+            raise ValueError("dense metric (M + M^T) / 2 must be finite (no NaN/Inf)")
         scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > 1e-12 * scale:
+        if float(asym.max()) > 1e-12 * scale:
             raise ValueError("dense metric must be symmetric")
-        m = (m + m.T) / 2.0
-        lam = float(np.linalg.eigvalsh(m)[0])
-        if lam < -1e-12 * scale:
+        lam = float(np.linalg.eigvalsh(sym)[0])
+        if not lam >= -1e-12 * scale:  # NaN fails too
             raise NotPositiveSemidefinite(
                 f"dense metric has eigenvalue {lam:.3e} below -1e-12"
             )
-        m.setflags(write=False)
-        return cls(m.shape[0], "dense", matrix=m)
+        return U._exact_min(lam)
 
     @classmethod
     def shifted_gram(cls, tau, coupling, A):
         """The operator ``(1/tau) id - coupling * A*A`` on the domain of A.
 
-        Requires ``1/tau >= coupling * ||A||^2`` so the result is PSD, with
-        ``||A||`` from :func:`operator_norm` (exact, cached on A). Only the
-        rounding of the bound itself is forgiven (4 units in the last
-        place), so ``tau = 1 / (coupling ||A||^2)`` computed in floats is
-        accepted and any step beyond it is rejected.
+        Requires finite ``tau, 1/tau, coupling > 0`` and ``1/tau >= coupling
+        ||A||^2`` (PSD), with ``||A||`` from :func:`operator_norm` (exact,
+        cached on A); only the bound's rounding is forgiven (4 units in the
+        last place), so ``tau = 1 / (coupling ||A||^2)`` computed in floats
+        is accepted. Smallest eigenvalue: ``1/tau - coupling * ||A||^2``.
         """
         tau = float(tau)
         coupling = float(coupling)
-        if not (tau > 0 and coupling > 0):
-            raise ValueError("shifted Gram metric needs tau > 0 and coupling > 0")
+        for name, value in (("tau", tau), ("coupling", coupling)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"shifted Gram {name} must be finite > 0, got {value}")
+        if 1.0 / tau == math.inf:
+            raise ValueError(f"shifted Gram 1/tau must be finite, got tau = {tau}")
         nrm = operator_norm(A)
         bound = coupling * nrm * nrm
         if 1.0 / tau < bound * (1.0 - 4.0 * np.finfo(float).eps):
@@ -363,7 +381,8 @@ class MetricOperator:
                 f"shifted Gram metric needs 1/tau >= coupling*||A||^2; "
                 f"1/tau falls short by {bound - 1.0 / tau:.3e}"
             )
-        return cls(A.cols, "shifted_gram", tau=tau, coupling=coupling, map_=A)
+        U = cls(A.cols, "shifted_gram", tau=tau, coupling=coupling, map_=A)
+        return U._exact_min(1.0 / tau - coupling * nrm ** 2)
 
     # -- behaviour ----------------------------------------------------------
 
@@ -414,18 +433,18 @@ class MetricOperator:
         return _per_point(val)
 
     def to_dense(self):
+        """The dense matrix (cached); exactly symmetric, as ``A.gram_dense()`` is."""
         if self._dense_cache is None:
             if self.kind == "shifted_gram":
                 dense = np.eye(self.dim) / self.tau - self.coupling * self.map.gram_dense()
             else:
-                dense = np.column_stack([self.apply(e) for e in np.eye(self.dim)])
-            dense = (dense + dense.T) / 2.0
+                dense = np.diag(self.diagonal_entries())
             dense.setflags(write=False)
             self._dense_cache = dense
         return self._dense_cache
 
     def scaled(self, s):
-        """The operator ``s * U`` for a finite ``s >= 0`` (PSD is preserved)."""
+        """``s * U`` for a finite ``s >= 0``, from its kind's factory (``zero`` at 0)."""
         s = float(s)
         if not s >= 0:
             raise NotPositiveSemidefinite("scaling factor must be >= 0")
@@ -435,41 +454,20 @@ class MetricOperator:
             return MetricOperator.zero(self.dim)
         if self.kind == "scaled_identity":
             return MetricOperator.scaled_identity(self.dim, self.mu * s)
-        if self.kind == "diagonal":
-            return MetricOperator.diagonal(self.entries * s)
-        if self.kind == "dense":
-            m = self.matrix * s
-            m.setflags(write=False)
-            return MetricOperator(self.dim, "dense", matrix=m)
-        return MetricOperator(
-            self.dim,
-            "shifted_gram",
-            tau=self.tau / s,
-            coupling=self.coupling * s,
-            map_=self.map,
-        )
+        with np.errstate(over="ignore"):  # the factory refuses an infinite entry
+            if self.kind == "diagonal":
+                return MetricOperator.diagonal(self.entries * s)
+            if self.kind == "dense":
+                return MetricOperator.dense(self.matrix * s)
+        return MetricOperator.shifted_gram(self.tau / s, self.coupling * s, self.map)
 
     def __repr__(self):
         return f"MetricOperator(dim={self.dim}, kind={self.kind!r})"
 
 
 def min_eigenvalue(U):
-    """Smallest eigenvalue of a metric operator.
-
-    Exact least entry for scaled-identity and diagonal metrics;
-    ``1/tau - coupling * ||A||^2`` for a shifted Gram metric over any map,
-    with ``||A||`` exact from :func:`operator_norm`; a dense symmetric
-    eigensolve for the dense form only.
-    """
-    d = U.diagonal_entries()
-    if d is not None:
-        return float(d.min())
-    if U.kind == "shifted_gram":
-        return 1.0 / U.tau - U.coupling * operator_norm(U.map) ** 2
-    try:
-        return float(np.linalg.eigvalsh(U.to_dense())[0])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise EigensolveError(str(exc)) from exc
+    """Smallest eigenvalue of a metric, as its factory recorded it (no eigensolve)."""
+    return U._min_eig
 
 
 def gram_min_eigenvalue(A):

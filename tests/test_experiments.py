@@ -1055,8 +1055,10 @@ def test_cli_malformed_config_exits_2_before_solving(
         '"problem": {"name": "toy1d", "lam": 1e309}',
         '"problem": {"name": "toy1d", "h_kind": "huber", "h_delta": 1e309}',
         '"problem": {"name": "toy1d", "h_kind": "quadratic", "h_weight": 1e309}',
+        '"metric1": {"kind": "constant", '
+        '"metric": {"kind": "shifted_gram", "tau": 1e309}}',
     ],
-    ids=["mu", "dense", "lam", "h_delta", "h_weight"],
+    ids=["mu", "dense", "lam", "h_delta", "h_weight", "shifted_gram_tau"],
 )
 def test_cli_non_finite_number_exits_2_with_one_line(
     tmp_path, monkeypatch, capsys, entry

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -323,6 +324,86 @@ def test_metric_rejects_non_finite_entries_without_warning(build, bad):
 def test_dense_rejects_indefinite():
     with pytest.raises(NotPositiveSemidefinite):
         MetricOperator.dense([[1.0, 0.0], [0.0, -1.0]])
+
+
+def test_dense_rejects_a_matrix_whose_symmetrization_overflows():
+    # every entry is finite, but (M + M^T) / 2 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\(M \+ M\^T\) / 2 must be finite"):
+            MetricOperator.dense([[1e308]])
+
+
+@pytest.mark.parametrize("tau, coupling, A, name", [
+    (math.inf, 1.0, LinearMap.zero(2, 2), "tau"),
+    (0.5, math.inf, LinearMap.zero(2, 2), "coupling"),
+    # 1/tau = 0 falls short of ||A||^2 = 1, but the step is what is wrong
+    (math.inf, 1.0, LinearMap.identity(2), "tau"),
+    (1e-310, 1.0, LinearMap.zero(2, 2), "1/tau"),
+], ids=["tau", "coupling", "tau-nonzero-map", "inverse-tau"])
+def test_shifted_gram_rejects_a_non_finite_step(tau, coupling, A, name):
+    with pytest.raises(ValueError, match=f"Gram {re.escape(name)} must be finite"):
+        MetricOperator.shifted_gram(tau, coupling, A)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MetricOperator.scaled_identity(-1, 1.0),
+    lambda: MetricOperator.zero(-2),
+    lambda: MetricOperator.diagonal([]),
+    lambda: MetricOperator.dense(np.zeros((0, 0))),
+], ids=["scaled_identity", "zero", "diagonal", "dense"])
+def test_metric_rejects_a_dimension_below_one(build):
+    with pytest.raises(ValueError, match="dim must be positive"):
+        build()
+
+
+def test_to_dense_of_a_huge_scaled_identity_is_finite():
+    # mu id with mu above half the largest float: its entries are finite
+    assert np.array_equal(MetricOperator.scaled_identity(2, 1e308).to_dense(),
+                          np.diag([1e308, 1e308]))
+
+
+def _shifted_gram_min(U):
+    return 1.0 / U.tau - U.coupling * operator_norm(U.map) ** 2
+
+
+def _dense_metric():
+    B = np.random.default_rng(5).standard_normal((5, 5))
+    return MetricOperator.dense(B @ B.T + 0.1 * np.eye(5))
+
+
+def _edge_shifted_gram():
+    A, c = forward_difference(10_000), 0.3
+    return MetricOperator.shifted_gram(1.0 / (c * operator_norm(A) ** 2), c, A)
+
+
+# each kind's smallest eigenvalue, and the expression that computed it before
+# the factories recorded it; a scaled metric is recorded by its own factory
+MIN_EIGENVALUE_EXPRESSIONS = {
+    "zero": (lambda: MetricOperator.zero(3),
+             lambda U: float(np.full(U.dim, U.mu).min())),
+    "scaled_identity": (lambda: MetricOperator.scaled_identity(4, 0.7).scaled(0.3),
+                        lambda U: float(np.full(U.dim, U.mu).min())),
+    "diagonal": (lambda: MetricOperator.diagonal([0.3, 1.7, 0.2]).scaled(0.9),
+                 lambda U: float(U.entries.min())),
+    "dense": (_dense_metric,
+              lambda U: float(np.linalg.eigvalsh(U.to_dense())[0])),
+    "dense-scaled": (lambda: _dense_metric().scaled(0.7),
+                     lambda U: float(np.linalg.eigvalsh(U.to_dense())[0])),
+    "shifted_gram": (lambda: MetricOperator.shifted_gram(
+        0.05, 0.5, LinearMap.from_dense(np.random.default_rng(3).standard_normal((6, 4)))),
+        _shifted_gram_min),
+    "shifted_gram-at-the-bound": (_edge_shifted_gram, _shifted_gram_min),
+    "shifted_gram-scaled": (lambda: MetricOperator.shifted_gram(
+        0.2, 1.0, forward_difference(20)).scaled(0.9), _shifted_gram_min),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIN_EIGENVALUE_EXPRESSIONS))
+def test_min_eigenvalue_keeps_the_bits_of_each_kind(name):
+    build, expression = MIN_EIGENVALUE_EXPRESSIONS[name]
+    U = build()
+    assert min_eigenvalue(U) == expression(U)
 
 
 def test_metric_scaled_preserves_form():

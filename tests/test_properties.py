@@ -7,6 +7,7 @@ from the profile registered in conftest.py.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,11 +16,24 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    multiple,
+    rule,
+)
 
 from helpers import KahanAverager, count_factorizations, lcg_reference
 from vmadmm import diagnostics
 from vmadmm.diagnostics import dual_identity_deviation
-from vmadmm.errors import SingularSubproblem, StrategyError, UnsupportedMetric
+from vmadmm.errors import (
+    NotPositiveSemidefinite,
+    SingularSubproblem,
+    StrategyError,
+    UnsupportedMetric,
+)
 from vmadmm.experiments import (
     BLOCK,
     CHECK_TOLERANCES,
@@ -45,6 +59,7 @@ from vmadmm.linops import (
 from vmadmm.problems import build_problem, lcg_uniforms
 from vmadmm.solver import (
     ConstantSchedule,
+    GeometricDecaySchedule,
     ProblemSpec,
     ShiftedGramSchedule,
     StoppingRule,
@@ -781,3 +796,141 @@ def test_every_permitted_run_passes_the_theory_checks(tmp_path):
             assert passed or detail.startswith("not evaluable"), (name, detail, fields)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# metrics under scaling: every metric handed out passed its factory's checks
+# ---------------------------------------------------------------------------
+
+# factors across the whole float range: subnormal, tiny, ordinary, huge
+FACTORS = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-323, 307))
+# the error each kind's factory raises, and the quantity it names
+REFUSALS = {
+    "scaled_identity": (ValueError, "mu"),
+    "diagonal": (ValueError, "diagonal metric"),
+    "dense": ((ValueError, NotPositiveSemidefinite), "dense metric"),
+    "shifted_gram": ((ValueError, NotPositiveSemidefinite), "tau|coupling"),
+}
+# dimensions the factories take, and two below 1 that they refuse
+METRIC_DIMS = st.sampled_from([1, 2, 3, 4, 0, -1])
+# eight units in the last place of a subnormal: the roundoff of a metric
+# whose scale is subnormal, below which no relative bound reaches
+TINY = 8 * 5e-324
+
+
+def metric_scale(U):
+    """The largest entry of ``U`` (``1/tau`` bounds a shifted Gram metric's)."""
+    return 1.0 / U.tau if U.kind == "shifted_gram" else float(np.abs(U.to_dense()).max())
+
+
+class MetricMachine(RuleBasedStateMachine):
+    """Metrics from every factory, scaled by factors from 1e-323 to 1e308,
+    0, NaN and inf, and read from schedules at large k. Every metric handed
+    out is finite, symmetric and PSD, with the smallest eigenvalue its
+    factory recorded; every step refused raises its factory's documented
+    error, which names the quantity."""
+
+    metrics = Bundle("metrics")
+
+    def __init__(self):
+        super().__init__()
+        self.live = []
+
+    def hand_out(self, make, refusal):
+        error, names = refusal
+        try:
+            U = make()
+        except error as exc:
+            assert re.search(names, str(exc)), str(exc)
+            return multiple()
+        self.live.append(U)
+        return U
+
+    @initialize(target=metrics)
+    def past_overflow(self):
+        # rho^k tau overflows from k = 1030 on at rho = 1/2
+        return self.hand_out(
+            lambda: MetricOperator.shifted_gram(0.2, 1.0, forward_difference(5)),
+            REFUSALS["shifted_gram"])
+
+    @rule(target=metrics, dim=METRIC_DIMS, factor=FACTORS)
+    def scaled_identity(self, dim, factor):
+        refusal = (ValueError, "dim") if dim < 1 else REFUSALS["scaled_identity"]
+        return self.hand_out(lambda: MetricOperator.scaled_identity(dim, factor), refusal)
+
+    @rule(target=metrics, dim=METRIC_DIMS)
+    def zero(self, dim):
+        return self.hand_out(lambda: MetricOperator.zero(dim), (ValueError, "dim"))
+
+    @rule(target=metrics, dim=st.sampled_from([1, 2, 3, 4, 0]), factor=FACTORS,
+          seed=st.integers(0, 99))
+    def diagonal(self, dim, factor, seed):
+        d = factor * np.random.default_rng(seed).uniform(0.0, 1.0, dim)
+        refusal = (ValueError, "dim") if dim < 1 else REFUSALS["diagonal"]
+        return self.hand_out(lambda: MetricOperator.diagonal(d), refusal)
+
+    @rule(target=metrics, dim=st.sampled_from([1, 2, 3, 4, 0]), factor=FACTORS,
+          seed=st.integers(0, 99))
+    def dense(self, dim, factor, seed):
+        B = np.random.default_rng(seed).uniform(-1.0, 1.0, (dim, dim))
+        with np.errstate(over="ignore"):
+            M = factor * (B @ B.T)
+        refusal = (ValueError, "dim") if dim < 1 else REFUSALS["dense"]
+        return self.hand_out(lambda: MetricOperator.dense(M), refusal)
+
+    @rule(target=metrics, dim=st.integers(2, 4), coupling=FACTORS,
+          fraction=st.floats(0.0, 1.0, exclude_min=True),
+          map_kind=st.sampled_from(["identity", "zero", "forward_difference"]))
+    def shifted_gram(self, dim, coupling, fraction, map_kind):
+        A = {"identity": LinearMap.identity(dim),
+             "zero": LinearMap.zero(dim, dim),
+             "forward_difference": forward_difference(dim)}[map_kind]
+        with np.errstate(over="ignore"):
+            bound = coupling * operator_norm(A) ** 2
+        tau = fraction / bound if bound > 0 else fraction
+        return self.hand_out(lambda: MetricOperator.shifted_gram(tau, coupling, A),
+                             REFUSALS["shifted_gram"])
+
+    @rule(target=metrics, U=metrics,
+          s=st.one_of(FACTORS, st.sampled_from([0.0, -1.0, math.nan, math.inf])))
+    def scale(self, U, s):
+        if not s >= 0:
+            refusal = (NotPositiveSemidefinite, "scaling factor")
+        elif s == math.inf:
+            refusal = (ValueError, "scaling factor")
+        else:
+            refusal = REFUSALS[U.kind]
+        return self.hand_out(lambda: U.scaled(s), refusal)
+
+    @rule(target=metrics, U=metrics,
+          rho=st.one_of(st.just(0.5), st.floats(0.01, 1.0)),
+          k=st.one_of(st.just(1030), st.integers(0, 80_000)))
+    def geometric(self, U, rho, k):
+        return self.hand_out(lambda: GeometricDecaySchedule(U, rho).metric(k),
+                             REFUSALS[U.kind])
+
+    @rule(target=metrics, taus=st.lists(st.floats(0.01, 0.2), min_size=1, max_size=4),
+          k=st.integers(0, 10**9))
+    def step_schedule(self, taus, k):
+        schedule = ShiftedGramSchedule(taus, 1.0, forward_difference(3))
+        return self.hand_out(lambda: schedule.metric(k), REFUSALS["shifted_gram"])
+
+    @invariant()
+    def every_metric_is_a_finite_psd_matrix(self):
+        for U in self.live:
+            D = U.to_dense()
+            assert np.all(np.isfinite(D)) and np.array_equal(D, D.T)
+            scale = metric_scale(U)
+            lam = min_eigenvalue(U)
+            assert lam >= -1e-12 * scale - TINY
+            assert abs(lam - float(np.linalg.eigvalsh(D)[0])) <= 1e-12 * scale + TINY
+            # probes shrunk so that <x, Ux> is at most dim: a larger value
+            # need not be a float at all for a metric of scale 1e308
+            X = np.random.default_rng(U.dim).uniform(-1.0, 1.0, (3, U.dim))
+            X /= math.sqrt(U.dim) * math.sqrt(max(1.0, scale))
+            values = U.seminorm_sq(X)
+            assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+
+
+MetricMachine.TestCase.settings = settings(max_examples=25, stateful_step_count=20)
+test_metric_machine = MetricMachine.TestCase

@@ -110,6 +110,13 @@ def test_sign_checks_reject_nan(name):
 INF_SCALINGS = {
     "factor": lambda: MetricOperator.scaled_identity(3, 1.0).scaled(math.inf),
     "overflow": lambda: MetricOperator.scaled_identity(3, 1e308).scaled(10.0),
+    # (M + M^T) / 2 of the scaled matrix overflows
+    "dense-overflow": lambda: MetricOperator.dense([[1e307, 0.0], [0.0, 1.0]]).scaled(10.0),
+    # tau / s overflows
+    "shifted-gram-underflow": lambda: MetricOperator.shifted_gram(
+        1.0, 1.0, LinearMap.identity(1)).scaled(1e-320),
+    "geometric-shifted-gram-k1030": lambda: GeometricDecaySchedule(
+        MetricOperator.shifted_gram(0.2, 1.0, forward_difference(5)), 0.5).metric(1030),
 }
 
 

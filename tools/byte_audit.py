@@ -253,12 +253,16 @@ def configs():
                                      checks=ALL_CHECKS[1:])),
     ]
     # a NaN step, which JSON reads, a key that a constant schedule does not
-    # read, and a penalty in the problem table, which the top-level c would
-    # overwrite: all config errors, exit 2
+    # read, a penalty in the problem table, which the top-level c would
+    # overwrite, a dense M1 whose (M + M^T) / 2 overflows and an infinite
+    # step: all config errors, exit 2
     out += [
         ("toy-nan-tau", toy(metric1={"kind": "shifted_gram", "tau": math.nan})),
         ("toy-constant-with-rho", toy(metric2={**_metric(1.0), "rho": 0.5})),
         ("toy-problem-table-c", toy(problem={"name": "toy1d", "c": 0.1})),
+        ("toy-dense-m1-1e308", toy(metric1={"kind": "constant", "metric": {
+            "kind": "dense", "matrix": [[1e308]]}})),
+        ("toy-infinite-tau", toy(metric1={"kind": "shifted_gram", "tau": math.inf})),
     ]
     # the benchmark workloads, read from perfbench/ as they are
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
