@@ -39,7 +39,7 @@ from .linops import (
     min_eigenvalue,
     operator_norm,
 )
-from .problems import build_problem, oracle, toy1d_saddle
+from .problems import build_problem, oracle, toy1d_saddle, tv1d_saddle
 from .solver import (
     AssumptionReport,
     ConstantSchedule,
@@ -100,6 +100,7 @@ __all__ = [
     "run",
     "step",
     "toy1d_saddle",
+    "tv1d_saddle",
     "validate_assumptions",
     "x_update",
     "y_update",

@@ -10,13 +10,14 @@ generated from seeded integer arithmetic.
 Every certificate is computed in :mod:`diagnostics` and judged against the
 one tolerance in :data:`CHECK_TOLERANCES`; ``vmadmm check`` calls the same
 functions with the same tolerances. The runner computes the saddle point
-before the solve and certifies the iterates :func:`solver.run` hands over in
-blocks of :data:`BLOCK`: each certified quantity is one call over the block,
-along the leading block axis of :mod:`diagnostics`, with the bits of
-certifying one iterate at a time. Between blocks it keeps the last iterate
-and one float64 table of per-iteration scalars, which ``log.csv`` is
-formatted from and the checks read; its row ``i``, as entry ``i`` of every
-per-iteration series, is iteration ``k = i + 1``. The u/v checks
+before the solve (:func:`saddle_point`) and certifies the iterates
+:func:`solver.run` hands over in blocks of :data:`BLOCK`: each certified
+quantity is one call over the block, along the leading block axis of
+:mod:`diagnostics`, with the bits of certifying one iterate at a time.
+Between blocks it keeps the last iterate and one float64 table of
+per-iteration scalars, which ``log.csv`` is formatted from and the checks
+read; its row ``i``, as entry ``i`` of every per-iteration series, is
+iteration ``k = i + 1``. The u/v checks
 (``v_inequality``, ``v_monotone``, ``feasibility_rate``) need the metrics
 to stay constant for the whole run; they are "not evaluable" otherwise.
 """
@@ -34,7 +35,7 @@ import numpy as np
 from . import diagnostics
 from .errors import ConfigError
 from .linops import MetricOperator
-from .problems import build_problem, oracle
+from .problems import build_problem, oracle, tv1d_saddle
 from .solver import (
     ConstantSchedule,
     GeometricDecaySchedule,
@@ -283,6 +284,16 @@ def _initial_from_config(cfg, problem):
     raise ConfigError("'init' must be \"zeros\" or a table with x/z/y")
 
 
+def saddle_point(cfg, problem):
+    """The certified saddle the checks in :data:`ORACLE_CHECKS` read: the
+    direct :func:`tv1d_saddle` for a ``tv1d`` config (``oracle_budget``
+    unused), the iterative :func:`oracle` within ``cfg.oracle_budget``
+    otherwise."""
+    if cfg.problem["name"] == "tv1d":
+        return tv1d_saddle(problem)
+    return oracle(problem, budget=cfg.oracle_budget)
+
+
 def run_experiment(cfg, force=False, out_dir=None):
     """Validate, run, log, and check one experiment.
 
@@ -313,7 +324,7 @@ def run_experiment(cfg, force=False, out_dir=None):
     init = _initial_from_config(cfg, problem)
     saddle = None
     if ORACLE_CHECKS & set(cfg.checks):
-        orc = oracle(problem, budget=cfg.oracle_budget)
+        orc = saddle_point(cfg, problem)
         saddle = (orc.x, orc.z, orc.y)
     certifier = _Certifier(cfg, problem, init, sched1, sched2, saddle, report)
     stop = StoppingRule(max_iters=cfg.iters)

@@ -14,7 +14,7 @@ certificates. The operator never changes after construction. A metric
 holds the smallest eigenvalue its factory decided PSD by (``_min_eig``); on
 first use a map caches its dense matrix, Gram matrix and norm (``_dense``,
 ``_gram``, ``_opnorm``), and a metric its dense matrix and the solver's
-x-update factor (``_dense_cache``, ``_x_factor``).
+x- and z-update plans (``_dense_cache``, ``_x_cache``, ``_z_cache``).
 """
 
 from __future__ import annotations
@@ -302,7 +302,9 @@ class MetricOperator:
         self.map = map_
         self._min_eig = None
         self._dense_cache = matrix
-        self._x_factor = None  # (problem, solve, Cholesky factor) of solver.x_update
+        # (problem, strategy, solve, Cholesky factor) of solver.x_update and
+        # (problem, strategy) of solver.z_update
+        self._x_cache = self._z_cache = None
 
     def _exact_min(self, lam):
         """Record ``lambda_min(U) = lam``, the value the factory decided PSD by."""
@@ -361,11 +363,12 @@ class MetricOperator:
     def shifted_gram(cls, tau, coupling, A):
         """The operator ``(1/tau) id - coupling * A*A`` on the domain of A.
 
-        Requires finite ``tau, 1/tau, coupling > 0`` and ``1/tau >= coupling
-        ||A||^2`` (PSD), with ``||A||`` from :func:`operator_norm` (exact,
-        cached on A); only the bound's rounding is forgiven (4 units in the
-        last place), so ``tau = 1 / (coupling ||A||^2)`` computed in floats
-        is accepted. Smallest eigenvalue: ``1/tau - coupling * ||A||^2``.
+        Requires finite ``tau, 1/tau, coupling > 0``, a finite ``||A||^2``
+        and ``1/tau >= coupling ||A||^2`` (PSD), with ``||A||`` from
+        :func:`operator_norm` (exact, cached on A); only the bound's rounding
+        is forgiven (4 units in the last place), so ``tau = 1 / (coupling
+        ||A||^2)`` computed in floats is accepted. Smallest eigenvalue:
+        ``1/tau - coupling * ||A||^2``.
         """
         tau = float(tau)
         coupling = float(coupling)
@@ -375,6 +378,12 @@ class MetricOperator:
         if 1.0 / tau == math.inf:
             raise ValueError(f"shifted Gram 1/tau must be finite, got tau = {tau}")
         nrm = operator_norm(A)
+        try:
+            nrm_sq = nrm ** 2  # the smallest eigenvalue's term, as recorded below
+        except OverflowError:
+            raise ValueError(
+                f"shifted Gram needs a finite ||A||^2, got ||A|| = {nrm:.3e}"
+            ) from None
         bound = coupling * nrm * nrm
         if 1.0 / tau < bound * (1.0 - 4.0 * np.finfo(float).eps):
             raise NotPositiveSemidefinite(
@@ -382,7 +391,7 @@ class MetricOperator:
                 f"1/tau falls short by {bound - 1.0 / tau:.3e}"
             )
         U = cls(A.cols, "shifted_gram", tau=tau, coupling=coupling, map_=A)
-        return U._exact_min(1.0 / tau - coupling * nrm ** 2)
+        return U._exact_min(1.0 / tau - coupling * nrm_sq)
 
     # -- behaviour ----------------------------------------------------------
 

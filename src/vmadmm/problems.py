@@ -1,4 +1,5 @@
-"""Problem catalog, seeded test data, and the saddle-point oracle.
+"""Problem catalog, seeded test data, and the saddle points: the iterative
+oracle for every problem and a direct one for tv1d.
 
 All randomness comes from a 64-bit linear congruential generator (Knuth's
 MMIX multiplier 6364136223846793005, increment 1442695040888963407, modulus
@@ -199,6 +200,99 @@ def toy1d_saddle(lam=1.0, target=3.0, sigma=1.0):
     x = np.sign(target) * max(abs(target) - lam / sigma, 0.0)
     y = sigma * (x - target)
     return np.array([x]), np.array([x]), np.array([y])
+
+
+def tv1d_saddle(problem):
+    """The saddle of a tv1d problem from Condat's direct algorithm, no iteration.
+
+    ``problem`` must have the tv1d form: f :class:`~functions.Zero`, h
+    :class:`~functions.SquaredL2` ``(w/2) ||x - data||^2``, A a
+    :func:`forward_difference` and g :class:`~functions.L1Norm` with weight
+    ``lam``; otherwise ``ValueError``. ``x*`` denoises ``data`` at ``lam / w``
+    by Condat's exact, finite algorithm ("A direct algorithm for 1-D total
+    variation denoising", IEEE Signal Process. Lett. 2013); the dual solves
+    ``A* y* = w (data - x*)``, a cumulative sum, and ``z* = A x*``. Neither
+    step shares a kernel with the solver. Raises :class:`OracleError` unless
+    the KKT residual is at most 1e-10, the bar of :func:`oracle`.
+    """
+    f, h, g, A = problem.f, problem.h, problem.g, problem.A
+    if not (isinstance(f, functions.Zero) and isinstance(h, functions.SquaredL2)
+            and isinstance(g, functions.L1Norm) and A.kind == "forward_difference"):
+        raise ValueError(
+            "tv1d_saddle needs f Zero, h SquaredL2, A a forward difference and "
+            f"g L1Norm, got {type(f).__name__}, {type(h).__name__}, "
+            f"{A.kind} and {type(g).__name__}"
+        )
+    # a memoryview reads one Python float at a time: a list of n floats would
+    # leave up to 100 of them in CPython's float free list after the call
+    x = _condat_denoise(memoryview(h.shift), g.weight / h.weight)
+    y = -np.cumsum(h.weight * (h.shift - x))[:-1]
+    kkt = kkt_residual(problem, x, y)
+    if not kkt <= 1e-10:
+        raise OracleError("the direct tv1d saddle missed KKT residual 1e-10", kkt)
+    return OracleResult(x=x, z=A.apply(x), y=y, kkt=kkt, iterations=0)
+
+
+def _condat_denoise(data, lam):
+    """``argmin_x (1/2) ||x - data||^2 + lam sum_i |x[i+1] - x[i]|`` exactly.
+
+    Condat's direct algorithm on a sequence of floats: it grows the current
+    segment ``[k0, k]`` while the segment's value bounds ``[vmin, vmax]`` keep
+    the running dual ``u`` within ``[-lam, lam]``, and when they cannot,
+    closes the segment at the last position ``kminus`` (``kplus``) where the
+    dual sat on its bound, with a downward (upward) jump, and restarts after
+    it; the right end closes with ``u = 0``. A restart revisits samples, so
+    the worst case is quadratic in n; on the catalog's data the time grows
+    linearly (0.2 ms at n = 200, 7 ms at n = 10 000).
+    """
+    n = len(data)
+    x = np.empty(n)
+    k = k0 = kminus = kplus = 0
+    umin, umax = lam, -lam
+    vmin, vmax = data[0] - lam, data[0] + lam
+
+    def close(value, last):
+        # the segment [k0, max(k0, last)] takes ``value``; returns its end + 1
+        end = max(k0, last) + 1
+        x[k0:end] = value
+        return end
+
+    while True:
+        while k == n - 1:  # the right end: the dual must close at 0
+            if umin < 0.0:  # vmin too high: a downward jump
+                k0 = k = kminus = close(vmin, kminus)
+                vmin, umin = data[k0], lam
+                umax = vmin + umin - vmax
+            elif umax > 0.0:  # vmax too low: an upward jump
+                k0 = k = kplus = close(vmax, kplus)
+                vmax, umax = data[k0], -lam
+                umin = vmax + umax - vmin
+            else:
+                close(vmin + umin / (k - k0 + 1), k)
+                return x
+        umin += data[k + 1] - vmin
+        if umin < -lam:  # a downward jump at kminus
+            k0 = k = kminus = kplus = close(vmin, kminus)
+            vmin = data[k0]
+            vmax = vmin + 2.0 * lam
+            umin, umax = lam, -lam
+            continue
+        umax += data[k + 1] - vmax
+        if umax > lam:  # an upward jump at kplus
+            k0 = k = kminus = kplus = close(vmax, kplus)
+            vmax = data[k0]
+            vmin = vmax - 2.0 * lam
+            umin, umax = lam, -lam
+            continue
+        k += 1
+        if umin >= lam:
+            kminus = k
+            vmin += (umin - lam) / (k - k0 + 1)
+            umin = lam
+        if umax <= -lam:
+            kplus = k
+            vmax += (umax + lam) / (k - k0 + 1)
+            umax = -lam
 
 
 @dataclass

@@ -228,22 +228,26 @@ def x_update(problem, state, m1):
       built on the problem's own A and c: the quadratic coupling cancels and
       the update is a single prox of f at a gradient-style point. Exact
       because ``c A*A + m1 = (1/tau) id``.
-    * QUADRATIC -- f is zero or quadratic: one SPD linear solve. The
-      Cholesky factor of ``c A*A + m1 (+ Q)`` is cached on ``m1`` for this
-      problem and recomputed when the metric object (or the problem)
-      changes, so a constant schedule factors once per run. The factor is
-      banded, O(n) to build, store and solve with, when A records its Gram
-      bands (a forward difference), ``m1`` is diagonal (zero, scaled
-      identity or diagonal) and f is zero; otherwise it is dense. Each
-      solve calls LAPACK's ``dpbtrs`` or ``dpotrs`` on the factor directly.
-      With f zero, a zero ``m1`` and a singular ``A*A`` (smallest eigenvalue
-      at most 1e-10) the system is singular and is rejected unfactored.
+    * QUADRATIC -- f is zero or quadratic: one SPD linear solve with the
+      Cholesky factor of ``c A*A + m1 (+ Q)`` (:func:`_quadratic_factor`).
     * PROX-DIRECT -- A is the identity and ``m1`` is a scaled identity:
       a single prox of f under the scalar metric ``c + mu``.
+
+    The strategy and the QUADRATIC factor depend on the problem and ``m1``
+    alone, so they are cached on ``m1`` for this problem and recomputed when
+    the metric object (or the problem) changes: a constant schedule decides
+    and factors once per run.
     """
     f, h, A, c = problem.f, problem.h, problem.A, problem.c
     x, z, yc = state.x, state.z, state.yc
-    strategy = x_strategy(problem, m1)
+    # keyed on the problem object itself (held, so a reused id() cannot match)
+    cached = m1._x_cache
+    if cached is None or cached[0] is not problem:
+        strategy = x_strategy(problem, m1)
+        factor = (_quadratic_factor(problem, m1) if strategy == "quadratic"
+                  else (None, None))
+        cached = m1._x_cache = (problem, strategy, *factor)
+    strategy = cached[1]
 
     if strategy == "linearized":
         tau = m1.tau
@@ -251,44 +255,11 @@ def x_update(problem, state, m1):
         return f.prox(x - tau * step, tau)
 
     if strategy == "quadratic":
-        # The system depends on the problem and m1 alone. Keyed on the
-        # problem object itself (held, so a reused id() cannot match).
-        cached = m1._x_factor
-        if cached is None or cached[0] is not problem:
-            d1 = m1.diagonal_entries()
-            zero_f = isinstance(f, functions.Zero)
-            if (zero_f and d1 is not None and not d1.any()
-                    and gram_min_eigenvalue(A) <= 1e-10):
-                raise SingularSubproblem("x subproblem: A*A is singular and M1 zero")
-            banded = A._gram_bands is not None and d1 is not None and zero_f
-            if banded:
-                system = c * A._gram_bands
-                system[-1] += d1
-            else:
-                system = c * A.gram_dense()
-                if d1 is None:
-                    system += m1.to_dense()
-                else:
-                    system[np.diag_indices(problem.n)] += d1
-                if isinstance(f, functions.Quadratic):
-                    system += f.Q
-            try:
-                if banded:
-                    cached = (problem, scipy.linalg.lapack.dpbtrs,
-                              scipy.linalg.cholesky_banded(system))
-                else:
-                    cached = (problem, scipy.linalg.lapack.dpotrs,
-                              scipy.linalg.cho_factor(system)[0])
-            except scipy.linalg.LinAlgError as exc:
-                raise SingularSubproblem(
-                    "x subproblem is not strongly convex: " + str(exc)
-                ) from exc
-            m1._x_factor = cached
         rhs = -h.grad(x) + c * A.adjoint(z - yc) + m1.apply(x)
         if isinstance(f, functions.Quadratic):
             rhs = rhs - f.q
         # both factors are upper triangular, LAPACK's default
-        x_next, info = cached[1](cached[2], rhs)
+        x_next, info = cached[2](cached[3], rhs)
         if info != 0:
             raise ValueError(f"LAPACK solve: illegal value in argument {-info}")
         return x_next
@@ -297,6 +268,44 @@ def x_update(problem, state, m1):
     denom = c + mu
     w = (c * (z - yc) + mu * x - h.grad(x)) / denom
     return f.prox(w, 1.0 / denom)
+
+
+def _quadratic_factor(problem, m1):
+    """``(solve, factor)`` of the QUADRATIC x update's system ``c A*A + m1
+    (+ Q)``: LAPACK's ``dpbtrs`` or ``dpotrs`` and the upper Cholesky factor.
+
+    The factor is banded, O(n) to build, store and solve with, when A records
+    its Gram bands (a forward difference), ``m1`` is diagonal (zero, scaled
+    identity or diagonal) and f is zero; otherwise it is dense. With f zero,
+    a zero ``m1`` and a singular ``A*A`` (smallest eigenvalue at most 1e-10)
+    the system is singular and is rejected unfactored.
+    """
+    f, A, c = problem.f, problem.A, problem.c
+    d1 = m1.diagonal_entries()
+    zero_f = isinstance(f, functions.Zero)
+    if (zero_f and d1 is not None and not d1.any()
+            and gram_min_eigenvalue(A) <= 1e-10):
+        raise SingularSubproblem("x subproblem: A*A is singular and M1 zero")
+    banded = A._gram_bands is not None and d1 is not None and zero_f
+    if banded:
+        system = c * A._gram_bands
+        system[-1] += d1
+    else:
+        system = c * A.gram_dense()
+        if d1 is None:
+            system += m1.to_dense()
+        else:
+            system[np.diag_indices(problem.n)] += d1
+        if isinstance(f, functions.Quadratic):
+            system += f.Q
+    try:
+        if banded:
+            return scipy.linalg.lapack.dpbtrs, scipy.linalg.cholesky_banded(system)
+        return scipy.linalg.lapack.dpotrs, scipy.linalg.cho_factor(system)[0]
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularSubproblem(
+            "x subproblem is not strongly convex: " + str(exc)
+        ) from exc
 
 
 def z_strategy(problem, m2):
@@ -317,14 +326,18 @@ def z_update(problem, state, Ax_next, m2):
     """Exact minimizer of the z subproblem under metric ``m2``.
 
     ``Ax_next`` is ``A x+``, the product of the new x iterate; the state
-    supplies ``yc = y / c``. The strategy is :func:`z_strategy`'s answer.
+    supplies ``yc = y / c``. The strategy is :func:`z_strategy`'s answer,
+    cached on ``m2`` for this problem as :func:`x_update` caches its own.
     The subproblem is strongly convex with modulus ``c + m2`` and reduces to
     a single prox of g: ``prox`` under a scalar metric, ``prox_diag`` under
     a diagonal one.
     """
     g, c = problem.g, problem.c
     w = Ax_next + state.yc
-    if z_strategy(problem, m2) == "scalar":
+    cached = m2._z_cache
+    if cached is None or cached[0] is not problem:
+        cached = m2._z_cache = (problem, z_strategy(problem, m2))
+    if cached[1] == "scalar":
         mu = m2.mu
         denom = c + mu
         v = (c * w + mu * state.z) / denom

@@ -359,13 +359,13 @@ def test_streamed_gap_certificates_equal_the_unshared_fold(
     # fixed probes between calls; every logged value must keep its bits.
     # iters is no multiple of 10, so the last probe round is the final k
     if z_shift:
-        exact = experiments.oracle
+        exact = experiments.saddle_point
 
-        def shifted(problem, budget):
-            orc = exact(problem, budget=budget)
+        def shifted(cfg, problem):
+            orc = exact(cfg, problem)
             return dataclasses.replace(orc, z=orc.z + z_shift)
 
-        monkeypatch.setattr(experiments, "oracle", shifted)
+        monkeypatch.setattr(experiments, "saddle_point", shifted)
     cfg = toy_config(
         metric2={"kind": "constant", "metric": {"kind": "zero"}},
         checks=["gap_bound"], **overrides,
@@ -384,7 +384,7 @@ def test_streamed_gap_certificates_equal_the_unshared_fold(
         problem, init, sched1, sched2, solver.StoppingRule(max_iters=cfg.iters),
         force=True,
     )
-    orc = experiments.oracle(problem, budget=cfg.oracle_budget)
+    orc = experiments.saddle_point(cfg, problem)
     expected, slacks = fold_gap_certificates(
         problem, trace, init, sched1.metric(0), sched2.metric(0),
         (orc.x, orc.z, orc.y), cfg.seed,
@@ -420,7 +420,7 @@ def single_iterate_log(cfg):
             if cfg.log_vectors:
                 row.update({f"{name}_{i}": v for i, v in enumerate(vec)})
     if experiments.ORACLE_CHECKS & set(cfg.checks):
-        orc = experiments.oracle(problem, budget=cfg.oracle_budget)
+        orc = experiments.saddle_point(cfg, problem)
         saddle = (orc.x, orc.z, orc.y)
         gap_rows, slacks = fold_gap_certificates(problem, trace, init, m1, m2,
                                                  saddle, cfg.seed)

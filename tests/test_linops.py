@@ -346,6 +346,13 @@ def test_shifted_gram_rejects_a_non_finite_step(tau, coupling, A, name):
         MetricOperator.shifted_gram(tau, coupling, A)
 
 
+def test_shifted_gram_rejects_a_map_whose_squared_norm_overflows():
+    # the PSD bound coupling * ||A|| * ||A|| is finite and met, but ||A||^2
+    # is not: refused by name, not with Python's untyped OverflowError
+    with pytest.raises(ValueError, match=r"finite \|\|A\|\|\^2, got \|\|A\|\| = 1\.000e\+160"):
+        MetricOperator.shifted_gram(1e-10, 1e-320, LinearMap.from_dense([[1e160]]))
+
+
 @pytest.mark.parametrize("build", [
     lambda: MetricOperator.scaled_identity(-1, 1.0),
     lambda: MetricOperator.zero(-2),

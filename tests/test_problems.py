@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from vmadmm.diagnostics import kkt_residual
 from vmadmm.errors import OracleError
 from vmadmm.functions import BoxIndicator, L1Norm, Quadratic, SquaredL2, Zero
-from vmadmm.linops import MetricOperator
+from vmadmm import problems
+from vmadmm.linops import MetricOperator, forward_difference
 from vmadmm.problems import (
     LCG_INCREMENT,
     LCG_MODULUS,
@@ -18,9 +20,11 @@ from vmadmm.problems import (
     noisy_ramp,
     oracle,
     toy1d_saddle,
+    tv1d_saddle,
 )
 from vmadmm.solver import (
     ConstantSchedule,
+    ProblemSpec,
     ShiftedGramSchedule,
     StoppingRule,
     initial_state,
@@ -291,3 +295,115 @@ def test_oracle_box_qp(box_qp, box_qp_oracle):
     orc = box_qp_oracle
     assert orc.kkt <= 1e-10
     assert np.all(orc.x >= 0.0) and np.all(orc.x <= 1.0)
+
+
+# ---------------------------------------------------------------------------
+# direct tv1d saddle
+# ---------------------------------------------------------------------------
+
+
+def _tv1d_spec(data, lam, weight=1.0):
+    n = len(data)
+    return ProblemSpec(f=Zero(n), h=SquaredL2(n, shift=data, weight=weight),
+                       g=L1Norm(n - 1, weight=lam), A=forward_difference(n), c=1.0)
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.5, 5.0])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n", [5, 30, 120])
+def test_tv1d_saddle_agrees_with_the_oracle(n, seed, lam):
+    P, _ = build_problem("tv1d", n=n, lam=lam, seed=seed)
+    direct, orc = tv1d_saddle(P), oracle(P)
+    assert direct.kkt <= 1e-12 and direct.iterations == 0
+    assert np.array_equal(direct.z, P.A.apply(direct.x))
+    # the oracle stops at KKT 1e-10; x is held to 1e-8 (its worst distance
+    # here is 1.2e-9), and y is pinned by A* y = data - x only through the
+    # smallest singular value 2 sin(pi / (2n)) of A
+    x_tol = 1e-8
+    y_tol = (x_tol + math.sqrt(n) * 1e-10) / (2.0 * math.sin(math.pi / (2 * n)))
+    assert np.abs(direct.x - orc.x).max() <= x_tol
+    assert np.abs(direct.y - orc.y).max() <= y_tol
+
+
+def test_tv1d_saddle_of_a_constant_signal_is_the_signal():
+    data = np.full(7, 0.3)
+    s = tv1d_saddle(_tv1d_spec(data, 0.5))
+    assert np.array_equal(s.x, data)
+    assert not s.y.any() and not s.z.any()
+
+
+def test_tv1d_saddle_of_a_single_jump_shrinks_it_by_lam():
+    # the jump of height 1 after k samples keeps its place and loses
+    # lam / k on the left and lam / (n - k) on the right
+    n, k, lam = 9, 4, 0.6
+    data = np.r_[np.zeros(k), np.ones(n - k)]
+    s = tv1d_saddle(_tv1d_spec(data, lam))
+    expected = np.r_[np.full(k, lam / k), np.full(n - k, 1.0 - lam / (n - k))]
+    assert np.abs(s.x - expected).max() <= 1e-15
+    assert s.y[k - 1] == pytest.approx(lam, abs=1e-15)  # on the bound at the jump
+
+
+def test_tv1d_saddle_is_the_mean_from_the_largest_partial_sum_on():
+    # x = mean(data) is optimal iff lam >= max |cumsum(data - mean)|, a
+    # threshold that can exceed the total variation of the data
+    data = noisy_ramp(40, 3)
+    threshold = float(np.abs(np.cumsum(data - data.mean())).max())
+    above = tv1d_saddle(_tv1d_spec(data, threshold * (1.0 + 1e-9)))
+    assert np.abs(above.x - data.mean()).max() <= 1e-15
+    assert not above.z.any()
+    below = tv1d_saddle(_tv1d_spec(data, threshold * 0.99))
+    assert above.kkt <= 1e-12 and np.ptp(below.x) > 0.0
+    halves = np.r_[np.zeros(3), np.ones(3)]  # total variation 1, threshold 1.5
+    assert np.ptp(tv1d_saddle(_tv1d_spec(halves, 1.2)).x) > 0.0
+    assert np.ptp(tv1d_saddle(_tv1d_spec(halves, 1.5)).x) == 0.0
+
+
+def test_tv1d_saddle_scales_lam_by_the_data_weight():
+    data = noisy_ramp(25, 4)
+    weighted = tv1d_saddle(_tv1d_spec(data, 0.8, weight=2.0))
+    assert np.array_equal(weighted.x, tv1d_saddle(_tv1d_spec(data, 0.4)).x)
+    assert weighted.kkt <= 1e-12
+
+
+def test_tv1d_saddle_certifies_n_10000_without_iterating(monkeypatch):
+    monkeypatch.setattr(problems, "condat_step", _refuse)
+    P, _ = build_problem("tv1d", n=10_000, lam=0.5, seed=1)
+    t0 = time.perf_counter()
+    s = tv1d_saddle(P)
+    elapsed = time.perf_counter() - t0
+    assert s.kkt <= 1e-10 and s.iterations == 0
+    assert elapsed < 0.5  # about 8 ms on a 2-core host; the oracle takes 2.3 s
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("reached")
+
+
+def _tv1d_with_an_l1_f():
+    P, _ = build_problem("tv1d", n=6)
+    return ProblemSpec(f=L1Norm(6, 1.0), h=P.h, g=P.g, A=P.A, c=P.c)
+
+
+@pytest.mark.parametrize("build, kinds", [
+    (lambda: build_problem("lasso-split", n=4, rows=6)[0],
+     "L1Norm, Quadratic, identity and Zero"),
+    (lambda: build_problem("toy1d")[0], "L1Norm, Zero, identity and SquaredL2"),
+    (lambda: build_problem("box-qp", n=3)[0],
+     "BoxIndicator, Quadratic, identity and Zero"),
+    (_tv1d_with_an_l1_f, "L1Norm, SquaredL2, forward_difference and L1Norm"),
+], ids=["lasso-split", "toy1d", "box-qp", "tv1d-l1-f"])
+def test_tv1d_saddle_rejects_a_problem_not_in_tv1d_form(build, kinds):
+    with pytest.raises(ValueError, match=f"tv1d_saddle needs f Zero.*got {kinds}$"):
+        tv1d_saddle(build())
+
+
+def test_tv1d_saddle_raises_above_kkt_1e_10_and_never_iterates(monkeypatch):
+    monkeypatch.setattr(problems, "oracle", _refuse)
+    monkeypatch.setattr(problems, "condat_step", _refuse)
+    exact = problems._condat_denoise
+    monkeypatch.setattr(problems, "_condat_denoise",
+                        lambda data, lam: exact(data, lam) + 1e-9)
+    P, _ = build_problem("tv1d", n=20)
+    with pytest.raises(OracleError, match="direct tv1d saddle") as exc:
+        tv1d_saddle(P)
+    assert exc.value.best_kkt > 1e-10

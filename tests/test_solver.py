@@ -379,7 +379,7 @@ def test_x_update_lapack_solve_matches_scipy_bitwise(banded):
     state = initial_state(P, rng.standard_normal(P.n), rng.standard_normal(P.m),
                           rng.standard_normal(P.m))
     x_next = x_update(P, state, m1)
-    factor = m1._x_factor[2]
+    factor = m1._x_cache[3]
     rhs = -P.h.grad(state.x) + P.c * P.A.adjoint(state.z - state.y / P.c) + m1.apply(state.x)
     if banded:
         expected = scipy.linalg.cho_solve_banded((factor, False), rhs)
@@ -421,6 +421,26 @@ def test_run_quadratic_factors_once_per_metric_object(monkeypatch):
     assert (n_constant, n_fresh, n_decaying) == (1, K, K)
     for a, b in zip((constant.x, constant.z, constant.y), (fresh.x, fresh.z, fresh.y)):
         assert np.array_equal(a, b)  # bitwise
+
+
+@pytest.mark.parametrize("m1", [
+    lambda P: MetricOperator.shifted_gram(0.2, P.c, P.A),
+    lambda P: MetricOperator.scaled_identity(P.n, 2.0),
+], ids=["linearized", "quadratic"])
+def test_run_decides_each_strategy_once_per_problem_and_metric(monkeypatch, m1):
+    decided = []
+    for name in ("x_strategy", "z_strategy"):
+        def counting(problem, metric, name=name, decide=getattr(solver, name)):
+            decided.append(name)
+            return decide(problem, metric)
+        monkeypatch.setattr(solver, name, counting)
+    P, _ = build_problem("tv1d", n=12)
+    sched1 = ConstantSchedule(m1(P))
+    sched2 = ConstantSchedule(MetricOperator.zero(P.m))
+    for problem in (P, dataclasses.replace(P)):  # a new problem decides again
+        run(problem, initial_state(problem), sched1, sched2, StoppingRule(max_iters=9),
+            force=True)
+    assert decided == ["x_strategy", "z_strategy"] * 2
 
 
 def test_run_geometric_m2_on_quadratic_g_decomposes_once(monkeypatch):
