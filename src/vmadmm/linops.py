@@ -14,7 +14,7 @@ certificates. The operator never changes after construction. A metric
 holds the smallest eigenvalue its factory decided PSD by (``_min_eig``); on
 first use a map caches its dense matrix, Gram matrix and norm (``_dense``,
 ``_gram``, ``_opnorm``), and a metric its dense matrix and the solver's
-x- and z-update plans (``_dense_cache``, ``_x_cache``, ``_z_cache``).
+bound x- and z-updates (``_dense_cache``, ``_x_cache``, ``_z_cache``).
 """
 
 from __future__ import annotations
@@ -59,13 +59,15 @@ def _check_finite(what, x):
             raise ValueError(f"{what}: squared norm overflows")
 
 
-def _check_block(what, x, dim, ndims=(1, 2)):
+def _check_block(what, x, dim, ndims=(1, 2), owner=None):
     """``x`` as a float array: one ``dim``-vector, or a 2-D block of them
-    when ``ndims`` allows one."""
+    when ``ndims`` allows one. On a mismatch the label is ``what``, after the
+    kind of ``owner`` when one is given (formatted only then)."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in ndims or x.shape[-1] != dim:
         got = x.shape[-1] if x.ndim in ndims else x.shape
-        raise DimensionMismatch(what, dim, got)
+        prefix = "" if owner is None else type(owner).__name__ + " "
+        raise DimensionMismatch(prefix + what, dim, got)
     return x
 
 
@@ -80,12 +82,17 @@ def matvec(M, x):
     return np.matmul(M, x[..., None])[..., 0]
 
 
-def _by_rows(fn, block, dim):
-    """``fn`` of each row of ``block``: a matrix_free function takes vectors only."""
-    out = np.empty((block.shape[0], dim))
-    for i, row in enumerate(block):
-        out[i] = fn(row)
-    return out
+def _user_kernel(fn, dim):
+    """A matrix_free function, user code that takes vectors only, as a kernel:
+    its result as a float array, one call per row of a block."""
+    def kernel(x):
+        if x.ndim == 1:
+            return np.asarray(fn(x), dtype=float)
+        out = np.empty((x.shape[0], dim))
+        for i, row in enumerate(x):
+            out[i] = fn(row)
+        return out
+    return kernel
 
 
 class LinearMap:
@@ -101,6 +108,7 @@ class LinearMap:
             raise ValueError("rows and cols must be positive")
         self.rows = int(rows)
         self.cols = int(cols)
+        # the kernels: A x and A* v of a float vector or block, as float arrays
         self._apply = apply_fn
         self._adjoint = adjoint_fn
         self.kind = kind
@@ -160,7 +168,8 @@ class LinearMap:
         The check draws four seeded random pairs (x, v) and requires
         ``|<Ax,v> - <x,A*v>|`` below 1e-12 relative to the probe magnitudes.
         """
-        op = cls(rows, cols, apply_fn, adjoint_fn, kind="matrix_free")
+        op = cls(rows, cols, _user_kernel(apply_fn, rows),
+                 _user_kernel(adjoint_fn, cols), kind="matrix_free")
         mismatch = adjoint_mismatch(op)
         if mismatch > 1e-12:
             raise AdjointConsistencyError(
@@ -174,17 +183,11 @@ class LinearMap:
 
     def apply(self, x):
         """Return ``A x``; of each row for a block."""
-        x = _check_block("LinearMap.apply input", x, self.cols)
-        if x.ndim == 2 and self.kind == "matrix_free":
-            return _by_rows(self._apply, x, self.rows)
-        return np.asarray(self._apply(x), dtype=float)
+        return self._apply(_check_block("LinearMap.apply input", x, self.cols))
 
     def adjoint(self, v):
         """Return ``A* v``; of each row for a block."""
-        v = _check_block("LinearMap.adjoint input", v, self.rows)
-        if v.ndim == 2 and self.kind == "matrix_free":
-            return _by_rows(self._adjoint, v, self.cols)
-        return np.asarray(self._adjoint(v), dtype=float)
+        return self._adjoint(_check_block("LinearMap.adjoint input", v, self.rows))
 
     def to_dense(self):
         """Densify by applying to the canonical basis (desk scale only)."""
@@ -302,8 +305,7 @@ class MetricOperator:
         self.map = map_
         self._min_eig = None
         self._dense_cache = matrix
-        # (problem, strategy, solve, Cholesky factor) of solver.x_update and
-        # (problem, strategy) of solver.z_update
+        # (problem, bound update) of solver.x_update and of solver.z_update
         self._x_cache = self._z_cache = None
 
     def _exact_min(self, lam):

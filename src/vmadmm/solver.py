@@ -233,41 +233,52 @@ def x_update(problem, state, m1):
     * PROX-DIRECT -- A is the identity and ``m1`` is a scaled identity:
       a single prox of f under the scalar metric ``c + mu``.
 
-    The strategy and the QUADRATIC factor depend on the problem and ``m1``
-    alone, so they are cached on ``m1`` for this problem and recomputed when
-    the metric object (or the problem) changes: a constant schedule decides
-    and factors once per run.
+    The update depends on the problem and ``m1`` alone, so it is bound once
+    (:func:`_bind_x_update`), cached on ``m1`` for this problem and rebound
+    when the metric object (or the problem) changes: a constant schedule
+    decides and factors once per run.
     """
-    f, h, A, c = problem.f, problem.h, problem.A, problem.c
-    x, z, yc = state.x, state.z, state.yc
     # keyed on the problem object itself (held, so a reused id() cannot match)
     cached = m1._x_cache
     if cached is None or cached[0] is not problem:
-        strategy = x_strategy(problem, m1)
-        factor = (_quadratic_factor(problem, m1) if strategy == "quadratic"
-                  else (None, None))
-        cached = m1._x_cache = (problem, strategy, *factor)
-    strategy = cached[1]
+        cached = m1._x_cache = (problem, _bind_x_update(problem, m1))
+    return cached[1](state)
+
+
+def _bind_x_update(problem, m1):
+    """:func:`x_update` under ``m1``, a function of the state with its scalars
+    and factor computed once, on the kernels of f, h and A (unchecked)."""
+    f, A, c = problem.f, problem.A, problem.c
+    grad, adjoint, prox = problem.h._grad, A._adjoint, f._prox
+    strategy = x_strategy(problem, m1)
 
     if strategy == "linearized":
         tau = m1.tau
-        step = h.grad(x) + c * A.adjoint(state.r + yc)
-        return f.prox(x - tau * step, tau)
+        def linearized(state):
+            step = grad(state.x) + c * adjoint(state.r + state.yc)
+            return prox(state.x - tau * step, tau)
+        return linearized
 
     if strategy == "quadratic":
-        rhs = -h.grad(x) + c * A.adjoint(z - yc) + m1.apply(x)
-        if isinstance(f, functions.Quadratic):
-            rhs = rhs - f.q
-        # both factors are upper triangular, LAPACK's default
-        x_next, info = cached[2](cached[3], rhs)
-        if info != 0:
-            raise ValueError(f"LAPACK solve: illegal value in argument {-info}")
-        return x_next
+        solve, factor = _quadratic_factor(problem, m1)
+        def quadratic(state):
+            rhs = -grad(state.x) + c * adjoint(state.z - state.yc) + m1.apply(state.x)
+            if isinstance(f, functions.Quadratic):
+                rhs = rhs - f.q
+            # both factors are upper triangular, LAPACK's default
+            x_next, info = solve(factor, rhs)
+            if info != 0:
+                raise ValueError(f"LAPACK solve: illegal value in argument {-info}")
+            return x_next
+        return quadratic
 
     mu = m1.mu
     denom = c + mu
-    w = (c * (z - yc) + mu * x - h.grad(x)) / denom
-    return f.prox(w, 1.0 / denom)
+    t = f._step(1.0 / denom)
+    def prox_direct(state):
+        w = (c * (state.z - state.yc) + mu * state.x - grad(state.x)) / denom
+        return prox(w, t)
+    return prox_direct
 
 
 def _quadratic_factor(problem, m1):
@@ -327,25 +338,32 @@ def z_update(problem, state, Ax_next, m2):
 
     ``Ax_next`` is ``A x+``, the product of the new x iterate; the state
     supplies ``yc = y / c``. The strategy is :func:`z_strategy`'s answer,
-    cached on ``m2`` for this problem as :func:`x_update` caches its own.
-    The subproblem is strongly convex with modulus ``c + m2`` and reduces to
-    a single prox of g: ``prox`` under a scalar metric, ``prox_diag`` under
-    a diagonal one.
+    bound and cached on ``m2`` for this problem as :func:`x_update` binds
+    its own. The subproblem is strongly convex with modulus ``c + m2`` and
+    reduces to a single prox of g: ``prox`` under a scalar metric,
+    ``prox_diag`` under a diagonal one.
     """
-    g, c = problem.g, problem.c
-    w = Ax_next + state.yc
     cached = m2._z_cache
     if cached is None or cached[0] is not problem:
-        cached = m2._z_cache = (problem, z_strategy(problem, m2))
-    if cached[1] == "scalar":
+        cached = m2._z_cache = (problem, _bind_z_update(problem, m2))
+    return cached[1](state, Ax_next)
+
+
+def _bind_z_update(problem, m2):
+    """:func:`z_update` under ``m2`` with its scalars computed once, on g's kernels."""
+    g, c = problem.g, problem.c
+    if z_strategy(problem, m2) == "scalar":
         mu = m2.mu
         denom = c + mu
-        v = (c * w + mu * state.z) / denom
-        return g.prox(v, 1.0 / denom)
-    d2 = m2.entries
+        t, prox = g._step(1.0 / denom), g._prox
+        def scalar(state, Ax_next):
+            return prox((c * (Ax_next + state.yc) + mu * state.z) / denom, t)
+        return scalar
+    d2, prox_diag = m2.entries, g._prox_diag
     d = c + d2
-    v = (c * w + d2 * state.z) / d
-    return g.prox_diag(v, d)
+    def diagonal(state, Ax_next):
+        return prox_diag((c * (Ax_next + state.yc) + d2 * state.z) / d, d)
+    return diagonal
 
 
 def y_update(state, residual, c):
@@ -363,7 +381,7 @@ def step(problem, state, sched1, sched2):
     m1 = sched1.metric(state.k)
     m2 = sched2.metric(state.k)
     x_next = x_update(problem, state, m1)
-    Ax_next = problem.A.apply(x_next)
+    Ax_next = problem.A._apply(x_next)
     z_next = z_update(problem, state, Ax_next, m2)
     r = Ax_next - z_next
     y_next = y_update(state, r, problem.c)

@@ -290,12 +290,12 @@ class _GradOnly(ConvexFunction):
     def __call__(self, x):
         return 0.0
 
-    def grad(self, x):
+    def _grad(self, x):
         return np.zeros(self.dim)
 
 
 class _DeclaresProxable(ConvexFunction):
-    proxable = True  # without a prox: the flag is read from the methods
+    proxable = True  # without a _prox: the flag is read from the kernels
 
     def __call__(self, x):
         return 0.0
@@ -307,9 +307,9 @@ class _DeclaresProxable(ConvexFunction):
 ], ids=lambda f: type(f).__name__)
 def test_capability_flags_are_the_methods_a_kind_defines(f):
     defines = vars(type(f))  # each kind here derives from ConvexFunction itself
-    assert f.proxable == ("prox" in defines)
-    assert f.separable == ("prox_diag" in defines)
-    assert f.smooth == ("grad" in defines)
+    assert f.proxable == ("_prox" in defines)
+    assert f.separable == ("_prox_diag" in defines)
+    assert f.smooth == ("_grad" in defines)
 
 
 def test_capability_flags_decide_what_a_problem_accepts():
@@ -379,7 +379,7 @@ def test_x_update_lapack_solve_matches_scipy_bitwise(banded):
     state = initial_state(P, rng.standard_normal(P.n), rng.standard_normal(P.m),
                           rng.standard_normal(P.m))
     x_next = x_update(P, state, m1)
-    factor = m1._x_cache[3]
+    factor = solver._quadratic_factor(P, m1)[1]  # the bound update's factor, rebuilt
     rhs = -P.h.grad(state.x) + P.c * P.A.adjoint(state.z - state.y / P.c) + m1.apply(state.x)
     if banded:
         expected = scipy.linalg.cho_solve_banded((factor, False), rhs)
@@ -738,7 +738,7 @@ def test_run_detects_nonfinite_iterates():
         def __call__(self, x):
             return 0.0
 
-        def grad(self, x):
+        def _grad(self, x):
             return np.array([math.nan])
 
     P = ProblemSpec(
@@ -905,18 +905,190 @@ def test_run_trace_holds_a_copy_of_init_and_the_iterates_step_made(name):
     assert state.y is trace.ys[-1]
 
 
-def count_matvecs(monkeypatch):
-    """Patch ``LinearMap.apply`` and ``adjoint`` to count their calls;
+def checked_reference_run(P, init, sched1, sched2, iters):
+    """``iters`` iterations written out with the update expressions of
+    :mod:`vmadmm.solver` on the public, checked calls of f, h, g, A and the
+    metrics, deciding the strategies every iteration; returns the lists of
+    x, z and y and the residual norms, as a :class:`RunTrace` holds them."""
+    f, h, g, A, c = P.f, P.h, P.g, P.A, P.c
+    x, z, y = init.x, init.z, init.y
+    r = A.apply(x) - z
+    xs, zs, ys, norms = [x], [z], [y], []
+    for k in range(iters):
+        m1, m2 = sched1.metric(k), sched2.metric(k)
+        yc = y / c
+        strategy = x_strategy(P, m1)
+        if strategy == "linearized":
+            tau = m1.tau
+            grad_step = h.grad(x) + c * A.adjoint(r + yc)
+            x = f.prox(x - tau * grad_step, tau)
+        elif strategy == "quadratic":
+            rhs = -h.grad(x) + c * A.adjoint(z - yc) + m1.apply(x)
+            if isinstance(f, Quadratic):
+                rhs = rhs - f.q
+            solve, factor = solver._quadratic_factor(P, m1)
+            x, info = solve(factor, rhs)
+            assert info == 0
+        else:
+            mu = m1.mu
+            denom = c + mu
+            w = (c * (z - yc) + mu * x - h.grad(x)) / denom
+            x = f.prox(w, 1.0 / denom)
+        Ax = A.apply(x)
+        w = Ax + yc
+        if z_strategy(P, m2) == "scalar":
+            mu = m2.mu
+            denom = c + mu
+            z = g.prox((c * w + mu * z) / denom, 1.0 / denom)
+        else:
+            d2 = m2.entries
+            d = c + d2
+            z = g.prox_diag((c * w + d2 * z) / d, d)
+        r = Ax - z
+        y = y + c * r
+        xs.append(x)
+        zs.append(z)
+        ys.append(y)
+        norms.append(math.sqrt(float(r.dot(r))))
+    return xs, zs, ys, norms
+
+
+def bound_update_case(name):
+    """``(problem, init, sched1, sched2)`` of a bound-update pin: every x
+    strategy, a scalar and a diagonal z update, and constant, decaying and
+    step-list schedules, the last two with a new metric object each k."""
+    if name.startswith("linearized"):
+        P, _ = build_problem("tv1d", n=30, c=1.3)
+        x = np.linspace(0.0, 1.0, P.n)
+        init = initial_state(P, x, np.diff(x), np.linspace(-1.0, 1.0, P.m))
+        if name == "linearized-constant":
+            m2 = MetricOperator.zero(P.m)
+            return P, init, ShiftedGramSchedule(0.15, P.c, P.A), ConstantSchedule(m2)
+        m2 = MetricOperator.diagonal(np.linspace(0.2, 0.6, P.m))
+        taus = [0.1, 0.11, 0.12, 0.13, 0.15]
+        return P, init, ShiftedGramSchedule(taus, P.c, P.A), ConstantSchedule(m2)
+    if name == "quadratic-banded-decay":
+        P, _ = build_problem("tv1d", n=30, c=0.7)
+        m1 = MetricOperator.scaled_identity(P.n, 1.0)
+        m2 = MetricOperator.diagonal(np.linspace(0.2, 0.6, P.m))
+        return (P, initial_state(P), GeometricDecaySchedule(m1, 0.5),
+                GeometricDecaySchedule(m2, 0.5))
+    if name == "quadratic-dense-decay":
+        quad = build_problem("box-qp", n=20)[0].h
+        P = ProblemSpec(f=Quadratic(quad.Q, quad.q), h=Zero(20), g=L1Norm(19, 0.3),
+                        A=forward_difference(20), c=3.0)
+        m1 = MetricOperator.diagonal(np.linspace(0.1, 1.0, P.n))
+        m2 = MetricOperator.scaled_identity(P.m, 0.8)
+        init = initial_state(P, y0=np.linspace(-1.0, 1.0, P.m))
+        return P, init, ConstantSchedule(m1), GeometricDecaySchedule(m2, 0.5)
+    if name == "prox-direct-decay":
+        P, meta = build_problem("lasso-split", n=20, rows=30, c=1.3, quadratic_in="g")
+        m1 = MetricOperator.scaled_identity(P.n, 2.0)
+        m2 = MetricOperator.scaled_identity(P.m, 1.0)
+        return (P, initial_state(P), GeometricDecaySchedule(m1, 0.5),
+                ConstantSchedule(m2))
+    P, meta = build_problem("box-qp", n=20)
+    m1 = MetricOperator.scaled_identity(P.n, meta["L"] + 0.5)
+    m2 = MetricOperator.diagonal(np.linspace(0.5, 1.5, P.m))
+    return P, initial_state(P), ConstantSchedule(m1), ConstantSchedule(m2)
+
+
+@pytest.mark.parametrize("name", [
+    "linearized-constant", "linearized-step-list", "quadratic-banded-decay",
+    "quadratic-dense-decay", "prox-direct-decay", "prox-direct-box",
+])
+def test_run_equals_the_checked_updates_bit_for_bit(name):
+    # the bound updates call unchecked kernels on the solver's own arrays;
+    # every iterate and residual keeps the bits of the checked calls, signed
+    # zeros included, and each new metric of a schedule binds afresh
+    P, init, s1, s2 = bound_update_case(name)
+    iters = 20
+    _, trace = run(P, init, s1, s2, StoppingRule(max_iters=iters), force=True)
+    expected = checked_reference_run(P, init, s1, s2, iters)
+    got = (trace.xs, trace.zs, trace.ys, [np.array(trace.residual_norms)])
+    for ours, theirs in zip(got, expected[:3] + ([np.array(expected[3])],)):
+        assert len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            assert a.dtype == np.float64
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_forced_linearized_divergence_stops_at_the_same_iteration():
+    # a gradient step of tau L = 9.5 on h diverges; the guard stops the run
+    # at the iteration the checked updates reached too
+    P, _ = build_problem("tv1d", n=20)
+    P = ProblemSpec(f=P.f, h=SquaredL2(P.n, shift=P.h.shift, weight=50.0), g=P.g,
+                    A=P.A, c=P.c)
+    s1 = ShiftedGramSchedule(0.19, P.c, P.A)
+    s2 = ConstantSchedule(MetricOperator.zero(P.m))
+    with pytest.raises(NonFiniteIterate) as exc:
+        run(P, initial_state(P), s1, s2, StoppingRule(max_iters=3000), force=True)
+    assert exc.value.iteration == 166
+
+
+def test_quadratic_prox_on_an_indefinite_system_is_singular_at_its_iteration():
+    # Q has a tiny negative eigenvalue, which construction forgives; the z
+    # step t = 1 / (c + mu_k) grows as M2 decays, and the first k at which
+    # 1 + t lambda_min(Q) <= 0 raises, after 27 recorded iterations
+    P = ProblemSpec(f=L1Norm(2, 1.0), h=Zero(2), g=Quadratic(np.diag([-1e-11, 1.0])),
+                    A=LinearMap.identity(2), c=1e-12)
+    s = GeometricDecaySchedule(MetricOperator.scaled_identity(2, 1e-3), 0.5)
+    init = initial_state(P, [1.0, -2.0])
+    trace = RunTrace([init.x], [init.z], [init.y])
+    with pytest.raises(SingularSubproblem, match="not positive definite"):
+        run(P, init, s, s, StoppingRule(max_iters=100), force=True, recorder=trace)
+    assert trace.iterations == 27
+
+
+@pytest.mark.parametrize("update", ["x", "z"])
+def test_a_prox_step_that_rounds_to_zero_is_refused_at_the_first_update(update):
+    # c + mu overflows, so the PROX-DIRECT or scalar z step 1 / (c + mu) is
+    # 0: the bound update refuses it with the checked prox's error
+    P = ProblemSpec(f=L1Norm(2, 1.0), h=Zero(2), g=L1Norm(2, 1.0),
+                    A=LinearMap.identity(2), c=1e308)
+    big = ConstantSchedule(MetricOperator.scaled_identity(2, 1e308))
+    small = ConstantSchedule(MetricOperator.scaled_identity(2, 1.0))
+    s1, s2 = (big, small) if update == "x" else (small, big)
+    with pytest.raises(ValueError, match=r"^L1Norm step t must be > 0, got 0\.0$"):
+        run(P, initial_state(P), s1, s2, StoppingRule(max_iters=3), force=True)
+
+
+@pytest.mark.parametrize("returns", ["list", "int-array"])
+def test_matrix_free_results_become_float_iterates(returns):
+    # a matrix_free map is user code: what it returns is converted before
+    # the solver steps on it, as a checked apply and adjoint convert it
+    n = 6
+    if returns == "list":
+        A = LinearMap.matrix_free(n, n, lambda x: list(2.0 * x), lambda v: list(2.0 * v))
+    else:
+        A = LinearMap.matrix_free(n, n, lambda x: np.zeros(n, dtype=np.int64),
+                                  lambda v: np.zeros(n, dtype=np.int64))
+    P = ProblemSpec(f=L1Norm(n, 0.3), h=SquaredL2(n, shift=np.linspace(-1.0, 1.0, n)),
+                    g=L1Norm(n, 0.2), A=A, c=1.0)
+    s1 = ShiftedGramSchedule(0.2, P.c, A)
+    s2 = ConstantSchedule(MetricOperator.zero(n))
+    state, trace = run(P, initial_state(P), s1, s2, StoppingRule(max_iters=10),
+                       force=True)
+    assert trace.iterations == 10
+    for v in trace.xs + trace.zs + trace.ys + [state.Ax, state.r, state.yc]:
+        assert type(v) is np.ndarray and v.dtype == np.float64
+    if returns == "list":
+        assert np.array_equal(state.Ax, 2.0 * state.x)
+
+
+def count_matvecs(monkeypatch, A):
+    """Patch the kernels ``A._apply`` and ``A._adjoint``, which the checked
+    ``apply`` and ``adjoint`` call too, to count the products of ``A``;
     returns the (live) ``{"apply": n, "adjoint": n}`` counts."""
     counts = {"apply": 0, "adjoint": 0}
     for name in counts:
-        original = getattr(LinearMap, name)
+        kernel = getattr(A, "_" + name)
 
-        def counting(self, v, name=name, original=original):
+        def counting(v, name=name, kernel=kernel):
             counts[name] += 1
-            return original(self, v)
+            return kernel(v)
 
-        monkeypatch.setattr(LinearMap, name, counting)
+        monkeypatch.setattr(A, "_" + name, counting)
     return counts
 
 
@@ -927,7 +1099,7 @@ def test_linearized_run_makes_one_apply_and_one_adjoint_per_iteration(monkeypatc
     s1 = ShiftedGramSchedule(0.19, P.c, P.A)
     s2 = ConstantSchedule(MetricOperator.zero(P.m))
     init = initial_state(P)
-    counts = count_matvecs(monkeypatch)
+    counts = count_matvecs(monkeypatch, P.A)
     K = 30
     _, trace = run(P, init, s1, s2, StoppingRule(max_iters=K))
     assert trace.iterations == K

@@ -1,8 +1,10 @@
-"""Tests of the scripts under ``tools/``, loaded from their files."""
+"""Tests of the scripts under ``tools/`` and of the perfbench tracer's hooks,
+loaded from their files."""
 
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 
@@ -63,3 +65,21 @@ def test_bench_pairs_run_without_a_result_line_is_none(monkeypatch):
         assert (result, env) == (None, None)
         assert bench_pairs.run_record(result, ["setup_s"]) == {
             "failed": 1, "attempted": None, "setup_s": None}
+
+
+def test_every_tracer_hook_resolves(monkeypatch):
+    # perfbench reports a layer whose hook target is gone as absent instead
+    # of failing, so a rename in the package would silently drop a row;
+    # the tracer is loaded from its file and only read
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    keys = set()
+    for _, target in tracer.SPAN_HOOKS + tracer.COUNTER_HOOKS:
+        found = [key for _, _, key in tracer._targets(target)]
+        assert found, f"{target} resolves to nothing"
+        keys.update(found)
+    # the per-kind key the factor hit ratio reads
+    assert "functions.Quadratic.prox" in keys
