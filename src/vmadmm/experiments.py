@@ -14,10 +14,10 @@ before the solve (:func:`saddle_point`) and certifies the iterates
 :func:`solver.run` hands over in blocks of :data:`BLOCK`: each certified
 quantity is one call over the block, along the leading block axis of
 :mod:`diagnostics`, with the bits of certifying one iterate at a time.
-Between blocks it keeps the last iterate and one float64 table of
-per-iteration scalars, which ``log.csv`` is formatted from and the checks
-read; its row ``i``, as entry ``i`` of every per-iteration series, is
-iteration ``k = i + 1``. The u/v checks
+Each block's rows are appended to ``log.csv`` as soon as they are
+certified; between blocks the certifier keeps the last iterate, the last
+row and the per-iteration series the end-of-run checks read, whose entry
+``i`` is iteration ``k = i + 1``. The u/v checks
 (``v_inequality``, ``v_monotone``, ``feasibility_rate``) need the metrics
 to stay constant for the whole run; they are "not evaluable" otherwise.
 """
@@ -210,19 +210,13 @@ def schedule_from_spec(spec, dim, problem):
 # ---------------------------------------------------------------------------
 
 
-def write_iterate_log(path, columns, table, filled):
-    """Write an iteration table as deterministic CSV.
-
-    Row ``i`` of ``table`` is iteration ``k = i + 1``, logged under ``k`` and
-    ``columns``. Column ``j`` holds values in its first ``filled[j]`` rows
-    only; its other cells are written empty. Floats take 17 significant digits.
-    """
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(["k", *columns]) + "\n")
-        for i, row in enumerate(table):
-            cells = [format(value, ".17g") if i < rows else ""
-                     for value, rows in zip(row.tolist(), filled)]
-            fh.write(f"{i + 1}," + ",".join(cells) + "\n")
+def write_iterate_log(fh, first, rows, live, fmt):
+    """Append ``rows``, iterations ``first, first + 1, ...``, to the open
+    ``log.csv`` ``fh``: ``k`` and the ``live`` columns of each row through
+    the %-format ``fmt``, whose ``"%.17g"`` has the bytes of ``format(v, ".17g")``
+    for every float."""
+    rows = rows[:, live].tolist()
+    fh.writelines(fmt % (k, *row) for k, row in enumerate(rows, first))
 
 
 def write_summary(path, summary):
@@ -298,10 +292,11 @@ def run_experiment(cfg, force=False, out_dir=None):
     """Validate, run, log, and check one experiment.
 
     Prints the assumption report, runs the solver with a :class:`_Certifier`
-    as its recorder, writes ``log.csv`` and ``summary.json`` into the output
-    directory, and evaluates the requested hard checks. Exit code 0 iff every
-    requested check passes; 3 when the assumption validation rejects the
-    schedules and ``force`` is not set.
+    as its recorder, which streams ``log.csv`` into the output directory (as
+    ``log.csv.partial``, renamed when complete and removed if the run raises),
+    writes ``summary.json`` and evaluates the requested hard checks. Exit code
+    0 iff every requested check passes; 3 when the assumption validation
+    rejects the schedules and ``force`` is not set.
     """
     problem, metadata = problem_from_config(cfg)
     sched1 = schedule_from_spec(cfg.metric1, problem.n, problem)
@@ -326,12 +321,23 @@ def run_experiment(cfg, force=False, out_dir=None):
     if ORACLE_CHECKS & set(cfg.checks):
         orc = saddle_point(cfg, problem)
         saddle = (orc.x, orc.z, orc.y)
-    certifier = _Certifier(cfg, problem, init, sched1, sched2, saddle, report)
-    stop = StoppingRule(max_iters=cfg.iters)
-    # only the count is read, so the final iterate is freed before the checks
-    iterations = run(problem, init, sched1, sched2, stop, force=True,
-                     recorder=certifier)[0].k
-    table, filled, certificates, checks = certifier.result()
+    directory = output_dir(cfg, out_dir)
+    csv_path = os.path.join(directory, "log.csv")
+    partial = csv_path + ".partial"
+    fh = open(partial, "w", encoding="ascii", newline="\n")
+    try:
+        with fh:
+            certifier = _Certifier(cfg, problem, init, sched1, sched2, saddle,
+                                   report, fh)
+            stop = StoppingRule(max_iters=cfg.iters)
+            # only the count is read: the final iterate is freed before the checks
+            iterations = run(problem, init, sched1, sched2, stop, force=True,
+                             recorder=certifier)[0].k
+            certificates, checks = certifier.result()
+    except BaseException:
+        os.remove(partial)
+        raise
+    os.replace(partial, csv_path)
 
     summary = {
         "problem": metadata,
@@ -349,10 +355,7 @@ def run_experiment(cfg, force=False, out_dir=None):
         },
     }
 
-    directory = output_dir(cfg, out_dir)
-    csv_path = os.path.join(directory, "log.csv")
     summary_path = os.path.join(directory, "summary.json")
-    write_iterate_log(csv_path, certifier.columns, table, filled)
     write_summary(summary_path, summary)
 
     failed = [name for name, (passed, _) in checks.items() if not passed]
@@ -370,36 +373,38 @@ def run_experiment(cfg, force=False, out_dir=None):
 
 class _Certifier:
     """The runner's recorder: certifies the iterates :func:`run` hands over,
-    :data:`BLOCK` at a time.
+    :data:`BLOCK` at a time, and appends their rows to the open ``log``.
 
     Between blocks it holds the last iterate, the Kahan sum of the iterates
     so far, the probes as stacked arrays (each probe's ``y``, gamma and
     Lagrangian terms, with the saddle as probe 0), the smallest gap slack and
-    the largest dual identity deviation so far, and the ``K``-row float64
-    table of ``log.csv`` columns after ``k``, ``u`` and ``v`` included, with
-    the steps ``||z_k - z_{k-1}||^2`` in the same row order. Within a block it
-    buffers up to :data:`BLOCK` iterates with their ``A x_k`` and ergodic
-    means, then certifies them with one call per quantity; each value keeps
-    the bits of certifying its iterate alone. ``saddle`` is None when no
-    requested check needs one. The u/v checks need a zero smooth term and one
-    (M1, M2) pair for the whole run; they fail as "not evaluable" otherwise.
+    the largest dual identity deviation so far, the ``residual_primal``
+    series and, if u/v are evaluable, the ``u``, ``v`` and
+    ``||z_k - z_{k-1}||^2`` series. Within a block it buffers up to
+    :data:`BLOCK` iterates with their ``A x_k`` and ergodic means, then
+    certifies them with one call per quantity into rows 1.. of a
+    ``BLOCK + 1``-row table; each value keeps the bits of certifying its
+    iterate alone. Row 0 holds the block before's last row until this block
+    gives its ``v_slack``; the run's last row is written with ``v_slack``
+    empty. ``saddle`` is None when no requested check needs one. The u/v
+    checks need a zero smooth term and one (M1, M2) pair for the whole run;
+    they fail as "not evaluable" otherwise.
 
-    :meth:`result` returns ``(table, filled, certificates, checks)``: the
-    table, whose column ``j`` of :attr:`columns` holds values in its first
-    ``filled[j]`` rows only, the summary's certificate fields, and
-    ``{name: (passed, detail)}`` for the checks ``cfg.checks`` requests, in
-    its order, each judged against :data:`CHECK_TOLERANCES`.
+    :meth:`result` returns ``(certificates, checks)``: the summary's
+    certificate fields and ``{name: (passed, detail)}`` for the checks
+    ``cfg.checks`` requests, in its order, against :data:`CHECK_TOLERANCES`.
     """
 
-    def __init__(self, cfg, problem, init, sched1, sched2, saddle, report):
+    def __init__(self, cfg, problem, init, sched1, sched2, saddle, report, log):
         n, m, K = problem.n, problem.m, cfg.iters
-        self.cfg, self.problem, self.saddle = cfg, problem, saddle
-        self.columns = CSV_COLUMNS[1:]
+        self.cfg, self.problem, self.saddle, self.log = cfg, problem, saddle, log
+        columns = CSV_COLUMNS[1:]
         if cfg.log_vectors:
             dims = (("x", n), ("z", m), ("y", m))
-            self.columns += [f"{name}_{i}" for name, dim in dims for i in range(dim)]
-        self.col = {name: j for j, name in enumerate(self.columns)}
-        self.table = np.empty((K, len(self.columns)))
+            columns += [f"{name}_{i}" for name, dim in dims for i in range(dim)]
+        self.col = {name: j for j, name in enumerate(columns)}
+        self.table = np.empty((BLOCK + 1, len(columns)))
+        self.residuals = np.empty(K)  # ||A x_k - z_k||
         self.max_dev = 0.0  # largest dual identity deviation so far
         self.done = 0  # rows certified
         self.open = 0  # iterates buffered in the open block
@@ -411,37 +416,46 @@ class _Certifier:
         self.axs = np.empty((BLOCK, m))
         self.min_gap_slack = None
         self.dz_sq = None  # ||z_k - z_{k-1}||^2 in row order, if u/v are evaluable
-        if saddle is None or not K:
-            return
-        # Kahan sum over (x, z, y) end to end: entry by entry, as three sums
-        self.sum, self.comp = np.zeros(n + 2 * m), np.zeros(n + 2 * m)
-        self.means = np.empty((BLOCK, n + 2 * m))  # (x_bar, z_bar, y_bar) rows
-        self.min_gap_slack = math.inf
-        m1, m2 = sched1.metric(0), sched2.metric(0)
-        # the gap bound is per-probe: probe 0 is the saddle, checked every
-        # iteration, and ten probes sampled around it (seeded) are checked
-        # every 10th and at the last. A probe is fixed, so its gamma and
-        # Lagrangian terms are computed once; only (y, gamma, terms) is kept
-        probes = [saddle] + diagnostics.sample_ball_probes(saddle, 1.0, 10,
-                                                           seed=cfg.seed)
-        x, z, y = (np.array([p[i] for p in probes], dtype=float) for i in range(3))
-        Ax = problem.A.apply(x)
-        self.probe_y = y
-        self.probe_gamma = diagnostics.gamma(problem, init, m1, m2, (x, z, y), Ax)
-        self.probe_terms = diagnostics.lagrangian_terms(problem, x, z, Ax)
-        if report.h_is_zero and all(
-            sched1.metric(k) is m1 and sched2.metric(k) is m2
-            for k in range(1, K)
-        ):
-            self.m1, self.m2 = m1, m2
-            self.dz_sq = np.empty(K)
+        if saddle is not None and K:
+            # Kahan sum over (x, z, y) end to end: entry by entry, as three sums
+            self.sum, self.comp = np.zeros(n + 2 * m), np.zeros(n + 2 * m)
+            self.means = np.empty((BLOCK, n + 2 * m))  # (x_bar, z_bar, y_bar) rows
+            self.min_gap_slack = math.inf
+            m1, m2 = sched1.metric(0), sched2.metric(0)
+            # the gap bound is per-probe: probe 0 is the saddle, checked every
+            # iteration, and ten probes sampled around it (seeded) are checked
+            # every 10th and at the last. A probe is fixed, so its gamma and
+            # Lagrangian terms are computed once; only (y, gamma, terms) is kept
+            probes = [saddle] + diagnostics.sample_ball_probes(saddle, 1.0, 10,
+                                                               seed=cfg.seed)
+            x, z, y = (np.array([p[i] for p in probes], dtype=float)
+                       for i in range(3))
+            Ax = problem.A.apply(x)
+            self.probe_y = y
+            self.probe_gamma = diagnostics.gamma(problem, init, m1, m2, (x, z, y), Ax)
+            self.probe_terms = diagnostics.lagrangian_terms(problem, x, z, Ax)
+            if report.h_is_zero and all(
+                sched1.metric(k) is m1 and sched2.metric(k) is m2
+                for k in range(1, K)
+            ):
+                self.m1, self.m2 = m1, m2
+                self.u, self.v, self.dz_sq = np.empty(K), np.empty(K), np.empty(K)
+        # which cells are empty, by structure: every row's and the last row's
+        blank = {"lagrangian_at_probe", "gap", "gap_bound"} if saddle is None else set()
+        if self.dz_sq is None:
+            blank |= {"u_k", "v_k", "v_slack"}
+        self.formats = [([j for j, name in enumerate(columns) if name not in empty],
+                         "%d," + ",".join("" if name in empty else "%.17g"
+                                          for name in columns) + "\n")
+                        for empty in (blank, blank | {"v_slack"})]
+        log.write(",".join(["k", *columns]) + "\n")
 
     def record(self, state, residual):
         i = self.open
         x, z, y = state.x, state.z, state.y
         self.xs[i + 1], self.zs[i + 1], self.ys[i + 1] = x, z, y
         self.axs[i] = state.Ax
-        self.table[self.done + i, self.col["residual_primal"]] = residual
+        self.residuals[self.done + i] = residual
         if self.saddle is not None:
             term = np.concatenate((x, z, y))
             term -= self.comp
@@ -458,14 +472,13 @@ class _Certifier:
         b, start = self.open, self.done
         if not b:
             return
-        problem, saddle, col = self.problem, self.saddle, self.col
-        rows = self.table[start : start + b]
+        problem, saddle, col, table = self.problem, self.saddle, self.col, self.table
+        rows = table[1 : b + 1]  # row j of the table is iteration start + j
         prev = self.xs[:b], self.zs[:b], self.ys[:b]
         x, z, y = self.xs[1 : b + 1], self.zs[1 : b + 1], self.ys[1 : b + 1]
         Ax = self.axs[:b]
-        dev = diagnostics.dual_identity_deviation(
-            prev[2], y, rows[:, col["residual_primal"]], problem.c
-        )
+        residuals = rows[:, col["residual_primal"]] = self.residuals[start : start + b]
+        dev = diagnostics.dual_identity_deviation(prev[2], y, residuals, problem.c)
         self.max_dev = np.maximum(self.max_dev, dev)  # a NaN stays NaN
         fh = problem.f(x) + problem.h(x)
         rows[:, col["primal_objective"]] = fh + problem.g(Ax)
@@ -475,18 +488,28 @@ class _Certifier:
             rows[:, col["lagrangian_at_probe"]] = diagnostics.lagrangian_at(
                 diagnostics.lagrangian_terms(problem, x, z, Ax, fh), saddle[2]
             )
+        # the held row 0 is written with this block, its v_slack now known
+        first = 0 if start else 1
         if self.dz_sq is not None:
-            rows[:, col["u_k"]], rows[:, col["v_k"]] = diagnostics.uv_step(
+            u, v, dz_sq = (a[: start + b] for a in (self.u, self.v, self.dz_sq))
+            u[start:], v[start:] = diagnostics.uv_step(
                 problem, saddle, self.m1, self.m2, prev, (x, z, y)
             )
+            rows[:, col["u_k"]], rows[:, col["v_k"]] = u[start:], v[start:]
             dz = z - prev[1]
-            self.dz_sq[start : start + b] = np.vecdot(dz, dz)
+            dz_sq[start:] = np.vecdot(dz, dz)
+            lo = start + first - 1
+            table[first:b, col["v_slack"]] = diagnostics.inequality_v_check(
+                u[lo:], v[lo:], dz_sq[lo:], problem.c
+            )
         if self.cfg.log_vectors:
             n, m = problem.n, problem.m
-            first = col["x_0"]
-            rows[:, first : first + n] = x
-            rows[:, first + n : first + n + m] = z
-            rows[:, first + n + m :] = y
+            j = col["x_0"]
+            rows[:, j : j + n] = x
+            rows[:, j + n : j + n + m] = z
+            rows[:, j + n + m :] = y
+        write_iterate_log(self.log, start + first, table[first:b], *self.formats[0])
+        table[0] = table[b]
         for buf in (self.xs, self.zs, self.ys):
             buf[0] = buf[b]
         self.done += b
@@ -530,16 +553,12 @@ class _Certifier:
 
     def result(self):
         self._certify_block()
-        problem, col, dz_sq = self.problem, self.col, self.dz_sq
+        problem, dz_sq = self.problem, self.dz_sq
         K = self.done
-        table = self.table[:K]
-        residuals = table[:, col["residual_primal"]]  # ||A x_k - z_k||
+        if K:  # the held last row, v_slack empty
+            write_iterate_log(self.log, K, self.table[:1], *self.formats[1])
+        residuals = self.residuals[:K]
         tol = CHECK_TOLERANCES
-        filled = [K] * len(self.columns)
-        for name in ("lagrangian_at_probe", "gap", "gap_bound"):
-            filled[col[name]] = K if self.saddle is not None else 0
-        for name in ("u_k", "v_k", "v_slack"):
-            filled[col[name]] = K if dz_sq is not None else 0
         verdicts = {
             "v_inequality": (False, "not evaluable: u/v energies unavailable "
                              "(need zero smooth term, constant metrics, and a "
@@ -548,7 +567,7 @@ class _Certifier:
             "feasibility_rate": (False, "not evaluable: u energy unavailable"),
         }
 
-        final_kkt = float(table[-1, col["kkt"]]) if K else None
+        final_kkt = float(self.table[0, self.col["kkt"]]) if K else None
         final = math.inf if final_kkt is None else final_kkt
         verdicts["kkt"] = (final < tol["kkt"], f"final_kkt={final:.3e}")
 
@@ -567,10 +586,8 @@ class _Certifier:
 
         min_v_slack = uncorrected_min = None
         if dz_sq is not None:
-            u, v = table[:, col["u_k"]], table[:, col["v_k"]]
+            u, v = self.u, self.v
             v_slacks = diagnostics.inequality_v_check(u, v, dz_sq, problem.c)
-            filled[col["v_slack"]] = len(v_slacks)
-            table[: len(v_slacks), col["v_slack"]] = v_slacks
             verdicts["v_inequality"] = (True, "trace too short for slacks")
             if len(v_slacks):
                 min_v_slack = float(np.min(v_slacks))
@@ -606,4 +623,4 @@ class _Certifier:
             "findings": {"uncorrected_v_min_slack": uncorrected_min},
         }
         checks = {name: verdicts[name] for name in self.cfg.checks}
-        return table, filled, certificates, checks
+        return certificates, checks

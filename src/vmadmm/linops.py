@@ -412,7 +412,9 @@ class MetricOperator:
 
     def apply(self, x):
         """Return ``U x``; of each row for a block."""
-        x = _check_block("MetricOperator.apply input", x, self.dim)
+        return self._apply(_check_block("MetricOperator.apply input", x, self.dim))
+
+    def _apply(self, x):  # the kernel: x a float vector or block, unchecked
         if self.kind == "scaled_identity":
             return self.mu * x
         if self.kind == "diagonal":

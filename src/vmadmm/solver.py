@@ -261,8 +261,9 @@ def _bind_x_update(problem, m1):
 
     if strategy == "quadratic":
         solve, factor = _quadratic_factor(problem, m1)
+        apply_m1 = m1._apply
         def quadratic(state):
-            rhs = -grad(state.x) + c * adjoint(state.z - state.yc) + m1.apply(state.x)
+            rhs = -grad(state.x) + c * adjoint(state.z - state.yc) + apply_m1(state.x)
             if isinstance(f, functions.Quadratic):
                 rhs = rhs - f.q
             # both factors are upper triangular, LAPACK's default

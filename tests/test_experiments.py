@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from helpers import fold_gap_certificates, z_steps_sq
 from vmadmm import diagnostics, experiments, solver
 from vmadmm.cli import main
-from vmadmm.errors import ConfigError
+from vmadmm.errors import ConfigError, NonFiniteIterate
 from vmadmm.functions import Zero
 from vmadmm.experiments import (
     RunConfig,
@@ -286,6 +287,104 @@ def test_certified_solve_holds_no_per_iteration_vector(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / K < 8 * n
+
+
+def test_logged_vectors_are_streamed_not_stored(tmp_path):
+    # log.csv is appended block by block: with the iterates in the log, the
+    # traced peak of a certified solve grows by a few floats per added
+    # iteration (the per-iteration series), and no more at n = 400 than at
+    # n = 100
+    def solve(n, iters):
+        cfg = toy_config(
+            problem={"name": "tv1d", "n": n},
+            metric1={"kind": "shifted_gram", "tau": 0.19},
+            metric2={"kind": "constant", "metric": {"kind": "zero"}},
+            iters=iters,
+            checks=["gap_bound", "dual_identity"],
+            log_vectors=True,
+        )
+        result = run_experiment(cfg, out_dir=str(tmp_path / f"{n}-{iters}"))
+        assert result.exit_code == 0, result.checks
+
+    K = 300
+    solve(100, 20)  # warms one-time allocations up
+    growth = {}
+    for n in (100, 400):
+        peaks = []
+        for iters in (K, 2 * K):
+            tracemalloc.start()
+            try:
+                solve(n, iters)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        growth[n] = (peaks[1] - peaks[0]) / K
+    assert growth[100] <= 4 * 8
+    assert growth[400] <= growth[100] + 8
+
+
+def test_a_raising_run_leaves_no_log_and_keeps_an_earlier_one(tmp_path):
+    # the log is written as log.csv.partial and renamed when complete: a run
+    # that diverges removes it, and the log of an earlier run stays as it was
+    out = str(tmp_path)
+    earlier = run_experiment(toy_config(iters=40), out_dir=out)
+    with open(earlier.csv_path, "rb") as fh:
+        before = fh.read()
+    diverging = toy_config(
+        problem={"name": "tv1d", "n": 20},
+        metric1={"kind": "geometric_decay",
+                 "metric": {"kind": "scaled_identity", "mu": 1.0}, "rho": 0.5},
+        metric2={"kind": "constant", "metric": {"kind": "zero"}},
+        iters=3000,
+        checks=["kkt", "gap_bound"],
+    )
+    with pytest.raises(NonFiniteIterate):
+        run_experiment(diverging, force=True, out_dir=out)
+    assert not os.path.exists(os.path.join(out, "log.csv.partial"))
+    with open(earlier.csv_path, "rb") as fh:
+        assert fh.read() == before
+    fresh = str(tmp_path / "fresh")
+    with pytest.raises(NonFiniteIterate):
+        run_experiment(diverging, force=True, out_dir=fresh)
+    assert os.listdir(fresh) == []
+
+
+def _row_formats():
+    """The certifier's two row formats for a run that fills every column."""
+    cfg = toy_config(iters=2, checks=["v_inequality"])
+    problem, _ = experiments.problem_from_config(cfg)
+    s1 = experiments.schedule_from_spec(cfg.metric1, problem.n, problem)
+    s2 = experiments.schedule_from_spec(cfg.metric2, problem.m, problem)
+    saddle = (np.zeros(problem.n), np.zeros(problem.m), np.zeros(problem.m))
+    certifier = experiments._Certifier(
+        cfg, problem, solver.initial_state(problem), s1, s2, saddle,
+        solver.validate_assumptions(problem, s1, s2), io.StringIO(),
+    )
+    return certifier.formats
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16]
+
+
+def test_row_format_has_the_bytes_of_format_17g():
+    every, last = _row_formats()
+    columns = experiments.CSV_COLUMNS[1:]
+    slack = columns.index("v_slack")
+    rows = np.array([[v] * len(columns) for v in SPECIAL_FLOATS])
+    sink = io.StringIO()
+    experiments.write_iterate_log(sink, 1, rows, *every)
+    experiments.write_iterate_log(sink, 8, rows[-1:], *last)
+    lines = sink.getvalue().splitlines()
+    for k, (line, v) in enumerate(zip(lines, SPECIAL_FLOATS), 1):
+        assert line == ",".join([str(k)] + [format(v, ".17g")] * len(columns))
+    cells = [format(1e16, ".17g")] * len(columns)
+    cells[slack] = ""
+    assert lines[-1] == ",".join(["8", *cells])
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_percent_17g_has_the_bytes_of_format_17g(v):
+    assert "%.17g" % v == format(v, ".17g")
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ step sizes drawn by Hypothesis. The example budget and derandomization come
 from the profile registered in conftest.py.
 """
 
+import io
 import math
 import re
 import warnings
@@ -507,7 +508,8 @@ def test_single_buffer_averager_matches_per_vector_kahan():
                         iters=len(iterates))
         saddle = (np.zeros(n), np.zeros(m), np.zeros(m))
         certifier = _Certifier(cfg, problem, initial_state(problem), s1, s2,
-                               saddle, validate_assumptions(problem, s1, s2))
+                               saddle, validate_assumptions(problem, s1, s2),
+                               io.StringIO())
         reference = KahanAverager(n, m)
         for k, row in enumerate(iterates, 1):
             x, z, y = row[:n], row[n : n + m], row[n + m :]
