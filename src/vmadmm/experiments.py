@@ -398,6 +398,7 @@ class _Certifier:
     def __init__(self, cfg, problem, init, sched1, sched2, saddle, report, log):
         n, m, K = problem.n, problem.m, cfg.iters
         self.cfg, self.problem, self.saddle, self.log = cfg, problem, saddle, log
+        self.ergodic_ok = report.ergodic_ok  # the gap bound's hypotheses
         columns = CSV_COLUMNS[1:]
         if cfg.log_vectors:
             dims = (("x", n), ("z", m), ("y", m))
@@ -574,7 +575,9 @@ class _Certifier:
         min_gap_slack = self.min_gap_slack
         # a requested gap_bound always has a saddle: no minimum means K == 0
         verdicts["gap_bound"] = (True, "no iterations")
-        if min_gap_slack is not None:
+        if not self.ergodic_ok:
+            verdicts["gap_bound"] = (False, "not evaluable: ergodic hypotheses fail")
+        elif min_gap_slack is not None:
             verdicts["gap_bound"] = (
                 min_gap_slack >= tol["gap_bound"],
                 f"min_slack={min_gap_slack:.3e}",

@@ -786,6 +786,12 @@ def test_every_permitted_run_passes_the_theory_checks(tmp_path):
     # the feasibility bound holds while the residual's fitted slope is -0.006
     @example(dict(problem={"name": "toy1d"}, c=0.1, metric1=ZERO_SCHEDULE,
                   metric2=ZERO_SCHEDULE, init="zeros", iters=150))
+    # permitted (condition I holds) with M1 - L id not PSD: the ergodic gap
+    # bound's hypotheses fail, and its slack reaches -8.3e-2
+    @example(dict(problem={"name": "tv1d", "n": 2}, c=1.0,
+                  metric1={"kind": "constant",
+                           "metric": {"kind": "scaled_identity", "mu": 0.51}},
+                  metric2=ZERO_SCHEDULE, init="zeros", iters=150))
     def check(fields):
         cfg = RunConfig(**fields, checks=THEORY_CHECKS, out_dir=str(tmp_path))
         try:
