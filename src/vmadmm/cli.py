@@ -25,8 +25,9 @@ from .experiments import (
     output_dir,
     problem_from_config,
     run_experiment,
+    saddle_point,
+    write_summary,
 )
-from .problems import oracle
 
 
 def _build_parser():
@@ -38,14 +39,12 @@ def _build_parser():
 
     solve = sub.add_parser("solve", help="run an experiment from a config file")
     solve.add_argument("--config", required=True, help="path to a JSON run config")
-    solve.add_argument("--iters", type=int, default=None, help="override iteration count")
     solve.add_argument("--force", action="store_true",
                        help="run even when no convergence assumption holds")
     solve.add_argument("--out", default=None, help="output directory override")
 
     orc = sub.add_parser("oracle", help="compute a certified saddle point")
     orc.add_argument("--config", required=True)
-    orc.add_argument("--budget", type=int, default=None, help="iteration budget")
     orc.add_argument("--out", default=None)
 
     chk = sub.add_parser("check", help="validate a run log against an oracle file")
@@ -56,10 +55,6 @@ def _build_parser():
 
 def _cmd_solve(args):
     cfg = load_config(args.config)
-    if args.iters is not None:
-        if args.iters < 0:
-            raise ConfigError("--iters must be >= 0")
-        cfg.iters = args.iters
     result = run_experiment(cfg, force=args.force, out_dir=args.out)
     if result.csv_path:
         print(f"log: {result.csv_path}")
@@ -69,14 +64,10 @@ def _cmd_solve(args):
 
 def _cmd_oracle(args):
     cfg = load_config(args.config)
-    if args.budget is not None:
-        if args.budget < 0:
-            raise ConfigError("--budget must be >= 0")
-        cfg.oracle_budget = args.budget
     problem, _ = problem_from_config(cfg)
-    result = oracle(problem, budget=cfg.oracle_budget)
+    result = saddle_point(cfg, problem)
     path = os.path.join(output_dir(cfg, args.out), "oracle.json")
-    payload = {
+    write_summary(path, {
         "problem": cfg.problem,
         "c": cfg.c,
         "x": list(result.x),
@@ -84,9 +75,7 @@ def _cmd_oracle(args):
         "y": list(result.y),
         "kkt": result.kkt,
         "iterations": result.iterations,
-    }
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    })
     print(f"oracle: {path} (kkt={result.kkt:.3e}, iterations={result.iterations})")
     return 0
 

@@ -732,7 +732,7 @@ def test_cli_solve_oracle_check_pipeline(tmp_path):
                      out_dir=str(tmp_path / "out"))
     cfg_path = write_config(tmp_path, cfg)
     assert main(["solve", "--config", cfg_path]) == 0
-    assert main(["oracle", "--config", cfg_path, "--budget", "100000"]) == 0
+    assert main(["oracle", "--config", cfg_path]) == 0
     log = os.path.join(cfg.out_dir, "log.csv")
     against = os.path.join(cfg.out_dir, "oracle.json")
     assert main(["check", "--log", log, "--against", against]) == 0
@@ -743,19 +743,52 @@ def test_cli_solve_oracle_check_pipeline(tmp_path):
 
 
 def test_cli_iters_override_and_out(tmp_path):
-    cfg = toy_config(iters=10**9, checks=[])  # would never finish
+    cfg = toy_config(iters=5, checks=[])
     cfg_path = write_config(tmp_path, cfg)
     out = str(tmp_path / "elsewhere")
-    assert main(["solve", "--config", cfg_path, "--iters", "5", "--out", out]) == 0
+    assert main(["solve", "--config", cfg_path, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "log.csv"))
-    assert main(["solve", "--config", cfg_path, "--iters", "-1", "--out", out]) == 2
 
 
-def test_cli_oracle_rejects_a_negative_budget(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["iters", "seed", "oracle_budget"])
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_cli_negative_count_is_a_config_error(tmp_path, capsys, key, command):
+    cfg_path = write_config(tmp_path, toy_config(out_dir=str(tmp_path / "out"),
+                                                 **{key: -1}))
+    assert main([command, "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg_path}: {key!r} must be an integer >= 0\n"
+    )
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--iters", "5"],
+    ["oracle", "--budget", "100000"],
+])
+def test_cli_takes_no_count_override_flag(tmp_path, argv):
+    # the iteration count and the oracle budget are config keys, not flags
     cfg_path = write_config(tmp_path, toy_config(out_dir=str(tmp_path / "out")))
-    assert main(["oracle", "--config", cfg_path, "--budget", "-5"]) == 2
-    assert capsys.readouterr().err == "config error: --budget must be >= 0\n"
-    assert not os.path.exists(tmp_path / "out" / "oracle.json")
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", cfg_path, *argv[1:]])
+    assert exc.value.code == 2
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_cli_oracle_finds_the_tv1d_saddle_directly(tmp_path, monkeypatch, capsys):
+    from vmadmm import problems
+
+    monkeypatch.setattr(problems, "condat_step", _refuse)
+    cfg = toy_config(problem={"name": "tv1d", "n": 200},
+                     metric1={"kind": "shifted_gram", "tau": 0.19},
+                     metric2={"kind": "constant", "metric": {"kind": "zero"}},
+                     out_dir=str(tmp_path / "out"))
+    assert main(["oracle", "--config", write_config(tmp_path, cfg)]) == 0
+    assert "iterations=0)" in capsys.readouterr().out
+    with open(tmp_path / "out" / "oracle.json") as fh:
+        payload = json.load(fh)
+    assert payload["iterations"] == 0 and payload["kkt"] <= 1e-10
+    assert len(payload["x"]) == 200 and len(payload["y"]) == 199
 
 
 def test_cli_env_var_output(tmp_path, monkeypatch):
@@ -929,7 +962,7 @@ def test_cli_check_detects_kkt_failure(tmp_path):
     cfg = toy_config(iters=2, checks=[], log_vectors=True, out_dir=str(tmp_path / "o"))
     cfg_path = write_config(tmp_path, cfg)
     assert main(["solve", "--config", cfg_path]) == 0
-    assert main(["oracle", "--config", cfg_path, "--budget", "100000"]) == 0
+    assert main(["oracle", "--config", cfg_path]) == 0
     log = os.path.join(cfg.out_dir, "log.csv")
     against = os.path.join(cfg.out_dir, "oracle.json")
     assert main(["check", "--log", log, "--against", against]) == 1  # kkt too large
@@ -957,7 +990,7 @@ def test_cli_check_detects_dual_identity_violation(tmp_path, capsys):
     cfg = toy_config(iters=300, checks=[], log_vectors=True, out_dir=str(tmp_path / "o"))
     cfg_path = write_config(tmp_path, cfg)
     assert main(["solve", "--config", cfg_path]) == 0
-    assert main(["oracle", "--config", cfg_path, "--budget", "100000"]) == 0
+    assert main(["oracle", "--config", cfg_path]) == 0
     log = os.path.join(cfg.out_dir, "log.csv")
     against = os.path.join(cfg.out_dir, "oracle.json")
     capsys.readouterr()
@@ -980,7 +1013,7 @@ def test_cli_check_fails_nan_residuals(tmp_path, capsys):
     cfg = toy_config(iters=20, checks=[], log_vectors=True, out_dir=str(tmp_path / "o"))
     cfg_path = write_config(tmp_path, cfg)
     assert main(["solve", "--config", cfg_path]) == 0
-    assert main(["oracle", "--config", cfg_path, "--budget", "100000"]) == 0
+    assert main(["oracle", "--config", cfg_path]) == 0
     log = os.path.join(cfg.out_dir, "log.csv")
     against = os.path.join(cfg.out_dir, "oracle.json")
     with open(log, newline="") as fh:
