@@ -21,11 +21,13 @@ from . import diagnostics
 from .errors import ConfigError, InputError, OracleError, VmAdmmError
 from .experiments import (
     CHECK_TOLERANCES,
+    _initial_from_config,
     load_config,
     output_dir,
     problem_from_config,
     run_experiment,
     saddle_point,
+    schedule_from_spec,
     write_summary,
 )
 
@@ -65,6 +67,10 @@ def _cmd_solve(args):
 def _cmd_oracle(args):
     cfg = load_config(args.config)
     problem, _ = problem_from_config(cfg)
+    # refuse what vmadmm solve refuses, short of its assumption validation
+    schedule_from_spec(cfg.metric1, problem.n, problem)
+    schedule_from_spec(cfg.metric2, problem.m, problem)
+    _initial_from_config(cfg, problem)
     result = saddle_point(cfg, problem)
     path = os.path.join(output_dir(cfg, args.out), "oracle.json")
     write_summary(path, {
@@ -106,16 +112,27 @@ def _number(path, entries, key):
         ) from None
 
 
-def _column(path, rows, name, convert=float):
-    """``convert`` of the cell ``name`` in every row; a cell that is not a
-    number is an InputError naming the file, the column and the row."""
+def _csv_rows(path, fh):
+    """The rows of the CSV file ``fh``; a byte that is not UTF-8 or a field
+    past the csv module's limit is an InputError naming the file."""
+    try:
+        yield from csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _cells(path, i, row, col, names):
+    """The cells ``names`` of row ``i`` as numbers (``k`` an int), a short
+    row's missing cell read as None; a cell that is not a number is an
+    InputError naming the file, the row and the column."""
     values = []
-    for i, row in enumerate(rows, 1):
+    for name in names:
+        cell = row[col[name]] if col[name] < len(row) else None
         try:
-            values.append(convert(row[name]))
+            values.append((int if name == "k" else float)(cell))
         except (TypeError, ValueError):
             raise InputError(
-                f"{path}: row {i}, column {name!r}: {row[name]!r} is not a number"
+                f"{path}: row {i}, column {name!r}: {cell!r} is not a number"
             ) from None
     return values
 
@@ -126,53 +143,53 @@ def _cmd_check(args):
             against = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{args.against}: line {exc.lineno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{args.against}: {exc}") from None
     if not isinstance(against, dict):
         raise InputError(f"{args.against}: top level must be an object")
     with _open_input(args.log) as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-        header = reader.fieldnames or []  # None for an empty file
-    y_cols = [c for c in header if c.startswith("y_")]
-    for name in y_cols:
-        if not name[2:].isdecimal():
-            raise InputError(f"{args.log}: column {name!r} is not y_<index>")
-    y_cols.sort(key=lambda name: int(name[2:]))
-    columns, keys = ["k", "kkt"], ["kkt"]
-    if y_cols:  # the dual identity also reads these
-        columns.append("residual_primal")
-        keys.append("c")
-    _require(args.log, header, columns, "column")
-    _require(args.against, against, keys, "key")
-    oracle_kkt = _number(args.against, against, "kkt")
-    if y_cols:
-        c = _number(args.against, against, "c")
-        if not 0 < c <= sys.float_info.max:
-            raise InputError(
-                f"{args.against}: key 'c': {c!r} is not a finite number > 0"
-            )
+        rows = _csv_rows(args.log, fh)
+        header = next(rows, [])
+        y_cols = [c for c in header if c.startswith("y_")]
+        for name in y_cols:
+            if not name[2:].isdecimal():
+                raise InputError(f"{args.log}: column {name!r} is not y_<index>")
+        y_cols.sort(key=lambda name: int(name[2:]))
+        columns, keys = ["k", "kkt"], ["kkt"]
+        if y_cols:  # the dual identity also reads these
+            columns.append("residual_primal")
+            keys.append("c")
+        _require(args.log, header, columns, "column")
+        _require(args.against, against, keys, "key")
+        oracle_kkt = _number(args.against, against, "kkt")
+        if y_cols:
+            c = _number(args.against, against, "c")
+            if not 0 < c <= sys.float_info.max:
+                raise InputError(
+                    f"{args.against}: key 'c': {c!r} is not a finite number > 0"
+                )
+        # one row at a time; a name repeated in the header reads its last column
+        col = {name: j for j, name in enumerate(header)}
+        # a log without rows fails, as the runner's kkt check of 0 iterations does
+        failures, last_k, final_kkt, worst = [], 0, math.inf, 0.0
+        for i, row in enumerate(filter(None, rows), 1):  # blank lines skipped
+            k, final_kkt, *values = _cells(args.log, i, row, col, columns + y_cols)
+            if k <= last_k and not failures:
+                failures.append(f"row order: k={k} after k={last_k}")
+            last_k = k
+            # When dual vectors were logged, the primal residual must equal
+            # the rescaled dual step, to the runner's dual_identity tolerance.
+            # The k=0 dual iterate is not in the log, so the identity is
+            # checked from the second logged row onward.
+            if y_cols and i > 1:
+                dev = diagnostics.dual_identity_deviation(y_prev, values[1:],
+                                                          values[:1], c)
+                worst = np.maximum(worst, dev)  # a NaN stays NaN
+            y_prev = values[1:]
 
-    failures = []
-    last_k = 0
-    for k in _column(args.log, rows, "k", int):
-        if k <= last_k:
-            failures.append(f"row order: k={k} after k={last_k}")
-            break
-        last_k = k
-
-    # a log without rows fails, as the runner's kkt check of 0 iterations does
-    final_kkt = (_column(args.log, rows, "kkt") or [math.inf])[-1]
     if not (final_kkt < CHECK_TOLERANCES["kkt"]):
         failures.append(f"final kkt {final_kkt:.3e} >= {CHECK_TOLERANCES['kkt']:g}")
-
-    # When dual vectors were logged, the primal residual must equal the
-    # rescaled dual step, to the runner's dual_identity tolerance.
     if y_cols:
-        # The k=0 dual iterate is not in the log, so the identity is checked
-        # from the second logged row onward.
-        ys = np.column_stack([_column(args.log, rows, c) for c in y_cols])
-        worst = diagnostics.dual_identity_deviation(
-            ys[:-1], ys[1:], _column(args.log, rows, "residual_primal")[1:], c
-        )
         if not worst <= CHECK_TOLERANCES["dual_identity"]:
             failures.append(f"residual/dual-step identity violated by {worst:.3e}")
         else:

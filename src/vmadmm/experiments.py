@@ -145,6 +145,8 @@ def load_config(path):
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return parse_config(text, source=str(path))
 
 
@@ -163,6 +165,20 @@ def _known_keys(table, name, *keys):
     unknown = set(table) - set(keys)
     if unknown:
         raise ConfigError(f"{name} {table!r}: unknown keys {sorted(unknown)}")
+
+
+def _numbers_only(table, name, text=("name", "kind", "quadratic_in", "h_kind")):
+    """Raise :class:`ConfigError` at a bool or a string in ``table``, nested
+    tables and lists included; only the entries ``text`` take a string."""
+    stack = [(None, table)]
+    while stack:
+        key, value = stack.pop()
+        if isinstance(value, dict):
+            stack += [item for item in value.items() if item[0] not in text]
+        elif isinstance(value, list):
+            stack += [(key, item) for item in value]
+        elif isinstance(value, (bool, str)):
+            raise ConfigError(f"{name}: {key!r} must be a number, not {value!r}")
 
 
 def metric_from_spec(spec, dim, problem):
@@ -189,6 +205,7 @@ def schedule_from_spec(spec, dim, problem):
     """The metric schedule a config table names, over dimension ``dim``."""
     try:
         kind = spec["kind"]
+        _numbers_only(spec, "schedule")
         if kind == "constant":
             _known_keys(spec, "schedule", "kind", "metric")
             return ConstantSchedule(metric_from_spec(spec["metric"], dim, problem))
@@ -243,6 +260,7 @@ def problem_from_config(cfg):
     """Build the catalog problem a config names; returns ``(problem, metadata)``."""
     if "c" in cfg.problem:  # the penalty is the top-level "c"
         raise ConfigError(f"'problem' table {cfg.problem!r}: unknown keys ['c']")
+    _numbers_only(cfg.problem, "'problem' table")
     params = {k: v for k, v in cfg.problem.items() if k != "name"}
     params["c"] = cfg.c
     try:
@@ -266,6 +284,7 @@ def _initial_from_config(cfg, problem):
         return initial_state(problem)
     if isinstance(cfg.init, dict):
         _known_keys(cfg.init, "'init' table", "x", "z", "y")
+        _numbers_only(cfg.init, "'init' table")
         try:
             return initial_state(
                 problem,

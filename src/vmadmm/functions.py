@@ -324,12 +324,15 @@ class Quadratic(ConvexFunction):
         super().__init__(dim)
         scale = max(1.0, float(Q.max()), -float(Q.min()))  # max |Q_ij|
         # one buffer, first for |Q - Q^T|, then for (Q + Q^T) / 2; the
-        # argument is only read, never written
-        work = np.subtract(Q, Q.T)
-        if float(np.abs(work, out=work).max()) > 1e-12 * scale:
-            raise ValueError("Q must be symmetric")
-        Q = np.add(Q, Q.T, out=work)
+        # argument is only read, never written. An overflow is refused below
+        with np.errstate(over="ignore"):
+            work = np.subtract(Q, Q.T)
+            if float(np.abs(work, out=work).max()) > 1e-12 * scale:
+                raise ValueError("Q must be symmetric")
+            Q = np.add(Q, Q.T, out=work)
         Q /= 2.0
+        if not -math.inf < float(Q.min()) <= float(Q.max()) < math.inf:
+            raise ValueError("(Q + Q^T) / 2 must be finite (no NaN/Inf)")
         eigs = np.linalg.eigvalsh(Q)
         if float(eigs[0]) < -1e-10 * scale:
             raise ValueError(f"Q must be PSD; smallest eigenvalue {eigs[0]:.3e}")

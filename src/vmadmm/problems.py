@@ -87,8 +87,15 @@ def build_problem(name, **params):
     return problem, metadata
 
 
+def _whole(value, name):
+    """``int(value)``; a ValueError unless ``value`` is a whole number."""
+    if int(value) != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _build_tv1d(n=50, lam=0.5, c=1.0, seed=20240801, noise=0.25):
-    n = int(n)
+    n = _whole(n, "tv1d n")
     if n < 2:
         raise ValueError("tv1d needs n >= 2")
     if lam <= 0:
@@ -105,8 +112,7 @@ def _build_tv1d(n=50, lam=0.5, c=1.0, seed=20240801, noise=0.25):
 
 def _build_lasso_split(n=20, rows=30, lam=0.1, c=1.0, seed=20240802,
                        quadratic_in="h"):
-    n = int(n)
-    rows = int(rows)
+    n, rows = _whole(n, "lasso-split n"), _whole(rows, "lasso-split rows")
     if n < 1 or rows < n:
         raise ValueError("lasso-split needs rows >= n >= 1")
     if lam <= 0:
@@ -122,7 +128,7 @@ def _build_lasso_split(n=20, rows=30, lam=0.1, c=1.0, seed=20240802,
 
 
 def _build_box_qp(n=10, c=1.0, seed=20240803):
-    n = int(n)
+    n = _whole(n, "box-qp n")
     if n < 1:
         raise ValueError("box-qp needs n >= 1")
     return ProblemSpec(

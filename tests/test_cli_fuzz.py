@@ -7,9 +7,9 @@ whose square overflows) or a non-finite number such as ``1e309`` (which
 JSON reads as infinity). Whatever the config, ``cli.main`` returns 0, 1, 2
 or 3 without raising, and an exit 2 prints one line. A ``log_vectors`` that
 is not a bool, and a problem ``seed`` that is a float or a string, are
-config errors. One config in three starts from a vector with a 1e300
-entry and requests a check that runs the oracle; such a config never
-solves.
+config errors, as is a bool or a string wherever a number is read. One
+config in three starts from a vector with a 1e300 entry and requests a
+check that runs the oracle; such a config never solves.
 """
 
 import contextlib
@@ -185,6 +185,17 @@ def configs(draw):
     return cfg
 
 
+def holds_text(value):
+    """Whether a bool or a string sits in ``value``, nested tables and lists
+    included, outside the entries that name a problem, a kind or a choice."""
+    if isinstance(value, dict):
+        return any(holds_text(item) for key, item in value.items()
+                   if key not in ("name", "kind", "quadratic_in", "h_kind"))
+    if isinstance(value, list):
+        return any(holds_text(item) for item in value)
+    return isinstance(value, (bool, str))
+
+
 @given(configs(), st.booleans())
 def test_solve_ends_in_a_documented_exit_code(cfg, force):
     text = json.dumps(cfg).replace(json.dumps(HUGE), "1e309")
@@ -210,7 +221,14 @@ def test_solve_ends_in_a_documented_exit_code(cfg, force):
     if isinstance(cfg.get("problem"), dict) and \
             isinstance(cfg["problem"].get("seed"), (float, str)):
         assert code == 2, text
+    # a bool or a string where a number is read is a config error; the init
+    # table is read after the validation, which can stop the run first
+    if any(isinstance(cfg.get(key), dict) and holds_text(cfg[key])
+           for key in ("problem", "metric1", "metric2")):
+        assert code == 2, text
     init = cfg.get("init")
+    if isinstance(init, dict) and holds_text(init):
+        assert code in (2, 3), text
     if isinstance(init, dict) and any(
         isinstance(vec, list) and any(abs(e) == 1e300 for e in vec
                                       if isinstance(e, float))

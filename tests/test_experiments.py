@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import fold_gap_certificates, z_steps_sq
-from vmadmm import diagnostics, experiments, solver
+from vmadmm import cli, diagnostics, experiments, solver
 from vmadmm.cli import main
 from vmadmm.errors import ConfigError, NonFiniteIterate
 from vmadmm.functions import Zero
@@ -877,8 +877,11 @@ def test_cli_check_missing_column_exits_2(tmp_path, capsys, log_text, column):
         ("k,kkt,residual_primal,y_0\n1,1e-9,0.5,0.5\n2,1e-9,,0.5\n", 2,
          "residual_primal"),
         ("k,kkt,residual_primal,y_0\n1,1e-9,0.5,nope\n2,1e-9,0.5,0.5\n", 1, "y_0"),
+        # two bad cells: the log is read one row at a time, so the first in
+        # row order is named, not the first of the k column
+        ("k,kkt\n1,small\ntwo,1e-9\n", 1, "kkt"),
     ],
-    ids=["k", "kkt", "residual_primal", "y_0"],
+    ids=["k", "kkt", "residual_primal", "y_0", "first-in-row-order"],
 )
 def test_cli_check_non_numeric_cell_exits_2(tmp_path, capsys, log_text, row, column):
     paths = check_inputs(tmp_path, log_text)
@@ -923,6 +926,74 @@ def test_cli_check_malformed_oracle_json_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert paths["--against"] in err and "line 3" in err
+
+
+@pytest.mark.parametrize(
+    "log_text, code, out",
+    [
+        # blank lines are skipped, and do not count as rows
+        ("k,kkt\n\n1,1.0\n\n2,1e-9\n\n", 0, "final logged kkt: 1.000e-09"),
+        # a name repeated in the header reads its last column
+        ("k,kkt,kkt\n1,bad,1.0\n2,bad,1e-9\n", 0, "final logged kkt: 1.000e-09"),
+        # a row longer than the header: the extra cells are not read
+        ("k,kkt\n1,1.0,x\n2,1e-9,x,y\n", 0, "final logged kkt: 1.000e-09"),
+        # a short row's missing cell is None, which is not a number
+        ("k,kkt\n1,1.0\n2\n", 2, "row 2, column 'kkt': None is not a number"),
+    ],
+    ids=["blank-lines", "repeated-name", "long-row", "short-row"],
+)
+def test_cli_check_reads_rows_as_a_dict_reader_does(tmp_path, capsys, log_text,
+                                                    code, out):
+    paths = check_inputs(tmp_path, log_text)
+    assert main(["check", "--log", paths["--log"],
+                 "--against", paths["--against"]]) == code
+    assert out in "".join(capsys.readouterr())
+
+
+def _check_peak(tmp_path, rows, dim=20):
+    """tracemalloc's peak in bytes for ``vmadmm check`` of a valid log of
+    ``rows`` rows with ``dim`` logged dual entries."""
+    y_cols = ",".join(f"y_{j}" for j in range(dim))
+    lines = [f"k,kkt,residual_primal,{y_cols}\n"]
+    lines += [f"{k},1e-9,{math.sqrt(dim) * 0.5!r}," + ",".join([repr(0.5 * k)] * dim)
+              + "\n" for k in range(1, rows + 1)]
+    paths = check_inputs(tmp_path, "".join(lines))
+    tracemalloc.start()
+    try:
+        assert main(["check", "--log", paths["--log"],
+                     "--against", paths["--against"]]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_check_memory_does_not_grow_with_the_log(tmp_path, capsys):
+    _check_peak(tmp_path, 500)  # warm: imports and first-call caches
+    short, long = _check_peak(tmp_path, 500), _check_peak(tmp_path, 4000)
+    assert long <= short + 65536, (short, long)  # a held row list grows by MBs
+
+
+@pytest.mark.parametrize("kind", ["config", "against", "log", "log-field"])
+def test_cli_unreadable_input_exits_2_with_one_line(tmp_path, capsys, kind):
+    # a byte that is not UTF-8, or a CSV field past the csv module's
+    # 131 072-character limit: an input error naming the file, no traceback
+    paths = check_inputs(tmp_path, "k,kkt\n1,1e-9\n")
+    bad = tmp_path / "bad"
+    if kind == "log-field":
+        bad.write_text("k,kkt\n1," + "9" * 200000 + "\n")
+    else:
+        bad.write_bytes(b"\xff")
+    if kind == "config":
+        argv = ["solve", "--config", str(bad)]
+    else:
+        paths["--against" if kind == "against" else "--log"] = str(bad)
+        argv = ["check", "--log", paths["--log"], "--against", paths["--against"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(bad) in err
+    assert err.startswith("config error: " if kind == "config" else "error: ")
 
 
 def test_cli_force_flag(tmp_path):
@@ -1162,6 +1233,23 @@ def test_cli_rejects_an_inexact_update_before_solving(tmp_path, monkeypatch, cap
         {"init": {"x": [math.inf]}},
         {"out_dir": 5},
         {"out_dir": ""},
+        # numbers are numbers: no string, no bool, no fraction of a size
+        {"problem": {"name": "lasso-split", "n": "20"}},
+        {"problem": {"name": "lasso-split", "rows": 30.9}},
+        {"problem": {"name": "tv1d", "n": 20.5}},
+        {"problem": {"name": "box-qp", "n": 10.5}},
+        {"problem": {"name": "tv1d", "seed": True}},
+        {"problem": {"name": "toy1d", "lam": True}},
+        {"metric1": {"kind": "constant",
+                     "metric": {"kind": "scaled_identity", "mu": "1e0"}}},
+        {"metric1": {"kind": "constant",
+                     "metric": {"kind": "diagonal", "entries": [True]}}},
+        {"metric1": {"kind": "shifted_gram", "tau": True}},
+        {"metric1": {"kind": "shifted_gram", "tau": [0.5, "0.25"]}},
+        {"metric2": {"kind": "geometric_decay", "rho": "0.9",
+                     "metric": {"kind": "scaled_identity", "mu": 1.0}}},
+        {"init": {"x": [True]}},
+        {"metric2": {"kind": "bogus"}},
     ],
     ids=lambda change: repr(change)[:48],
 )
@@ -1169,12 +1257,25 @@ def test_cli_malformed_config_exits_2_before_solving(
     tmp_path, monkeypatch, capsys, change
 ):
     monkeypatch.setattr(experiments, "run", _refuse)
+    monkeypatch.setattr(experiments, "saddle_point", _refuse)
+    monkeypatch.setattr(cli, "saddle_point", _refuse)
     data = json.loads(serialize_config(toy_config(out_dir=str(tmp_path / "out"))))
     data.update(change)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
-    assert main(["solve", "--config", str(path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    # vmadmm oracle refuses what vmadmm solve refuses before its validation
+    for command in ("solve", "oracle"):
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_cli_oracle_runs_no_assumption_validation(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "validate_assumptions", _refuse)
+    monkeypatch.setattr(solver, "validate_assumptions", _refuse)
+    cfg = toy_config(out_dir=str(tmp_path / "out"))
+    assert main(["oracle", "--config", write_config(tmp_path, cfg)]) == 0
+    assert os.path.exists(tmp_path / "out" / "oracle.json")
 
 
 @pytest.mark.parametrize(
@@ -1187,10 +1288,13 @@ def test_cli_malformed_config_exits_2_before_solving(
         '"problem": {"name": "toy1d", "lam": 1e309}',
         '"problem": {"name": "toy1d", "h_kind": "huber", "h_delta": 1e309}',
         '"problem": {"name": "toy1d", "h_kind": "quadratic", "h_weight": 1e309}',
+        # finite, but Q + Q^T overflows
+        '"problem": {"name": "toy1d", "h_kind": "quadratic", "h_weight": 1e308}',
         '"metric1": {"kind": "constant", '
         '"metric": {"kind": "shifted_gram", "tau": 1e309}}',
     ],
-    ids=["mu", "dense", "lam", "h_delta", "h_weight", "shifted_gram_tau"],
+    ids=["mu", "dense", "lam", "h_delta", "h_weight", "h_weight-1e308",
+         "shifted_gram_tau"],
 )
 def test_cli_non_finite_number_exits_2_with_one_line(
     tmp_path, monkeypatch, capsys, entry

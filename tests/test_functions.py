@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -427,6 +428,19 @@ def test_quadratic_rejects_indefinite():
 def test_quadratic_rejects_asymmetric():
     with pytest.raises(ValueError):
         Quadratic([[1.0, 0.5], [0.0, 1.0]], None)
+
+
+@pytest.mark.parametrize("Q, message", [
+    ([[1e308, 0.0], [0.0, 1.0]], r"\(Q \+ Q\^T\) / 2 must be finite"),
+    ([[1e308]], r"\(Q \+ Q\^T\) / 2 must be finite"),
+    ([[0.0, 1e308], [-1e308, 0.0]], "Q must be symmetric"),
+], ids=["diagonal-2x2", "1x1", "antisymmetric"])
+def test_quadratic_rejects_a_matrix_whose_symmetrization_overflows(Q, message):
+    # every entry is finite, but Q + Q^T or Q - Q^T is not: refused, unwarned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            Quadratic(Q)
 
 
 def test_lipschitz_constants():

@@ -264,6 +264,15 @@ def configs():
             "kind": "dense", "matrix": [[1e308]]}})),
         ("toy-infinite-tau", toy(metric1={"kind": "shifted_gram", "tau": math.inf})),
     ]
+    # a quadratic h whose Q + Q^T overflows, a fractional problem size and a
+    # step that is a bool: config errors, exit 2, with one line each
+    out += [
+        ("toy-quadratic-h-1e308", toy(problem={"name": "toy1d", "h_kind": "quadratic",
+                                               "h_weight": 1e308})),
+        ("tv1d-n-20.5", toy(problem={"name": "tv1d", "n": 20.5}, **tv1d_lin)),
+        ("toy-shifted-gram-tau-true", toy(metric1={"kind": "shifted_gram",
+                                                   "tau": True}, metric2=ZERO)),
+    ]
     # the benchmark workloads, read from perfbench/ as they are
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS
