@@ -177,10 +177,10 @@ def _cmd_check(args):
             if k <= last_k and not failures:
                 failures.append(f"row order: k={k} after k={last_k}")
             last_k = k
-            # When dual vectors were logged, the primal residual must equal
-            # the rescaled dual step, to the runner's dual_identity tolerance.
-            # The k=0 dual iterate is not in the log, so the identity is
-            # checked from the second logged row onward.
+            # When dual vectors were logged (``values`` is the residual, then
+            # y), the residual must equal the rescaled dual step, to the
+            # runner's dual_identity tolerance. The k=0 dual iterate is not in
+            # the log, so the identity is checked from the second row onward.
             if y_cols and i > 1:
                 dev = diagnostics.dual_identity_deviation(y_prev, values[1:],
                                                           values[:1], c)

@@ -167,14 +167,16 @@ def _known_keys(table, name, *keys):
         raise ConfigError(f"{name} {table!r}: unknown keys {sorted(unknown)}")
 
 
-def _numbers_only(table, name, text=("name", "kind", "quadratic_in", "h_kind")):
+def _numbers_only(table, name):
     """Raise :class:`ConfigError` at a bool or a string in ``table``, nested
-    tables and lists included; only the entries ``text`` take a string."""
+    tables and lists included; only the entries that name a problem, a kind
+    or a choice (``name``, ``kind``, ``quadratic_in``, ``h_kind``) take one."""
     stack = [(None, table)]
     while stack:
         key, value = stack.pop()
         if isinstance(value, dict):
-            stack += [item for item in value.items() if item[0] not in text]
+            stack += [item for item in value.items()
+                      if item[0] not in ("name", "kind", "quadratic_in", "h_kind")]
         elif isinstance(value, list):
             stack += [(key, item) for item in value]
         elif isinstance(value, (bool, str)):

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import fold_gap_certificates, z_steps_sq
-from vmadmm import cli, diagnostics, experiments, solver
+from vmadmm import cli, diagnostics, experiments, problems, solver
 from vmadmm.cli import main
 from vmadmm.errors import ConfigError, NonFiniteIterate
 from vmadmm.functions import Zero
@@ -776,8 +776,6 @@ def test_cli_takes_no_count_override_flag(tmp_path, argv):
 
 
 def test_cli_oracle_finds_the_tv1d_saddle_directly(tmp_path, monkeypatch, capsys):
-    from vmadmm import problems
-
     monkeypatch.setattr(problems, "condat_step", _refuse)
     cfg = toy_config(problem={"name": "tv1d", "n": 200},
                      metric1={"kind": "shifted_gram", "tau": 0.19},
