@@ -21,13 +21,11 @@ from . import diagnostics
 from .errors import ConfigError, InputError, OracleError, VmAdmmError
 from .experiments import (
     CHECK_TOLERANCES,
-    _initial_from_config,
     load_config,
     output_dir,
-    problem_from_config,
+    prepare,
     run_experiment,
     saddle_point,
-    schedule_from_spec,
     write_summary,
 )
 
@@ -66,11 +64,7 @@ def _cmd_solve(args):
 
 def _cmd_oracle(args):
     cfg = load_config(args.config)
-    problem, _ = problem_from_config(cfg)
-    # refuse what vmadmm solve refuses, short of its assumption validation
-    schedule_from_spec(cfg.metric1, problem.n, problem)
-    schedule_from_spec(cfg.metric2, problem.m, problem)
-    _initial_from_config(cfg, problem)
+    problem = prepare(cfg)[0]  # refuses what vmadmm solve refuses, unvalidated
     result = saddle_point(cfg, problem)
     path = os.path.join(output_dir(cfg, args.out), "oracle.json")
     write_summary(path, {

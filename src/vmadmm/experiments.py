@@ -281,22 +281,25 @@ def output_dir(cfg, override):
     return directory
 
 
-def _initial_from_config(cfg, problem):
+def prepare(cfg):
+    """Read the whole of ``cfg``: ``(problem, metadata, sched1, sched2,
+    init)``. A malformed table raises :class:`ConfigError` here, before
+    anything is validated or solved."""
+    problem, metadata = problem_from_config(cfg)
+    sched1 = schedule_from_spec(cfg.metric1, problem.n, problem)
+    sched2 = schedule_from_spec(cfg.metric2, problem.m, problem)
     if cfg.init == "zeros":
-        return initial_state(problem)
-    if isinstance(cfg.init, dict):
-        _known_keys(cfg.init, "'init' table", "x", "z", "y")
-        _numbers_only(cfg.init, "'init' table")
-        try:
-            return initial_state(
-                problem,
-                x0=cfg.init.get("x"),
-                z0=cfg.init.get("z"),
-                y0=cfg.init.get("y"),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"'init' table: {exc!r}") from exc
-    raise ConfigError("'init' must be \"zeros\" or a table with x/z/y")
+        return problem, metadata, sched1, sched2, initial_state(problem)
+    if not isinstance(cfg.init, dict):
+        raise ConfigError("'init' must be \"zeros\" or a table with x/z/y")
+    _known_keys(cfg.init, "'init' table", "x", "z", "y")
+    _numbers_only(cfg.init, "'init' table")
+    try:
+        init = initial_state(problem, x0=cfg.init.get("x"),
+                             z0=cfg.init.get("z"), y0=cfg.init.get("y"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'init' table: {exc!r}") from exc
+    return problem, metadata, sched1, sched2, init
 
 
 def saddle_point(cfg, problem):
@@ -310,7 +313,7 @@ def saddle_point(cfg, problem):
 
 
 def run_experiment(cfg, force=False, out_dir=None):
-    """Validate, run, log, and check one experiment.
+    """Read (:func:`prepare`), validate, run, log, and check one experiment.
 
     Prints the assumption report, runs the solver with a :class:`_Certifier`
     as its recorder, which streams ``log.csv`` into the output directory (as
@@ -319,10 +322,7 @@ def run_experiment(cfg, force=False, out_dir=None):
     0 iff every requested check passes; 3 when the assumption validation
     rejects the schedules and ``force`` is not set.
     """
-    problem, metadata = problem_from_config(cfg)
-    sched1 = schedule_from_spec(cfg.metric1, problem.n, problem)
-    sched2 = schedule_from_spec(cfg.metric2, problem.m, problem)
-
+    problem, metadata, sched1, sched2, init = prepare(cfg)
     report = validate_assumptions(problem, sched1, sched2)
     for line in report.summary_lines():
         print(line)
@@ -337,7 +337,6 @@ def run_experiment(cfg, force=False, out_dir=None):
             checks={},
         )
 
-    init = _initial_from_config(cfg, problem)
     saddle = None
     if ORACLE_CHECKS & set(cfg.checks):
         orc = saddle_point(cfg, problem)

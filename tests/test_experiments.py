@@ -352,9 +352,7 @@ def test_a_raising_run_leaves_no_log_and_keeps_an_earlier_one(tmp_path):
 def _row_formats():
     """The certifier's two row formats for a run that fills every column."""
     cfg = toy_config(iters=2, checks=["v_inequality"])
-    problem, _ = experiments.problem_from_config(cfg)
-    s1 = experiments.schedule_from_spec(cfg.metric1, problem.n, problem)
-    s2 = experiments.schedule_from_spec(cfg.metric2, problem.m, problem)
+    problem, _, s1, s2, _ = experiments.prepare(cfg)
     saddle = (np.zeros(problem.n), np.zeros(problem.m), np.zeros(problem.m))
     certifier = experiments._Certifier(
         cfg, problem, solver.initial_state(problem), s1, s2, saddle,
@@ -408,9 +406,7 @@ def test_streamed_and_stored_folds_agree(tmp_path, overrides):
     with open(result.csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
 
-    problem, _ = experiments.problem_from_config(cfg)
-    sched1 = experiments.schedule_from_spec(cfg.metric1, problem.n, problem)
-    sched2 = experiments.schedule_from_spec(cfg.metric2, problem.m, problem)
+    problem, _, sched1, sched2, _ = experiments.prepare(cfg)
     _, trace = solver.run(
         problem, solver.initial_state(problem), sched1, sched2,
         solver.StoppingRule(max_iters=cfg.iters),
@@ -475,9 +471,7 @@ def test_streamed_gap_certificates_equal_the_unshared_fold(
     with open(result.summary_path) as fh:
         summary = json.load(fh)
 
-    problem, _ = experiments.problem_from_config(cfg)
-    sched1 = experiments.schedule_from_spec(cfg.metric1, problem.n, problem)
-    sched2 = experiments.schedule_from_spec(cfg.metric2, problem.m, problem)
+    problem, _, sched1, sched2, _ = experiments.prepare(cfg)
     init = solver.initial_state(problem)
     _, trace = solver.run(
         problem, init, sched1, sched2, solver.StoppingRule(max_iters=cfg.iters),
@@ -500,9 +494,7 @@ def test_streamed_gap_certificates_equal_the_unshared_fold(
 def single_iterate_log(cfg):
     """``log.csv`` text and summary certificates of ``cfg``, folded over a
     stored trace one iterate at a time with 1-D calls only."""
-    problem, _ = experiments.problem_from_config(cfg)
-    sched1 = experiments.schedule_from_spec(cfg.metric1, problem.n, problem)
-    sched2 = experiments.schedule_from_spec(cfg.metric2, problem.m, problem)
+    problem, _, sched1, sched2, _ = experiments.prepare(cfg)
     init = solver.initial_state(problem)
     _, trace = solver.run(problem, init, sched1, sched2,
                           solver.StoppingRule(max_iters=cfg.iters), force=True)
@@ -1248,6 +1240,9 @@ def test_cli_rejects_an_inexact_update_before_solving(tmp_path, monkeypatch, cap
                      "metric": {"kind": "scaled_identity", "mu": 1.0}}},
         {"init": {"x": [True]}},
         {"metric2": {"kind": "bogus"}},
+        # a malformed init is refused before the validator refuses decreasing tau
+        {"init": {"x": [True]},
+         "metric1": {"kind": "shifted_gram", "tau": [0.5, 0.25]}},
     ],
     ids=lambda change: repr(change)[:48],
 )
@@ -1261,7 +1256,7 @@ def test_cli_malformed_config_exits_2_before_solving(
     data.update(change)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
-    # vmadmm oracle refuses what vmadmm solve refuses before its validation
+    # vmadmm solve and vmadmm oracle read the whole config before validating
     for command in ("solve", "oracle"):
         assert main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
