@@ -144,6 +144,10 @@ def _cmd_check(args):
     with _open_input(args.log) as fh:
         rows = _csv_rows(args.log, fh)
         header = next(rows, [])
+        col = {name: j for j, name in enumerate(header)}
+        if len(col) < len(header):  # name the first column whose name repeats
+            name = next(name for j, name in enumerate(header) if col[name] != j)
+            raise InputError(f"{args.log}: column {name!r} repeats in the header")
         y_cols = [c for c in header if c.startswith("y_")]
         for name in y_cols:
             if not name[2:].isdecimal():
@@ -153,7 +157,7 @@ def _cmd_check(args):
         if y_cols:  # the dual identity also reads these
             columns.append("residual_primal")
             keys.append("c")
-        _require(args.log, header, columns, "column")
+        _require(args.log, col, columns, "column")
         _require(args.against, against, keys, "key")
         oracle_kkt = _number(args.against, against, "kkt")
         if y_cols:
@@ -162,8 +166,6 @@ def _cmd_check(args):
                 raise InputError(
                     f"{args.against}: key 'c': {c!r} is not a finite number > 0"
                 )
-        # one row at a time; a name repeated in the header reads its last column
-        col = {name: j for j, name in enumerate(header)}
         # a log without rows fails, as the runner's kkt check of 0 iterations does
         failures, last_k, final_kkt, worst = [], 0, math.inf, 0.0
         for i, row in enumerate(filter(None, rows), 1):  # blank lines skipped

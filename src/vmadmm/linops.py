@@ -422,7 +422,7 @@ class MetricOperator:
         if self.kind == "dense":
             return matvec(self.matrix, x)
         # shifted_gram, applied matrix-free for exactness
-        return x / self.tau - self.coupling * self.map.adjoint(self.map.apply(x))
+        return x / self.tau - self.coupling * self.map._adjoint(self.map._apply(x))
 
     def seminorm_sq(self, x):
         """``<x, Ux>``, clamped to 0 when within roundoff of zero; a float,
@@ -433,7 +433,7 @@ class MetricOperator:
         operator and raise.
         """
         x = _check_block("seminorm_sq input", x, self.dim)
-        val = np.vecdot(x, self.apply(x))
+        val = np.vecdot(x, self._apply(x))
         negative = val < 0.0
         if np.any(negative):
             tiny = 1e-12 * (1.0 + np.vecdot(x, x))

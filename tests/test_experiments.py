@@ -923,8 +923,9 @@ def test_cli_check_malformed_oracle_json_exits_2(tmp_path, capsys):
     [
         # blank lines are skipped, and do not count as rows
         ("k,kkt\n\n1,1.0\n\n2,1e-9\n\n", 0, "final logged kkt: 1.000e-09"),
-        # a name repeated in the header reads its last column
-        ("k,kkt,kkt\n1,bad,1.0\n2,bad,1e-9\n", 0, "final logged kkt: 1.000e-09"),
+        # a name repeated in the header is refused
+        ("k,kkt,kkt\n1,bad,1.0\n2,bad,1e-9\n", 2,
+         "column 'kkt' repeats in the header"),
         # a row longer than the header: the extra cells are not read
         ("k,kkt\n1,1.0,x\n2,1e-9,x,y\n", 0, "final logged kkt: 1.000e-09"),
         # a short row's missing cell is None, which is not a number
@@ -938,6 +939,17 @@ def test_cli_check_reads_rows_as_a_dict_reader_does(tmp_path, capsys, log_text,
     assert main(["check", "--log", paths["--log"],
                  "--against", paths["--against"]]) == code
     assert out in "".join(capsys.readouterr())
+
+
+def test_cli_check_refuses_a_repeated_dual_column(tmp_path, capsys):
+    # consistent steps of 0.5, but y_0 would enter the dual step twice
+    paths = check_inputs(tmp_path, "k,kkt,residual_primal,y_0,y_0\n"
+                                   "1,1e-9,0.5,0.5,0.5\n2,1e-9,0.5,1.0,1.0\n")
+    assert main(["check", "--log", paths["--log"],
+                 "--against", paths["--against"]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {paths['--log']}: column 'y_0' repeats")
 
 
 def _check_peak(tmp_path, rows, dim=20):

@@ -273,6 +273,13 @@ def configs():
         ("toy-shifted-gram-tau-true", toy(metric1={"kind": "shifted_gram",
                                                    "tau": True}, metric2=ZERO)),
     ]
+    # a malformed init under a decreasing tau the validator refuses: the config
+    # is read whole before any validation, so a config error, exit 2
+    out += [
+        ("toy-init-true-refused-tau", toy(metric1={"kind": "shifted_gram",
+                                                   "tau": [0.5, 0.25]},
+                                          init={"x": [True]})),
+    ]
     # the benchmark workloads, read from perfbench/ as they are
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS
