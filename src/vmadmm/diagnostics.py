@@ -17,12 +17,12 @@ than silently generalized. The y-independent part of a Lagrangian,
 iteration, however many probes it checks, and every value keeps the bits of
 a plain :func:`lagrangian` call.
 
-:func:`kkt_residual`, :func:`lagrangian_terms`, :func:`lagrangian_at`,
-:func:`gamma`, :func:`gap_certificate` and :func:`uv_step` also take a
-leading block axis: iterates stacked as the rows of 2-D arrays give one
-result per row, each with the bits of the 1-D call, because every kernel
-underneath reduces a row as the 1-D code does (see :mod:`linops`). A 1-D
-call is a block of one and returns floats.
+:func:`kkt_residual`, :func:`objective_and_kkt`, :func:`lagrangian_terms`,
+:func:`lagrangian_at`, :func:`gamma`, :func:`gap_certificate` and
+:func:`uv_step` also take a leading block axis: iterates stacked as the
+rows of 2-D arrays give one result per row, each with the bits of the 1-D
+call, because every kernel underneath reduces a row as the 1-D code does
+(see :mod:`linops`). A 1-D call is a block of one and returns floats.
 """
 
 from __future__ import annotations
@@ -152,16 +152,17 @@ def uv_step(problem, saddle, m1, m2, prev, cur):
     c = problem.c
     dxs, dzs, dys = x_star - x, z_star - z, y_star - y
     dx, dz_prev, dy = x - x0, z - z0, y - y0
+    dz_m2 = m2.seminorm_sq(dz_prev)  # a term of both
     u = (
         m1.seminorm_sq(dxs)
         + m2.seminorm_sq(dzs)
         + c * np.vecdot(dzs, dzs)
         + np.vecdot(dys, dys) / c
-        + m2.seminorm_sq(dz_prev)
+        + dz_m2
     )
     v = (
         m1.seminorm_sq(dx)
-        + m2.seminorm_sq(dz_prev)
+        + dz_m2
         + c * np.vecdot(dz_prev, dz_prev)
         + np.vecdot(dy, dy) / c
     )
@@ -260,15 +261,36 @@ def kkt_residual(problem, x, y, Ax=None):
     ``Ax`` is ``A x`` when the caller already holds it; computed otherwise.
     Blocks of iterates give one residual per row.
     """
+    return _kkt(problem, x, y, Ax, False)[2]
+
+
+def objective_and_kkt(problem, x, y, Ax):
+    """``(f(x) + h(x), g(Ax), kkt_residual(problem, x, y, Ax))``, each with
+    the bits of its own call: a smooth term's value and gradient at a point
+    come from one ``value_and_grad`` call, one ``Q`` product for a dense
+    :class:`~functions.Quadratic`."""
+    h_value, g_value, kkt = _kkt(problem, x, y, Ax, True)
+    return problem.f(x) + h_value, g_value, kkt
+
+
+def _kkt(problem, x, y, Ax, values):
+    """``(h(x), g(Ax), kkt_residual(problem, x, y, Ax))``, the values None
+    unless ``values``; each temporary is freed before the next is made."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if Ax is None:
         Ax = problem.A.apply(x)
-    target_f = -problem.A.adjoint(y) - problem.h.grad(x)
+    h, g = problem.h, problem.g
+    target_f = -problem.A.adjoint(y)
+    h_value, grad = h.value_and_grad(x) if values else (None, h.grad(x))
+    target_f -= grad
+    del grad
     dist_f = problem.f.distance_to_subdifferential(x, target_f)
-    dist_g = problem.g.distance_to_subdifferential(Ax, y)
+    del target_f
+    g_value, dist_g = (g.value_and_distance(Ax, y) if values
+                       else (None, g.distance_to_subdifferential(Ax, y)))
     # Python's max(dist_f, dist_g), NaN and signed zeros included
-    return _per_point(np.where(dist_g > dist_f, dist_g, dist_f))
+    return h_value, g_value, _per_point(np.where(dist_g > dist_f, dist_g, dist_f))
 
 
 # ---------------------------------------------------------------------------

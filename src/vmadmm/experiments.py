@@ -478,12 +478,14 @@ class _Certifier:
         self.axs[i] = state.Ax
         self.residuals[self.done + i] = residual
         if self.saddle is not None:
-            term = np.concatenate((x, z, y))
+            # a Kahan step in the buffers it owns: the term is written into
+            # the mean's row, and the new sum into comp's, then the two swap
+            term = np.concatenate((x, z, y), out=self.means[i])
             term -= self.comp
-            total = self.sum + term
-            np.subtract(total, self.sum, out=self.comp)
-            self.comp -= term
-            self.sum = total
+            total = np.add(self.sum, term, out=self.comp)
+            comp = np.subtract(total, self.sum, out=self.sum)
+            comp -= term
+            self.sum, self.comp = total, comp
             np.divide(total, self.done + i + 1, out=self.means[i])
         self.open += 1
         if self.open == BLOCK:
@@ -501,9 +503,8 @@ class _Certifier:
         residuals = rows[:, col["residual_primal"]] = self.residuals[start : start + b]
         dev = diagnostics.dual_identity_deviation(prev[2], y, residuals, problem.c)
         self.max_dev = np.maximum(self.max_dev, dev)  # a NaN stays NaN
-        fh = problem.f(x) + problem.h(x)
-        rows[:, col["primal_objective"]] = fh + problem.g(Ax)
-        rows[:, col["kkt"]] = diagnostics.kkt_residual(problem, x, y, Ax)
+        fh, g_ax, rows[:, col["kkt"]] = diagnostics.objective_and_kkt(problem, x, y, Ax)
+        rows[:, col["primal_objective"]] = fh + g_ax
         if saddle is not None:
             self._certify_gaps(rows, np.arange(start + 1, start + b + 1))
             rows[:, col["lagrangian_at_probe"]] = diagnostics.lagrangian_at(

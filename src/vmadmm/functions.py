@@ -14,10 +14,10 @@ eigendecomposition), so subproblem error stays at machine precision. A public
 call checks its arguments once, in :class:`ConvexFunction`, then calls the
 kind's kernel, which the solver calls directly on the arrays it made.
 
-A value, ``grad`` and ``distance_to_subdifferential`` also take a block, a
-2-D array with one point per row, and return one result per row, each with
-the bits of the 1-D call; a 1-D call returns a float where a value is
-asked for. Proximal maps and conjugates take vectors only.
+A value, ``grad``, ``value_and_grad`` and ``distance_to_subdifferential``
+also take a block, a 2-D array with one point per row, and return one result
+per row, each with the bits of the 1-D call; a 1-D call returns a float where
+a value is asked for. Proximal maps and conjugates take vectors only.
 """
 
 from __future__ import annotations
@@ -105,6 +105,11 @@ class ConvexFunction:
     def grad(self, x):
         return self._grad(self._check(x))
 
+    def value_and_grad(self, x):
+        """``(F(x), grad F(x))``, each with the bits of its own call; a kind
+        whose two share work computes it once."""
+        return self(x), self.grad(x)
+
     def _prox(self, v, t):
         raise CapabilityError(f"{type(self).__name__} has no proximal map")
 
@@ -136,6 +141,14 @@ class ConvexFunction:
             )
         s = self._check(s, "subgradient target")
         return _per_point(_norm(s - self.grad(x)))
+
+    def value_and_distance(self, x, s):
+        """``(F(x), distance_to_subdifferential(x, s))``, each with the bits
+        of its own call; a smooth kind's come from one :meth:`value_and_grad`."""
+        if not self.smooth:
+            return self(x), self.distance_to_subdifferential(x, s)
+        value, grad = self.value_and_grad(x)
+        return value, _per_point(_norm(self._check(s, "subgradient target") - grad))
 
 
 class Zero(ConvexFunction):
@@ -251,6 +264,15 @@ class BoxIndicator(ConvexFunction):
         upper.setflags(write=False)
         self.lower = lower
         self.upper = upper
+        # the subdifferential distance's constants: a point is at a finite
+        # bound within a relative tolerance; an infinite bound has tolerance
+        # 0 and no point is ever at it, and 0 stands in for it in
+        # ``x - bound``, because -inf - (-inf) would warn
+        fin_lo, fin_hi = np.isfinite(lower), np.isfinite(upper)
+        tol_lo = np.where(fin_lo, 1e-12 * (1.0 + np.abs(lower)), 0.0)
+        tol_hi = np.where(fin_hi, 1e-12 * (1.0 + np.abs(upper)), 0.0)
+        self._bounds = (lower - tol_lo, upper + tol_hi, fin_lo, fin_hi, tol_lo, tol_hi,
+                        np.where(fin_lo, lower, 0.0), np.where(fin_hi, upper, 0.0))
 
     def __call__(self, x):
         x = self._check(x)
@@ -283,18 +305,11 @@ class BoxIndicator(ConvexFunction):
         # the lower bound (-inf, 0], at the upper [0, inf), inside {0}.
         x = self._check(x)
         s = self._check(s, "subgradient target")
-        # A point is at a finite bound within a relative tolerance; an
-        # infinite bound has tolerance 0 and no point is ever at it.
-        lo, hi = self.lower, self.upper
-        fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
-        tol_lo = np.where(fin_lo, 1e-12 * (1.0 + np.abs(lo)), 0.0)
-        tol_hi = np.where(fin_hi, 1e-12 * (1.0 + np.abs(hi)), 0.0)
+        below, above, fin_lo, fin_hi, tol_lo, tol_hi, lo, hi = self._bounds
         # empty subdifferential outside the box
-        outside = np.any((x < lo - tol_lo) | (x > hi + tol_hi), axis=-1)
-        # Mask before subtracting: 0 stands in for an infinite bound in
-        # ``x - bound``, because -inf - (-inf) would warn.
-        at_lo = fin_lo & (np.abs(x - np.where(fin_lo, lo, 0.0)) <= tol_lo)
-        at_hi = fin_hi & (np.abs(x - np.where(fin_hi, hi, 0.0)) <= tol_hi)
+        outside = np.any((x < below) | (x > above), axis=-1)
+        at_lo = fin_lo & (np.abs(x - lo) <= tol_lo)
+        at_hi = fin_hi & (np.abs(x - hi) <= tol_hi)
         contrib = np.where(
             at_lo & at_hi,
             0.0,
@@ -323,21 +338,27 @@ class Quadratic(ConvexFunction):
         dim = Q.shape[0]
         super().__init__(dim)
         scale = max(1.0, float(Q.max()), -float(Q.min()))  # max |Q_ij|
-        # one buffer, first for |Q - Q^T|, then for (Q + Q^T) / 2; the
-        # argument is only read, never written. An overflow is refused below
-        with np.errstate(over="ignore"):
-            work = np.subtract(Q, Q.T)
-            if float(np.abs(work, out=work).max()) > 1e-12 * scale:
-                raise ValueError("Q must be symmetric")
-            Q = np.add(Q, Q.T, out=work)
-        Q /= 2.0
-        if not -math.inf < float(Q.min()) <= float(Q.max()) < math.inf:
+        # a bitwise symmetric Q is its own (Q + Q^T) / 2 unless Q + Q overflows;
+        # its spectrum is read off the argument, then it is copied once
+        symmetric = np.array_equal(Q.view(np.uint64), Q.view(np.uint64).T)
+        if symmetric and scale > np.finfo(float).max / 2:
             raise ValueError("(Q + Q^T) / 2 must be finite (no NaN/Inf)")
+        if not symmetric:
+            # one buffer, first for |Q - Q^T|, then for (Q + Q^T) / 2; the
+            # argument is only read, never written. An overflow is refused below
+            with np.errstate(over="ignore"):
+                work = np.subtract(Q, Q.T)
+                if float(np.abs(work, out=work).max()) > 1e-12 * scale:
+                    raise ValueError("Q must be symmetric")
+                Q = np.add(Q, Q.T, out=work)
+            Q /= 2.0
+            if not -math.inf < float(Q.min()) <= float(Q.max()) < math.inf:
+                raise ValueError("(Q + Q^T) / 2 must be finite (no NaN/Inf)")
         eigs = np.linalg.eigvalsh(Q)
         if float(eigs[0]) < -1e-10 * scale:
             raise ValueError(f"Q must be PSD; smallest eigenvalue {eigs[0]:.3e}")
-        Q.setflags(write=False)
-        self.Q = Q
+        self.Q = Q.copy() if symmetric else Q
+        self.Q.setflags(write=False)
         if q is None:
             q = np.zeros(dim)
         self.q = as_vector(q, dim, "Quadratic linear term")
@@ -346,11 +367,16 @@ class Quadratic(ConvexFunction):
         self._eigh = None  # (lam, V) of Q, made by the first prox call
 
     def __call__(self, x):
-        x = self._check(x)
-        return _per_point(0.5 * np.vecdot(x, matvec(self.Q, x)) + np.vecdot(self.q, x))
+        return self.value_and_grad(x)[0]
 
     def _grad(self, x):
         return matvec(self.Q, x) + self.q
+
+    def value_and_grad(self, x):
+        x = self._check(x)
+        Qx = matvec(self.Q, x)  # one product for both
+        value = _per_point(0.5 * np.vecdot(x, Qx) + np.vecdot(self.q, x))
+        return value, np.add(Qx, self.q, out=Qx)
 
     # its own name: perfbench's factor hit ratio reads the key Quadratic.prox
     prox = ConvexFunction.prox

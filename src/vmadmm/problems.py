@@ -167,9 +167,7 @@ def _box_qp_data(n, seed):
     base = u[: n * n].reshape(n, n)
     Q = base.T @ base
     Q /= n
-    half_eye = np.eye(n)
-    half_eye *= 0.5
-    Q += half_eye
+    Q.flat[:: n + 1] += 0.5  # the diagonal, in place
     return Q, u[n * n :].copy()
 
 

@@ -168,6 +168,26 @@ def test_prox_quadratic_holds_one_factor_across_step_sizes():
     assert grown < 2 * n * n * 8
 
 
+def test_quadratic_built_from_a_bitwise_symmetric_matrix_copies_it_once():
+    # the argument is its own (Q + Q^T) / 2: the eigensolve reads it and the
+    # one n x n the build adds is the kept copy (a symmetrize buffer as well
+    # read about 1.2 n x n, eigvalsh's copy being outside tracemalloc's view)
+    n = 200
+    B = np.random.default_rng(5).standard_normal((n, n))
+    Q = B.T @ B
+    assert np.array_equal(Q.view(np.uint64), Q.view(np.uint64).T)
+    Quadratic(Q)  # warm
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f = Quadratic(Q)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert f.Q.tobytes() == Q.tobytes() and f.Q is not Q
+    assert peak <= 1.1 * n * n * 8
+
+
 # ---------------------------------------------------------------------------
 # prox under diagonal metrics
 # ---------------------------------------------------------------------------

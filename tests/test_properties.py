@@ -614,6 +614,43 @@ def test_function_block_calls_stack_the_vector_calls(kind):
     check()
 
 
+def assert_same(got, expected):
+    """Same type, shape and bytes: a float where the separate call gives one."""
+    assert type(got) is type(expected)
+    assert np.asarray(got).shape == np.asarray(expected).shape
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_value_and_grad_and_distance_have_the_bits_of_the_separate_calls(kind):
+    # on a vector and on a block; a drawn quadratic may hold 0.0 against -0.0
+    # across its diagonal, which np.array_equal calls symmetric but whose
+    # mean with its transpose has +0.0 where the signs differ
+    @BLOCK_EXAMPLES
+    @given(BLOCK_DIMS, st.integers(1, BLOCK), st.booleans(), st.data())
+    def check(dim, rows, signed_zeros, data):
+        f = data.draw(block_function(kind, dim))
+        if kind == "quadratic" and signed_zeros:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            Q = np.where(np.eye(dim, dtype=bool), rng.uniform(0.0, 5.0, dim),
+                         np.copysign(0.0, rng.uniform(-1.0, 1.0, (dim, dim))))
+            f = Quadratic(Q, f.q)
+            assert f.Q.tobytes() == ((Q + Q.T) / 2.0).tobytes()
+        X, S = data.draw(blocks(dim, rows)), data.draw(blocks(dim, rows))
+        if kind == "box":
+            X[::2] = np.clip(X[::2], f.lower, f.upper)
+        for x, s in ((X[0], S[0]), (X, S)):
+            if f.smooth:
+                value, grad = f.value_and_grad(x)
+                assert_same(value, f(x))
+                assert_same(grad, f.grad(x))
+            value, distance = f.value_and_distance(x, s)
+            assert_same(value, f(x))
+            assert_same(distance, f.distance_to_subdifferential(x, s))
+
+    check()
+
+
 @pytest.mark.parametrize("factory", FACTORIES)
 def test_linear_map_block_calls_stack_the_vector_calls(factory):
     @BLOCK_EXAMPLES

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from helpers import count_eigh, count_factorizations, minimize_1d
-from vmadmm import experiments, solver
+from vmadmm import experiments, functions, solver
 from vmadmm.errors import (
     AssumptionError,
     NonFiniteIterate,
@@ -1189,6 +1189,53 @@ def test_certifier_applies_A_once_per_block(monkeypatch, tmp_path):
     blocks = -(-cfg.iters // experiments.BLOCK)
     assert applied["_certify_block"] == [True] * blocks
     assert applied["__init__"] == [(11, 20)]
+
+
+@pytest.mark.parametrize("problem, mu, products", [
+    # h = Q at the x_k rows (objective and KKT share one product), at x_bar
+    ({"name": "box-qp", "n": 10}, 5.0, 2),
+    # g = Q at the A x_k rows (objective and KKT), at the z_k and z_bar rows
+    ({"name": "lasso-split", "n": 8, "rows": 12, "quadratic_in": "g"}, 1.0, 3),
+], ids=["box-qp", "lasso-g"])
+def test_certifier_multiplies_Q_once_per_point_set(monkeypatch, tmp_path, problem,
+                                                   mu, products):
+    # every product of a dense quadratic goes through functions.matvec
+    counts, running = [], []  # products per nonempty block; the block under way
+    matvec = functions.matvec
+
+    def counting_matvec(M, x):
+        if running:
+            counts[-1] += 1
+        return matvec(M, x)
+
+    certify_block = experiments._Certifier._certify_block
+
+    def watching_certify_block(self):
+        if not self.open:
+            return certify_block(self)
+        counts.append(0)
+        running.append(self)
+        try:
+            return certify_block(self)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(functions, "matvec", counting_matvec)
+    monkeypatch.setattr(experiments._Certifier, "_certify_block",
+                        watching_certify_block)
+    cfg = experiments.RunConfig(
+        problem=problem,
+        metric1={"kind": "constant",
+                 "metric": {"kind": "scaled_identity", "mu": mu}},
+        metric2={"kind": "constant", "metric": {"kind": "zero"}},
+        c=1.0,
+        iters=40,
+        checks=["gap_bound", "dual_identity"],
+    )
+    result = experiments.run_experiment(cfg, out_dir=str(tmp_path))
+    assert result.exit_code == 0
+    blocks = -(-cfg.iters // experiments.BLOCK)
+    assert counts == [products] * blocks
 
 
 def test_step_differences_vanish_on_convergent_runs():
