@@ -150,22 +150,22 @@ def uv_step(problem, saddle, m1, m2, prev, cur):
     x_star, z_star, y_star = (np.asarray(v, dtype=float) for v in saddle)
     (x0, z0, y0), (x, z, y) = prev, cur
     c = problem.c
-    dxs, dzs, dys = x_star - x, z_star - z, y_star - y
-    dx, dz_prev, dy = x - x0, z - z0, y - y0
-    dz_m2 = m2.seminorm_sq(dz_prev)  # a term of both
-    u = (
-        m1.seminorm_sq(dxs)
-        + m2.seminorm_sq(dzs)
-        + c * np.vecdot(dzs, dzs)
-        + np.vecdot(dys, dys) / c
-        + dz_m2
-    )
-    v = (
-        m1.seminorm_sq(dx)
-        + dz_m2
-        + c * np.vecdot(dz_prev, dz_prev)
-        + np.vecdot(dy, dy) / c
-    )
+    # each difference is formed just before its terms and freed after them;
+    # every sum adds its terms in the order of the formulas above
+    d = z - z0
+    dz_m2 = m2.seminorm_sq(d)  # a term of both
+    dz_c = c * np.vecdot(d, d)
+    del d
+    v = m1.seminorm_sq(x - x0) + dz_m2 + dz_c
+    d = y - y0
+    v = v + np.vecdot(d, d) / c
+    del d
+    u = m1.seminorm_sq(x_star - x)
+    d = z_star - z
+    u = u + m2.seminorm_sq(d) + c * np.vecdot(d, d)
+    del d
+    d = y_star - y
+    u = u + np.vecdot(d, d) / c + dz_m2
     return _per_point(u), _per_point(v)
 
 

@@ -308,17 +308,16 @@ class BoxIndicator(ConvexFunction):
         below, above, fin_lo, fin_hi, tol_lo, tol_hi, lo, hi = self._bounds
         # empty subdifferential outside the box
         outside = np.any((x < below) | (x > above), axis=-1)
-        at_lo = fin_lo & (np.abs(x - lo) <= tol_lo)
-        at_hi = fin_hi & (np.abs(x - hi) <= tol_hi)
-        contrib = np.where(
-            at_lo & at_hi,
-            0.0,
-            np.where(
-                at_lo,
-                np.maximum(s, 0.0),
-                np.where(at_hi, np.maximum(-s, 0.0), np.abs(s)),
-            ),
-        )
+        # one buffer holds |x - bound|, then the contributions, filled case
+        # by case: inside, at the upper bound, at the lower, at both
+        buf = np.empty(np.broadcast_shapes(x.shape, s.shape))
+        at_hi = fin_hi & (np.abs(np.subtract(x, hi, out=buf), out=buf) <= tol_hi)
+        at_lo = fin_lo & (np.abs(np.subtract(x, lo, out=buf), out=buf) <= tol_lo)
+        contrib = np.abs(s, out=buf)
+        np.negative(s, out=contrib, where=at_hi)
+        np.maximum(contrib, 0.0, out=contrib, where=at_hi)
+        np.maximum(s, 0.0, out=contrib, where=at_lo)
+        np.copyto(contrib, 0.0, where=at_lo & at_hi)
         return _per_point(np.where(outside, math.inf, _norm(contrib)))
 
 

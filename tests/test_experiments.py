@@ -658,6 +658,48 @@ def test_run_experiment_frees_the_final_state_before_the_checks(monkeypatch,
     assert alive == [False]
 
 
+def test_certifier_holds_one_block_of_iterates_and_frees_it():
+    # besides the series, the Kahan sum and compensation, the saddle and
+    # the probe stacks, a certifier holds one row per buffered iterate,
+    # (x, z, y) end to end, the A x_k rows and its table of log rows: the
+    # ergodic means are folded into the iterate rows, not kept beside them.
+    # Once result() returns, none of these block buffers is alive
+    cfg = toy_config(
+        problem={"name": "lasso-split", "n": 8, "rows": 12, "quadratic_in": "g"},
+        metric2={"kind": "constant", "metric": {"kind": "zero"}},
+        iters=2 * experiments.BLOCK + 3,
+        checks=["gap_bound", "v_inequality", "dual_identity"],
+        log_vectors=True,
+    )
+    problem, _, s1, s2, init = experiments.prepare(cfg)
+    orc = experiments.saddle_point(cfg, problem)
+    certifier = experiments._Certifier(
+        cfg, problem, init, s1, s2, (orc.x, orc.z, orc.y),
+        solver.validate_assumptions(problem, s1, s2), io.StringIO(),
+    )
+    assert certifier.dz_sq is not None  # every series and buffer is made
+    others = {"residuals", "u", "v", "dz_sq", "sum", "comp",
+              "saddle", "probe_y", "probe_gamma", "probe_terms"}
+    buffers = {}
+    for name, value in vars(certifier).items():
+        for array in (value if isinstance(value, tuple) else (value,)):
+            if name not in others and isinstance(array, np.ndarray):
+                while array.base is not None:
+                    array = array.base
+                buffers[id(array)] = array
+    n, m, B = problem.n, problem.m, experiments.BLOCK
+    columns = len(certifier.col)
+    held = sum(array.size for array in buffers.values())
+    assert held <= (B + 1) * (n + 2 * m + columns) + B * m
+    alive = [weakref.ref(array) for array in buffers.values()]
+    del buffers, array, value
+    solver.run(problem, init, s1, s2, solver.StoppingRule(max_iters=cfg.iters),
+               recorder=certifier)
+    _, checks = certifier.result()
+    assert all(passed for passed, _ in checks.values())
+    assert [ref() is None for ref in alive] == [True] * len(alive)
+
+
 def test_tv1d_condat_metric_experiment(tmp_path):
     cfg = toy_config(
         problem={"name": "tv1d", "n": 50},

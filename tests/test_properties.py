@@ -495,8 +495,9 @@ def iterate_sequences(draw):
 
 def test_single_buffer_averager_matches_per_vector_kahan():
     # the certifier's one Kahan buffer over (x, z, y) works entry by entry,
-    # so each mean has the bits of a Kahan sum of that vector alone, across
-    # the block edges
+    # so each mean it folds into its iterate rows, and hands to the gap
+    # certificate when the block is certified, has the bits of a Kahan sum
+    # of that vector alone, across the block edges
     @given(iterate_sequences())
     def check(case):
         n, m, iterates = case
@@ -510,13 +511,107 @@ def test_single_buffer_averager_matches_per_vector_kahan():
         certifier = _Certifier(cfg, problem, initial_state(problem), s1, s2,
                                saddle, validate_assumptions(problem, s1, s2),
                                io.StringIO())
+        certify_gaps, received = certifier._certify_gaps, []
+
+        def capturing(rows, ks, means):
+            received.extend(zip(ks.tolist(), means.copy()))
+            return certify_gaps(rows, ks, means)
+
+        certifier._certify_gaps = capturing
         reference = KahanAverager(n, m)
+        expected = []
         for k, row in enumerate(iterates, 1):
             x, z, y = row[:n], row[n : n + m], row[n + m :]
             certifier.record(initial_state(problem, x, z, y), 0.0)
             reference.update(x, z, y)
-            mean = certifier.means[(k - 1) % BLOCK]
-            assert mean.tobytes() == reference.means.tobytes()
+            expected.append((k, reference.means.tobytes()))
+        certifier.result()
+        assert [(k, mean.tobytes()) for k, mean in received] == expected
+
+    check()
+
+
+def box_distance_nested_where(box, x, s):
+    """``BoxIndicator.distance_to_subdifferential`` as three nested
+    ``np.where`` over fully evaluated branches: the expression its
+    one-buffer fill is held to, bit for bit."""
+    below, above, fin_lo, fin_hi, tol_lo, tol_hi, lo, hi = box._bounds
+    outside = np.any((x < below) | (x > above), axis=-1)
+    at_lo = fin_lo & (np.abs(x - lo) <= tol_lo)
+    at_hi = fin_hi & (np.abs(x - hi) <= tol_hi)
+    contrib = np.where(
+        at_lo & at_hi,
+        0.0,
+        np.where(
+            at_lo,
+            np.maximum(s, 0.0),
+            np.where(at_hi, np.maximum(-s, 0.0), np.abs(s)),
+        ),
+    )
+    norms = np.sqrt(np.vecdot(contrib, contrib))
+    return np.where(outside, math.inf, norms)
+
+
+@st.composite
+def box_blocks(draw):
+    """``(lower, upper, x, s)``: per coordinate, finite or infinite bounds,
+    ``lower == upper`` included; 1 to 4 rows of points and targets. A row
+    is inside the box, each entry on a bound (exactly or within its
+    tolerance) or between the bounds, or anywhere: past a bound's
+    tolerance, outside, infinite or NaN. Targets ``s`` are finite, signed
+    zeros, infinite or NaN."""
+    bounds = [draw(box_coordinate())[:2] for _ in range(draw(st.integers(1, 6)))]
+    lower, upper = (np.array(col) for col in zip(*bounds))
+
+    def near(bound, offset):
+        return bound + offset * (1.0 + abs(bound)) if math.isfinite(bound) else bound
+
+    def entry(lo, hi, inside):
+        offsets = [0.0, 1e-13, -1e-13]
+        if not inside:
+            offsets += [1e-12, -1e-12, 1e-11, -1e-11]
+        choices = [
+            st.builds(near, st.sampled_from([lo, hi]), st.sampled_from(offsets)),
+            FINITE.map(lambda v: min(max(v, lo), hi)),
+        ]
+        if not inside:
+            choices += [FINITE, st.sampled_from([math.inf, -math.inf, math.nan])]
+        return draw(st.one_of(choices))
+
+    x, s = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        inside = draw(st.booleans())
+        x.append([entry(lo, hi, inside) for lo, hi in bounds])
+        s.append([draw(st.one_of(FINITE, st.sampled_from(
+            [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan])))
+            for _ in bounds])
+    return lower, upper, np.array(x), np.array(s)
+
+
+def test_box_distance_one_buffer_has_the_bits_of_the_nested_where():
+    # the distance fills one buffer case by case; a vector and a block of
+    # rows each give the bits of the nested np.where it replaced
+    # a row at both equal bounds, at a lower, at an upper, inside an
+    # infinite one and exactly the tolerance 1e-12 past an upper bound at 0;
+    # a row with an infinite target; a row outside
+    @example((np.array([0.0, -1.0, 2.0, -math.inf, -1.0]),
+              np.array([0.0, 1.0, math.inf, 3.0, 0.0]),
+              np.array([[0.0, -1.0, 2.0, 0.5, 1e-12],
+                        [0.0, 1.0, 3.0, -math.inf, 0.0],
+                        [0.5, 0.0, 2.0, 3.0, -0.5]]),
+              np.array([[1.0, 1.0, -1.0, -2.0, 1.0],
+                        [-0.0, math.inf, math.nan, 1.0, -1.0],
+                        [1.0, 1.0, 1.0, 1.0, 1.0]])))
+    @given(box_blocks())
+    def check(case):
+        lower, upper, x, s = case
+        box = BoxIndicator(lower.size, lower=lower, upper=upper)
+        for point, target in ((x[0], s[0]), (x, s)):
+            expected = box_distance_nested_where(box, point, target)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = box.distance_to_subdifferential(point, target)
+            assert np.asarray(got).tobytes() == expected.tobytes()
 
     check()
 

@@ -1145,7 +1145,8 @@ def test_certified_rows_reuse_the_solvers_product(monkeypatch, tmp_path):
 def test_certifier_applies_A_once_per_block(monkeypatch, tmp_path):
     # the saddle and the probes share the Lagrangian terms of the averages,
     # and a probe's own terms are fixed for the run: while certifying, A is
-    # applied once per block of iterates, to their x_bar rows; while setting
+    # applied once per block of iterates, to their x_bar rows, folded in
+    # place into the iterate buffer's x columns; while setting
     # up, once, to the probes stacked with the saddle first, besides the M1
     # seminorms of the gammas
     running = []  # (method name, instance) of the watched calls under way
@@ -1156,7 +1157,7 @@ def test_certifier_applies_A_once_per_block(monkeypatch, tmp_path):
         if running:
             name, obj = running[-1]
             if name == "_certify_block":
-                x_bar = obj.means[: obj.open, : obj.problem.n]
+                x_bar = obj.xs[1 : obj.open + 1]
                 applied[name].append(np.array_equal(v, x_bar))
             else:
                 applied[name].append(np.shape(v))
