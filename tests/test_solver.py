@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import count_eigh, count_factorizations, minimize_1d
+from helpers import KahanAverager, count_eigh, count_factorizations, minimize_1d
 from vmadmm import experiments, functions, solver
 from vmadmm.errors import (
     AssumptionError,
@@ -1145,20 +1145,35 @@ def test_certified_rows_reuse_the_solvers_product(monkeypatch, tmp_path):
 def test_certifier_applies_A_once_per_block(monkeypatch, tmp_path):
     # the saddle and the probes share the Lagrangian terms of the averages,
     # and a probe's own terms are fixed for the run: while certifying, A is
-    # applied once per block of iterates, to their x_bar rows, folded in
-    # place into the iterate buffer's x columns; while setting
+    # applied once per block of iterates, to their x_bar rows; while setting
     # up, once, to the probes stacked with the saddle first, besides the M1
-    # seminorms of the gammas
+    # seminorms of the gammas. The x_bar rows are folded in place over the
+    # x_k rows, so they are checked against a reference averager fed by
+    # record, never against the certifier's own buffer
     running = []  # (method name, instance) of the watched calls under way
     applied = {"__init__": [], "_certify_block": [], "seminorm_sq": []}
+    reference, x_bars, xs = None, [], []  # x_bar_k and x_k, k = 1, 2, ...
     apply = LinearMap.apply
+    record = experiments._Certifier.record
+
+    def feeding_record(self, state, residual):
+        nonlocal reference
+        if reference is None:
+            reference = KahanAverager(self.problem.n, self.problem.m)
+        reference.update(state.x, state.z, state.y)
+        x_bars.append(reference.means[: self.problem.n])
+        xs.append(state.x.copy())
+        return record(self, state, residual)
 
     def watching_apply(self, v):
         if running:
             name, obj = running[-1]
             if name == "_certify_block":
-                x_bar = obj.xs[1 : obj.open + 1]
-                applied[name].append(np.array_equal(v, x_bar))
+                # whether v is the x_bar rows, and whether it differs from
+                # the x_k rows, so that the first tells the two apart
+                block = slice(obj.done, obj.done + obj.open)
+                applied[name].append((np.array_equal(v, x_bars[block]),
+                                      not np.array_equal(v, xs[block])))
             else:
                 applied[name].append(np.shape(v))
         return apply(self, v)
@@ -1177,6 +1192,7 @@ def test_certifier_applies_A_once_per_block(monkeypatch, tmp_path):
 
         monkeypatch.setattr(cls, name, watching)
     monkeypatch.setattr(LinearMap, "apply", watching_apply)
+    monkeypatch.setattr(experiments._Certifier, "record", feeding_record)
     cfg = experiments.RunConfig(
         problem={"name": "tv1d", "n": 20},
         metric1={"kind": "shifted_gram", "tau": 0.19},
@@ -1188,7 +1204,7 @@ def test_certifier_applies_A_once_per_block(monkeypatch, tmp_path):
     result = experiments.run_experiment(cfg, out_dir=str(tmp_path))
     assert result.summary["iterations"] == cfg.iters
     blocks = -(-cfg.iters // experiments.BLOCK)
-    assert applied["_certify_block"] == [True] * blocks
+    assert applied["_certify_block"] == [(True, True)] * blocks
     assert applied["__init__"] == [(11, 20)]
 
 
