@@ -281,7 +281,8 @@ def _kkt(problem, x, y, Ax, values):
     if Ax is None:
         Ax = problem.A.apply(x)
     h, g = problem.h, problem.g
-    target_f = -problem.A.adjoint(y)
+    target_f = problem.A.adjoint(y)  # a fresh array, negated in place
+    np.negative(target_f, out=target_f)
     h_value, grad = h.value_and_grad(x) if values else (None, h.grad(x))
     target_f -= grad
     del grad
@@ -383,18 +384,21 @@ def dual_objective(problem, y):
 
 def sample_ball_probes(center, radius, count, seed):
     """Deterministic probes in a ball around a (x, z, y) triple."""
+    return list(ball_probes(center, radius, count, seed))
+
+
+def ball_probes(center, radius, count, seed):
+    """The probes of :func:`sample_ball_probes`, drawn one at a time: each
+    ``(x, z, y)`` is made when it is asked for, from the same generator
+    calls in the same order."""
     rng = np.random.default_rng(seed)
     cx, cz, cy = (np.asarray(v, dtype=float) for v in center)
     total = cx.size + cz.size + cy.size
-    probes = []
     for _ in range(count):
         direction = rng.standard_normal(total)
         direction *= radius * rng.uniform() ** (1.0 / total) / np.linalg.norm(direction)
-        probes.append(
-            (
-                cx + direction[: cx.size],
-                cz + direction[cx.size : cx.size + cz.size],
-                cy + direction[cx.size + cz.size :],
-            )
+        yield (
+            cx + direction[: cx.size],
+            cz + direction[cx.size : cx.size + cz.size],
+            cy + direction[cx.size + cz.size :],
         )
-    return probes

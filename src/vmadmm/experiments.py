@@ -26,6 +26,7 @@ to stay constant for the whole run; they are "not evaluable" otherwise.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -63,9 +64,10 @@ ORACLE_CHECKS = {"gap_bound", "v_inequality", "v_monotone", "feasibility_rate"}
 
 #: Iterates the certifier buffers and certifies together, one numpy call per
 #: certified quantity per block. The certifier's working set grows with it:
-#: at n = 200 (warm, seed 1) a certified solve's traced peak is 0.41 MB at 16
-#: against 0.32 MB at 1 on tv1d-linearized, 1.05 against 0.99 MB on lasso-g
-#: and 0.69 MB at both on box-qp; the block buys time, not memory.
+#: at n = 200 (warm, seed 1) a certified solve's traced peak is 0.37 MB at 16
+#: against 0.32 MB at 1 on tv1d-linearized, 0.31 against 0.24 MB on
+#: tv1d-quadratic, 1.05 against 0.99 MB on lasso-g and 0.69 against 0.68 MB
+#: on box-qp; the block buys time, not memory.
 BLOCK = 16
 
 CSV_COLUMNS = [
@@ -399,11 +401,12 @@ class _Certifier:
     :data:`BLOCK` at a time, and appends their rows to the open ``log``.
 
     Between blocks it holds the last iterate, the Kahan sum of the iterates
-    so far, the probes as stacked arrays (each probe's ``y``, gamma and
-    Lagrangian terms, with the saddle as probe 0), the smallest gap slack and
-    the largest dual identity deviation so far, the ``residual_primal``
-    series and, if u/v are evaluable, the ``u``, ``v`` and
-    ``||z_k - z_{k-1}||^2`` series. Within a block it buffers up to
+    so far, each probe's ``y``, gamma and Lagrangian terms as one row of
+    three arrays (the saddle's first), the smallest gap slack and the
+    largest dual identity deviation so far, the ``residual_primal`` series
+    and, if u/v are evaluable, the ``u``, ``v`` and ``||z_k - z_{k-1}||^2``
+    series. The set-up draws one probe at a time, fills its rows by 1-D
+    calls and drops it before drawing the next. Within a block it buffers up to
     :data:`BLOCK` iterates, one row each of ``(x, z, y)`` end to end, with
     their ``A x_k``, then certifies them with one call per quantity into
     rows 1.. of a ``BLOCK + 1``-row table; each value keeps the bits of
@@ -411,9 +414,9 @@ class _Certifier:
     iterate rows are folded in place, one Kahan step each, into the ergodic
     means the gap reads. Row 0 of the table holds the block before's last
     row until this block gives its ``v_slack``; the run's last row is
-    written with ``v_slack`` empty. ``saddle`` is None when no requested check needs one. The u/v
-    checks need a zero smooth term and one (M1, M2) pair for the whole run;
-    they fail as "not evaluable" otherwise.
+    written with ``v_slack`` empty. ``saddle`` is None when no requested
+    check needs one. The u/v checks need a zero smooth term and one (M1, M2)
+    pair for the whole run; they fail as "not evaluable" otherwise.
 
     :meth:`result` frees the block buffers, then returns ``(certificates,
     checks)``: the summary's certificate fields and ``{name: (passed,
@@ -451,16 +454,17 @@ class _Certifier:
             # the gap bound is per-probe: probe 0 is the saddle, checked every
             # iteration, and ten probes sampled around it (seeded) are checked
             # every 10th and at the last. A probe is fixed, so its gamma and
-            # Lagrangian terms are computed once; only (y, gamma, terms) is kept
-            probes = [saddle] + diagnostics.sample_ball_probes(saddle, 1.0, 10,
-                                                               seed=cfg.seed)
-            x, z, y = (np.array([p[i] for p in probes], dtype=float)
-                       for i in range(3))
-            del probes
-            Ax = problem.A.apply(x)
-            self.probe_y = y
-            self.probe_gamma = diagnostics.gamma(problem, init, m1, m2, (x, z, y), Ax)
-            self.probe_terms = diagnostics.lagrangian_terms(problem, x, z, Ax)
+            # Lagrangian terms are computed once, by 1-D calls as it is drawn;
+            # only (y, gamma, terms) is kept, one row per probe
+            self.probe_y, self.probe_gamma = np.empty((11, m)), np.empty(11)
+            self.probe_terms = values, residuals = np.empty(11), np.empty((11, m))
+            probes = diagnostics.ball_probes(saddle, 1.0, 10, seed=cfg.seed)
+            for i, (x, z, y) in enumerate(itertools.chain([saddle], probes)):
+                Ax = problem.A.apply(x)
+                self.probe_y[i] = y
+                self.probe_gamma[i] = diagnostics.gamma(problem, init, m1, m2,
+                                                        (x, z, y), Ax)
+                values[i], residuals[i] = diagnostics.lagrangian_terms(problem, x, z, Ax)
             if report.h_is_zero and all(
                 sched1.metric(k) is m1 and sched2.metric(k) is m2
                 for k in range(1, K)

@@ -173,6 +173,18 @@ class Zero(ConvexFunction):
         y = self._check_vector(y)
         return 0.0 if not np.any(y) else math.inf
 
+    def distance_to_subdifferential(self, x, s):
+        # ||s - 0.0|| is ||s||: s - 0.0 is s bit for bit, signed zeros and NaN
+        # included, so no difference is formed
+        s = self._check(s, "subgradient target")
+        x = self._check(x)
+        if s.shape != x.shape:
+            s = np.broadcast_to(s, np.broadcast_shapes(s.shape, x.shape))
+        return _per_point(_norm(s))
+
+    def value_and_distance(self, x, s):
+        return self(x), self.distance_to_subdifferential(x, s)
+
 
 class L1Norm(ConvexFunction):
     """``weight * ||x||_1`` with ``weight > 0``."""
@@ -197,19 +209,40 @@ class L1Norm(ConvexFunction):
         return 0.0 if float(np.abs(y).max()) <= self.weight + tol else math.inf
 
     def distance_to_subdifferential(self, x, s):
-        # Coordinates are classified as active when |x_i| exceeds
-        # 1e-8 (1 + max_j |x_j|); at active coordinates the subgradient is the signed
-        # weight, elsewhere the interval [-weight, weight].
         x = self._check(x)
         s = self._check(s, "subgradient target")
-        active = np.abs(x)  # |x| once; the name then holds the mask alone
-        active = active > 1e-8 * (1.0 + active.max(axis=-1, keepdims=True))
-        per_coord = np.where(
-            active,
-            np.abs(s - self.weight * np.sign(x)),
-            np.maximum(np.abs(s) - self.weight, 0.0),
-        )
-        return _per_point(_norm(per_coord))
+        return self._distance(x, s, np.abs(x))
+
+    def value_and_distance(self, x, s):
+        x = self._check(x)
+        s = self._check(s, "subgradient target")
+        a = np.abs(x)  # once, for the value and the activity mask
+        return _per_point(self.weight * a.sum(axis=-1)), self._distance(x, s, a)
+
+    def _distance(self, x, s, a):
+        """The distance from ``s`` to the subdifferential at ``x``, ``a`` being
+        ``|x|``, whose buffer it overwrites.
+
+        Coordinates are classified as active when |x_i| exceeds
+        1e-8 (1 + max_j |x_j|); at active coordinates the subgradient is the
+        signed weight, elsewhere the interval [-weight, weight]. One buffer
+        holds ``|s - weight sign(x)|`` at the active coordinates and
+        ``max(|s| - weight, 0)`` at the others, each case written only where
+        it holds."""
+        w = self.weight
+        active = a > 1e-8 * (1.0 + a.max(axis=-1, keepdims=True))
+        if s.shape == x.shape:
+            buf = a
+        else:
+            buf = np.empty(np.broadcast_shapes(x.shape, s.shape))
+        signed = np.multiply(np.sign(x, out=buf), w, out=buf)
+        np.subtract(s, signed, out=buf, where=active)
+        np.abs(buf, out=buf, where=active)
+        inactive = np.logical_not(active, out=active)
+        np.abs(s, out=buf, where=inactive)
+        np.subtract(buf, w, out=buf, where=inactive)
+        np.maximum(buf, 0.0, out=buf, where=inactive)
+        return _per_point(_norm(buf))
 
 
 class SquaredL2(ConvexFunction):
@@ -237,6 +270,12 @@ class SquaredL2(ConvexFunction):
 
     def _grad(self, x):
         return self.weight * (x - self.shift)
+
+    def value_and_grad(self, x):
+        x = self._check(x)
+        diff = x - self.shift  # once for both; then the gradient's buffer
+        value = _per_point(0.5 * self.weight * np.vecdot(diff, diff))
+        return value, np.multiply(self.weight, diff, out=diff)
 
     def conjugate(self, y):
         y = self._check_vector(y)
@@ -366,7 +405,11 @@ class Quadratic(ConvexFunction):
         self._eigh = None  # (lam, V) of Q, made by the first prox call
 
     def __call__(self, x):
-        return self.value_and_grad(x)[0]
+        x = self._check(x)
+        return self._value(x, matvec(self.Q, x))
+
+    def _value(self, x, Qx):
+        return _per_point(0.5 * np.vecdot(x, Qx) + np.vecdot(self.q, x))
 
     def _grad(self, x):
         return matvec(self.Q, x) + self.q
@@ -374,8 +417,7 @@ class Quadratic(ConvexFunction):
     def value_and_grad(self, x):
         x = self._check(x)
         Qx = matvec(self.Q, x)  # one product for both
-        value = _per_point(0.5 * np.vecdot(x, Qx) + np.vecdot(self.q, x))
-        return value, np.add(Qx, self.q, out=Qx)
+        return self._value(x, Qx), np.add(Qx, self.q, out=Qx)
 
     # its own name: perfbench's factor hit ratio reads the key Quadratic.prox
     prox = ConvexFunction.prox

@@ -84,10 +84,12 @@ def matvec(M, x):
 
 def _user_kernel(fn, dim):
     """A matrix_free function, user code that takes vectors only, as a kernel:
-    its result as a float array, one call per row of a block."""
+    its result as a new float array, one call per row of a block. The copy
+    of a vector's result lets a caller write into it, whatever ``fn`` returns
+    (its argument, say)."""
     def kernel(x):
         if x.ndim == 1:
-            return np.asarray(fn(x), dtype=float)
+            return np.array(fn(x), dtype=float)
         out = np.empty((x.shape[0], dim))
         for i, row in enumerate(x):
             out[i] = fn(row)
@@ -108,7 +110,7 @@ class LinearMap:
             raise ValueError("rows and cols must be positive")
         self.rows = int(rows)
         self.cols = int(cols)
-        # the kernels: A x and A* v of a float vector or block, as float arrays
+        # the kernels: A x and A* v of a float vector or block, as new float arrays
         self._apply = apply_fn
         self._adjoint = adjoint_fn
         self.kind = kind

@@ -1,7 +1,7 @@
 """Test helpers: independent scalar-minimization oracles used to freeze
 expected values, the per-draw LCG loop, factorization and eigendecomposition
-counters, the primal-dual reference trajectory, and reference folds of the
-gap certificates.
+counters, the primal-dual reference trajectory, the reference probe draw,
+and reference folds of the gap certificates.
 
 Value-only minimization cannot localize a smooth minimum better than about
 sqrt(machine epsilon) ~ 1.5e-8, so comparisons against these oracles use
@@ -127,6 +127,25 @@ class KahanAverager:
     def means(self):
         """``(x_bar, z_bar, y_bar)`` end to end, one vector."""
         return np.concatenate(self._sums) / self.k
+
+
+def ball_probes_reference(center, radius, count, seed):
+    """Probes in the ball of ``radius`` around the ``(x, z, y)`` triple
+    ``center``, drawn as :func:`diagnostics.sample_ball_probes` is
+    specified: per probe, one ``standard_normal`` direction over the whole
+    ``(x, z, y)`` length, then one ``uniform`` draw that sets its length
+    ``radius * u ** (1 / length)``. The reference the package's draws must
+    equal bit for bit."""
+    rng = np.random.default_rng(seed)
+    parts = [np.asarray(v, dtype=float) for v in center]
+    flat = np.concatenate(parts)
+    cuts = np.cumsum([part.size for part in parts])[:-1]
+    probes = []
+    for _ in range(count):
+        direction = rng.standard_normal(flat.size)
+        direction *= radius * rng.uniform() ** (1.0 / flat.size) / np.linalg.norm(direction)
+        probes.append(tuple(np.split(flat + direction, cuts)))
+    return probes
 
 
 def gap_at(problem, averager, probe, gamma0):

@@ -502,6 +502,22 @@ def test_kkt_positive_away_from_saddle():
     assert dg.kkt_residual(P, np.array([0.0]), np.array([0.0])) > 0.1
 
 
+def test_kkt_negates_the_adjoint_in_place_not_the_dual_iterate():
+    # a matrix-free adjoint may hand back its argument: the residual negates
+    # a copy of it, and the dual iterate and its bits stay as they were
+    n = 5
+    P = ProblemSpec(f=Zero(n), h=SquaredL2(n, shift=np.arange(n, dtype=float)),
+                    g=L1Norm(n, 0.5), A=LinearMap.matrix_free(n, n, lambda x: x,
+                                                              lambda v: v), c=1.0)
+    x = np.linspace(-1.0, 1.0, n)
+    y = np.array([0.25, -0.5, 0.0, 1.5, -2.0])
+    kept = y.copy()
+    expected = max(float(np.linalg.norm(y + P.h.grad(x))),
+                   L1Norm(n, 0.5).distance_to_subdifferential(x, y))
+    assert dg.kkt_residual(P, x, y) == expected
+    assert y.tobytes() == kept.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # per-iteration inequality and the smooth-term bound
 # ---------------------------------------------------------------------------

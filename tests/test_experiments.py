@@ -700,6 +700,46 @@ def test_certifier_holds_one_block_of_iterates_and_frees_it():
     assert [ref() is None for ref in alive] == [True] * len(alive)
 
 
+def test_certifier_setup_holds_one_probe_at_a_time():
+    # the set-up draws each probe when it certifies it, by 1-D calls, and
+    # keeps its y, gamma and Lagrangian terms: its traced growth is the
+    # arrays the certifier holds (its buffers, series and kept probe rows)
+    # plus the working set of one probe, about 8 (n + 2m) floats. Stacking
+    # the eleven probes, with their list, holds over 1 MB more at n = 2000
+    cfg = toy_config(
+        problem={"name": "tv1d", "n": 2000},
+        metric1={"kind": "shifted_gram", "tau": 0.19},
+        metric2={"kind": "constant", "metric": {"kind": "zero"}},
+        iters=3,
+        checks=["gap_bound", "dual_identity"],
+    )
+    problem, _, s1, s2, init = experiments.prepare(cfg)
+    orc = experiments.saddle_point(cfg, problem)
+    report = solver.validate_assumptions(problem, s1, s2)
+
+    def set_up():
+        return experiments._Certifier(cfg, problem, init, s1, s2,
+                                      (orc.x, orc.z, orc.y), report, io.StringIO())
+
+    set_up()  # warms one-time allocations up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        certifier = set_up()
+        growth = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    held = {}
+    for name, value in vars(certifier).items():
+        for array in (value if isinstance(value, tuple) else (value,)):
+            if name != "saddle" and isinstance(array, np.ndarray):
+                while array.base is not None:
+                    array = array.base
+                held[id(array)] = array.nbytes
+    n, m = problem.n, problem.m
+    assert growth <= sum(held.values()) + 8 * (n + 2 * m) * 8
+
+
 def test_tv1d_condat_metric_experiment(tmp_path):
     cfg = toy_config(
         problem={"name": "tv1d", "n": 50},

@@ -26,7 +26,12 @@ from hypothesis.stateful import (
     rule,
 )
 
-from helpers import KahanAverager, count_factorizations, lcg_reference
+from helpers import (
+    KahanAverager,
+    ball_probes_reference,
+    count_factorizations,
+    lcg_reference,
+)
 from vmadmm import diagnostics
 from vmadmm.diagnostics import dual_identity_deviation
 from vmadmm.errors import (
@@ -40,10 +45,12 @@ from vmadmm.experiments import (
     CHECK_TOLERANCES,
     RunConfig,
     _Certifier,
+    prepare,
     run_experiment,
 )
 from vmadmm.functions import (
     BoxIndicator,
+    ConvexFunction,
     Huber,
     L1Norm,
     Quadratic,
@@ -746,6 +753,115 @@ def test_value_and_grad_and_distance_have_the_bits_of_the_separate_calls(kind):
     check()
 
 
+def l1_distance_nested_where(f, x, s):
+    """``L1Norm.distance_to_subdifferential`` as one ``np.where`` over both
+    fully evaluated branches: the expression its one-buffer fill is held
+    to, bit for bit."""
+    a = np.abs(x)
+    active = a > 1e-8 * (1.0 + a.max(axis=-1, keepdims=True))
+    per_coord = np.where(active, np.abs(s - f.weight * np.sign(x)),
+                         np.maximum(np.abs(s) - f.weight, 0.0))
+    distance = np.sqrt(np.vecdot(per_coord, per_coord))
+    return float(distance) if distance.ndim == 0 else distance
+
+
+SPECIAL_ENTRIES = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan])
+
+
+@st.composite
+def row_buffer_views(draw, dim):
+    """``(buf, x, s)``: a ``(rows, 3 dim)`` row buffer of 1 to BLOCK rows and
+    its first and last ``dim`` columns, strided views as the certifier's
+    iterate columns are. Entries are finite with exact zeros of either
+    sign; about a third of the rows hold infinite and NaN entries. In every
+    finite row of ``x`` with three entries or more, one entry is exactly at
+    the :class:`L1Norm` activity threshold ``1e-8 (1 + max|x|)`` (inactive)
+    and one is the next float above it (active), each of either sign."""
+    rows = draw(st.integers(1, BLOCK))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    buf = rng.uniform(-10.0, 10.0, (rows, 3 * dim))
+    buf[rng.uniform(size=buf.shape) < 0.2] = 0.0
+    buf[rng.uniform(size=buf.shape) < 0.1] = -0.0
+    x, s = buf[:, :dim], buf[:, 2 * dim :]
+    for i in range(rows):
+        top = int(np.argmax(np.abs(x[i])))
+        others = [j for j in range(dim) if j != top]
+        if rng.uniform() < 1 / 3:
+            for row in (x[i], s[i]):
+                spots = rng.integers(0, dim, 2)
+                row[spots] = rng.choice(SPECIAL_ENTRIES, 2)
+        elif len(others) >= 2 and x[i, top] != 0.0:
+            at = 1e-8 * (1.0 + abs(x[i, top]))
+            j, k = rng.choice(others, 2, replace=False)
+            x[i, j] = rng.choice([-1.0, 1.0]) * at
+            x[i, k] = rng.choice([-1.0, 1.0]) * np.nextafter(at, math.inf)
+    return buf, x, s
+
+
+def buffer_layouts(x, s):
+    """``(x, s)`` as vectors, as contiguous blocks, as the strided views
+    themselves, and a block against a vector either way."""
+    return ((x[0], s[0]), (x.copy(), s.copy()), (x, s), (x, s[0]), (x[0], s))
+
+
+def test_l1_value_and_distance_fill_one_buffer_with_the_bits_of_the_nested_where():
+    # value_and_distance reads |x| once for the value and the activity mask,
+    # and both distances fill one buffer, each case where it holds: every
+    # layout gives the bits of f(x) and of the np.where over both branches,
+    # with no warning, and neither argument is written
+    @BLOCK_EXAMPLES
+    @given(BLOCK_DIMS, st.floats(0.1, 5.0), st.data())
+    def check(dim, weight, data):
+        f = L1Norm(dim, weight)
+        buf, x, s = data.draw(row_buffer_views(dim))
+        before = buf.tobytes()
+        for point, target in buffer_layouts(x, s):
+            expected = l1_distance_nested_where(f, point, target)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value, distance = f.value_and_distance(point, target)
+                assert_same(value, f(point))
+                assert_same(distance, expected)
+                assert_same(f.distance_to_subdifferential(point, target), expected)
+        assert buf.tobytes() == before
+
+    check()
+
+
+@pytest.mark.parametrize("kind", ["zero", "squared_l2", "quadratic"])
+def test_one_temporary_kernels_have_the_bits_of_the_separate_calls(kind):
+    # SquaredL2.value_and_grad forms x - shift once, Zero's distance is
+    # ||s|| with no difference formed, and Quadratic's value skips the
+    # gradient's pass; each against the calls it stands for (for Zero, the
+    # base class's ||s - grad(x)||), on every layout of a row buffer with
+    # signed zeros, infinities and NaN, writing neither argument
+    @BLOCK_EXAMPLES
+    @given(BLOCK_DIMS, st.data())
+    def check(dim, data):
+        f = data.draw(block_function(kind, dim))
+        buf, x, s = data.draw(row_buffer_views(dim))
+        before = buf.tobytes()
+        for point, target in buffer_layouts(x, s):
+            with warnings.catch_warnings():
+                # a dense product meets inf - inf in a row with both infinities
+                warnings.simplefilter("ignore" if kind == "quadratic" else "error")
+                if kind == "zero":
+                    expected = ConvexFunction.distance_to_subdifferential(f, point, target)
+                    assert_same(f.distance_to_subdifferential(point, target), expected)
+                    value, distance = f.value_and_distance(point, target)
+                    assert_same(value, f(point))
+                    assert_same(distance, expected)
+                elif kind == "squared_l2":
+                    value, grad = f.value_and_grad(point)
+                    assert_same(value, f(point))
+                    assert_same(grad, f.grad(point))
+                else:
+                    assert_same(f(point), f.value_and_grad(point)[0])
+        assert buf.tobytes() == before
+
+    check()
+
+
 @pytest.mark.parametrize("factory", FACTORIES)
 def test_linear_map_block_calls_stack_the_vector_calls(factory):
     @BLOCK_EXAMPLES
@@ -841,6 +957,92 @@ def test_diagnostics_block_calls_stack_the_vector_calls(name):
                      for a, b in zip(zip(*prev), zip(*cur))]
             assert_stacked(u, [p[0] for p in pairs])
             assert_stacked(v, [p[1] for p in pairs])
+
+    check()
+
+
+SETUP_CASES = ["tv1d-shifted-gram", "tv1d-dense", "tv1d-diagonal", "lasso-g",
+               "lasso-h", "box-qp", "toy1d-diagonal", "toy1d-geometric"]
+
+
+@st.composite
+def certifier_setups(draw, case):
+    """``(cfg, center)``: a run config of ``case`` at a small size, with a
+    drawn initial point and probe seed, and a drawn ``(x, z, y)`` center to
+    stand in for the saddle, which the set-up reads only as the probes'
+    center. For box-qp the center's x sits on the box's bounds, so that
+    probes leave the box."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 8))
+    data_seed = draw(st.integers(1, 2**31 - 1))
+
+    def constant(kind, **entries):
+        return {"kind": "constant", "metric": {"kind": kind, **entries}}
+
+    metric1, metric2 = constant("scaled_identity", mu=1.0), ZERO_SCHEDULE
+    if case.startswith("tv1d"):
+        problem = {"name": "tv1d", "n": n, "seed": data_seed}
+        B = rng.uniform(-1.0, 1.0, (n, n))
+        metric1 = {
+            "tv1d-shifted-gram": {"kind": "shifted_gram", "tau": 0.19},
+            "tv1d-dense": constant("dense", matrix=(B @ B.T + np.eye(n)).tolist()),
+            "tv1d-diagonal": constant("diagonal",
+                                      entries=rng.uniform(0.5, 3.0, n).tolist()),
+        }[case]
+    elif case.startswith("lasso"):
+        problem = {"name": "lasso-split", "n": n, "rows": n + 2, "seed": data_seed,
+                   "quadratic_in": case[-1]}
+    elif case == "box-qp":
+        problem = {"name": "box-qp", "n": n, "seed": data_seed}
+        metric1 = constant("scaled_identity", mu=5.0)
+    else:
+        problem = {"name": "toy1d"}
+        metric2 = (constant("diagonal", entries=[0.7]) if case == "toy1d-diagonal"
+                   else {"kind": "geometric_decay", "rho": 0.9,
+                         "metric": {"kind": "scaled_identity", "mu": 1.0}})
+    built = build_problem(problem["name"], **{k: v for k, v in problem.items()
+                                              if k != "name"})[0]
+    dims = (built.n, built.m, built.m)
+    init = {key: rng.uniform(-2.0, 2.0, dim).tolist()
+            for key, dim in zip("xzy", dims)}
+    center = [rng.uniform(-2.0, 2.0, dim) for dim in dims]
+    if case == "box-qp":
+        center[0] = np.arange(dims[0]) % 2.0
+    cfg = RunConfig(problem=problem, metric1=metric1, metric2=metric2, c=1.0,
+                    iters=5, init=init, checks=["gap_bound"],
+                    seed=draw(st.integers(0, 2**32 - 1)))
+    return cfg, tuple(center)
+
+
+@pytest.mark.parametrize("case", SETUP_CASES)
+def test_certifier_setup_has_the_bits_of_the_stacked_probe_calls(case):
+    # the certifier draws each probe when it certifies it and keeps only its
+    # y, gamma and Lagrangian terms, from 1-D calls: they equal, byte for
+    # byte, the block calls over the saddle stacked with
+    # sample_ball_probes, whose draw is held to the reference draw
+    @BLOCK_EXAMPLES
+    @given(certifier_setups(case))
+    def check(setup):
+        cfg, center = setup
+        problem, _, s1, s2, init = prepare(cfg)
+        report = validate_assumptions(problem, s1, s2)
+        certifier = _Certifier(cfg, problem, init, s1, s2, center, report, io.StringIO())
+        sampled = diagnostics.sample_ball_probes(center, 1.0, 10, seed=cfg.seed)
+        reference = ball_probes_reference(center, 1.0, 10, cfg.seed)
+        assert [[v.tobytes() for v in p] for p in sampled] == [
+            [v.tobytes() for v in p] for p in reference]
+        x, z, y = (np.array([p[i] for p in [center] + sampled]) for i in range(3))
+        Ax = problem.A.apply(x)
+        gammas = diagnostics.gamma(problem, init, s1.metric(0), s2.metric(0),
+                                   (x, z, y), Ax)
+        values, residuals = diagnostics.lagrangian_terms(problem, x, z, Ax)
+        if case == "box-qp":
+            assert np.isinf(values[1:]).any()
+        assert certifier.probe_y.tobytes() == y.tobytes()
+        assert certifier.probe_gamma.tobytes() == gammas.tobytes()
+        got_values, got_residuals = certifier.probe_terms
+        assert got_values.tobytes() == values.tobytes()
+        assert got_residuals.tobytes() == residuals.tobytes()
 
     check()
 

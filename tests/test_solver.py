@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from helpers import KahanAverager, count_eigh, count_factorizations, minimize_1d
-from vmadmm import experiments, functions, solver
+from vmadmm import diagnostics, experiments, functions, solver
 from vmadmm.errors import (
     AssumptionError,
     NonFiniteIterate,
@@ -1146,10 +1146,11 @@ def test_certifier_applies_A_once_per_block(monkeypatch, tmp_path):
     # the saddle and the probes share the Lagrangian terms of the averages,
     # and a probe's own terms are fixed for the run: while certifying, A is
     # applied once per block of iterates, to their x_bar rows; while setting
-    # up, once, to the probes stacked with the saddle first, besides the M1
-    # seminorms of the gammas. The x_bar rows are folded in place over the
-    # x_k rows, so they are checked against a reference averager fed by
-    # record, never against the certifier's own buffer
+    # up, once per probe, to its x vector, the saddle first and then the
+    # sampled probes in their order, besides the M1 seminorms of the gammas.
+    # The x_bar rows are folded in place over the x_k rows, so they are
+    # checked against a reference averager fed by record, never against the
+    # certifier's own buffer
     running = []  # (method name, instance) of the watched calls under way
     applied = {"__init__": [], "_certify_block": [], "seminorm_sq": []}
     reference, x_bars, xs = None, [], []  # x_bar_k and x_k, k = 1, 2, ...
@@ -1175,7 +1176,7 @@ def test_certifier_applies_A_once_per_block(monkeypatch, tmp_path):
                 applied[name].append((np.array_equal(v, x_bars[block]),
                                       not np.array_equal(v, xs[block])))
             else:
-                applied[name].append(np.shape(v))
+                applied[name].append((obj, np.array(v)))
         return apply(self, v)
 
     for cls, name in ((experiments._Certifier, "__init__"),
@@ -1205,7 +1206,12 @@ def test_certifier_applies_A_once_per_block(monkeypatch, tmp_path):
     assert result.summary["iterations"] == cfg.iters
     blocks = -(-cfg.iters // experiments.BLOCK)
     assert applied["_certify_block"] == [(True, True)] * blocks
-    assert applied["__init__"] == [(11, 20)]
+    certifier = applied["__init__"][0][0]
+    saddle = certifier.saddle
+    probes = [saddle] + diagnostics.sample_ball_probes(saddle, 1.0, 10, seed=cfg.seed)
+    assert [(obj, v.shape) for obj, v in applied["__init__"]] == [(certifier, (20,))] * 11
+    assert all(np.array_equal(v, probe[0])
+               for (_, v), probe in zip(applied["__init__"], probes))
 
 
 @pytest.mark.parametrize("problem, mu, products", [

@@ -14,7 +14,10 @@ are kept, with their ``failed`` count. A run that printed no result line, or
 whose result lacks a metric (perfbench omits a metric whose samples all
 failed), is kept as failed with that metric (or every metric) None; it is
 left out of that metric's quartiles and wins, and the count left out is
-printed.
+printed. Each run is stopped after ``30 * run_seconds + 60`` seconds, as
+one that printed no result. A run that failed or printed no result keeps
+the last STDERR_LINES lines of its standard error in its record, under
+``stderr``, the timeout's own line last when it was stopped.
 """
 
 from __future__ import annotations
@@ -28,21 +31,43 @@ import sys
 
 PAIRS = 10
 SEED = 101
+STDERR_LINES = 20
+
+
+def run_timeout(seconds):
+    """Seconds a run of ``seconds`` may take before it is stopped."""
+    return 30 * seconds + 60
+
+
+def _text(output):
+    """Output a stopped run left, as text (a timeout hands over bytes)."""
+    if isinstance(output, bytes):
+        return output.decode(errors="replace")
+    return output or ""
 
 
 def run_once(root, workload, seed, seconds):
-    """One untraced perfbench run in ``root``: ``(result, environment)``,
-    each None when the run did not print it."""
+    """One untraced perfbench run in ``root``: ``(result, environment,
+    stderr)``, the first two None when the run did not print them, and the
+    last STDERR_LINES lines of its standard error."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
-                         check=False).stdout.splitlines()
+    timeout = run_timeout(seconds)
+    try:
+        done = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                              check=False, timeout=timeout)
+        out, err = done.stdout.splitlines(), done.stderr.splitlines()
+    except subprocess.TimeoutExpired as exc:
+        out = _text(exc.stdout).splitlines()
+        err = _text(exc.stderr).splitlines() + [
+            f"stopped: no exit after {timeout:g} s"]
+    err = err[-STDERR_LINES:]
     env = next((json.loads(line.split(" ", 1)[1]) for line in out
                 if line.startswith("environment ")), None)
     try:
-        return json.loads(out[-1]), env
+        return json.loads(out[-1]), env, err
     except (IndexError, json.JSONDecodeError):
-        return None, env
+        return None, env, err
 
 
 def run_record(result, metrics):
@@ -85,12 +110,15 @@ def main(argv=None):
         for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result, env = run_once(getattr(args, side), name, SEED + i,
-                                       seconds)
+                result, env, err = run_once(getattr(args, side), name, SEED + i,
+                                            seconds)
                 if env is not None:
                     record["environment"].setdefault(side, env)
-                runs[side].append({"seed": SEED + i, "first": side == order[0],
-                                   **run_record(result, lower_is_better)})
+                run = {"seed": SEED + i, "first": side == order[0],
+                       **run_record(result, lower_is_better)}
+                if result is None or run["failed"]:
+                    run["stderr"] = err
+                runs[side].append(run)
                 print(f"{name} pair {i} {side}: " + " ".join(
                     f"{m}={runs[side][-1][m]:.6g}" if runs[side][-1][m] is not None
                     else f"{m}=missing" for m in lower_is_better), flush=True)
