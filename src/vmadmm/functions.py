@@ -225,24 +225,28 @@ class L1Norm(ConvexFunction):
 
         Coordinates are classified as active when |x_i| exceeds
         1e-8 (1 + max_j |x_j|); at active coordinates the subgradient is the
-        signed weight, elsewhere the interval [-weight, weight]. One buffer
-        holds ``|s - weight sign(x)|`` at the active coordinates and
-        ``max(|s| - weight, 0)`` at the others, each case written only where
-        it holds."""
+        signed weight, elsewhere the interval [-weight, weight]. The ``|x|``
+        buffer then takes ``|s - weight sign(x)|`` and one more buffer
+        ``max(|s| - weight, 0)``, which is put over it at the inactive
+        coordinates: the two branches of an ``np.where`` with no temporaries.
+        Filling one buffer with ufuncs masked by ``where=`` is 2 to 5 times
+        slower on mixed masks, and so is ``np.copyto``'s masked copy, which
+        only a block against one vector needs."""
         w = self.weight
+        same = s.shape == x.shape
         active = a > 1e-8 * (1.0 + a.max(axis=-1, keepdims=True))
-        if s.shape == x.shape:
-            buf = a
-        else:
-            buf = np.empty(np.broadcast_shapes(x.shape, s.shape))
-        signed = np.multiply(np.sign(x, out=buf), w, out=buf)
-        np.subtract(s, signed, out=buf, where=active)
-        np.abs(buf, out=buf, where=active)
+        near = np.multiply(np.sign(x, out=a), w, out=a)
+        near = np.subtract(s, near, out=near if same else None)
+        np.abs(near, out=near)
+        far = np.abs(s)
+        far -= w
+        np.maximum(far, 0.0, out=far)
         inactive = np.logical_not(active, out=active)
-        np.abs(s, out=buf, where=inactive)
-        np.subtract(buf, w, out=buf, where=inactive)
-        np.maximum(buf, 0.0, out=buf, where=inactive)
-        return _per_point(_norm(buf))
+        if same:
+            np.putmask(near, inactive, far)
+        else:
+            np.copyto(near, far, where=inactive)
+        return _per_point(_norm(near))
 
 
 class SquaredL2(ConvexFunction):
