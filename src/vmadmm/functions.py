@@ -183,6 +183,7 @@ class Zero(ConvexFunction):
         return _per_point(_norm(s))
 
     def value_and_distance(self, x, s):
+        # the distance above, not the smooth kinds' ||s - grad(x)||
         return self(x), self.distance_to_subdifferential(x, s)
 
 

@@ -979,7 +979,7 @@ def certifier_setups(draw, case):
     def constant(kind, **entries):
         return {"kind": "constant", "metric": {"kind": kind, **entries}}
 
-    metric1, metric2 = constant("scaled_identity", mu=1.0), ZERO_SCHEDULE
+    metric1, metric2 = constant("scaled_identity", mu=1.0), constant("zero")
     if case.startswith("tv1d"):
         problem = {"name": "tv1d", "n": n, "seed": data_seed}
         B = rng.uniform(-1.0, 1.0, (n, n))
