@@ -15,7 +15,8 @@ than silently generalized. The y-independent part of a Lagrangian,
 :func:`lagrangian_terms`, is computed once per point and evaluated at many
 ``y`` by :func:`lagrangian_at`: a certifier pays one ``A x_bar`` per
 iteration, however many probes it checks, and every value keeps the bits of
-a plain :func:`lagrangian` call.
+a plain :func:`lagrangian` call. The KKT residual has one code path:
+:func:`kkt_residual` is :func:`objective_and_kkt` with the values discarded.
 
 :func:`kkt_residual`, :func:`objective_and_kkt`, :func:`lagrangian_terms`,
 :func:`lagrangian_at`, :func:`gamma`, :func:`gap_certificate` and
@@ -259,39 +260,30 @@ def kkt_residual(problem, x, y, Ax=None):
     subdifferential of f at x, and the distance from ``y`` to the
     subdifferential of g at Ax, both in closed form per catalog kind.
     ``Ax`` is ``A x`` when the caller already holds it; computed otherwise.
-    Blocks of iterates give one residual per row.
+    Blocks of iterates give one residual per row. It is
+    :func:`objective_and_kkt` with the values discarded.
     """
-    return _kkt(problem, x, y, Ax, False)[2]
+    if Ax is None:
+        Ax = problem.A.apply(x)
+    return objective_and_kkt(problem, x, y, Ax)[2]
 
 
 def objective_and_kkt(problem, x, y, Ax):
     """``(f(x) + h(x), g(Ax), kkt_residual(problem, x, y, Ax))``, each with
-    the bits of its own call: a smooth term's value and gradient at a point
-    come from one ``value_and_grad`` call, one ``Q`` product for a dense
-    :class:`~functions.Quadratic`."""
-    h_value, g_value, kkt = _kkt(problem, x, y, Ax, True)
-    return problem.f(x) + h_value, g_value, kkt
-
-
-def _kkt(problem, x, y, Ax, values):
-    """``(h(x), g(Ax), kkt_residual(problem, x, y, Ax))``, the values None
-    unless ``values``; each temporary is freed before the next is made."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if Ax is None:
-        Ax = problem.A.apply(x)
-    h, g = problem.h, problem.g
+    the bits of its own call. Each term's value comes with its gradient or
+    distance, from one ``value_and_grad`` or ``value_and_distance`` call;
+    each temporary is freed before the next is made."""
     target_f = problem.A.adjoint(y)  # a fresh array, negated in place
     np.negative(target_f, out=target_f)
-    h_value, grad = h.value_and_grad(x) if values else (None, h.grad(x))
+    h_value, grad = problem.h.value_and_grad(x)
     target_f -= grad
     del grad
-    dist_f = problem.f.distance_to_subdifferential(x, target_f)
+    f_value, dist_f = problem.f.value_and_distance(x, target_f)
     del target_f
-    g_value, dist_g = (g.value_and_distance(Ax, y) if values
-                       else (None, g.distance_to_subdifferential(Ax, y)))
+    g_value, dist_g = problem.g.value_and_distance(Ax, y)
     # Python's max(dist_f, dist_g), NaN and signed zeros included
-    return h_value, g_value, _per_point(np.where(dist_g > dist_f, dist_g, dist_f))
+    return (f_value + h_value, g_value,
+            _per_point(np.where(dist_g > dist_f, dist_g, dist_f)))
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +374,9 @@ def dual_objective(problem, y):
 # ---------------------------------------------------------------------------
 
 
-def sample_ball_probes(center, radius, count, seed):
-    """Deterministic probes in a ball around a (x, z, y) triple."""
-    return list(ball_probes(center, radius, count, seed))
-
-
 def ball_probes(center, radius, count, seed):
-    """The probes of :func:`sample_ball_probes`, drawn one at a time: each
-    ``(x, z, y)`` is made when it is asked for, from the same generator
-    calls in the same order."""
+    """Deterministic probes in a ball around a ``(x, z, y)`` triple, drawn one
+    at a time: each ``(x, z, y)`` is made when it is asked for."""
     rng = np.random.default_rng(seed)
     cx, cz, cy = (np.asarray(v, dtype=float) for v in center)
     total = cx.size + cz.size + cy.size

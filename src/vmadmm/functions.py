@@ -14,10 +14,13 @@ eigendecomposition), so subproblem error stays at machine precision. A public
 call checks its arguments once, in :class:`ConvexFunction`, then calls the
 kind's kernel, which the solver calls directly on the arrays it made.
 
-A value, ``grad``, ``value_and_grad`` and ``distance_to_subdifferential``
-also take a block, a 2-D array with one point per row, and return one result
-per row, each with the bits of the 1-D call; a 1-D call returns a float where
-a value is asked for. Proximal maps and conjugates take vectors only.
+Each kind has one subdifferential kernel, ``value_and_distance(x, s)``, and
+``distance_to_subdifferential`` is defined once, as its distance; a smooth
+kind's is the base class's ``||s - grad F(x)||`` unless it has a cheaper
+one. These two, a value, ``grad`` and ``value_and_grad`` also take a block,
+a 2-D array with one point per row, and return one result per row, each with
+the bits of the 1-D call; a 1-D call returns a float where a value is asked
+for. Proximal maps and conjugates take vectors only.
 """
 
 from __future__ import annotations
@@ -133,20 +136,18 @@ class ConvexFunction:
         return v - t * self.prox(v / t, 1.0 / t)
 
     def distance_to_subdifferential(self, x, s):
-        """Euclidean distance from ``s`` to the subdifferential at ``x``:
-        ``||s - grad F(x)||`` for a smooth kind; nonsmooth kinds override it."""
+        """Euclidean distance from ``s`` to the subdifferential at ``x``."""
+        return self.value_and_distance(x, s)[1]
+
+    def value_and_distance(self, x, s):
+        """``(F(x), distance_to_subdifferential(x, s))``: the kind's one
+        subdifferential kernel, each result with the bits of its own call. A
+        smooth kind's distance is ``||s - grad F(x)||``, both from one
+        :meth:`value_and_grad`; each nonsmooth kind, and ``Zero``, overrides it."""
         if not self.smooth:
             raise CapabilityError(
                 f"{type(self).__name__} has no subdifferential distance formula"
             )
-        s = self._check(s, "subgradient target")
-        return _per_point(_norm(s - self.grad(x)))
-
-    def value_and_distance(self, x, s):
-        """``(F(x), distance_to_subdifferential(x, s))``, each with the bits
-        of its own call; a smooth kind's come from one :meth:`value_and_grad`."""
-        if not self.smooth:
-            return self(x), self.distance_to_subdifferential(x, s)
         value, grad = self.value_and_grad(x)
         return value, _per_point(_norm(self._check(s, "subgradient target") - grad))
 
@@ -173,18 +174,14 @@ class Zero(ConvexFunction):
         y = self._check_vector(y)
         return 0.0 if not np.any(y) else math.inf
 
-    def distance_to_subdifferential(self, x, s):
+    def value_and_distance(self, x, s):
         # ||s - 0.0|| is ||s||: s - 0.0 is s bit for bit, signed zeros and NaN
         # included, so no difference is formed
-        s = self._check(s, "subgradient target")
         x = self._check(x)
+        s = self._check(s, "subgradient target")
         if s.shape != x.shape:
             s = np.broadcast_to(s, np.broadcast_shapes(s.shape, x.shape))
-        return _per_point(_norm(s))
-
-    def value_and_distance(self, x, s):
-        # the distance above, not the smooth kinds' ||s - grad(x)||
-        return self(x), self.distance_to_subdifferential(x, s)
+        return _per_point(np.zeros(x.shape[:-1])), _per_point(_norm(s))
 
 
 class L1Norm(ConvexFunction):
@@ -209,45 +206,33 @@ class L1Norm(ConvexFunction):
         tol = 1e-12 * (1.0 + self.weight)
         return 0.0 if float(np.abs(y).max()) <= self.weight + tol else math.inf
 
-    def distance_to_subdifferential(self, x, s):
-        x = self._check(x)
-        s = self._check(s, "subgradient target")
-        return self._distance(x, s, np.abs(x))
-
     def value_and_distance(self, x, s):
+        """Coordinates are classified as active when |x_i| exceeds
+        1e-8 (1 + max_j |x_j|); at active coordinates the subgradient is the
+        signed weight, elsewhere the interval [-weight, weight]. ``|x|`` is
+        taken once, for the value and the mask; its buffer then takes
+        ``|s - weight sign(x)|`` and one more buffer ``max(|s| - weight, 0)``,
+        which one ``np.putmask`` puts over it at the inactive coordinates:
+        the two branches of an ``np.where`` with no temporaries. A ``where=``
+        masked fill, or ``np.copyto``'s, is 2 to 5 times slower on mixed masks."""
         x = self._check(x)
         s = self._check(s, "subgradient target")
-        a = np.abs(x)  # once, for the value and the activity mask
-        return _per_point(self.weight * a.sum(axis=-1)), self._distance(x, s, a)
-
-    def _distance(self, x, s, a):
-        """The distance from ``s`` to the subdifferential at ``x``, ``a`` being
-        ``|x|``, whose buffer it overwrites.
-
-        Coordinates are classified as active when |x_i| exceeds
-        1e-8 (1 + max_j |x_j|); at active coordinates the subgradient is the
-        signed weight, elsewhere the interval [-weight, weight]. The ``|x|``
-        buffer then takes ``|s - weight sign(x)|`` and one more buffer
-        ``max(|s| - weight, 0)``, which is put over it at the inactive
-        coordinates: the two branches of an ``np.where`` with no temporaries.
-        Filling one buffer with ufuncs masked by ``where=`` is 2 to 5 times
-        slower on mixed masks, and so is ``np.copyto``'s masked copy, which
-        only a block against one vector needs."""
         w = self.weight
-        same = s.shape == x.shape
+        a = np.abs(x)
+        value = _per_point(w * a.sum(axis=-1))
         active = a > 1e-8 * (1.0 + a.max(axis=-1, keepdims=True))
         near = np.multiply(np.sign(x, out=a), w, out=a)
-        near = np.subtract(s, near, out=near if same else None)
+        # a block against one vector broadcasts into a new buffer
+        near = np.subtract(s, near, out=near if s.shape == x.shape else None)
         np.abs(near, out=near)
         far = np.abs(s)
         far -= w
         np.maximum(far, 0.0, out=far)
         inactive = np.logical_not(active, out=active)
-        if same:
-            np.putmask(near, inactive, far)
-        else:
-            np.copyto(near, far, where=inactive)
-        return _per_point(_norm(near))
+        if inactive.shape != far.shape:  # np.broadcast_arrays costs 4 us a call
+            inactive, far = np.broadcast_arrays(inactive, far)
+        np.putmask(near, inactive, far)
+        return value, _per_point(_norm(near))
 
 
 class SquaredL2(ConvexFunction):
@@ -343,12 +328,13 @@ class BoxIndicator(ConvexFunction):
                 return math.inf
         return float(total)
 
-    def distance_to_subdifferential(self, x, s):
+    def value_and_distance(self, x, s):
         # Per coordinate: outside the box (beyond the tolerance) the
         # subdifferential is empty; at both bounds it is the whole line, at
         # the lower bound (-inf, 0], at the upper [0, inf), inside {0}.
         x = self._check(x)
         s = self._check(s, "subgradient target")
+        value = self(x)  # before the buffer below is made
         below, above, fin_lo, fin_hi, tol_lo, tol_hi, lo, hi = self._bounds
         # empty subdifferential outside the box
         outside = np.any((x < below) | (x > above), axis=-1)
@@ -362,7 +348,7 @@ class BoxIndicator(ConvexFunction):
         np.maximum(contrib, 0.0, out=contrib, where=at_hi)
         np.maximum(s, 0.0, out=contrib, where=at_lo)
         np.copyto(contrib, 0.0, where=at_lo & at_hi)
-        return _per_point(np.where(outside, math.inf, _norm(contrib)))
+        return value, _per_point(np.where(outside, math.inf, _norm(contrib)))
 
 
 class Quadratic(ConvexFunction):

@@ -131,7 +131,7 @@ class KahanAverager:
 
 def ball_probes_reference(center, radius, count, seed):
     """Probes in the ball of ``radius`` around the ``(x, z, y)`` triple
-    ``center``, drawn as :func:`diagnostics.sample_ball_probes` is
+    ``center``, drawn as :func:`diagnostics.ball_probes` is
     specified: per probe, one ``standard_normal`` direction over the whole
     ``(x, z, y)`` length, then one ``uniform`` draw that sets its length
     ``radius * u ** (1 / length)``. The reference the package's draws must
@@ -174,7 +174,7 @@ def fold_gap_certificates(problem, trace, init, m1, m2, saddle, seed):
     slack, in order.
     """
     gamma0 = diagnostics.gamma(problem, init, m1, m2, saddle)
-    probes = diagnostics.sample_ball_probes(saddle, 1.0, 10, seed=seed)
+    probes = list(diagnostics.ball_probes(saddle, 1.0, 10, seed=seed))
     probe_gammas = [diagnostics.gamma(problem, init, m1, m2, p) for p in probes]
     averager = KahanAverager(problem.n, problem.m)
     rows, slacks = [], []

@@ -286,7 +286,7 @@ def test_c08_saddle_point_inequality(toy1d, tv1d, toy1d_oracle, tv1d_oracle):
     with criterion(8, "saddle-point-inequality"):
         for (problem, _), orc in ((toy1d, toy1d_oracle), (tv1d, tv1d_oracle)):
             l_star = dg.lagrangian(problem, orc.x, orc.z, orc.y)
-            probes = dg.sample_ball_probes((orc.x, orc.z, orc.y), 1.0, 100, seed=88)
+            probes = list(dg.ball_probes((orc.x, orc.z, orc.y), 1.0, 100, seed=88))
             for px, pz, py in probes:
                 assert dg.lagrangian(problem, orc.x, orc.z, py) <= l_star + 1e-9
                 assert l_star <= dg.lagrangian(problem, px, pz, orc.y) + 1e-9
@@ -335,7 +335,7 @@ def test_c10_per_iteration_inequality(ergodic_tv1d, ergodic_toy1d,
             (ergodic_toy1d, toy1d_oracle),
         ):
             assert min_eigenvalue(sched1.metric(0)) >= meta["L"] - 1e-12
-            probes = dg.sample_ball_probes((orc.x, orc.z, orc.y), 1.0, 20, seed=41)
+            probes = list(dg.ball_probes((orc.x, orc.z, orc.y), 1.0, 20, seed=41))
             m1, m2 = sched1.metric(0), sched2.metric(0)
             for k in range(0, trace.iterations, 10):
                 s_k = initial_state(problem, trace.xs[k], trace.zs[k], trace.ys[k])

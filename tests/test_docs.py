@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 
@@ -18,3 +19,21 @@ def test_readme_quickstart_runs(capsys):
     kkt = float(re.search(r"^kkt: (\S+)$", out, re.MULTILINE).group(1))
     assert kkt <= 1e-10
     assert "distance to saddle:" in out
+
+
+def test_readme_module_names_resolve():
+    # every backticked `<module>.<name>` README gives for a package module
+    # names something that exists, so a deletion cannot leave README stale
+    with open(README, encoding="utf-8") as fh:
+        prose = re.sub(r"```.*?```", "", fh.read(), flags=re.DOTALL)
+    spans = re.findall(r"`([^`]+)`", prose)
+    modules = ("diagnostics", "functions", "linops", "solver", "experiments",
+               "problems", "reference", "cli", "errors")
+    pattern = re.compile(rf"({'|'.join(modules)})((?:\.[A-Za-z_]\w*)+)")
+    names = [m.group(1, 2) for m in map(pattern.match, spans) if m]
+    assert len(names) >= 16
+    for module, attrs in names:
+        owner = importlib.import_module(f"vmadmm.{module}")
+        for attr in attrs[1:].split("."):
+            assert hasattr(owner, attr), f"README names {module}{attrs}"
+            owner = getattr(owner, attr)

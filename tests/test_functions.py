@@ -9,6 +9,7 @@ from helpers import count_eigh, count_factorizations, minimize_1d
 from vmadmm.errors import CapabilityError, DimensionMismatch, SingularSubproblem
 from vmadmm.functions import (
     BoxIndicator,
+    ConvexFunction,
     Huber,
     L1Norm,
     Quadratic,
@@ -272,6 +273,19 @@ def test_grad_quadratic():
 def test_grad_not_smooth():
     with pytest.raises(CapabilityError):
         L1Norm(2, 1.0).grad(np.zeros(2))
+
+
+def test_distance_without_a_formula_is_a_capability_error():
+    # a kind with a value but neither a gradient nor its own kernel
+    class ValueOnly(ConvexFunction):
+        def __call__(self, x):
+            return 0.0
+
+    f = ValueOnly(2)
+    with pytest.raises(CapabilityError):
+        f.distance_to_subdifferential(np.zeros(2), np.zeros(2))
+    with pytest.raises(CapabilityError):
+        f.value_and_distance(np.zeros(2), np.zeros(2))
 
 
 @pytest.mark.parametrize("f", ALL_SMOOTH, ids=lambda f: type(f).__name__)

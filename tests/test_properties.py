@@ -50,7 +50,6 @@ from vmadmm.experiments import (
 )
 from vmadmm.functions import (
     BoxIndicator,
-    ConvexFunction,
     Huber,
     L1Norm,
     Quadratic,
@@ -748,15 +747,31 @@ def test_value_and_grad_and_distance_have_the_bits_of_the_separate_calls(kind):
                 assert_same(grad, f.grad(x))
             value, distance = f.value_and_distance(x, s)
             assert_same(value, f(x))
-            assert_same(distance, f.distance_to_subdifferential(x, s))
+            expected = distance_reference(kind, f, x, s)
+            assert_same(distance, expected)
+            assert_same(f.distance_to_subdifferential(x, s), expected)
 
     check()
 
 
+def distance_reference(kind, f, x, s):
+    """The distance from ``s`` to the subdifferential of ``f`` at ``x``,
+    written apart from the kernels: the nested ``np.where`` of the L1 norm
+    and of the box, and ``||s - grad f(x)||`` for the smooth kinds."""
+    if kind == "l1":
+        return l1_distance_nested_where(f, x, s)
+    if kind == "box":
+        distance = box_distance_nested_where(f, x, s)
+    else:
+        d = s - f.grad(x)
+        distance = np.sqrt(np.vecdot(d, d))
+    return float(distance) if distance.ndim == 0 else distance
+
+
 def l1_distance_nested_where(f, x, s):
     """``L1Norm.distance_to_subdifferential`` as one ``np.where`` over both
-    fully evaluated branches: the expression its one-buffer fill is held
-    to, bit for bit."""
+    fully evaluated branches: the expression its masked fill is held to,
+    bit for bit."""
     a = np.abs(x)
     active = a > 1e-8 * (1.0 + a.max(axis=-1, keepdims=True))
     per_coord = np.where(active, np.abs(s - f.weight * np.sign(x)),
@@ -806,7 +821,7 @@ def buffer_layouts(x, s):
 
 def test_l1_value_and_distance_fill_one_buffer_with_the_bits_of_the_nested_where():
     # value_and_distance reads |x| once for the value and the activity mask,
-    # and both distances fill one buffer, each case where it holds: every
+    # and puts one branch's buffer over the other's with np.putmask: every
     # layout gives the bits of f(x) and of the np.where over both branches,
     # with no warning, and neither argument is written
     @BLOCK_EXAMPLES
@@ -832,8 +847,8 @@ def test_l1_value_and_distance_fill_one_buffer_with_the_bits_of_the_nested_where
 def test_one_temporary_kernels_have_the_bits_of_the_separate_calls(kind):
     # SquaredL2.value_and_grad forms x - shift once, Zero's distance is
     # ||s|| with no difference formed, and Quadratic's value skips the
-    # gradient's pass; each against the calls it stands for (for Zero, the
-    # base class's ||s - grad(x)||), on every layout of a row buffer with
+    # gradient's pass; each against the calls it stands for (for Zero,
+    # ||s - grad(x)|| formed here), on every layout of a row buffer with
     # signed zeros, infinities and NaN, writing neither argument
     @BLOCK_EXAMPLES
     @given(BLOCK_DIMS, st.data())
@@ -846,7 +861,7 @@ def test_one_temporary_kernels_have_the_bits_of_the_separate_calls(kind):
                 # a dense product meets inf - inf in a row with both infinities
                 warnings.simplefilter("ignore" if kind == "quadratic" else "error")
                 if kind == "zero":
-                    expected = ConvexFunction.distance_to_subdifferential(f, point, target)
+                    expected = distance_reference(kind, f, point, target)
                     assert_same(f.distance_to_subdifferential(point, target), expected)
                     value, distance = f.value_and_distance(point, target)
                     assert_same(value, f(point))
@@ -1019,7 +1034,7 @@ def test_certifier_setup_has_the_bits_of_the_stacked_probe_calls(case):
     # the certifier draws each probe when it certifies it and keeps only its
     # y, gamma and Lagrangian terms, from 1-D calls: they equal, byte for
     # byte, the block calls over the saddle stacked with
-    # sample_ball_probes, whose draw is held to the reference draw
+    # diagnostics.ball_probes, whose draw is held to the reference draw
     @BLOCK_EXAMPLES
     @given(certifier_setups(case))
     def check(setup):
@@ -1027,7 +1042,7 @@ def test_certifier_setup_has_the_bits_of_the_stacked_probe_calls(case):
         problem, _, s1, s2, init = prepare(cfg)
         report = validate_assumptions(problem, s1, s2)
         certifier = _Certifier(cfg, problem, init, s1, s2, center, report, io.StringIO())
-        sampled = diagnostics.sample_ball_probes(center, 1.0, 10, seed=cfg.seed)
+        sampled = list(diagnostics.ball_probes(center, 1.0, 10, seed=cfg.seed))
         reference = ball_probes_reference(center, 1.0, 10, cfg.seed)
         assert [[v.tobytes() for v in p] for p in sampled] == [
             [v.tobytes() for v in p] for p in reference]

@@ -1208,7 +1208,7 @@ def test_certifier_applies_A_once_per_block(monkeypatch, tmp_path):
     assert applied["_certify_block"] == [(True, True)] * blocks
     certifier = applied["__init__"][0][0]
     saddle = certifier.saddle
-    probes = [saddle] + diagnostics.sample_ball_probes(saddle, 1.0, 10, seed=cfg.seed)
+    probes = [saddle] + list(diagnostics.ball_probes(saddle, 1.0, 10, seed=cfg.seed))
     assert [(obj, v.shape) for obj, v in applied["__init__"]] == [(certifier, (20,))] * 11
     assert all(np.array_equal(v, probe[0])
                for (_, v), probe in zip(applied["__init__"], probes))
