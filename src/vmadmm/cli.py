@@ -218,7 +218,6 @@ def main(argv=None):
     except VmAdmmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser.error(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -224,7 +224,9 @@ def feasibility_rate(residuals, c, u1, dz_sq):
     inequality gives ``sum_k v_k <= u1 + S`` with the step energy
     ``S = c sum_k ||z_k - z_{k-1}||^2``, summed in iteration order (a
     cumulative sum; ``np.sum`` sums pairwise). Each ``v_k`` is at least
-    ``c ||A x_k - z_k||^2`` and v does not increase, hence the bound.
+    ``c ||A x_k - z_k||^2`` and v does not increase, hence the bound. Only
+    that sum of ``dz_sq`` is read: a one-entry array holding it gives the
+    same bounds.
     """
     S = c * np.cumsum(dz_sq)[-1] if len(dz_sq) else 0.0
     return np.sqrt((u1 + S) / (c * np.arange(1, len(residuals))))
@@ -374,15 +376,15 @@ def dual_objective(problem, y):
 # ---------------------------------------------------------------------------
 
 
-def ball_probes(center, radius, count, seed):
-    """Deterministic probes in a ball around a ``(x, z, y)`` triple, drawn one
-    at a time: each ``(x, z, y)`` is made when it is asked for."""
+def ball_probes(center, count, seed):
+    """Deterministic probes in the unit ball around a ``(x, z, y)`` triple,
+    drawn one at a time: each ``(x, z, y)`` is made when it is asked for."""
     rng = np.random.default_rng(seed)
     cx, cz, cy = (np.asarray(v, dtype=float) for v in center)
     total = cx.size + cz.size + cy.size
     for _ in range(count):
         direction = rng.standard_normal(total)
-        direction *= radius * rng.uniform() ** (1.0 / total) / np.linalg.norm(direction)
+        direction *= rng.uniform() ** (1.0 / total) / np.linalg.norm(direction)
         yield (
             cx + direction[: cx.size],
             cz + direction[cx.size : cx.size + cz.size],

@@ -18,10 +18,11 @@ Within a block the certifier holds one row per iterate, ``(x, z, y)`` end
 to end, and folds the rows in place into their ergodic means once nothing
 else reads them. Each block's rows are appended to ``log.csv`` as soon as
 they are certified; between blocks the certifier keeps the last iterate,
-the last row and the per-iteration series the end-of-run checks read, whose
-entry ``i`` is iteration ``k = i + 1``. The u/v checks
-(``v_inequality``, ``v_monotone``, ``feasibility_rate``) need the metrics
-to stay constant for the whole run; they are "not evaluable" otherwise.
+the last row, running values and one per-iteration series,
+``residual_primal``, whose entry ``i`` is iteration ``k = i + 1``. The u/v
+checks (``v_inequality``, ``v_monotone``, ``feasibility_rate``) are judged
+block by block; they need the metrics to stay constant for the whole run
+and are "not evaluable" otherwise.
 """
 
 from __future__ import annotations
@@ -404,9 +405,10 @@ class _Certifier:
     so far, each probe's ``y``, gamma and Lagrangian terms as one row of
     three arrays (the saddle's first), the smallest gap slack and the
     largest dual identity deviation so far, the ``residual_primal`` series
-    and, if u/v are evaluable, the ``u``, ``v`` and ``||z_k - z_{k-1}||^2``
-    series. The set-up draws one probe at a time, fills its rows by 1-D
-    calls and drops it before drawing the next. Within a block it buffers up to
+    and, if u/v are evaluable, the running values of their checks: the two
+    least slacks, the first rise of ``v``, ``u_1`` and the step sum. The
+    set-up draws one probe at a time, fills its rows by 1-D calls and drops
+    it before drawing the next. Within a block it buffers up to
     :data:`BLOCK` iterates, one row each of ``(x, z, y)`` end to end, with
     their ``A x_k``, then certifies them with one call per quantity into
     rows 1.. of a ``BLOCK + 1``-row table; each value keeps the bits of
@@ -445,7 +447,7 @@ class _Certifier:
         self.xs[0], self.zs[0], self.ys[0] = init.x, init.z, init.y
         self.axs = np.empty((BLOCK, m))
         self.min_gap_slack = None
-        self.dz_sq = None  # ||z_k - z_{k-1}||^2 in row order, if u/v are evaluable
+        self.dz_sq = None  # ||z_k - z_{k-1}||^2 of the open block, if u/v are evaluable
         if saddle is not None and K:
             # Kahan sum over (x, z, y) end to end: entry by entry, as three sums
             self.sum, self.comp = np.zeros(n + 2 * m), np.zeros(n + 2 * m)
@@ -458,7 +460,7 @@ class _Certifier:
             # only (y, gamma, terms) is kept, one row per probe
             self.probe_y, self.probe_gamma = np.empty((11, m)), np.empty(11)
             self.probe_terms = values, residuals = np.empty(11), np.empty((11, m))
-            probes = diagnostics.ball_probes(saddle, 1.0, 10, seed=cfg.seed)
+            probes = diagnostics.ball_probes(saddle, 10, seed=cfg.seed)
             for i, (x, z, y) in enumerate(itertools.chain([saddle], probes)):
                 Ax = problem.A.apply(x)
                 self.probe_y[i] = y
@@ -470,7 +472,10 @@ class _Certifier:
                 for k in range(1, K)
             ):
                 self.m1, self.m2 = m1, m2
-                self.u, self.v, self.dz_sq = np.empty(K), np.empty(K), np.empty(K)
+                # rows 1..b: the block's steps; row 0: the sum of those before
+                self.dz_sq = np.zeros(BLOCK + 1)
+                self.min_v_slacks = (math.inf, math.inf)  # at c and uncorrected
+                self.first_rise = None  # the first k with v_k > v_{k-1} + tol
         # which cells are empty, by structure: every row's and the last row's
         blank = {"lagrangian_at_probe", "gap", "gap_bound"} if saddle is None else set()
         if self.dz_sq is None:
@@ -511,17 +516,27 @@ class _Certifier:
         # the held row 0 is written with this block, its v_slack now known
         first = 0 if start else 1
         if self.dz_sq is not None:
-            u, v, dz_sq = (a[: start + b] for a in (self.u, self.v, self.dz_sq))
-            u[start:], v[start:] = diagnostics.uv_step(
+            rows[:, col["u_k"]], rows[:, col["v_k"]] = diagnostics.uv_step(
                 problem, saddle, self.m1, self.m2, prev, (x, z, y)
             )
-            rows[:, col["u_k"]], rows[:, col["v_k"]] = u[start:], v[start:]
             dz = z - prev[1]
-            dz_sq[start:] = np.vecdot(dz, dz)
-            lo = start + first - 1
-            table[first:b, col["v_slack"]] = diagnostics.inequality_v_check(
-                u[lo:], v[lo:], dz_sq[lo:], problem.c
-            )
+            dz_sq = self.dz_sq[: b + 1]
+            dz_sq[1:] = np.vecdot(dz, dz)
+            # rows first..b, with the held row 0; inequality_v_check reads no dz_sq[0]
+            u, v = table[first : b + 1, col["u_k"]], table[first : b + 1, col["v_k"]]
+            if not start:
+                self.u1 = u[0]
+            # row 0 at c, row 1 the stronger, uncorrected inequality (c = 0)
+            slacks = diagnostics.inequality_v_check(u, v, dz_sq[first:],
+                                                    np.array([[problem.c], [0.0]]))
+            table[first:b, col["v_slack"]] = slacks[0]
+            if b > first:  # np.min, as np.minimum, keeps a NaN
+                self.min_v_slacks = tuple(np.minimum(self.min_v_slacks, slacks.min(1)))
+            ok, rise = diagnostics.v_monotone_check(v, CHECK_TOLERANCES["v_monotone"])
+            if not ok and self.first_rise is None:
+                self.first_rise = rise + start + first - 1
+            # one add per step in iteration order: the bits of np.cumsum
+            dz_sq[0] = np.cumsum(dz_sq)[-1]
         iterates = self.iterates
         if self.cfg.log_vectors:
             rows[:, col["x_0"] :] = iterates[1 : b + 1]
@@ -581,8 +596,7 @@ class _Certifier:
 
     def result(self):
         self._certify_block()
-        problem, dz_sq = self.problem, self.dz_sq
-        K = self.done
+        problem, K = self.problem, self.done
         if K:  # the held last row, v_slack empty
             write_iterate_log(self.log, K, self.table[:1], *self.formats[1])
         final_kkt = float(self.table[0, self.col["kkt"]]) if K else None
@@ -617,26 +631,23 @@ class _Certifier:
         rate_slope = None if math.isinf(slope) else slope
 
         min_v_slack = uncorrected_min = None
-        if dz_sq is not None:
-            u, v = self.u, self.v
-            v_slacks = diagnostics.inequality_v_check(u, v, dz_sq, problem.c)
+        if self.dz_sq is not None:
             verdicts["v_inequality"] = (True, "trace too short for slacks")
-            if len(v_slacks):
-                min_v_slack = float(np.min(v_slacks))
+            if K > 1:  # one slack per step k -> k + 1
+                # the uncorrected slack is logged as a finding only
+                min_v_slack, uncorrected_min = map(float, self.min_v_slacks)
                 verdicts["v_inequality"] = (
                     min_v_slack >= tol["v_inequality"],
                     f"min_slack={min_v_slack:.3e}",
                 )
-                # the stronger, uncorrected inequality (no c ||dz||^2 term)
-                # is logged as a finding only
-                uncorrected = diagnostics.inequality_v_check(u, v, dz_sq, 0.0)
-                uncorrected_min = float(np.min(uncorrected))
-            ok, first = diagnostics.v_monotone_check(v, tol["v_monotone"])
+            first = self.first_rise
             verdicts["v_monotone"] = (
-                ok,
-                "nonincreasing" if ok else f"first violation at k={first}",
+                first is None,
+                "nonincreasing" if first is None else f"first violation at k={first}",
             )
-            bounds = diagnostics.feasibility_rate(residuals, problem.c, u[0], dz_sq)
+            # dz_sq[0] holds the in-order sum of every step, all the bound reads
+            bounds = diagnostics.feasibility_rate(residuals, problem.c, self.u1,
+                                                  self.dz_sq[:1])
             # a NaN excess fails the check
             worst = float(np.max(residuals[1:] - bounds, initial=0.0))
             verdicts["feasibility_rate"] = (

@@ -164,8 +164,7 @@ class Zero(ConvexFunction):
     def _prox(self, v, t):
         return v.copy()
 
-    def _prox_diag(self, v, d):
-        return v.copy()
+    _prox_diag = _prox
 
     def _grad(self, x):
         return np.zeros(x.shape)
@@ -311,8 +310,7 @@ class BoxIndicator(ConvexFunction):
     def _prox(self, v, t):
         return np.clip(v, self.lower, self.upper)
 
-    def _prox_diag(self, v, d):
-        return np.clip(v, self.lower, self.upper)
+    _prox_diag = _prox
 
     def conjugate(self, y):
         # Support function of the box; handles infinite bounds without

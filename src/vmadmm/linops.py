@@ -101,8 +101,7 @@ class LinearMap:
     """A rows-by-cols real linear operator with an explicit adjoint.
 
     Construct through one of the factories: :meth:`from_dense`,
-    :meth:`identity`, :meth:`zero`, :meth:`matrix_free`, or
-    :func:`forward_difference`.
+    :meth:`identity`, :meth:`matrix_free`, or :func:`forward_difference`.
     """
 
     def __init__(self, rows, cols, apply_fn, adjoint_fn, kind, matrix=None):
@@ -151,17 +150,6 @@ class LinearMap:
     def identity(cls, n):
         op = cls(n, n, lambda x: x.copy(), lambda v: v.copy(), kind="identity")
         return op._exact_spectrum(1.0, 1.0)
-
-    @classmethod
-    def zero(cls, rows, cols):
-        op = cls(
-            rows,
-            cols,
-            lambda x: np.zeros(x.shape[:-1] + (rows,)),
-            lambda v: np.zeros(v.shape[:-1] + (cols,)),
-            kind="zero",
-        )
-        return op._exact_spectrum(0.0, 0.0)
 
     @classmethod
     def matrix_free(cls, rows, cols, apply_fn, adjoint_fn):
@@ -272,10 +260,10 @@ def operator_norm(A):
     """Largest singular value ``||A||`` of a linear map, exact to rounding.
 
     The structured factories know it in closed form and return it without a
-    matvec: 1 for :meth:`LinearMap.identity`, 0 for :meth:`LinearMap.zero`,
-    and ``2 cos(pi / (2n))`` for :func:`forward_difference`. Any other map
-    takes one dense SVD of :meth:`LinearMap.to_dense` (the copy that
-    validation densifies anyway), cached on the map.
+    matvec: 1 for :meth:`LinearMap.identity` and ``2 cos(pi / (2n))`` for
+    :func:`forward_difference`. Any other map takes one dense SVD of
+    :meth:`LinearMap.to_dense` (the copy that validation densifies anyway),
+    cached on the map.
     """
     if A._opnorm is None:
         A._opnorm = float(np.linalg.norm(A.to_dense(), 2))

@@ -176,10 +176,9 @@ class ShiftedGramSchedule:
         self.taus = [float(t) for t in taus]
         if not self.taus or not all(t > 0 for t in self.taus):
             raise ValueError("taus must be positive")
-        self.coupling = float(coupling)
-        self.A = A
         self._cache = {
-            t: MetricOperator.shifted_gram(t, self.coupling, A) for t in set(self.taus)
+            t: MetricOperator.shifted_gram(t, float(coupling), A)
+            for t in set(self.taus)
         }
 
     def _tau(self, k):

@@ -174,7 +174,7 @@ def fold_gap_certificates(problem, trace, init, m1, m2, saddle, seed):
     slack, in order.
     """
     gamma0 = diagnostics.gamma(problem, init, m1, m2, saddle)
-    probes = list(diagnostics.ball_probes(saddle, 1.0, 10, seed=seed))
+    probes = list(diagnostics.ball_probes(saddle, 10, seed=seed))
     probe_gammas = [diagnostics.gamma(problem, init, m1, m2, p) for p in probes]
     averager = KahanAverager(problem.n, problem.m)
     rows, slacks = [], []

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import KahanAverager, gap_at, z_steps_sq
 from vmadmm import diagnostics as dg
-from vmadmm.errors import UnsupportedSetting
+from vmadmm.errors import DimensionMismatch, UnsupportedSetting
 from vmadmm.experiments import CHECK_TOLERANCES
 from vmadmm.functions import L1Norm, SquaredL2, Zero
 from vmadmm.linops import LinearMap, MetricOperator
@@ -186,7 +186,7 @@ def test_gap_bound_holds_at_random_probes(toy1d_oracle):
     s2 = ConstantSchedule(MetricOperator.zero(1))
     state, trace = run(P, initial_state(P), s1, s2, StoppingRule(max_iters=200))
     orc = toy1d_oracle
-    probes = list(dg.ball_probes((orc.x, orc.z, orc.y), 1.0, 10, seed=3))
+    probes = list(dg.ball_probes((orc.x, orc.z, orc.y), 10, seed=3))
     for probe in probes:
         gamma0 = dg.gamma(P, initial_state(P, trace.xs[0], trace.zs[0], trace.ys[0]),
                           s1.metric(0), s2.metric(0), probe)
@@ -530,7 +530,7 @@ def test_iteration_inequality_on_genuine_run(tv1d, tv1d_oracle):
     s2 = ConstantSchedule(MetricOperator.zero(P.m))
     state, trace = run(P, initial_state(P), s1, s2, StoppingRule(max_iters=120))
     orc = tv1d_oracle
-    probes = list(dg.ball_probes((orc.x, orc.z, orc.y), 1.0, 20, seed=2024))
+    probes = list(dg.ball_probes((orc.x, orc.z, orc.y), 20, seed=2024))
     m1, m2 = s1.metric(0), s2.metric(0)
     for k in range(0, 120, 10):
         s_k = initial_state(P, trace.xs[k], trace.zs[k], trace.ys[k])
@@ -596,7 +596,18 @@ def test_saddle_point_inequality_at_probes(toy1d_oracle):
     P, _ = build_problem("toy1d")
     orc = toy1d_oracle
     l_star = dg.lagrangian(P, orc.x, orc.z, orc.y)
-    for probe in list(dg.ball_probes((orc.x, orc.z, orc.y), 1.0, 100, seed=5)):
+    for probe in list(dg.ball_probes((orc.x, orc.z, orc.y), 100, seed=5)):
         px, pz, py = probe
         assert dg.lagrangian(P, orc.x, orc.z, py) <= l_star + 1e-9
         assert l_star <= dg.lagrangian(P, px, pz, orc.y) + 1e-9
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: dg.gap_certificate(1.0, 0.0, 1.0, 0), ValueError,
+     "gap certificate needs k >= 1"),
+    (lambda: dg.dual_objective(build_problem("toy1d")[0], [0.0, 0.0]),
+     DimensionMismatch, "dual_objective y: expected dimension 1"),
+], ids=["gap-k", "dual-y"])
+def test_diagnostic_refusals_name_the_quantity(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

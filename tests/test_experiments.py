@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -119,6 +120,20 @@ def test_config_tables_reject_keys_nothing_reads(tmp_path, overrides, table, key
     assert not os.path.exists(tmp_path / "log.csv")
 
 
+@pytest.mark.parametrize("read, match", [
+    (lambda: parse_config("[]", source="list.json"),
+     "list.json: top level must be a table"),
+    (lambda: experiments.prepare(toy_config(
+        metric1={"kind": "constant", "metric": {"kind": "bogus"}})),
+     "unknown metric kind 'bogus'"),
+    (lambda: experiments.prepare(toy_config(init="ones")),
+     "'init' must be \"zeros\" or a table"),
+], ids=["top-level", "metric-kind", "init"])
+def test_config_refusals_name_the_entry(read, match):
+    with pytest.raises(ConfigError, match=re.escape(match)):
+        read()
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -223,23 +238,49 @@ def test_unsupported_check_regime_fails_loud(tmp_path):
             assert "not evaluable" in result.checks[name][1]
 
 
-def test_v_monotone_check_covers_first_step(tmp_path, monkeypatch):
-    # an (injected) increase v_2 > v_1 must fail the check
+def _edit_v(monkeypatch, edits):
+    """Make the certifier's ``v_k`` ``edits[k](v_{k-1})`` at each ``k`` in
+    ``edits``, whichever block ``k`` falls in."""
     uv_step = diagnostics.uv_step
-    calls = []
+    handed = []  # every v_k handed out, k = 1, 2, ...
 
-    def bumped(problem, saddle, m1, m2, prev, cur):
+    def edited(problem, saddle, m1, m2, prev, cur):
         u, v = uv_step(problem, saddle, m1, m2, prev, cur)
-        if not calls:  # the first block of iterates starts at k = 1
-            v = v.copy()
-            v[1] = v[0] + 1.0
-        calls.append(v)
+        v = v.copy()
+        for i in range(len(v)):
+            k = len(handed) + 1
+            if k in edits:
+                v[i] = edits[k](handed[-1])
+            handed.append(v[i])
         return u, v
 
-    monkeypatch.setattr(diagnostics, "uv_step", bumped)
-    cfg = toy_config(iters=20, checks=["v_monotone"])
+    monkeypatch.setattr(diagnostics, "uv_step", edited)
+
+
+_B = experiments.BLOCK
+
+
+@pytest.mark.parametrize("rises", [(2,), (_B + 1,), (2 * _B,), (5, _B + 2)],
+                         ids=["k=2", "k=B+1", "k=2B", "two-rises"])
+def test_v_monotone_check_covers_first_step(tmp_path, monkeypatch, rises):
+    # an (injected) increase v_k > v_{k-1} must fail the check at the first
+    # such k: at k = 2, on the first row of a block (against the held row of
+    # the block before) and on the last
+    _edit_v(monkeypatch, {k: lambda before: before + 1.0 for k in rises})
+    cfg = toy_config(iters=2 * _B + 4, checks=["v_monotone"])
     result = run_experiment(cfg, out_dir=str(tmp_path))
-    assert result.checks["v_monotone"] == (False, "first violation at k=2")
+    assert result.checks["v_monotone"] == (False, f"first violation at k={rises[0]}")
+
+
+def test_a_nan_v_in_the_first_block_reaches_the_v_minima(tmp_path, monkeypatch):
+    # the slack minima fold block by block: a NaN slack of the first of
+    # three blocks stays NaN, as np.min over the series keeps it
+    _edit_v(monkeypatch, {5: lambda before: math.nan})
+    cfg = toy_config(iters=2 * _B + 4, checks=["v_inequality"])
+    result = run_experiment(cfg, out_dir=str(tmp_path))
+    assert math.isnan(result.summary["min_v_slack"])
+    assert math.isnan(result.summary["findings"]["uncorrected_v_min_slack"])
+    assert result.checks["v_inequality"] == (False, "min_slack=nan")
 
 
 def test_two_iteration_run_checks_its_one_contraction_step(tmp_path):
@@ -492,8 +533,9 @@ def test_streamed_gap_certificates_equal_the_unshared_fold(
 
 
 def single_iterate_log(cfg):
-    """``log.csv`` text and summary certificates of ``cfg``, folded over a
-    stored trace one iterate at a time with 1-D calls only."""
+    """``log.csv`` text, summary certificates and the ``v_monotone`` and
+    ``feasibility_rate`` verdicts of ``cfg`` (when u/v are evaluable), folded
+    over a stored trace one iterate at a time with 1-D calls only."""
     problem, _, sched1, sched2, _ = experiments.prepare(cfg)
     init = solver.initial_state(problem)
     _, trace = solver.run(problem, init, sched1, sched2,
@@ -503,6 +545,11 @@ def single_iterate_log(cfg):
     rows = [{} for _ in range(K)]
     certificates = {"final_kkt": None, "min_gap_slack": None, "min_v_slack": None,
                     "findings": {"uncorrected_v_min_slack": None}}
+    verdicts = {}
+    start = max(2, min(100, K // 2)) if K else 2
+    slope = diagnostics.loglog_slope(range(start, K + 1),
+                                     trace.residual_norms[start - 1:])
+    certificates["rate_slope"] = None if math.isinf(slope) else slope
     for k, row in enumerate(rows, start=1):
         x, z, y = trace.xs[k], trace.zs[k], trace.ys[k]
         row["residual_primal"] = trace.residual_norms[k - 1]
@@ -532,10 +579,18 @@ def single_iterate_log(cfg):
                 certificates["min_v_slack"] = min(v_slacks)
                 certificates["findings"]["uncorrected_v_min_slack"] = min(
                     diagnostics.inequality_v_check(u, v, z_steps_sq(trace), 0.0))
-    start = max(2, min(100, K // 2)) if K else 2
-    slope = diagnostics.loglog_slope(range(start, K + 1),
-                                     trace.residual_norms[start - 1:])
-    certificates["rate_slope"] = None if math.isinf(slope) else slope
+            ok, first = diagnostics.v_monotone_check(
+                v, experiments.CHECK_TOLERANCES["v_monotone"])
+            verdicts["v_monotone"] = (
+                ok, "nonincreasing" if ok else f"first violation at k={first}")
+            bounds = diagnostics.feasibility_rate(trace.residual_norms, c, u[0],
+                                                  z_steps_sq(trace))
+            worst = float(np.max(np.asarray(trace.residual_norms[1:]) - bounds,
+                                 initial=0.0))
+            verdicts["feasibility_rate"] = (
+                worst <= experiments.CHECK_TOLERANCES["feasibility_rate"],
+                f"max_excess={worst:.3e}, slope={certificates['rate_slope']}",
+            )
     columns = experiments.CSV_COLUMNS + (
         [f"{name}_{i}" for name, dim in (("x", problem.n), ("z", problem.m),
                                          ("y", problem.m)) for i in range(dim)]
@@ -546,7 +601,7 @@ def single_iterate_log(cfg):
         lines.append(",".join(
             "" if col not in row else str(row[col]) if col == "k"
             else format(float(row[col]), ".17g") for col in columns))
-    return "\n".join(lines) + "\n", certificates
+    return "\n".join(lines) + "\n", certificates, verdicts
 
 
 _BLOCK_CASES = {
@@ -566,7 +621,6 @@ _BLOCK_CASES = {
                    metric2={"kind": "constant", "metric": {"kind": "zero"}},
                    checks=["kkt", "gap_bound", "dual_identity"]),
 }
-_B = experiments.BLOCK
 # the last: a probe round (k % 10 == 0) on the last row of a full block
 _BLOCK_EDGES = [0, 1, _B - 1, _B, _B + 1, 2 * _B + 3, math.lcm(10, _B) + 3]
 
@@ -584,10 +638,13 @@ def test_block_edges_equal_the_single_iterate_fold(tmp_path, monkeypatch, case,
             outputs.append((fh.read(), sh.read(), result.checks))
     assert outputs[0] == outputs[1]
 
-    log, certificates = single_iterate_log(cfg)
+    log, certificates, verdicts = single_iterate_log(cfg)
     assert outputs[0][0] == log
     summary = json.loads(outputs[0][1])
     assert {key: summary[key] for key in certificates} == certificates
+    checks = outputs[0][2]
+    assert {name: checks[name] for name in verdicts} == verdicts
+    assert bool(verdicts) == (case == "lasso-g" and iters > 0)
 
 
 def test_validation_reads_tau_beyond_the_horizon(tmp_path):
@@ -659,11 +716,13 @@ def test_run_experiment_frees_the_final_state_before_the_checks(monkeypatch,
 
 
 def test_certifier_holds_one_block_of_iterates_and_frees_it():
-    # besides the series, the Kahan sum and compensation, the saddle and
-    # the probe stacks, a certifier holds one row per buffered iterate,
-    # (x, z, y) end to end, the A x_k rows and its table of log rows: the
-    # ergodic means are folded into the iterate rows, not kept beside them.
-    # Once result() returns, none of these block buffers is alive
+    # its one per-iteration series is residual_primal: the u/v checks fold
+    # block by block. Besides it, the block's ||z_k - z_{k-1}||^2, the Kahan
+    # sum and compensation, the saddle and the probe stacks, a certifier
+    # holds one row per buffered iterate, (x, z, y) end to end, the A x_k
+    # rows and its table of log rows: the ergodic means are folded into the
+    # iterate rows, not kept beside them. Once result() returns, none of
+    # these block buffers is alive
     cfg = toy_config(
         problem={"name": "lasso-split", "n": 8, "rows": 12, "quadratic_in": "g"},
         metric2={"kind": "constant", "metric": {"kind": "zero"}},
@@ -678,15 +737,19 @@ def test_certifier_holds_one_block_of_iterates_and_frees_it():
         solver.validate_assumptions(problem, s1, s2), io.StringIO(),
     )
     assert certifier.dz_sq is not None  # every series and buffer is made
-    others = {"residuals", "u", "v", "dz_sq", "sum", "comp",
+    others = {"residuals", "dz_sq", "sum", "comp",
               "saddle", "probe_y", "probe_gamma", "probe_terms"}
-    buffers = {}
+    buffers, series = {}, []
     for name, value in vars(certifier).items():
         for array in (value if isinstance(value, tuple) else (value,)):
+            if isinstance(array, np.ndarray) and array.ndim == 1:
+                if array.size >= cfg.iters:
+                    series.append(name)
             if name not in others and isinstance(array, np.ndarray):
                 while array.base is not None:
                     array = array.base
                 buffers[id(array)] = array
+    assert series == ["residuals"]
     n, m, B = problem.n, problem.m, experiments.BLOCK
     columns = len(certifier.col)
     held = sum(array.size for array in buffers.values())

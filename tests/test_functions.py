@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -484,3 +485,17 @@ def test_lipschitz_constants():
     f = Quadratic(np.diag([1.0, 5.0]), None)
     assert f.lipschitz == pytest.approx(5.0)
 
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: Zero(0), ValueError, "dim must be positive"),
+    (lambda: BoxIndicator(2, [0.0], [1.0, 1.0]), DimensionMismatch,
+     "BoxIndicator bounds: expected dimension 2"),
+    (lambda: BoxIndicator(2, [0.0, math.nan], 1.0), ValueError,
+     "box bounds must not be NaN"),
+    (lambda: BoxIndicator(2, [0.0, 2.0], 1.0), ValueError, "lower <= upper"),
+    (lambda: Quadratic(np.ones((2, 3))), ValueError, "Q must be a square"),
+], ids=["dim", "box-shape", "box-nan", "box-order", "quadratic-shape"])
+def test_construction_refusals_name_the_quantity(build, error, match):
+    with pytest.raises(error, match=re.escape(match)):
+        build()

@@ -66,7 +66,7 @@ def test_apply_identity():
 
 
 def test_apply_zero_map():
-    A = LinearMap.zero(2, 2)
+    A = LinearMap.from_dense(np.zeros((2, 2)))
     assert np.array_equal(A.apply(np.array([5.0, -1.0])), [0.0, 0.0])
 
 
@@ -169,14 +169,13 @@ def test_operator_norm_squared_matches_dense_eigensolve(shape):
 
 
 def test_operator_norm_zero_map():
-    assert operator_norm(LinearMap.zero(3, 3)) == 0.0
+    assert operator_norm(LinearMap.from_dense(np.zeros((3, 3)))) == 0.0
 
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: forward_difference(200), lambda: LinearMap.identity(7),
-     lambda: LinearMap.zero(3, 4)],
-    ids=["forward_difference", "identity", "zero"],
+    [lambda: forward_difference(200), lambda: LinearMap.identity(7)],
+    ids=["forward_difference", "identity"],
 )
 def test_structured_spectrum_needs_no_matvec(make):
     A = make()
@@ -335,11 +334,11 @@ def test_dense_rejects_a_matrix_whose_symmetrization_overflows():
 
 
 @pytest.mark.parametrize("tau, coupling, A, name", [
-    (math.inf, 1.0, LinearMap.zero(2, 2), "tau"),
-    (0.5, math.inf, LinearMap.zero(2, 2), "coupling"),
+    (math.inf, 1.0, LinearMap.from_dense(np.zeros((2, 2))), "tau"),
+    (0.5, math.inf, LinearMap.from_dense(np.zeros((2, 2))), "coupling"),
     # 1/tau = 0 falls short of ||A||^2 = 1, but the step is what is wrong
     (math.inf, 1.0, LinearMap.identity(2), "tau"),
-    (1e-310, 1.0, LinearMap.zero(2, 2), "1/tau"),
+    (1e-310, 1.0, LinearMap.from_dense(np.zeros((2, 2))), "1/tau"),
 ], ids=["tau", "coupling", "tau-nonzero-map", "inverse-tau"])
 def test_shifted_gram_rejects_a_non_finite_step(tau, coupling, A, name):
     with pytest.raises(ValueError, match=f"Gram {re.escape(name)} must be finite"):
@@ -520,3 +519,19 @@ def test_block_kernels_keep_the_bits_of_the_vector_kernels(dim):
         (_norm(X[0]), np.linalg.norm(X[0])),
     ]:
         assert np.asarray(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: as_vector(np.ones((2, 2)), what="x"), "x: expected a 1-D array"),
+    (lambda: LinearMap.from_dense(np.zeros((0, 2))), "rows and cols must be positive"),
+    (lambda: LinearMap.from_dense([1.0, 2.0]), "dense map needs a 2-D array"),
+    (lambda: LinearMap.from_dense([[1.0, math.inf]]), "dense map entries must be finite"),
+    (lambda: forward_difference(1), "forward difference needs n >= 2"),
+    (lambda: MetricOperator.dense(np.ones((2, 3))), "dense metric needs a square"),
+    (lambda: MetricOperator.dense([[1.0, 0.5], [0.0, 1.0]]),
+     "dense metric must be symmetric"),
+], ids=["vector-2d", "map-rows", "dense-map-1d", "dense-map-inf", "difference-n",
+        "metric-shape", "metric-asymmetric"])
+def test_construction_refusals_name_the_quantity(build, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        build()

@@ -407,3 +407,13 @@ def test_tv1d_saddle_raises_above_kkt_1e_10_and_never_iterates(monkeypatch):
     with pytest.raises(OracleError, match="direct tv1d saddle") as exc:
         tv1d_saddle(P)
     assert exc.value.best_kkt > 1e-10
+
+
+@pytest.mark.parametrize("name, params, match", [
+    ("lasso-split", {"n": 4, "rows": 3}, "lasso-split needs rows >= n"),
+    ("lasso-split", {"lam": 0.0}, "lasso-split needs lam > 0"),
+    ("toy1d", {"sigma": 0.0}, "sigma > 0"),
+], ids=["lasso-rows", "lasso-lam", "toy1d-sigma"])
+def test_catalog_refusals_name_the_parameter(name, params, match):
+    with pytest.raises(ValueError, match=match):
+        build_problem(name, **params)

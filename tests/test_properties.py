@@ -175,7 +175,7 @@ def linear_map(draw, factory):
     if factory == "identity":
         return LinearMap.identity(cols)
     if factory == "zero":
-        return LinearMap.zero(rows, cols)
+        return LinearMap.from_dense(np.zeros((rows, cols)))
     if factory == "forward_difference":
         return forward_difference(cols + 1)
     M = draw(reals((rows, cols), bound=5.0))
@@ -1042,7 +1042,7 @@ def test_certifier_setup_has_the_bits_of_the_stacked_probe_calls(case):
         problem, _, s1, s2, init = prepare(cfg)
         report = validate_assumptions(problem, s1, s2)
         certifier = _Certifier(cfg, problem, init, s1, s2, center, report, io.StringIO())
-        sampled = list(diagnostics.ball_probes(center, 1.0, 10, seed=cfg.seed))
+        sampled = list(diagnostics.ball_probes(center, 10, seed=cfg.seed))
         reference = ball_probes_reference(center, 1.0, 10, cfg.seed)
         assert [[v.tobytes() for v in p] for p in sampled] == [
             [v.tobytes() for v in p] for p in reference]
@@ -1240,7 +1240,7 @@ class MetricMachine(RuleBasedStateMachine):
           map_kind=st.sampled_from(["identity", "zero", "forward_difference"]))
     def shifted_gram(self, dim, coupling, fraction, map_kind):
         A = {"identity": LinearMap.identity(dim),
-             "zero": LinearMap.zero(dim, dim),
+             "zero": LinearMap.from_dense(np.zeros((dim, dim))),
              "forward_difference": forward_difference(dim)}[map_kind]
         with np.errstate(over="ignore"):
             bound = coupling * operator_norm(A) ** 2

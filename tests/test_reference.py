@@ -115,7 +115,7 @@ def test_condat_zero_g_pins_dual_at_zero():
 
 def test_condat_trivial_fixed_point():
     # f = h = 0 and A the zero map: x never moves
-    A = LinearMap.zero(2, 2)
+    A = LinearMap.from_dense(np.zeros((2, 2)))
     x0 = np.array([1.0, -2.0])
     x, y = x0, np.zeros(2)
     for _ in range(3):

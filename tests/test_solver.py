@@ -11,6 +11,7 @@ from helpers import KahanAverager, count_eigh, count_factorizations, minimize_1d
 from vmadmm import diagnostics, experiments, functions, solver
 from vmadmm.errors import (
     AssumptionError,
+    DimensionMismatch,
     NonFiniteIterate,
     NotPositiveSemidefinite,
     SingularSubproblem,
@@ -326,7 +327,7 @@ def test_x_update_singular_system():
     # a failed factorization is never cached: every call raises again, and
     # the same metric still serves a problem whose system is definite
     P = ProblemSpec(
-        f=Zero(2), h=Zero(2), g=Zero(1), A=LinearMap.zero(1, 2), c=1.0
+        f=Zero(2), h=Zero(2), g=Zero(1), A=LinearMap.from_dense(np.zeros((1, 2))), c=1.0
     )
     state = initial_state(P)
     m1 = MetricOperator.zero(2)
@@ -1208,7 +1209,7 @@ def test_certifier_applies_A_once_per_block(monkeypatch, tmp_path):
     assert applied["_certify_block"] == [(True, True)] * blocks
     certifier = applied["__init__"][0][0]
     saddle = certifier.saddle
-    probes = [saddle] + list(diagnostics.ball_probes(saddle, 1.0, 10, seed=cfg.seed))
+    probes = [saddle] + list(diagnostics.ball_probes(saddle, 10, seed=cfg.seed))
     assert [(obj, v.shape) for obj, v in applied["__init__"]] == [(certifier, (20,))] * 11
     assert all(np.array_equal(v, probe[0])
                for (_, v), probe in zip(applied["__init__"], probes))
@@ -1530,3 +1531,17 @@ def test_validate_condition_II_gates_on_m1_when_h_smooth():
     assert report.condition_II
     assert not report.m1_dominates_half_L
     assert not report.permits_run
+
+
+@pytest.mark.parametrize("g, h, name", [(2, 3, "h"), (3, 2, "g")])
+def test_problem_spec_refuses_a_term_of_the_wrong_dimension(g, h, name):
+    with pytest.raises(DimensionMismatch,
+                       match=f"ProblemSpec {name}: expected dimension 2, got 3"):
+        ProblemSpec(f=Zero(2), h=Zero(h), g=Zero(g), A=LinearMap.identity(2), c=1.0)
+
+
+@pytest.mark.parametrize("name", ["x", "z", "y"])
+def test_initial_state_refuses_a_vector_of_the_wrong_shape(name):
+    with pytest.raises(DimensionMismatch,
+                       match=f"initial {name}: expected dimension 1, got \\(2,\\)"):
+        initial_state(scalar_problem(), **{f"{name}0": [0.0, 0.0]})
