@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A class that builds its message in its own ``__init__`` defines
+``__reduce__`` to pickle the arguments it was made from, so an error
+raised in the runner's solver process reaches the caller with its type,
+message and attributes."""
 
 
 class VmAdmmError(Exception):
@@ -13,6 +18,9 @@ class DimensionMismatch(VmAdmmError, ValueError):
         self.expected = expected
         self.got = got
         super().__init__(f"{what}: expected dimension {expected}, got {got}")
+
+    def __reduce__(self):
+        return type(self), (self.what, self.expected, self.got), self.__dict__
 
 
 class AdjointConsistencyError(VmAdmmError):
@@ -53,6 +61,9 @@ class AssumptionError(VmAdmmError):
             "pass force=True to run anyway. Failures: " + "; ".join(report.notes)
         )
 
+    def __reduce__(self):
+        return type(self), (self.report,), self.__dict__
+
 
 class NonFiniteIterate(VmAdmmError):
     """An iterate became NaN or infinite."""
@@ -60,6 +71,9 @@ class NonFiniteIterate(VmAdmmError):
     def __init__(self, iteration):
         self.iteration = iteration
         super().__init__(f"non-finite value in iterate at iteration {iteration}")
+
+    def __reduce__(self):
+        return type(self), (self.iteration,), self.__dict__
 
 
 class UnsupportedSetting(VmAdmmError):
@@ -70,8 +84,12 @@ class OracleError(VmAdmmError):
     """The saddle-point oracle did not reach its target residual."""
 
     def __init__(self, message, best_kkt):
+        self.message = message
         self.best_kkt = best_kkt
         super().__init__(f"{message} (best KKT residual {best_kkt:.3e})")
+
+    def __reduce__(self):
+        return type(self), (self.message, self.best_kkt), self.__dict__
 
 
 class ConfigError(VmAdmmError):

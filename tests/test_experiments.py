@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -25,6 +26,24 @@ from vmadmm.experiments import (
     run_experiment,
     serialize_config,
 )
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Solve beside the certifier in a forked child, on any host; the list
+    counts this process's forks."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(1)
+        return pid
+
+    monkeypatch.setattr(experiments, "_solve_beside", lambda: True)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
 
 
 def toy_config(**overrides):
@@ -674,7 +693,7 @@ def test_residual_column_matches_dual_steps(tmp_path):
         y_prev = y
 
 
-def test_dual_identity_keeps_a_nan_from_the_first_block(monkeypatch, tmp_path):
+def test_dual_identity_keeps_a_nan_from_the_first_block(monkeypatch, tmp_path, forked):
     # the certifier folds each block's deviation into a running maximum: a
     # NaN residual in the first of three blocks must reach the verdict
     record = experiments._Certifier.record
@@ -687,6 +706,7 @@ def test_dual_identity_keeps_a_nan_from_the_first_block(monkeypatch, tmp_path):
     result = run_experiment(cfg, out_dir=str(tmp_path))
     assert result.checks["dual_identity"] == (False, "max_dev=nan")
     assert result.exit_code == 1
+    assert forked == [1]  # the forked path's states carry k
 
 
 def test_run_experiment_frees_the_final_state_before_the_checks(monkeypatch,
@@ -708,11 +728,161 @@ def test_run_experiment_frees_the_final_state_before_the_checks(monkeypatch,
         alive.append(returned[0]() is not None)
         return result(self)
 
+    monkeypatch.setattr(experiments, "_solve_beside", lambda: False)
     monkeypatch.setattr(experiments, "run", keeping_run)
     monkeypatch.setattr(experiments._Certifier, "result", watching_result)
     outcome = run_experiment(toy_config(iters=20), out_dir=str(tmp_path))
     assert outcome.summary["iterations"] == 20
     assert alive == [False]
+
+
+def test_forked_run_experiment_holds_no_solver_state(monkeypatch, tmp_path, forked):
+    # the solver runs in the child: this process never calls run, and while
+    # the end-of-run checks run it holds no state past the initial point
+    returned = []
+    solver_run = experiments.run
+
+    def keeping_run(*args, **kwargs):
+        state, recorder = solver_run(*args, **kwargs)
+        returned.append(weakref.ref(state))
+        return state, recorder
+
+    states = []
+    result = experiments._Certifier.result
+
+    def watching_result(self):
+        states.extend(o.k for o in gc.get_objects() if isinstance(o, solver.SolverState))
+        return result(self)
+
+    monkeypatch.setattr(experiments, "run", keeping_run)
+    monkeypatch.setattr(experiments._Certifier, "result", watching_result)
+    outcome = run_experiment(toy_config(iters=20), out_dir=str(tmp_path))
+    assert outcome.summary["iterations"] == 20
+    assert forked == [1] and returned == []
+    assert set(states) <= {0}
+
+
+# ---------------------------------------------------------------------------
+# the solver process beside the certifier
+# ---------------------------------------------------------------------------
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_solver_process_outlives_a_passing_run(tmp_path, forked):
+    result = run_experiment(toy_config(iters=3 * _B + 5), out_dir=str(tmp_path))
+    assert result.exit_code == 0
+    assert forked == [1]
+    _no_child_left()
+
+
+def test_a_non_finite_iterate_in_the_solver_process_reaches_the_caller(
+        tmp_path, monkeypatch):
+    # the child's NonFiniteIterate is re-raised here with its message and
+    # iteration, as the in-process run raises it, and the child is reaped
+    cfg = toy_config(
+        problem={"name": "tv1d", "n": 20},
+        metric1={"kind": "geometric_decay",
+                 "metric": {"kind": "scaled_identity", "mu": 1.0}, "rho": 0.5},
+        metric2={"kind": "constant", "metric": {"kind": "zero"}},
+        iters=3000,
+        checks=["kkt", "gap_bound"],
+    )
+    raised = []
+    for beside in (True, False):
+        monkeypatch.setattr(experiments, "_solve_beside", lambda beside=beside: beside)
+        with pytest.raises(NonFiniteIterate) as exc:
+            run_experiment(cfg, force=True, out_dir=str(tmp_path / str(beside)))
+        raised.append((str(exc.value), exc.value.iteration))
+        _no_child_left()
+    assert raised[0] == raised[1]
+    assert raised[0][1] > _B
+
+
+def test_an_error_in_the_certifier_stops_the_solver_process(tmp_path, forked,
+                                                            monkeypatch):
+    record = experiments._Certifier.record
+
+    def failing_record(self, state, residual):
+        if state.k == _B + 3:
+            raise RuntimeError("the certifier failed")
+        record(self, state, residual)
+
+    monkeypatch.setattr(experiments._Certifier, "record", failing_record)
+    with pytest.raises(RuntimeError, match="the certifier failed"):
+        run_experiment(toy_config(iters=10**6), out_dir=str(tmp_path))
+    assert forked == [1]
+    _no_child_left()
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_solver_process_that_ends_with_no_result_is_named(tmp_path, forked,
+                                                            monkeypatch):
+    parent = os.getpid()
+
+    def dying_run(*args, **kwargs):
+        assert os.getpid() != parent, "run called in the certifying process"
+        os._exit(7)
+
+    monkeypatch.setattr(experiments, "run", dying_run)
+    with pytest.raises(ChildProcessError, match=r"exit status 7\)"):
+        run_experiment(toy_config(iters=20), out_dir=str(tmp_path))
+    _no_child_left()
+    assert os.listdir(tmp_path) == []
+
+
+_STRATEGY_CASES = {
+    "linearized": dict(_TV1D_LINEARIZED,
+                       metric2={"kind": "constant", "metric": {"kind": "zero"}},
+                       checks=["kkt", "gap_bound", "dual_identity"]),
+    "quadratic": dict(problem={"name": "tv1d", "n": 20}, iters=57,
+                      metric2={"kind": "constant", "metric": {"kind": "zero"}},
+                      checks=["kkt", "dual_identity"]),
+    "prox_direct": dict(_BLOCK_CASES["lasso-g"], iters=57),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(_STRATEGY_CASES))
+def test_forked_and_in_process_solves_write_the_same_bytes(tmp_path, monkeypatch,
+                                                           forked, strategy):
+    cfg = toy_config(**_STRATEGY_CASES[strategy], log_vectors=True)
+    problem, _, sched1, _, _ = experiments.prepare(cfg)
+    assert solver.x_strategy(problem, sched1.metric(1)) == strategy
+    outputs = []
+    for beside in (True, False):
+        monkeypatch.setattr(experiments, "_solve_beside", lambda beside=beside: beside)
+        result = run_experiment(cfg, out_dir=str(tmp_path / str(beside)))
+        with open(result.csv_path, "rb") as fh, open(result.summary_path, "rb") as sh:
+            outputs.append((fh.read(), sh.read()))
+    assert forked == [1]
+    assert outputs[0] == outputs[1]
+
+
+def test_the_step_sum_is_added_in_iteration_order(tmp_path, monkeypatch):
+    # feasibility_rate receives S = sum_k ||z_k - z_{k-1}||^2 added one step
+    # at a time, k = 1..K, across two blocks and a tail: the bits of np.cumsum
+    # over the whole series, which here differ from numpy's pairwise np.sum
+    cfg = toy_config(**dict(_BLOCK_CASES["lasso-g"], iters=2 * _B + 5))
+    received = []
+    feasibility_rate = diagnostics.feasibility_rate
+
+    def capturing(residuals, c, u1, dz_sq):
+        received.append(np.array(dz_sq))
+        return feasibility_rate(residuals, c, u1, dz_sq)
+
+    monkeypatch.setattr(diagnostics, "feasibility_rate", capturing)
+    run_experiment(cfg, out_dir=str(tmp_path))
+    problem, _, sched1, sched2, init = experiments.prepare(cfg)
+    _, trace = solver.run(problem, init, sched1, sched2,
+                          solver.StoppingRule(max_iters=cfg.iters), force=True)
+    dz = np.diff(np.array(trace.zs), axis=0)
+    steps = np.vecdot(dz, dz)
+    assert np.sum(steps) != np.cumsum(steps)[-1]
+    assert len(received) == 1 and received[0].size == 1
+    assert received[0][0].tobytes() == np.cumsum(steps)[-1].tobytes()
 
 
 def test_certifier_holds_one_block_of_iterates_and_frees_it():
