@@ -14,25 +14,26 @@ before the solve (:func:`saddle_point`) and certifies the iterates
 :func:`solver.run` hands over in blocks of :data:`BLOCK`: each certified
 quantity is one call over the block, along the leading block axis of
 :mod:`diagnostics`, with the bits of certifying one iterate at a time.
-Within a block the certifier holds one row per iterate, ``(x, z, y)`` end
-to end, and folds the rows in place into their ergodic means once nothing
-else reads them. Each block's rows are appended to ``log.csv`` as soon as
-they are certified; between blocks the certifier keeps the last iterate,
-the last row, running values and one per-iteration series,
+
+The solver's recorder copies each iterate once, into a ring in one
+anonymous shared ``mmap`` (:func:`_ring`): a row ``(x, z, y, A x, ||A x -
+z||)`` of ``n + 3 m + 1`` floats, 6.4 KB at n = 200 for tv1d. A slot of
+``BLOCK + 1`` rows, row 0 the iterate before the block, is the certifier's
+block buffer: it certifies the rows in place, folds them in place into
+their ergodic means and appends them to ``log.csv``. Between blocks it
+keeps the last row, running values and one per-iteration series,
 ``residual_primal``, whose entry ``i`` is iteration ``k = i + 1``. The u/v
 checks (``v_inequality``, ``v_monotone``, ``feasibility_rate``) are judged
 block by block; they need the metrics to stay constant for the whole run
 and are "not evaluable" otherwise.
 
 Where ``os.fork`` exists, at least two CPUs are usable and only one Python
-thread runs (:func:`_solve_beside`), :func:`run_experiment` runs the solver
-in a forked child and certifies its iterates in this process as they
-arrive (:func:`_solve_forked`): the child copies each iterate into a shared
-ring of two :data:`BLOCK`-row slots, ``(n + 3 m + 1)`` floats a row (204 KB
-at n = 200 for tv1d, about 10 MB at n = 10 000), and the certifier,
+thread runs (:func:`_solve_beside`), the solver runs in a forked child that
+fills one of two slots (217 KB at n = 200, 11.2 MB at n = 10 000) while
+this process certifies the other (:func:`_solve_forked`); the certifier,
 ``log.csv`` and ``summary.json`` stay here. Otherwise the solver runs here
-with the certifier as its recorder. Both paths run the same code in the
-same order and write the same bytes.
+over one slot (109 KB at n = 200), certified as soon as it is full. Both
+paths run the same code in the same order and write the same bytes.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import signal
 import sys
 import threading
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,12 +79,11 @@ CHECK_TOLERANCES = {
 #: Checks whose evaluation needs a certified saddle point.
 ORACLE_CHECKS = {"gap_bound", "v_inequality", "v_monotone", "feasibility_rate"}
 
-#: Iterates the certifier buffers and certifies together, one numpy call per
-#: certified quantity per block. The certifier's working set grows with it:
-#: at n = 200 (warm, seed 1) a certified solve's traced peak is 0.37 MB at 16
-#: against 0.32 MB at 1 on tv1d-linearized, 0.31 against 0.24 MB on
-#: tv1d-quadratic, 1.05 against 0.99 MB on lasso-g and 0.69 against 0.68 MB
-#: on box-qp; the block buys time, not memory.
+#: Iterates the certifier certifies together, one numpy call per certified
+#: quantity per block. The ring's slots grow with it, in untraced ``mmap``
+#: memory: at n = 200 (warm, seed 1, two CPUs) a certified solve's traced
+#: peak is 0.31 MB at 16 and at 1 on tv1d-linearized, 0.23 MB on
+#: tv1d-quadratic, 0.98 MB on lasso-g and 0.68 MB on box-qp.
 BLOCK = 16
 
 CSV_COLUMNS = [
@@ -370,14 +369,17 @@ def run_experiment(cfg, force=False, out_dir=None):
     fh = open(partial, "w", encoding="ascii", newline="\n")
     try:
         with fh:
+            beside = _solve_beside()
             certifier = _Certifier(cfg, problem, init, sched1, sched2, saddle,
-                                   report, fh)
+                                   report, fh, slots=2 if beside else 1)
             solve = (problem, init, sched1, sched2, StoppingRule(max_iters=cfg.iters))
-            if _solve_beside():
+            if beside:
                 iterations = _solve_forked(solve, certifier)
             else:
+                writer = _RingWriter(certifier.ring, certifier.certify)
                 # only the count is read: the final iterate is freed before the checks
-                iterations = run(*solve, force=True, recorder=certifier)[0].k
+                iterations = run(*solve, force=True, recorder=writer)[0].k
+                writer.flush()
             certificates, checks = certifier.result()
     except BaseException:
         os.remove(partial)
@@ -436,55 +438,63 @@ def _current_cpu():
         return None
 
 
-class _RingWriter:
-    """The solver process's recorder: copies each iterate's ``x``, ``z``,
-    ``y``, ``A x`` and ``||A x_k - z_k||`` into one row of ``ring``, two slots
-    of :data:`BLOCK` rows each, and reports each full slot on ``out`` as
-    ``("rows", slot, count)``. Before refilling a slot it reads one byte from
-    ``free``, which the parent writes when it has certified the slot."""
+def _ring(slots, init):
+    """``slots`` slots of ``BLOCK + 1`` rows ``(x, z, y, A x, ||A x - z||)``
+    in one anonymous shared ``mmap``, row 0 of slot 0 holding ``init``."""
+    n, m = init.x.size, init.z.size
+    width = n + 3 * m + 1
+    ring = np.ndarray((slots, BLOCK + 1, width),
+                      buffer=mmap.mmap(-1, slots * (BLOCK + 1) * width * 8))
+    np.concatenate((init.x, init.z, init.y), out=_ring_fields(ring[0, 0], m)[0])
+    return ring
 
-    def __init__(self, ring, out, free):
-        self.ring, self.out, self.free = ring, out, free
-        self.sent = 0  # slots reported
+
+def _ring_fields(rows, m):
+    """Views of ring ``rows``: ``(x, z, y)`` end to end, ``A x`` and the residual."""
+    return rows[..., : -1 - m], rows[..., -1 - m : -1], rows[..., -1]
+
+
+class _RingWriter:
+    """The solver's recorder: fills rows ``1..BLOCK`` of each slot of ``ring``
+    in turn and hands each full slot, and the last at :meth:`flush`, to
+    ``deliver(slot, count)``. With ``free``, another process certifies the
+    slots: before refilling one, it reads one byte from ``free``."""
+
+    def __init__(self, ring, deliver, free=None):
+        self.ring, self.deliver, self.free = ring, deliver, free
+        self.sent = 0  # slots delivered
         self.row = 0  # rows filled in the open slot
 
     def record(self, state, residual):
-        if not self.row and self.sent >= 2 and not os.read(self.free, 1):
+        if (not self.row and self.free is not None and self.sent >= len(self.ring)
+                and not os.read(self.free, 1)):
             raise EOFError("the certifying process closed its pipe")
-        row = self.ring[self.sent % 2, self.row]
+        self.row += 1
+        row = self.ring[self.sent % len(self.ring), self.row]
         np.concatenate((state.x, state.z, state.y, state.Ax), out=row[:-1])
         row[-1] = residual
-        self.row += 1
         if self.row == BLOCK:
             self.flush()
 
     def flush(self):
         if self.row:
-            self.report(("rows", self.sent % 2, self.row))
+            self.deliver(self.sent % len(self.ring), self.row)
             self.sent += 1
             self.row = 0
-
-    def report(self, message):
-        self.out.write(pickle.dumps(message))
-        self.out.flush()
 
 
 def _solve_forked(solve, certifier):
     """``run(*solve, force=True)`` in a forked child, its iterates certified
     here as they arrive; returns the final ``k``.
 
-    The child records into a :class:`_RingWriter` over an anonymous shared
-    ``mmap`` of two :data:`BLOCK`-row slots (``(n + 3 m + 1)`` floats a row),
-    then reports ``("end", k)``, or ``("raise", exc)`` after the rows recorded
-    before ``exc``, and leaves by ``os._exit`` on every path, so it flushes
-    none of this process's buffers. This process hands each row to
-    ``certifier.record`` as a state of ``x``, ``z``, ``y`` and ``Ax`` views
-    and ``k``, frees the slot, and re-raises the child's exception. On its
-    own exception it kills the child; on every path it reaps it."""
-    problem, init = solve[0], solve[1]
-    n, m = problem.n, problem.m
-    width = n + 3 * m + 1  # x, z, y, A x and the residual
-    ring = np.frombuffer(mmap.mmap(-1, 2 * BLOCK * width * 8)).reshape(2, BLOCK, width)
+    The child records into ``certifier.ring``, two slots of ``BLOCK + 1``
+    rows of ``n + 3 m + 1`` floats (6.4 KB at n = 200 for tv1d), reports
+    each filled slot as ``("rows", slot, count)``, then ``("end", k)``, or
+    ``("raise", exc)`` after the rows recorded before ``exc``, and leaves by
+    ``os._exit`` on every path, so it flushes none of this process's
+    buffers. This process certifies each slot in place, frees it, and
+    re-raises the child's exception. On its own exception it kills the
+    child; on every path it reaps it."""
     reports, out = os.pipe()
     free, freed = os.pipe()
     here = _current_cpu()
@@ -497,20 +507,26 @@ def _solve_forked(solve, certifier):
             # a kernel that does not balance load across CPUs keeps a child
             # on its parent's CPU: run beside the parent, not in its turns
             os.sched_setaffinity(0, os.sched_getaffinity(0) - {here})
-            writer = _RingWriter(ring, os.fdopen(out, "wb"), free)
+            channel = os.fdopen(out, "wb")
+
+            def report(*message):
+                pickle.dump(message, channel)
+                channel.flush()
+
+            writer = _RingWriter(certifier.ring,
+                                 lambda slot, count: report("rows", slot, count), free)
             try:
                 message = ("end", run(*solve, force=True, recorder=writer)[0].k)
             except BaseException as exc:  # the parent raises it
                 message = ("raise", exc)
             writer.flush()
-            writer.report(message)
+            report(*message)
             code = 0
         finally:
             os._exit(code)
     os.close(out)
     os.close(free)
-    xs, zs, ys, axs, residuals = np.split(ring, np.cumsum([n, m, m, m]), axis=2)
-    k, status = init.k, None
+    status = None
     try:
         with os.fdopen(reports, "rb") as channel:
             while True:
@@ -525,12 +541,7 @@ def _solve_forked(solve, certifier):
                     return got[0]
                 if kind == "raise":
                     raise got[0]
-                slot, count = got
-                for x, z, y, Ax, residual in zip(xs[slot], zs[slot], ys[slot], axs[slot],
-                                                 residuals[slot, :count, 0].tolist()):
-                    k += 1
-                    certifier.record(SimpleNamespace(x=x, z=z, y=y, Ax=Ax, k=k),
-                                     residual)
+                certifier.certify(*got)
                 with contextlib.suppress(BrokenPipeError):  # the child is done
                     os.write(freed, b"\0")
     except BaseException:
@@ -547,32 +558,33 @@ class _Certifier:
     """The runner's recorder: certifies the iterates :func:`run` hands over,
     :data:`BLOCK` at a time, and appends their rows to the open ``log``.
 
-    Between blocks it holds the last iterate, the Kahan sum of the iterates
-    so far, each probe's ``y``, gamma and Lagrangian terms as one row of
-    three arrays (the saddle's first), the smallest gap slack and the
-    largest dual identity deviation so far, the ``residual_primal`` series
-    and, if u/v are evaluable, the running values of their checks: the two
-    least slacks, the first rise of ``v``, ``u_1`` and the step sum. The
-    set-up draws one probe at a time, fills its rows by 1-D calls and drops
-    it before drawing the next. Within a block it buffers up to
-    :data:`BLOCK` iterates, one row each of ``(x, z, y)`` end to end, with
-    their ``A x_k``, then certifies them with one call per quantity into
-    rows 1.. of a ``BLOCK + 1``-row table; each value keeps the bits of
-    certifying its iterate alone. Once all but the gap is certified, the
-    iterate rows are folded in place, one Kahan step each, into the ergodic
-    means the gap reads. Row 0 of the table holds the block before's last
-    row until this block gives its ``v_slack``; the run's last row is
-    written with ``v_slack`` empty. ``saddle`` is None when no requested
-    check needs one. The u/v checks need a zero smooth term and one (M1, M2)
-    pair for the whole run; they fail as "not evaluable" otherwise.
+    It owns the :func:`_ring` of ``slots`` slots a :class:`_RingWriter`
+    fills. :meth:`certify` certifies a filled slot through strided views of
+    its rows, one call per quantity into rows 1.. of a ``BLOCK + 1``-row
+    table; each value keeps the bits of certifying its iterate alone. It
+    then copies the slot's last ``(x, z, y)`` into row 0 of the next slot,
+    which no writer fills, and folds the slot's iterate rows in place, one
+    Kahan step each, into the ergodic means the gap reads. Row 0 of the
+    table holds the block before's last row until this block gives its
+    ``v_slack``; the run's last row is written with ``v_slack`` empty.
+    Between blocks it holds the Kahan sum of the iterates so far, each
+    probe's ``y``, gamma and Lagrangian terms as one row of three arrays
+    (the saddle's first), the smallest gap slack and the largest dual
+    identity deviation so far, the ``residual_primal`` series and, if u/v
+    are evaluable, the running values of their checks: the two least
+    slacks, the first rise of ``v``, ``u_1`` and the step sum. The set-up
+    draws one probe at a time, fills its rows by 1-D calls and drops it
+    before drawing the next. ``saddle`` is None when no requested check
+    needs one. The u/v checks need a zero smooth term and one (M1, M2) pair
+    for the whole run; they fail as "not evaluable" otherwise.
 
-    :meth:`result` frees the block buffers, then returns ``(certificates,
+    :meth:`result` frees the ring and the table, then returns ``(certificates,
     checks)``: the summary's certificate fields and ``{name: (passed,
     detail)}`` for the checks ``cfg.checks`` requests, in its order, against
     :data:`CHECK_TOLERANCES`.
     """
 
-    def __init__(self, cfg, problem, init, sched1, sched2, saddle, report, log):
+    def __init__(self, cfg, problem, init, sched1, sched2, saddle, report, log, slots=1):
         n, m, K = problem.n, problem.m, cfg.iters
         self.cfg, self.problem, self.saddle, self.log = cfg, problem, saddle, log
         self.ergodic_ok = report.ergodic_ok  # the gap bound's hypotheses
@@ -585,13 +597,7 @@ class _Certifier:
         self.residuals = np.empty(K)  # ||A x_k - z_k||
         self.max_dev = 0.0  # largest dual identity deviation so far
         self.done = 0  # rows certified
-        self.open = 0  # iterates buffered in the open block
-        # (x, z, y) end to end, one row per iterate: row 0 is the iterate
-        # before the open block
-        self.iterates = np.empty((BLOCK + 1, n + 2 * m))
-        self.xs, self.zs, self.ys = np.split(self.iterates, (n, n + m), axis=1)
-        self.xs[0], self.zs[0], self.ys[0] = init.x, init.z, init.y
-        self.axs = np.empty((BLOCK, m))
+        self.ring = _ring(slots, init)
         self.min_gap_slack = None
         self.dz_sq = None  # ||z_k - z_{k-1}||^2 of the open block, if u/v are evaluable
         if saddle is not None and K:
@@ -632,25 +638,19 @@ class _Certifier:
                         for empty in (blank, blank | {"v_slack"})]
         log.write(",".join(["k", *columns]) + "\n")
 
-    def record(self, state, residual):
-        i = self.open
-        self.xs[i + 1], self.zs[i + 1], self.ys[i + 1] = state.x, state.z, state.y
-        self.axs[i] = state.Ax
-        self.residuals[self.done + i] = residual
-        self.open += 1
-        if self.open == BLOCK:
-            self._certify_block()
-
-    def _certify_block(self):
-        b, start = self.open, self.done
-        if not b:
-            return
+    def certify(self, slot, count):
+        """Certify rows ``1..count`` of ring slot ``slot``: the next iterations."""
+        b, start, ring = count, self.done, self.ring
         problem, saddle, col, table = self.problem, self.saddle, self.col, self.table
+        n, m = problem.n, problem.m
         rows = table[1 : b + 1]  # row j of the table is iteration start + j
-        prev = self.xs[:b], self.zs[:b], self.ys[:b]
-        x, z, y = self.xs[1 : b + 1], self.zs[1 : b + 1], self.ys[1 : b + 1]
-        Ax = self.axs[:b]
-        residuals = rows[:, col["residual_primal"]] = self.residuals[start : start + b]
+        # rows 0..b of the slot: row 0 is the iterate before the block
+        iterates, Ax, residual = _ring_fields(ring[slot, : b + 1], m)
+        xs, zs, ys = iterates[:, :n], iterates[:, n : n + m], iterates[:, n + m :]
+        prev = xs[:b], zs[:b], ys[:b]
+        x, z, y, Ax = xs[1:], zs[1:], ys[1:], Ax[1:]
+        residuals = self.residuals[start : start + b]
+        rows[:, col["residual_primal"]] = residuals[:] = residual[1:]
         dev = diagnostics.dual_identity_deviation(prev[2], y, residuals, problem.c)
         self.max_dev = np.maximum(self.max_dev, dev)  # a NaN stays NaN
         fh, g_ax, rows[:, col["kkt"]] = diagnostics.objective_and_kkt(problem, x, y, Ax)
@@ -683,14 +683,14 @@ class _Certifier:
                 self.first_rise = rise + start + first - 1
             # one add per step in iteration order: the bits of np.cumsum
             dz_sq[0] = np.cumsum(dz_sq)[-1]
-        iterates = self.iterates
         if self.cfg.log_vectors:
-            rows[:, col["x_0"] :] = iterates[1 : b + 1]
-        iterates[0] = iterates[b]
+            rows[:, col["x_0"] :] = iterates[1:]
+        # the next slot's row 0, which its writer never fills
+        _ring_fields(ring[(slot + 1) % len(ring), 0], m)[0][:] = iterates[b]
         if saddle is not None:
             # nothing else reads rows 1..b: each becomes its ergodic mean by a
             # Kahan step, the new sum written into comp's buffer, then swapped
-            means = iterates[1 : b + 1]
+            means = iterates[1:]
             for k, term in enumerate(means, start + 1):
                 term -= self.comp
                 total = np.add(self.sum, term, out=self.comp)
@@ -702,7 +702,6 @@ class _Certifier:
         write_iterate_log(self.log, start + first, table[first:b], *self.formats[0])
         table[0] = table[b]
         self.done += b
-        self.open = 0
 
     def _certify_gaps(self, rows, ks, means):
         """The gap columns of ``rows`` (iterations ``ks``) and their slacks,
@@ -741,13 +740,12 @@ class _Certifier:
         self.min_gap_slack = min(self.min_gap_slack, least)
 
     def result(self):
-        self._certify_block()
         problem, K = self.problem, self.done
         if K:  # the held last row, v_slack empty
             write_iterate_log(self.log, K, self.table[:1], *self.formats[1])
         final_kkt = float(self.table[0, self.col["kkt"]]) if K else None
         # the block buffers are freed before the end-of-run checks
-        del self.iterates, self.xs, self.zs, self.ys, self.axs, self.table
+        del self.ring, self.table
         residuals = self.residuals[:K]
         tol = CHECK_TOLERANCES
         verdicts = {

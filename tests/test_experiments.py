@@ -648,14 +648,19 @@ _BLOCK_EDGES = [0, 1, _B - 1, _B, _B + 1, 2 * _B + 3, math.lcm(10, _B) + 3]
 @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
 def test_block_edges_equal_the_single_iterate_fold(tmp_path, monkeypatch, case,
                                                    iters):
+    # on both paths, whichever the host would take: the forked run's two
+    # slots and the in-process run's one, whose row 0 carries its own last row
     cfg = toy_config(**dict(_BLOCK_CASES[case], iters=iters))
     outputs = []
-    for block in (_B, 1):
-        monkeypatch.setattr(experiments, "BLOCK", block)
-        result = run_experiment(cfg, force=True, out_dir=str(tmp_path / str(block)))
-        with open(result.csv_path) as fh, open(result.summary_path) as sh:
-            outputs.append((fh.read(), sh.read(), result.checks))
-    assert outputs[0] == outputs[1]
+    for beside in (True, False):
+        monkeypatch.setattr(experiments, "_solve_beside", lambda beside=beside: beside)
+        for block in (_B, 1):
+            monkeypatch.setattr(experiments, "BLOCK", block)
+            result = run_experiment(cfg, force=True,
+                                    out_dir=str(tmp_path / f"{beside}-{block}"))
+            with open(result.csv_path) as fh, open(result.summary_path) as sh:
+                outputs.append((fh.read(), sh.read(), result.checks))
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
     log, certificates, verdicts = single_iterate_log(cfg)
     assert outputs[0][0] == log
@@ -696,12 +701,12 @@ def test_residual_column_matches_dual_steps(tmp_path):
 def test_dual_identity_keeps_a_nan_from_the_first_block(monkeypatch, tmp_path, forked):
     # the certifier folds each block's deviation into a running maximum: a
     # NaN residual in the first of three blocks must reach the verdict
-    record = experiments._Certifier.record
+    record = experiments._RingWriter.record
 
     def record_nan_at_5(self, state, residual):
         record(self, state, math.nan if state.k == 5 else residual)
 
-    monkeypatch.setattr(experiments._Certifier, "record", record_nan_at_5)
+    monkeypatch.setattr(experiments._RingWriter, "record", record_nan_at_5)
     cfg = toy_config(iters=2 * experiments.BLOCK + 8, checks=["dual_identity"])
     result = run_experiment(cfg, out_dir=str(tmp_path))
     assert result.checks["dual_identity"] == (False, "max_dev=nan")
@@ -804,19 +809,23 @@ def test_a_non_finite_iterate_in_the_solver_process_reaches_the_caller(
 
 def test_an_error_in_the_certifier_stops_the_solver_process(tmp_path, forked,
                                                             monkeypatch):
-    record = experiments._Certifier.record
+    # on both paths: the forked run kills and reaps its child, and each
+    # leaves no log.csv.partial behind
+    certify = experiments._Certifier.certify
 
-    def failing_record(self, state, residual):
-        if state.k == _B + 3:
+    def failing_certify(self, slot, count):
+        if self.done < _B + 3 <= self.done + count:
             raise RuntimeError("the certifier failed")
-        record(self, state, residual)
+        certify(self, slot, count)
 
-    monkeypatch.setattr(experiments._Certifier, "record", failing_record)
-    with pytest.raises(RuntimeError, match="the certifier failed"):
-        run_experiment(toy_config(iters=10**6), out_dir=str(tmp_path))
+    monkeypatch.setattr(experiments._Certifier, "certify", failing_certify)
+    for beside in (True, False):
+        monkeypatch.setattr(experiments, "_solve_beside", lambda beside=beside: beside)
+        with pytest.raises(RuntimeError, match="the certifier failed"):
+            run_experiment(toy_config(iters=10**6), out_dir=str(tmp_path))
+        _no_child_left()
+        assert os.listdir(tmp_path) == []
     assert forked == [1]
-    _no_child_left()
-    assert os.listdir(tmp_path) == []
 
 
 def test_a_solver_process_that_ends_with_no_result_is_named(tmp_path, forked,
@@ -889,8 +898,8 @@ def test_certifier_holds_one_block_of_iterates_and_frees_it():
     # its one per-iteration series is residual_primal: the u/v checks fold
     # block by block. Besides it, the block's ||z_k - z_{k-1}||^2, the Kahan
     # sum and compensation, the saddle and the probe stacks, a certifier
-    # holds one row per buffered iterate, (x, z, y) end to end, the A x_k
-    # rows and its table of log rows: the ergodic means are folded into the
+    # holds its ring, BLOCK + 1 rows of (x, z, y, A x, residual) a slot, and
+    # its table of log rows: the ergodic means are folded into the ring's
     # iterate rows, not kept beside them. Once result() returns, none of
     # these block buffers is alive
     cfg = toy_config(
@@ -916,21 +925,78 @@ def test_certifier_holds_one_block_of_iterates_and_frees_it():
                 if array.size >= cfg.iters:
                     series.append(name)
             if name not in others and isinstance(array, np.ndarray):
-                while array.base is not None:
+                while isinstance(array.base, np.ndarray):  # the ring's is an mmap
                     array = array.base
                 buffers[id(array)] = array
     assert series == ["residuals"]
     n, m, B = problem.n, problem.m, experiments.BLOCK
     columns = len(certifier.col)
     held = sum(array.size for array in buffers.values())
-    assert held <= (B + 1) * (n + 2 * m + columns) + B * m
+    assert held <= len(certifier.ring) * (B + 1) * (n + 3 * m + 1) + (B + 1) * columns
     alive = [weakref.ref(array) for array in buffers.values()]
     del buffers, array, value
+    writer = experiments._RingWriter(certifier.ring, certifier.certify)
     solver.run(problem, init, s1, s2, solver.StoppingRule(max_iters=cfg.iters),
-               recorder=certifier)
+               recorder=writer)
+    writer.flush()
+    del writer
     _, checks = certifier.result()
     assert all(passed for passed, _ in checks.values())
     assert [ref() is None for ref in alive] == [True] * len(alive)
+
+
+def test_the_certifying_process_copies_no_iterate(tmp_path, monkeypatch, forked):
+    # in a forked run the solver process writes each iterate into the ring
+    # once: every x, z, y and A x block the certifier reads, and the means it
+    # folds, is a view whose .base chain ends at the ring
+    rings, seen = [], []
+
+    def ends_at_ring(array):
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        return array is rings[-1]
+
+    def watch(name):
+        function = getattr(diagnostics, name)
+
+        def watched(*args):
+            if rings:  # while certifying: the set-up reads the probes
+                blocks = [a for arg in args
+                          for a in (arg if isinstance(arg, tuple) else (arg,))
+                          if isinstance(a, np.ndarray) and a.ndim == 2]
+                seen.append((name, len(blocks), all(map(ends_at_ring, blocks))))
+            return function(*args)
+
+        monkeypatch.setattr(diagnostics, name, watched)
+
+    certify = experiments._Certifier.certify
+    certify_gaps = experiments._Certifier._certify_gaps
+
+    def watching_certify(self, slot, count):
+        rings.append(self.ring)
+        certify(self, slot, count)
+
+    def watching_certify_gaps(self, rows, ks, means):
+        seen.append(("means", 1, ends_at_ring(means)))
+        return certify_gaps(self, rows, ks, means)
+
+    for name in ("dual_identity_deviation", "objective_and_kkt",
+                 "lagrangian_terms", "uv_step"):
+        watch(name)
+    monkeypatch.setattr(experiments._Certifier, "certify", watching_certify)
+    monkeypatch.setattr(experiments._Certifier, "_certify_gaps", watching_certify_gaps)
+    cfg = toy_config(**dict(_BLOCK_CASES["lasso-g"], iters=2 * _B + 5))
+    result = run_experiment(cfg, out_dir=str(tmp_path))
+    assert result.summary["iterations"] == cfg.iters
+    assert forked == [1] and len(rings) == 3
+    # per block: prev y and y; x, y and A x; x, z and A x; prev (x, z, y)
+    # and (x, z, y); the means, (x, z, y)_bar end to end, then their x_bar
+    # and z_bar rows
+    per_block = [("dual_identity_deviation", 2, True),
+                 ("objective_and_kkt", 3, True), ("lagrangian_terms", 3, True),
+                 ("uv_step", 6, True), ("means", 1, True),
+                 ("lagrangian_terms", 2, True)]
+    assert sorted(seen) == sorted(per_block * 3)
 
 
 def test_certifier_setup_holds_one_probe_at_a_time():
@@ -965,7 +1031,8 @@ def test_certifier_setup_holds_one_probe_at_a_time():
     held = {}
     for name, value in vars(certifier).items():
         for array in (value if isinstance(value, tuple) else (value,)):
-            if name != "saddle" and isinstance(array, np.ndarray):
+            # the ring is an mmap, which tracemalloc does not see
+            if name not in ("saddle", "ring") and isinstance(array, np.ndarray):
                 while array.base is not None:
                     array = array.base
                 held[id(array)] = array.nbytes

@@ -45,6 +45,7 @@ from vmadmm.experiments import (
     CHECK_TOLERANCES,
     RunConfig,
     _Certifier,
+    _RingWriter,
     prepare,
     run_experiment,
 )
@@ -526,11 +527,13 @@ def test_single_buffer_averager_matches_per_vector_kahan():
         certifier._certify_gaps = capturing
         reference = KahanAverager(n, m)
         expected = []
+        writer = _RingWriter(certifier.ring, certifier.certify)
         for k, row in enumerate(iterates, 1):
             x, z, y = row[:n], row[n : n + m], row[n + m :]
-            certifier.record(initial_state(problem, x, z, y), 0.0)
+            writer.record(initial_state(problem, x, z, y), 0.0)
             reference.update(x, z, y)
             expected.append((k, reference.means.tobytes()))
+        writer.flush()
         certifier.result()
         assert [(k, mean.tobytes()) for k, mean in received] == expected
 

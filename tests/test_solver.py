@@ -1109,7 +1109,7 @@ def test_linearized_run_makes_one_apply_and_one_adjoint_per_iteration(monkeypatc
 
 def test_certified_rows_reuse_the_solvers_product(monkeypatch, tmp_path):
     # objective, Lagrangian at the saddle's y and KKT of a block of rows all
-    # read the buffered A x_k: no apply of the x_k while the block is certified
+    # read the A x_k in the ring: no apply of the x_k while the block is certified
     block_x = []
     applied = []
     apply = LinearMap.apply
@@ -1118,18 +1118,17 @@ def test_certified_rows_reuse_the_solvers_product(monkeypatch, tmp_path):
         applied.append(any(np.array_equal(v, x) for x in block_x))
         return apply(self, v)
 
-    certify_block = experiments._Certifier._certify_block
+    certify = experiments._Certifier.certify
 
-    def watching_certify_block(self):
-        block_x.append(self.xs[1 : self.open + 1].copy())
+    def watching_certify(self, slot, count):
+        block_x.append(self.ring[slot, 1 : count + 1, : self.problem.n].copy())
         try:
-            certify_block(self)
+            certify(self, slot, count)
         finally:
             block_x.clear()
 
     monkeypatch.setattr(LinearMap, "apply", watching_apply)
-    monkeypatch.setattr(experiments._Certifier, "_certify_block",
-                        watching_certify_block)
+    monkeypatch.setattr(experiments._Certifier, "certify", watching_certify)
     cfg = experiments.RunConfig(
         problem={"name": "tv1d", "n": 20},
         metric1={"kind": "shifted_gram", "tau": 0.19},
@@ -1150,30 +1149,31 @@ def test_certifier_applies_A_once_per_block(monkeypatch, tmp_path):
     # up, once per probe, to its x vector, the saddle first and then the
     # sampled probes in their order, besides the M1 seminorms of the gammas.
     # The x_bar rows are folded in place over the x_k rows, so they are
-    # checked against a reference averager fed by record, never against the
-    # certifier's own buffer
-    running = []  # (method name, instance) of the watched calls under way
-    applied = {"__init__": [], "_certify_block": [], "seminorm_sq": []}
+    # checked against a reference averager fed by the ring writer's record,
+    # never against the certifier's own rows; it runs in this process, so
+    # the solve does too
+    running = []  # (method name, instance, arguments) of the watched calls under way
+    applied = {"__init__": [], "certify": [], "seminorm_sq": []}
     reference, x_bars, xs = None, [], []  # x_bar_k and x_k, k = 1, 2, ...
     apply = LinearMap.apply
-    record = experiments._Certifier.record
+    record = experiments._RingWriter.record
 
     def feeding_record(self, state, residual):
         nonlocal reference
         if reference is None:
-            reference = KahanAverager(self.problem.n, self.problem.m)
+            reference = KahanAverager(state.x.size, state.z.size)
         reference.update(state.x, state.z, state.y)
-        x_bars.append(reference.means[: self.problem.n])
+        x_bars.append(reference.means[: state.x.size])
         xs.append(state.x.copy())
         return record(self, state, residual)
 
     def watching_apply(self, v):
         if running:
-            name, obj = running[-1]
-            if name == "_certify_block":
+            name, obj, args = running[-1]
+            if name == "certify":
                 # whether v is the x_bar rows, and whether it differs from
                 # the x_k rows, so that the first tells the two apart
-                block = slice(obj.done, obj.done + obj.open)
+                block = slice(obj.done, obj.done + args[1])
                 applied[name].append((np.array_equal(v, x_bars[block]),
                                       not np.array_equal(v, xs[block])))
             else:
@@ -1181,20 +1181,21 @@ def test_certifier_applies_A_once_per_block(monkeypatch, tmp_path):
         return apply(self, v)
 
     for cls, name in ((experiments._Certifier, "__init__"),
-                      (experiments._Certifier, "_certify_block"),
+                      (experiments._Certifier, "certify"),
                       (MetricOperator, "seminorm_sq")):
         method = getattr(cls, name)
 
-        def watching(self, *args, name=name, method=method):
-            running.append((name, self))
+        def watching(self, *args, name=name, method=method, **kwargs):
+            running.append((name, self, args))
             try:
-                return method(self, *args)
+                return method(self, *args, **kwargs)
             finally:
                 running.pop()
 
         monkeypatch.setattr(cls, name, watching)
     monkeypatch.setattr(LinearMap, "apply", watching_apply)
-    monkeypatch.setattr(experiments._Certifier, "record", feeding_record)
+    monkeypatch.setattr(experiments._RingWriter, "record", feeding_record)
+    monkeypatch.setattr(experiments, "_solve_beside", lambda: False)
     cfg = experiments.RunConfig(
         problem={"name": "tv1d", "n": 20},
         metric1={"kind": "shifted_gram", "tau": 0.19},
@@ -1206,7 +1207,7 @@ def test_certifier_applies_A_once_per_block(monkeypatch, tmp_path):
     result = experiments.run_experiment(cfg, out_dir=str(tmp_path))
     assert result.summary["iterations"] == cfg.iters
     blocks = -(-cfg.iters // experiments.BLOCK)
-    assert applied["_certify_block"] == [(True, True)] * blocks
+    assert applied["certify"] == [(True, True)] * blocks
     certifier = applied["__init__"][0][0]
     saddle = certifier.saddle
     probes = [saddle] + list(diagnostics.ball_probes(saddle, 10, seed=cfg.seed))
@@ -1232,21 +1233,18 @@ def test_certifier_multiplies_Q_once_per_point_set(monkeypatch, tmp_path, proble
             counts[-1] += 1
         return matvec(M, x)
 
-    certify_block = experiments._Certifier._certify_block
+    certify = experiments._Certifier.certify
 
-    def watching_certify_block(self):
-        if not self.open:
-            return certify_block(self)
+    def watching_certify(self, slot, count):
         counts.append(0)
         running.append(self)
         try:
-            return certify_block(self)
+            return certify(self, slot, count)
         finally:
             running.pop()
 
     monkeypatch.setattr(functions, "matvec", counting_matvec)
-    monkeypatch.setattr(experiments._Certifier, "_certify_block",
-                        watching_certify_block)
+    monkeypatch.setattr(experiments._Certifier, "certify", watching_certify)
     cfg = experiments.RunConfig(
         problem=problem,
         metric1={"kind": "constant",

@@ -6,7 +6,14 @@ trees, outputs compared.
 OLD_SRC and NEW_SRC are the ``src/`` directories of two checkouts. Each tree
 solves every config in :func:`configs` in one subprocess, with that tree first
 on ``PYTHONPATH`` and BLAS pinned to one thread, writing to the same temporary
-paths so that echoed output paths agree. Per config the audit compares
+paths so that echoed output paths agree. It does so twice: once as the host
+runs it, where vmadmm solves in a forked process beside the certifier when
+two CPUs are usable, and once with the subprocess pinned to one CPU by
+``os.sched_setaffinity``, where vmadmm solves in its own process (without
+``sched_setaffinity`` vmadmm always does, and the second pass repeats the
+first). A config differs when either pass differs, and each key or line
+that differs on one CPU says so. The four runs over the 72 configs take
+about 11 s on a 2-core x86-64 host. Per pass and config the audit compares
 ``log.csv``, ``summary.json``, the exit code and the lines echoed to stdout
 and stderr; for a config that wrote a log, it also runs ``vmadmm check`` on
 that log against ``{"kkt": 0.0, "c": <the config's c>}`` and compares its
@@ -305,9 +312,11 @@ def _cli(argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def solve_all(work):
+def solve_all(work, cpu=None):
     """Child mode: solve ``work/configs.json``, check each log written, and
-    write ``work/results.json``."""
+    write ``work/results.json``; first pinned to CPU ``cpu`` when given."""
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
     with open(os.path.join(work, "configs.json")) as fh:
         named = json.load(fh)
     cfg_path = os.path.join(work, "cfg.json")
@@ -336,14 +345,16 @@ def solve_all(work):
         json.dump(results, fh)
 
 
-def run_tree(src, work):
-    """Solve every config with the package from ``src``; results by name,
-    with ``src`` replaced by ``<src>`` in stdout and stderr."""
+def run_tree(src, work, cpu=None):
+    """Solve every config with the package from ``src``, pinned to CPU
+    ``cpu`` when given; results by name, with ``src`` replaced by ``<src>``
+    in stdout and stderr."""
     src = os.path.abspath(src)
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    pin = [] if cpu is None else [str(cpu)]
     subprocess.run([sys.executable, os.path.abspath(__file__), "--solve-all",
-                    work], env=env, check=True)
+                    work, *pin], env=env, check=True)
     with open(os.path.join(work, "results.json")) as fh:
         results = json.load(fh)
     for result in results.values():
@@ -391,28 +402,35 @@ def _details(old, new):
 
 
 def main(argv):
-    if len(argv) == 2 and argv[0] == "--solve-all":
-        solve_all(argv[1])
+    if 2 <= len(argv) <= 3 and argv[0] == "--solve-all":
+        solve_all(argv[1], *map(int, argv[2:]))
         return 0
     if len(argv) != 2:
         print("usage: python3 tools/byte_audit.py OLD_SRC NEW_SRC", file=sys.stderr)
         return 2
     named = configs()
+    # the second pass on one CPU, where vmadmm solves in its own process
+    one_cpu = min(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else None
+    passes = {}
     with tempfile.TemporaryDirectory(prefix="byte_audit_") as work:
         with open(os.path.join(work, "configs.json"), "w") as fh:
             json.dump(named, fh)
-        old = run_tree(argv[0], work)
-        new = run_tree(argv[1], work)
+        for label, cpu in (("", None), (" on one CPU", one_cpu)):
+            passes[label] = [run_tree(src, work, cpu) for src in argv]
     differ = 0
     for name, _ in named:
-        diffs = [key for key in ("exit", "stdout", "stderr", "log.csv",
-                                 "summary.json", "check exit", "check stdout",
-                                 "check stderr")
-                 if old[name].get(key) != new[name].get(key)]
+        diffs, details = [], []
+        for label, (old, new) in passes.items():
+            diffs += [key + label for key in ("exit", "stdout", "stderr", "log.csv",
+                                              "summary.json", "check exit",
+                                              "check stdout", "check stderr")
+                      if old[name].get(key) != new[name].get(key)]
+            details += [line + label for line in _details(old[name], new[name])]
         differ += bool(diffs)
+        old, new = passes[""]
         status = "DIFFERENT " + ", ".join(diffs) if diffs else "identical"
         print(f"{name}: {status} (exit {old[name]['exit']} -> {new[name]['exit']})")
-        for line in _details(old[name], new[name]):
+        for line in details:
             print(f"    {line}")
     print(f"{len(named) - differ} of {len(named)} configs identical")
     return 1 if differ else 0
