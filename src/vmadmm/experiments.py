@@ -15,25 +15,27 @@ before the solve (:func:`saddle_point`) and certifies the iterates
 quantity is one call over the block, along the leading block axis of
 :mod:`diagnostics`, with the bits of certifying one iterate at a time.
 
-The solver's recorder copies each iterate once, into a ring in one
-anonymous shared ``mmap`` (:func:`_ring`): a row ``(x, z, y, A x, ||A x -
-z||)`` of ``n + 3 m + 1`` floats, 6.4 KB at n = 200 for tv1d. A slot of
-``BLOCK + 1`` rows, row 0 the iterate before the block, is the certifier's
-block buffer: it certifies the rows in place, folds them in place into
-their ergodic means and appends them to ``log.csv``. Between blocks it
+The solver's recorder copies each iterate once, into a ring in one anonymous
+shared ``mmap`` (:func:`_ring`): a row ``(x, z, y, A x, ||A x - z||)`` and
+three own-row columns, ``n + 3 m + 4`` floats, 6.4 KB at n = 200 for tv1d. A
+slot of ``BLOCK + 1`` rows, row 0 the iterate before the block, is the
+certifier's block buffer: it certifies the rows in place, folds them in place
+into their ergodic means and appends them to ``log.csv``. Between blocks it
 keeps the last row, running values and one per-iteration series,
 ``residual_primal``, whose entry ``i`` is iteration ``k = i + 1``. The u/v
 checks (``v_inequality``, ``v_monotone``, ``feasibility_rate``) are judged
-block by block; they need the metrics to stay constant for the whole run
-and are "not evaluable" otherwise.
+block by block; they need the metrics to stay constant for the whole run and
+are "not evaluable" otherwise.
 
 Where ``os.fork`` exists, at least two CPUs are usable and only one Python
 thread runs (:func:`_solve_beside`), the solver runs in a forked child that
-fills one of two slots (217 KB at n = 200, 11.2 MB at n = 10 000) while
-this process certifies the other (:func:`_solve_forked`); the certifier,
-``log.csv`` and ``summary.json`` stay here. Otherwise the solver runs here
-over one slot (109 KB at n = 200), certified as soon as it is full. Both
-paths run the same code in the same order and write the same bytes.
+fills one of three slots (327 KB at n = 200, 16.3 MB at n = 10 000) while this
+process certifies the others (:func:`_solve_forked`). The child also fills a
+slot's own-row columns (objective, KKT, Lagrangian at the saddle's ``y``:
+:meth:`_Certifier.fill`) when this process holds both other slots; the
+certifier, ``log.csv`` and ``summary.json`` stay here. Otherwise the solver
+runs here over one slot (109 KB at n = 200), certified as soon as it is full.
+Both paths run the same code in the same order and write the same bytes.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import math
 import mmap
 import os
 import pickle
+import select
 import signal
 import sys
 import threading
@@ -80,10 +83,11 @@ CHECK_TOLERANCES = {
 ORACLE_CHECKS = {"gap_bound", "v_inequality", "v_monotone", "feasibility_rate"}
 
 #: Iterates the certifier certifies together, one numpy call per certified
-#: quantity per block. The ring's slots grow with it, in untraced ``mmap``
-#: memory: at n = 200 (warm, seed 1, two CPUs) a certified solve's traced
-#: peak is 0.31 MB at 16 and at 1 on tv1d-linearized, 0.23 MB on
-#: tv1d-quadratic, 0.98 MB on lasso-g and 0.68 MB on box-qp.
+#: quantity per block; the solver process makes the own-row columns' calls
+#: instead when the certifier is two slots behind. The ring's slots grow with
+#: it, in untraced ``mmap`` memory: at n = 200 (warm, seed 1, two CPUs) a
+#: certified solve's traced peak is 0.31 MB at 16 and at 1 on tv1d-linearized,
+#: 0.23 MB on tv1d-quadratic, 0.89 MB on lasso-g and 0.68 MB on box-qp.
 BLOCK = 16
 
 CSV_COLUMNS = [
@@ -371,7 +375,7 @@ def run_experiment(cfg, force=False, out_dir=None):
         with fh:
             beside = _solve_beside()
             certifier = _Certifier(cfg, problem, init, sched1, sched2, saddle,
-                                   report, fh, slots=2 if beside else 1)
+                                   report, fh, slots=3 if beside else 1)
             solve = (problem, init, sched1, sched2, StoppingRule(max_iters=cfg.iters))
             if beside:
                 iterations = _solve_forked(solve, certifier)
@@ -440,9 +444,12 @@ def _current_cpu():
 
 def _ring(slots, init):
     """``slots`` slots of ``BLOCK + 1`` rows ``(x, z, y, A x, ||A x - z||)``
-    in one anonymous shared ``mmap``, row 0 of slot 0 holding ``init``."""
+    and three own-row columns (objective, KKT, Lagrangian at the saddle's
+    ``y``) in one anonymous shared ``mmap``, row 0 of slot 0 holding
+    ``init``. Row 0 uses only its first own-row column: the slot's flag,
+    nonzero once rows ``1..`` have theirs."""
     n, m = init.x.size, init.z.size
-    width = n + 3 * m + 1
+    width = n + 3 * m + 4
     ring = np.ndarray((slots, BLOCK + 1, width),
                       buffer=mmap.mmap(-1, slots * (BLOCK + 1) * width * 8))
     np.concatenate((init.x, init.z, init.y), out=_ring_fields(ring[0, 0], m)[0])
@@ -450,35 +457,57 @@ def _ring(slots, init):
 
 
 def _ring_fields(rows, m):
-    """Views of ring ``rows``: ``(x, z, y)`` end to end, ``A x`` and the residual."""
-    return rows[..., : -1 - m], rows[..., -1 - m : -1], rows[..., -1]
+    """Views of ring ``rows``: ``(x, z, y)`` end to end, ``A x``, the residual
+    and the own-row columns; with ``m`` 0, the first is ``(x, z, y, A x)``."""
+    return rows[..., : -4 - m], rows[..., -4 - m : -4], rows[..., -4], rows[..., -3:]
 
 
 class _RingWriter:
     """The solver's recorder: fills rows ``1..BLOCK`` of each slot of ``ring``
     in turn and hands each full slot, and the last at :meth:`flush`, to
     ``deliver(slot, count)``. With ``free``, another process certifies the
-    slots: before refilling one, it reads one byte from ``free``."""
+    slots and frees each by a byte on ``free``: the writer waits for that
+    byte before refilling a slot, and first calls ``fill(slot, count)`` on
+    a slot it hands over while the certifier is :meth:`behind`."""
 
-    def __init__(self, ring, deliver, free=None):
-        self.ring, self.deliver, self.free = ring, deliver, free
+    def __init__(self, ring, deliver, free=None, fill=None):
+        self.ring, self.deliver, self.free, self.fill = ring, deliver, free, fill
+        self.vectors, _, self.residuals, _ = _ring_fields(ring, 0)
         self.sent = 0  # slots delivered
+        self.freed = 0  # bytes read from free
         self.row = 0  # rows filled in the open slot
 
     def record(self, state, residual):
-        if (not self.row and self.free is not None and self.sent >= len(self.ring)
-                and not os.read(self.free, 1)):
-            raise EOFError("the certifying process closed its pipe")
+        if (not self.row and self.free is not None
+                and self.sent - self.freed >= len(self.ring)):
+            if not os.read(self.free, 1):
+                raise EOFError("the certifying process closed its pipe")
+            self.freed += 1
         self.row += 1
-        row = self.ring[self.sent % len(self.ring), self.row]
-        np.concatenate((state.x, state.z, state.y, state.Ax), out=row[:-1])
-        row[-1] = residual
+        slot = self.sent % len(self.ring)
+        np.concatenate((state.x, state.z, state.y, state.Ax),
+                       out=self.vectors[slot, self.row])
+        self.residuals[slot, self.row] = residual
         if self.row == BLOCK:
             self.flush()
 
+    def behind(self):
+        """Whether the certifier holds every slot but the open one, counting
+        the bytes ``free`` holds without blocking; never without ``free``."""
+        if self.free is None:
+            return False
+        if select.select([self.free], [], [], 0)[0]:
+            self.freed += len(os.read(self.free, len(self.ring)))
+        return self.sent - self.freed >= len(self.ring) - 1
+
     def flush(self):
         if self.row:
-            self.deliver(self.sent % len(self.ring), self.row)
+            slot = self.sent % len(self.ring)
+            if self.behind():
+                # one that raises leaves the slot unflagged: certify raises it
+                with contextlib.suppress(Exception):
+                    self.fill(slot, self.row)
+            self.deliver(slot, self.row)
             self.sent += 1
             self.row = 0
 
@@ -487,8 +516,9 @@ def _solve_forked(solve, certifier):
     """``run(*solve, force=True)`` in a forked child, its iterates certified
     here as they arrive; returns the final ``k``.
 
-    The child records into ``certifier.ring``, two slots of ``BLOCK + 1``
-    rows of ``n + 3 m + 1`` floats (6.4 KB at n = 200 for tv1d), reports
+    The child records into ``certifier.ring``, three slots of ``BLOCK + 1``
+    rows of ``n + 3 m + 4`` floats (6.4 KB at n = 200 for tv1d), fills a
+    slot's own-row columns when this process holds the other two, reports
     each filled slot as ``("rows", slot, count)``, then ``("end", k)``, or
     ``("raise", exc)`` after the rows recorded before ``exc``, and leaves by
     ``os._exit`` on every path, so it flushes none of this process's
@@ -514,7 +544,8 @@ def _solve_forked(solve, certifier):
                 channel.flush()
 
             writer = _RingWriter(certifier.ring,
-                                 lambda slot, count: report("rows", slot, count), free)
+                                 lambda slot, count: report("rows", slot, count),
+                                 free, certifier.fill)
             try:
                 message = ("end", run(*solve, force=True, recorder=writer)[0].k)
             except BaseException as exc:  # the parent raises it
@@ -558,25 +589,26 @@ class _Certifier:
     """The runner's recorder: certifies the iterates :func:`run` hands over,
     :data:`BLOCK` at a time, and appends their rows to the open ``log``.
 
-    It owns the :func:`_ring` of ``slots`` slots a :class:`_RingWriter`
-    fills. :meth:`certify` certifies a filled slot through strided views of
-    its rows, one call per quantity into rows 1.. of a ``BLOCK + 1``-row
-    table; each value keeps the bits of certifying its iterate alone. It
-    then copies the slot's last ``(x, z, y)`` into row 0 of the next slot,
-    which no writer fills, and folds the slot's iterate rows in place, one
-    Kahan step each, into the ergodic means the gap reads. Row 0 of the
-    table holds the block before's last row until this block gives its
-    ``v_slack``; the run's last row is written with ``v_slack`` empty.
-    Between blocks it holds the Kahan sum of the iterates so far, each
-    probe's ``y``, gamma and Lagrangian terms as one row of three arrays
-    (the saddle's first), the smallest gap slack and the largest dual
-    identity deviation so far, the ``residual_primal`` series and, if u/v
-    are evaluable, the running values of their checks: the two least
-    slacks, the first rise of ``v``, ``u_1`` and the step sum. The set-up
-    draws one probe at a time, fills its rows by 1-D calls and drops it
-    before drawing the next. ``saddle`` is None when no requested check
-    needs one. The u/v checks need a zero smooth term and one (M1, M2) pair
-    for the whole run; they fail as "not evaluable" otherwise.
+    It owns the :func:`_ring` of ``slots`` slots a :class:`_RingWriter` fills.
+    :meth:`certify` certifies a filled slot through strided views of its rows,
+    one call per quantity into rows 1.. of a ``BLOCK + 1``-row table; each
+    value keeps the bits of certifying its iterate alone. It copies the own-row
+    columns from the slot, once :meth:`fill` has filled them: in the solver
+    process, when its writer finds this one behind, or here, when the slot is
+    not flagged. It then copies the slot's last ``(x, z, y)`` into row 0 of the
+    next slot, which no writer fills, and folds the slot's iterate rows in
+    place, one Kahan step each, into the ergodic means the gap reads. Row 0 of
+    the table holds the block before's last row until this block gives its
+    ``v_slack``; the run's last row is written with ``v_slack`` empty. Between
+    blocks it holds the Kahan sum of the iterates so far, each probe's ``y``,
+    gamma and Lagrangian terms as one row of three arrays (the saddle's first),
+    the smallest gap slack and the largest dual identity deviation so far, the
+    ``residual_primal`` series and, if u/v are evaluable, the running values of
+    their checks: the two least slacks, the first rise of ``v``, ``u_1`` and
+    the step sum. The set-up draws one probe at a time, fills its rows by 1-D
+    calls and drops it before drawing the next. ``saddle`` is None when no
+    requested check needs one. The u/v checks need a zero smooth term and one
+    (M1, M2) pair for the whole run; they fail as "not evaluable" otherwise.
 
     :meth:`result` frees the ring and the table, then returns ``(certificates,
     checks)``: the summary's certificate fields and ``{name: (passed,
@@ -638,6 +670,19 @@ class _Certifier:
                         for empty in (blank, blank | {"v_slack"})]
         log.write(",".join(["k", *columns]) + "\n")
 
+    def fill(self, slot, count):
+        """Fill, then flag, the own-row columns of rows ``1..count`` of ``slot``."""
+        problem, n, m = self.problem, self.problem.n, self.problem.m
+        iterates, Ax, _, columns = _ring_fields(self.ring[slot, : count + 1], m)
+        x, z, y = iterates[1:, :n], iterates[1:, n : n + m], iterates[1:, n + m :]
+        fh, g_ax, columns[1:, 1] = diagnostics.objective_and_kkt(problem, x, y, Ax[1:])
+        columns[1:, 0] = fh + g_ax
+        if self.saddle is not None:
+            columns[1:, 2] = diagnostics.lagrangian_at(
+                diagnostics.lagrangian_terms(problem, x, z, Ax[1:], fh), self.saddle[2]
+            )
+        columns[0, 0] = 1.0
+
     def certify(self, slot, count):
         """Certify rows ``1..count`` of ring slot ``slot``: the next iterations."""
         b, start, ring = count, self.done, self.ring
@@ -645,7 +690,7 @@ class _Certifier:
         n, m = problem.n, problem.m
         rows = table[1 : b + 1]  # row j of the table is iteration start + j
         # rows 0..b of the slot: row 0 is the iterate before the block
-        iterates, Ax, residual = _ring_fields(ring[slot, : b + 1], m)
+        iterates, Ax, residual, columns = _ring_fields(ring[slot, : b + 1], m)
         xs, zs, ys = iterates[:, :n], iterates[:, n : n + m], iterates[:, n + m :]
         prev = xs[:b], zs[:b], ys[:b]
         x, z, y, Ax = xs[1:], zs[1:], ys[1:], Ax[1:]
@@ -653,12 +698,12 @@ class _Certifier:
         rows[:, col["residual_primal"]] = residuals[:] = residual[1:]
         dev = diagnostics.dual_identity_deviation(prev[2], y, residuals, problem.c)
         self.max_dev = np.maximum(self.max_dev, dev)  # a NaN stays NaN
-        fh, g_ax, rows[:, col["kkt"]] = diagnostics.objective_and_kkt(problem, x, y, Ax)
-        rows[:, col["primal_objective"]] = fh + g_ax
+        if not columns[0, 0]:
+            self.fill(slot, b)
+        columns[0, 0] = 0.0  # unflagged for the slot's next block
+        rows[:, col["primal_objective"]], rows[:, col["kkt"]] = columns[1:, :2].T
         if saddle is not None:
-            rows[:, col["lagrangian_at_probe"]] = diagnostics.lagrangian_at(
-                diagnostics.lagrangian_terms(problem, x, z, Ax, fh), saddle[2]
-            )
+            rows[:, col["lagrangian_at_probe"]] = columns[1:, 2]
         # the held row 0 is written with this block, its v_slack now known
         first = 0 if start else 1
         if self.dz_sq is not None:

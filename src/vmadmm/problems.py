@@ -44,8 +44,9 @@ def lcg_uniforms(seed, count):
         a, c = a * a % LCG_MODULUS, (a * c + c) % LCG_MODULUS
         filled *= 2
     states >>= np.uint64(11)
-    out = states.astype(float)  # exact below 2^53, and no cast buffer
-    out *= 2.0**-53
+    out = states.view(float)  # cast in place by chunks, exact below 2^53
+    for i in range(0, count, 4096):
+        np.multiply(states[i : i + 4096], 2.0**-53, out=out[i : i + 4096])
     return out
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import select
 import tracemalloc
 import warnings
 import weakref
@@ -648,19 +649,35 @@ _BLOCK_EDGES = [0, 1, _B - 1, _B, _B + 1, 2 * _B + 3, math.lcm(10, _B) + 3]
 @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
 def test_block_edges_equal_the_single_iterate_fold(tmp_path, monkeypatch, case,
                                                    iters):
-    # on both paths, whichever the host would take: the forked run's two
-    # slots and the in-process run's one, whose row 0 carries its own last row
+    # on both paths, whichever the host would take: the forked run's three
+    # slots, whose own-row columns the solver process fills for every slot,
+    # then for none, and the in-process run's one, whose row 0 carries its
+    # own last row
     cfg = toy_config(**dict(_BLOCK_CASES[case], iters=iters))
+    parent, filled_here = os.getpid(), []
+    fill = experiments._Certifier.fill
+
+    def watching_fill(self, slot, count):
+        if os.getpid() == parent:
+            filled_here.append(count)
+        return fill(self, slot, count)
+
+    monkeypatch.setattr(experiments._Certifier, "fill", watching_fill)
     outputs = []
-    for beside in (True, False):
+    for beside, steals in ((True, True), (True, False), (False, None)):
         monkeypatch.setattr(experiments, "_solve_beside", lambda beside=beside: beside)
+        monkeypatch.setattr(experiments._RingWriter, "behind",
+                            lambda self, steals=steals: steals)
         for block in (_B, 1):
             monkeypatch.setattr(experiments, "BLOCK", block)
+            filled_here.clear()
             result = run_experiment(cfg, force=True,
-                                    out_dir=str(tmp_path / f"{beside}-{block}"))
+                                    out_dir=str(tmp_path / f"{steals}-{block}"))
             with open(result.csv_path) as fh, open(result.summary_path) as sh:
                 outputs.append((fh.read(), sh.read(), result.checks))
-    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+            # every row's columns filled once, in the solver process or here
+            assert sum(filled_here) == (0 if steals else iters)
+    assert all(output == outputs[0] for output in outputs)
 
     log, certificates, verdicts = single_iterate_log(cfg)
     assert outputs[0][0] == log
@@ -898,7 +915,8 @@ def test_certifier_holds_one_block_of_iterates_and_frees_it():
     # its one per-iteration series is residual_primal: the u/v checks fold
     # block by block. Besides it, the block's ||z_k - z_{k-1}||^2, the Kahan
     # sum and compensation, the saddle and the probe stacks, a certifier
-    # holds its ring, BLOCK + 1 rows of (x, z, y, A x, residual) a slot, and
+    # holds its ring, BLOCK + 1 rows of (x, z, y, A x, residual) and three
+    # own-row columns a slot, and
     # its table of log rows: the ergodic means are folded into the ring's
     # iterate rows, not kept beside them. Once result() returns, none of
     # these block buffers is alive
@@ -932,7 +950,7 @@ def test_certifier_holds_one_block_of_iterates_and_frees_it():
     n, m, B = problem.n, problem.m, experiments.BLOCK
     columns = len(certifier.col)
     held = sum(array.size for array in buffers.values())
-    assert held <= len(certifier.ring) * (B + 1) * (n + 3 * m + 1) + (B + 1) * columns
+    assert held <= len(certifier.ring) * (B + 1) * (n + 3 * m + 4) + (B + 1) * columns
     alive = [weakref.ref(array) for array in buffers.values()]
     del buffers, array, value
     writer = experiments._RingWriter(certifier.ring, certifier.certify)
@@ -948,8 +966,10 @@ def test_certifier_holds_one_block_of_iterates_and_frees_it():
 def test_the_certifying_process_copies_no_iterate(tmp_path, monkeypatch, forked):
     # in a forked run the solver process writes each iterate into the ring
     # once: every x, z, y and A x block the certifier reads, and the means it
-    # folds, is a view whose .base chain ends at the ring
-    rings, seen = [], []
+    # folds, is a view whose .base chain ends at the ring; so is every block
+    # the solver process reads when it fills a slot's own-row columns, which
+    # it does for every slot, then for none
+    parent, rings, seen = os.getpid(), [], []
 
     def ends_at_ring(array):
         while isinstance(array.base, np.ndarray):
@@ -964,17 +984,29 @@ def test_the_certifying_process_copies_no_iterate(tmp_path, monkeypatch, forked)
                 blocks = [a for arg in args
                           for a in (arg if isinstance(arg, tuple) else (arg,))
                           if isinstance(a, np.ndarray) and a.ndim == 2]
-                seen.append((name, len(blocks), all(map(ends_at_ring, blocks))))
+                entry = (name, len(blocks), all(map(ends_at_ring, blocks)))
+                if os.getpid() == parent:
+                    seen.append(entry)
+                else:
+                    with open(stolen, "a") as fh:
+                        fh.write(json.dumps(entry) + "\n")
             return function(*args)
 
         monkeypatch.setattr(diagnostics, name, watched)
 
     certify = experiments._Certifier.certify
+    fill = experiments._Certifier.fill
     certify_gaps = experiments._Certifier._certify_gaps
+    certified = []
 
     def watching_certify(self, slot, count):
         rings.append(self.ring)
+        certified.append(count)
         certify(self, slot, count)
+
+    def watching_fill(self, slot, count):
+        rings.append(self.ring)  # the solver process has certified nothing
+        fill(self, slot, count)
 
     def watching_certify_gaps(self, rows, ks, means):
         seen.append(("means", 1, ends_at_ring(means)))
@@ -984,19 +1016,99 @@ def test_the_certifying_process_copies_no_iterate(tmp_path, monkeypatch, forked)
                  "lagrangian_terms", "uv_step"):
         watch(name)
     monkeypatch.setattr(experiments._Certifier, "certify", watching_certify)
+    monkeypatch.setattr(experiments._Certifier, "fill", watching_fill)
     monkeypatch.setattr(experiments._Certifier, "_certify_gaps", watching_certify_gaps)
     cfg = toy_config(**dict(_BLOCK_CASES["lasso-g"], iters=2 * _B + 5))
-    result = run_experiment(cfg, out_dir=str(tmp_path))
-    assert result.summary["iterations"] == cfg.iters
-    assert forked == [1] and len(rings) == 3
     # per block: prev y and y; x, y and A x; x, z and A x; prev (x, z, y)
     # and (x, z, y); the means, (x, z, y)_bar end to end, then their x_bar
-    # and z_bar rows
-    per_block = [("dual_identity_deviation", 2, True),
-                 ("objective_and_kkt", 3, True), ("lagrangian_terms", 3, True),
-                 ("uv_step", 6, True), ("means", 1, True),
-                 ("lagrangian_terms", 2, True)]
-    assert sorted(seen) == sorted(per_block * 3)
+    # and z_bar rows. The own-row columns read x, y and A x, then x, z and A x
+    columns = [("objective_and_kkt", 3, True), ("lagrangian_terms", 3, True)]
+    per_block = [("dual_identity_deviation", 2, True), ("uv_step", 6, True),
+                 ("means", 1, True), ("lagrangian_terms", 2, True)]
+    for steals in (False, True):
+        monkeypatch.setattr(experiments._RingWriter, "behind",
+                            lambda self, steals=steals: steals)
+        for watched_calls in (rings, seen, certified):
+            watched_calls.clear()
+        stolen = tmp_path / f"stolen-{steals}.jsonl"  # what the solver process saw
+        result = run_experiment(cfg, out_dir=str(tmp_path / f"out-{steals}"))
+        assert result.summary["iterations"] == cfg.iters
+        assert len(certified) == 3
+        if steals:
+            with open(stolen) as fh:
+                got = [tuple(json.loads(line)) for line in fh]
+            assert sorted(got) == sorted(columns * 3)
+            assert sorted(seen) == sorted(per_block * 3)
+        else:
+            assert not stolen.exists()
+            assert sorted(seen) == sorted((per_block + columns) * 3)
+    assert forked == [1, 1]
+
+
+def test_the_solver_process_fills_columns_when_the_certifier_holds_every_other_slot():
+    # behind() counts the free bytes the pipe holds without blocking: with
+    # k of them, the certifier holds sent - freed - k slots, and the rule
+    # fires when that is every slot but the one just filled. The first
+    # three slots are delivered before any byte is read
+    slots = 3
+    ring = np.zeros((slots, 2, 5))
+    assert not experiments._RingWriter(ring, None).behind()  # in process
+    free, freed = os.pipe()
+    try:
+        writer = experiments._RingWriter(ring, None, free)
+        for sent in range(3 * slots):
+            # the writer waits for a free byte before it fills a slot past
+            # the ring, so it holds at most slots - 1 delivered slots here
+            for held in range(min(sent, slots - 1) + 1):
+                for k in range(held + 1):
+                    writer.sent, writer.freed = sent, sent - held
+                    os.write(freed, b"\0" * k)
+                    assert writer.behind() == (held - k >= slots - 1)
+                    assert writer.freed == sent - held + k
+                    assert not select.select([free], [], [], 0)[0]
+        fired = []
+        for sent in range(slots):  # no byte read yet
+            writer.sent, writer.freed = sent, 0
+            fired.append(writer.behind())
+        assert fired == [False] * (slots - 1) + [True]
+    finally:
+        os.close(free)
+        os.close(freed)
+
+
+def test_an_error_in_the_solver_process_filling_columns_is_met_here(tmp_path,
+                                                                    monkeypatch,
+                                                                    forked):
+    # a slot whose columns the solver process failed to fill stays
+    # unflagged: this process fills them, and raises what the fill raises
+    # as the in-process run does
+    parent = os.getpid()
+    fill = experiments._Certifier.fill
+
+    def failing_fill(self, slot, count):
+        if os.getpid() != parent or failing:
+            raise RuntimeError("the fill failed")
+        return fill(self, slot, count)
+
+    monkeypatch.setattr(experiments._Certifier, "fill", failing_fill)
+    # the solver process fills every slot's columns
+    monkeypatch.setattr(experiments._RingWriter, "behind",
+                        lambda self: self.free is not None)
+    cfg = toy_config(**dict(_BLOCK_CASES["lasso-g"], iters=2 * _B + 5))
+    outputs = []
+    for failing, beside in ((False, True), (False, False)):
+        monkeypatch.setattr(experiments, "_solve_beside", lambda beside=beside: beside)
+        result = run_experiment(cfg, out_dir=str(tmp_path / str(beside)))
+        with open(result.csv_path, "rb") as fh, open(result.summary_path, "rb") as sh:
+            outputs.append((fh.read(), sh.read()))
+    assert outputs[0] == outputs[1]
+    failing = True
+    for beside in (True, False):
+        monkeypatch.setattr(experiments, "_solve_beside", lambda beside=beside: beside)
+        with pytest.raises(RuntimeError, match="the fill failed"):
+            run_experiment(cfg, out_dir=str(tmp_path / "failed"))
+        _no_child_left()
+    assert forked == [1, 1]
 
 
 def test_certifier_setup_holds_one_probe_at_a_time():

@@ -74,6 +74,21 @@ def test_lcg_catalog_draws_keep_their_digests(seed, count):
     assert digest == CATALOG_DIGESTS[seed, count]
 
 
+def test_lcg_draws_hold_one_array_of_their_floats():
+    # the states are cast to floats in place, a chunk at a time: the peak
+    # is the one array of count floats and a chunk, not two arrays
+    count = 60300
+    lcg_uniforms(1, 10)  # one-time allocations out of the way
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        lcg_uniforms(1, count)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * count + 64 * 1024
+
+
 # SHA-256 of (Q.tobytes(), q.tobytes()) of the built quadratic term, recorded
 # before the data was built in place: lasso-split's (with the quadratic in h
 # and in g) and box-qp's, at their default sizes and at the benchmark's n=200

@@ -1245,6 +1245,8 @@ def test_certifier_multiplies_Q_once_per_point_set(monkeypatch, tmp_path, proble
 
     monkeypatch.setattr(functions, "matvec", counting_matvec)
     monkeypatch.setattr(experiments._Certifier, "certify", watching_certify)
+    # every product here: the solver process fills no slot's own-row columns
+    monkeypatch.setattr(experiments._RingWriter, "behind", lambda self: False)
     cfg = experiments.RunConfig(
         problem=problem,
         metric1={"kind": "constant",
