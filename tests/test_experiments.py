@@ -664,15 +664,15 @@ def test_block_edges_equal_the_single_iterate_fold(tmp_path, monkeypatch, case,
 
     monkeypatch.setattr(experiments._Certifier, "fill", watching_fill)
     outputs = []
-    for beside, steals in ((True, True), (True, False), (False, None)):
+    for beside, steals in ((True, True), (True, False), (False, False)):
         monkeypatch.setattr(experiments, "_solve_beside", lambda beside=beside: beside)
         monkeypatch.setattr(experiments._RingWriter, "behind",
                             lambda self, steals=steals: steals)
         for block in (_B, 1):
             monkeypatch.setattr(experiments, "BLOCK", block)
             filled_here.clear()
-            result = run_experiment(cfg, force=True,
-                                    out_dir=str(tmp_path / f"{steals}-{block}"))
+            out_dir = tmp_path / f"{beside}-{steals}-{block}"
+            result = run_experiment(cfg, force=True, out_dir=str(out_dir))
             with open(result.csv_path) as fh, open(result.summary_path) as sh:
                 outputs.append((fh.read(), sh.read(), result.checks))
             # every row's columns filled once, in the solver process or here
