@@ -1,14 +1,17 @@
 """Test helpers: independent scalar-minimization oracles used to freeze
 expected values, the per-draw LCG loop, factorization and eigendecomposition
 counters, the primal-dual reference trajectory, the reference probe draw,
-and reference folds of the gap certificates.
+reference folds of the gap certificates, and the scripts under ``tools/``
+loaded from their files.
 
 Value-only minimization cannot localize a smooth minimum better than about
 sqrt(machine epsilon) ~ 1.5e-8, so comparisons against these oracles use
 tolerances of 5e-8.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -196,3 +199,12 @@ def fold_gap_certificates(problem, trace, init, m1, m2, saddle, seed):
                 for p, g0 in zip(probes, probe_gammas)
             ]
     return rows, slacks
+
+
+def load_tool(name):
+    """The script ``tools/<name>.py``, loaded as a module."""
+    path = Path(__file__).parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -7,13 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-
-def load_tool(name):
-    path = Path(__file__).parents[1] / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_tool
 
 
 def test_bench_pairs_leaves_out_a_run_without_a_metric(tmp_path, monkeypatch,

@@ -209,6 +209,16 @@ def configs():
                                    checks=gap_checks, log_vectors=True,
                                    **tv1d_lin)),
     ]
+    # a one-row last block at K = 16 j + 1: the held row of a full block is
+    # written with the run's last row, u/v, gap and iterate columns filled
+    out += [
+        ("toy-17-all-checks-vectors", toy(iters=17, checks=ALL_CHECKS,
+                                          log_vectors=True)),
+        ("lasso-g-8-33-all-vectors", toy(problem={"name": "lasso-split", "n": 8,
+                                                  "rows": 12, "quadratic_in": "g"},
+                                         metric2=ZERO, iters=33, checks=ALL_CHECKS,
+                                         log_vectors=True)),
+    ]
     # draw counts past 2^17 and off a power of two (700 * 300 + 700 = 210 700
     # and 300 * 300 + 300 = 90 300), without an oracle; both exit 1, with the
     # kkt check failing after 20 iterations
