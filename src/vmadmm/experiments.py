@@ -11,31 +11,18 @@ Every certificate is computed in :mod:`diagnostics` and judged against the
 one tolerance in :data:`CHECK_TOLERANCES`; ``vmadmm check`` calls the same
 functions with the same tolerances. The runner computes the saddle point
 before the solve (:func:`saddle_point`) and certifies the iterates
-:func:`solver.run` hands over in blocks of :data:`BLOCK`: each certified
-quantity is one call over the block, along the leading block axis of
-:mod:`diagnostics`, with the bits of certifying one iterate at a time.
+:func:`solver.run` hands over in blocks of :data:`BLOCK`, each certified
+quantity one call over a block with the bits of one iterate at a time.
 
-The solver's recorder copies each iterate once, into a ring in one anonymous
-shared ``mmap`` (:func:`_ring`): a row ``(x, z, y, A x, ||A x - z||)`` and
-three own-row columns, ``n + 3 m + 4`` floats, 6.4 KB at n = 200 for tv1d. A
-slot of ``BLOCK + 1`` rows, row 0 the iterate before the block, is the
-certifier's block buffer: it certifies the rows in place, folds them in place
-into their ergodic means and appends them to ``log.csv``. Between blocks it
-keeps the last row, running values and one per-iteration series,
-``residual_primal``, whose entry ``i`` is iteration ``k = i + 1``. The u/v
-checks (``v_inequality``, ``v_monotone``, ``feasibility_rate``) are judged
-block by block; they need the metrics to stay constant for the whole run and
-are "not evaluable" otherwise.
+The solver's recorder copies each iterate once, into a shared ``mmap`` ring
+(:func:`_ring`) whose slots are the :class:`_Certifier`'s block buffers. Each
+check is a fold over the blocks that owns its gate, its ``log.csv`` columns,
+its running values and its verdict (:class:`_KktFold`,
+:class:`_DualIdentityFold`, :class:`_UvFold`, :class:`_GapFold`).
 
-Where ``os.fork`` exists, at least two CPUs are usable and only one Python
-thread runs (:func:`_solve_beside`), the solver runs in a forked child that
-fills one of three slots (327 KB at n = 200, 16.3 MB at n = 10 000) while this
-process certifies the others (:func:`_solve_forked`). The child also fills a
-slot's own-row columns (objective, KKT, Lagrangian at the saddle's ``y``:
-:meth:`_Certifier.fill`) when this process holds both other slots; the
-certifier, ``log.csv`` and ``summary.json`` stay here. Otherwise the solver
-runs here over one slot (109 KB at n = 200), certified as soon as it is full.
-Both paths run the same code in the same order and write the same bytes.
+The solver runs in a forked child beside the certifier where it can
+(:func:`_solve_beside`, :func:`_solve_forked`), in this process otherwise;
+both paths run the same code in the same order and write the same bytes.
 """
 
 from __future__ import annotations
@@ -51,6 +38,7 @@ import select
 import signal
 import sys
 import threading
+from collections import namedtuple
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -86,8 +74,8 @@ ORACLE_CHECKS = {"gap_bound", "v_inequality", "v_monotone", "feasibility_rate"}
 #: quantity per block; the solver process makes the own-row columns' calls
 #: instead when the certifier is two slots behind. The ring's slots grow with
 #: it, in untraced ``mmap`` memory: at n = 200 (warm, seed 1, two CPUs) a
-#: certified solve's traced peak is 0.31 MB at 16 and at 1 on tv1d-linearized,
-#: 0.23 MB on tv1d-quadratic, 0.89 MB on lasso-g and 0.68 MB on box-qp.
+#: certified solve's traced peak is 0.28 MB at 16 and at 1 on tv1d-linearized,
+#: 0.24 MB on tv1d-quadratic, 0.87 MB on lasso-g and 0.69 MB on box-qp.
 BLOCK = 16
 
 CSV_COLUMNS = [
@@ -102,6 +90,8 @@ CSV_COLUMNS = [
     "gap_bound",
     "kkt",
 ]
+#: Each fixed column's column in the certifier's table, which leaves out ``k``.
+_COLUMN = {name: j for j, name in enumerate(CSV_COLUMNS[1:])}
 
 
 @dataclass
@@ -585,89 +575,257 @@ def _solve_forked(solve, certifier):
             os.waitpid(pid, 0)
 
 
+# A certified slot, iterations start + 1 .. start + b: log rows 0..b (row 0
+# held from the block before), (x, z, y) rows 0..b end to end (row 0 the
+# iterate before), prev and cur (x, z, y) of rows 0..b-1 and 1..b apart, and
+# ||A x_k - z_k|| of rows 1..b
+_Block = namedtuple("_Block", "slot start table iterates prev cur residuals")
+
+
+class _KktFold:
+    """``kkt``: the run's final KKT residual, its last row's ``kkt`` cell."""
+
+    live, columns, held = True, (), ()
+    column, last = _COLUMN["kkt"], math.inf  # inf without iterations
+
+    def step(self, block):
+        self.last = block.table[-1, self.column]
+
+    def verdict(self, residuals, rate_slope):
+        final = float(self.last)
+        return ({"kkt": (final < CHECK_TOLERANCES["kkt"], f"final_kkt={final:.3e}")},
+                {"final_kkt": final if len(residuals) else None})
+
+
+class _DualIdentityFold:
+    """``dual_identity``: ``residual_primal`` against ``||y_k - y_{k-1}|| / c``."""
+
+    live, columns, held = True, (), ()
+
+    def __init__(self, c):
+        self.c, self.max_dev = c, 0.0
+
+    def step(self, block):
+        dev = diagnostics.dual_identity_deviation(block.prev[2], block.cur[2],
+                                                  block.residuals, self.c)
+        self.max_dev = np.maximum(self.max_dev, dev)  # a NaN stays NaN
+
+    def verdict(self, residuals, rate_slope):
+        dev = float(self.max_dev)
+        return ({"dual_identity": (dev <= CHECK_TOLERANCES["dual_identity"],
+                                   f"max_dev={dev:.3e}")}, {})
+
+
+class _UvFold:
+    """``v_inequality``, ``v_monotone``, ``feasibility_rate``: the u/v energies."""
+
+    columns, held = ("u_k", "v_k", "v_slack"), ("v_slack",)
+    u, v, slack = _COLUMN["u_k"], _COLUMN["v_k"], _COLUMN["v_slack"]
+
+    def __init__(self, problem, sched1, sched2, saddle, report, K):
+        m1, m2 = sched1.metric(0), sched2.metric(0)
+        # a zero smooth term and one (M1, M2) pair for the whole run
+        self.live = saddle is not None and K > 0 and report.h_is_zero and all(
+            sched1.metric(k) is m1 and sched2.metric(k) is m2 for k in range(1, K)
+        )
+        self.problem, self.saddle, self.m1, self.m2 = problem, saddle, m1, m2
+        # rows 1..b: the block's ||z_k - z_{k-1}||^2; row 0: the sum of those before
+        self.dz_sq = np.zeros(BLOCK + 1) if self.live else None
+        self.min_v_slacks = (math.inf, math.inf)  # at c and uncorrected
+        self.first_rise = None  # the first k with v_k > v_{k-1} + tol
+
+    def step(self, block):
+        start, table, prev = block.start, block.table, block.prev
+        table[1:, self.u], table[1:, self.v] = diagnostics.uv_step(
+            self.problem, self.saddle, self.m1, self.m2, prev, block.cur)
+        dz = block.cur[1] - prev[1]
+        dz_sq = self.dz_sq[: len(table)]
+        dz_sq[1:] = np.vecdot(dz, dz)
+        # rows first..b, with the held row 0; inequality_v_check reads no dz_sq[0]
+        first = 0 if start else 1
+        u, v = table[first:, self.u], table[first:, self.v]
+        if not start:
+            self.u1 = u[0]
+        # row 0 at c, row 1 the stronger, uncorrected inequality (c = 0)
+        slacks = diagnostics.inequality_v_check(u, v, dz_sq[first:],
+                                                np.array([[self.problem.c], [0.0]]))
+        table[first:-1, self.slack] = slacks[0]
+        if len(u) > 1:  # np.min, as np.minimum, keeps a NaN
+            self.min_v_slacks = tuple(np.minimum(self.min_v_slacks, slacks.min(1)))
+        ok, rise = diagnostics.v_monotone_check(v, CHECK_TOLERANCES["v_monotone"])
+        if not ok and self.first_rise is None:
+            self.first_rise = rise + start + first - 1
+        # one add per step in iteration order: the bits of np.cumsum
+        dz_sq[0] = np.cumsum(dz_sq)[-1]
+
+    def verdict(self, residuals, rate_slope):
+        if not self.live:
+            return ({
+                "v_inequality": (False, "not evaluable: u/v energies unavailable "
+                                 "(need zero smooth term, constant metrics, and a "
+                                 "saddle point)"),
+                "v_monotone": (False, "not evaluable: v energy unavailable"),
+                "feasibility_rate": (False, "not evaluable: u energy unavailable"),
+            }, {"min_v_slack": None, "findings": {"uncorrected_v_min_slack": None}})
+        min_v_slack = uncorrected_min = None
+        inequality = (True, "trace too short for slacks")
+        if len(residuals) > 1:  # one slack per step k -> k + 1
+            # the uncorrected slack is logged as a finding only
+            min_v_slack, uncorrected_min = map(float, self.min_v_slacks)
+            inequality = (min_v_slack >= CHECK_TOLERANCES["v_inequality"],
+                          f"min_slack={min_v_slack:.3e}")
+        first = self.first_rise
+        # dz_sq[0] holds the in-order sum of every step, all the bound reads
+        bounds = diagnostics.feasibility_rate(residuals, self.problem.c, self.u1,
+                                              self.dz_sq[:1])
+        # a NaN excess fails the check
+        worst = float(np.max(residuals[1:] - bounds, initial=0.0))
+        return ({
+            "v_inequality": inequality,
+            "v_monotone": (first is None, "nonincreasing" if first is None
+                           else f"first violation at k={first}"),
+            "feasibility_rate": (worst <= CHECK_TOLERANCES["feasibility_rate"],
+                                 f"max_excess={worst:.3e}, slope={rate_slope}"),
+        }, {"min_v_slack": min_v_slack,
+            "findings": {"uncorrected_v_min_slack": uncorrected_min}})
+
+
+class _GapFold:
+    """``gap_bound``: the ergodic means' gap against ``gamma / k`` at each probe."""
+
+    columns, held = ("lagrangian_at_probe", "gap", "gap_bound"), ()
+    gap, bound = _COLUMN["gap"], _COLUMN["gap_bound"]
+
+    def __init__(self, cfg, problem, init, sched1, sched2, saddle, report):
+        self.problem, self.iters, self.ergodic_ok = problem, cfg.iters, report.ergodic_ok
+        # judged only under the ergodic hypotheses; its columns are logged regardless
+        self.live = saddle is not None and cfg.iters > 0
+        self.min_slack = math.inf if self.live else None
+        if not self.live:
+            return
+        n, m = problem.n, problem.m
+        # Kahan sum over (x, z, y) end to end: entry by entry, as three sums
+        self.sum, self.comp = np.zeros(n + 2 * m), np.zeros(n + 2 * m)
+        m1, m2 = sched1.metric(0), sched2.metric(0)
+        # the gap bound is per-probe: probe 0 is the saddle, checked every
+        # iteration, and ten probes sampled around it (seeded) are checked
+        # every 10th and at the last. A probe is fixed, so its gamma and
+        # Lagrangian terms are computed once, by 1-D calls as it is drawn;
+        # only its y, gamma and Lagrangian terms are kept, one row per probe
+        self.probes = probe_y, gammas, values, residuals = (
+            np.empty((11, m)), np.empty(11), np.empty(11), np.empty((11, m)))
+        probes = diagnostics.ball_probes(saddle, 10, seed=cfg.seed)
+        for i, (x, z, y) in enumerate(itertools.chain([saddle], probes)):
+            Ax = problem.A.apply(x)
+            probe_y[i] = y
+            gammas[i] = diagnostics.gamma(problem, init, m1, m2, (x, z, y), Ax)
+            values[i], residuals[i] = diagnostics.lagrangian_terms(problem, x, z, Ax)
+
+    def step(self, block):
+        # nothing else reads rows 1..b: each becomes its ergodic mean by a
+        # Kahan step, the new sum written into comp's buffer, then swapped
+        start, means = block.start, block.iterates[1:]
+        for k, term in enumerate(means, start + 1):
+            term -= self.comp
+            total = np.add(self.sum, term, out=self.comp)
+            comp = np.subtract(total, self.sum, out=self.sum)
+            comp -= term
+            self.sum, self.comp = total, comp
+            np.divide(total, k, out=term)
+        ks = np.arange(start + 1, start + len(means) + 1)
+        self.gaps(block.table[1:], ks, means)
+        if ks[-1] == self.iters:  # the run's last block: no step reads them again
+            del self.sum, self.comp, self.probes
+
+    def gaps(self, rows, ks, means):
+        """The gap columns of ``rows`` (iterations ``ks``) and their slacks,
+        from the rows of ``(x_bar, z_bar, y_bar)`` end to end in ``means``."""
+        problem, n, m = self.problem, self.problem.n, self.problem.m
+        average = diagnostics.lagrangian_terms(problem, means[:, :n],
+                                               means[:, n : n + m])
+        y_bar = means[:, n + m :]
+        probe_y, gammas, values, residuals = self.probes
+        cert = diagnostics.gap_certificate(
+            diagnostics.lagrangian_at(average, probe_y[0]),
+            diagnostics.lagrangian_at((values[0], residuals[0]), y_bar), gammas[0], ks)
+        rows[:, self.gap], rows[:, self.bound] = cert.gap, cert.bound
+        slacks = [cert.slack]
+        rounds = (ks % 10 == 0) | (ks == self.iters)
+        if rounds.any():
+            value, residual = average
+            sampled = diagnostics.gap_certificate(
+                diagnostics.lagrangian_at((value[rounds, None], residual[rounds, None]),
+                                          probe_y[1:]),
+                diagnostics.lagrangian_at((values[1:], residuals[1:]),
+                                          y_bar[rounds, None]),
+                gammas[1:], ks[rounds, None])
+            slacks.append(sampled.slack.ravel())
+        # fmin skips a NaN slack (two infinite Lagrangians), as min() does
+        least = float(np.fmin.reduce(np.concatenate(slacks)))
+        self.min_slack = min(self.min_slack, least)
+
+    def verdict(self, residuals, rate_slope):
+        # a requested gap_bound always has a saddle: no minimum means K == 0
+        verdict = (True, "no iterations")
+        if not self.ergodic_ok:
+            verdict = (False, "not evaluable: ergodic hypotheses fail")
+        elif self.min_slack is not None:
+            verdict = (self.min_slack >= CHECK_TOLERANCES["gap_bound"],
+                       f"min_slack={self.min_slack:.3e}")
+        return {"gap_bound": verdict}, {"min_gap_slack": self.min_slack}
+
+
 class _Certifier:
     """The runner's recorder: certifies the iterates :func:`run` hands over,
     :data:`BLOCK` at a time, and appends their rows to the open ``log``.
 
-    It owns the :func:`_ring` of ``slots`` slots a :class:`_RingWriter` fills.
-    :meth:`certify` certifies a filled slot through strided views of its rows,
-    one call per quantity into rows 1.. of a ``BLOCK + 1``-row table; each
-    value keeps the bits of certifying its iterate alone. It copies the own-row
-    columns from the slot, once :meth:`fill` has filled them: in the solver
-    process, when its writer finds this one behind, or here, when the slot is
-    not flagged. It then copies the slot's last ``(x, z, y)`` into row 0 of the
-    next slot, which no writer fills, and folds the slot's iterate rows in
-    place, one Kahan step each, into the ergodic means the gap reads. Row 0 of
-    the table holds the block before's last row until this block gives its
-    ``v_slack``; the run's last row is written with ``v_slack`` empty. Between
-    blocks it holds the Kahan sum of the iterates so far, each probe's ``y``,
-    gamma and Lagrangian terms as one row of three arrays (the saddle's first),
-    the smallest gap slack and the largest dual identity deviation so far, the
-    ``residual_primal`` series and, if u/v are evaluable, the running values of
-    their checks: the two least slacks, the first rise of ``v``, ``u_1`` and
-    the step sum. The set-up draws one probe at a time, fills its rows by 1-D
-    calls and drops it before drawing the next. ``saddle`` is None when no
-    requested check needs one. The u/v checks need a zero smooth term and one
-    (M1, M2) pair for the whole run; they fail as "not evaluable" otherwise.
-
-    :meth:`result` frees the ring and the table, then returns ``(certificates,
-    checks)``: the summary's certificate fields and ``{name: (passed,
-    detail)}`` for the checks ``cfg.checks`` requests, in its order, against
-    :data:`CHECK_TOLERANCES`.
+    It keeps what the checks share: the :func:`_ring` of ``slots`` slots a
+    :class:`_RingWriter` fills, a table of ``BLOCK + 1`` log rows (row 0 the
+    row held from the block before), the ``residual_primal`` series, the
+    own-row columns of :meth:`fill`, the row formats and the log. Each check
+    is a fold, set up once. A ``live`` fold's ``step`` takes each certified
+    :data:`_Block` in order, writes its ``columns`` and folds its running
+    values; the ``columns`` of a fold that is not live are empty in every
+    row, its ``held`` columns in the run's last row. Its ``verdict(residuals,
+    rate_slope)`` returns ``({check: (passed, detail)}, {certificate:
+    value})``. Each value keeps the bits of certifying its iterate alone.
+    :meth:`result` frees the ring and the table, then returns
+    ``(certificates, checks)`` for the checks ``cfg.checks`` requests, in its
+    order. ``saddle`` is None when no requested check needs one.
     """
 
     def __init__(self, cfg, problem, init, sched1, sched2, saddle, report, log, slots=1):
         n, m, K = problem.n, problem.m, cfg.iters
         self.cfg, self.problem, self.saddle, self.log = cfg, problem, saddle, log
-        self.ergodic_ok = report.ergodic_ok  # the gap bound's hypotheses
         columns = CSV_COLUMNS[1:]
         if cfg.log_vectors:
             dims = (("x", n), ("z", m), ("y", m))
             columns += [f"{name}_{i}" for name, dim in dims for i in range(dim)]
         self.col = {name: j for j, name in enumerate(columns)}
+        # the ring's own-row columns, in its order
+        self.own = [self.col[name]
+                    for name in ("primal_objective", "kkt", "lagrangian_at_probe")]
         self.table = np.empty((BLOCK + 1, len(columns)))
         self.residuals = np.empty(K)  # ||A x_k - z_k||
-        self.max_dev = 0.0  # largest dual identity deviation so far
         self.done = 0  # rows certified
         self.ring = _ring(slots, init)
-        self.min_gap_slack = None
-        self.dz_sq = None  # ||z_k - z_{k-1}||^2 of the open block, if u/v are evaluable
-        if saddle is not None and K:
-            # Kahan sum over (x, z, y) end to end: entry by entry, as three sums
-            self.sum, self.comp = np.zeros(n + 2 * m), np.zeros(n + 2 * m)
-            self.min_gap_slack = math.inf
-            m1, m2 = sched1.metric(0), sched2.metric(0)
-            # the gap bound is per-probe: probe 0 is the saddle, checked every
-            # iteration, and ten probes sampled around it (seeded) are checked
-            # every 10th and at the last. A probe is fixed, so its gamma and
-            # Lagrangian terms are computed once, by 1-D calls as it is drawn;
-            # only (y, gamma, terms) is kept, one row per probe
-            self.probe_y, self.probe_gamma = np.empty((11, m)), np.empty(11)
-            self.probe_terms = values, residuals = np.empty(11), np.empty((11, m))
-            probes = diagnostics.ball_probes(saddle, 10, seed=cfg.seed)
-            for i, (x, z, y) in enumerate(itertools.chain([saddle], probes)):
-                Ax = problem.A.apply(x)
-                self.probe_y[i] = y
-                self.probe_gamma[i] = diagnostics.gamma(problem, init, m1, m2,
-                                                        (x, z, y), Ax)
-                values[i], residuals[i] = diagnostics.lagrangian_terms(problem, x, z, Ax)
-            if report.h_is_zero and all(
-                sched1.metric(k) is m1 and sched2.metric(k) is m2
-                for k in range(1, K)
-            ):
-                self.m1, self.m2 = m1, m2
-                # rows 1..b: the block's steps; row 0: the sum of those before
-                self.dz_sq = np.zeros(BLOCK + 1)
-                self.min_v_slacks = (math.inf, math.inf)  # at c and uncorrected
-                self.first_rise = None  # the first k with v_k > v_{k-1} + tol
+        kkt, dual, uv, gap = self.folds = [
+            _KktFold(),
+            _DualIdentityFold(problem.c),
+            _UvFold(problem, sched1, sched2, saddle, report, K),
+            _GapFold(cfg, problem, init, sched1, sched2, saddle, report),
+        ]
+        # the gap fold rewrites rows 1..b into their ergodic means: it steps
+        # last, once the next slot's row 0 holds the slot's last iterate
+        self.steps = [fold.step for fold in (kkt, dual, uv) if fold.live]
+        self.steps += [self._hand_over] + ([gap.step] if gap.live else [])
         # which cells are empty, by structure: every row's and the last row's
-        blank = {"lagrangian_at_probe", "gap", "gap_bound"} if saddle is None else set()
-        if self.dz_sq is None:
-            blank |= {"u_k", "v_k", "v_slack"}
+        blank = {name for fold in self.folds if not fold.live for name in fold.columns}
+        held = {name for fold in self.folds for name in fold.held}
         self.formats = [([j for j, name in enumerate(columns) if name not in empty],
                          "%d," + ",".join("" if name in empty else "%.17g"
                                           for name in columns) + "\n")
-                        for empty in (blank, blank | {"v_slack"})]
+                        for empty in (blank, blank | held)]
         log.write(",".join(["k", *columns]) + "\n")
 
     def fill(self, slot, count):
@@ -685,174 +843,47 @@ class _Certifier:
 
     def certify(self, slot, count):
         """Certify rows ``1..count`` of ring slot ``slot``: the next iterations."""
-        b, start, ring = count, self.done, self.ring
-        problem, saddle, col, table = self.problem, self.saddle, self.col, self.table
-        n, m = problem.n, problem.m
-        rows = table[1 : b + 1]  # row j of the table is iteration start + j
+        b, start, n, m = count, self.done, self.problem.n, self.problem.m
+        table = self.table[: b + 1]  # row j is iteration start + j
         # rows 0..b of the slot: row 0 is the iterate before the block
-        iterates, Ax, residual, columns = _ring_fields(ring[slot, : b + 1], m)
-        xs, zs, ys = iterates[:, :n], iterates[:, n : n + m], iterates[:, n + m :]
-        prev = xs[:b], zs[:b], ys[:b]
-        x, z, y, Ax = xs[1:], zs[1:], ys[1:], Ax[1:]
+        iterates, _, residual, columns = _ring_fields(self.ring[slot, : b + 1], m)
         residuals = self.residuals[start : start + b]
-        rows[:, col["residual_primal"]] = residuals[:] = residual[1:]
-        dev = diagnostics.dual_identity_deviation(prev[2], y, residuals, problem.c)
-        self.max_dev = np.maximum(self.max_dev, dev)  # a NaN stays NaN
+        table[1:, self.col["residual_primal"]] = residuals[:] = residual[1:]
         if not columns[0, 0]:
             self.fill(slot, b)
         columns[0, 0] = 0.0  # unflagged for the slot's next block
-        rows[:, col["primal_objective"]], rows[:, col["kkt"]] = columns[1:, :2].T
-        if saddle is not None:
-            rows[:, col["lagrangian_at_probe"]] = columns[1:, 2]
-        # the held row 0 is written with this block, its v_slack now known
-        first = 0 if start else 1
-        if self.dz_sq is not None:
-            rows[:, col["u_k"]], rows[:, col["v_k"]] = diagnostics.uv_step(
-                problem, saddle, self.m1, self.m2, prev, (x, z, y)
-            )
-            dz = z - prev[1]
-            dz_sq = self.dz_sq[: b + 1]
-            dz_sq[1:] = np.vecdot(dz, dz)
-            # rows first..b, with the held row 0; inequality_v_check reads no dz_sq[0]
-            u, v = table[first : b + 1, col["u_k"]], table[first : b + 1, col["v_k"]]
-            if not start:
-                self.u1 = u[0]
-            # row 0 at c, row 1 the stronger, uncorrected inequality (c = 0)
-            slacks = diagnostics.inequality_v_check(u, v, dz_sq[first:],
-                                                    np.array([[problem.c], [0.0]]))
-            table[first:b, col["v_slack"]] = slacks[0]
-            if b > first:  # np.min, as np.minimum, keeps a NaN
-                self.min_v_slacks = tuple(np.minimum(self.min_v_slacks, slacks.min(1)))
-            ok, rise = diagnostics.v_monotone_check(v, CHECK_TOLERANCES["v_monotone"])
-            if not ok and self.first_rise is None:
-                self.first_rise = rise + start + first - 1
-            # one add per step in iteration order: the bits of np.cumsum
-            dz_sq[0] = np.cumsum(dz_sq)[-1]
+        table[1:, self.own] = columns[1:]
         if self.cfg.log_vectors:
-            rows[:, col["x_0"] :] = iterates[1:]
-        # the next slot's row 0, which its writer never fills
-        _ring_fields(ring[(slot + 1) % len(ring), 0], m)[0][:] = iterates[b]
-        if saddle is not None:
-            # nothing else reads rows 1..b: each becomes its ergodic mean by a
-            # Kahan step, the new sum written into comp's buffer, then swapped
-            means = iterates[1:]
-            for k, term in enumerate(means, start + 1):
-                term -= self.comp
-                total = np.add(self.sum, term, out=self.comp)
-                comp = np.subtract(total, self.sum, out=self.sum)
-                comp -= term
-                self.sum, self.comp = total, comp
-                np.divide(total, k, out=term)
-            self._certify_gaps(rows, np.arange(start + 1, start + b + 1), means)
+            table[1:, self.col["x_0"] :] = iterates[1:]
+        xs, zs, ys = iterates[:, :n], iterates[:, n : n + m], iterates[:, n + m :]
+        block = _Block(slot, start, table, iterates, (xs[:-1], zs[:-1], ys[:-1]),
+                       (xs[1:], zs[1:], ys[1:]), residuals)
+        for step in self.steps:
+            step(block)
+        # the held row 0 is written with this block, its held columns now known
+        first = 0 if start else 1
         write_iterate_log(self.log, start + first, table[first:b], *self.formats[0])
         table[0] = table[b]
         self.done += b
 
-    def _certify_gaps(self, rows, ks, means):
-        """The gap columns of ``rows`` (iterations ``ks``) and their slacks,
-        from the rows of ``(x_bar, z_bar, y_bar)`` end to end in ``means``."""
-        problem, n, m = self.problem, self.problem.n, self.problem.m
-        average = diagnostics.lagrangian_terms(problem, means[:, :n],
-                                               means[:, n : n + m])
-        y_bar = means[:, n + m :]
-        probe_y, gammas, (values, residuals) = (
-            self.probe_y, self.probe_gamma, self.probe_terms
-        )
-        cert = diagnostics.gap_certificate(
-            diagnostics.lagrangian_at(average, probe_y[0]),
-            diagnostics.lagrangian_at((values[0], residuals[0]), y_bar),
-            gammas[0],
-            ks,
-        )
-        rows[:, self.col["gap"]], rows[:, self.col["gap_bound"]] = cert.gap, cert.bound
-        slacks = [cert.slack]
-        rounds = (ks % 10 == 0) | (ks == self.cfg.iters)
-        if rounds.any():
-            value, residual = average
-            sampled = diagnostics.gap_certificate(
-                diagnostics.lagrangian_at(
-                    (value[rounds, None], residual[rounds, None]), probe_y[1:]
-                ),
-                diagnostics.lagrangian_at(
-                    (values[1:], residuals[1:]), y_bar[rounds, None]
-                ),
-                gammas[1:],
-                ks[rounds, None],
-            )
-            slacks.append(sampled.slack.ravel())
-        # fmin skips a NaN slack (two infinite Lagrangians), as min() does
-        least = float(np.fmin.reduce(np.concatenate(slacks)))
-        self.min_gap_slack = min(self.min_gap_slack, least)
+    def _hand_over(self, block):
+        """Copy the block's last iterate into the next slot's row 0."""
+        ring, m = self.ring, self.problem.m
+        _ring_fields(ring[(block.slot + 1) % len(ring), 0], m)[0][:] = block.iterates[-1]
 
     def result(self):
-        problem, K = self.problem, self.done
-        if K:  # the held last row, v_slack empty
+        K = self.done
+        if K:  # the held last row, its held columns empty
             write_iterate_log(self.log, K, self.table[:1], *self.formats[1])
-        final_kkt = float(self.table[0, self.col["kkt"]]) if K else None
         # the block buffers are freed before the end-of-run checks
         del self.ring, self.table
         residuals = self.residuals[:K]
-        tol = CHECK_TOLERANCES
-        verdicts = {
-            "v_inequality": (False, "not evaluable: u/v energies unavailable "
-                             "(need zero smooth term, constant metrics, and a "
-                             "saddle point)"),
-            "v_monotone": (False, "not evaluable: v energy unavailable"),
-            "feasibility_rate": (False, "not evaluable: u energy unavailable"),
-        }
-
-        final = math.inf if final_kkt is None else final_kkt
-        verdicts["kkt"] = (final < tol["kkt"], f"final_kkt={final:.3e}")
-
-        min_gap_slack = self.min_gap_slack
-        # a requested gap_bound always has a saddle: no minimum means K == 0
-        verdicts["gap_bound"] = (True, "no iterations")
-        if not self.ergodic_ok:
-            verdicts["gap_bound"] = (False, "not evaluable: ergodic hypotheses fail")
-        elif min_gap_slack is not None:
-            verdicts["gap_bound"] = (
-                min_gap_slack >= tol["gap_bound"],
-                f"min_slack={min_gap_slack:.3e}",
-            )
-
         start = max(2, min(100, K // 2)) if K else 2
         slope = diagnostics.loglog_slope(range(start, K + 1), residuals[start - 1 :])
-        rate_slope = None if math.isinf(slope) else slope
-
-        min_v_slack = uncorrected_min = None
-        if self.dz_sq is not None:
-            verdicts["v_inequality"] = (True, "trace too short for slacks")
-            if K > 1:  # one slack per step k -> k + 1
-                # the uncorrected slack is logged as a finding only
-                min_v_slack, uncorrected_min = map(float, self.min_v_slacks)
-                verdicts["v_inequality"] = (
-                    min_v_slack >= tol["v_inequality"],
-                    f"min_slack={min_v_slack:.3e}",
-                )
-            first = self.first_rise
-            verdicts["v_monotone"] = (
-                first is None,
-                "nonincreasing" if first is None else f"first violation at k={first}",
-            )
-            # dz_sq[0] holds the in-order sum of every step, all the bound reads
-            bounds = diagnostics.feasibility_rate(residuals, problem.c, self.u1,
-                                                  self.dz_sq[:1])
-            # a NaN excess fails the check
-            worst = float(np.max(residuals[1:] - bounds, initial=0.0))
-            verdicts["feasibility_rate"] = (
-                worst <= tol["feasibility_rate"],
-                f"max_excess={worst:.3e}, slope={rate_slope}",
-            )
-
-        dev = float(self.max_dev)
-        verdicts["dual_identity"] = (dev <= tol["dual_identity"], f"max_dev={dev:.3e}")
-
-        certificates = {
-            "final_kkt": final_kkt,
-            "min_gap_slack": min_gap_slack,
-            "min_v_slack": min_v_slack,
-            "rate_slope": rate_slope,
-            "findings": {"uncorrected_v_min_slack": uncorrected_min},
-        }
-        checks = {name: verdicts[name] for name in self.cfg.checks}
-        return certificates, checks
+        certificates = {"rate_slope": None if math.isinf(slope) else slope}
+        verdicts = {}
+        for fold in self.folds:
+            checks, fields = fold.verdict(residuals, certificates["rate_slope"])
+            verdicts.update(checks)
+            certificates.update(fields)
+        return certificates, {name: verdicts[name] for name in self.cfg.checks}

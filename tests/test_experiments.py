@@ -933,11 +933,12 @@ def test_certifier_holds_one_block_of_iterates_and_frees_it():
         cfg, problem, init, s1, s2, (orc.x, orc.z, orc.y),
         solver.validate_assumptions(problem, s1, s2), io.StringIO(),
     )
-    assert certifier.dz_sq is not None  # every series and buffer is made
-    others = {"residuals", "dz_sq", "sum", "comp",
-              "saddle", "probe_y", "probe_gamma", "probe_terms"}
+    # every series and buffer is made
+    assert all(fold.live for fold in certifier.folds)
+    others = {"residuals", "dz_sq", "sum", "comp", "saddle", "probes"}
     buffers, series = {}, []
-    for name, value in vars(certifier).items():
+    for name, value in [item for holder in (certifier, *certifier.folds)
+                        for item in vars(holder).items()]:
         for array in (value if isinstance(value, tuple) else (value,)):
             if isinstance(array, np.ndarray) and array.ndim == 1:
                 if array.size >= cfg.iters:
@@ -996,7 +997,7 @@ def test_the_certifying_process_copies_no_iterate(tmp_path, monkeypatch, forked)
 
     certify = experiments._Certifier.certify
     fill = experiments._Certifier.fill
-    certify_gaps = experiments._Certifier._certify_gaps
+    gaps = experiments._GapFold.gaps
     certified = []
 
     def watching_certify(self, slot, count):
@@ -1008,16 +1009,16 @@ def test_the_certifying_process_copies_no_iterate(tmp_path, monkeypatch, forked)
         rings.append(self.ring)  # the solver process has certified nothing
         fill(self, slot, count)
 
-    def watching_certify_gaps(self, rows, ks, means):
+    def watching_gaps(self, rows, ks, means):
         seen.append(("means", 1, ends_at_ring(means)))
-        return certify_gaps(self, rows, ks, means)
+        return gaps(self, rows, ks, means)
 
     for name in ("dual_identity_deviation", "objective_and_kkt",
                  "lagrangian_terms", "uv_step"):
         watch(name)
     monkeypatch.setattr(experiments._Certifier, "certify", watching_certify)
     monkeypatch.setattr(experiments._Certifier, "fill", watching_fill)
-    monkeypatch.setattr(experiments._Certifier, "_certify_gaps", watching_certify_gaps)
+    monkeypatch.setattr(experiments._GapFold, "gaps", watching_gaps)
     cfg = toy_config(**dict(_BLOCK_CASES["lasso-g"], iters=2 * _B + 5))
     # per block: prev y and y; x, y and A x; x, z and A x; prev (x, z, y)
     # and (x, z, y); the means, (x, z, y)_bar end to end, then their x_bar
@@ -1111,6 +1112,54 @@ def test_an_error_in_the_solver_process_filling_columns_is_met_here(tmp_path,
     assert forked == [1, 1]
 
 
+def _held_arrays(obj):
+    """The arrays ``obj`` holds, through tuples, lists and the attributes of
+    the objects of :mod:`vmadmm.experiments` it holds."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [array for item in obj for array in _held_arrays(item)]
+    if type(obj).__module__ == experiments.__name__ and hasattr(obj, "__dict__"):
+        return _held_arrays(list(vars(obj).values()))
+    return []
+
+
+def test_no_probe_or_kahan_buffer_is_alive_when_the_fit_starts(tmp_path,
+                                                               monkeypatch):
+    # the probe rows (eleven a stack) and the Kahan sum and compensation
+    # (n + 2m floats each) are dropped once the run's last block is
+    # certified: when the end-of-run slope fit starts, the certifier holds
+    # the residual series and running values, no block state
+    cfg = toy_config(**dict(_TV1D_LINEARIZED, iters=2 * _B + 5),
+                     metric2={"kind": "constant", "metric": {"kind": "zero"}},
+                     checks=["gap_bound", "dual_identity"])
+    problem, *_ = experiments.prepare(cfg)
+    n, m = problem.n, problem.m
+    made, held = [], []
+    set_up = experiments._Certifier.__init__
+
+    def watching_set_up(self, *args, **kwargs):
+        made.append(self)
+        set_up(self, *args, **kwargs)
+
+    fit = diagnostics.loglog_slope
+
+    def watching_fit(ks, values):
+        held.append([array.shape for array in _held_arrays(made[-1])])
+        return fit(ks, values)
+
+    monkeypatch.setattr(experiments._Certifier, "__init__", watching_set_up)
+    monkeypatch.setattr(diagnostics, "loglog_slope", watching_fit)
+    for beside in (True, False):
+        monkeypatch.setattr(experiments, "_solve_beside", lambda beside=beside: beside)
+        run_experiment(cfg, out_dir=str(tmp_path / str(beside)))
+    assert len(held) == 2
+    for shapes in held:
+        assert (cfg.iters,) in shapes  # the residual series
+        assert [shape for shape in shapes
+                if shape[:1] == (11,) or shape == (n + 2 * m,)] == []
+
+
 def test_certifier_setup_holds_one_probe_at_a_time():
     # the set-up draws each probe when it certifies it, by 1-D calls, and
     # keeps its y, gamma and Lagrangian terms: its traced growth is the
@@ -1141,7 +1190,8 @@ def test_certifier_setup_holds_one_probe_at_a_time():
     finally:
         tracemalloc.stop()
     held = {}
-    for name, value in vars(certifier).items():
+    for name, value in [item for holder in (certifier, *certifier.folds)
+                        for item in vars(holder).items()]:
         for array in (value if isinstance(value, tuple) else (value,)):
             # the ring is an mmap, which tracemalloc does not see
             if name not in ("saddle", "ring") and isinstance(array, np.ndarray):

@@ -518,13 +518,14 @@ def test_single_buffer_averager_matches_per_vector_kahan():
         certifier = _Certifier(cfg, problem, initial_state(problem), s1, s2,
                                saddle, validate_assumptions(problem, s1, s2),
                                io.StringIO())
-        certify_gaps, received = certifier._certify_gaps, []
+        gap = certifier.folds[-1]  # the gap fold
+        gaps, received = gap.gaps, []
 
         def capturing(rows, ks, means):
             received.extend(zip(ks.tolist(), means.copy()))
-            return certify_gaps(rows, ks, means)
+            return gaps(rows, ks, means)
 
-        certifier._certify_gaps = capturing
+        gap.gaps = capturing
         reference = KahanAverager(n, m)
         expected = []
         writer = _RingWriter(certifier.ring, certifier.certify)
@@ -1056,9 +1057,9 @@ def test_certifier_setup_has_the_bits_of_the_stacked_probe_calls(case):
         values, residuals = diagnostics.lagrangian_terms(problem, x, z, Ax)
         if case == "box-qp":
             assert np.isinf(values[1:]).any()
-        assert certifier.probe_y.tobytes() == y.tobytes()
-        assert certifier.probe_gamma.tobytes() == gammas.tobytes()
-        got_values, got_residuals = certifier.probe_terms
+        got_y, got_gammas, got_values, got_residuals = certifier.folds[-1].probes
+        assert got_y.tobytes() == y.tobytes()
+        assert got_gammas.tobytes() == gammas.tobytes()
         assert got_values.tobytes() == values.tobytes()
         assert got_residuals.tobytes() == residuals.tobytes()
 

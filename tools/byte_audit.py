@@ -12,7 +12,7 @@ two CPUs are usable, and once with the subprocess pinned to one CPU by
 ``os.sched_setaffinity``, where vmadmm solves in its own process (without
 ``sched_setaffinity`` vmadmm always does, and the second pass repeats the
 first). A config differs when either pass differs, and each key or line
-that differs on one CPU says so. The four runs over the 72 configs take
+that differs on one CPU says so. The four runs over the 74 configs take
 about 11 s on a 2-core x86-64 host. Per pass and config the audit compares
 ``log.csv``, ``summary.json``, the exit code and the lines echoed to stdout
 and stderr; for a config that wrote a log, it also runs ``vmadmm check`` on
