@@ -90,7 +90,8 @@ CSV_COLUMNS = [
     "gap_bound",
     "kkt",
 ]
-#: Each fixed column's column in the certifier's table, which leaves out ``k``.
+#: Each fixed column's place in the certifier's table, which leaves out ``k``
+#: and holds any logged ``x``, ``z`` and ``y`` after them.
 _COLUMN = {name: j for j, name in enumerate(CSV_COLUMNS[1:])}
 
 
@@ -630,7 +631,7 @@ class _UvFold:
         )
         self.problem, self.saddle, self.m1, self.m2 = problem, saddle, m1, m2
         # rows 1..b: the block's ||z_k - z_{k-1}||^2; row 0: the sum of those before
-        self.dz_sq = np.zeros(BLOCK + 1) if self.live else None
+        self.dz_sq = np.zeros(BLOCK + 1)
         self.min_v_slacks = (math.inf, math.inf)  # at c and uncorrected
         self.first_rise = None  # the first k with v_k > v_{k-1} + tol
 
@@ -801,9 +802,8 @@ class _Certifier:
         if cfg.log_vectors:
             dims = (("x", n), ("z", m), ("y", m))
             columns += [f"{name}_{i}" for name, dim in dims for i in range(dim)]
-        self.col = {name: j for j, name in enumerate(columns)}
         # the ring's own-row columns, in its order
-        self.own = [self.col[name]
+        self.own = [_COLUMN[name]
                     for name in ("primal_objective", "kkt", "lagrangian_at_probe")]
         self.table = np.empty((BLOCK + 1, len(columns)))
         self.residuals = np.empty(K)  # ||A x_k - z_k||
@@ -848,13 +848,13 @@ class _Certifier:
         # rows 0..b of the slot: row 0 is the iterate before the block
         iterates, _, residual, columns = _ring_fields(self.ring[slot, : b + 1], m)
         residuals = self.residuals[start : start + b]
-        table[1:, self.col["residual_primal"]] = residuals[:] = residual[1:]
+        table[1:, _COLUMN["residual_primal"]] = residuals[:] = residual[1:]
         if not columns[0, 0]:
             self.fill(slot, b)
         columns[0, 0] = 0.0  # unflagged for the slot's next block
         table[1:, self.own] = columns[1:]
         if self.cfg.log_vectors:
-            table[1:, self.col["x_0"] :] = iterates[1:]
+            table[1:, len(_COLUMN) :] = iterates[1:]
         xs, zs, ys = iterates[:, :n], iterates[:, n : n + m], iterates[:, n + m :]
         block = _Block(slot, start, table, iterates, (xs[:-1], zs[:-1], ys[:-1]),
                        (xs[1:], zs[1:], ys[1:]), residuals)

@@ -949,7 +949,7 @@ def test_certifier_holds_one_block_of_iterates_and_frees_it():
                 buffers[id(array)] = array
     assert series == ["residuals"]
     n, m, B = problem.n, problem.m, experiments.BLOCK
-    columns = len(certifier.col)
+    columns = certifier.table.shape[1]
     held = sum(array.size for array in buffers.values())
     assert held <= len(certifier.ring) * (B + 1) * (n + 3 * m + 4) + (B + 1) * columns
     alive = [weakref.ref(array) for array in buffers.values()]
