@@ -120,5 +120,5 @@ if __name__ == "__main__":
 
     PINS = dict.fromkeys(sys.argv[1:] or PINS)
     with tempfile.TemporaryDirectory() as work:
-        print(f"ENVIRONMENT = {environment()!r}")
+        print(f"ENVIRONMENT = {json.dumps(environment())}")
         print("PINS = " + json.dumps(digests(pathlib.Path(work)), indent=4))
