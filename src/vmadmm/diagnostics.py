@@ -138,10 +138,10 @@ def _require_uv_regime(problem):
 
 
 def uv_step(problem, saddle, m1, m2, prev, cur):
-    """``(u_k, v_k)`` of the step from iterate ``prev`` to iterate ``cur``.
+    """``(u_k, v_k, ||z_k - z_{k-1}||^2)`` of the step from ``prev`` to ``cur``.
 
     ``prev`` and ``cur`` are ``(x, z, y)`` triples; blocks of iterates give
-    one ``(u, v)`` pair per row.
+    one triple per row.
     ``v_k = ||x_k - x_{k-1}||^2_{M1} + ||z_k - z_{k-1}||^2_{M2 + cI}
     + (1/c) ||y_k - y_{k-1}||^2`` and ``u_k`` adds the saddle distances plus
     the trailing ``||z_k - z_{k-1}||^2_{M2}`` term. Defined only for a zero
@@ -155,9 +155,9 @@ def uv_step(problem, saddle, m1, m2, prev, cur):
     # every sum adds its terms in the order of the formulas above
     d = z - z0
     dz_m2 = m2.seminorm_sq(d)  # a term of both
-    dz_c = c * np.vecdot(d, d)
+    dz_sq = np.vecdot(d, d)
     del d
-    v = m1.seminorm_sq(x - x0) + dz_m2 + dz_c
+    v = m1.seminorm_sq(x - x0) + dz_m2 + c * dz_sq
     d = y - y0
     v = v + np.vecdot(d, d) / c
     del d
@@ -167,7 +167,7 @@ def uv_step(problem, saddle, m1, m2, prev, cur):
     del d
     d = y_star - y
     u = u + np.vecdot(d, d) / c + dz_m2
-    return _per_point(u), _per_point(v)
+    return _per_point(u), _per_point(v), _per_point(dz_sq)
 
 
 def uv_energies(problem, trace, saddle, m1, m2):
@@ -178,7 +178,7 @@ def uv_energies(problem, trace, saddle, m1, m2):
     """
     xs, zs, ys = (np.array(vs, dtype=float) for vs in (trace.xs, trace.zs, trace.ys))
     return uv_step(problem, saddle, m1, m2, (xs[:-1], zs[:-1], ys[:-1]),
-                   (xs[1:], zs[1:], ys[1:]))
+                   (xs[1:], zs[1:], ys[1:]))[:2]
 
 
 def inequality_v_check(u, v, dz_sq, c):

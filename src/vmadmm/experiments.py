@@ -15,9 +15,10 @@ before the solve (:func:`saddle_point`) and certifies the iterates
 quantity one call over a block with the bits of one iterate at a time.
 
 The solver's recorder copies each iterate once, into a shared ``mmap`` ring
-(:func:`_ring`) whose slots are the :class:`_Certifier`'s block buffers. Each
-check is a fold over the blocks that owns its gate, its ``log.csv`` columns,
-its running values and its verdict (:class:`_KktFold`,
+(:func:`_ring`) whose slots are the :class:`_Certifier`'s block buffers, and
+opens each slot with the iterate before its block: a slot holds all its
+block reads. Each check is a fold over the blocks that owns its gate, its
+``log.csv`` columns, its running values and its verdict (:class:`_KktFold`,
 :class:`_DualIdentityFold`, :class:`_UvFold`, :class:`_GapFold`).
 
 The solver runs in a forked child beside the certifier where it can
@@ -369,12 +370,12 @@ def run_experiment(cfg, force=False, out_dir=None):
                                    report, fh, slots=3 if beside else 1)
             solve = (problem, init, sched1, sched2, StoppingRule(max_iters=cfg.iters))
             if beside:
-                iterations = _solve_forked(solve, certifier)
+                _solve_forked(solve, certifier)
             else:
-                writer = _RingWriter(certifier.ring, certifier.certify)
-                # only the count is read: the final iterate is freed before the checks
-                iterations = run(*solve, force=True, recorder=writer)[0].k
+                writer = _RingWriter(certifier.ring, init, certifier.certify)
+                run(*solve, force=True, recorder=writer)
                 writer.flush()
+                del writer  # with the final iterate, freed before the checks
             certificates, checks = certifier.result()
     except BaseException:
         os.remove(partial)
@@ -383,7 +384,7 @@ def run_experiment(cfg, force=False, out_dir=None):
 
     summary = {
         "problem": metadata,
-        "iterations": iterations,
+        "iterations": certifier.done,
         **certificates,
         "checks": {
             name: {"passed": passed, "detail": detail}
@@ -433,18 +434,15 @@ def _current_cpu():
         return None
 
 
-def _ring(slots, init):
+def _ring(slots, n, m):
     """``slots`` slots of ``BLOCK + 1`` rows ``(x, z, y, A x, ||A x - z||)``
     and three own-row columns (objective, KKT, Lagrangian at the saddle's
-    ``y``) in one anonymous shared ``mmap``, row 0 of slot 0 holding
-    ``init``. Row 0 uses only its first own-row column: the slot's flag,
-    nonzero once rows ``1..`` have theirs."""
-    n, m = init.x.size, init.z.size
+    ``y``) in one anonymous shared ``mmap``. Row 0 uses only its ``(x, z,
+    y)``, the iterate before the slot's block, and its first own-row column:
+    the slot's flag, nonzero once rows ``1..`` have theirs."""
     width = n + 3 * m + 4
-    ring = np.ndarray((slots, BLOCK + 1, width),
+    return np.ndarray((slots, BLOCK + 1, width),
                       buffer=mmap.mmap(-1, slots * (BLOCK + 1) * width * 8))
-    np.concatenate((init.x, init.z, init.y), out=_ring_fields(ring[0, 0], m)[0])
-    return ring
 
 
 def _ring_fields(rows, m):
@@ -454,31 +452,37 @@ def _ring_fields(rows, m):
 
 
 class _RingWriter:
-    """The solver's recorder: fills rows ``1..BLOCK`` of each slot of ``ring``
-    in turn and hands each full slot, and the last at :meth:`flush`, to
-    ``deliver(slot, count)``. With ``free``, another process certifies the
+    """The solver's recorder: opens each slot of ``ring`` in turn with the
+    state recorded last (``init`` at first) in row 0's ``(x, z, y)``, fills
+    rows ``1..BLOCK`` and hands each full slot, and the last at :meth:`flush`,
+    to ``deliver(slot, count)``. With ``free``, another process certifies the
     slots and frees each by a byte on ``free``: the writer waits for that
-    byte before refilling a slot, and first calls ``fill(slot, count)`` on
-    a slot it hands over while the certifier is :meth:`behind`."""
+    byte before it opens a slot again, and first calls ``fill(slot, count)``
+    on a slot it hands over while the certifier is :meth:`behind`."""
 
-    def __init__(self, ring, deliver, free=None, fill=None):
+    def __init__(self, ring, init, deliver, free=None, fill=None):
         self.ring, self.deliver, self.free, self.fill = ring, deliver, free, fill
         self.vectors, _, self.residuals, _ = _ring_fields(ring, 0)
+        self.last = init  # the state recorded last
         self.sent = 0  # slots delivered
         self.freed = 0  # bytes read from free
         self.row = 0  # rows filled in the open slot
 
     def record(self, state, residual):
-        if (not self.row and self.free is not None
-                and self.sent - self.freed >= len(self.ring)):
-            if not os.read(self.free, 1):
-                raise EOFError("the certifying process closed its pipe")
-            self.freed += 1
-        self.row += 1
         slot = self.sent % len(self.ring)
+        if not self.row:
+            if self.free is not None and self.sent - self.freed >= len(self.ring):
+                if not os.read(self.free, 1):
+                    raise EOFError("the certifying process closed its pipe")
+                self.freed += 1
+            last = self.last
+            np.concatenate((last.x, last.z, last.y),
+                           out=_ring_fields(self.ring[slot, 0], last.z.size)[0])
+        self.row += 1
         np.concatenate((state.x, state.z, state.y, state.Ax),
                        out=self.vectors[slot, self.row])
         self.residuals[slot, self.row] = residual
+        self.last = state
         if self.row == BLOCK:
             self.flush()
 
@@ -505,12 +509,12 @@ class _RingWriter:
 
 def _solve_forked(solve, certifier):
     """``run(*solve, force=True)`` in a forked child, its iterates certified
-    here as they arrive; returns the final ``k``.
+    here as they arrive.
 
     The child records into ``certifier.ring``, three slots of ``BLOCK + 1``
     rows of ``n + 3 m + 4`` floats (6.4 KB at n = 200 for tv1d), fills a
     slot's own-row columns when this process holds the other two, reports
-    each filled slot as ``("rows", slot, count)``, then ``("end", k)``, or
+    each filled slot as ``("rows", slot, count)``, then ``("end",)``, or
     ``("raise", exc)`` after the rows recorded before ``exc``, and leaves by
     ``os._exit`` on every path, so it flushes none of this process's
     buffers. This process certifies each slot in place, frees it, and
@@ -534,11 +538,12 @@ def _solve_forked(solve, certifier):
                 pickle.dump(message, channel)
                 channel.flush()
 
-            writer = _RingWriter(certifier.ring,
+            writer = _RingWriter(certifier.ring, solve[1],  # run's init
                                  lambda slot, count: report("rows", slot, count),
                                  free, certifier.fill)
             try:
-                message = ("end", run(*solve, force=True, recorder=writer)[0].k)
+                run(*solve, force=True, recorder=writer)
+                message = ("end",)
             except BaseException as exc:  # the parent raises it
                 message = ("raise", exc)
             writer.flush()
@@ -560,7 +565,7 @@ def _solve_forked(solve, certifier):
                         f"the solver process ended with no result "
                         f"(exit status {status})") from None
                 if kind == "end":
-                    return got[0]
+                    return
                 if kind == "raise":
                     raise got[0]
                 certifier.certify(*got)
@@ -580,7 +585,7 @@ def _solve_forked(solve, certifier):
 # held from the block before), (x, z, y) rows 0..b end to end (row 0 the
 # iterate before), prev and cur (x, z, y) of rows 0..b-1 and 1..b apart, and
 # ||A x_k - z_k|| of rows 1..b
-_Block = namedtuple("_Block", "slot start table iterates prev cur residuals")
+_Block = namedtuple("_Block", "start table iterates prev cur residuals")
 
 
 class _KktFold:
@@ -636,12 +641,10 @@ class _UvFold:
         self.first_rise = None  # the first k with v_k > v_{k-1} + tol
 
     def step(self, block):
-        start, table, prev = block.start, block.table, block.prev
-        table[1:, self.u], table[1:, self.v] = diagnostics.uv_step(
-            self.problem, self.saddle, self.m1, self.m2, prev, block.cur)
-        dz = block.cur[1] - prev[1]
+        start, table = block.start, block.table
         dz_sq = self.dz_sq[: len(table)]
-        dz_sq[1:] = np.vecdot(dz, dz)
+        table[1:, self.u], table[1:, self.v], dz_sq[1:] = diagnostics.uv_step(
+            self.problem, self.saddle, self.m1, self.m2, block.prev, block.cur)
         # rows first..b, with the held row 0; inequality_v_check reads no dz_sq[0]
         first = 0 if start else 1
         u, v = table[first:, self.u], table[first:, self.v]
@@ -783,11 +786,12 @@ class _Certifier:
     It keeps what the checks share: the :func:`_ring` of ``slots`` slots a
     :class:`_RingWriter` fills, a table of ``BLOCK + 1`` log rows (row 0 the
     row held from the block before), the ``residual_primal`` series, the
-    own-row columns of :meth:`fill`, the row formats and the log. Each check
-    is a fold, set up once. A ``live`` fold's ``step`` takes each certified
-    :data:`_Block` in order, writes its ``columns`` and folds its running
-    values; the ``columns`` of a fold that is not live are empty in every
-    row, its ``held`` columns in the run's last row. Its ``verdict(residuals,
+    own-row columns of :meth:`fill`, the row formats and the log; ``done``
+    counts the rows certified, the run's length. Each check is a fold, set
+    up once. A ``live`` fold's ``step`` takes each certified :data:`_Block`
+    in order, writes its ``columns`` and folds its running values; the
+    ``columns`` of a fold that is not live are empty in every row, its
+    ``held`` columns in the run's last row. Its ``verdict(residuals,
     rate_slope)`` returns ``({check: (passed, detail)}, {certificate:
     value})``. Each value keeps the bits of certifying its iterate alone.
     :meth:`result` frees the ring and the table, then returns
@@ -808,17 +812,15 @@ class _Certifier:
         self.table = np.empty((BLOCK + 1, len(columns)))
         self.residuals = np.empty(K)  # ||A x_k - z_k||
         self.done = 0  # rows certified
-        self.ring = _ring(slots, init)
-        kkt, dual, uv, gap = self.folds = [
+        self.ring = _ring(slots, n, m)
+        self.folds = [
             _KktFold(),
             _DualIdentityFold(problem.c),
             _UvFold(problem, sched1, sched2, saddle, report, K),
+            # last: it rewrites rows 1..b into their ergodic means
             _GapFold(cfg, problem, init, sched1, sched2, saddle, report),
         ]
-        # the gap fold rewrites rows 1..b into their ergodic means: it steps
-        # last, once the next slot's row 0 holds the slot's last iterate
-        self.steps = [fold.step for fold in (kkt, dual, uv) if fold.live]
-        self.steps += [self._hand_over] + ([gap.step] if gap.live else [])
+        self.steps = [fold.step for fold in self.folds if fold.live]
         # which cells are empty, by structure: every row's and the last row's
         blank = {name for fold in self.folds if not fold.live for name in fold.columns}
         held = {name for fold in self.folds for name in fold.held}
@@ -842,7 +844,7 @@ class _Certifier:
         columns[0, 0] = 1.0
 
     def certify(self, slot, count):
-        """Certify rows ``1..count`` of ring slot ``slot``: the next iterations."""
+        """Certify rows ``1..count`` of ring slot ``slot`` and write no other."""
         b, start, n, m = count, self.done, self.problem.n, self.problem.m
         table = self.table[: b + 1]  # row j is iteration start + j
         # rows 0..b of the slot: row 0 is the iterate before the block
@@ -856,7 +858,7 @@ class _Certifier:
         if self.cfg.log_vectors:
             table[1:, len(_COLUMN) :] = iterates[1:]
         xs, zs, ys = iterates[:, :n], iterates[:, n : n + m], iterates[:, n + m :]
-        block = _Block(slot, start, table, iterates, (xs[:-1], zs[:-1], ys[:-1]),
+        block = _Block(start, table, iterates, (xs[:-1], zs[:-1], ys[:-1]),
                        (xs[1:], zs[1:], ys[1:]), residuals)
         for step in self.steps:
             step(block)
@@ -865,11 +867,6 @@ class _Certifier:
         write_iterate_log(self.log, start + first, table[first:b], *self.formats[0])
         table[0] = table[b]
         self.done += b
-
-    def _hand_over(self, block):
-        """Copy the block's last iterate into the next slot's row 0."""
-        ring, m = self.ring, self.problem.m
-        _ring_fields(ring[(block.slot + 1) % len(ring), 0], m)[0][:] = block.iterates[-1]
 
     def result(self):
         K = self.done

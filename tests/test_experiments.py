@@ -7,6 +7,7 @@ import math
 import os
 import re
 import select
+import signal
 import tracemalloc
 import warnings
 import weakref
@@ -265,14 +266,14 @@ def _edit_v(monkeypatch, edits):
     handed = []  # every v_k handed out, k = 1, 2, ...
 
     def edited(problem, saddle, m1, m2, prev, cur):
-        u, v = uv_step(problem, saddle, m1, m2, prev, cur)
+        u, v, dz_sq = uv_step(problem, saddle, m1, m2, prev, cur)
         v = v.copy()
         for i in range(len(v)):
             k = len(handed) + 1
             if k in edits:
                 v[i] = edits[k](handed[-1])
             handed.append(v[i])
-        return u, v
+        return u, v, dz_sq
 
     monkeypatch.setattr(diagnostics, "uv_step", edited)
 
@@ -588,8 +589,8 @@ def single_iterate_log(cfg):
             certificates["min_gap_slack"] = min([math.inf] + slacks)
         if isinstance(problem.h, Zero) and K:  # the u/v columns
             triples = list(zip(trace.xs, trace.zs, trace.ys))
-            u, v = np.array([diagnostics.uv_step(problem, saddle, m1, m2, a, b)
-                             for a, b in zip(triples, triples[1:])]).T
+            u, v, _ = np.array([diagnostics.uv_step(problem, saddle, m1, m2, a, b)
+                                for a, b in zip(triples, triples[1:])]).T
             v_slacks = diagnostics.inequality_v_check(u, v, z_steps_sq(trace), c)
             for row, u_k, v_k in zip(rows, u, v, strict=True):
                 row["u_k"], row["v_k"] = u_k, v_k
@@ -954,7 +955,7 @@ def test_certifier_holds_one_block_of_iterates_and_frees_it():
     assert held <= len(certifier.ring) * (B + 1) * (n + 3 * m + 4) + (B + 1) * columns
     alive = [weakref.ref(array) for array in buffers.values()]
     del buffers, array, value
-    writer = experiments._RingWriter(certifier.ring, certifier.certify)
+    writer = experiments._RingWriter(certifier.ring, init, certifier.certify)
     solver.run(problem, init, s1, s2, solver.StoppingRule(max_iters=cfg.iters),
                recorder=writer)
     writer.flush()
@@ -1046,6 +1047,61 @@ def test_the_certifying_process_copies_no_iterate(tmp_path, monkeypatch, forked)
     assert forked == [1, 1]
 
 
+@pytest.mark.parametrize("iters", [3 * _B + 1, 2 * _B + 5])
+def test_each_slot_opens_with_the_iterate_before_and_certify_writes_no_other(
+        tmp_path, monkeypatch, forked, iters):
+    # a slot holds all its block needs: row 0 of each slot certify is given
+    # is the iterate before the block, and certify leaves every byte of every
+    # other slot as it was. The forked run's solver process is stopped while
+    # this process certifies, so that nothing else writes the ring meanwhile;
+    # at K = 16 j + 1 the run ends on a one-row block, in a reused slot
+    cfg = toy_config(**dict(_BLOCK_CASES["lasso-g"], iters=iters))
+    problem, _, s1, s2, init = experiments.prepare(cfg)
+    _, trace = solver.run(problem, init, s1, s2,
+                          solver.StoppingRule(max_iters=iters), force=True)
+    fork, pids, seen = os.fork, [], []
+
+    def keeping_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    certify = experiments._Certifier.certify
+
+    def watching_certify(self, slot, count):
+        if pids:  # stopped, or already exited
+            os.kill(pids[-1], signal.SIGSTOP)
+            os.waitid(os.P_PID, pids[-1], os.WSTOPPED | os.WEXITED | os.WNOWAIT)
+        try:
+            k = self.done
+            before = np.concatenate((trace.xs[k], trace.zs[k], trace.ys[k]))
+            row0 = experiments._ring_fields(self.ring[slot, 0], problem.m)[0]
+            others = np.delete(self.ring, slot, axis=0).tobytes()
+            seen.append((len(self.ring), count, row0.tobytes() == before.tobytes()))
+            certify(self, slot, count)
+            assert np.delete(self.ring, slot, axis=0).tobytes() == others
+        finally:
+            if pids:
+                os.kill(pids[-1], signal.SIGCONT)
+
+    monkeypatch.setattr(os, "fork", keeping_fork)
+    monkeypatch.setattr(experiments._Certifier, "certify", watching_certify)
+    blocks = [_B] * (iters // _B) + [iters % _B]
+    outputs = []
+    for beside, slots in ((True, 3), (False, 1)):
+        monkeypatch.setattr(experiments, "_solve_beside", lambda beside=beside: beside)
+        seen.clear()
+        pids.clear()
+        result = run_experiment(cfg, out_dir=str(tmp_path / str(beside)))
+        assert seen == [(slots, count, True) for count in blocks]
+        assert len(pids) == beside
+        with open(result.csv_path, "rb") as fh:
+            outputs.append(fh.read())
+    assert forked == [1]
+    assert outputs[0] == outputs[1]
+
+
 def test_the_solver_process_fills_columns_when_the_certifier_holds_every_other_slot():
     # behind() counts the free bytes the pipe holds without blocking: with
     # k of them, the certifier holds sent - freed - k slots, and the rule
@@ -1053,10 +1109,10 @@ def test_the_solver_process_fills_columns_when_the_certifier_holds_every_other_s
     # three slots are delivered before any byte is read
     slots = 3
     ring = np.zeros((slots, 2, 5))
-    assert not experiments._RingWriter(ring, None).behind()  # in process
+    assert not experiments._RingWriter(ring, None, None).behind()  # in process
     free, freed = os.pipe()
     try:
-        writer = experiments._RingWriter(ring, None, free)
+        writer = experiments._RingWriter(ring, None, None, free)
         for sent in range(3 * slots):
             # the writer waits for a free byte before it fills a slot past
             # the ring, so it holds at most slots - 1 delivered slots here

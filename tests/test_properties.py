@@ -528,7 +528,8 @@ def test_single_buffer_averager_matches_per_vector_kahan():
         gap.gaps = capturing
         reference = KahanAverager(n, m)
         expected = []
-        writer = _RingWriter(certifier.ring, certifier.certify)
+        writer = _RingWriter(certifier.ring, initial_state(problem),
+                             certifier.certify)
         for k, row in enumerate(iterates, 1):
             x, z, y = row[:n], row[n : n + m], row[n + m :]
             writer.record(initial_state(problem, x, z, y), 0.0)
@@ -971,7 +972,7 @@ def test_diagnostics_block_calls_stack_the_vector_calls(name):
         if isinstance(problem.h, Zero):
             saddle = (x[0], z[0], y[0])
             prev, cur = (x[:-1], z[:-1], y[:-1]), (x[1:], z[1:], y[1:])
-            u, v = diagnostics.uv_step(problem, saddle, m1, m2, prev, cur)
+            u, v, _ = diagnostics.uv_step(problem, saddle, m1, m2, prev, cur)
             pairs = [diagnostics.uv_step(problem, saddle, m1, m2, a, b)
                      for a, b in zip(zip(*prev), zip(*cur))]
             assert_stacked(u, [p[0] for p in pairs])
