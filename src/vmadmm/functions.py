@@ -34,7 +34,11 @@ from .linops import _check_block, _per_point, as_vector, matvec
 
 
 def _soft_threshold(v, t):
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    """``sign(v) * max(|v| - t, 0)``, its temporaries written in place."""
+    out = np.abs(v)
+    np.subtract(out, t, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.multiply(np.sign(v), out, out=out)
 
 
 def _positive(value, name):
@@ -361,6 +365,8 @@ class Quadratic(ConvexFunction):
 
     The first :meth:`prox` call computes ``Q = V diag(lam) V^T`` once and
     keeps only ``(lam, V)``; every later call, for any step size, reuses it.
+    Beside it one entry ``(t, 1 + t lam, t q)`` holds the last step's
+    constants, 2n floats, made again only when ``t`` changes.
     """
 
     def __init__(self, Q, q=None):
@@ -399,6 +405,7 @@ class Quadratic(ConvexFunction):
         self.q.setflags(write=False)
         self.lipschitz = max(0.0, float(eigs[-1]))
         self._eigh = None  # (lam, V) of Q, made by the first prox call
+        self._at_step = None  # (t, 1 + t lam, t q) of the last prox call's t
 
     def __call__(self, x):
         x = self._check(x)
@@ -421,18 +428,22 @@ class Quadratic(ConvexFunction):
     def _prox(self, v, t):
         """``(I + tQ)^{-1} (v - tq) = V diag(1 / (1 + t lam)) V^T (v - tq)``,
         two matrix-vector products; :class:`SingularSubproblem` when some
-        ``1 + t lam <= 0`` (a tiny negative eigenvalue at a large t)."""
+        ``1 + t lam <= 0`` (a tiny negative eigenvalue at a large t). The
+        step's constants are kept only once that check has passed."""
         if self._eigh is None:
             self._eigh = np.linalg.eigh(self.Q)
         lam, V = self._eigh
-        denom = 1.0 + t * lam
-        if not denom[0] > 0:  # lam ascends, so denom[0] is the smallest
-            raise SingularSubproblem(
-                f"I + tQ is not positive definite at t={t!r}: "
-                f"1 + t lambda_min(Q) = {float(denom[0]):.3e}"
-            )
+        if self._at_step is None or self._at_step[0] != t:
+            denom = 1.0 + t * lam
+            if not denom[0] > 0:  # lam ascends, so denom[0] is the smallest
+                raise SingularSubproblem(
+                    f"I + tQ is not positive definite at t={t!r}: "
+                    f"1 + t lambda_min(Q) = {float(denom[0]):.3e}"
+                )
+            self._at_step = (t, denom, t * self.q)
+        _, denom, tq = self._at_step
         # V.T @ w is a transposed GEMV on V itself; no copy of V.T is kept
-        return V @ ((V.T @ (v - t * self.q)) / denom)
+        return V @ ((V.T @ (v - tq)) / denom)
 
 
 class Huber(ConvexFunction):

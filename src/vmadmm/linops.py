@@ -223,7 +223,7 @@ def forward_difference(n):
         wt, vt = w.T, v.T
         wt[0] = -vt[0]
         if n > 2:
-            wt[1:-1] = vt[:-1] - vt[1:]
+            np.subtract(vt[:-1], vt[1:], out=wt[1:-1])
         wt[-1] = vt[-1]
         return w
 

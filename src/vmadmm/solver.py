@@ -88,7 +88,8 @@ class SolverState:
     :func:`initial_state` and :func:`step` set every field, with the same
     expressions, so each derived vector is computed once per iterate: ``yc``
     feeds the next x and z updates, ``r`` the recorder's ``||A x_k - z_k||``
-    and the next LINEARIZED x update, ``Ax`` the certifier.
+    and the next LINEARIZED x update, ``Ax`` the certifier. For an identity
+    map ``Ax`` is ``x`` itself, not a copy of it.
     """
 
     x: np.ndarray
@@ -117,7 +118,7 @@ def initial_state(problem, x0=None, z0=None, y0=None):
         raise DimensionMismatch("initial y", problem.m, y.shape)
     for name, v in (("x", x), ("z", z), ("y", y)):
         _check_finite(f"initial {name}", v)
-    Ax = problem.A.apply(x)
+    Ax = x if problem.A.is_identity else problem.A.apply(x)
     return SolverState(x=x, z=z, y=y, k=0, Ax=Ax, yc=y / problem.c, r=Ax - z)
 
 
@@ -246,25 +247,40 @@ def x_update(problem, state, m1):
 
 def _bind_x_update(problem, m1):
     """:func:`x_update` under ``m1``, a function of the state with its scalars
-    and factor computed once, on the kernels of f, h and A (unchecked)."""
+    and factor computed once, on the kernels of f, h and A (unchecked).
+
+    Each operation that the kinds of f and h make an exact no-op is left out
+    when the update is bound: a zero h's gradient under QUADRATIC and
+    PROX-DIRECT, since ``(-0.0) + a`` and ``w - (+0.0)`` are ``a`` and ``w``
+    bit for bit, signed zeros and NaN included, and a zero f's prox under
+    LINEARIZED, which would copy the point it is given. LINEARIZED keeps
+    ``grad(x) +`` for a zero h, because ``+0.0 + (-0.0)`` is ``+0.0``.
+    """
     f, A, c = problem.f, problem.A, problem.c
     grad, adjoint, prox = problem.h._grad, A._adjoint, f._prox
+    zero_h = isinstance(problem.h, functions.Zero)
     strategy = x_strategy(problem, m1)
 
     if strategy == "linearized":
         tau = m1.tau
+        zero_f = isinstance(f, functions.Zero)
         def linearized(state):
             step = grad(state.x) + c * adjoint(state.r + state.yc)
-            return prox(state.x - tau * step, tau)
+            point = state.x - tau * step
+            return point if zero_f else prox(point, tau)
         return linearized
 
     if strategy == "quadratic":
         solve, factor = _quadratic_factor(problem, m1)
         apply_m1 = m1._apply
+        q = f.q if isinstance(f, functions.Quadratic) else None
         def quadratic(state):
-            rhs = -grad(state.x) + c * adjoint(state.z - state.yc) + apply_m1(state.x)
-            if isinstance(f, functions.Quadratic):
-                rhs = rhs - f.q
+            rhs = c * adjoint(state.z - state.yc)
+            if not zero_h:
+                rhs = -grad(state.x) + rhs
+            rhs += apply_m1(state.x)
+            if q is not None:
+                rhs -= q
             # both factors are upper triangular, LAPACK's default
             x_next, info = solve(factor, rhs)
             if info != 0:
@@ -276,7 +292,13 @@ def _bind_x_update(problem, m1):
     denom = c + mu
     t = f._step(1.0 / denom)
     def prox_direct(state):
-        w = (c * (state.z - state.yc) + mu * state.x - grad(state.x)) / denom
+        # (c (z - yc) + mu x - grad h(x)) / (c + mu), formed in z - yc
+        w = state.z - state.yc
+        np.multiply(c, w, out=w)
+        w += mu * state.x
+        if not zero_h:
+            w -= grad(state.x)
+        w /= denom
         return prox(w, t)
     return prox_direct
 
@@ -350,25 +372,39 @@ def z_update(problem, state, Ax_next, m2):
 
 
 def _bind_z_update(problem, m2):
-    """:func:`z_update` under ``m2`` with its scalars computed once, on g's kernels."""
+    """:func:`z_update` under ``m2`` with its scalars computed once, on g's
+    kernels; a zero g returns the point its prox would copy."""
     g, c = problem.g, problem.c
+    zero_g = isinstance(g, functions.Zero)
     if z_strategy(problem, m2) == "scalar":
         mu = m2.mu
         denom = c + mu
         t, prox = g._step(1.0 / denom), g._prox
         def scalar(state, Ax_next):
-            return prox((c * (Ax_next + state.yc) + mu * state.z) / denom, t)
+            point = _blend(c, Ax_next + state.yc, mu * state.z, denom)
+            return point if zero_g else prox(point, t)
         return scalar
     d2, prox_diag = m2.entries, g._prox_diag
     d = c + d2
     def diagonal(state, Ax_next):
-        return prox_diag((c * (Ax_next + state.yc) + d2 * state.z) / d, d)
+        point = _blend(c, Ax_next + state.yc, d2 * state.z, d)
+        return point if zero_g else prox_diag(point, d)
     return diagonal
+
+
+def _blend(c, u, v, d):
+    """``(c * u + v) / d``, with that expression's bits, formed in ``u``, a
+    temporary the caller made."""
+    np.multiply(c, u, out=u)
+    u += v
+    u /= d
+    return u
 
 
 def y_update(state, residual, c):
     """Dual ascent ``y + c r`` from the residual ``r = A x+ - z+``; exact."""
-    return state.y + c * residual
+    step = c * residual
+    return np.add(state.y, step, out=step)
 
 
 def step(problem, state, sched1, sched2):
@@ -376,12 +412,14 @@ def step(problem, state, sched1, sched2):
 
     ``A x+``, the residual ``r = A x+ - z+`` and ``y+ / c`` are computed
     once, here: ``A x+`` for the z update, ``r`` for the y update, and all
-    three for the next state (:class:`SolverState`).
+    three for the next state (:class:`SolverState`). For an identity map
+    ``A x+`` is ``x+`` itself.
     """
     m1 = sched1.metric(state.k)
     m2 = sched2.metric(state.k)
     x_next = x_update(problem, state, m1)
-    Ax_next = problem.A._apply(x_next)
+    # an identity map's product is x+ itself, which nothing writes to
+    Ax_next = x_next if problem.A.is_identity else problem.A._apply(x_next)
     z_next = z_update(problem, state, Ax_next, m2)
     r = Ax_next - z_next
     y_next = y_update(state, r, problem.c)

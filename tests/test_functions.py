@@ -76,6 +76,19 @@ def test_prox_l1_soft_threshold():
     assert np.allclose(f.prox(np.array([2.0, -0.5]), 1.0), [1.0, 0.0])
 
 
+def test_soft_threshold_keeps_the_bits_of_its_expression():
+    # written into its own buffers, with the operands of
+    # sign(v) * max(|v| - t, 0) in that order, signed zeros included
+    from vmadmm.functions import _soft_threshold
+
+    v = np.array([0.0, -0.0, 0.25, -0.25, 3.0, -3.0, 1e-300, np.nextafter(0.5, 1)])
+    for t in (0.5, np.linspace(0.1, 0.8, v.size)):
+        expected = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        got = _soft_threshold(v, t)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert not np.shares_memory(got, v)
+
+
 def test_prox_zero_is_identity():
     f = Zero(2)
     v = np.array([3.0, -4.0])
@@ -168,6 +181,37 @@ def test_prox_quadratic_holds_one_factor_across_step_sizes():
     finally:
         tracemalloc.stop()
     assert grown < 2 * n * n * 8
+
+
+def test_prox_quadratic_keeps_the_bits_of_a_fresh_instance_as_t_changes():
+    # the step's constants (t, 1 + t lam, t q) are kept for the last t only:
+    # at t1, t2 and t1 again each call has the bits of a first call at that t
+    n = 12
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((n, n))
+    Q, q = B @ B.T, rng.standard_normal(n)
+    v = rng.standard_normal(n)
+    f = Quadratic(Q, q)
+    for t in (0.3, 1.7, 0.3):
+        expected = Quadratic(Q, q).prox(v, t)
+        assert np.array_equal(f.prox(v, t).view(np.uint64), expected.view(np.uint64))
+    assert f._at_step[0] == 0.3
+    assert [a.size for a in f._at_step[1:]] == [n, n]
+
+
+def test_prox_quadratic_caches_no_step_it_refused():
+    # a t at which I + tQ is indefinite raises on every call, also after a
+    # step that passed, and a later good t still has a fresh instance's bits
+    f = Quadratic(np.diag([-1e-11, 1.0]), [0.5, -0.5])
+    v = np.array([1.0, 2.0])
+    for t in (2e11, 2e11, 1.0, 2e11, 2e11):
+        if t == 1.0:
+            fresh = Quadratic(f.Q, f.q).prox(v, t)
+            assert np.array_equal(f.prox(v, t).view(np.uint64), fresh.view(np.uint64))
+            continue
+        with pytest.raises(SingularSubproblem, match="not positive definite"):
+            f.prox(v, t)
+    assert f._at_step[0] == 1.0
 
 
 def test_quadratic_built_from_a_bitwise_symmetric_matrix_copies_it_once():

@@ -99,6 +99,21 @@ def test_adjoint_consistency_forward_difference():
 
 
 @pytest.mark.parametrize("n", [2, 3, 12])
+def test_forward_difference_adjoint_keeps_the_bits_of_its_expression(n):
+    # (D*v)_i = v[i-1] - v[i] inside, -v[0] and v[-1] at the ends, for a
+    # vector and a block, signed zeros included
+    rng = np.random.default_rng(n)
+    V = rng.standard_normal((3, n - 1))
+    V[0, :] = -0.0
+    V[1, ::2] = 0.0
+    for v in (V, V[1], V[0]):
+        expected = np.concatenate(
+            (-v[..., :1], v[..., :-1] - v[..., 1:], v[..., -1:]), axis=-1)
+        got = forward_difference(n).adjoint(v)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 12])
 def test_forward_difference_gram_bands_are_its_gram(n):
     # upper banded form: row 0 the super-diagonal (first entry unused),
     # row 1 the diagonal; the other factories record no bands

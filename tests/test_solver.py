@@ -1014,6 +1014,135 @@ def test_run_equals_the_checked_updates_bit_for_bit(name):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def raw_state(P, x, z, yc, r=None, Ax=None):
+    """A state holding the given vectors as they are, ``y = c yc``; the
+    vectors an update does not read default to +0.0."""
+    x, z, yc = (np.array(v, dtype=float) for v in (x, z, yc))
+    r = np.zeros(P.m) if r is None else np.array(r, dtype=float)
+    Ax = np.zeros(P.m) if Ax is None else np.array(Ax, dtype=float)
+    return solver.SolverState(x=x, z=z, y=P.c * yc, k=0, Ax=Ax, yc=yc, r=r)
+
+
+def test_prox_direct_with_a_zero_h_keeps_the_bits_of_its_gradient_term():
+    # w - (+0.0) is w: the update's point holds +0.0 and -0.0, and a box
+    # prox passes both through
+    P = ProblemSpec(f=BoxIndicator(4, -1.0, 1.0), h=Zero(4), g=L1Norm(4, 1.0),
+                    A=LinearMap.identity(4), c=1.0)
+    m1 = MetricOperator.scaled_identity(4, 1.0)
+    assert x_strategy(P, m1) == "prox_direct"
+    state = raw_state(P, x=[0.0, -0.0, 0.5, 0.0], z=[0.0, -0.0, 0.5, -0.5],
+                      yc=[0.0, 0.0, 0.0, 0.0])
+    c, mu, x, z, yc = P.c, m1.mu, state.x, state.z, state.yc
+    denom = c + mu
+    expected = P.f.prox((c * (z - yc) + mu * x - P.h.grad(x)) / denom, 1.0 / denom)
+    got = x_update(P, state, m1)
+    assert same_bits(got, expected)
+    assert same_bits(got, [0.0, -0.0, 0.5, -0.25])
+
+
+@pytest.mark.parametrize("a, mx", [(a, mx) for a in (0.0, -0.0) for mx in (0.0, -0.0)])
+def test_quadratic_with_a_zero_h_keeps_the_bits_of_its_gradient_term(a, mx):
+    # (-0.0) + a is a: one coordinate, whose 1 x 1 factor keeps the sign of
+    # the right-hand side, with c (z - yc) = a and M1 x = mx
+    P = scalar_problem()
+    m1 = MetricOperator.zero(1)
+    assert x_strategy(P, m1) == "quadratic"
+    state = raw_state(P, x=[mx], z=[a], yc=[0.0])
+    x, z, yc = state.x, state.z, state.yc
+    rhs = -P.h.grad(x) + P.c * P.A.adjoint(z - yc) + m1.apply(x)
+    solve, factor = solver._quadratic_factor(P, m1)
+    expected, info = solve(factor, rhs)
+    assert info == 0
+    got = x_update(P, state, m1)
+    assert same_bits(got, expected)
+    assert np.signbit(got[0]) == (np.signbit(a) and np.signbit(mx))
+
+
+@pytest.mark.parametrize("A", [LinearMap.identity(3), forward_difference(3)],
+                         ids=["identity", "forward-difference"])
+def test_linearized_with_a_zero_f_returns_the_point_its_prox_copies(A):
+    # the point x - tau step holds +0.0 and -0.0, on either kind of map
+    P = ProblemSpec(f=Zero(3), h=SquaredL2(3, weight=0.5), g=L1Norm(A.rows, 1.0),
+                    A=A, c=1.0)
+    m1 = MetricOperator.shifted_gram(0.25, P.c, A)
+    assert x_strategy(P, m1) == "linearized"
+    state = raw_state(P, x=[0.0, -0.0, 1.0], z=np.zeros(A.rows),
+                      yc=np.zeros(A.rows), r=np.zeros(A.rows))
+    tau, x = m1.tau, state.x
+    step_ = P.h.grad(x) + P.c * A.adjoint(state.r + state.yc)
+    expected = P.f.prox(x - tau * step_, tau)
+    got = x_update(P, state, m1)
+    assert same_bits(got, expected)
+    assert np.signbit(got[:2]).tolist() == [False, True]
+    assert not any(np.shares_memory(got, v) for v in (state.x, state.r, state.yc))
+
+
+def test_linearized_keeps_the_gradient_of_a_zero_h():
+    # +0.0 + (-0.0) is +0.0: with c A*(r + yc) = -0.0 the gradient step is
+    # +0.0 and x - tau step keeps x = -0.0; without the gradient term it
+    # would be -0.0 - tau (-0.0) = +0.0
+    P = ProblemSpec(f=BoxIndicator(2, -1.0, 1.0), h=Zero(2), g=L1Norm(2, 1.0),
+                    A=LinearMap.identity(2), c=1.0)
+    m1 = MetricOperator.shifted_gram(0.25, P.c, P.A)
+    assert x_strategy(P, m1) == "linearized"
+    state = raw_state(P, x=[-0.0, 0.5], z=[0.0, 0.0], yc=[-0.0, 0.0],
+                      r=[-0.0, 0.25])
+    tau, c, x = m1.tau, P.c, state.x
+    coupling = c * P.A.adjoint(state.r + state.yc)
+    expected = P.f.prox(x - tau * (P.h.grad(x) + coupling), tau)
+    dropped = P.f.prox(x - tau * coupling, tau)
+    got = x_update(P, state, m1)
+    assert same_bits(got, expected)
+    assert not same_bits(got, dropped)
+    assert np.signbit(got[0]) and not np.signbit(dropped[0])
+
+
+@pytest.mark.parametrize("kind", ["scalar", "diagonal"])
+def test_z_update_with_a_zero_g_returns_the_point_its_prox_copies(kind):
+    # the point holds +0.0 and -0.0: c (A x+ + yc) + M2 z over c + M2
+    P = ProblemSpec(f=L1Norm(3, 1.0), h=Zero(3), g=Zero(3), A=LinearMap.identity(3),
+                    c=1.0)
+    if kind == "scalar":
+        m2 = MetricOperator.scaled_identity(3, 0.5)
+    else:
+        m2 = MetricOperator.diagonal([0.5, 1.0, 2.0])
+    assert z_strategy(P, m2) == kind
+    state = raw_state(P, x=np.zeros(3), z=[0.0, -0.0, 1.0], yc=[0.0, -0.0, 0.0])
+    Ax = np.array([0.0, -0.0, -1.0])
+    c, z, yc = P.c, state.z, state.yc
+    if kind == "scalar":
+        denom = c + m2.mu
+        expected = P.g.prox((c * (Ax + yc) + m2.mu * z) / denom, 1.0 / denom)
+    else:
+        d = c + m2.entries
+        expected = P.g.prox_diag((c * (Ax + yc) + m2.entries * z) / d, d)
+    got = z_update(P, state, Ax, m2)
+    assert same_bits(got, expected)
+    assert np.signbit(got[:2]).tolist() == [False, True]
+    assert not any(np.shares_memory(got, v) for v in (Ax, state.z, state.yc))
+
+
+def test_an_identity_map_uses_x_as_its_product_and_the_trace_shares_no_memory():
+    # A x is x itself in every state, with the bits A.apply(x) copies; the
+    # trace's entries are still distinct arrays
+    P, init, s1, s2 = pinned_run("prox-direct")
+    assert P.A.is_identity
+    assert init.Ax is init.x
+    nxt = step(P, init, s1, s2)
+    assert nxt.Ax is nxt.x and same_bits(P.A.apply(nxt.x), nxt.Ax)
+    state, trace = run(P, init, s1, s2, StoppingRule(max_iters=20))
+    assert state.Ax is state.x
+    entries = trace.xs + trace.zs + trace.ys
+    for i, a in enumerate(entries):
+        for b in entries[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 def test_forced_linearized_divergence_stops_at_the_same_iteration():
     # a gradient step of tau L = 9.5 on h diverges; the guard stops the run
     # at the iteration the checked updates reached too

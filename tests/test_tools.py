@@ -1,6 +1,7 @@
 """Tests of the scripts under ``tools/`` and of the perfbench tracer's hooks,
 loaded from their files."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -119,6 +120,94 @@ def test_bench_pairs_keeps_the_stderr_of_failed_runs_only(tmp_path):
     assert [r["stderr"] for r in runs["change"]] == [
         ["Traceback (most recent call last):", f"ValueError: seed {r['seed']}"]
         for r in runs["change"]]
+
+
+def fake_audit(tmp_path, monkeypatch):
+    """``tools/byte_audit.py`` loaded with two configs, a digest file under
+    ``tmp_path`` and fake runs: ``results[suffix][name]`` is what the pass
+    with that suffix gives a config, editable between calls."""
+    audit = load_tool("byte_audit")
+    named = [("solved", {}), ("refused", {})]
+    results = {suffix: {
+        "solved": {"exit": 0, "stdout": "log: <work>/out/log.csv\n", "stderr": "",
+                   "log.csv": "k,gap\n1,0.5\n", "summary.json": "{}\n",
+                   "check exit": 0, "check stdout": "check passed\n",
+                   "check stderr": ""},
+        "refused": {"exit": 2, "stdout": "", "stderr": "config error: tau\n"},
+    } for suffix in audit.PASSES}
+    env = {"python": "3.11.7", "numpy": "2.4.6"}
+    monkeypatch.setattr(audit, "configs", lambda: named)
+    monkeypatch.setattr(audit, "DIGESTS", str(tmp_path / "byte_digests.json"))
+    monkeypatch.setattr(audit, "host_environment", lambda: dict(env))
+    monkeypatch.setattr(audit, "run_passes", lambda srcs, named: {
+        suffix: [json.loads(json.dumps(r)) for _ in srcs]
+        for suffix, r in results.items()})
+    return audit, results, env
+
+
+def test_byte_audit_records_and_compares_digests(tmp_path, monkeypatch, capsys):
+    audit, results, env = fake_audit(tmp_path, monkeypatch)
+    assert audit.main(["--digests", "src"]) == 2
+    assert "record them with" in capsys.readouterr().err
+    assert audit.main(["--record", "src"]) == 0
+    record = json.loads((tmp_path / "byte_digests.json").read_text())
+    assert record["environment"] == env
+    assert sorted(record["passes"]) == ["default", "one CPU"]
+    solved = record["passes"]["one CPU"]["solved"]
+    assert solved["log.csv"] == hashlib.sha256(b"k,gap\n1,0.5\n").hexdigest()
+    assert solved["exit"] == hashlib.sha256(b"0").hexdigest()
+    assert record["passes"]["default"]["refused"]["log.csv"] is None
+    capsys.readouterr()
+
+    assert audit.main(["--digests", "src"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["solved: identical (exit 0)", "refused: identical (exit 2)",
+                   "2 of 2 configs identical"]
+
+    # one cell of the log on one CPU, and the environment, move
+    results[" on one CPU"]["solved"]["log.csv"] = "k,gap\n1,0.25\n"
+    env["numpy"] = "2.5.0"
+    assert audit.main(["--digests", "src"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["solved: DIFFERENT log.csv on one CPU (exit 0)",
+                       "refused: identical (exit 2)", "1 of 2 configs identical"]
+    assert "environment numpy: recorded '2.4.6', here '2.5.0'" in out
+    assert out[-1].startswith(f"re-record with {audit.RECORD}")
+
+    # a config no longer audited is named, and fails the comparison
+    assert audit.main(["--record", "src"]) == 0
+    monkeypatch.setattr(audit, "configs", lambda: [("solved", {})])
+    del results[""]["refused"], results[" on one CPU"]["refused"]
+    capsys.readouterr()
+    assert audit.main(["--digests", "src"]) == 1
+    assert "refused: recorded, no longer audited" in capsys.readouterr().out
+
+
+def test_byte_audit_two_trees_name_the_columns_that_differ(tmp_path, monkeypatch,
+                                                          capsys):
+    audit, results, _ = fake_audit(tmp_path, monkeypatch)
+    # the new tree's log is as the old one's, then one cell moves
+    logs = iter([None, "k,gap\n1,0.25\n"])
+
+    def run_passes(srcs, named):
+        log = next(logs)
+        passes = {}
+        for suffix, r in results.items():
+            old, new = (json.loads(json.dumps(r)) for _ in srcs)
+            if log is not None:
+                new["solved"]["log.csv"] = log
+            passes[suffix] = [old, new]
+        return passes
+
+    monkeypatch.setattr(audit, "run_passes", run_passes)
+    assert audit.main(["old/src", "new/src"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2 of 2 configs identical"
+    assert audit.main(["old/src", "new/src"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == [
+        "solved: DIFFERENT log.csv, log.csv on one CPU (exit 0 -> 0)",
+        "    log.csv columns: gap (1 row)",
+        "    log.csv columns: gap (1 row) on one CPU"]
 
 
 def test_every_tracer_hook_resolves(monkeypatch):

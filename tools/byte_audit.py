@@ -1,7 +1,9 @@
 """Byte audit: ``vmadmm solve --force`` and ``vmadmm check`` on two source
-trees, outputs compared.
+trees, outputs compared, or on one tree against recorded digests.
 
     python3 tools/byte_audit.py OLD_SRC NEW_SRC
+    python3 tools/byte_audit.py --digests SRC
+    python3 tools/byte_audit.py --record SRC
 
 OLD_SRC and NEW_SRC are the ``src/`` directories of two checkouts. Each tree
 solves every config in :func:`configs` in one subprocess, with that tree first
@@ -24,23 +26,42 @@ number of rows in which it does, and the ``summary.json`` keys that differ,
 nested keys joined by dots. In stdout and stderr each
 tree's own ``src/`` path, which numpy's warning headers print, reads as
 ``<src>``, so two checkouts of the same code agree; a warning whose line
-number moved still differs.
+number moved still differs. The temporary directory the outputs are
+written to reads as ``<work>``, so digests recorded in one run match
+another's.
+
+``--digests SRC`` runs one tree, both passes, and compares the SHA-256
+digest of each output above with the one :data:`DIGESTS` holds for that
+pass, printing the same lines (no column or key names: a digest has none).
+It also names each entry of the recorded environment (Python, numpy, scipy,
+the BLAS each bundles, platform) that differs from this one, and the command
+that re-records. ``--record SRC`` runs one tree and writes :data:`DIGESTS`
+from it; a change that moves bits on purpose re-records it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DIGESTS = os.path.join(ROOT, "tools", "byte_digests.json")
+RECORD = "python3 tools/byte_audit.py --record SRC"
+#: What a config's result holds, in the order a difference is named.
+KEYS = ("exit", "stdout", "stderr", "log.csv", "summary.json", "check exit",
+        "check stdout", "check stderr")
+#: The suffix each pass adds to a key that differs, and its name in DIGESTS.
+PASSES = {"": "default", " on one CPU": "one CPU"}
 ALL_CHECKS = ["kkt", "gap_bound", "v_inequality", "v_monotone",
               "feasibility_rate", "dual_identity"]
 UV_CHECKS = ["v_inequality", "v_monotone", "feasibility_rate"]
@@ -370,8 +391,49 @@ def run_tree(src, work, cpu=None):
     for result in results.values():
         for key in ("stdout", "stderr", "check stdout", "check stderr"):
             if key in result:
-                result[key] = result[key].replace(src, "<src>")
+                result[key] = result[key].replace(src, "<src>").replace(work, "<work>")
     return results
+
+
+def run_passes(srcs, named):
+    """``{pass suffix: [results of each tree in srcs]}``: every config of
+    ``named`` solved as the host runs it and on one CPU."""
+    # the second pass on one CPU, where vmadmm solves in its own process
+    one_cpu = min(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else None
+    passes = {}
+    with tempfile.TemporaryDirectory(prefix="byte_audit_") as work:
+        with open(os.path.join(work, "configs.json"), "w") as fh:
+            json.dump(named, fh)
+        for suffix, cpu in zip(PASSES, (None, one_cpu)):
+            passes[suffix] = [run_tree(src, work, cpu) for src in srcs]
+    return passes
+
+
+def digest(results):
+    """Results by config as SHA-256 hex digests of each of :data:`KEYS`: of
+    the text, of an exit code's JSON, or None where the result has none."""
+    def sha(value):
+        if value is None:
+            return None
+        text = value if isinstance(value, str) else json.dumps(value)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    return {name: {key: sha(result.get(key)) for key in KEYS}
+            for name, result in results.items()}
+
+
+def host_environment():
+    """What the digests depend on besides the source: Python, numpy, scipy,
+    the OpenBLAS build each loads and the platform."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import environment
+
+    record = environment.record()
+    return {"python": record["python"], "numpy": record["numpy"],
+            "scipy": record["scipy"],
+            "numpy BLAS": record["numpy_openblas"]["build"],
+            "scipy BLAS": record["scipy_openblas"]["build"],
+            "platform": f"{platform.system()} {record['machine']}"}
 
 
 def _columns_differ(old, new):
@@ -411,38 +473,85 @@ def _details(old, new):
     return lines
 
 
+def report(named, passes, exits, details=lambda old, new: []):
+    """Print one line per config of ``named`` and return how many differ.
+
+    ``passes`` maps a pass suffix to ``(old, new)``, results or digests by
+    config name; ``exits(name)`` describes the exit codes and ``details(old,
+    new)`` gives the lines printed under a config that differs."""
+    differ = 0
+    for name, _ in named:
+        diffs, lines = [], []
+        for suffix, (old, new) in passes.items():
+            old, new = old.get(name, {}), new[name]
+            diffs += [key + suffix for key in KEYS if old.get(key) != new.get(key)]
+            lines += [line + suffix for line in details(old, new)]
+        differ += bool(diffs)
+        status = "DIFFERENT " + ", ".join(diffs) if diffs else "identical"
+        print(f"{name}: {status} ({exits(name)})")
+        for line in lines:
+            print(f"    {line}")
+    print(f"{len(named) - differ} of {len(named)} configs identical")
+    return differ
+
+
+def check_digests(named, digests, results):
+    """Compare ``{pass suffix: digests}`` of one tree, whose default pass
+    gave ``results``, with :data:`DIGESTS`; 0 when every config is
+    identical, 1 otherwise, 2 without a record."""
+    try:
+        with open(DIGESTS) as fh:
+            recorded = json.load(fh)
+    except FileNotFoundError:
+        print(f"no digests recorded at {DIGESTS}; record them with {RECORD}",
+              file=sys.stderr)
+        return 2
+    now = host_environment()
+    moved = [f"environment {key}: recorded {recorded['environment'].get(key)!r}, "
+             f"here {now.get(key)!r}"
+             for key in sorted(set(now) | set(recorded["environment"]))
+             if recorded["environment"].get(key) != now.get(key)]
+    passes = {suffix: (recorded["passes"][PASSES[suffix]], digests[suffix])
+              for suffix in PASSES}
+    gone = sorted(set(recorded["passes"]["default"]) - {name for name, _ in named})
+    differ = report(named, passes, lambda name: f"exit {results[name]['exit']}")
+    for name in gone:
+        print(f"{name}: recorded, no longer audited")
+    for line in moved:
+        print(line)
+    if differ or gone:
+        print(f"re-record with {RECORD} after a change that moves bits on purpose")
+        return 1
+    return 0
+
+
 def main(argv):
     if 2 <= len(argv) <= 3 and argv[0] == "--solve-all":
         solve_all(argv[1], *map(int, argv[2:]))
         return 0
     if len(argv) != 2:
-        print("usage: python3 tools/byte_audit.py OLD_SRC NEW_SRC", file=sys.stderr)
+        print("usage: python3 tools/byte_audit.py OLD_SRC NEW_SRC | --digests SRC "
+              "| --record SRC", file=sys.stderr)
         return 2
     named = configs()
-    # the second pass on one CPU, where vmadmm solves in its own process
-    one_cpu = min(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else None
-    passes = {}
-    with tempfile.TemporaryDirectory(prefix="byte_audit_") as work:
-        with open(os.path.join(work, "configs.json"), "w") as fh:
-            json.dump(named, fh)
-        for label, cpu in (("", None), (" on one CPU", one_cpu)):
-            passes[label] = [run_tree(src, work, cpu) for src in argv]
-    differ = 0
-    for name, _ in named:
-        diffs, details = [], []
-        for label, (old, new) in passes.items():
-            diffs += [key + label for key in ("exit", "stdout", "stderr", "log.csv",
-                                              "summary.json", "check exit",
-                                              "check stdout", "check stderr")
-                      if old[name].get(key) != new[name].get(key)]
-            details += [line + label for line in _details(old[name], new[name])]
-        differ += bool(diffs)
-        old, new = passes[""]
-        status = "DIFFERENT " + ", ".join(diffs) if diffs else "identical"
-        print(f"{name}: {status} (exit {old[name]['exit']} -> {new[name]['exit']})")
-        for line in details:
-            print(f"    {line}")
-    print(f"{len(named) - differ} of {len(named)} configs identical")
+    if argv[0] in ("--digests", "--record"):
+        passes = run_passes(argv[1:], named)
+        digests = {suffix: digest(results[0]) for suffix, results in passes.items()}
+        if argv[0] == "--digests":
+            return check_digests(named, digests, passes[""][0])
+        with open(DIGESTS, "w", encoding="utf-8") as fh:
+            json.dump({"command": RECORD, "environment": host_environment(),
+                       "passes": {PASSES[s]: d for s, d in digests.items()}},
+                      fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"recorded {len(named)} configs, both passes, in {DIGESTS}")
+        return 0
+    passes = {suffix: tuple(results)
+              for suffix, results in run_passes(argv, named).items()}
+    old, new = passes[""]
+    differ = report(named, passes,
+                    lambda name: f"exit {old[name]['exit']} -> {new[name]['exit']}",
+                    _details)
     return 1 if differ else 0
 
 
