@@ -250,11 +250,11 @@ def _bind_x_update(problem, m1):
     and factor computed once, on the kernels of f, h and A (unchecked).
 
     Each operation that the kinds of f and h make an exact no-op is left out
-    when the update is bound: a zero h's gradient under QUADRATIC and
-    PROX-DIRECT, since ``(-0.0) + a`` and ``w - (+0.0)`` are ``a`` and ``w``
-    bit for bit, signed zeros and NaN included, and a zero f's prox under
-    LINEARIZED, which would copy the point it is given. LINEARIZED keeps
-    ``grad(x) +`` for a zero h, because ``+0.0 + (-0.0)`` is ``+0.0``.
+    when the update is bound: a zero h's gradient under PROX-DIRECT, since
+    ``w - (+0.0)`` is ``w`` bit for bit, signed zeros and NaN included, and a
+    zero f's prox under LINEARIZED, which would copy the point it is given.
+    LINEARIZED keeps ``grad(x) +`` for a zero h, because ``+0.0 + (-0.0)`` is
+    ``+0.0``.
     """
     f, A, c = problem.f, problem.A, problem.c
     grad, adjoint, prox = problem.h._grad, A._adjoint, f._prox
@@ -275,9 +275,7 @@ def _bind_x_update(problem, m1):
         apply_m1 = m1._apply
         q = f.q if isinstance(f, functions.Quadratic) else None
         def quadratic(state):
-            rhs = c * adjoint(state.z - state.yc)
-            if not zero_h:
-                rhs = -grad(state.x) + rhs
+            rhs = -grad(state.x) + c * adjoint(state.z - state.yc)
             rhs += apply_m1(state.x)
             if q is not None:
                 rhs -= q
@@ -373,10 +371,11 @@ def z_update(problem, state, Ax_next, m2):
 
 def _bind_z_update(problem, m2):
     """:func:`z_update` under ``m2`` with its scalars computed once, on g's
-    kernels; a zero g returns the point its prox would copy."""
+    kernels; the scalar update with a zero g returns the point its prox would
+    copy."""
     g, c = problem.g, problem.c
-    zero_g = isinstance(g, functions.Zero)
     if z_strategy(problem, m2) == "scalar":
+        zero_g = isinstance(g, functions.Zero)
         mu = m2.mu
         denom = c + mu
         t, prox = g._step(1.0 / denom), g._prox
@@ -387,8 +386,7 @@ def _bind_z_update(problem, m2):
     d2, prox_diag = m2.entries, g._prox_diag
     d = c + d2
     def diagonal(state, Ax_next):
-        point = _blend(c, Ax_next + state.yc, d2 * state.z, d)
-        return point if zero_g else prox_diag(point, d)
+        return prox_diag(_blend(c, Ax_next + state.yc, d2 * state.z, d), d)
     return diagonal
 
 

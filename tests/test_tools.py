@@ -152,11 +152,12 @@ def test_byte_audit_records_and_compares_digests(tmp_path, monkeypatch, capsys):
     assert audit.main(["--record", "src"]) == 0
     record = json.loads((tmp_path / "byte_digests.json").read_text())
     assert record["environment"] == env
-    assert sorted(record["passes"]) == ["default", "one CPU"]
-    solved = record["passes"]["one CPU"]["solved"]
+    # one set of digests per config, which both passes gave
+    assert sorted(record["configs"]) == ["refused", "solved"]
+    solved = record["configs"]["solved"]
     assert solved["log.csv"] == hashlib.sha256(b"k,gap\n1,0.5\n").hexdigest()
     assert solved["exit"] == hashlib.sha256(b"0").hexdigest()
-    assert record["passes"]["default"]["refused"]["log.csv"] is None
+    assert record["configs"]["refused"]["log.csv"] is None
     capsys.readouterr()
 
     assert audit.main(["--digests", "src"]) == 0
@@ -173,6 +174,20 @@ def test_byte_audit_records_and_compares_digests(tmp_path, monkeypatch, capsys):
                        "refused: identical (exit 2)", "1 of 2 configs identical"]
     assert "environment numpy: recorded '2.4.6', here '2.5.0'" in out
     assert out[-1].startswith(f"re-record with {audit.RECORD}")
+
+    # passes that disagree are not recorded: the file keeps its digests
+    before = (tmp_path / "byte_digests.json").read_text()
+    assert audit.main(["--record", "src"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "solved: the passes differ in log.csv"
+    assert err[1].startswith("not recorded: 1 of 2 configs differ on one CPU")
+    assert (tmp_path / "byte_digests.json").read_text() == before
+
+    # the default pass moves as well: both passes now differ from the record
+    results[""]["solved"]["log.csv"] = "k,gap\n1,0.25\n"
+    assert audit.main(["--digests", "src"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "solved: DIFFERENT log.csv, log.csv on one CPU (exit 0)")
 
     # a config no longer audited is named, and fails the comparison
     assert audit.main(["--record", "src"]) == 0

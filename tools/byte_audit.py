@@ -30,13 +30,16 @@ number moved still differs. The temporary directory the outputs are
 written to reads as ``<work>``, so digests recorded in one run match
 another's.
 
-``--digests SRC`` runs one tree, both passes, and compares the SHA-256
-digest of each output above with the one :data:`DIGESTS` holds for that
-pass, printing the same lines (no column or key names: a digest has none).
-It also names each entry of the recorded environment (Python, numpy, scipy,
-the BLAS each bundles, platform) that differs from this one, and the command
-that re-records. ``--record SRC`` runs one tree and writes :data:`DIGESTS`
-from it; a change that moves bits on purpose re-records it.
+The two passes are meant to give the same bits, so :data:`DIGESTS` holds
+one set of digests per config. ``--digests SRC`` runs one tree, both passes,
+and compares the SHA-256 digest of each output above, from either pass, with
+that set, printing the same lines (no column or key names: a digest has
+none). It also names each entry of the recorded environment (Python, numpy,
+scipy, the BLAS each bundles, platform) that differs from this one, and the
+command that re-records. ``--record SRC`` runs one tree, both passes, and
+writes :data:`DIGESTS` from it; it refuses, naming what differs and writing
+nothing, when the passes disagree. A change that moves bits on purpose
+re-records it.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ RECORD = "python3 tools/byte_audit.py --record SRC"
 #: What a config's result holds, in the order a difference is named.
 KEYS = ("exit", "stdout", "stderr", "log.csv", "summary.json", "check exit",
         "check stdout", "check stderr")
-#: The suffix each pass adds to a key that differs, and its name in DIGESTS.
-PASSES = {"": "default", " on one CPU": "one CPU"}
+#: The suffix each pass adds to a key that differs: as the host runs it, on one CPU.
+PASSES = ("", " on one CPU")
 ALL_CHECKS = ["kkt", "gap_bound", "v_inequality", "v_monotone",
               "feasibility_rate", "dual_identity"]
 UV_CHECKS = ["v_inequality", "v_monotone", "feasibility_rate"]
@@ -497,8 +500,8 @@ def report(named, passes, exits, details=lambda old, new: []):
 
 def check_digests(named, digests, results):
     """Compare ``{pass suffix: digests}`` of one tree, whose default pass
-    gave ``results``, with :data:`DIGESTS`; 0 when every config is
-    identical, 1 otherwise, 2 without a record."""
+    gave ``results``, pass by pass with the one set :data:`DIGESTS` holds;
+    0 when every config is identical, 1 otherwise, 2 without a record."""
     try:
         with open(DIGESTS) as fh:
             recorded = json.load(fh)
@@ -511,9 +514,8 @@ def check_digests(named, digests, results):
              f"here {now.get(key)!r}"
              for key in sorted(set(now) | set(recorded["environment"]))
              if recorded["environment"].get(key) != now.get(key)]
-    passes = {suffix: (recorded["passes"][PASSES[suffix]], digests[suffix])
-              for suffix in PASSES}
-    gone = sorted(set(recorded["passes"]["default"]) - {name for name, _ in named})
+    passes = {suffix: (recorded["configs"], digests[suffix]) for suffix in PASSES}
+    gone = sorted(set(recorded["configs"]) - {name for name, _ in named})
     differ = report(named, passes, lambda name: f"exit {results[name]['exit']}")
     for name in gone:
         print(f"{name}: recorded, no longer audited")
@@ -522,6 +524,26 @@ def check_digests(named, digests, results):
     if differ or gone:
         print(f"re-record with {RECORD} after a change that moves bits on purpose")
         return 1
+    return 0
+
+
+def record_digests(named, digests):
+    """Write :data:`DIGESTS` from ``{pass suffix: digests}`` of one tree; 0,
+    or 1 without writing when the passes disagree on some config."""
+    default, one_cpu = (digests[suffix] for suffix in PASSES)
+    split = [(name, [key for key in KEYS if default[name][key] != one_cpu[name][key]])
+             for name, _ in named if default[name] != one_cpu[name]]
+    for name, keys in split:
+        print(f"{name}: the passes differ in {', '.join(keys)}", file=sys.stderr)
+    if split:
+        print(f"not recorded: {len(split)} of {len(named)} configs differ on one CPU, "
+              "and both passes must give the same bits", file=sys.stderr)
+        return 1
+    with open(DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump({"command": RECORD, "environment": host_environment(),
+                   "configs": default}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"recorded {len(named)} configs, the same on both passes, in {DIGESTS}")
     return 0
 
 
@@ -539,13 +561,7 @@ def main(argv):
         digests = {suffix: digest(results[0]) for suffix, results in passes.items()}
         if argv[0] == "--digests":
             return check_digests(named, digests, passes[""][0])
-        with open(DIGESTS, "w", encoding="utf-8") as fh:
-            json.dump({"command": RECORD, "environment": host_environment(),
-                       "passes": {PASSES[s]: d for s, d in digests.items()}},
-                      fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"recorded {len(named)} configs, both passes, in {DIGESTS}")
-        return 0
+        return record_digests(named, digests)
     passes = {suffix: tuple(results)
               for suffix, results in run_passes(argv, named).items()}
     old, new = passes[""]
