@@ -745,8 +745,10 @@ class _GapFold:
         """The gap columns of ``rows`` (iterations ``ks``) and their slacks,
         from the rows of ``(x_bar, z_bar, y_bar)`` end to end in ``means``."""
         problem, n, m = self.problem, self.problem.n, self.problem.m
-        average = diagnostics.lagrangian_terms(problem, means[:, :n],
-                                               means[:, n : n + m])
+        x_bar = means[:, :n]
+        # an identity map's product is x_bar itself, as the solver's step takes it
+        average = diagnostics.lagrangian_terms(
+            problem, x_bar, means[:, n : n + m], x_bar if problem.A.is_identity else None)
         y_bar = means[:, n + m :]
         probe_y, gammas, values, residuals = self.probes
         cert = diagnostics.gap_certificate(

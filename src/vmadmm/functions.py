@@ -312,7 +312,8 @@ class BoxIndicator(ConvexFunction):
         return _per_point(np.where(inside, 0.0, math.inf))
 
     def _prox(self, v, t):
-        return np.clip(v, self.lower, self.upper)
+        # the method np.clip dispatches to, with its bits, minus the dispatch
+        return v.clip(self.lower, self.upper)
 
     _prox_diag = _prox
 

@@ -238,11 +238,17 @@ def x_update(problem, state, m1):
     when the metric object (or the problem) changes: a constant schedule
     decides and factors once per run.
     """
-    # keyed on the problem object itself (held, so a reused id() cannot match)
-    cached = m1._x_cache
+    return _bound(problem, m1, "_x_cache", _bind_x_update)(state)
+
+
+def _bound(problem, metric, slot, bind):
+    """``bind(problem, metric)``, cached in the metric's ``slot`` and keyed on
+    the problem object itself (held, so a reused id() cannot match)."""
+    cached = getattr(metric, slot)
     if cached is None or cached[0] is not problem:
-        cached = m1._x_cache = (problem, _bind_x_update(problem, m1))
-    return cached[1](state)
+        cached = (problem, bind(problem, metric))
+        setattr(metric, slot, cached)
+    return cached[1]
 
 
 def _bind_x_update(problem, m1):
@@ -363,10 +369,7 @@ def z_update(problem, state, Ax_next, m2):
     reduces to a single prox of g: ``prox`` under a scalar metric,
     ``prox_diag`` under a diagonal one.
     """
-    cached = m2._z_cache
-    if cached is None or cached[0] is not problem:
-        cached = m2._z_cache = (problem, _bind_z_update(problem, m2))
-    return cached[1](state, Ax_next)
+    return _bound(problem, m2, "_z_cache", _bind_z_update)(state, Ax_next)
 
 
 def _bind_z_update(problem, m2):
@@ -408,21 +411,34 @@ def y_update(state, residual, c):
 def step(problem, state, sched1, sched2):
     """One full iteration; returns the next state with ``k`` incremented.
 
-    ``A x+``, the residual ``r = A x+ - z+`` and ``y+ / c`` are computed
-    once, here: ``A x+`` for the z update, ``r`` for the y update, and all
-    three for the next state (:class:`SolverState`). For an identity map
-    ``A x+`` is ``x+`` itself.
+    The iteration under the metrics of ``state.k``, as :func:`_bind_step`
+    binds it for them: the one implementation that :func:`run` also steps.
     """
-    m1 = sched1.metric(state.k)
-    m2 = sched2.metric(state.k)
-    x_next = x_update(problem, state, m1)
-    # an identity map's product is x+ itself, which nothing writes to
-    Ax_next = x_next if problem.A.is_identity else problem.A._apply(x_next)
-    z_next = z_update(problem, state, Ax_next, m2)
-    r = Ax_next - z_next
-    y_next = y_update(state, r, problem.c)
-    return SolverState(x=x_next, z=z_next, y=y_next, k=state.k + 1, Ax=Ax_next,
-                       yc=y_next / problem.c, r=r)
+    return _bind_step(problem, sched1.metric(state.k), sched2.metric(state.k))(state)
+
+
+def _bind_step(problem, m1, m2):
+    """The iteration under ``m1`` and ``m2``, a function of the state: the x
+    and z updates bound for them (and cached on each, as :func:`x_update`
+    and :func:`z_update` keep them), with ``c`` and A's kernel read once.
+
+    ``A x+``, the residual ``r = A x+ - z+`` and ``y+ / c`` are computed
+    once per step: ``A x+`` for the z update, ``r`` for the y update, and
+    all three for the next state (:class:`SolverState`). For an identity map
+    ``A x+`` is ``x+`` itself, which nothing writes to.
+    """
+    x_next_of = _bound(problem, m1, "_x_cache", _bind_x_update)
+    z_next_of = _bound(problem, m2, "_z_cache", _bind_z_update)
+    c, apply = problem.c, None if problem.A.is_identity else problem.A._apply
+
+    def bound_step(state):
+        x_next = x_next_of(state)
+        Ax_next = x_next if apply is None else apply(x_next)
+        z_next = z_next_of(state, Ax_next)
+        r = Ax_next - z_next
+        y_next = y_update(state, r, c)
+        return SolverState(x_next, z_next, y_next, state.k + 1, Ax_next, y_next / c, r)
+    return bound_step
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +471,7 @@ class RunTrace:
     """The default recorder of :func:`run`: every iterate and primal residual.
 
     Entry 0 of ``xs``, ``zs`` and ``ys`` copies the caller's initial vector;
-    later entries are the fresh arrays :func:`step` made, uncopied, which
+    later entries are the fresh arrays each step made, uncopied, which
     nothing in the package writes to.
     """
 
@@ -479,11 +495,14 @@ def run(problem, init, sched1, sched2, stop, force=False, recorder=None):
     """Iterate :func:`step` from ``init`` under the given schedules.
 
     Validates the convergence assumptions first and refuses to run when
-    none holds, unless ``force`` is set. After each step calls
+    none holds, unless ``force`` is set. The iteration is bound once per
+    pair of metric objects (:func:`_bind_step`, the binding :func:`step`
+    makes for one iteration), and rebound only when ``sched1.metric(k)``
+    or ``sched2.metric(k)`` returns another object. After each step calls
     ``recorder.record(state, ||A x_k - z_k||)``, the norm of the state's
     ``r`` with the bits of ``np.linalg.norm``; the default recorder is a
-    :class:`RunTrace` holding a copy of ``init`` and the iterates
-    :func:`step` made, uncopied: after a step, the returned state's vectors
+    :class:`RunTrace` holding a copy of ``init`` and the iterates the
+    steps made, uncopied: after a step, the returned state's vectors
     are its last entries. Returns ``(state, recorder)``. Raises
     :class:`NonFiniteIterate` as soon as ``x.x + z.z + y.y`` is not finite
     (a NaN or inf entry, or an overflow), decided by three BLAS ``ddot``
@@ -499,16 +518,23 @@ def run(problem, init, sched1, sched2, stop, force=False, recorder=None):
         recorder = RunTrace([init.x.copy()], [init.z.copy()], [init.y.copy()])
 
     state = init
+    metric1, metric2, record = sched1.metric, sched2.metric, recorder.record
+    tol, interval = stop.kkt_tol, stop.kkt_interval
+    m1 = m2 = None
     for _ in range(stop.max_iters):
-        state = step(problem, state, sched1, sched2)
+        n1, n2 = metric1(state.k), metric2(state.k)
+        if n1 is not m1 or n2 is not m2:  # a new pair of metric objects
+            m1, m2 = n1, n2
+            bound_step = _bind_step(problem, m1, m2)
+        state = bound_step(state)
+        x, z, y, r = state.x, state.z, state.y, state.r
         # on the safe side: an iterate whose squared norm overflows is
         # already past exact certification, as is a NaN or inf entry
-        size = ddot(state.x, state.x) + ddot(state.z, state.z) + ddot(state.y, state.y)
-        if not math.isfinite(size):
+        if not math.isfinite(ddot(x, x) + ddot(z, z) + ddot(y, y)):
             raise NonFiniteIterate(state.k)
-        recorder.record(state, math.sqrt(float(state.r.dot(state.r))))
-        if stop.kkt_tol is not None and state.k % stop.kkt_interval == 0:
-            if kkt_residual(problem, state.x, state.y, state.Ax) <= stop.kkt_tol:
+        record(state, math.sqrt(float(r.dot(r))))
+        if tol is not None and state.k % interval == 0:
+            if kkt_residual(problem, x, y, state.Ax) <= tol:
                 break
     return state, recorder
 

@@ -1023,10 +1023,11 @@ def test_the_certifying_process_copies_no_iterate(tmp_path, monkeypatch, forked)
     cfg = toy_config(**dict(_BLOCK_CASES["lasso-g"], iters=2 * _B + 5))
     # per block: prev y and y; x, y and A x; x, z and A x; prev (x, z, y)
     # and (x, z, y); the means, (x, z, y)_bar end to end, then their x_bar
-    # and z_bar rows. The own-row columns read x, y and A x, then x, z and A x
+    # and z_bar rows and, A being the identity, x_bar again as A x_bar. The
+    # own-row columns read x, y and A x, then x, z and A x
     columns = [("objective_and_kkt", 3, True), ("lagrangian_terms", 3, True)]
     per_block = [("dual_identity_deviation", 2, True), ("uv_step", 6, True),
-                 ("means", 1, True), ("lagrangian_terms", 2, True)]
+                 ("means", 1, True), ("lagrangian_terms", 3, True)]
     for steals in (False, True):
         monkeypatch.setattr(experiments._RingWriter, "behind",
                             lambda self, steals=steals: steals)

@@ -267,6 +267,25 @@ def test_prox_diag_box_ignores_weights():
     assert np.allclose(box.prox_diag(np.array([5.0]), np.array([2.0])), [1.0])
 
 
+@pytest.mark.parametrize("lower, upper", [
+    (-1.0, 2.0), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 1.0), (-1.0, -0.0),
+    (-math.inf, 2.0), (-1.0, math.inf), (-math.inf, math.inf), (-math.inf, -math.inf),
+    ([-1.0, -math.inf, 0.0, -0.0, 2.0, -math.inf], [2.0, 0.0, math.inf, 0.0, 2.0, math.inf]),
+])
+def test_box_prox_has_the_bits_of_np_clip(lower, upper):
+    # signed zeros, infinities, NaN, and values on and beyond each bound; the
+    # reference is np.clip itself, whose signed zeros np.maximum and
+    # np.minimum do not always keep
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, -1.0, 2.0, -1.5, 2.5,
+              0.5, 1e300, -1e300, -5e-324, 5e-324]
+    box = BoxIndicator(6, lower, upper)
+    for value in values:
+        v = np.full(6, value)
+        expected = np.clip(v, box.lower, box.upper).view(np.uint64)
+        assert np.array_equal(box.prox(v, 0.7).view(np.uint64), expected)
+        assert np.array_equal(box.prox_diag(v, np.full(6, 3.0)).view(np.uint64), expected)
+
+
 def test_prox_diag_matches_scalar_prox():
     for f in (L1Norm(3, 0.8), SquaredL2(3, shift=1.0, weight=2.0), Huber(3, 0.4)):
         v = np.array([1.0, -2.0, 0.3])

@@ -444,6 +444,89 @@ def test_run_decides_each_strategy_once_per_problem_and_metric(monkeypatch, m1):
     assert decided == ["x_strategy", "z_strategy"] * 2
 
 
+def binding_case(name):
+    """``(problem, make_schedules)`` for ``name``, ``strategy-problem-kind``:
+    LINEARIZED, QUADRATIC and PROX-DIRECT under a constant schedule, a
+    decaying one (a new metric object every k) and, for LINEARIZED, a step
+    list whose tau changes mid-run; the M2 schedule decays with M1's, and
+    alone under ``m2decaying``."""
+    strategy, problem, kind = name.split("-")
+    P = {"tv1d": lambda: build_problem("tv1d", n=20)[0],
+         "lassog": lambda: build_problem("lasso-split", n=8, rows=12,
+                                         quadratic_in="g")[0],
+         "boxqp": lambda: build_problem("box-qp", n=20)[0]}[problem]()
+
+    def make_schedules():
+        if strategy == "linearized":
+            taus = 0.19 if kind == "constant" else [0.1, 0.1, 0.15, 0.15, 0.15, 0.19]
+            return ShiftedGramSchedule(taus, P.c, P.A), ConstantSchedule(
+                MetricOperator.zero(P.m))
+        m1 = MetricOperator.scaled_identity(P.n, 5.0 if problem == "boxqp" else 1.0)
+        m2 = MetricOperator.scaled_identity(P.m, 0.5)
+        s1 = ConstantSchedule(m1) if kind != "decaying" else GeometricDecaySchedule(m1, 0.9)
+        s2 = ConstantSchedule(m2) if kind == "constant" else GeometricDecaySchedule(m2, 0.9)
+        return s1, s2
+    return P, make_schedules
+
+
+BINDING_CASES = ["linearized-tv1d-constant", "linearized-tv1d-steps",
+                 "quadratic-tv1d-constant", "quadratic-tv1d-decaying",
+                 "quadratic-tv1d-m2decaying",
+                 "proxdirect-lassog-constant", "proxdirect-lassog-decaying",
+                 "proxdirect-boxqp-constant", "proxdirect-boxqp-decaying"]
+
+
+@pytest.mark.parametrize("name", BINDING_CASES)
+def test_run_has_the_bits_of_successive_steps(name):
+    # run binds the iteration once per metric pair; K calls of step, each
+    # binding its own, on schedules whose metrics hold no bound update yet
+    P, make_schedules = binding_case(name)
+    s1, s2 = make_schedules()
+    assert x_strategy(P, s1.metric(0)) == name.split("-")[0].replace("proxdirect",
+                                                                     "prox_direct")
+    K = 12
+    state, trace = run(P, initial_state(P), s1, s2, StoppingRule(max_iters=K), force=True)
+    s1, s2 = make_schedules()
+    stepped = [initial_state(P)]
+    for _ in range(K):
+        stepped.append(step(P, stepped[-1], s1, s2))
+    assert trace.iterations == K and state.k == stepped[-1].k == K
+    for k, st in enumerate(stepped):
+        for got, want in zip((trace.xs[k], trace.zs[k], trace.ys[k]), (st.x, st.z, st.y)):
+            assert same_bits(got, want)
+    assert same_bits(trace.residual_norms, [np.linalg.norm(st.r) for st in stepped[1:]])
+    for field_name in ("x", "z", "y", "Ax", "yc", "r"):
+        assert same_bits(getattr(state, field_name), getattr(stepped[-1], field_name))
+
+
+@pytest.mark.parametrize("name, n_x, n_steps", [
+    ("linearized-tv1d-constant", 1, 1), ("linearized-tv1d-steps", 3, 3),
+    ("quadratic-tv1d-decaying", 12, 12), ("quadratic-tv1d-m2decaying", 1, 12),
+    ("proxdirect-boxqp-decaying", 12, 12),
+])
+def test_run_binds_once_per_distinct_metric_object(monkeypatch, name, n_x, n_steps):
+    # the x update is bound once per M1 object (a constant schedule once, a
+    # step list once per tau, a decaying one once per k) and the iteration
+    # once per (M1, M2) pair; a second run on the same metric objects
+    # rebinds the iteration but finds each x update cached
+    bound_x, bound_steps = [], []
+    for attr, seen in (("_bind_x_update", bound_x), ("_bind_step", bound_steps)):
+        def counting(problem, *metrics, real=getattr(solver, attr), seen=seen):
+            seen.append(metrics)
+            return real(problem, *metrics)
+        monkeypatch.setattr(solver, attr, counting)
+    P, make_schedules = binding_case(name)
+    s1, s2 = make_schedules()
+    K = 12
+    run(P, initial_state(P), s1, s2, StoppingRule(max_iters=K), force=True)
+    assert (len(bound_x), len(bound_steps)) == (n_x, n_steps)
+    assert len({id(m1) for (m1,) in bound_x}) == n_x
+    assert len({(id(m1), id(m2)) for m1, m2 in bound_steps}) == n_steps
+    if n_steps < K:  # the same metric objects again
+        run(P, initial_state(P), s1, s2, StoppingRule(max_iters=K), force=True)
+        assert (len(bound_x), len(bound_steps)) == (n_x, 2 * n_steps)
+
+
 def test_run_geometric_m2_on_quadratic_g_decomposes_once(monkeypatch):
     # a decaying M2 changes the z-update step every iteration; the prox of
     # the quadratic g reuses one eigendecomposition of Q for all of them
@@ -771,17 +854,21 @@ def test_run_stops_once_the_squared_norm_overflows():
 def test_run_guard_covers_each_vector(monkeypatch, name, bad):
     # one entry of one vector of the third iterate is made NaN, inf, or so
     # large that its square overflows; the run stops there, without a warning
-    real_step = solver.step
+    real_bind = solver._bind_step
 
-    def poisoned_step(problem, state, sched1, sched2):
-        nxt = real_step(problem, state, sched1, sched2)
-        if nxt.k != 3:
-            return nxt
-        v = getattr(nxt, name).copy()
-        v[0] = bad
-        return dataclasses.replace(nxt, **{name: v})
+    def poisoned_bind(problem, m1, m2):
+        real_step = real_bind(problem, m1, m2)
 
-    monkeypatch.setattr(solver, "step", poisoned_step)
+        def poisoned_step(state):
+            nxt = real_step(state)
+            if nxt.k != 3:
+                return nxt
+            v = getattr(nxt, name).copy()
+            v[0] = bad
+            return dataclasses.replace(nxt, **{name: v})
+        return poisoned_step
+
+    monkeypatch.setattr(solver, "_bind_step", poisoned_bind)
     P, _ = build_problem("tv1d", n=20)
     s1 = ShiftedGramSchedule(0.19, P.c, P.A)
     s2 = ConstantSchedule(MetricOperator.zero(P.m))
