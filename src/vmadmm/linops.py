@@ -10,11 +10,10 @@ Linear maps carry an explicit
 adjoint so that matrix-free operators (e.g. finite differences) can be used
 without densification. Metric operators are symmetric positive-semidefinite
 and induce the seminorm ``||x||_U^2 = <x, Ux>`` used by the solver and its
-certificates. The operator never changes after construction. A metric
-holds the smallest eigenvalue its factory decided PSD by (``_min_eig``); on
-first use a map caches its dense matrix, Gram matrix and norm (``_dense``,
-``_gram``, ``_opnorm``), and a metric its dense matrix and the solver's
-bound x- and z-updates (``_dense_cache``, ``_x_cache``, ``_z_cache``).
+certificates. A metric is not changed after its factory returns: it holds
+the smallest eigenvalue its factory decided PSD by (``_min_eig``) and no
+state of a solver. On first use a map caches its dense matrix, Gram matrix
+and norm (``_dense``, ``_gram``, ``_opnorm``).
 """
 
 from __future__ import annotations
@@ -294,9 +293,6 @@ class MetricOperator:
         self.coupling = coupling
         self.map = map_
         self._min_eig = None
-        self._dense_cache = matrix
-        # (problem, bound update) of solver.x_update and of solver.z_update
-        self._x_cache = self._z_cache = None
 
     def _exact_min(self, lam):
         """Record ``lambda_min(U) = lam``, the value the factory decided PSD by."""
@@ -436,15 +432,13 @@ class MetricOperator:
         return _per_point(val)
 
     def to_dense(self):
-        """The dense matrix (cached); exactly symmetric, as ``A.gram_dense()`` is."""
-        if self._dense_cache is None:
-            if self.kind == "shifted_gram":
-                dense = np.eye(self.dim) / self.tau - self.coupling * self.map.gram_dense()
-            else:
-                dense = np.diag(self.diagonal_entries())
-            dense.setflags(write=False)
-            self._dense_cache = dense
-        return self._dense_cache
+        """The dense matrix, exactly symmetric, as ``A.gram_dense()`` is: a
+        dense metric's own (read-only), another kind's built by this call."""
+        if self.kind == "dense":
+            return self.matrix
+        if self.kind == "shifted_gram":
+            return np.eye(self.dim) / self.tau - self.coupling * self.map.gram_dense()
+        return np.diag(self.diagonal_entries())
 
     def scaled(self, s):
         """``s * U`` for a finite ``s >= 0``, from its kind's factory (``zero`` at 0)."""

@@ -233,22 +233,11 @@ def x_update(problem, state, m1):
     * PROX-DIRECT -- A is the identity and ``m1`` is a scaled identity:
       a single prox of f under the scalar metric ``c + mu``.
 
-    The update depends on the problem and ``m1`` alone, so it is bound once
-    (:func:`_bind_x_update`), cached on ``m1`` for this problem and rebound
-    when the metric object (or the problem) changes: a constant schedule
-    decides and factors once per run.
+    The update depends on the problem and ``m1`` alone; this call binds it
+    (:func:`_bind_x_update`) for itself, and :func:`run` once per metric
+    object.
     """
-    return _bound(problem, m1, "_x_cache", _bind_x_update)(state)
-
-
-def _bound(problem, metric, slot, bind):
-    """``bind(problem, metric)``, cached in the metric's ``slot`` and keyed on
-    the problem object itself (held, so a reused id() cannot match)."""
-    cached = getattr(metric, slot)
-    if cached is None or cached[0] is not problem:
-        cached = (problem, bind(problem, metric))
-        setattr(metric, slot, cached)
-    return cached[1]
+    return _bind_x_update(problem, m1)(state)
 
 
 def _bind_x_update(problem, m1):
@@ -364,12 +353,11 @@ def z_update(problem, state, Ax_next, m2):
 
     ``Ax_next`` is ``A x+``, the product of the new x iterate; the state
     supplies ``yc = y / c``. The strategy is :func:`z_strategy`'s answer,
-    bound and cached on ``m2`` for this problem as :func:`x_update` binds
-    its own. The subproblem is strongly convex with modulus ``c + m2`` and
-    reduces to a single prox of g: ``prox`` under a scalar metric,
-    ``prox_diag`` under a diagonal one.
+    bound as :func:`x_update` binds its own. The subproblem is strongly
+    convex with modulus ``c + m2`` and reduces to a single prox of g:
+    ``prox`` under a scalar metric, ``prox_diag`` under a diagonal one.
     """
-    return _bound(problem, m2, "_z_cache", _bind_z_update)(state, Ax_next)
+    return _bind_z_update(problem, m2)(state, Ax_next)
 
 
 def _bind_z_update(problem, m2):
@@ -411,24 +399,25 @@ def y_update(state, residual, c):
 def step(problem, state, sched1, sched2):
     """One full iteration; returns the next state with ``k`` incremented.
 
-    The iteration under the metrics of ``state.k``, as :func:`_bind_step`
-    binds it for them: the one implementation that :func:`run` also steps.
+    The iteration under the metrics of ``state.k``, bound for this one call
+    as :func:`run` binds it (:func:`_bind_step`): one implementation. A loop
+    of steps binds every step; :func:`run` binds once per metric object.
     """
-    return _bind_step(problem, sched1.metric(state.k), sched2.metric(state.k))(state)
+    k = state.k
+    return _bind_step(problem, _bind_x_update(problem, sched1.metric(k)),
+                      _bind_z_update(problem, sched2.metric(k)))(state)
 
 
-def _bind_step(problem, m1, m2):
-    """The iteration under ``m1`` and ``m2``, a function of the state: the x
-    and z updates bound for them (and cached on each, as :func:`x_update`
-    and :func:`z_update` keep them), with ``c`` and A's kernel read once.
+def _bind_step(problem, x_next_of, z_next_of):
+    """The iteration on the bound x and z updates ``x_next_of`` and
+    ``z_next_of``, a function of the state, with ``c`` and A's kernel read
+    once.
 
     ``A x+``, the residual ``r = A x+ - z+`` and ``y+ / c`` are computed
     once per step: ``A x+`` for the z update, ``r`` for the y update, and
     all three for the next state (:class:`SolverState`). For an identity map
     ``A x+`` is ``x+`` itself, which nothing writes to.
     """
-    x_next_of = _bound(problem, m1, "_x_cache", _bind_x_update)
-    z_next_of = _bound(problem, m2, "_z_cache", _bind_z_update)
     c, apply = problem.c, None if problem.A.is_identity else problem.A._apply
 
     def bound_step(state):
@@ -495,10 +484,11 @@ def run(problem, init, sched1, sched2, stop, force=False, recorder=None):
     """Iterate :func:`step` from ``init`` under the given schedules.
 
     Validates the convergence assumptions first and refuses to run when
-    none holds, unless ``force`` is set. The iteration is bound once per
-    pair of metric objects (:func:`_bind_step`, the binding :func:`step`
-    makes for one iteration), and rebound only when ``sched1.metric(k)``
-    or ``sched2.metric(k)`` returns another object. After each step calls
+    none holds, unless ``force`` is set. The x update is bound once per
+    object ``sched1.metric(k)`` returns, the z update once per object
+    ``sched2.metric(k)`` returns, and the iteration on the two
+    (:func:`_bind_step`, the binding :func:`step` makes for one iteration)
+    whenever either is rebound. After each step calls
     ``recorder.record(state, ||A x_k - z_k||)``, the norm of the state's
     ``r`` with the bits of ``np.linalg.norm``; the default recorder is a
     :class:`RunTrace` holding a copy of ``init`` and the iterates the
@@ -523,9 +513,12 @@ def run(problem, init, sched1, sched2, stop, force=False, recorder=None):
     m1 = m2 = None
     for _ in range(stop.max_iters):
         n1, n2 = metric1(state.k), metric2(state.k)
-        if n1 is not m1 or n2 is not m2:  # a new pair of metric objects
-            m1, m2 = n1, n2
-            bound_step = _bind_step(problem, m1, m2)
+        if n1 is not m1 or n2 is not m2:  # a new metric object
+            if n1 is not m1:
+                m1, x_next_of = n1, _bind_x_update(problem, n1)
+            if n2 is not m2:
+                m2, z_next_of = n2, _bind_z_update(problem, n2)
+            bound_step = _bind_step(problem, x_next_of, z_next_of)
         state = bound_step(state)
         x, z, y, r = state.x, state.z, state.y, state.r
         # on the safe side: an iterate whose squared norm overflows is

@@ -206,8 +206,8 @@ def test_x_update_optimality_inclusion_residual():
     cases.append((P2, MetricOperator.scaled_identity(P2.n, 2.0)))
     P3, _ = build_problem("lasso-split")
     cases.append((P3, MetricOperator.shifted_gram(0.4, 1.0, P3.A)))
-    # the QUADRATIC factor cached on one metric object must follow the
-    # problem when that object serves systems that differ in c or in Q
+    # one metric object serves QUADRATIC systems that differ in c or in Q;
+    # each x update factors the system of its own problem
     P4, _ = build_problem("tv1d", n=20, c=2.0)
     B = np.random.default_rng(11).standard_normal((P1.n, P1.n))
     P5 = ProblemSpec(
@@ -324,7 +324,7 @@ def test_capability_flags_decide_what_a_problem_accepts():
 
 
 def test_x_update_singular_system():
-    # a failed factorization is never cached: every call raises again, and
+    # a failed factorization leaves nothing behind: every call raises again, and
     # the same metric still serves a problem whose system is definite
     P = ProblemSpec(
         f=Zero(2), h=Zero(2), g=Zero(1), A=LinearMap.from_dense(np.zeros((1, 2))), c=1.0
@@ -346,7 +346,7 @@ def test_x_update_singular_system():
 def test_x_update_tv1d_zero_m1_singular(c, monkeypatch):
     # c D*D is singular for every c, also where rounding leaves the last
     # Cholesky pivot positive (c = 0.5), whether D records its Gram bands or
-    # is a dense copy: rejected before any factorization, nothing is cached,
+    # is a dense copy: rejected before any factorization, nothing is kept,
     # and the same metric then serves a definite problem
     factorizations = count_factorizations(monkeypatch)
     P, _ = build_problem("tv1d", n=20, c=c)
@@ -367,7 +367,7 @@ def test_x_update_tv1d_zero_m1_singular(c, monkeypatch):
 
 @pytest.mark.parametrize("banded", [True, False])
 def test_x_update_lapack_solve_matches_scipy_bitwise(banded):
-    # the QUADRATIC solve calls dpbtrs / dpotrs on the cached factor; it
+    # the QUADRATIC solve calls dpbtrs / dpotrs on the bound factor; it
     # must equal scipy's checked cho_solve_banded / cho_solve bit for bit
     P, _ = build_problem("tv1d", n=30, c=0.7)
     if banded:
@@ -478,8 +478,8 @@ BINDING_CASES = ["linearized-tv1d-constant", "linearized-tv1d-steps",
 
 @pytest.mark.parametrize("name", BINDING_CASES)
 def test_run_has_the_bits_of_successive_steps(name):
-    # run binds the iteration once per metric pair; K calls of step, each
-    # binding its own, on schedules whose metrics hold no bound update yet
+    # run binds each update once per metric object; K calls of step, each
+    # binding its own, on fresh schedules
     P, make_schedules = binding_case(name)
     s1, s2 = make_schedules()
     assert x_strategy(P, s1.metric(0)) == name.split("-")[0].replace("proxdirect",
@@ -506,25 +506,56 @@ def test_run_has_the_bits_of_successive_steps(name):
 ])
 def test_run_binds_once_per_distinct_metric_object(monkeypatch, name, n_x, n_steps):
     # the x update is bound once per M1 object (a constant schedule once, a
-    # step list once per tau, a decaying one once per k) and the iteration
-    # once per (M1, M2) pair; a second run on the same metric objects
-    # rebinds the iteration but finds each x update cached
-    bound_x, bound_steps = [], []
-    for attr, seen in (("_bind_x_update", bound_x), ("_bind_step", bound_steps)):
-        def counting(problem, *metrics, real=getattr(solver, attr), seen=seen):
-            seen.append(metrics)
-            return real(problem, *metrics)
+    # step list once per tau, a decaying one once per k), the z update once
+    # per M2 object (K times where M2 decays, else once) and the iteration
+    # whenever either is rebound; a second run on the same metric objects
+    # binds each update again, since no metric keeps a bound update
+    bound_x, bound_z, bound_steps = [], [], []
+    for attr, seen in (("_bind_x_update", bound_x), ("_bind_z_update", bound_z),
+                       ("_bind_step", bound_steps)):
+        def counting(problem, *args, real=getattr(solver, attr), seen=seen):
+            seen.append(args)
+            return real(problem, *args)
         monkeypatch.setattr(solver, attr, counting)
     P, make_schedules = binding_case(name)
     s1, s2 = make_schedules()
     K = 12
+    n_z = K if name.endswith("decaying") else 1
     run(P, initial_state(P), s1, s2, StoppingRule(max_iters=K), force=True)
-    assert (len(bound_x), len(bound_steps)) == (n_x, n_steps)
+    assert (len(bound_x), len(bound_z), len(bound_steps)) == (n_x, n_z, n_steps)
     assert len({id(m1) for (m1,) in bound_x}) == n_x
-    assert len({(id(m1), id(m2)) for m1, m2 in bound_steps}) == n_steps
+    assert len({id(m2) for (m2,) in bound_z}) == n_z
+    assert len({(id(x_of), id(z_of)) for x_of, z_of in bound_steps}) == n_steps
     if n_steps < K:  # the same metric objects again
         run(P, initial_state(P), s1, s2, StoppingRule(max_iters=K), force=True)
-        assert (len(bound_x), len(bound_steps)) == (n_x, 2 * n_steps)
+        assert (len(bound_x), len(bound_steps)) == (2 * n_x, 2 * n_steps)
+        assert len(bound_z) == 2 * n_z
+
+
+@pytest.mark.parametrize("name", BINDING_CASES)
+def test_binding_leaves_every_metric_unchanged(name):
+    # a metric is not changed after its factory returns: run, step, x_update
+    # and z_update leave every attribute of each metric they read the same
+    # object it was when a schedule returned it
+    P, make_schedules = binding_case(name)
+    seen = []
+    s1, s2 = make_schedules()
+    for schedule in (s1, s2):
+        def watched(k, metric_of=schedule.metric):
+            metric = metric_of(k)
+            seen.append((metric, dict(vars(metric))))
+            return metric
+        schedule.metric = watched
+    state, _ = run(P, initial_state(P), s1, s2, StoppingRule(max_iters=12), force=True)
+    state = step(P, state, s1, s2)
+    m1, m2 = s1.metric(state.k), s2.metric(state.k)
+    Ax_next = P.A.apply(x_update(P, state, m1))
+    z_update(P, state, Ax_next, m2)
+    assert len(seen) == 2 * 14
+    for metric, before in seen:
+        after = vars(metric)
+        assert after.keys() == before.keys()
+        assert all(after[key] is value for key, value in before.items())
 
 
 def test_run_geometric_m2_on_quadratic_g_decomposes_once(monkeypatch):
@@ -856,8 +887,8 @@ def test_run_guard_covers_each_vector(monkeypatch, name, bad):
     # large that its square overflows; the run stops there, without a warning
     real_bind = solver._bind_step
 
-    def poisoned_bind(problem, m1, m2):
-        real_step = real_bind(problem, m1, m2)
+    def poisoned_bind(problem, x_next_of, z_next_of):
+        real_step = real_bind(problem, x_next_of, z_next_of)
 
         def poisoned_step(state):
             nxt = real_step(state)

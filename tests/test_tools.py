@@ -241,3 +241,14 @@ def test_every_tracer_hook_resolves(monkeypatch):
         keys.update(found)
     # the per-kind key the factor hit ratio reads
     assert "functions.Quadratic.prox" in keys
+
+
+def test_byte_digests_record_every_audited_config():
+    # a config added to the audit without re-recording fails here, not only
+    # in the manual audit
+    audit = load_tool("byte_audit")
+    with open(audit.DIGESTS) as fh:
+        recorded = json.load(fh)["configs"]
+    names = [name for name, _ in audit.configs()]
+    assert len(set(names)) == len(names)
+    assert sorted(recorded) == sorted(names)

@@ -439,6 +439,15 @@ def host_environment():
             "platform": f"{platform.system()} {record['machine']}"}
 
 
+def environment_moved(recorded):
+    """One line per entry of the ``recorded`` environment that differs from
+    :func:`host_environment`."""
+    now = host_environment()
+    return [f"environment {key}: recorded {recorded.get(key)!r}, here {now.get(key)!r}"
+            for key in sorted(set(now) | set(recorded))
+            if recorded.get(key) != now.get(key)]
+
+
 def _columns_differ(old, new):
     """``log.csv`` columns whose cells differ, as ``name (rows)`` strings."""
     old_rows, new_rows = (list(csv.reader(io.StringIO(text))) for text in (old, new))
@@ -509,11 +518,7 @@ def check_digests(named, digests, results):
         print(f"no digests recorded at {DIGESTS}; record them with {RECORD}",
               file=sys.stderr)
         return 2
-    now = host_environment()
-    moved = [f"environment {key}: recorded {recorded['environment'].get(key)!r}, "
-             f"here {now.get(key)!r}"
-             for key in sorted(set(now) | set(recorded["environment"]))
-             if recorded["environment"].get(key) != now.get(key)]
+    moved = environment_moved(recorded["environment"])
     passes = {suffix: (recorded["configs"], digests[suffix]) for suffix in PASSES}
     gone = sorted(set(recorded["configs"]) - {name for name, _ in named})
     differ = report(named, passes, lambda name: f"exit {results[name]['exit']}")
