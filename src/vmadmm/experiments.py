@@ -746,9 +746,8 @@ class _GapFold:
         from the rows of ``(x_bar, z_bar, y_bar)`` end to end in ``means``."""
         problem, n, m = self.problem, self.problem.n, self.problem.m
         x_bar = means[:, :n]
-        # an identity map's product is x_bar itself, as the solver's step takes it
         average = diagnostics.lagrangian_terms(
-            problem, x_bar, means[:, n : n + m], x_bar if problem.A.is_identity else None)
+            problem, x_bar, means[:, n : n + m], problem.A.apply(x_bar))
         y_bar = means[:, n + m :]
         probe_y, gammas, values, residuals = self.probes
         cert = diagnostics.gap_certificate(

@@ -12,7 +12,9 @@ and infinities propagate through sums.
 All proximal maps are closed forms (the quadratic's from one cached
 eigendecomposition), so subproblem error stays at machine precision. A public
 call checks its arguments once, in :class:`ConvexFunction`, then calls the
-kind's kernel, which the solver calls directly on the arrays it made.
+kind's kernel, which the solver calls directly on the arrays it made. A
+proximal map returns a new array, except ``Zero``'s, which returns its
+argument.
 
 Each kind has one subdifferential kernel, ``value_and_distance(x, s)``, and
 ``distance_to_subdifferential`` is defined once, as its distance; a smooth
@@ -94,7 +96,8 @@ class ConvexFunction:
         raise NotImplementedError
 
     def prox(self, v, t):
-        """``argmin_u F(u) + ||u - v||^2 / (2 t)`` for ``t > 0``."""
+        """``argmin_u F(u) + ||u - v||^2 / (2 t)`` for ``t > 0``: a new array,
+        except that ``Zero`` returns ``v`` itself (as a float array)."""
         return self._prox(self._check_vector(v), self._step(t))
 
     def prox_diag(self, v, d):
@@ -166,7 +169,7 @@ class Zero(ConvexFunction):
         return _per_point(np.zeros(x.shape[:-1]))
 
     def _prox(self, v, t):
-        return v.copy()
+        return v
 
     _prox_diag = _prox
 

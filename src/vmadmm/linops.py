@@ -6,9 +6,10 @@ All vectors are 1-D float64 numpy arrays. :meth:`LinearMap.apply`,
 vector per row, and treat each row exactly as the 1-D call would, bit for
 bit: a product with a dense matrix is one GEMV per row (:func:`matvec`),
 never a GEMM of the block, and a reduction runs along the last axis.
-Linear maps carry an explicit
-adjoint so that matrix-free operators (e.g. finite differences) can be used
-without densification. Metric operators are symmetric positive-semidefinite
+Linear maps carry an explicit adjoint so that matrix-free operators (e.g.
+finite differences) can be used without densification. A product is a new
+array, except the identity map's, which is its argument; an adjoint is
+always a new array. Metric operators are symmetric positive-semidefinite
 and induce the seminorm ``||x||_U^2 = <x, Ux>`` used by the solver and its
 certificates. A metric is not changed after its factory returns: it holds
 the smallest eigenvalue its factory decided PSD by (``_min_eig``) and no
@@ -147,7 +148,8 @@ class LinearMap:
 
     @classmethod
     def identity(cls, n):
-        op = cls(n, n, lambda x: x.copy(), lambda v: v.copy(), kind="identity")
+        # the adjoint copies: objective_and_kkt negates A.adjoint(y) in place
+        op = cls(n, n, lambda x: x, lambda v: v.copy(), kind="identity")
         return op._exact_spectrum(1.0, 1.0)
 
     @classmethod
@@ -171,11 +173,12 @@ class LinearMap:
         return self.kind == "identity"
 
     def apply(self, x):
-        """Return ``A x``; of each row for a block."""
+        """Return ``A x``; of each row for a block. A new array, except that
+        the identity map returns ``x`` itself (as a float array)."""
         return self._apply(_check_block("LinearMap.apply input", x, self.cols))
 
     def adjoint(self, v):
-        """Return ``A* v``; of each row for a block."""
+        """Return ``A* v``, a new array; of each row for a block."""
         return self._adjoint(_check_block("LinearMap.adjoint input", v, self.rows))
 
     def to_dense(self):

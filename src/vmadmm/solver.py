@@ -118,7 +118,7 @@ def initial_state(problem, x0=None, z0=None, y0=None):
         raise DimensionMismatch("initial y", problem.m, y.shape)
     for name, v in (("x", x), ("z", z), ("y", y)):
         _check_finite(f"initial {name}", v)
-    Ax = x if problem.A.is_identity else problem.A.apply(x)
+    Ax = problem.A.apply(x)
     return SolverState(x=x, z=z, y=y, k=0, Ax=Ax, yc=y / problem.c, r=Ax - z)
 
 
@@ -244,10 +244,8 @@ def _bind_x_update(problem, m1):
     """:func:`x_update` under ``m1``, a function of the state with its scalars
     and factor computed once, on the kernels of f, h and A (unchecked).
 
-    Each operation that the kinds of f and h make an exact no-op is left out
-    when the update is bound: a zero h's gradient under PROX-DIRECT, since
-    ``w - (+0.0)`` is ``w`` bit for bit, signed zeros and NaN included, and a
-    zero f's prox under LINEARIZED, which would copy the point it is given.
+    A zero h's gradient is left out of PROX-DIRECT when the update is bound,
+    since ``w - (+0.0)`` is ``w`` bit for bit, signed zeros and NaN included.
     LINEARIZED keeps ``grad(x) +`` for a zero h, because ``+0.0 + (-0.0)`` is
     ``+0.0``.
     """
@@ -258,11 +256,9 @@ def _bind_x_update(problem, m1):
 
     if strategy == "linearized":
         tau = m1.tau
-        zero_f = isinstance(f, functions.Zero)
         def linearized(state):
             step = grad(state.x) + c * adjoint(state.r + state.yc)
-            point = state.x - tau * step
-            return point if zero_f else prox(point, tau)
+            return prox(state.x - tau * step, tau)
         return linearized
 
     if strategy == "quadratic":
@@ -362,17 +358,14 @@ def z_update(problem, state, Ax_next, m2):
 
 def _bind_z_update(problem, m2):
     """:func:`z_update` under ``m2`` with its scalars computed once, on g's
-    kernels; the scalar update with a zero g returns the point its prox would
-    copy."""
+    kernels."""
     g, c = problem.g, problem.c
     if z_strategy(problem, m2) == "scalar":
-        zero_g = isinstance(g, functions.Zero)
         mu = m2.mu
         denom = c + mu
         t, prox = g._step(1.0 / denom), g._prox
         def scalar(state, Ax_next):
-            point = _blend(c, Ax_next + state.yc, mu * state.z, denom)
-            return point if zero_g else prox(point, t)
+            return prox(_blend(c, Ax_next + state.yc, mu * state.z, denom), t)
         return scalar
     d2, prox_diag = m2.entries, g._prox_diag
     d = c + d2
@@ -415,14 +408,14 @@ def _bind_step(problem, x_next_of, z_next_of):
 
     ``A x+``, the residual ``r = A x+ - z+`` and ``y+ / c`` are computed
     once per step: ``A x+`` for the z update, ``r`` for the y update, and
-    all three for the next state (:class:`SolverState`). For an identity map
+    all three for the next state (:class:`SolverState`). An identity map's
     ``A x+`` is ``x+`` itself, which nothing writes to.
     """
-    c, apply = problem.c, None if problem.A.is_identity else problem.A._apply
+    c, apply = problem.c, problem.A._apply
 
     def bound_step(state):
         x_next = x_next_of(state)
-        Ax_next = x_next if apply is None else apply(x_next)
+        Ax_next = apply(x_next)
         z_next = z_next_of(state, Ax_next)
         r = Ax_next - z_next
         y_next = y_update(state, r, c)

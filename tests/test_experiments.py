@@ -1134,6 +1134,30 @@ def test_the_solver_process_fills_columns_when_the_certifier_holds_every_other_s
         os.close(freed)
 
 
+def test_the_writer_raises_when_the_certifying_process_closed_its_pipe():
+    # with every slot delivered, the writer waits for a free byte before it
+    # opens one again; a pipe whose write end is closed holds none, and the
+    # writer raises instead of blocking
+    problem = experiments.prepare(toy_config())[0]
+    state = solver.initial_state(problem)
+    delivered, filled = [], []
+    free, freed = os.pipe()
+    os.close(freed)
+    try:
+        writer = experiments._RingWriter(
+            experiments._ring(1, problem.n, problem.m), state,
+            lambda slot, count: delivered.append((slot, count)), free,
+            lambda slot, count: filled.append((slot, count)))
+        writer.record(state, 0.0)
+        writer.flush()
+        assert delivered == filled == [(0, 1)]
+        with pytest.raises(EOFError, match="^the certifying process closed its pipe$"):
+            writer.record(state, 0.0)
+        assert delivered == [(0, 1)]
+    finally:
+        os.close(free)
+
+
 def test_an_error_in_the_solver_process_filling_columns_is_met_here(tmp_path,
                                                                     monkeypatch,
                                                                     forked):
@@ -1416,6 +1440,17 @@ def test_cli_solve_missing_config_exits_2(tmp_path, capsys):
     assert main(["solve", "--config", missing]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and missing in err
+
+
+def test_cli_solve_exits_2_when_the_oracle_misses_its_bar(tmp_path, capsys):
+    # the gap check needs the saddle, and 10 iterations do not certify it:
+    # the oracle error is reported before anything is written
+    out = tmp_path / "out"
+    cfg = toy_config(checks=["gap_bound"], oracle_budget=10, out_dir=str(out))
+    assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "oracle error: oracle did not reach KKT residual 1e-10 within 10 iterations")
+    assert not out.exists()
 
 
 def check_inputs(tmp_path, log_text):

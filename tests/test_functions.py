@@ -17,6 +17,7 @@ from vmadmm.functions import (
     SquaredL2,
     Zero,
 )
+from vmadmm.linops import LinearMap
 
 ALL_PROXABLE = [
     Zero(3),
@@ -93,6 +94,21 @@ def test_prox_zero_is_identity():
     f = Zero(2)
     v = np.array([3.0, -4.0])
     assert np.array_equal(f.prox(v, 7.5), v)
+
+
+def test_the_identity_product_and_the_zero_prox_return_their_argument():
+    # the exact no-ops are the kinds' own: the solver and the certifier call
+    # the kernels and branch on no kind; an adjoint is still a new array,
+    # which objective_and_kkt negates in place
+    A = LinearMap.identity(3)
+    for a in (np.array([1.0, -0.0, 2.0]), np.arange(6.0).reshape(2, 3)):
+        assert A._apply(a) is a
+    v = np.array([3.0, -0.0, math.nan])
+    assert Zero(3)._prox(v, 0.5) is v
+    assert Zero(3)._prox_diag(v, np.array([1.0, 2.0, 3.0])) is v
+    adjoint = A.adjoint(v)
+    assert not np.shares_memory(adjoint, v)
+    assert np.array_equal(adjoint, v, equal_nan=True)
 
 
 def test_prox_quadratic_scalar():

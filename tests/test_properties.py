@@ -600,8 +600,9 @@ def box_blocks(draw):
 
 
 def test_box_distance_one_buffer_has_the_bits_of_the_nested_where():
-    # the distance fills one buffer case by case; a vector and a block of
-    # rows each give the bits of the nested np.where it replaced
+    # the distance fills one buffer case by case; a vector, a block of rows,
+    # a point against a block of targets and a block against one target each
+    # give the bits of the nested np.where it replaced
     # a row at both equal bounds, at a lower, at an upper, inside an
     # infinite one and exactly the tolerance 1e-12 past an upper bound at 0;
     # a row with an infinite target; a row outside
@@ -617,7 +618,7 @@ def test_box_distance_one_buffer_has_the_bits_of_the_nested_where():
     def check(case):
         lower, upper, x, s = case
         box = BoxIndicator(lower.size, lower=lower, upper=upper)
-        for point, target in ((x[0], s[0]), (x, s)):
+        for point, target in ((x[0], s[0]), (x, s), (x[0], s), (x, s[0])):
             expected = box_distance_nested_where(box, point, target)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

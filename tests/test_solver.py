@@ -1165,8 +1165,9 @@ def test_prox_direct_with_a_zero_h_keeps_the_bits_of_its_gradient_term():
 
 @pytest.mark.parametrize("A", [LinearMap.identity(3), forward_difference(3)],
                          ids=["identity", "forward-difference"])
-def test_linearized_with_a_zero_f_returns_the_point_its_prox_copies(A):
-    # the point x - tau step holds +0.0 and -0.0, on either kind of map
+def test_linearized_with_a_zero_f_returns_the_point_it_forms(A):
+    # the point x - tau step holds +0.0 and -0.0, on either kind of map, and
+    # a zero f's prox returns it
     P = ProblemSpec(f=Zero(3), h=SquaredL2(3, weight=0.5), g=L1Norm(A.rows, 1.0),
                     A=A, c=1.0)
     m1 = MetricOperator.shifted_gram(0.25, P.c, A)
@@ -1202,8 +1203,9 @@ def test_linearized_keeps_the_gradient_of_a_zero_h():
     assert np.signbit(got[0]) and not np.signbit(dropped[0])
 
 
-def test_z_update_with_a_zero_g_returns_the_point_its_prox_copies():
-    # the point holds +0.0 and -0.0: (c (A x+ + yc) + mu z) / (c + mu)
+def test_z_update_with_a_zero_g_returns_the_point_it_forms():
+    # the point holds +0.0 and -0.0: (c (A x+ + yc) + mu z) / (c + mu), and a
+    # zero g's prox returns it
     P = ProblemSpec(f=L1Norm(3, 1.0), h=Zero(3), g=Zero(3), A=LinearMap.identity(3),
                     c=1.0)
     m2 = MetricOperator.scaled_identity(3, 0.5)
@@ -1220,8 +1222,8 @@ def test_z_update_with_a_zero_g_returns_the_point_its_prox_copies():
 
 
 def test_an_identity_map_uses_x_as_its_product_and_the_trace_shares_no_memory():
-    # A x is x itself in every state, with the bits A.apply(x) copies; the
-    # trace's entries are still distinct arrays
+    # A x is x itself in every state, as A.apply(x) returns it; the trace's
+    # entries are still distinct arrays
     P, init, s1, s2 = pinned_run("prox-direct")
     assert P.A.is_identity
     assert init.Ax is init.x
@@ -1665,6 +1667,34 @@ def test_validate_condition_III_constant_metric():
     s2 = ConstantSchedule(MetricOperator.scaled_identity(1, 1.0))
     report = validate_assumptions(P, s1, s2, 5)
     assert report.condition_III
+
+
+class GrowingM2Schedule:
+    """``M2^k = (1 + k) id``: a duck-typed schedule that is not monotone."""
+
+    def metric(self, k):
+        return MetricOperator.scaled_identity(1, 1.0 + k)
+
+    def is_monotone(self):
+        return False
+
+    def min_eig_infimum(self):
+        return 1.0
+
+    def double_monotone(self):
+        return True
+
+
+def test_validate_refuses_a_non_monotone_m2_schedule():
+    # every other hypothesis of condition III holds, so it fails on
+    # monotonicity alone, and no condition permits the run
+    P, _ = build_problem("toy1d")  # h is zero, A is the identity
+    s1 = ConstantSchedule(MetricOperator.scaled_identity(1, 1.0))
+    report = validate_assumptions(P, s1, GrowingM2Schedule())
+    assert report.monotone_m1 and not report.monotone_m2
+    assert not report.permits_run
+    assert "M2 schedule is not monotone (M2^k >= M2^{k+1} fails)" in report.notes
+    assert "condition III fails: M2 not monotone" in report.notes
 
 
 def test_validate_condition_III_decides_a_zero_m2_by_value():
