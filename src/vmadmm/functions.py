@@ -14,7 +14,9 @@ eigendecomposition), so subproblem error stays at machine precision. A public
 call checks its arguments once, in :class:`ConvexFunction`, then calls the
 kind's kernel, which the solver calls directly on the arrays it made. A
 proximal map returns a new array, except ``Zero``'s, which returns its
-argument.
+argument. A binding that calls the prox many times at one step ``t`` takes
+its kernel from ``_prox_at(t)``: ``_prox`` itself, or for ``Quadratic`` the
+resolvent ``(I + tQ)^{-1}`` made once, one matrix-vector product a call.
 
 Each kind has one subdifferential kernel, ``value_and_distance(x, s)``, and
 ``distance_to_subdifferential`` is defined once, as its distance; a smooth
@@ -122,6 +124,12 @@ class ConvexFunction:
 
     def _prox(self, v, t):
         raise CapabilityError(f"{type(self).__name__} has no proximal map")
+
+    def _prox_at(self, t):
+        """The kernel a binding calls, as ``kernel(v, t)``, for every call at
+        the one step ``t``: ``_prox`` itself, unless a kind has a cheaper form
+        for a fixed step, made once here (``Quadratic``'s resolvent)."""
+        return self._prox
 
     def _prox_diag(self, v, d):
         raise CapabilityError(f"{type(self).__name__} is not separable")
@@ -370,7 +378,10 @@ class Quadratic(ConvexFunction):
     The first :meth:`prox` call computes ``Q = V diag(lam) V^T`` once and
     keeps only ``(lam, V)``; every later call, for any step size, reuses it.
     Beside it one entry ``(t, 1 + t lam, t q)`` holds the last step's
-    constants, 2n floats, made again only when ``t`` changes.
+    constants, 2n floats, made again only when ``t`` changes. The resolvent
+    ``(I + tQ)^{-1}`` that :meth:`_prox_at` forms is held only by the kernel
+    it returns, so a process that only evaluates or certifies ``F`` keeps no
+    ``n x n`` matrix beside ``Q`` and ``V``.
     """
 
     def __init__(self, Q, q=None):
@@ -432,8 +443,24 @@ class Quadratic(ConvexFunction):
     def _prox(self, v, t):
         """``(I + tQ)^{-1} (v - tq) = V diag(1 / (1 + t lam)) V^T (v - tq)``,
         two matrix-vector products; :class:`SingularSubproblem` when some
-        ``1 + t lam <= 0`` (a tiny negative eigenvalue at a large t). The
-        step's constants are kept only once that check has passed."""
+        ``1 + t lam <= 0`` (a tiny negative eigenvalue at a large t)."""
+        V, denom, tq = self._spectral_step(t)
+        # V.T @ w is a transposed GEMV on V itself; no copy of V.T is kept
+        return V @ ((V.T @ (v - tq)) / denom)
+
+    def _prox_at(self, t):
+        """The resolvent ``R = (I + tQ)^{-1} = V diag(1 / (1 + t lam)) V^T``,
+        one ``n x n`` product made here, then one matrix-vector product a
+        call, ``R (v - tq)``; the kernel ignores its own ``t``. The same
+        :class:`SingularSubproblem` check as :meth:`_prox`, raised here."""
+        V, denom, tq = self._spectral_step(t)
+        R = (V / denom) @ V.T
+        return lambda v, t: R @ (v - tq)
+
+    def _spectral_step(self, t):
+        """``(V, 1 + t lam, t q)`` for step ``t``, from the one
+        eigendecomposition; the step's constants are kept only once the
+        positivity check has passed."""
         if self._eigh is None:
             self._eigh = np.linalg.eigh(self.Q)
         lam, V = self._eigh
@@ -446,8 +473,7 @@ class Quadratic(ConvexFunction):
                 )
             self._at_step = (t, denom, t * self.q)
         _, denom, tq = self._at_step
-        # V.T @ w is a transposed GEMV on V itself; no copy of V.T is kept
-        return V @ ((V.T @ (v - tq)) / denom)
+        return V, denom, tq
 
 
 class Huber(ConvexFunction):

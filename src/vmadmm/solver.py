@@ -349,21 +349,41 @@ def z_update(problem, state, Ax_next, m2):
 
     ``Ax_next`` is ``A x+``, the product of the new x iterate; the state
     supplies ``yc = y / c``. The strategy is :func:`z_strategy`'s answer,
-    bound as :func:`x_update` binds its own. The subproblem is strongly
+    bound as :func:`x_update` binds its own, for this one call (not lasting:
+    a quadratic g takes its spectral prox). The subproblem is strongly
     convex with modulus ``c + m2`` and reduces to a single prox of g:
     ``prox`` under a scalar metric, ``prox_diag`` under a diagonal one.
     """
     return _bind_z_update(problem, m2)(state, Ax_next)
 
 
-def _bind_z_update(problem, m2):
+def _bind_z_update(problem, m2, lasting=False):
     """:func:`z_update` under ``m2`` with its scalars computed once, on g's
-    kernels."""
+    kernels.
+
+    ``lasting`` says the binding serves more than one iteration (the
+    schedule returns ``m2`` again at the next k): a scalar update then takes
+    g's kernel for its one step from ``g._prox_at(t)``, which for a quadratic
+    g is its resolvent ``(I + tQ)^{-1}``, one ``n x n`` product made here and
+    one matrix-vector product a step. An ``m2`` that serves one iteration
+    keeps ``g._prox``, whose spectral form makes no ``n x n`` matrix. Under a
+    zero ``m2`` the scalar update forms ``c (A x+ + yc) / c`` with no
+    ``0 z`` term; the two differ only in the sign of a zero (``-0.0 + 0.0``
+    is ``+0.0``), since every iterate ``z`` is finite.
+    """
     g, c = problem.g, problem.c
     if z_strategy(problem, m2) == "scalar":
         mu = m2.mu
         denom = c + mu
-        t, prox = g._step(1.0 / denom), g._prox
+        t = g._step(1.0 / denom)
+        prox = g._prox_at(t) if lasting else g._prox
+        if not mu:
+            def zero_metric(state, Ax_next):
+                w = Ax_next + state.yc
+                np.multiply(c, w, out=w)
+                w /= denom
+                return prox(w, t)
+            return zero_metric
         def scalar(state, Ax_next):
             return prox(_blend(c, Ax_next + state.yc, mu * state.z, denom), t)
         return scalar
@@ -393,12 +413,17 @@ def step(problem, state, sched1, sched2):
     """One full iteration; returns the next state with ``k`` incremented.
 
     The iteration under the metrics of ``state.k``, bound for this one call
-    as :func:`run` binds it (:func:`_bind_step`): one implementation. A loop
-    of steps binds every step; :func:`run` binds once per metric object.
+    as :func:`run` binds it (:func:`_bind_step`): one implementation. The z
+    update is bound as lasting when ``sched2.metric(k + 1)`` is the object
+    ``sched2.metric(k)`` returned, as :func:`run` decides it, so successive
+    steps keep the bits of a run. A loop of steps binds every step, a
+    lasting quadratic g's resolvent included; :func:`run` binds once per
+    metric object.
     """
     k = state.k
+    m2 = sched2.metric(k)
     return _bind_step(problem, _bind_x_update(problem, sched1.metric(k)),
-                      _bind_z_update(problem, sched2.metric(k)))(state)
+                      _bind_z_update(problem, m2, sched2.metric(k + 1) is m2))(state)
 
 
 def _bind_step(problem, x_next_of, z_next_of):
@@ -479,9 +504,12 @@ def run(problem, init, sched1, sched2, stop, force=False, recorder=None):
     Validates the convergence assumptions first and refuses to run when
     none holds, unless ``force`` is set. The x update is bound once per
     object ``sched1.metric(k)`` returns, the z update once per object
-    ``sched2.metric(k)`` returns, and the iteration on the two
-    (:func:`_bind_step`, the binding :func:`step` makes for one iteration)
-    whenever either is rebound. After each step calls
+    ``sched2.metric(k)`` returns and each time whether it lasts changes
+    (whether ``sched2.metric(k + 1)`` is the same object, as :func:`step`
+    decides it), and the iteration on the two (:func:`_bind_step`, the
+    binding :func:`step` makes for one iteration) whenever either is
+    rebound. Each M2 is fetched once: the look-ahead ``sched2.metric(k + 1)``
+    is the next iteration's metric. After each step calls
     ``recorder.record(state, ||A x_k - z_k||)``, the norm of the state's
     ``r`` with the bits of ``np.linalg.norm``; the default recorder is a
     :class:`RunTrace` holding a copy of ``init`` and the iterates the
@@ -503,16 +531,20 @@ def run(problem, init, sched1, sched2, stop, force=False, recorder=None):
     state = init
     metric1, metric2, record = sched1.metric, sched2.metric, recorder.record
     tol, interval = stop.kkt_tol, stop.kkt_interval
-    m1 = m2 = None
+    m1 = m2 = lasts = None
+    n2 = metric2(state.k)
     for _ in range(stop.max_iters):
-        n1, n2 = metric1(state.k), metric2(state.k)
-        if n1 is not m1 or n2 is not m2:  # a new metric object
+        n1, ahead = metric1(state.k), metric2(state.k + 1)
+        lasting = ahead is n2
+        if n1 is not m1 or n2 is not m2 or lasting is not lasts:
             if n1 is not m1:
                 m1, x_next_of = n1, _bind_x_update(problem, n1)
-            if n2 is not m2:
-                m2, z_next_of = n2, _bind_z_update(problem, n2)
+            if n2 is not m2 or lasting is not lasts:
+                m2, lasts = n2, lasting
+                z_next_of = _bind_z_update(problem, n2, lasting)
             bound_step = _bind_step(problem, x_next_of, z_next_of)
         state = bound_step(state)
+        n2 = ahead
         x, z, y, r = state.x, state.z, state.y, state.r
         # on the safe side: an iterate whose squared norm overflows is
         # already past exact certification, as is a NaN or inf entry

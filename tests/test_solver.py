@@ -524,7 +524,7 @@ def test_run_binds_once_per_distinct_metric_object(monkeypatch, name, n_x, n_ste
     run(P, initial_state(P), s1, s2, StoppingRule(max_iters=K), force=True)
     assert (len(bound_x), len(bound_z), len(bound_steps)) == (n_x, n_z, n_steps)
     assert len({id(m1) for (m1,) in bound_x}) == n_x
-    assert len({id(m2) for (m2,) in bound_z}) == n_z
+    assert len({id(m2) for m2, _ in bound_z}) == n_z
     assert len({(id(x_of), id(z_of)) for x_of, z_of in bound_steps}) == n_steps
     if n_steps < K:  # the same metric objects again
         run(P, initial_state(P), s1, s2, StoppingRule(max_iters=K), force=True)
@@ -551,7 +551,9 @@ def test_binding_leaves_every_metric_unchanged(name):
     m1, m2 = s1.metric(state.k), s2.metric(state.k)
     Ax_next = P.A.apply(x_update(P, state, m1))
     z_update(P, state, Ax_next, m2)
-    assert len(seen) == 2 * 14
+    # run fetches M1 at k = 0..11 and M2 at k = 0..12 (the look-ahead of the
+    # last iteration); step fetches M1 at k = 12 and M2 at k = 12 and 13
+    assert len(seen) == 12 + 13 + 3 + 2
     for metric, before in seen:
         after = vars(metric)
         assert after.keys() == before.keys()
@@ -560,16 +562,103 @@ def test_binding_leaves_every_metric_unchanged(name):
 
 def test_run_geometric_m2_on_quadratic_g_decomposes_once(monkeypatch):
     # a decaying M2 changes the z-update step every iteration; the prox of
-    # the quadratic g reuses one eigendecomposition of Q for all of them
-    P, _ = build_problem("lasso-split", n=8, rows=12, quadratic_in="g")
-    sched1 = ConstantSchedule(MetricOperator.scaled_identity(P.n, 1.0))
-    sched2 = GeometricDecaySchedule(MetricOperator.scaled_identity(P.m, 1.0), 0.9)
+    # the quadratic g reuses one eigendecomposition of Q for all of them and
+    # forms no resolvent. A constant M2 binds the z update once, as lasting,
+    # with one resolvent made from that same eigendecomposition
+    bound_z, resolvents = [], []
+
+    def counting_bind(problem, m2, lasting=False, real=solver._bind_z_update):
+        bound_z.append(lasting)
+        return real(problem, m2, lasting)
+
+    def counting_prox_at(g, t, real=Quadratic._prox_at):
+        resolvents.append(t)
+        return real(g, t)
+
+    monkeypatch.setattr(solver, "_bind_z_update", counting_bind)
+    monkeypatch.setattr(Quadratic, "_prox_at", counting_prox_at)
     factorizations = count_factorizations(monkeypatch)
     decompositions = count_eigh(monkeypatch)
-    _, trace = run(P, initial_state(P), sched1, sched2, StoppingRule(max_iters=40))
-    assert trace.iterations == 40
-    assert decompositions == [(P.m, P.m)]
-    assert factorizations == []
+    m2 = MetricOperator.scaled_identity(12, 1.0)
+    # t = 1 / (c + mu) = 0.5 under the constant M2
+    for sched2, lasting, steps in ((GeometricDecaySchedule(m2, 0.9), [False] * 40, []),
+                                   (ConstantSchedule(m2), [True], [0.5])):
+        P, _ = build_problem("lasso-split", n=8, rows=12, quadratic_in="g")
+        sched1 = ConstantSchedule(MetricOperator.scaled_identity(P.n, 1.0))
+        bound_z.clear()
+        resolvents.clear()
+        decompositions.clear()
+        _, trace = run(P, initial_state(P), sched1, sched2, StoppingRule(max_iters=40))
+        assert trace.iterations == 40
+        assert decompositions == [(P.m, P.m)]
+        assert factorizations == []
+        assert bound_z == lasting
+        assert resolvents == steps
+
+
+class SwitchingSchedule(ConstantSchedule):
+    """One metric object for k < ``switch``, another from then on."""
+
+    def __init__(self, first, then, switch):
+        super().__init__(first)
+        self._then, self._switch = then, switch
+
+    def metric(self, k):
+        return self._metric0 if k < self._switch else self._then
+
+
+def test_run_rebinds_a_z_update_that_stops_lasting(monkeypatch):
+    # one M2 object serves k = 0, 1, 2 and another every k after: the first
+    # is bound as lasting at k = 0 and again for its last iteration, k = 2,
+    # where step binds it as not lasting, so run and successive steps keep
+    # the same bits on a quadratic g, whose two forms round differently
+    bound_z = []
+
+    def counting_bind(problem, m2, lasting=False, real=solver._bind_z_update):
+        bound_z.append((m2, lasting))
+        return real(problem, m2, lasting)
+
+    P, _ = build_problem("lasso-split", n=8, rows=12, quadratic_in="g")
+    first, then = (MetricOperator.scaled_identity(P.m, mu) for mu in (1.0, 0.5))
+    s1 = ConstantSchedule(MetricOperator.scaled_identity(P.n, 1.0))
+    s2 = SwitchingSchedule(first, then, 3)
+    K = 8
+    monkeypatch.setattr(solver, "_bind_z_update", counting_bind)
+    state, trace = run(P, initial_state(P), s1, s2, StoppingRule(max_iters=K), force=True)
+    assert [(m2 is first, lasting) for m2, lasting in bound_z] == [
+        (True, True), (True, False), (False, True)]
+    stepped = [initial_state(P)]
+    for _ in range(K):
+        stepped.append(step(P, stepped[-1], s1, s2))
+    for k, st in enumerate(stepped):
+        for got, want in zip((trace.xs[k], trace.zs[k], trace.ys[k]), (st.x, st.z, st.y)):
+            assert same_bits(got, want)
+    # the last iteration of the first metric rounds otherwise as lasting
+    as_lasting = solver._bind_step(P, solver._bind_x_update(P, first),
+                                   solver._bind_z_update(P, first, True))(stepped[2])
+    assert not same_bits(as_lasting.z, stepped[3].z)
+
+
+def test_a_lasting_z_update_on_an_indefinite_system_is_refused_when_bound():
+    # Q has a tiny negative eigenvalue, which construction forgives; under a
+    # zero M2 the step t = 1 / c makes 1 + t lambda_min(Q) = -9, and a
+    # lasting binding forms its resolvent, so it raises before any
+    # iteration; the binding of one iteration raises at its call
+    P = ProblemSpec(f=L1Norm(2, 1.0), h=Zero(2), g=Quadratic(np.diag([-1e-11, 1.0])),
+                    A=LinearMap.identity(2), c=1e-12)
+    m2 = MetricOperator.zero(2)
+    with pytest.raises(SingularSubproblem, match="not positive definite"):
+        solver._bind_z_update(P, m2, lasting=True)
+    once = solver._bind_z_update(P, m2)
+    state = initial_state(P, [1.0, -2.0])
+    with pytest.raises(SingularSubproblem, match="not positive definite"):
+        once(state, state.Ax)
+    s1 = ConstantSchedule(MetricOperator.scaled_identity(2, 1.0))
+    trace = RunTrace([state.x], [state.z], [state.y])
+    with pytest.raises(SingularSubproblem, match="not positive definite"):
+        run(P, state, s1, ConstantSchedule(m2), StoppingRule(max_iters=5), force=True,
+            recorder=trace)
+    assert trace.iterations == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1028,7 +1117,10 @@ def checked_reference_run(P, init, sched1, sched2, iters):
     """``iters`` iterations written out with the update expressions of
     :mod:`vmadmm.solver` on the public, checked calls of f, h, g, A and the
     metrics, deciding the strategies every iteration; returns the lists of
-    x, z and y and the residual norms, as a :class:`RunTrace` holds them."""
+    x, z and y and the residual norms, as a :class:`RunTrace` holds them.
+    A scalar z update whose M2 lasts (the schedule returns it again at
+    k + 1) takes g's kernel for its step from ``_prox_at``, on arguments
+    checked as ``g.prox`` checks them."""
     f, h, g, A, c = P.f, P.h, P.g, P.A, P.c
     x, z, y = init.x, init.z, init.y
     r = A.apply(x) - z
@@ -1058,7 +1150,12 @@ def checked_reference_run(P, init, sched1, sched2, iters):
         if z_strategy(P, m2) == "scalar":
             mu = m2.mu
             denom = c + mu
-            z = g.prox((c * w + mu * z) / denom, 1.0 / denom)
+            point = (c * w + mu * z) / denom if mu else (c * w) / denom
+            if sched2.metric(k + 1) is m2:
+                t = g._step(1.0 / denom)
+                z = g._prox_at(t)(g._check_vector(point), t)
+            else:
+                z = g.prox(point, 1.0 / denom)
         else:
             d2 = m2.entries
             d = c + d2
@@ -1219,6 +1316,26 @@ def test_z_update_with_a_zero_g_returns_the_point_it_forms():
     assert same_bits(got, expected)
     assert np.signbit(got[:2]).tolist() == [False, True]
     assert not any(np.shares_memory(got, v) for v in (Ax, state.z, state.yc))
+
+
+def test_z_update_under_a_zero_m2_forms_no_zero_metric_term():
+    # the point is c (A x+ + yc) / c: where A x+ + yc is -0.0 and z is +0.0
+    # or positive it keeps -0.0, which (c (A x+ + yc) + 0 z) / c turned into
+    # +0.0; bound for one call or as lasting, a zero g's prox returns it
+    P = ProblemSpec(f=L1Norm(4, 1.0), h=Zero(4), g=Zero(4), A=LinearMap.identity(4),
+                    c=2.0)
+    m2 = MetricOperator.zero(4)
+    assert z_strategy(P, m2) == "scalar"
+    state = raw_state(P, x=np.zeros(4), z=[0.0, 1.0, -0.0, 3.0],
+                      yc=[-0.0, -0.0, -0.0, 0.5])
+    Ax = np.array([-0.0, -0.0, -0.0, 1.0])
+    c = P.c
+    expected = P.g.prox((c * (Ax + state.yc)) / c, 1.0 / c)
+    assert same_bits(expected, [-0.0, -0.0, -0.0, 1.5])
+    got = z_update(P, state, Ax, m2)
+    assert same_bits(got, expected)
+    assert not any(np.shares_memory(got, v) for v in (Ax, state.z, state.yc))
+    assert same_bits(solver._bind_z_update(P, m2, lasting=True)(state, Ax), expected)
 
 
 def test_an_identity_map_uses_x_as_its_product_and_the_trace_shares_no_memory():

@@ -219,10 +219,56 @@ def test_byte_audit_two_trees_name_the_columns_that_differ(tmp_path, monkeypatch
     assert capsys.readouterr().out.splitlines()[-1] == "2 of 2 configs identical"
     assert audit.main(["old/src", "new/src"]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[:3] == [
+    assert out[:5] == [
         "solved: DIFFERENT log.csv, log.csv on one CPU (exit 0 -> 0)",
-        "    log.csv columns: gap (1 row)",
-        "    log.csv columns: gap (1 row) on one CPU"]
+        "    log.csv columns: gap (1 row, largest change 0.25 absolute, 0.5 relative)",
+        "    verdicts flipped: none",
+        "    log.csv columns: gap (1 row, largest change 0.25 absolute, 0.5 relative)"
+        " on one CPU",
+        "    verdicts flipped: none on one CPU"]
+
+
+def test_byte_audit_two_trees_size_each_column_and_name_flipped_verdicts(
+        tmp_path, monkeypatch, capsys):
+    # cells that move by a rounding, from 0, by a signed zero only, to a
+    # non-number and past the old log's end; one check verdict and the check
+    # exit flip on one CPU only
+    audit, results, _ = fake_audit(tmp_path, monkeypatch)
+    old_log = "k,gap,kkt,note\n1,0.5,0.0,a\n2,0.0,2.0,b\n"
+    new_log = "k,gap,kkt,note\n1,0.5000000001,1e-3,a\n2,-0.0,2.0,inf\n3,0.1,0.1,c\n"
+    checks = {"kkt": {"passed": True, "detail": "x"},
+              "dual_identity": {"passed": True, "detail": "y"}}
+
+    def run_passes(srcs, named):
+        passes = {}
+        for suffix, r in results.items():
+            old, new = (json.loads(json.dumps(r)) for _ in srcs)
+            old["solved"]["log.csv"], new["solved"]["log.csv"] = old_log, new_log
+            old["solved"]["summary.json"] = json.dumps({"checks": checks})
+            moved = json.loads(json.dumps(checks))
+            if suffix:
+                moved["kkt"]["passed"] = False
+                new["solved"]["check exit"] = 1
+            new["solved"]["summary.json"] = json.dumps({"checks": moved})
+            passes[suffix] = [old, new]
+        return passes
+
+    monkeypatch.setattr(audit, "run_passes", run_passes)
+    assert audit.main(["old/src", "new/src"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    columns = ("    log.csv columns: k (1 row), gap (3 rows, largest change 1e-10 "
+               "absolute, 2e-10 relative), kkt (2 rows, largest change 0.001 "
+               "absolute, inf relative), note (2 rows)")
+    assert out[:7] == [
+        "solved: DIFFERENT log.csv, log.csv on one CPU, summary.json on one CPU, "
+        "check exit on one CPU (exit 0 -> 0)",
+        columns,
+        "    verdicts flipped: none",
+        columns + " on one CPU",
+        "    summary.json keys: checks.kkt.passed on one CPU",
+        "    verdicts flipped: check exit 0 -> 1, checks.kkt.passed true -> false"
+        " on one CPU",
+        "refused: identical (exit 2 -> 2)"]
 
 
 def test_every_tracer_hook_resolves(monkeypatch):

@@ -22,8 +22,11 @@ that log against ``{"kkt": 0.0, "c": <the config's c>}`` and compares its
 exit code, stdout and stderr. It prints one line per config and exits 1 on
 any difference, 0 when every config is identical. Under a config that
 differs it also names the ``log.csv`` columns that differ, each with the
-number of rows in which it does, and the ``summary.json`` keys that differ,
-nested keys joined by dots. In stdout and stderr each
+number of rows in which it does and its largest absolute and relative cell
+change, the ``summary.json`` keys that differ, nested keys joined by dots,
+and every exit code or ``checks.<name>.passed`` verdict that flipped, or
+``none``: a change that moves bits on purpose shows its size and whether a
+verdict moved. In stdout and stderr each
 tree's own ``src/`` path, which numpy's warning headers print, reads as
 ``<src>``, so two checkouts of the same code agree; a warning whose line
 number moved still differs. The temporary directory the outputs are
@@ -449,7 +452,11 @@ def environment_moved(recorded):
 
 
 def _columns_differ(old, new):
-    """``log.csv`` columns whose cells differ, as ``name (rows)`` strings."""
+    """``log.csv`` columns whose cells differ, as ``name (rows, largest
+    change A absolute, R relative)`` strings: the largest ``|new - old|`` and
+    ``|new - old| / |old|`` over the rows where both cells are numbers (inf
+    where one is not finite, or where ``old`` is 0 and ``new`` is not), left
+    out when no such row differs."""
     old_rows, new_rows = (list(csv.reader(io.StringIO(text))) for text in (old, new))
     if not old_rows or not new_rows or old_rows[0] != new_rows[0]:
         return ["header"]
@@ -457,11 +464,41 @@ def _columns_differ(old, new):
     for j, name in enumerate(old_rows[0]):
         old_col, new_col = ([row[j] for row in rows[1:]]
                             for rows in (old_rows, new_rows))
-        rows = sum(a != b for a, b in zip(old_col, new_col))
-        rows += abs(len(old_col) - len(new_col))
-        if rows:
-            out.append(f"{name} ({rows} row{'s' * (rows != 1)})")
+        changes = [_cell_change(a, b) for a, b in zip(old_col, new_col) if a != b]
+        rows = len(changes) + abs(len(old_col) - len(new_col))
+        if not rows:
+            continue
+        sizes = [change for change in changes if change is not None]
+        size = ""
+        if sizes:
+            size = (f", largest change {max(a for a, _ in sizes):.3g} absolute, "
+                    f"{max(r for _, r in sizes):.3g} relative")
+        out.append(f"{name} ({rows} row{'s' * (rows != 1)}{size})")
     return out
+
+
+def _cell_change(old, new):
+    """``(|new - old|, |new - old| / |old|)`` of two cells, or None unless
+    both are numbers."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf, math.inf
+    change = abs(b - a)
+    if change == 0.0:  # a signed zero or another spelling of one number
+        return 0.0, 0.0
+    return change, change / abs(a) if a else math.inf
+
+
+def _verdicts(result):
+    """A result's exit codes and ``checks.<name>.passed`` values, by name."""
+    verdicts = {key: result.get(key) for key in ("exit", "check exit")}
+    if "summary.json" in result:
+        for name, check in json.loads(result["summary.json"]).get("checks", {}).items():
+            verdicts[f"checks.{name}.passed"] = check.get("passed")
+    return verdicts
 
 
 def _keys_differ(old, new, prefix=""):
@@ -473,7 +510,11 @@ def _keys_differ(old, new, prefix=""):
 
 
 def _details(old, new):
-    """Lines naming what differs inside ``log.csv`` and ``summary.json``."""
+    """Lines naming what differs inside ``log.csv`` and ``summary.json``,
+    and each exit code or check verdict that flipped (``none`` when the
+    result differs and none did)."""
+    if all(old.get(key) == new.get(key) for key in KEYS):
+        return []
     lines = []
     if "log.csv" in old and "log.csv" in new and old["log.csv"] != new["log.csv"]:
         lines.append("log.csv columns: "
@@ -482,6 +523,11 @@ def _details(old, new):
             and old["summary.json"] != new["summary.json"]):
         lines.append("summary.json keys: " + ", ".join(_keys_differ(
             json.loads(old["summary.json"]), json.loads(new["summary.json"]))))
+    before, after = _verdicts(old), _verdicts(new)
+    flipped = [f"{key} {json.dumps(before.get(key))} -> {json.dumps(after.get(key))}"
+               for key in sorted(set(before) | set(after))
+               if before.get(key) != after.get(key)]
+    lines.append("verdicts flipped: " + (", ".join(flipped) or "none"))
     return lines
 
 
