@@ -89,7 +89,9 @@ class SolverState:
     expressions, so each derived vector is computed once per iterate: ``yc``
     feeds the next x and z updates, ``r`` the recorder's ``||A x_k - z_k||``
     and the next LINEARIZED x update, ``Ax`` the certifier. For an identity
-    map ``Ax`` is ``x`` itself, not a copy of it.
+    map ``Ax`` is ``x`` itself, not a copy of it, and at ``c = 1`` ``yc`` is
+    ``y`` itself (``y / 1.0`` is ``y`` bit for bit): nothing in the package
+    writes to a state's vectors.
     """
 
     x: np.ndarray
@@ -119,7 +121,8 @@ def initial_state(problem, x0=None, z0=None, y0=None):
     for name, v in (("x", x), ("z", z), ("y", y)):
         _check_finite(f"initial {name}", v)
     Ax = problem.A.apply(x)
-    return SolverState(x=x, z=z, y=y, k=0, Ax=Ax, yc=y / problem.c, r=Ax - z)
+    yc = y if problem.c == 1.0 else y / problem.c
+    return SolverState(x=x, z=z, y=y, k=0, Ax=Ax, yc=yc, r=Ax - z)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +250,11 @@ def _bind_x_update(problem, m1):
     A zero h's gradient is left out of PROX-DIRECT when the update is bound,
     since ``w - (+0.0)`` is ``w`` bit for bit, signed zeros and NaN included.
     LINEARIZED keeps ``grad(x) +`` for a zero h, because ``+0.0 + (-0.0)`` is
-    ``+0.0``.
+    ``+0.0``. At ``c = 1`` each update leaves out its product by ``c``, since
+    ``1.0 * v`` is ``v`` bit for bit, signed zeros, inf and NaN included.
     """
     f, A, c = problem.f, problem.A, problem.c
+    unit = c == 1.0
     grad, adjoint, prox = problem.h._grad, A._adjoint, f._prox
     zero_h = isinstance(problem.h, functions.Zero)
     strategy = x_strategy(problem, m1)
@@ -257,7 +262,8 @@ def _bind_x_update(problem, m1):
     if strategy == "linearized":
         tau = m1.tau
         def linearized(state):
-            step = grad(state.x) + c * adjoint(state.r + state.yc)
+            coupling = adjoint(state.r + state.yc)
+            step = grad(state.x) + (coupling if unit else c * coupling)
             return prox(state.x - tau * step, tau)
         return linearized
 
@@ -266,7 +272,8 @@ def _bind_x_update(problem, m1):
         apply_m1 = m1._apply
         q = f.q if isinstance(f, functions.Quadratic) else None
         def quadratic(state):
-            rhs = -grad(state.x) + c * adjoint(state.z - state.yc)
+            coupling = adjoint(state.z - state.yc)
+            rhs = -grad(state.x) + (coupling if unit else c * coupling)
             rhs += apply_m1(state.x)
             if q is not None:
                 rhs -= q
@@ -283,7 +290,8 @@ def _bind_x_update(problem, m1):
     def prox_direct(state):
         # (c (z - yc) + mu x - grad h(x)) / (c + mu), formed in z - yc
         w = state.z - state.yc
-        np.multiply(c, w, out=w)
+        if not unit:
+            np.multiply(c, w, out=w)
         w += mu * state.x
         if not zero_h:
             w -= grad(state.x)
@@ -369,9 +377,11 @@ def _bind_z_update(problem, m2, lasting=False):
     keeps ``g._prox``, whose spectral form makes no ``n x n`` matrix. Under a
     zero ``m2`` the scalar update forms ``c (A x+ + yc) / c`` with no
     ``0 z`` term; the two differ only in the sign of a zero (``-0.0 + 0.0``
-    is ``+0.0``), since every iterate ``z`` is finite.
+    is ``+0.0``), since every iterate ``z`` is finite. At ``c = 1`` that
+    point is ``A x+ + yc``: both passes by ``c`` are exact no-ops.
     """
     g, c = problem.g, problem.c
+    unit = c == 1.0
     if z_strategy(problem, m2) == "scalar":
         mu = m2.mu
         denom = c + mu
@@ -380,8 +390,9 @@ def _bind_z_update(problem, m2, lasting=False):
         if not mu:
             def zero_metric(state, Ax_next):
                 w = Ax_next + state.yc
-                np.multiply(c, w, out=w)
-                w /= denom
+                if not unit:
+                    np.multiply(c, w, out=w)
+                    w /= denom
                 return prox(w, t)
             return zero_metric
         def scalar(state, Ax_next):
@@ -396,15 +407,20 @@ def _bind_z_update(problem, m2, lasting=False):
 
 def _blend(c, u, v, d):
     """``(c * u + v) / d``, with that expression's bits, formed in ``u``, a
-    temporary the caller made."""
-    np.multiply(c, u, out=u)
+    temporary the caller made; at ``c = 1`` without the product, since
+    ``1.0 * u`` is ``u`` bit for bit."""
+    if c != 1.0:
+        np.multiply(c, u, out=u)
     u += v
     u /= d
     return u
 
 
 def y_update(state, residual, c):
-    """Dual ascent ``y + c r`` from the residual ``r = A x+ - z+``; exact."""
+    """Dual ascent ``y + c r`` from the residual ``r = A x+ - z+``; exact.
+    At ``c = 1`` it is ``y + r``, since ``1.0 * r`` is ``r`` bit for bit."""
+    if c == 1.0:
+        return state.y + residual
     step = c * residual
     return np.add(state.y, step, out=step)
 
@@ -434,9 +450,11 @@ def _bind_step(problem, x_next_of, z_next_of):
     ``A x+``, the residual ``r = A x+ - z+`` and ``y+ / c`` are computed
     once per step: ``A x+`` for the z update, ``r`` for the y update, and
     all three for the next state (:class:`SolverState`). An identity map's
-    ``A x+`` is ``x+`` itself, which nothing writes to.
+    ``A x+`` is ``x+`` itself, and at ``c = 1`` ``y+ / c`` is ``y+`` itself,
+    arrays which nothing writes to.
     """
     c, apply = problem.c, problem.A._apply
+    unit = c == 1.0
 
     def bound_step(state):
         x_next = x_next_of(state)
@@ -444,7 +462,8 @@ def _bind_step(problem, x_next_of, z_next_of):
         z_next = z_next_of(state, Ax_next)
         r = Ax_next - z_next
         y_next = y_update(state, r, c)
-        return SolverState(x_next, z_next, y_next, state.k + 1, Ax_next, y_next / c, r)
+        yc = y_next if unit else y_next / c
+        return SolverState(x_next, z_next, y_next, state.k + 1, Ax_next, yc, r)
     return bound_step
 
 

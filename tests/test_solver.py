@@ -449,16 +449,20 @@ def binding_case(name):
     LINEARIZED, QUADRATIC and PROX-DIRECT under a constant schedule, a
     decaying one (a new metric object every k) and, for LINEARIZED, a step
     list whose tau changes mid-run; the M2 schedule decays with M1's, and
-    alone under ``m2decaying``."""
-    strategy, problem, kind = name.split("-")
-    P = {"tv1d": lambda: build_problem("tv1d", n=20)[0],
+    alone under ``m2decaying``. A last part ``c2`` sets the penalty to 2, the
+    general path of every product by c, and halves a constant LINEARIZED
+    tau."""
+    strategy, problem, kind, *penalty = name.split("-")
+    c = 2.0 if penalty == ["c2"] else 1.0
+    P = {"tv1d": lambda: build_problem("tv1d", n=20, c=c)[0],
          "lassog": lambda: build_problem("lasso-split", n=8, rows=12,
-                                         quadratic_in="g")[0],
-         "boxqp": lambda: build_problem("box-qp", n=20)[0]}[problem]()
+                                         quadratic_in="g", c=c)[0],
+         "boxqp": lambda: build_problem("box-qp", n=20, c=c)[0]}[problem]()
 
     def make_schedules():
         if strategy == "linearized":
-            taus = 0.19 if kind == "constant" else [0.1, 0.1, 0.15, 0.15, 0.15, 0.19]
+            taus = (0.19 / c if kind == "constant"
+                    else [0.1, 0.1, 0.15, 0.15, 0.15, 0.19])
             return ShiftedGramSchedule(taus, P.c, P.A), ConstantSchedule(
                 MetricOperator.zero(P.m))
         m1 = MetricOperator.scaled_identity(P.n, 5.0 if problem == "boxqp" else 1.0)
@@ -469,7 +473,8 @@ def binding_case(name):
     return P, make_schedules
 
 
-BINDING_CASES = ["linearized-tv1d-constant", "linearized-tv1d-steps",
+BINDING_CASES = ["linearized-tv1d-constant", "linearized-tv1d-constant-c2",
+                 "linearized-tv1d-steps",
                  "quadratic-tv1d-constant", "quadratic-tv1d-decaying",
                  "quadratic-tv1d-m2decaying",
                  "proxdirect-lassog-constant", "proxdirect-lassog-decaying",
@@ -1243,11 +1248,18 @@ def raw_state(P, x, z, yc, r=None, Ax=None):
     return solver.SolverState(x=x, z=z, y=P.c * yc, k=0, Ax=Ax, yc=yc, r=r)
 
 
-def test_prox_direct_with_a_zero_h_keeps_the_bits_of_its_gradient_term():
+# each expression test runs at c = 1, where the update leaves out its
+# products by c (exact no-ops), and at c = 2, where it forms them; the
+# references write every product by c out
+
+@pytest.mark.parametrize("c, point", [(1.0, [0.0, -0.0, 0.5, -0.25]),
+                                      (2.0, [0.0, -0.0, 0.5, -1.0 / 3.0])],
+                         ids=["c1", "c2"])
+def test_prox_direct_with_a_zero_h_keeps_the_bits_of_its_gradient_term(c, point):
     # w - (+0.0) is w: the update's point holds +0.0 and -0.0, and a box
     # prox passes both through
     P = ProblemSpec(f=BoxIndicator(4, -1.0, 1.0), h=Zero(4), g=L1Norm(4, 1.0),
-                    A=LinearMap.identity(4), c=1.0)
+                    A=LinearMap.identity(4), c=c)
     m1 = MetricOperator.scaled_identity(4, 1.0)
     assert x_strategy(P, m1) == "prox_direct"
     state = raw_state(P, x=[0.0, -0.0, 0.5, 0.0], z=[0.0, -0.0, 0.5, -0.5],
@@ -1257,17 +1269,21 @@ def test_prox_direct_with_a_zero_h_keeps_the_bits_of_its_gradient_term():
     expected = P.f.prox((c * (z - yc) + mu * x - P.h.grad(x)) / denom, 1.0 / denom)
     got = x_update(P, state, m1)
     assert same_bits(got, expected)
-    assert same_bits(got, [0.0, -0.0, 0.5, -0.25])
+    assert same_bits(got, point)
 
 
-@pytest.mark.parametrize("A", [LinearMap.identity(3), forward_difference(3)],
-                         ids=["identity", "forward-difference"])
-def test_linearized_with_a_zero_f_returns_the_point_it_forms(A):
+@pytest.mark.parametrize("A, c", [
+    pytest.param(LinearMap.identity(3), 1.0, id="identity"),
+    pytest.param(forward_difference(3), 1.0, id="forward-difference"),
+    pytest.param(LinearMap.identity(3), 2.0, id="identity-c2"),
+    pytest.param(forward_difference(3), 2.0, id="forward-difference-c2"),
+])
+def test_linearized_with_a_zero_f_returns_the_point_it_forms(A, c):
     # the point x - tau step holds +0.0 and -0.0, on either kind of map, and
     # a zero f's prox returns it
     P = ProblemSpec(f=Zero(3), h=SquaredL2(3, weight=0.5), g=L1Norm(A.rows, 1.0),
-                    A=A, c=1.0)
-    m1 = MetricOperator.shifted_gram(0.25, P.c, A)
+                    A=A, c=c)
+    m1 = MetricOperator.shifted_gram(0.25 / c, P.c, A)
     assert x_strategy(P, m1) == "linearized"
     state = raw_state(P, x=[0.0, -0.0, 1.0], z=np.zeros(A.rows),
                       yc=np.zeros(A.rows), r=np.zeros(A.rows))
@@ -1280,12 +1296,13 @@ def test_linearized_with_a_zero_f_returns_the_point_it_forms(A):
     assert not any(np.shares_memory(got, v) for v in (state.x, state.r, state.yc))
 
 
-def test_linearized_keeps_the_gradient_of_a_zero_h():
+@pytest.mark.parametrize("c", [1.0, 2.0], ids=["c1", "c2"])
+def test_linearized_keeps_the_gradient_of_a_zero_h(c):
     # +0.0 + (-0.0) is +0.0: with c A*(r + yc) = -0.0 the gradient step is
     # +0.0 and x - tau step keeps x = -0.0; without the gradient term it
     # would be -0.0 - tau (-0.0) = +0.0
     P = ProblemSpec(f=BoxIndicator(2, -1.0, 1.0), h=Zero(2), g=L1Norm(2, 1.0),
-                    A=LinearMap.identity(2), c=1.0)
+                    A=LinearMap.identity(2), c=c)
     m1 = MetricOperator.shifted_gram(0.25, P.c, P.A)
     assert x_strategy(P, m1) == "linearized"
     state = raw_state(P, x=[-0.0, 0.5], z=[0.0, 0.0], yc=[-0.0, 0.0],
@@ -1300,11 +1317,12 @@ def test_linearized_keeps_the_gradient_of_a_zero_h():
     assert np.signbit(got[0]) and not np.signbit(dropped[0])
 
 
-def test_z_update_with_a_zero_g_returns_the_point_it_forms():
+@pytest.mark.parametrize("c", [1.0, 2.0], ids=["c1", "c2"])
+def test_z_update_with_a_zero_g_returns_the_point_it_forms(c):
     # the point holds +0.0 and -0.0: (c (A x+ + yc) + mu z) / (c + mu), and a
     # zero g's prox returns it
     P = ProblemSpec(f=L1Norm(3, 1.0), h=Zero(3), g=Zero(3), A=LinearMap.identity(3),
-                    c=1.0)
+                    c=c)
     m2 = MetricOperator.scaled_identity(3, 0.5)
     assert z_strategy(P, m2) == "scalar"
     state = raw_state(P, x=np.zeros(3), z=[0.0, -0.0, 1.0], yc=[0.0, -0.0, 0.0])
@@ -1318,12 +1336,13 @@ def test_z_update_with_a_zero_g_returns_the_point_it_forms():
     assert not any(np.shares_memory(got, v) for v in (Ax, state.z, state.yc))
 
 
-def test_z_update_under_a_zero_m2_forms_no_zero_metric_term():
+@pytest.mark.parametrize("c", [1.0, 2.0], ids=["c1", "c2"])
+def test_z_update_under_a_zero_m2_forms_no_zero_metric_term(c):
     # the point is c (A x+ + yc) / c: where A x+ + yc is -0.0 and z is +0.0
     # or positive it keeps -0.0, which (c (A x+ + yc) + 0 z) / c turned into
     # +0.0; bound for one call or as lasting, a zero g's prox returns it
     P = ProblemSpec(f=L1Norm(4, 1.0), h=Zero(4), g=Zero(4), A=LinearMap.identity(4),
-                    c=2.0)
+                    c=c)
     m2 = MetricOperator.zero(4)
     assert z_strategy(P, m2) == "scalar"
     state = raw_state(P, x=np.zeros(4), z=[0.0, 1.0, -0.0, 3.0],
@@ -1336,6 +1355,27 @@ def test_z_update_under_a_zero_m2_forms_no_zero_metric_term():
     assert same_bits(got, expected)
     assert not any(np.shares_memory(got, v) for v in (Ax, state.z, state.yc))
     assert same_bits(solver._bind_z_update(P, m2, lasting=True)(state, Ax), expected)
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0], ids=["c1", "c2"])
+def test_a_step_forms_y_plus_c_r_and_yc_is_y_only_at_a_unit_penalty(c):
+    # y + 1.0 * r is y + r and y / 1.0 is y, bit for bit: at c = 1 the state's
+    # yc is its y itself, in the initial state and after a step; at c = 2 it
+    # is a distinct array with the bits of y / c
+    P = ProblemSpec(f=L1Norm(4, 0.5), h=Zero(4), g=L1Norm(4, 0.25),
+                    A=LinearMap.identity(4), c=c)
+    s1 = ConstantSchedule(MetricOperator.scaled_identity(4, 1.0))
+    s2 = ConstantSchedule(MetricOperator.zero(4))
+    init = initial_state(P, [0.5, -0.0, 2.0, 0.0], [0.0, -0.0, 1.0, 3.0],
+                         [-0.0, 0.25, -1.0, -0.0])
+    nxt = step(P, init, s1, s2)
+    assert same_bits(nxt.y, init.y + c * nxt.r)
+    for state in (init, nxt):
+        if c == 1.0:
+            assert state.yc is state.y
+        else:
+            assert not np.shares_memory(state.yc, state.y)
+            assert same_bits(state.yc, state.y / c)
 
 
 def test_an_identity_map_uses_x_as_its_product_and_the_trace_shares_no_memory():

@@ -298,3 +298,22 @@ def test_byte_digests_record_every_audited_config():
     names = [name for name, _ in audit.configs()]
     assert len(set(names)) == len(names)
     assert sorted(recorded) == sorted(names)
+
+
+def test_step_layers_times_each_piece_of_the_bound_iteration(capsys, monkeypatch):
+    # at a tiny repeat count, at the workload's c = 1 and at c = 2: one line
+    # per piece of the bound iteration, each a time, then their sum, the
+    # whole bound step and a plain run's time per iteration; the BLAS
+    # variables and sys.path the script sets are restored afterwards
+    step_layers = load_tool("step_layers")
+    for var in step_layers.BLAS_VARS:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    names = ["x update", "A x+", "z update", "r", "y_update", "yc", "ddot guard",
+             "residual norm", "record", "sum of pieces", "bound step", "run / iter"]
+    for argv, c in ((["lasso-g"], "1"), (["tv1d-linearized", "--c", "2"], "2")):
+        assert step_layers.main(argv + ["--repeat", "1", "--number", "2"]) == 0
+        head, *rows = capsys.readouterr().out.splitlines()
+        assert head.startswith(f"step_layers {argv[0]} seed 1 c {c} at k 2: ")
+        assert [row.rsplit(None, 1)[0].strip() for row in rows] == names
+        assert all(float(row.rsplit(None, 1)[1]) >= 0.0 for row in rows)

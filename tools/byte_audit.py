@@ -14,7 +14,7 @@ two CPUs are usable, and once with the subprocess pinned to one CPU by
 ``os.sched_setaffinity``, where vmadmm solves in its own process (without
 ``sched_setaffinity`` vmadmm always does, and the second pass repeats the
 first). A config differs when either pass differs, and each key or line
-that differs on one CPU says so. The four runs over the 74 configs take
+that differs on one CPU says so. The four runs over the 78 configs take
 about 11 s on a 2-core x86-64 host. Per pass and config the audit compares
 ``log.csv``, ``summary.json``, the exit code and the lines echoed to stdout
 and stderr; for a config that wrote a log, it also runs ``vmadmm check`` on
@@ -323,6 +323,21 @@ def configs():
         ("toy-init-true-refused-tau", toy(metric1={"kind": "shifted_gram",
                                                    "tau": [0.5, 0.25]},
                                           init={"x": [True]})),
+    ]
+    # the general path of every product by c: the workloads' x strategies
+    # and zero M2 (a lasting resolvent on lasso-g) at c != 1
+    out += [
+        ("tv1d-20-linearized-c13", toy(problem={"name": "tv1d", "n": 20}, c=1.3,
+                                       metric1={"kind": "shifted_gram", "tau": 0.15},
+                                       metric2=ZERO, iters=200, checks=gap_checks)),
+        ("tv1d-20-quadratic-c07", toy(problem={"name": "tv1d", "n": 20}, c=0.7,
+                                      metric2=ZERO, iters=200, checks=gap_checks)),
+        ("lasso-g-8-c17-all", toy(problem={"name": "lasso-split", "n": 8, "rows": 12,
+                                           "quadratic_in": "g"},
+                                  c=1.7, metric2=ZERO, iters=400, checks=ALL_CHECKS)),
+        ("box-qp-10-c07", toy(problem={"name": "box-qp", "n": 10}, c=0.7,
+                              metric1=_metric(5.0), metric2=ZERO, iters=200,
+                              checks=gap_checks)),
     ]
     # the benchmark workloads, read from perfbench/ as they are
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
